@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench report run-smoke trace-smoke diff-smoke serve-smoke serve-load scale-smoke profile-smoke calibrate sweep clean
+.PHONY: install test lint bench report run-smoke trace-smoke diff-smoke serve-smoke serve-load scale-smoke profile-smoke perf-smoke calibrate sweep clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -86,6 +86,15 @@ scale-smoke:
 # in build/profile-smoke for CI.
 profile-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/profile_smoke.py
+
+# Study-benchmark smoke: each perfbench workload (warm resubmit over a
+# filled cache, cold Table 2 sub-graph) for one second with the layer
+# breakdown on; fails unless both report correct: true and 0 failed
+# operations, which catches answer drift and a renamed callable that
+# perfbench/layers.py hooks.  Timings are printed, not gated (see the
+# "Measuring" section of docs/runtime.md).
+perf-smoke:
+	$(PYTHON) scripts/perf_smoke.py
 
 calibrate:
 	$(PYTHON) scripts/calibrate.py medium

@@ -39,9 +39,7 @@ PAPER_VALUES: Dict[str, float] = {
 
 def experiment_summary(study: Study) -> Dict[str, float]:
     """Measured values for every headline metric in :data:`PAPER_VALUES`."""
-    classification = study.classification
-    abp = classification.list_stats()
-    semi = classification.semi_automatic_stats()
+    abp, semi, _ = study.classification.table2_stats()
     t3 = study.geolocation.pairwise_agreement(study.inventory.addresses())
     ipmap = study.eu28_destination_regions("RIPE IPmap")
     maxmind = study.eu28_destination_regions("MaxMind")

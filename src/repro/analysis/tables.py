@@ -37,10 +37,7 @@ def table1(study: Study) -> Dict[str, Any]:
 
 def table2(study: Study) -> Dict[str, Any]:
     """Table 2 — filter lists vs. semi-automatic classification."""
-    classification = study.classification
-    abp = classification.list_stats()
-    semi = classification.semi_automatic_stats()
-    total = classification.total_stats()
+    abp, semi, total = study.classification.table2_stats()
     rows = [
         ["AdBlockPlus Lists", len(abp.fqdns), len(abp.tlds),
          len(abp.unique_urls), abp.total_requests],

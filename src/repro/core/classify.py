@@ -111,6 +111,23 @@ class ClassificationResult:
         return sum(1 for stage in self.stages if stage.is_tracking)
 
     # -- Table 2 ---------------------------------------------------------
+    def table2_stats(self) -> Tuple[StageStats, StageStats, StageStats]:
+        """Table 2's rows — list, semi-automatic, total — in one pass.
+
+        Equal to :meth:`list_stats`, :meth:`semi_automatic_stats` and
+        :meth:`total_stats`, which stay as the per-predicate reference:
+        the list and semi-automatic flows partition the tracking set, so
+        the total row is their union and each request is read once.
+        """
+        by_list = StageStats()
+        semi = StageStats()
+        for request, stage in zip(self.requests, self.stages):
+            if stage is ClassificationStage.LIST:
+                by_list.absorb(request)
+            elif stage.is_semi_automatic:
+                semi.absorb(request)
+        return by_list, semi, by_list.merge(semi)
+
     def list_stats(self) -> StageStats:
         return self._stats(lambda s: s is ClassificationStage.LIST)
 
@@ -188,9 +205,8 @@ class RequestClassifier:
     def matches_lists_url(self, url: str, fqdn: str) -> bool:
         """Stage-1 predicate over pre-split URL components.
 
-        The columnar kernels store ``fqdn`` as a column computed once
-        at ingest, so they call this form directly instead of paying an
-        ``urlsplit`` per pass through the object property.
+        The columnar kernels store ``fqdn`` as a column, so they call
+        this form directly, without request objects.
         """
         return self._easylist.matches(url, fqdn) or self._easyprivacy.matches(
             url, fqdn

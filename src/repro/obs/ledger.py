@@ -43,6 +43,7 @@ from repro.obs.persist import (
     append_jsonl_line,
     atomic_write_json,
     count_jsonl_lines,
+    exclusive_lock,
     read_jsonl_lines,
 )
 
@@ -79,6 +80,7 @@ PathLike = Union[str, "os.PathLike[str]"]
 #: serializes count-then-append within this process: the serve job pool
 #: runs concurrent engine runs on threads sharing one ledger, and an
 #: unlocked interleaving would stamp two records with the same seq
+#: (across processes, :func:`~repro.obs.persist.exclusive_lock` does)
 _APPEND_LOCK = threading.Lock()
 
 
@@ -173,13 +175,16 @@ def append_record(path: PathLike, payload: Mapping[str, Any]) -> Dict[str, Any]:
 
     ``payload`` carries everything *but* the identity fields; the
     sequence number is the current record count of the ledger file and
-    the run id is content-derived (:func:`run_id_for`).  Returns the
-    completed record as written.
+    the run id is content-derived (:func:`run_id_for`).  Count and
+    append happen under the thread lock and an exclusive ``flock`` on
+    the ledger, so threads of one process and separate processes (a
+    ``repro serve`` and a CLI run sharing one ``--cache-dir``) never
+    stamp the same seq.  Returns the completed record as written.
     """
     record = dict(payload)
     record.pop("run_id", None)
     record.pop("seq", None)
-    with _APPEND_LOCK:
+    with _APPEND_LOCK, exclusive_lock(path):
         seq = count_jsonl_lines(path)
         record["seq"] = seq
         record["run_id"] = run_id_for(record, seq)

@@ -11,9 +11,9 @@ document**.  Two primitives cover every obs writer:
 * :func:`append_jsonl_line` — append-only journal write: the record is
   serialized first, then written with a *single* ``write`` call on a
   file opened in append mode, so concurrent readers see whole lines.
-  (Within a process, concurrent appenders — the serve job pool —
-  serialize through the lock in :mod:`repro.obs.ledger`; across
-  processes the ledger stays single-writer by design.)
+  (Appenders that derive anything from the journal's current contents —
+  the ledger's seq — hold :func:`exclusive_lock` around read and write,
+  which serializes processes as well as threads.)
 
 Reading the journal back goes through :func:`read_jsonl_lines`, which
 converts any decoding failure into an :class:`ObservabilityError`
@@ -24,8 +24,10 @@ middle line is a diagnosable event, never a raw
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Mapping, Tuple, Union
 
 from repro.errors import ObservabilityError
@@ -61,6 +63,28 @@ def append_jsonl_line(path: PathLike, payload: Mapping[str, Any]) -> None:
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(line + "\n")
         handle.flush()
+
+
+@contextmanager
+def exclusive_lock(path: PathLike) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``path`` (created empty if absent)
+    for the ``with`` block.
+
+    ``flock`` locks belong to an open file description, so the lock
+    excludes other processes and other ``open`` calls of this one alike;
+    it is released when the block exits, or by the kernel when the
+    holding process dies.
+    """
+    path = os.fspath(path)
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as handle:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
 def count_jsonl_lines(path: PathLike) -> int:

@@ -8,8 +8,8 @@ Two dispatch paths:
 
 * **fork** (Linux default): the pool is created per stage, after the
   parent has built the world and the upstream products — workers inherit
-  both copy-on-write and the submitted task carries only the stage name
-  and shard payload.
+  them and the stage spec copy-on-write, and the submitted task carries
+  only the shard key and payload.
 * **spawn/forkserver** (portability fallback): tasks ship the config and
   the stage's input products; workers rebuild the world once per process
   via :func:`repro.datasets.builder.cached_build_world`.
@@ -36,7 +36,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.datasets.builder import World, cached_build_world
@@ -57,12 +58,12 @@ ShardResult = Tuple[
     Optional[Dict[str, Any]],
 ]
 
-#: parent-side context inherited by forked workers: (world, products).
-#: Module state by necessity — it is what the fork snapshot carries —
-#: so the set→fork→reset window is serialized by :data:`_FORK_LOCK`:
-#: two serve jobs pooling concurrently must not fork each other's
-#: worlds.
-_FORK_CONTEXT: Optional[Tuple[World, Mapping[str, Any]]] = None
+#: parent-side context inherited by forked workers: (stage, world,
+#: products).  Module state by necessity — it is what the fork snapshot
+#: carries — so the set→fork→reset window is serialized by
+#: :data:`_FORK_LOCK`: two serve jobs pooling concurrently must not fork
+#: each other's worlds.
+_FORK_CONTEXT: Optional[Tuple[StageSpec, World, Mapping[str, Any]]] = None
 _FORK_LOCK = threading.Lock()
 
 
@@ -117,20 +118,20 @@ def _instrumented_run(
 
 
 def _run_shard_forked(
-    stage_name: str,
     shard_key: str,
     payload: Any,
     profile_hz: Optional[float] = None,
 ) -> ShardResult:
-    """Task body on the fork path: world/products come from the parent."""
+    """Task body on the fork path: the stage, world and products come
+    from the parent."""
     if _FORK_CONTEXT is None:
         raise ExecutionError(
             "forked worker has no inherited execution context"
         )
-    world, products = _FORK_CONTEXT
+    spec, world, products = _FORK_CONTEXT
     return _instrumented_run(
-        STAGE_GRAPH[stage_name].run, world, products, stage_name,
-        shard_key, payload, profile_hz,
+        spec.run, world, products, spec.name, shard_key, payload,
+        profile_hz,
     )
 
 
@@ -218,30 +219,46 @@ class ShardExecutor:
                     )
                     for key, payload in shards
                 ]
-                # Collect in submission (= plan) order, not completion
-                # order — merge determinism depends on it.
-                return [
-                    (key, future.result())
-                    for (key, _), future in zip(shards, futures)
-                ]
+                return _collect(spec, shards, futures)
         # Fork path: the context must be set BEFORE the pool exists —
         # forked children inherit the world and upstream products
         # copy-on-write.  The lock holds until the stage drains so a
         # concurrent job cannot swap the context under our fork.
         with _FORK_LOCK:
-            _FORK_CONTEXT = (world, products)
+            _FORK_CONTEXT = (spec, world, products)
             try:
                 with ProcessPoolExecutor(max_workers=max_workers) as pool:
                     futures = [
                         pool.submit(
-                            _run_shard_forked, spec.name, key, payload,
-                            self.profile_hz,
+                            _run_shard_forked, key, payload, self.profile_hz,
                         )
                         for key, payload in shards
                     ]
-                    return [
-                        (key, future.result())
-                        for (key, _), future in zip(shards, futures)
-                    ]
+                    return _collect(spec, shards, futures)
             finally:
                 _FORK_CONTEXT = None
+
+
+def _collect(
+    spec: StageSpec,
+    shards: List[Tuple[str, Any]],
+    futures: List["Future[ShardResult]"],
+) -> List[Tuple[str, ShardResult]]:
+    """Shard results in submission (= plan) order, not completion order
+    — merge determinism depends on it.
+
+    A worker that dies (killed, or ``os._exit`` in a shard) breaks the
+    whole pool; the run then fails with an :class:`ExecutionError`
+    naming the stage and the first shard, in plan order, whose result
+    was lost.
+    """
+    results: List[Tuple[str, ShardResult]] = []
+    for (key, _), future in zip(shards, futures):
+        try:
+            results.append((key, future.result()))
+        except BrokenProcessPool as exc:
+            raise ExecutionError(
+                f"stage {spec.name!r}: a worker process died before shard "
+                f"{key!r} finished ({exc})"
+            ) from exc
+    return results

@@ -122,13 +122,11 @@ class RuntimeRun:
 
     def table2_counts(self) -> Dict[str, Dict[str, int]]:
         """Table 2's classification aggregates as plain counts."""
-        classification = self.classification()
+        by_list, semi, total = self.classification().table2_stats()
         return {
-            "list": _stats_counts(classification.list_stats()),
-            "semi_automatic": _stats_counts(
-                classification.semi_automatic_stats()
-            ),
-            "total": _stats_counts(classification.total_stats()),
+            "list": _stats_counts(by_list),
+            "semi_automatic": _stats_counts(semi),
+            "total": _stats_counts(total),
         }
 
     def eu28_destination_regions(

@@ -8,7 +8,8 @@ natural unit of independence in the paper's pipeline:
 stage                     axis               shard product
 ========================  =================  =================================
 ``panel``                 users              visits, requests, pdns pairs
-``classification``        users              per-request stage labels
+``classification``        users              per-request stage labels; the
+                                             merge adds the tracking list
 ``inventory``             tracker domains    partial :class:`TrackerIPInventory`
 ``geolocation``           IPs                address → country table
 ``confinement``           flows              Sankey count matrices
@@ -123,18 +124,9 @@ def _locator_for(world: World, products: Mapping[str, Any], tool: str):
 
 
 def _tracking_requests(products: Mapping[str, Any]) -> List[ThirdPartyRequest]:
-    requests = products["panel"]["requests"]
-    stages = products["classification"]["stages"]
-    if len(requests) != len(stages):
-        raise ExecutionError(
-            "classification stages misaligned with panel requests: "
-            f"{len(stages)} labels for {len(requests)} requests"
-        )
-    return [
-        request
-        for request, stage in zip(requests, stages)
-        if stage.is_tracking
-    ]
+    """The run's tracking flows, in panel order (built once, at the
+    classification merge)."""
+    return products["classification"]["tracking"]
 
 
 def _user_block(world: World, payload: Tuple[int, int]) -> List[int]:
@@ -237,29 +229,32 @@ def classification_merge(
     stages: List[ClassificationStage] = []
     for _, shard in results:
         stages.extend(shard["stages"])
-    n_requests = len(products["panel"]["requests"])
-    if len(stages) != n_requests:
+    requests = products["panel"]["requests"]
+    if len(stages) != len(requests):
         raise ExecutionError(
             f"classification produced {len(stages)} labels for "
-            f"{n_requests} panel requests"
+            f"{len(requests)} panel requests"
         )
-    return {"stages": stages}
+    # Every flow-axis plan and shard reads the tracking set; deriving it
+    # here, once per run, keeps them from re-zipping the label vector.
+    tracking = [
+        request
+        for request, stage in zip(requests, stages)
+        if stage.is_tracking
+    ]
+    return {"stages": stages, "tracking": tracking}
 
 
 # ---------------------------------------------------------------------------
 # stage 3: tracker-IP inventory
 # ---------------------------------------------------------------------------
 
-def _tracking_fqdns(products: Mapping[str, Any]) -> List[str]:
-    return sorted({r.fqdn for r in _tracking_requests(products)})
-
-
 def inventory_plan(
     world: World, products: Mapping[str, Any]
 ) -> List[Tuple[str, Any]]:
-    fqdns = _tracking_fqdns(products)
+    fqdns = sorted({r.fqdn for r in _tracking_requests(products)})
     return [
-        (f"fqdns[{lo}:{hi}]", (lo, hi))
+        (f"fqdns[{lo}:{hi}]", tuple(fqdns[lo:hi]))
         for lo, hi in partition(fqdns, DEFAULT_SHARDS)
     ]
 
@@ -275,8 +270,7 @@ def _runtime_pdns(world: World, products: Mapping[str, Any]) -> PassiveDNSDataba
 def inventory_run(
     world: World, products: Mapping[str, Any], shard_key: str, payload: Any
 ) -> Any:
-    lo, hi = payload
-    group = set(_tracking_fqdns(products)[lo:hi])
+    group = set(payload)
     subset = [r for r in _tracking_requests(products) if r.fqdn in group]
     pdns = _runtime_pdns(world, products)
     partial = TrackerIPInventory()
@@ -691,7 +685,7 @@ def build_stage_graph() -> StageGraph:
         name="classification",
         axis=ShardAxis.USERS,
         inputs=("panel",),
-        outputs=("stages",),
+        outputs=("stages", "tracking"),
         plan=classification_plan,
         run=classification_run,
         merge=classification_merge,

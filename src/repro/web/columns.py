@@ -5,8 +5,7 @@ ThirdPartyRequest` as a :class:`~repro.columnar.table.ColumnarTable`:
 low-cardinality fields (first party, FQDN, TLD+1, user country, server
 IP) dictionary-encode to four bytes per row, URLs stay as strings, and
 the derived properties the classifier hammers (``fqdn``, ``tld1``,
-``has_args`` — each an ``urlsplit`` per access on the object path) are
-computed once at ingest and stored as columns.
+``has_args``) are stored as columns.
 
 Ground-truth fields (``truth_role``, ``truth_org``, ``truth_country``,
 ``chain_depth``) are deliberately *absent*: the columnar path carries
@@ -47,9 +46,8 @@ REQUEST_SCHEMA = Schema.of(
 def request_table(requests: Iterable[ThirdPartyRequest]) -> ColumnarTable:
     """Pack an iterable of request records into a columnar batch.
 
-    The URL-derived columns (``fqdn``/``tld1``/``has_args``) are
-    materialized here, once per row; the object path recomputes them on
-    every property access.
+    The URL-derived columns (``fqdn``/``tld1``/``has_args``) are copied
+    from the facts each request stored when it was built.
 
     Raises :class:`repro.errors.ClassificationError` when a request
     carries a URL whose host cannot be derived (propagated from

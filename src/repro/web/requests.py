@@ -10,6 +10,7 @@ the measurement pipeline itself never reads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 from urllib.parse import parse_qsl, urlsplit
@@ -96,17 +97,47 @@ class ThirdPartyRequest:
     truth_country: str
     chain_depth: int
 
+    def __post_init__(self) -> None:
+        # The URL is split once, here, and its facts are kept as plain
+        # attributes: the record path reads ``fqdn``/``tld1``/``has_args``
+        # per request in every stage and report.  They are not fields, so
+        # equality, hashing, ``asdict`` and the export see the logged
+        # fields only; pickles carry them, so replayed shard artifacts
+        # never re-parse.  A URL without a derivable host or TLD+1 stores
+        # ``None`` and the accessor re-derives it, which raises: malformed
+        # logs still fail loudly, on access rather than at construction.
+        host: Optional[str] = None
+        tld1: Optional[str] = None
+        has_args: Optional[bool] = None
+        try:
+            parts = urlsplit(self.url)
+            host, has_args = parts.hostname, bool(parts.query)
+        except ValueError:
+            pass  # unparseable: the accessors re-raise the parser's error
+        if host is not None:
+            host = sys.intern(host)
+            try:
+                tld1 = sys.intern(tld1_of(host))
+            except ClassificationError:
+                pass  # no TLD+1: the accessor raises on access
+        object.__setattr__(self, "_host", host)
+        object.__setattr__(self, "_tld1", tld1)
+        object.__setattr__(self, "_has_args", has_args)
+
     @property
     def fqdn(self) -> str:
-        return url_fqdn(self.url)
+        host = self._host  # type: ignore[attr-defined]
+        return url_fqdn(self.url) if host is None else host
 
     @property
     def tld1(self) -> str:
-        return tld1_of(self.fqdn)
+        tld1 = self._tld1  # type: ignore[attr-defined]
+        return tld1_of(self.fqdn) if tld1 is None else tld1
 
     @property
     def has_args(self) -> bool:
-        return url_has_args(self.url)
+        has_args = self._has_args  # type: ignore[attr-defined]
+        return url_has_args(self.url) if has_args is None else has_args
 
     @property
     def is_tracking_truth(self) -> bool:

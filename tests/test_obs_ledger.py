@@ -58,6 +58,26 @@ def make_run_payload(digest="abc123", seed=7, value=25825):
     }
 
 
+def _append_fifty(path, barrier, worker):
+    """Child-process body: append 50 records, with the count-to-append
+    window widened so that unserialized appenders would collide."""
+    import time
+
+    from repro.obs import ledger
+
+    count = ledger.count_jsonl_lines
+
+    def slow_count(target):
+        lines = count(target)
+        time.sleep(0.002)
+        return lines
+
+    ledger.count_jsonl_lines = slow_count
+    barrier.wait()
+    for i in range(50):
+        append_record(path, make_run_payload(value=worker * 100 + i))
+
+
 class TestRunId:
     def test_deterministic_and_seq_sensitive(self):
         payload = make_run_payload()
@@ -130,6 +150,30 @@ class TestAppendAndLoad:
         records = load_ledger(path)
         assert [record["seq"] for record in records] == list(range(80))
         assert len({record["run_id"] for record in records}) == 80
+
+    def test_two_processes_get_unique_dense_seqs(self, tmp_path):
+        # A `repro serve` and a CLI run sharing one --cache-dir append
+        # from separate processes, where the thread lock does not reach;
+        # the flock on the ledger serializes them.
+        import multiprocessing
+
+        path = ledger_path(tmp_path)
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2)
+        processes = [
+            context.Process(
+                target=_append_fifty, args=(path, barrier, worker)
+            )
+            for worker in range(2)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(60)
+        assert [process.exitcode for process in processes] == [0, 0]
+
+        records = load_ledger(path)
+        assert sorted(record["seq"] for record in records) == list(range(100))
 
     def test_missing_ledger_raises_cleanly(self, tmp_path):
         # The CLI catches this and renders "repro obs: cannot read ..."

@@ -49,21 +49,24 @@ def test_anchor_rules_match_exactly_their_subtrees(domains):
         ) or lookalike in covered
 
 
-@given(
-    st.lists(
-        st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=30
-    ),
-    st.integers(min_value=0, max_value=2**31),
+#: request logs of referrer chains: per request, whether it chains off
+#: the previous request and whether its URL carries arguments
+chain_flags = st.lists(
+    st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=30
 )
-@settings(max_examples=40)
-def test_referrer_closure_order_invariance(flags, seed):
-    """Classification must not depend on the order of the request log."""
-    from repro.web.organizations import ServiceRole
-    from repro.web.requests import ThirdPartyRequest
 
+
+def _chain_classifier():
     filter_list = FilterList("easylist")
     filter_list.add(FilterRule.parse("||root.example^"))
-    classifier = RequestClassifier(filter_list, FilterList("easyprivacy"))
+    return RequestClassifier(filter_list, FilterList("easyprivacy"))
+
+
+def _chain_log(flags):
+    """A log whose first request is list-matched and whose later ones
+    chain off their predecessor (or off the site) per ``flags``."""
+    from repro.web.organizations import ServiceRole
+    from repro.web.requests import ThirdPartyRequest
 
     requests = []
     previous_url = None
@@ -86,7 +89,15 @@ def test_referrer_closure_order_invariance(flags, seed):
             )
         )
         previous_url = url
+    return requests
 
+
+@given(chain_flags, st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=40)
+def test_referrer_closure_order_invariance(flags, seed):
+    """Classification must not depend on the order of the request log."""
+    classifier = _chain_classifier()
+    requests = _chain_log(flags)
     baseline = classifier.classify(requests)
     shuffled = list(requests)
     random.Random(seed).shuffle(shuffled)
@@ -98,6 +109,19 @@ def test_referrer_closure_order_invariance(flags, seed):
         r.url: s for r, s in zip(permuted.requests, permuted.stages)
     }
     assert by_url_baseline == by_url_permuted
+
+
+@given(chain_flags)
+@settings(max_examples=40)
+def test_one_pass_table2_matches_per_predicate_rows(flags):
+    """``table2_stats`` equals ``list_stats``/``semi_automatic_stats``/
+    ``total_stats`` on the referrer-chain logs."""
+    result = _chain_classifier().classify(_chain_log(flags))
+    assert result.table2_stats() == (
+        result.list_stats(),
+        result.semi_automatic_stats(),
+        result.total_stats(),
+    )
 
 
 @given(

@@ -175,6 +175,42 @@ class TestObservabilityInvariance:
         assert serial_run.result.tracer.rows() == []
 
 
+class TestCachedRunParsesNothing:
+    def test_fully_cached_run_splits_no_url(
+        self, engine_config, cache_dir, parallel_cold_run, tmp_path,
+        monkeypatch,
+    ):
+        # Replayed panel artifacts carry each request's URL facts and the
+        # classification merge derives the tracking set once, so a fully
+        # cached resubmit (a serve job's body) and its headline accessors
+        # split no URL at all.  The cold run's artifacts are copied so
+        # this run's ledger record stays out of the shared cache dir.
+        import shutil
+
+        import repro.web.requests as requests_module
+
+        replay = tmp_path / "cache"
+        shutil.copytree(
+            cache_dir, replay, ignore=shutil.ignore_patterns("ledger.jsonl*")
+        )
+        split = requests_module.urlsplit
+        calls = []
+
+        def counting_split(url, *args, **kwargs):
+            calls.append(url)
+            return split(url, *args, **kwargs)
+
+        monkeypatch.setattr(requests_module, "urlsplit", counting_split)
+        run = run_study(engine_config, workers=1, cache_dir=str(replay))
+        assert run.cache_misses == 0
+        run.table2_counts()
+        run.eu28_destination_regions("MaxMind")
+        run.eu28_destination_regions("RIPE IPmap")
+        run.sensitive_summary()
+        run.scenario_table()
+        assert len(calls) == 0
+
+
 class TestHydratedStudyConsistency:
     def test_study_reads_engine_products(self, serial_run):
         study = serial_run.study()

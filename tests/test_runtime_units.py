@@ -8,6 +8,7 @@ validation — everything that does not need a built world.
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -223,6 +224,35 @@ class TestExecutorValidation:
 
     def test_empty_shard_list(self):
         assert ShardExecutor(2).execute(_spec("a"), None, {}, []) == []
+
+
+def _shard_body(world, products, key, payload):
+    """A pool-path shard (module level: the spawn path pickles it)."""
+    if payload == "die":
+        os._exit(1)
+    return key.upper()
+
+
+class TestExecutorPool:
+    def _graph(self):
+        graph = StageGraph()
+        graph.add(_spec("doomed", run=_shard_body))
+        return graph
+
+    def test_workers_run_the_given_spec(self):
+        results = ShardExecutor(2).execute(
+            self._graph()["doomed"], None, {}, [("a", "live"), ("b", "live")]
+        )
+        assert [(key, result[0]) for key, result in results] == [
+            ("a", "A"), ("b", "B"),
+        ]
+
+    def test_worker_death_names_stage_and_shard(self):
+        shards = [("s0", "die"), ("s1", "live")]
+        with pytest.raises(ExecutionError) as excinfo:
+            ShardExecutor(2).execute(self._graph()["doomed"], None, {}, shards)
+        message = str(excinfo.value)
+        assert "'doomed'" in message and "'s0'" in message
 
 
 class TestMetricsExport:
