@@ -10,10 +10,22 @@ exactly N and its dependents.
 
 Artifacts are pickled per shard under ``cache_dir/<stage>/<key>.pkl``.
 Writes go through a temp file + ``os.replace`` so a crashed run never
-leaves a truncated artifact behind; an artifact that fails to unpickle
-is treated as a miss and overwritten.
+leaves a truncated artifact behind, and a write that fails (full disk,
+unpicklable artifact) removes its temp file before the error
+propagates.  An artifact is corrupt when any exception comes out of
+its decode (truncation, flipped bytes, a stale class path): it counts
+as a miss and is overwritten.  A missing file is a plain miss; any
+other error opening one (e.g. permissions) propagates.
+
+Decoding runs with the cyclic garbage collector paused: a warm run's
+artifacts unpickle into tens of thousands of container objects next to
+a long-lived heap (the memoized world and program model), and left on,
+the collector would start hundreds of collections per run that re-scan
+that heap.
 """
 
+import contextlib
+import gc
 import hashlib
 import inspect
 import json
@@ -21,13 +33,35 @@ import os
 import pickle
 import threading
 from dataclasses import asdict, is_dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
 
 _DIGEST_BYTES = 20
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector disabled.
+
+    On exit the collector is re-enabled only if it was enabled on
+    entry, so a caller that turned it off keeps it off, a nested pause
+    restores only at the outer exit, and an exception restores the
+    prior state.  The switch is process-wide: ``repro serve`` decodes
+    on job threads, so one thread ending its pause can re-enable
+    collection while another is still decoding.  That costs the other
+    decode speed, never correctness, so there is no lock or depth
+    counter.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _blake(*parts: str) -> str:
@@ -145,20 +179,25 @@ class ArtifactCache:
             return False, None
         path = self._path(stage, key)
         try:
-            with open(path, "rb") as fh:
-                artifact = pickle.load(fh)
+            fh = open(path, "rb")
         except FileNotFoundError:
             self.misses += 1
             return False, None
-        except (pickle.UnpicklingError, EOFError, AttributeError, ValueError):
-            # Truncated or stale-format artifact: recompute and overwrite.
-            # The corrupt counter is ambient (no-op outside a collection
-            # scope) and fires only on genuinely damaged files, so it
-            # never perturbs the worker-count-invariance of a healthy
-            # run's registry.
-            obs_metrics.inc(obs_names.RUNTIME_CACHE_CORRUPT, stage=stage)
-            self.misses += 1
-            return False, None
+        with fh:
+            try:
+                with _collector_paused():
+                    artifact = pickle.load(fh)
+            except Exception:
+                # Damaged or stale-format artifact (crafted bytes can
+                # raise nearly any builtin error from the decode):
+                # recompute and overwrite.  The corrupt counter is
+                # ambient (no-op outside a collection scope) and fires
+                # only on genuinely damaged files, so it never perturbs
+                # the worker-count-invariance of a healthy run's
+                # registry.
+                obs_metrics.inc(obs_names.RUNTIME_CACHE_CORRUPT, stage=stage)
+                self.misses += 1
+                return False, None
         self.hits += 1
         return True, artifact
 
@@ -174,6 +213,13 @@ class ArtifactCache:
         # publish a corrupt artifact.  pid + thread id keeps the
         # write-temp-then-rename slot exclusive in both worlds.
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "wb") as fh:
-            pickle.dump(artifact, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                pickle.dump(artifact, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
+            # Full disk, unpicklable artifact, interrupt: leave no temp
+            # file behind; an artifact published earlier stays intact.
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise

@@ -7,11 +7,27 @@ Tests that mutate state build their own objects.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import Study, WorldConfig
 from repro.datasets.builder import World, build_world
 from repro.geodata.countries import default_registry
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that leaves the cyclic garbage collector disabled.
+
+    The artifact cache pauses the collector while it decodes; a path
+    that skipped the restore would leave the whole process without
+    cycle collection, which no result would show.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,16 @@ module-wide; every comparison below is exact equality, no tolerances.
 
 from __future__ import annotations
 
+import gc
+import shutil
+
 import pytest
 
+import repro.runtime.cache as cache_module
 from repro import WorldConfig
 from repro.obs import TickClock, Tracer, validate_manifest
 from repro.runtime import run_study
+from repro.runtime.cache import _collector_paused
 from repro.runtime.stages import STAGE_NAMES
 
 
@@ -64,6 +69,17 @@ def parallel_cold_run(engine_config, cache_dir):
 @pytest.fixture(scope="module")
 def parallel_warm_run(engine_config, cache_dir, parallel_cold_run):
     return run_study(engine_config, workers=4, cache_dir=cache_dir)
+
+
+@pytest.fixture
+def replay_dir(cache_dir, parallel_cold_run, tmp_path):
+    """A copy of the cold run's filled cache without its ledger, so a
+    replay's ledger record stays out of the shared cache dir."""
+    replay = tmp_path / "cache"
+    shutil.copytree(
+        cache_dir, replay, ignore=shutil.ignore_patterns("ledger.jsonl*")
+    )
+    return str(replay)
 
 
 class TestShardCountInvariance:
@@ -177,22 +193,14 @@ class TestObservabilityInvariance:
 
 class TestCachedRunParsesNothing:
     def test_fully_cached_run_splits_no_url(
-        self, engine_config, cache_dir, parallel_cold_run, tmp_path,
-        monkeypatch,
+        self, engine_config, replay_dir, monkeypatch
     ):
         # Replayed panel artifacts carry each request's URL facts and the
         # classification merge derives the tracking set once, so a fully
         # cached resubmit (a serve job's body) and its headline accessors
-        # split no URL at all.  The cold run's artifacts are copied so
-        # this run's ledger record stays out of the shared cache dir.
-        import shutil
-
+        # split no URL at all.
         import repro.web.requests as requests_module
 
-        replay = tmp_path / "cache"
-        shutil.copytree(
-            cache_dir, replay, ignore=shutil.ignore_patterns("ledger.jsonl*")
-        )
         split = requests_module.urlsplit
         calls = []
 
@@ -201,7 +209,7 @@ class TestCachedRunParsesNothing:
             return split(url, *args, **kwargs)
 
         monkeypatch.setattr(requests_module, "urlsplit", counting_split)
-        run = run_study(engine_config, workers=1, cache_dir=str(replay))
+        run = run_study(engine_config, workers=1, cache_dir=replay_dir)
         assert run.cache_misses == 0
         run.table2_counts()
         run.eu28_destination_regions("MaxMind")
@@ -209,6 +217,76 @@ class TestCachedRunParsesNothing:
         run.sensitive_summary()
         run.scenario_table()
         assert len(calls) == 0
+
+
+class TestCachedRunDecodesWithoutCollecting:
+    def test_fully_cached_run_starts_no_collection_while_decoding(
+        self, engine_config, replay_dir, monkeypatch
+    ):
+        # A warm run's artifacts decode into ~84K container objects next
+        # to the long-lived world and program model.  With the collector
+        # on during decode, that started ~240 collections per run (1-2
+        # of them full passes over the heap); paused, it starts none.
+        load = cache_module.pickle.load
+        decoding = []
+        collections = []
+
+        def observed_load(fh):
+            decoding.append(fh.name)
+            try:
+                return load(fh)
+            finally:
+                decoding.pop()
+
+        def on_collect(phase, info):
+            if phase == "start" and decoding:
+                collections.append(info["generation"])
+
+        monkeypatch.setattr(cache_module.pickle, "load", observed_load)
+        gc.callbacks.append(on_collect)
+        try:
+            run = run_study(engine_config, workers=1, cache_dir=replay_dir)
+        finally:
+            gc.callbacks.remove(on_collect)
+        assert run.cache_misses == 0 and run.cache_hits > 0
+        assert collections == []
+        assert gc.isenabled()
+
+
+class TestCollectorPaused:
+    def test_enabled_on_entry_is_off_inside_and_on_after(self):
+        assert gc.isenabled()
+        with _collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_disabled_on_entry_stays_disabled(self):
+        gc.disable()
+        try:
+            with _collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_exception_restores_prior_state(self, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            with pytest.raises(KeyError):
+                with _collector_paused():
+                    raise KeyError("decode failed")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_nested_use_restores_only_at_outer_exit(self):
+        with _collector_paused():
+            with _collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
 
 
 class TestHydratedStudyConsistency:

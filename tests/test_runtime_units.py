@@ -8,14 +8,19 @@ validation — everything that does not need a built world.
 
 from __future__ import annotations
 
+import errno
+import gc
 import os
 import pickle
 
 import pytest
 
+import repro.runtime.cache as cache_module
 from repro import Study, WorldConfig
 from repro.errors import ExecutionError, PipelineError, ValidationError
 from repro.io import run_metrics_to_json
+from repro.obs import names as obs_names
+from repro.obs.metrics import MetricsRegistry, collecting
 from repro.runtime import (
     ArtifactCache,
     ShardAxis,
@@ -138,6 +143,11 @@ def effective_salts_of(spec):
     return effective_salts(graph)[spec.name]
 
 
+class _Unpicklable:
+    def __reduce__(self):
+        raise TypeError("unpicklable artifact")
+
+
 class TestArtifactCache:
     def test_disabled_cache_misses_and_ignores_stores(self):
         cache = ArtifactCache(None)
@@ -167,6 +177,47 @@ class TestArtifactCache:
         cache.store("stage", "k1", "fixed")
         assert cache.load("stage", "k1") == (True, "fixed")
 
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            (b"\x80\x04\x95" + b"\xff" * 8, OverflowError),
+            (b"\x80\x04\x8e" + (2**62).to_bytes(8, "little"), MemoryError),
+            (b"\x80\x04\x8c\x0bno_such_mod\x8c\x01x\x93.", ModuleNotFoundError),
+            (b"\x80\x04K\x01K\x02K\x03s.", TypeError),
+            (b"\x80\x04]K\x01K\x02s.", IndexError),
+        ],
+        ids=["overflow", "memory", "missing-module", "type", "index"],
+    )
+    def test_any_decode_error_is_a_corrupt_miss(self, tmp_path, payload, error):
+        # Damaged bytes can raise nearly any builtin error from the
+        # decode, not just UnpicklingError; each must be a counted miss
+        # that a recompute overwrites, never a crash of the run.
+        with pytest.raises(error):
+            pickle.loads(payload)
+        cache = ArtifactCache(str(tmp_path))
+        cache.store("stage", "k1", "fine")
+        (tmp_path / "stage" / "k1.pkl").write_bytes(payload)
+        registry = MetricsRegistry()
+        with collecting(registry):
+            assert cache.load("stage", "k1") == (False, None)
+        assert registry.value(obs_names.RUNTIME_CACHE_CORRUPT, stage="stage") == 1
+        assert gc.isenabled()
+        cache.store("stage", "k1", "fixed")
+        assert cache.load("stage", "k1") == (True, "fixed")
+
+    def test_unreadable_artifact_fails_loudly(self, tmp_path, monkeypatch):
+        # Only the decode is forgiven: an artifact the process may not
+        # open is an environment fault, not a corrupt file.
+        cache = ArtifactCache(str(tmp_path))
+        cache.store("stage", "k1", "fine")
+
+        def denied(path, mode="r", *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(cache_module, "open", denied, raising=False)
+        with pytest.raises(PermissionError):
+            cache.load("stage", "k1")
+
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
         cache.store("stage", "k1", list(range(100)))
@@ -175,6 +226,32 @@ class TestArtifactCache:
             if not p.name.endswith(".pkl")
         ]
         assert leftovers == []
+
+    def test_full_disk_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # ENOSPC in the middle of the temp-file write: the error
+        # propagates, the partial temp file is removed, and the artifact
+        # published earlier under the key still loads.
+        cache = ArtifactCache(str(tmp_path))
+        cache.store("stage", "k1", "published")
+
+        def dump_until_disk_full(artifact, fh, protocol=None):
+            fh.write(b"\x80\x05partial")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cache_module.pickle, "dump", dump_until_disk_full)
+        with pytest.raises(OSError) as excinfo:
+            cache.store("stage", "k1", "replacement")
+        assert excinfo.value.errno == errno.ENOSPC
+        monkeypatch.undo()
+        assert [p.name for p in (tmp_path / "stage").iterdir()] == ["k1.pkl"]
+        assert cache.load("stage", "k1") == (True, "published")
+
+    def test_unpicklable_store_leaves_no_temp_file(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path))
+        with pytest.raises(TypeError, match="unpicklable"):
+            cache.store("stage", "k1", _Unpicklable())
+        assert [p.name for p in (tmp_path / "stage").iterdir()] == []
+        assert cache.load("stage", "k1") == (False, None)
 
     def test_key_separates_every_component(self):
         cache = ArtifactCache(None)
