@@ -1,6 +1,6 @@
 """reprolint — AST-based invariant checks for the reproduction.
 
-Eleven rule families guard the properties the paper's tables depend on:
+Ten rule families guard the properties the paper's tables depend on:
 
 * **D-rules** (determinism): no shared/ad-hoc RNG state, no wall-clock
   or environment reads in simulation layers, no ``hash()`` seeding, no
@@ -24,17 +24,13 @@ Eleven rule families guard the properties the paper's tables depend on:
 * **T-rules** (concurrency context): no blocking calls reachable from
   the event loop, no cross-context shared-state writes without a lock
   witness, no loop-only APIs from threads, no raw concurrent file
-  writes bypassing the atomic helpers;
-* **Q-rules** (hot-path cost): no accidental quadratic patterns on a
-  stage's run path — list-membership probes, string accumulation,
-  same-axis loop nesting, per-row allocation in columnar consumers.
+  writes bypassing the atomic helpers.
 
 The C/P/O families read the whole-program import/call graph
 (:mod:`repro.lint.program`); the S/X/I families ride the
 interprocedural dataflow engine on top of it
 (:mod:`repro.lint.dataflow`); the T family classifies every function by
-its reachable execution contexts (:mod:`repro.lint.concurrency`) and
-the Q family scans run-path loop structure (:mod:`repro.lint.cost`).
+its reachable execution contexts (:mod:`repro.lint.concurrency`).
 Run ``python -m repro.lint src/repro`` (or ``make lint``); see
 ``docs/linting.md`` for pragmas, the baseline workflow, and how to add
 a rule.
@@ -68,7 +64,6 @@ RULE_FAMILIES = {
     "X": "exception escape",
     "I": "resource discipline",
     "T": "concurrency context",
-    "Q": "hot-path cost",
 }
 
 __all__ = [

@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT",
         help=(
             "also write the concurrency-context report (per-function "
-            "execution contexts, T-rule findings with witness chains, "
-            "per-stage cost footprints) as JSON to OUT ('-' for stdout)"
+            "execution contexts, T-rule findings with witness chains) "
+            "as JSON to OUT ('-' for stdout)"
         ),
     )
     parser.add_argument(

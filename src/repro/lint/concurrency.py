@@ -948,8 +948,6 @@ class ContextAnalysis:
 
     def report_json(self) -> Dict[str, Any]:
         """The full ``repro.lint/concurrency/v1`` document."""
-        from repro.lint.cost import cost_for_model
-
         contexts = self.contexts()
         multi = {
             f"{ref[0]}:{ref[1]}": list(self.contexts_of(ref))
@@ -969,7 +967,6 @@ class ContextAnalysis:
             for finding in self.findings()
             if not self._suppressed(finding)
         ]
-        costs = cost_for_model(self.model).stage_costs()
         return {
             "schema": CONCURRENCY_SCHEMA,
             "modules": len(self.model.modules),
@@ -979,7 +976,6 @@ class ContextAnalysis:
             },
             "functions": multi,
             "findings": findings,
-            "costs": costs,
             "summary": {
                 "functions": len(contexts),
                 "multi_context": len(multi),

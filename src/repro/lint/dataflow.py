@@ -28,9 +28,7 @@ from arithmetic) are out of scope by design.
 
 :func:`DataflowAnalysis.report_json` renders the whole picture as the
 ``repro.lint/dataflow/v1`` document that ``--dataflow-json`` writes and
-CI archives next to the program graph; :meth:`stage_lineage` is reused
-by :mod:`repro.runtime.footprint` so the manifest's per-stage lineage
-digest is literally the quantity the linter reasons about.
+CI archives next to the program graph.
 """
 
 from __future__ import annotations
@@ -177,9 +175,9 @@ class IoSite:
 class DataflowAnalysis:
     """Interprocedural facts over one :class:`ProgramModel`.
 
-    Everything is computed lazily and memoized: the runtime only ever
-    needs the RNG-lineage side, the X-rules only the escape side, so
-    neither pays for the other.
+    Everything is computed lazily and memoized: the S-rules only need
+    the RNG-lineage side, the X-rules only the escape side, so neither
+    pays for the other.
     """
 
     def __init__(self, model: ProgramModel) -> None:
@@ -970,8 +968,8 @@ class DataflowAnalysis:
 
 
 def dataflow_for_model(model: ProgramModel) -> DataflowAnalysis:
-    """The (memoized) analysis of one program model — the runtime's
-    entry, mirroring how footprints hang off the memoized model."""
+    """The (memoized) analysis of one program model, hung off the model
+    itself so every analysis built on it shares one instance."""
     cached = getattr(model, "_dataflow_analysis", None)
     if cached is None:
         cached = DataflowAnalysis(model)

@@ -219,7 +219,6 @@ def load_builtin_rules() -> None:
     from repro.lint import (  # noqa: F401
         rules_cache,
         rules_concurrency,
-        rules_cost,
         rules_determinism,
         rules_errors,
         rules_escape,

@@ -111,8 +111,6 @@ class LedgerDiff:
     workers_changed: bool
     changed_salts: Tuple[str, ...]
     changed_footprints: Tuple[str, ...]
-    changed_lineages: Tuple[str, ...] = ()
-    changed_costs: Tuple[str, ...] = ()
     deltas: List[MetricDelta] = field(default_factory=list)
     timings: List[Dict[str, Any]] = field(default_factory=list)
     unchanged: int = 0
@@ -142,8 +140,6 @@ class LedgerDiff:
             "workers_changed": self.workers_changed,
             "changed_salts": list(self.changed_salts),
             "changed_footprints": list(self.changed_footprints),
-            "changed_lineages": list(self.changed_lineages),
-            "changed_costs": list(self.changed_costs),
             "counts": self.counts(),
             "deltas": [delta.to_dict() for delta in self.deltas],
             "unexplained": [
@@ -192,29 +188,10 @@ def diff_records(
     changed_footprints = _changed_keys(
         record_a.get("footprints", {}), record_b.get("footprints", {})
     )
-    changed_lineages = _changed_keys(
-        record_a.get("rng_lineage", {}), record_b.get("rng_lineage", {})
-    )
-    changed_costs = _changed_keys(
-        record_a.get("cost_footprint", {}),
-        record_b.get("cost_footprint", {}),
-    )
     # Effective salts fold dependencies, so footprint changes surface in
     # changed_salts too; when footprints were never recorded, attribute
-    # causes to the effective-salt changes themselves.  A moved RNG
-    # lineage digest names the stages whose seed-derivation structure
-    # changed — the sharpest cause a code delta can carry.  A moved cost
-    # digest names the stages whose run-path loop structure changed.
+    # causes to the effective-salt changes themselves.
     causes = changed_footprints if changed_footprints else changed_salts
-    if changed_lineages:
-        causes = tuple(sorted(
-            set(causes)
-            | {f"rng_lineage:{stage}" for stage in changed_lineages}
-        ))
-    if changed_costs:
-        causes = tuple(sorted(
-            set(causes) | {f"cost:{stage}" for stage in changed_costs}
-        ))
 
     owners_a = _metric_owners(record_a)
     owners_b = _metric_owners(record_b)
@@ -230,16 +207,8 @@ def diff_records(
         workers_changed=workers_changed,
         changed_salts=changed_salts,
         changed_footprints=changed_footprints,
-        changed_lineages=changed_lineages,
-        changed_costs=changed_costs,
     )
-    # Stages with code-shape evidence: a moved effective salt, RNG
-    # lineage digest, or cost digest.  Any of the three marks the stage
-    # as changed code even when the others held still (a loop
-    # restructure can move the cost digest without touching seeds).
-    changed_salt_set = (
-        set(changed_salts) | set(changed_lineages) | set(changed_costs)
-    )
+    changed_salt_set = set(changed_salts)
     for key in sorted(set(metrics_a) | set(metrics_b)):
         value_a = metrics_a.get(key)
         value_b = metrics_b.get(key)
@@ -331,14 +300,6 @@ def render_diff_text(diff: LedgerDiff) -> str:
     if diff.changed_salts:
         lines.append(
             "  changed effective salts: " + ", ".join(diff.changed_salts)
-        )
-    if diff.changed_lineages:
-        lines.append(
-            "  changed RNG lineages: " + ", ".join(diff.changed_lineages)
-        )
-    if diff.changed_costs:
-        lines.append(
-            "  changed cost footprints: " + ", ".join(diff.changed_costs)
         )
     counts = diff.counts()
     lines.append(

@@ -71,7 +71,7 @@ BENCH_TIME = "bench.time_s"
 
 #: wall time of one reprolint run, folded into the ledger from the
 #: dataflow report (scripts/bench_to_ledger.py --lint-report); labelled
-#: by rule family ("total" for the whole run, "T"/"Q"/... per family)
+#: by rule family ("total" for the whole run, "T"/"S"/... per family)
 LINT_TIME = "lint.time_s"
 
 #: HTTP requests served, by route pattern (serve/server.py)

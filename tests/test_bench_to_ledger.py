@@ -67,7 +67,7 @@ def test_lint_report_folds_per_family_gauges(bench_to_ledger, tmp_path):
     lint_report.write_text(json.dumps({
         "schema": "repro.lint/dataflow/v1",
         "time_s": 7.25,
-        "family_time_s": {"D": 1.5, "Q": 0.25, "T": 2.0},
+        "family_time_s": {"D": 1.5, "S": 0.25, "T": 2.0},
     }))
     ledger = tmp_path / "ledger.jsonl"
     assert bench_to_ledger.main([
@@ -78,7 +78,7 @@ def test_lint_report_folds_per_family_gauges(bench_to_ledger, tmp_path):
     assert metrics["lint.time_s{family=total}"]["value"] == 7.25
     assert metrics["lint.time_s{family=D}"]["value"] == 1.5
     assert metrics["lint.time_s{family=T}"]["value"] == 2.0
-    assert metrics["lint.time_s{family=Q}"]["value"] == 0.25
+    assert metrics["lint.time_s{family=S}"]["value"] == 0.25
 
 
 def test_lint_report_malformed_family_entry_is_an_error(

@@ -538,7 +538,7 @@ def test_copied_tree_planted_cross_thread_mutation_is_caught(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the live tree is T/Q-clean
+# the live tree is T-clean
 # ---------------------------------------------------------------------------
 
 
@@ -585,4 +585,3 @@ def test_report_json_live_tree_validates():
     assert report["summary"]["functions"] > 100
     # Context classification must have found all four context kinds.
     assert all(report["seeds"].get(context) for context in ("main", "async"))
-    assert report["costs"], "live tree must carry stage cost footprints"

@@ -3,7 +3,8 @@
 The classification matrix under test (see docs/ledger.md): config
 changes own every delta; code changes are attributed to the owning
 stages whose salts moved; cache-behaviour counters never count as
-drift; ``bench.*`` is timing; anything left is unexplained drift.
+drift; ``bench.*`` and ``lint.*`` are timing; anything left is
+unexplained drift.
 """
 
 from __future__ import annotations
@@ -98,8 +99,23 @@ class TestClassification:
         assert {d.classification for d in diff.deltas} == {"config"}
         assert diff.unexplained() == []
 
-    def test_code_change_attributed_to_owning_stage(self):
+    @pytest.mark.parametrize(
+        "legacy_digests",
+        [
+            {},
+            # a record written before manifests dropped the static
+            # RNG-lineage and loop-cost digests, diffed against one
+            # written after: the stale maps name no cause
+            {
+                "rng_lineage": {"panel": "l1", "classification": "l2"},
+                "cost_footprint": {"panel": "c1", "classification": "c2"},
+            },
+        ],
+        ids=["footprints", "legacy-digests"],
+    )
+    def test_code_change_attributed_to_owning_stage(self, legacy_digests):
         a = make_record(footprints={"panel": "f1", "classification": "f2"})
+        a.update(legacy_digests)
         b = make_record(
             run_id="run-b",
             salts={"panel": "s1'", "classification": "s2"},
@@ -117,6 +133,9 @@ class TestClassification:
         assert delta.stages == ("panel",)
         assert delta.caused_by == ("panel",)
         assert diff.unexplained() == []
+        payload = diff.to_dict()
+        assert "changed_lineages" not in payload
+        assert "changed_costs" not in payload
 
     def test_code_change_without_footprints_blames_salts(self):
         b = make_record(
@@ -179,19 +198,20 @@ class TestClassification:
         assert all(d.stages == ("panel",) for d in diff.deltas)
         assert diff.unexplained() == []
 
-    def test_bench_metrics_are_timing(self):
-        a = make_record(metrics={
-            "bench.time_s{benchmark=t,stat=mean}": {
-                "kind": "gauge", "value": 0.5,
-            },
-        })
-        b = make_record(run_id="run-b", metrics={
-            "bench.time_s{benchmark=t,stat=mean}": {
-                "kind": "gauge", "value": 0.7,
-            },
-        })
-        (delta,) = diff_records(a, b).deltas
+    @pytest.mark.parametrize(
+        "key", ["bench.time_s{benchmark=t,stat=mean}", "lint.time_s"],
+        ids=["bench", "lint"],
+    )
+    def test_bench_metrics_are_timing(self, key):
+        a = make_record(metrics={key: {"kind": "gauge", "value": 0.5}})
+        b = make_record(
+            run_id="run-b", metrics={key: {"kind": "gauge", "value": 0.7}}
+        )
+        diff = diff_records(a, b)
+        (delta,) = diff.deltas
+        assert delta.key == key
         assert delta.classification == "timing"
+        assert diff.unexplained() == []
 
     def test_metric_missing_on_one_side(self):
         b = make_record(run_id="run-b")

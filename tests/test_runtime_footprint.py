@@ -11,7 +11,11 @@ module keep byte-identical salts and keys.
 
 from __future__ import annotations
 
+import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,14 @@ CLASSIFY_DEPENDENTS = {
 
 #: stages whose closure does not include core/classify.py
 CLASSIFY_INDEPENDENT = {"panel", "sensitive_domains"}
+
+#: lint analyses that are lint-time artifacts only: salting cache keys
+#: needs the program model, never these
+LINT_ONLY_MODULES = (
+    "repro.lint.concurrency",
+    "repro.lint.cost",
+    "repro.lint.dataflow",
+)
 
 
 def copy_tree(tmp_path: Path, name: str) -> Path:
@@ -160,3 +172,21 @@ def test_manifest_records_footprints():
     assert entry["salt"]
     assert "repro.core.classify" in entry["modules"]
     assert entry["exempted"] == []
+
+
+def test_engine_construction_imports_no_lint_analysis():
+    # A fresh interpreter, so modules other tests imported cannot mask
+    # an import the engine's set-up makes.
+    probe = (
+        "import json, sys\n"
+        "from repro.runtime.engine import ExecutionEngine\n"
+        "ExecutionEngine()\n"
+        f"print(json.dumps([m for m in {LINT_ONLY_MODULES!r} "
+        "if m in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(default_root().parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout) == []
