@@ -9,7 +9,9 @@ the measurements by constraint-based multilateration:
    path stretch).
 2. Candidate **sites** are the locations of all probes in the mesh plus
    every country centroid; the campaign shortlist keeps the sites
-   feasible under the best (smallest-RTT) probe's hard bound.
+   feasible under the best (smallest-RTT) probe's hard bound.  Probe-
+   to-site distances are fixed per world, so campaigns index them in
+   the mesh's shared distance rows (:meth:`ProbeMesh.distance_rows`).
 3. The estimate is the shortlisted site minimizing the joint misfit
    over the closest probes: hard-bound violations are heavily
    penalized, residual ring misfit |distance − expected| is summed.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import GeolocationConfig
 from repro.errors import GeolocationError
@@ -35,7 +37,6 @@ from repro.geodata.countries import CountryRegistry
 from repro.geodata.distance import (
     BASE_OVERHEAD_MS,
     DEFAULT_PATH_STRETCH,
-    great_circle_km,
     rtt_upper_bound_km,
 )
 from repro.geodata.regions import Region, region_of_country
@@ -119,6 +120,10 @@ class IPmapEngine:
             for c in registry
             if c.hosting_site != (c.lat, c.lon)
         )
+        self._site_coords = tuple((site.lat, site.lon) for site in self._sites)
+        # the mesh's distance rows over ``_sites``, fetched at the first
+        # campaign so that building an engine costs no geometry
+        self._rows: Optional[Mapping[Probe, Sequence[float]]] = None
         # Hosting prior: when two candidate sites fit the rings equally
         # well (border metros like Vienna/Bratislava), the engine leans
         # toward the country with the denser datacenter footprint — the
@@ -171,21 +176,25 @@ class IPmapEngine:
         measured.sort(key=lambda pair: pair[0])
         voters = measured[: self.N_VOTERS]
 
-        shortlist = self._shortlist(voters[0])
-        if not shortlist:
-            # Degenerate campaign: fall back to the best probe's site.
-            shortlist = [
-                _Site(voters[0][1].country, voters[0][1].lat, voters[0][1].lon)
-            ]
-
-        # Precompute per-voter distances to every shortlisted site.
-        distances: List[List[float]] = [
-            [
-                great_circle_km(probe.lat, probe.lon, site.lat, site.lon)
-                for site in shortlist
-            ]
-            for _, probe in voters
+        if self._rows is None:
+            self._rows = self._mesh.distance_rows(self._site_coords)
+        rows = self._rows
+        # Shortlist the sites feasible under the best probe's hard
+        # distance bound.  Never empty: the best probe's own location is
+        # a site, at distance 0.0.
+        best_rtt, best_probe = voters[0]
+        radius = rtt_upper_bound_km(best_rtt) + self.SITE_SLACK_KM
+        indexes = [
+            index
+            for index, distance in enumerate(rows[best_probe])
+            if distance <= radius
         ]
+        shortlist = [self._sites[index] for index in indexes]
+        # Per-voter distances to every shortlisted site.
+        distances: List[List[float]] = []
+        for _, probe in voters:
+            row = rows[probe]
+            distances.append([row[index] for index in indexes])
         bounds = [rtt_upper_bound_km(rtt) for rtt, _ in voters]
         # Expected ring: deflate the hard bound by the typical path
         # stretch *after* removing the fixed per-measurement overhead —
@@ -237,17 +246,6 @@ class IPmapEngine:
                 sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
             ),
         )
-
-    def _shortlist(self, best: Tuple[float, Probe]) -> List[_Site]:
-        """Sites feasible under the best probe's hard distance bound."""
-        rtt, probe = best
-        radius = rtt_upper_bound_km(rtt) + self.SITE_SLACK_KM
-        return [
-            site
-            for site in self._sites
-            if great_circle_km(probe.lat, probe.lon, site.lat, site.lon)
-            <= radius
-        ]
 
     def _joint_scores(
         self,

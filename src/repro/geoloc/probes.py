@@ -7,13 +7,20 @@ Europe from the US (paper Sect. 3.4).  The mesh reproduces that density
 profile: probes are allocated to countries proportionally to
 ``population × (1 + infra/50)`` within each region budget, then placed
 with jitter around the country centroid.
+
+The mesh also holds the one piece of world-fixed geometry every
+campaign reads: each probe's great-circle distance to every candidate
+site (:meth:`ProbeMesh.distance_rows`).  Both sets are fixed per world,
+so the rows are computed once, on the first campaign, and shared by
+every engine built over the mesh.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import GeolocationConfig
 from repro.errors import GeolocationError
@@ -39,6 +46,10 @@ class Probe:
         return min_rtt_ms(distance, rng)
 
 
+#: candidate-site coordinates, as ``(lat, lon)`` pairs in site order
+SiteCoordinates = Tuple[Tuple[float, float], ...]
+
+
 class ProbeMesh:
     """The world's probe deployment."""
 
@@ -46,6 +57,10 @@ class ProbeMesh:
         if not probes:
             raise GeolocationError("probe mesh is empty")
         self._probes = list(probes)
+        # (sites, {probe: distance row}); filled by distance_rows
+        self._distance_rows: Optional[
+            Tuple[SiteCoordinates, Dict[Probe, array]]
+        ] = None
 
     def __len__(self) -> int:
         return len(self._probes)
@@ -63,6 +78,34 @@ class ProbeMesh:
         """A random measurement campaign's probe selection."""
         count = min(count, len(self._probes))
         return rng.sample(self._probes, count)
+
+    def distance_rows(
+        self, sites: SiteCoordinates
+    ) -> Mapping[Probe, Sequence[float]]:
+        """Each probe's distance row: ``great_circle_km`` from the probe
+        to every site, in ``sites`` order.
+
+        Built on the first call and kept for the life of the mesh, so
+        every engine over one world shares one copy: 8 bytes per
+        (probe, site) pair, about 4.75 MiB for 752 probes and 827 sites.
+        The one exception to a world being read-only while stages run:
+        the memo holds values any caller would compute identically.  It
+        is built without a lock and published with one assignment, so a
+        worker forked mid-build inherits no held lock (it builds its own
+        copy), and a racing duplicate build stores the same values.
+        """
+        memo = self._distance_rows
+        if memo is None or memo[0] != sites:
+            rows = {
+                probe: array("d", [
+                    great_circle_km(probe.lat, probe.lon, lat, lon)
+                    for lat, lon in sites
+                ])
+                for probe in self._probes
+            }
+            memo = (sites, rows)
+            self._distance_rows = memo
+        return memo[1]
 
     @classmethod
     def build(

@@ -17,7 +17,7 @@ prefix) for the ~3% of tracker IPs the paper reports as IPv6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import AllocationError
 from repro.netbase.addr import IPAddress, Prefix
@@ -98,9 +98,14 @@ class AddressPlan:
         self._v6_super = PrefixPool(self.v6_root)
         self._records: List[PrefixRecord] = []
         self._pools: Dict[Prefix, PrefixPool] = {}
-        # Index from (version, /16-truncated network) to candidate records
-        # for fast lookup.
-        self._index: Dict[Tuple[int, int], List[PrefixRecord]] = {}
+        # Exact index: version -> netmask -> {network: record}, one map
+        # per pool length in use.  Pools are carved from one super-pool
+        # per version and never overlap, so at most one map holds an
+        # address's masked network.
+        self._index: Dict[int, Dict[int, Dict[int, PrefixRecord]]] = {
+            4: {},
+            6: {},
+        }
 
     # -- pool creation -----------------------------------------------------
     def create_pool(
@@ -126,14 +131,9 @@ class AddressPlan:
         record = PrefixRecord(prefix=prefix, country=country, kind=kind, owner=owner)
         self._records.append(record)
         self._pools[prefix] = PrefixPool(prefix)
-        bucket_bits = 16 if version == 4 else 48
-        width = 32 if version == 4 else 128
-        lo_bucket = prefix.network >> (width - bucket_bits)
-        hi_bucket = (prefix.network + prefix.num_addresses - 1) >> (
-            width - bucket_bits
-        )
-        for bucket in range(lo_bucket, hi_bucket + 1):
-            self._index.setdefault((version, bucket), []).append(record)
+        self._index[prefix.version].setdefault(prefix.netmask(), {})[
+            prefix.network
+        ] = record
         return record
 
     def pool(self, prefix: Prefix) -> PrefixPool:
@@ -146,11 +146,10 @@ class AddressPlan:
     # -- queries ---------------------------------------------------------
     def lookup(self, address: IPAddress) -> Optional[PrefixRecord]:
         """Find the registered prefix covering ``address``, if any."""
-        bucket_bits = 16 if address.version == 4 else 48
-        width = 32 if address.version == 4 else 128
-        bucket = address.value >> (width - bucket_bits)
-        for record in self._index.get((address.version, bucket), ()):
-            if address in record.prefix:
+        value = address.value
+        for netmask, networks in self._index[address.version].items():
+            record = networks.get(value & netmask)
+            if record is not None:
                 return record
         return None
 

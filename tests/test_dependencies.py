@@ -1,0 +1,50 @@
+"""The package declares every third-party module it imports, so that
+``pip install -e .`` on a fresh interpreter can import all of it."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported_top_levels(package: Path):
+    """Top-level module names of every import statement under ``package``."""
+    names = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def _declared_dependencies(pyproject: Path):
+    """Distribution names in ``[project].dependencies``, normalized to
+    import form."""
+    text = pyproject.read_text(encoding="utf-8")
+    match = re.search(r"^dependencies\s*=\s*(\[[^\]]*\])", text, re.M)
+    assert match, "pyproject.toml declares no [project].dependencies"
+    return {
+        re.split(r"[\s<>=!~;\[]", requirement, 1)[0].lower().replace("-", "_")
+        for requirement in ast.literal_eval(match.group(1))
+    }
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 10), reason="needs sys.stdlib_module_names"
+)
+def test_every_third_party_import_is_declared():
+    imported = _imported_top_levels(ROOT / "src" / "repro")
+    third_party = {
+        name
+        for name in imported
+        if name not in sys.stdlib_module_names and name != "repro"
+    }
+    assert third_party, "the scan found no third-party import at all"
+    undeclared = third_party - _declared_dependencies(ROOT / "pyproject.toml")
+    assert not undeclared, f"imported but not declared: {sorted(undeclared)}"

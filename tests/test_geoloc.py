@@ -1,16 +1,26 @@
 """Tests for repro.geoloc: probes, IPmap engine, commercial databases,
 comparison tooling."""
 
+import hashlib
 import random
+import sys
+import threading
+from array import array
 
 import pytest
 
+from repro.datasets.builder import build_world, cached_build_world
+from repro.geodata.distance import great_circle_km, rtt_upper_bound_km
 from repro.geodata.regions import region_of_country
+from repro.geoloc import ipmap as ipmap_module
+from repro.geoloc import probes as probes_module
 from repro.geoloc.commercial import CommercialGeoDatabase
 from repro.geoloc.compare import agreement_matrix, misgeolocation_report
 from repro.geoloc.ipmap import IPmapEngine
 from repro.geoloc.probes import Probe, ProbeMesh
 from repro.netbase.addr import IPAddress
+from repro.runtime import run_study
+from repro.runtime.stages import campaign_engine
 
 
 class TestProbeMesh:
@@ -96,6 +106,176 @@ class TestIPmapEngine:
         assert accuracy["n"] > 0
         assert accuracy["country_pct"] > 90.0
         assert accuracy["region_pct"] > 97.0
+
+
+def _server_ips(world, count):
+    """The first ``count`` server addresses in sorted order: a set the
+    panel's DNS draws never touch."""
+    return sorted({server.ip for server in world.fleet.servers()})[:count]
+
+
+class TestDistanceRows:
+    """Each probe's distances to the candidate sites are computed once
+    per world, stored compactly, shared by every engine over the mesh,
+    and equal to what a campaign would compute itself."""
+
+    #: sha256 of the first 300 sorted server IPs' campaign estimates on
+    #: the small world, computed before campaigns read distance rows
+    PINNED_ESTIMATES = (
+        "9d9b540010b57e98d3b67d56d49bba0403b600bbeaee7d2ea922bb4641126cb5"
+    )
+
+    def test_rows_equal_great_circle_exactly(self, small_world):
+        engine = campaign_engine(small_world)
+        sites = engine._site_coords
+        rows = small_world.probes.distance_rows(sites)
+        probes = small_world.probes.probes()
+        assert len(rows) == len(probes)
+        for row in rows.values():
+            assert isinstance(row, array) and row.typecode == "d"
+            assert len(row) == len(sites)
+        rng = random.Random(16)
+        for _ in range(5000):
+            probe = rng.choice(probes)
+            index = rng.randrange(len(sites))
+            lat, lon = sites[index]
+            assert rows[probe][index] == great_circle_km(
+                probe.lat, probe.lon, lat, lon
+            )
+
+    def test_index_shortlist_equals_filtering_sites(
+        self, small_world, monkeypatch
+    ):
+        engine = campaign_engine(small_world)
+        measured = []
+        checked = []
+        rtt_to = Probe.rtt_to
+        joint_scores = engine._joint_scores
+
+        def measuring(probe, lat, lon, rng=None):
+            rtt = rtt_to(probe, lat, lon, rng)
+            measured.append((rtt, probe))
+            return rtt
+
+        def scoring(shortlist, *args):
+            rtt, best = min(measured, key=lambda pair: pair[0])
+            radius = rtt_upper_bound_km(rtt) + engine.SITE_SLACK_KM
+            assert list(shortlist) == [
+                site
+                for site in engine._sites
+                if great_circle_km(best.lat, best.lon, site.lat, site.lon)
+                <= radius
+            ]
+            measured.clear()
+            checked.append(shortlist)
+            return joint_scores(shortlist, *args)
+
+        monkeypatch.setattr(Probe, "rtt_to", measuring)
+        monkeypatch.setattr(engine, "_joint_scores", scoring)
+        for address in _server_ips(small_world, 200):
+            engine.geolocate(address)
+        assert len(checked) == 200
+
+    def test_pinned_estimates(self, small_world):
+        engine = campaign_engine(small_world)
+        lines = []
+        for address in _server_ips(small_world, 300):
+            estimate = engine.geolocate(address)
+            lines.append(repr((
+                str(address),
+                engine.locate(address),
+                estimate.country_agreement,
+                estimate.region_agreement,
+                estimate.votes,
+            )))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PINNED_ESTIMATES
+
+    def test_built_at_first_campaign_and_shared(self, small_config):
+        world = build_world(small_config)
+        assert world.probes._distance_rows is None
+        first, second, third = _server_ips(world, 3)
+        engine = campaign_engine(world)
+        assert world.probes._distance_rows is None
+        engine.geolocate(first)
+        rows = world.probes._distance_rows[1]
+        other = campaign_engine(world)
+        other.geolocate(second)
+        world.ipmap.geolocate(third)
+        assert engine._rows is rows
+        assert other._rows is rows
+        assert world.ipmap._rows is rows
+        assert world.probes._distance_rows[1] is rows
+
+    def test_threads_match_serial_estimates(self, small_config, small_world):
+        addresses = _server_ips(small_world, 160)
+        reference = campaign_engine(small_world)
+        serial = [reference.geolocate(address) for address in addresses]
+        world = build_world(small_config)
+        halves = (addresses[:80], addresses[80:])
+        results = {}
+
+        def geolocate(half):
+            engine = campaign_engine(world)
+            results[half] = [
+                engine.geolocate(address) for address in halves[half]
+            ]
+
+        threads = [
+            threading.Thread(target=geolocate, args=(half,))
+            for half in (0, 1)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results[0] + results[1] == serial
+
+    def test_classification_run_builds_no_rows(
+        self, small_config, monkeypatch
+    ):
+        calls = []
+        distance_rows = ProbeMesh.distance_rows
+
+        def counting(mesh, sites):
+            calls.append(len(sites))
+            return distance_rows(mesh, sites)
+
+        monkeypatch.setattr(ProbeMesh, "distance_rows", counting)
+        run = run_study(small_config, workers=1, targets=("classification",))
+        assert run.cache_misses > 0
+        assert calls == []
+
+    def test_cold_geolocation_distance_evaluations(
+        self, small_config, monkeypatch
+    ):
+        # Per world: one distance per (probe, site) pair, built once.
+        # Per campaign: one per sampled probe, to the target.  The rows
+        # are dropped first, so their build is counted too.
+        world = cached_build_world(small_config)
+        monkeypatch.setattr(world.probes, "_distance_rows", None)
+        calls = []
+
+        def counting(lat1, lon1, lat2, lon2):
+            calls.append(None)
+            return great_circle_km(lat1, lon1, lat2, lon2)
+
+        for module in (ipmap_module, probes_module):
+            if hasattr(module, "great_circle_km"):
+                monkeypatch.setattr(module, "great_circle_km", counting)
+        run = run_study(small_config, workers=1, targets=("geolocation",))
+        addresses = len(run.products["geolocation"]["table"])
+        sites = len(next(iter(world.probes._distance_rows[1].values())))
+        probes_per_campaign = small_config.geolocation.probes_per_campaign
+        assert 0 < len(calls) <= (
+            len(world.probes) * sites + probes_per_campaign * addresses
+        )
 
 
 class TestCommercialDatabases:

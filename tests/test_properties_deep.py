@@ -151,6 +151,63 @@ def test_address_plan_pools_never_overlap(pool_specs):
         assert plan.lookup(address).owner == f"owner-{index}"
 
 
+def _first_match(plan, address):
+    """The reference lookup: the first registered pool covering
+    ``address``, scanned in registration order."""
+    for record in plan.records():
+        if address in record.prefix:
+            return record
+    return None
+
+
+def _lookup_probes(plan, rng, n_random):
+    """Each pool's first and last address, one address past each end,
+    and random addresses in and around random pools."""
+    records = list(plan.records())
+    addresses = []
+    for record in records:
+        prefix = record.prefix
+        first, last = prefix.network, prefix.last().value
+        addresses += [
+            IPAddress(prefix.version, value)
+            for value in (first, last, first - 1, last + 1)
+        ]
+    for _ in range(n_random):
+        prefix = rng.choice(records).prefix
+        size = prefix.num_addresses
+        offset = rng.randrange(-size, 2 * size)
+        addresses.append(IPAddress(prefix.version, prefix.network + offset))
+    return addresses
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just(4), st.integers(min_value=20, max_value=28)),
+            st.tuples(st.just(6), st.just(112)),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=30)
+def test_address_plan_lookup_equals_first_match(pool_specs, rng):
+    plan = AddressPlan()
+    for index, (version, length) in enumerate(pool_specs):
+        plan.create_pool("DE", "hosting", f"owner-{index}", length, version)
+    for address in _lookup_probes(plan, rng, 50):
+        assert plan.lookup(address) == _first_match(plan, address)
+
+
+def test_small_world_plan_lookup_equals_first_match(small_world):
+    plan = small_world.plan
+    lengths = {(r.prefix.version, r.prefix.length) for r in plan.records()}
+    assert len(lengths) > 2 and {4, 6} <= {version for version, _ in lengths}
+    for address in _lookup_probes(plan, random.Random(16), 1000):
+        assert plan.lookup(address) == _first_match(plan, address)
+
+
 @given(
     st.lists(
         st.tuples(
