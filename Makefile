@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench report run-smoke trace-smoke diff-smoke serve-smoke serve-load scale-smoke profile-smoke perf-smoke calibrate sweep clean
+.PHONY: install test lint bench report run-smoke trace-smoke diff-smoke serve-smoke serve-load profile-smoke perf-smoke calibrate sweep clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -69,19 +69,10 @@ serve-smoke:
 serve-load:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/serve_load.py
 
-# Columnar record-path smoke: stream a 50k-user synthetic world
-# through the vectorized kernels under a hard peak-RSS limit, fold the
-# per-stage flows_per_s throughput into a ledger record, and gate it
-# against benchmarks/budgets_scale.json (see docs/scaling.md).  Leaves
-# the scale report and ledger in build/scale-smoke for CI.
-scale-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/scale_smoke.py
-
 # Continuous-profiling smoke: profiled cold/warm `repro run --workers 4`
 # medium runs (worker span tracks in the trace export, speedscope
-# profiles replayed warm, zero unexplained ledger drift), a profiled
-# streaming columnar pass that must catch the vectorized kernels, and
-# the profile.self_s budget gate against benchmarks/budgets_profile.json
+# profiles replayed warm, zero unexplained ledger drift) and the
+# profile.self_s budget gate against benchmarks/budgets_profile.json
 # (see docs/observability.md).  Leaves profiles, reports and the ledger
 # in build/profile-smoke for CI.
 profile-smoke:

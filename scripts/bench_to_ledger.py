@@ -26,12 +26,6 @@ throughput from a ``scripts/serve_load.py`` run (schema
 ``serve.requests_per_s{endpoint=...}`` gauge — study-service
 performance history lands in the same journal.
 
-With ``--scale-report build/scale.json`` the per-stage throughput of a
-``scripts/scale_world.py`` run (schema ``repro.columnar/scale/v1``) is
-folded in as ``pipeline.flows_per_s{stage=...}`` gauges plus a
-``pipeline.max_rss_mb`` gauge, so columnar record-path performance is
-budget-gated like everything else.
-
 With ``--profile-report build/profile-report.json`` a per-stage
 hot-function report (``repro run --profile-report``, schema
 ``repro.obs/profile-report/v1``) is folded in as
@@ -54,8 +48,6 @@ from repro.obs.metrics import metric_key
 from repro.obs.names import (
     BENCH_TIME,
     LINT_TIME,
-    PIPELINE_FLOWS_PER_S,
-    PIPELINE_MAX_RSS_MB,
     SERVE_REQUESTS_PER_S,
 )
 
@@ -128,38 +120,6 @@ def serve_gauges_from(report: dict) -> dict:
     return gauges
 
 
-def scale_gauges_from(report: dict) -> dict:
-    """Per-stage throughput + peak-RSS gauges from a scale report
-    (``scripts/scale_world.py``, schema ``repro.columnar/scale/v1``)."""
-    if report.get("schema") != "repro.columnar/scale/v1":
-        raise ObservabilityError(
-            f"scale report carries schema {report.get('schema')!r} "
-            "(expected 'repro.columnar/scale/v1')"
-        )
-    stages = report.get("stages")
-    if not isinstance(stages, dict) or not stages:
-        raise ObservabilityError("scale report carries no 'stages'")
-    gauges = {}
-    for stage, stats in sorted(stages.items()):
-        value = stats.get("flows_per_s") if isinstance(stats, dict) else None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ObservabilityError(
-                f"scale report stage {stage!r} carries no numeric "
-                "'flows_per_s'"
-            )
-        key = metric_key(PIPELINE_FLOWS_PER_S, {"stage": stage})
-        gauges[key] = {"kind": "gauge", "value": float(value)}
-    rss = report.get("max_rss_mb")
-    if not isinstance(rss, (int, float)) or isinstance(rss, bool):
-        raise ObservabilityError(
-            "scale report carries no numeric 'max_rss_mb'"
-        )
-    gauges[metric_key(PIPELINE_MAX_RSS_MB, {})] = {
-        "kind": "gauge", "value": float(rss),
-    }
-    return gauges
-
-
 def bench_record(report) -> dict:
     """A ``kind="bench"`` ledger record from a pytest-benchmark report.
 
@@ -228,14 +188,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--scale-report",
-        metavar="PATH",
-        help=(
-            "scale report (scripts/scale_world.py) whose per-stage "
-            "throughput is folded in as pipeline.flows_per_s gauges"
-        ),
-    )
-    parser.add_argument(
         "--profile-report",
         metavar="PATH",
         help=(
@@ -248,7 +200,6 @@ def main(argv=None) -> int:
     if args.report is None and not (
         args.lint_report
         or args.serve_report
-        or args.scale_report
         or args.profile_report
     ):
         parser.error(
@@ -264,7 +215,6 @@ def main(argv=None) -> int:
         report = read_json(args.report) if args.report else None
         lint = read_json(args.lint_report) if args.lint_report else None
         serve = read_json(args.serve_report) if args.serve_report else None
-        scale = read_json(args.scale_report) if args.scale_report else None
         profile = (
             read_json(args.profile_report) if args.profile_report else None
         )
@@ -284,8 +234,6 @@ def main(argv=None) -> int:
             record["metrics"].update(lint_gauges_from(lint))
         if serve is not None:
             record["metrics"].update(serve_gauges_from(serve))
-        if scale is not None:
-            record["metrics"].update(scale_gauges_from(scale))
         if profile is not None:
             record["metrics"].update(report_gauges(profile))
         record = append_record(args.ledger, record)

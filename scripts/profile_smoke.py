@@ -14,18 +14,14 @@ Exercises the whole profiling story in one bounded run:
   validate and decode, and ``repro obs diff`` between the two ledger
   records must report **zero unexplained drift** (``profile.*`` deltas
   classify as *timing*, cache deltas as *cache*);
-* a streaming columnar pass (``SyntheticCohortSource`` →
-  ``StreamingRecordPath``, the ``scripts/scale_world.py`` geometry in
-  miniature) profiled until the sampler catches a hot frame inside
-  ``core/kernels.py`` or ``netflow/columns.py`` — the vectorized record
-  path, visible in a flamegraph;
-* the engine report plus the streaming stage fold into a fresh ledger
-  record via ``scripts/bench_to_ledger.py --profile-report``, and
+* the cold run's report folds into a fresh ledger record via
+  ``scripts/bench_to_ledger.py --profile-report``, and
   ``repro obs check`` gates the resulting
   ``profile.self_s{func=_total,stage=...}`` gauges against the
   committed envelope in ``benchmarks/budgets_profile.json`` — and must
   fail against an impossible one (the gate actually gates);
-* ``repro obs profile`` renders the merged speedscope artifact.
+* ``repro obs profile`` renders the cold profile, rewritten as
+  ``profile.json``.
 
 Artifacts (speedscope profiles, reports, trace events, ledger) land in
 ``out_dir`` (default ``build/profile-smoke``) so CI can upload them.
@@ -38,13 +34,8 @@ import sys
 
 import bench_to_ledger
 
-from repro import Study, WorldConfig
 from repro.cli import main as cli_main
-from repro.core.stream import StreamingRecordPath, SyntheticCohortSource
-from repro.datasets.builder import build_world
 from repro.obs import (
-    SamplingProfiler,
-    build_report,
     load_speedscope,
     load_trace_events,
     validate_speedscope,
@@ -52,72 +43,9 @@ from repro.obs import (
 )
 from repro.obs.ledger import ledger_path
 from repro.obs.persist import atomic_write_json
-from repro.web.columns import request_table
 
 #: the committed self-time envelope this smoke run must satisfy
 BUDGETS = os.path.join("benchmarks", "budgets_profile.json")
-
-#: streaming-pass geometry: enough rows that the sampler lands inside
-#: the columnar kernels, small enough to stay a smoke test
-STREAM_USERS = 20_000
-STREAM_REQUESTS_PER_USER = 25
-STREAM_COHORT = 5_000
-STREAM_HZ = 997.0
-
-#: sampler attempts before declaring the kernels invisible
-STREAM_ATTEMPTS = 4
-
-#: the columnar modules a streaming profile must name (shortened paths)
-KERNEL_SUFFIXES = ("core/kernels.py", "netflow/columns.py")
-
-
-def _has_kernel_frame(profile) -> bool:
-    """Whether any sampled stack touches the columnar kernels."""
-    return any(
-        path.endswith(KERNEL_SUFFIXES)
-        for stack, _weight in profile.stacks()
-        for _name, path, _line in stack
-    )
-
-
-def profile_streaming_pass():
-    """Profile the columnar record path until a kernel frame lands.
-
-    Returns the sampled :class:`~repro.obs.Profile`.  One attempt
-    streams ``STREAM_USERS`` synthetic users through
-    :class:`StreamingRecordPath` under a :class:`SamplingProfiler`;
-    sampling is statistical, so up to ``STREAM_ATTEMPTS`` passes merge
-    until ``core/kernels.py`` / ``netflow/columns.py`` shows up.
-    """
-    study = Study(world=build_world(WorldConfig.small(seed=7)))
-    template_requests = study.visit_log.requests
-    reference = study.geolocation.reference
-    located = {}
-    for address in sorted(
-        {request.ip for request in template_requests}, key=str
-    ):
-        located[address] = reference(address)
-    template = request_table(template_requests)
-
-    profiler = SamplingProfiler(hz=STREAM_HZ)
-    for _attempt in range(STREAM_ATTEMPTS):
-        source = SyntheticCohortSource(
-            template, study.world.streams, STREAM_USERS,
-            STREAM_REQUESTS_PER_USER,
-        )
-        path = StreamingRecordPath(study.classifier, located.get)
-        profiler.start()
-        try:
-            for lo in range(0, STREAM_USERS, STREAM_COHORT):
-                path.consume(
-                    source.cohort(lo, min(lo + STREAM_COHORT, STREAM_USERS))
-                )
-        finally:
-            profiler.stop()
-        if _has_kernel_frame(profiler.profile):
-            break
-    return profiler.profile
-
 
 def main() -> int:
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "build/profile-smoke"
@@ -169,10 +97,6 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    with open(
-        os.path.join(out_dir, "report-cold.json"), "r", encoding="utf-8"
-    ) as handle:
-        report = json.load(handle)
 
     # Zero unexplained drift between the profiled cold and warm runs:
     # profile.* gauges classify as timing, cache deltas as cache.
@@ -188,37 +112,16 @@ def main() -> int:
         )
         return 1
 
-    # -- streaming columnar pass: the kernels, visible -------------------
-    stream_profile = profile_streaming_pass()
-    if not _has_kernel_frame(stream_profile):
-        print(
-            f"FAIL: no {' / '.join(KERNEL_SUFFIXES)} frame sampled in "
-            f"{STREAM_ATTEMPTS} streaming passes",
-            file=sys.stderr,
-        )
-        return 1
-
-    # Merge the engine and streaming profiles into the final artifact.
-    merged = profiles["cold"].merge(stream_profile)
-    merged_path = os.path.join(out_dir, "profile.json")
-    write_speedscope(merged, merged_path, name="repro profile smoke")
-    with open(merged_path, "r", encoding="utf-8") as handle:
+    # The decoded cold profile, exported again, must still validate.
+    profile_path = os.path.join(out_dir, "profile.json")
+    write_speedscope(profiles["cold"], profile_path, name="repro profile smoke")
+    with open(profile_path, "r", encoding="utf-8") as handle:
         validate_speedscope(json.load(handle))
-    if not _has_kernel_frame(load_speedscope(merged_path)):
-        print(
-            "FAIL: merged speedscope artifact lost the kernel frames",
-            file=sys.stderr,
-        )
-        return 1
 
     # -- ledger fold + budget gate ---------------------------------------
-    stream_report = build_report({"streaming": stream_profile}, hz=STREAM_HZ)
-    report["stages"]["streaming"] = stream_report["stages"]["streaming"]
-    combined_path = os.path.join(out_dir, "report.json")
-    atomic_write_json(report, combined_path)
-
+    report_path = os.path.join(out_dir, "report-cold.json")
     ledger = ledger_path(cache)
-    status = bench_to_ledger.main([ledger, "--profile-report", combined_path])
+    status = bench_to_ledger.main([ledger, "--profile-report", report_path])
     if status != 0:
         print(f"FAIL: bench_to_ledger exited {status}", file=sys.stderr)
         return 1
@@ -239,7 +142,7 @@ def main() -> int:
         {
             "schema": "repro.obs/budgets/v1",
             "metrics": {
-                "profile.self_s{func=_total,stage=streaming}": {
+                "profile.self_s{func=_total,stage=panel}": {
                     "min": 1e12,
                 },
             },
@@ -257,16 +160,17 @@ def main() -> int:
         return 1
 
     # -- the terminal renderer -------------------------------------------
-    status = cli_main(["obs", "profile", merged_path, "--top", "5"])
+    status = cli_main(["obs", "profile", profile_path, "--top", "5"])
     if status != 0:
         print(f"FAIL: repro obs profile exited {status}", file=sys.stderr)
         return 1
 
+    cold = profiles["cold"]
     print(
         f"OK: profiled cold/warm medium runs with zero unexplained drift; "
-        f"worker spans on {len(worker_pids)} pid tracks; merged profile "
-        f"({len(merged)} stacks, {merged.seconds:.1f}s sampled) names the "
-        f"columnar kernels; budgets gate exercised; artifacts in {out_dir}"
+        f"worker spans on {len(worker_pids)} pid tracks; cold profile "
+        f"({len(cold)} stacks, {cold.seconds:.1f}s sampled); budgets gate "
+        f"exercised; artifacts in {out_dir}"
     )
     return 0
 

@@ -195,28 +195,16 @@ class RequestClassifier:
         request URL carries no derivable host (propagated from
         :attr:`ThirdPartyRequest.fqdn`).
         """
-        return self.matches_lists_url(request.url, request.fqdn)
-
-    def matches_keywords(self, request: ThirdPartyRequest) -> bool:
-        """Stage-3 predicate: URL arguments plus a tracking keyword."""
-        return self.matches_keywords_url(request.url, request.has_args)
-
-    # -- URL-component predicates (columnar kernels) ----------------------
-    def matches_lists_url(self, url: str, fqdn: str) -> bool:
-        """Stage-1 predicate over pre-split URL components.
-
-        The columnar kernels store ``fqdn`` as a column, so they call
-        this form directly, without request objects.
-        """
+        url, fqdn = request.url, request.fqdn
         return self._easylist.matches(url, fqdn) or self._easyprivacy.matches(
             url, fqdn
         )
 
-    def matches_keywords_url(self, url: str, has_args: bool) -> bool:
-        """Stage-3 predicate over pre-split URL components."""
-        if not has_args:
+    def matches_keywords(self, request: ThirdPartyRequest) -> bool:
+        """Stage-3 predicate: URL arguments plus a tracking keyword."""
+        if not request.has_args:
             return False
-        lowered = url.lower()
+        lowered = request.url.lower()
         return any(keyword in lowered for keyword in self._keywords)
 
     # -- full-log classification ------------------------------------------
@@ -231,11 +219,6 @@ class RequestClassifier:
         The stage toggles support ablation studies: disabling the
         referrer closure and keyword heuristic reduces the classifier to
         the naive lists-only approach the paper improves upon.
-
-        This is the **reference implementation** of the record path:
-        :func:`repro.core.kernels.classify_table` reproduces it column-
-        at-a-time over a :class:`~repro.columnar.table.ColumnarTable`,
-        and the equivalence tests lock both to identical stage labels.
 
         Raises :class:`repro.errors.ValidationError` when the produced
         label vector misaligns with the request log, and propagates

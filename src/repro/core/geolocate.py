@@ -48,8 +48,7 @@ class GeolocationSuite:
         self._ip_api = ip_api
         self._oracle = oracle
         # Built once: per-record lookups go through this index instead
-        # of assembling a fresh dict per call (the columnar path made
-        # the per-call construction visible as a hot-loop allocation).
+        # of assembling a fresh dict per call.
         self._locators: Dict[str, Locator] = {
             "RIPE IPmap": self._ipmap.locate,
             "MaxMind": self._maxmind.locate,

@@ -76,11 +76,6 @@ class UnknownKeyError(ReproError, KeyError):
     """
 
 
-class ColumnarError(ReproError):
-    """Raised by :mod:`repro.columnar` for schema violations, ragged
-    rows, unknown columns, or invalid chunk/cohort geometry."""
-
-
 class LintError(ReproError):
     """Raised by :mod:`repro.lint` for malformed baselines or rule
     registration conflicts."""

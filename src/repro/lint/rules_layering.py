@@ -30,10 +30,6 @@ LAYER_RANKS: Dict[str, int] = {
     # import nothing above repro.errors — observability can never grow a
     # dependency on the pipeline it observes.
     "obs": 10,
-    # columnar is pure data-structure substrate (schemas, packed
-    # tables, chunk geometry): every domain layer may batch through it,
-    # but it may never learn what a flow or a request is
-    "columnar": 15,
     "geodata": 20,
     "netbase": 20,
     "cloud": 30,

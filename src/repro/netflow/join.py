@@ -90,9 +90,8 @@ class HashedIPMatcher:
 
         ``tracker_ip`` is ``None`` for non-tracker addresses; a
         ``None`` window means always valid.  The digest is memoized per
-        distinct address, so repeated probes (per-flow matching, the
-        columnar join's per-dictionary-code pre-resolution) cost one
-        dict lookup.
+        distinct address, so repeated probes of one address (per-flow
+        matching) cost one dict lookup.
         """
         if address in self._probe_memo:
             found = self._probe_memo[address]

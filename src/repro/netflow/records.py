@@ -23,12 +23,6 @@ WEB_PORTS = (80, 443)
 class FlowRecord:
     """One exported (sampled) flow.
 
-    This object is the **reference representation** of a flow; the
-    columnar path packs the same eleven fields into a
-    :data:`repro.netflow.columns.FLOW_SCHEMA` table and
-    :func:`repro.netflow.columns.table_to_records` round-trips back
-    through this constructor, re-running the same validation.
-
     Raises :class:`repro.errors.NetFlowError` on construction for an
     unsupported layer-4 protocol, an out-of-range port, or non-positive
     sampled counters.

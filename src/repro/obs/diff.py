@@ -57,9 +57,9 @@ CACHE_VARIABLE_METRICS = frozenset({
 })
 
 #: metric name prefixes that carry wall-time statistics (never drift) —
-#: "pipeline." covers the columnar record path's throughput/RSS gauges,
-#: "profile." the sampling profiler's per-stage hot-function gauges
-TIMING_METRIC_PREFIXES = ("bench.", "lint.", "pipeline.", "profile.")
+#: "profile." covers the sampling profiler's per-stage hot-function
+#: gauges
+TIMING_METRIC_PREFIXES = ("bench.", "lint.", "profile.")
 
 #: classification labels, in report order
 CLASSIFICATIONS = ("config", "code", "cache", "timing", "drift")

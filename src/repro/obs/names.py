@@ -102,15 +102,6 @@ SERVE_WARM_HIT_RATE = "serve.cache.warm_hit_rate"
 #: scripts/bench_to_ledger.py --serve-report)
 SERVE_REQUESTS_PER_S = "serve.requests_per_s"
 
-#: per-stage throughput of the columnar record path, rows per wall
-#: second (core/stream.py; scale reports fold it into the ledger via
-#: scripts/bench_to_ledger.py --scale-report); classified as timing by
-#: the diff engine, gated by the scale budget envelope
-PIPELINE_FLOWS_PER_S = "pipeline.flows_per_s"
-
-#: peak resident set of one scale-driver run (scripts/scale_world.py)
-PIPELINE_MAX_RSS_MB = "pipeline.max_rss_mb"
-
 #: per-stage hot-function self time from the sampling profiler
 #: (obs/profile.py), folded into ledger records by
 #: runtime/provenance.py and by scripts/bench_to_ledger.py
@@ -168,10 +159,6 @@ _METRIC_DECLS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
      "cache hit share of the most recent job's engine run"),
     (SERVE_REQUESTS_PER_S, "gauge", ("endpoint",),
      "serve load-benchmark throughput, by endpoint"),
-    (PIPELINE_FLOWS_PER_S, "gauge", ("stage",),
-     "columnar record-path throughput, rows per second per stage"),
-    (PIPELINE_MAX_RSS_MB, "gauge", (),
-     "peak resident set of one scale-driver run, MiB"),
     (PROFILE_SELF_S, "gauge", ("stage", "func"),
      "sampling-profiler self time per hot function per stage"),
 )

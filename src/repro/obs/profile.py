@@ -90,8 +90,8 @@ def shorten_path(path: str) -> str:
     """A stable, machine-independent rendering of a source path.
 
     Paths inside the repo collapse to their ``repro/...`` suffix
-    (``/root/repo/src/repro/core/kernels.py`` →
-    ``repro/core/kernels.py``); everything else keeps its last two
+    (``/srv/checkout/src/repro/core/classify.py`` →
+    ``repro/core/classify.py``); everything else keeps its last two
     components, so stdlib frames stay recognizable without leaking
     absolute install prefixes into profiles.
     """

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.columnar.chunks import cohort_bounds
 from repro.errors import ValidationError
 
 PlanFn = Callable[[Any, Mapping[str, Any]], List[Tuple[str, Any]]]
@@ -154,21 +153,3 @@ def partition(items: Sequence[Any], target_shards: int) -> List[Tuple[int, int]]
         start += size
     return blocks
 
-
-def partition_cohorts(
-    n_items: int, cohort_size: int
-) -> List[Tuple[int, int]]:
-    """Split ``n_items`` positions into fixed-size streaming cohorts.
-
-    Where :func:`partition` answers "spread this work over at most N
-    shards", this answers the streaming question — "never hold more
-    than ``cohort_size`` items at once" — which is how the columnar
-    record path bounds peak memory while the cohort *count* grows with
-    the world.  Delegates to
-    :func:`repro.columnar.chunks.cohort_bounds`; like :func:`partition`
-    the result is a pure function of its arguments, never of worker
-    count, so cohort-keyed RNG derivations are reproducible.
-
-    Raises :class:`repro.errors.ColumnarError` on invalid geometry.
-    """
-    return cohort_bounds(n_items, cohort_size)

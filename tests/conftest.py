@@ -13,7 +13,6 @@ import pytest
 
 from repro import Study, WorldConfig
 from repro.datasets.builder import World, build_world
-from repro.geodata.countries import default_registry
 
 
 @pytest.fixture(autouse=True)
@@ -33,27 +32,6 @@ def collector_left_enabled():
 @pytest.fixture(scope="session")
 def small_config() -> WorldConfig:
     return WorldConfig.small()
-
-
-@pytest.fixture(scope="session")
-def synthetic_locate():
-    """A deterministic, call-order-independent locator.
-
-    Spreads destinations over the country registry by address value and
-    leaves every ninth address unlocatable (the ``unknown`` bucket).
-    The columnar equivalence tests need call-order independence — the
-    real serial geolocation engine's draws are order-dependent by
-    design, which would conflate locator state with record-path
-    behavior.
-    """
-    codes = sorted(default_registry().codes())
-
-    def locate(address):
-        if address.value % 9 == 0:
-            return None
-        return codes[address.value % len(codes)]
-
-    return locate
 
 
 @pytest.fixture(scope="session")

@@ -113,3 +113,8 @@ def test_lint_report_without_time_s_is_an_error(
     ]) == 1
     assert "time_s" in capsys.readouterr().err
     assert not ledger.exists()
+
+
+def test_no_sources_at_all_is_an_error(bench_to_ledger, tmp_path):
+    with pytest.raises(SystemExit):
+        bench_to_ledger.main([str(tmp_path / "ledger.jsonl")])

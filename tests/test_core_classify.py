@@ -195,6 +195,41 @@ class TestOnRealLog:
                 semi_kinds.add(fleet.org(request.truth_org).kind)
         assert OrgKind.DMP in semi_kinds or OrgKind.DSP in semi_kinds
 
+    def test_ablation_toggles(self, small_study):
+        """Disabling a semi-automatic stage only ever removes its own
+        labels; lists-only classification is exactly the LIST set."""
+        requests = small_study.visit_log.requests
+        stages = {
+            (referrer, keyword): small_study.classifier.classify(
+                requests,
+                enable_referrer_stage=referrer,
+                enable_keyword_stage=keyword,
+            ).stages
+            for referrer in (True, False)
+            for keyword in (True, False)
+        }
+
+        def listed(labels):
+            return {
+                i for i, stage in enumerate(labels)
+                if stage is ClassificationStage.LIST
+            }
+
+        def tracking(labels):
+            return {i for i, stage in enumerate(labels) if stage.is_tracking}
+
+        all_on = stages[True, True]
+        assert ClassificationStage.REFERRER in all_on
+        assert ClassificationStage.KEYWORD in all_on
+        for (referrer, keyword), labels in stages.items():
+            assert listed(labels) == listed(all_on)
+            if not referrer:
+                assert ClassificationStage.REFERRER not in labels
+            if not keyword:
+                assert ClassificationStage.KEYWORD not in labels
+            assert tracking(labels) <= tracking(all_on)
+        assert tracking(stages[False, False]) == listed(all_on)
+
 
 @given(st.data())
 @settings(max_examples=30, deadline=None)

@@ -1,8 +1,11 @@
-"""The package declares every third-party module it imports, so that
-``pip install -e .`` on a fresh interpreter can import all of it."""
+"""The package declares exactly the third-party modules it imports, so
+that ``pip install -e .`` on a fresh interpreter can import all of it
+and installs nothing it never uses."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +51,23 @@ def test_every_third_party_import_is_declared():
     assert third_party, "the scan found no third-party import at all"
     undeclared = third_party - _declared_dependencies(ROOT / "pyproject.toml")
     assert not undeclared, f"imported but not declared: {sorted(undeclared)}"
+
+
+def test_every_declared_dependency_is_imported():
+    declared = _declared_dependencies(ROOT / "pyproject.toml")
+    unused = declared - _imported_top_levels(ROOT / "src" / "repro")
+    assert not unused, f"declared but never imported: {sorted(unused)}"
+
+
+def test_cli_and_engine_import_without_numpy():
+    # A fresh interpreter, so modules other tests imported cannot mask
+    # an import the CLI or the engine makes.
+    probe = (
+        "import repro.cli; from repro.runtime import run_study; "
+        "import sys; assert 'numpy' not in sys.modules"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -73,15 +73,15 @@ def make_profile(*stacks):
     return profile
 
 
-STACK_A = (("main", "repro/cli.py", 10), ("classify", "repro/core/kernels.py", 59))
+STACK_A = (("main", "repro/cli.py", 10), ("classify", "repro/core/classify.py", 59))
 STACK_B = (("main", "repro/cli.py", 10), ("locate", "repro/geoloc/ipmap.py", 30))
 
 
 class TestStackWalking:
     def test_repo_paths_collapse_to_repro_suffix(self):
         assert (
-            shorten_path("/root/repo/src/repro/core/kernels.py")
-            == "repro/core/kernels.py"
+            shorten_path("/srv/checkout/src/repro/core/classify.py")
+            == "repro/core/classify.py"
         )
 
     def test_foreign_paths_keep_last_two_components(self):
@@ -97,18 +97,18 @@ class TestStackWalking:
         )
 
     def test_frame_label_is_file_colon_name(self):
-        assert frame_label(("classify", "repro/core/kernels.py", 59)) == (
-            "repro/core/kernels.py:classify"
+        assert frame_label(("classify", "repro/core/classify.py", 59)) == (
+            "repro/core/classify.py:classify"
         )
 
     def test_walk_stack_orders_root_first(self):
         frame = fake_stack(
             ("outer", "/root/repo/src/repro/cli.py", 1),
-            ("inner", "/root/repo/src/repro/core/kernels.py", 59),
+            ("inner", "/srv/checkout/src/repro/core/classify.py", 59),
         )
         assert walk_stack(frame) == (
             ("outer", "repro/cli.py", 1),
-            ("inner", "repro/core/kernels.py", 59),
+            ("inner", "repro/core/classify.py", 59),
         )
 
     def test_runaway_recursion_is_truncated(self):
@@ -182,7 +182,7 @@ class TestProfile:
     def test_function_table_sorted_by_self_time(self):
         profile = make_profile((STACK_A, 100), (STACK_B, 25))
         rows = profile.function_table()
-        assert rows[0]["func"] == "repro/core/kernels.py:classify"
+        assert rows[0]["func"] == "repro/core/classify.py:classify"
         assert rows[0]["share"] == pytest.approx(100 / 125)
         assert profile.function_table(top=1) == rows[:1]
 
@@ -191,10 +191,10 @@ class TestProfile:
         assert Profile().render_flame() == "(no samples recorded)"
         profile = make_profile((STACK_A, 100), (STACK_B, 25))
         table = profile.render_table(top=1)
-        assert "repro/core/kernels.py:classify" in table
+        assert "repro/core/classify.py:classify" in table
         flame = profile.render_flame()
         assert flame.splitlines()[0].startswith("repro/cli.py:main")
-        assert "  repro/core/kernels.py:classify" in flame
+        assert "  repro/core/classify.py:classify" in flame
 
 
 class TestSampler:
@@ -389,7 +389,7 @@ class TestReport:
         assert stage["seconds"] == pytest.approx(2.5)
         assert stage["stacks"] == 2
         assert stage["self_s"]["_total"] == pytest.approx(2.5)
-        assert stage["self_s"]["repro/core/kernels.py:classify"] == (
+        assert stage["self_s"]["repro/core/classify.py:classify"] == (
             pytest.approx(2.0)
         )
 
@@ -399,7 +399,7 @@ class TestReport:
             hz=97.0, top=1,
         )
         self_s = report["stages"]["panel"]["self_s"]
-        assert set(self_s) == {"_total", "repro/core/kernels.py:classify"}
+        assert set(self_s) == {"_total", "repro/core/classify.py:classify"}
 
     def test_empty_stage_still_reports_total(self):
         report = build_report({"panel": Profile()}, hz=97.0)
@@ -414,7 +414,7 @@ class TestReport:
         assert gauges[key] == {"kind": "gauge", "value": 1.0}
         assert all(entry["kind"] == "gauge" for entry in gauges.values())
         assert (
-            "profile.self_s{func=repro/core/kernels.py:classify,stage=panel}"
+            "profile.self_s{func=repro/core/classify.py:classify,stage=panel}"
             in gauges
         )
 
