@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench report run-smoke trace-smoke diff-smoke serve-smoke serve-load profile-smoke perf-smoke calibrate sweep clean
+.PHONY: install test lint bench report run-smoke trace-smoke diff-smoke serve-smoke serve-load perf-smoke calibrate sweep clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -16,7 +16,7 @@ test:
 # purity, observability consistency) plus a dump of the import/call
 # graph the C4xx/P5xx/O6xx rules reason over.  See docs/linting.md.
 lint:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro scripts benchmarks --jobs 0 --graph-json build/program-graph.json --dataflow-json build/dataflow-report.json --concurrency-json build/concurrency-report.json --sarif build/reprolint.sarif
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro scripts benchmarks --jobs 0 --graph-json build/program-graph.json --dataflow-json build/dataflow-report.json --concurrency-json build/concurrency-report.json
 
 # The JSON report (build/bench.json) feeds scripts/bench_to_ledger.py,
 # which folds the timing statistics into the run ledger as a
@@ -45,11 +45,13 @@ run-smoke:
 trace-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/trace_smoke.py
 
-# Ledger/diff smoke: two traced `repro run` invocations against one
-# cache, then `repro obs diff` between them must report zero
-# unexplained drift, both trace-event exports must validate and the
-# budget gate must pass/fail correctly (see docs/ledger.md).  Leaves
-# the ledger, diff JSON and trace events in build/diff-smoke for CI.
+# Ledger/diff smoke: two traced `repro run --workers 2` invocations
+# against one cache, then `repro obs diff` between them must report
+# zero unexplained drift, both trace-event exports must validate, the
+# cold export must show worker stage spans on at least two pid tracks,
+# and the budget gate must pass/fail correctly (see docs/ledger.md).
+# Leaves the ledger, diff JSON and trace events in build/diff-smoke
+# for CI.
 diff-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/diff_smoke.py
 
@@ -68,15 +70,6 @@ serve-smoke:
 # gauges in the run ledger).
 serve-load:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/serve_load.py
-
-# Continuous-profiling smoke: profiled cold/warm `repro run --workers 4`
-# medium runs (worker span tracks in the trace export, speedscope
-# profiles replayed warm, zero unexplained ledger drift) and the
-# profile.self_s budget gate against benchmarks/budgets_profile.json
-# (see docs/observability.md).  Leaves profiles, reports and the ledger
-# in build/profile-smoke for CI.
-profile-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/profile_smoke.py
 
 # Study-benchmark smoke: each perfbench workload (warm resubmit over a
 # filled cache, cold Table 2 sub-graph) for one second with the layer

@@ -26,13 +26,6 @@ throughput from a ``scripts/serve_load.py`` run (schema
 ``serve.requests_per_s{endpoint=...}`` gauge — study-service
 performance history lands in the same journal.
 
-With ``--profile-report build/profile-report.json`` a per-stage
-hot-function report (``repro run --profile-report``, schema
-``repro.obs/profile-report/v1``) is folded in as
-``profile.self_s{func=...,stage=...}`` gauges — the exact fold
-provenance applies to profiled engine runs, so standalone profiling
-sweeps and engine runs gate against the same budget keys.
-
 The positional pytest-benchmark report may be omitted when at least one
 ``--*-report`` source is given; the appended record is then a bench
 record with only the side-channel gauges.
@@ -43,7 +36,7 @@ import json
 import sys
 
 from repro.errors import ObservabilityError
-from repro.obs import LEDGER_SCHEMA, append_record, report_gauges
+from repro.obs import LEDGER_SCHEMA, append_record
 from repro.obs.metrics import metric_key
 from repro.obs.names import (
     BENCH_TIME,
@@ -187,21 +180,8 @@ def main(argv=None) -> int:
             "throughput is folded in as serve.requests_per_s gauges"
         ),
     )
-    parser.add_argument(
-        "--profile-report",
-        metavar="PATH",
-        help=(
-            "profile report (repro run --profile-report) whose per-stage "
-            "hot-function self times are folded in as profile.self_s "
-            "gauges"
-        ),
-    )
     args = parser.parse_args(argv)
-    if args.report is None and not (
-        args.lint_report
-        or args.serve_report
-        or args.profile_report
-    ):
+    if args.report is None and not (args.lint_report or args.serve_report):
         parser.error(
             "nothing to fold: give a benchmark report or at least one "
             "--*-report source"
@@ -215,9 +195,6 @@ def main(argv=None) -> int:
         report = read_json(args.report) if args.report else None
         lint = read_json(args.lint_report) if args.lint_report else None
         serve = read_json(args.serve_report) if args.serve_report else None
-        profile = (
-            read_json(args.profile_report) if args.profile_report else None
-        )
     except OSError as exc:
         print(f"bench_to_ledger: cannot read report: {exc}", file=sys.stderr)
         return 1
@@ -234,8 +211,6 @@ def main(argv=None) -> int:
             record["metrics"].update(lint_gauges_from(lint))
         if serve is not None:
             record["metrics"].update(serve_gauges_from(serve))
-        if profile is not None:
-            record["metrics"].update(report_gauges(profile))
         record = append_record(args.ledger, record)
     except ObservabilityError as exc:
         print(f"bench_to_ledger: {exc}", file=sys.stderr)

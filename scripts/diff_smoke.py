@@ -13,7 +13,9 @@ checks the ledger pipeline end to end:
   reports **zero unexplained drift** — the cold/warm cache deltas must
   all classify as *cache*;
 * both exported trace-event files validate (monotonic integer
-  timestamps, complete "X" events) — the files Perfetto loads;
+  timestamps, complete "X" events) — the files Perfetto loads — and
+  the cold export carries worker ``stage:*`` spans on at least two
+  distinct pid tracks (the cross-process span stitching, visible);
 * ``repro obs check`` passes against budgets derived from the run and
   fails (exit 1) against an impossible envelope.
 
@@ -105,13 +107,30 @@ def main() -> int:
 
     # Both trace exports must validate — load_trace_events re-checks the
     # monotonic-timestamp / complete-event invariants Perfetto relies on.
-    n_events = {}
+    events = {}
     for label in ("cold", "warm"):
         payload = load_trace_events(os.path.join(out_dir, f"events-{label}.json"))
-        n_events[label] = len(payload["traceEvents"])
-        if not n_events[label]:
+        events[label] = payload["traceEvents"]
+        if not events[label]:
             print(f"FAIL: {label} trace export is empty", file=sys.stderr)
             return 1
+
+    # The cold trace must carry the stitched worker tracks: stage spans
+    # recorded under at least two distinct worker pids.
+    worker_pids = {
+        event["pid"]
+        for event in events["cold"]
+        if event.get("ph") == "X"
+        and str(event.get("name", "")).startswith("stage:")
+        and event["pid"] != 1
+    }
+    if len(worker_pids) < 2:
+        print(
+            f"FAIL: expected worker stage spans on >= 2 distinct pid "
+            f"tracks, saw {sorted(worker_pids)}",
+            file=sys.stderr,
+        )
+        return 1
 
     # Budget gate: derived envelopes pass, an impossible one fails.
     budgets_path = os.path.join(out_dir, "budgets.json")
@@ -141,8 +160,9 @@ def main() -> int:
     print(
         "OK: 2 ledger records, diff classified "
         f"{sum(counts.values())} deltas ({counts}) with zero unexplained "
-        f"drift; trace exports valid ({n_events['cold']}/{n_events['warm']} "
-        f"events); budgets gate exercised; diff JSON schema "
+        f"drift; trace exports valid ({len(events['cold'])}/"
+        f"{len(events['warm'])} events, worker spans on {len(worker_pids)} "
+        f"pid tracks); budgets gate exercised; diff JSON schema "
         f"{written['schema']!r} written to {diff_json}"
     )
     return 0

@@ -24,19 +24,14 @@ Commands
     ``--trace-events out.json`` it exports the same span tree as
     Chrome trace-event JSON (load it in Perfetto / ``chrome://tracing``)
     — on ``--workers N`` runs the trace carries the workers' stitched
-    span trees as real process tracks.  With ``--profile out.json`` the
-    shard workers sample their own stacks and the merged profile lands
-    as speedscope JSON (load it at https://www.speedscope.app);
-    ``--profile-report out.json`` writes the per-stage hot-function
-    report instead (or as well).
+    span trees as real process tracks.
 ``obs``
     Inspect the run ledger (``<cache_dir>/ledger.jsonl``) that every
     cached engine run appends to: ``list`` / ``show`` the records,
     ``diff`` two of them with every metric delta classified as
     config-driven, code-driven or unexplained drift, ``check`` a record
-    against a budgets file (CI gate), get/set the ``baseline``
-    selector, and render a saved speedscope ``profile`` as a terminal
-    table or flame view.  See ``docs/ledger.md``.
+    against a budgets file (CI gate), and get/set the ``baseline``
+    selector.  See ``docs/ledger.md``.
 ``serve``
     Run the always-on study service: submit configs over
     ``POST /studies``, follow per-job progress as Server-Sent Events,
@@ -143,20 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record spans and export them as Chrome trace-event JSON "
         "(Perfetto / chrome://tracing loadable) to OUT",
     )
-    run_command.add_argument(
-        "--profile", type=pathlib.Path, default=None, metavar="OUT",
-        help="sample shard stacks and write the merged profile as "
-        "speedscope JSON (speedscope.app loadable) to OUT",
-    )
-    run_command.add_argument(
-        "--profile-hz", type=float, default=None, metavar="HZ",
-        help="stack sampling rate (default: 97; implies profiling)",
-    )
-    run_command.add_argument(
-        "--profile-report", type=pathlib.Path, default=None, metavar="OUT",
-        help="write the per-stage hot-function report "
-        "(schema repro.obs/profile-report/v1) to OUT",
-    )
 
     obs_command = commands.add_parser(
         "obs", help="inspect the run ledger: list/show/diff/check/baseline"
@@ -214,21 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         "selector", nargs="?", default=None,
         help="record to mark as baseline (omit to show the current one)",
     )
-    obs_profile = obs_subcommands.add_parser(
-        "profile", help="render a saved speedscope profile as text"
-    )
-    obs_profile.add_argument(
-        "path", type=pathlib.Path,
-        help="speedscope JSON file (e.g. from `repro run --profile`)",
-    )
-    obs_profile.add_argument(
-        "--top", type=int, default=10,
-        help="rows in the self-time table (default: 10)",
-    )
-    obs_profile.add_argument(
-        "--flame", action="store_true",
-        help="print the stack tree (hottest branches first) instead",
-    )
 
     serve_command = commands.add_parser(
         "serve", help="run the always-on study service (HTTP + SSE)"
@@ -280,46 +246,22 @@ def _make_study(args: argparse.Namespace) -> Study:
 
 def _command_run(args: argparse.Namespace) -> str:
     from repro.io import run_metrics_to_json
-    from repro.obs import (
-        DEFAULT_HZ,
-        Tracer,
-        write_manifest,
-        write_speedscope,
-        write_trace_events,
-    )
-    from repro.obs.persist import atomic_write_json
+    from repro.obs import Tracer, write_manifest, write_trace_events
     from repro.runtime import run_study
 
     cache_dir = str(args.cache_dir) if args.cache_dir is not None else None
     traced = args.trace is not None or args.trace_events is not None
     tracer = Tracer() if traced else None
-    profiling = (
-        args.profile is not None
-        or args.profile_hz is not None
-        or args.profile_report is not None
-    )
-    profile_hz = (
-        args.profile_hz if args.profile_hz is not None else DEFAULT_HZ
-    ) if profiling else None
     run = run_study(
         _make_config(args),
         workers=args.workers,
         cache_dir=cache_dir,
         tracer=tracer,
-        profile_hz=profile_hz,
     )
     if args.trace is not None:
         write_manifest(run.manifest, args.trace)
     if args.trace_events is not None:
         write_trace_events(tracer.spans, args.trace_events)
-    if args.profile is not None:
-        write_speedscope(
-            run.merged_profile(),
-            args.profile,
-            name=f"repro run --preset {args.preset}",
-        )
-    if args.profile_report is not None:
-        atomic_write_json(run.profile_report(), args.profile_report)
     if args.metrics_out is not None:
         # Run totals come from the registry fold (RunResult.cache_hits /
         # cache_misses) — the CLI never sums per-stage rows itself.
@@ -332,17 +274,18 @@ def _command_run(args: argparse.Namespace) -> str:
             cache_misses=run.cache_misses,
         )
     if args.json:
-        payload = {
-            "table2": run.table2_counts(),
-            "eu28_destination_regions": run.eu28_destination_regions(),
-            "sensitive": run.sensitive_summary(),
-            "metrics": run.metrics_rows(),
-            "cache_hits": run.cache_hits,
-            "cache_misses": run.cache_misses,
-        }
-        if profiling:
-            payload["profile"] = run.profile_report()
-        return json.dumps(payload, indent=1, sort_keys=True)
+        return json.dumps(
+            {
+                "table2": run.table2_counts(),
+                "eu28_destination_regions": run.eu28_destination_regions(),
+                "sensitive": run.sensitive_summary(),
+                "metrics": run.metrics_rows(),
+                "cache_hits": run.cache_hits,
+                "cache_misses": run.cache_misses,
+            },
+            indent=1,
+            sort_keys=True,
+        )
     lines = [run.metrics_report(), ""]
     totals = run.table2_counts()["total"]
     lines.append(
@@ -354,16 +297,10 @@ def _command_run(args: argparse.Namespace) -> str:
     lines.append(f"EU28-confined tracking flows: {confined:.1f}%")
     if traced:
         lines.extend(["", run.trace_report()])
-    if profiling:
-        lines.extend(["", run.result.profile_table(top=10)])
     if args.trace is not None:
         lines.append(f"\nmanifest written to {args.trace}")
     if args.trace_events is not None:
         lines.append(f"trace events written to {args.trace_events}")
-    if args.profile is not None:
-        lines.append(f"profile written to {args.profile}")
-    if args.profile_report is not None:
-        lines.append(f"profile report written to {args.profile_report}")
     if run.ledger_record is not None:
         lines.append(
             f"ledger: appended run {run.ledger_record['run_id']} "
@@ -414,21 +351,6 @@ def _command_obs(args: argparse.Namespace) -> int:
         write_baseline,
     )
     from repro.obs.persist import atomic_write_json
-
-    if args.obs_command == "profile":
-        # Renders a saved speedscope file — no ledger involved.
-        from repro.obs import load_speedscope
-
-        try:
-            profile = load_speedscope(args.path)
-        except ObservabilityError as exc:
-            print(f"repro obs: {exc}", file=sys.stderr)
-            return 1
-        if args.flame:
-            print(profile.render_flame())
-        else:
-            print(profile.render_table(top=args.top))
-        return 0
 
     path = _obs_ledger_path(args)
     try:

@@ -130,15 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--sarif",
-        metavar="OUT",
-        help=(
-            "also write findings as a SARIF 2.1.0 document to OUT "
-            "('-' for stdout); baselined findings are exported as "
-            "suppressed results"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
@@ -225,17 +216,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     new, grandfathered, stale = baseline_mod.partition(result.findings, baseline)
-
-    if args.sarif:
-        from repro.lint.sarif import build_sarif, validate_sarif
-
-        sarif_doc = build_sarif(new, grandfathered, rules=rules)
-        try:
-            validate_sarif(sarif_doc)
-        except LintError as exc:
-            print(f"error: emitted SARIF is invalid: {exc}", file=sys.stderr)
-            return 2
-        _emit(args.sarif, sarif_doc)
 
     if args.update_baseline:
         baseline_mod.write_baseline(baseline_path, grandfathered)

@@ -24,10 +24,6 @@ On top of those, the persistent layer added for longitudinal work:
   (Perfetto / ``chrome://tracing`` loadable, with real pid/tid tracks
   for stitched worker spans) plus the Prometheus text exposition of a
   registry snapshot;
-* :mod:`repro.obs.profile` — the zero-dependency **sampling profiler**:
-  mergeable collapsed-stack :class:`Profile` records, speedscope JSON
-  export (schema ``repro.obs/profile/v1``) and the
-  ``profile.self_s{...}`` ledger fold;
 * :mod:`repro.obs.persist` — the shared crash-safe write primitives.
 
 Layering: this package sits below every simulation and runtime layer
@@ -57,23 +53,6 @@ from repro.obs.export import (
     trace_events,
     validate_trace_events,
     write_trace_events,
-)
-from repro.obs.profile import (
-    DEFAULT_HZ,
-    PROFILE_REPORT_SCHEMA,
-    PROFILE_SCHEMA,
-    Profile,
-    SamplingProfiler,
-    build_report,
-    collapsed_text,
-    decode_speedscope,
-    load_speedscope,
-    parse_collapsed,
-    report_gauges,
-    speedscope_document,
-    validate_collapsed,
-    validate_speedscope,
-    write_speedscope,
 )
 from repro.obs.ledger import (
     LEDGER_FILENAME,
@@ -136,21 +115,6 @@ __all__ = [
     "trace_events",
     "validate_trace_events",
     "write_trace_events",
-    "DEFAULT_HZ",
-    "PROFILE_REPORT_SCHEMA",
-    "PROFILE_SCHEMA",
-    "Profile",
-    "SamplingProfiler",
-    "build_report",
-    "collapsed_text",
-    "decode_speedscope",
-    "load_speedscope",
-    "parse_collapsed",
-    "report_gauges",
-    "speedscope_document",
-    "validate_collapsed",
-    "validate_speedscope",
-    "write_speedscope",
     "LEDGER_FILENAME",
     "LEDGER_SCHEMA",
     "append_record",

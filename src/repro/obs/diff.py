@@ -57,8 +57,9 @@ CACHE_VARIABLE_METRICS = frozenset({
 })
 
 #: metric name prefixes that carry wall-time statistics (never drift) —
-#: "profile." covers the sampling profiler's per-stage hot-function
-#: gauges
+#: "profile." stays because ledger records appended before the sampling
+#: profiler was removed carry ``profile.self_s`` gauges, and the ledger
+#: is append-only history
 TIMING_METRIC_PREFIXES = ("bench.", "lint.", "profile.")
 
 #: classification labels, in report order

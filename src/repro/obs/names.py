@@ -102,14 +102,6 @@ SERVE_WARM_HIT_RATE = "serve.cache.warm_hit_rate"
 #: scripts/bench_to_ledger.py --serve-report)
 SERVE_REQUESTS_PER_S = "serve.requests_per_s"
 
-#: per-stage hot-function self time from the sampling profiler
-#: (obs/profile.py), folded into ledger records by
-#: runtime/provenance.py and by scripts/bench_to_ledger.py
-#: --profile-report; ``func=_total`` labels a stage's whole sampled
-#: time and is always present, so budget envelopes stay deterministic.
-#: Classified as timing by the diff engine, never drift.
-PROFILE_SELF_S = "profile.self_s"
-
 #: (name, kind, label names, description) — the closed declaration list.
 #: ``kind`` is counter | gauge | histogram.  O602 compares call-site
 #: label keywords against the label tuple as a *set*: every declared
@@ -159,8 +151,6 @@ _METRIC_DECLS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
      "cache hit share of the most recent job's engine run"),
     (SERVE_REQUESTS_PER_S, "gauge", ("endpoint",),
      "serve load-benchmark throughput, by endpoint"),
-    (PROFILE_SELF_S, "gauge", ("stage", "func"),
-     "sampling-profiler self time per hot function per stage"),
 )
 
 # -- span names -------------------------------------------------------------

@@ -32,11 +32,6 @@ Observability rides along without touching determinism:
   under each stage's ``execute`` span with their real pid/tid tracks,
   so a traced ``--workers N`` run exports one Chrome trace with N
   worker process tracks stitched into the engine timeline;
-* with ``profile_hz`` set, every shard samples its own stacks
-  (:mod:`repro.obs.profile`) and the engine folds the per-shard
-  profiles in canonical plan order — profiles ride the cache envelope
-  next to the metrics snapshot, so a warm replay reports the cold
-  run's profile and the fold is invariant to worker count;
 * after the root span closes, the engine assembles a provenance
   manifest (:mod:`repro.runtime.provenance`) and — when a cache
   directory is configured — writes it atomically next to the artifacts.
@@ -55,12 +50,6 @@ from repro.obs import names as obs_names
 from repro.obs.ledger import append_record, ledger_path
 from repro.obs.manifest import write_manifest
 from repro.obs.metrics import MetricsRegistry, collecting
-from repro.obs.profile import (
-    DEFAULT_HZ,
-    TOP_FUNCTIONS,
-    Profile,
-    build_report,
-)
 from repro.obs.trace import NULL_TRACER, Tracer, tracing
 from repro.runtime.cache import ArtifactCache, config_digest, effective_salts
 from repro.runtime.executor import ShardExecutor
@@ -74,7 +63,7 @@ MANIFEST_FILENAME = "manifest.json"
 
 #: marker key of the cache envelope that pairs an artifact with the
 #: shard-local observability recorded while producing it: the metrics
-#: snapshot, the worker span rows, and the stack profile (if sampled)
+#: snapshot and the worker span rows
 _ENVELOPE_MARK = "__shard_envelope__"
 
 
@@ -82,7 +71,6 @@ def _wrap_envelope(
     artifact: Any,
     metrics: Dict[str, Any],
     spans: Optional[List[Dict[str, Any]]] = None,
-    profile: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     envelope: Dict[str, Any] = {
         _ENVELOPE_MARK: 1,
@@ -91,35 +79,23 @@ def _wrap_envelope(
     }
     if spans:
         envelope["spans"] = spans
-    if profile is not None:
-        envelope["profile"] = profile
     return envelope
 
 
 def _unwrap_envelope(
     obj: Any,
-) -> Tuple[
-    Any,
-    Dict[str, Any],
-    List[Dict[str, Any]],
-    Optional[Dict[str, Any]],
-]:
-    """Split a cached object into (artifact, metrics, spans, profile).
+) -> Tuple[Any, Dict[str, Any], List[Dict[str, Any]]]:
+    """Split a cached object into (artifact, metrics, spans).
 
     Artifacts written before the envelope existed load as themselves
     with empty observability — a warm run over a legacy cache stays
-    correct, it just cannot replay shard metrics, spans or profiles.
-    Envelopes written before spans/profiles existed replay their
-    metrics and nothing else (``.get`` fallbacks, same reasoning).
+    correct, it just cannot replay shard metrics or spans.  Envelopes
+    written before spans existed replay their metrics and nothing else
+    (``.get`` fallback, same reasoning).
     """
     if isinstance(obj, dict) and obj.get(_ENVELOPE_MARK) == 1:
-        return (
-            obj["artifact"],
-            obj["metrics"],
-            obj.get("spans") or [],
-            obj.get("profile"),
-        )
-    return obj, {}, [], None
+        return obj["artifact"], obj["metrics"], obj.get("spans") or []
+    return obj, {}, []
 
 
 @dataclass
@@ -158,11 +134,6 @@ class RunResult:
     manifest: Optional[Dict[str, Any]] = None
     #: the ledger record appended for this run (None without a cache dir)
     ledger_record: Optional[Dict[str, Any]] = None
-    #: per-stage folded stack profiles — fresh samples on misses, cold
-    #: replays from the cache envelope on hits (empty when neither)
-    profiles: Dict[str, Profile] = field(default_factory=dict)
-    #: the sampling rate the engine ran with (None = not profiling)
-    profile_hz: Optional[float] = None
 
     @property
     def total_wall_s(self) -> float:
@@ -216,32 +187,6 @@ class RunResult:
         )
         return "\n".join(lines)
 
-    def merged_profile(self) -> Profile:
-        """All stage profiles folded into one (canonical stage order)."""
-        merged = Profile()
-        for name in sorted(self.profiles):
-            merged.merge(self.profiles[name])
-        return merged
-
-    def profile_report(
-        self, top: int = TOP_FUNCTIONS
-    ) -> Optional[Dict[str, Any]]:
-        """The per-stage profile report, or ``None`` when the run
-        neither sampled nor replayed any profiles.
-
-        A warm run that replays cold profiles without sampling itself
-        reports them under :data:`~repro.obs.profile.DEFAULT_HZ` (the
-        envelope ships stacks, not the rate that produced them).
-        """
-        if not self.profiles and self.profile_hz is None:
-            return None
-        hz = self.profile_hz if self.profile_hz is not None else DEFAULT_HZ
-        return build_report(self.profiles, hz=hz, top=top)
-
-    def profile_table(self, top: int = 10) -> str:
-        """The merged profile's top-N self-time table (terminal form)."""
-        return self.merged_profile().render_table(top=top)
-
     def trace_report(self) -> str:
         """The tracer's text flamegraph plus histogram quantiles.
 
@@ -278,10 +223,9 @@ class ExecutionEngine:
         workers: int = 1,
         cache_dir: Optional[str] = None,
         graph: Optional[StageGraph] = None,
-        profile_hz: Optional[float] = None,
     ) -> None:
         self.graph = graph if graph is not None else STAGE_GRAPH
-        self.executor = ShardExecutor(workers, profile_hz=profile_hz)
+        self.executor = ShardExecutor(workers)
         self.cache = ArtifactCache(cache_dir)
         # Module footprints close the stale-cache hazard: a stage's salt
         # folds the digest of every module its code can transitively
@@ -297,10 +241,6 @@ class ExecutionEngine:
     @property
     def workers(self) -> int:
         return self.executor.workers
-
-    @property
-    def profile_hz(self) -> Optional[float]:
-        return self.executor.profile_hz
 
     def run(
         self,
@@ -325,7 +265,6 @@ class ExecutionEngine:
             products={},
             registry=registry,
             tracer=tracer,
-            profile_hz=self.profile_hz,
         )
         with tracing(tracer):
             with tracer.span(
@@ -348,7 +287,7 @@ class ExecutionEngine:
                     for name in self.graph.topological_order(targets):
                         result.metrics[name] = self._run_stage(
                             name, world, digest, result.products, tracer,
-                            registry, result.profiles,
+                            registry,
                         )
         result.manifest = build_manifest(
             result, digest, self._salts, self._footprints
@@ -378,7 +317,6 @@ class ExecutionEngine:
         products: Dict[str, Any],
         tracer: Tracer,
         registry: MetricsRegistry,
-        profiles: Dict[str, Profile],
     ) -> StageMetrics:
         spec = self.graph[name]
         metrics = StageMetrics(name=name)
@@ -405,18 +343,16 @@ class ExecutionEngine:
             # misses, folded below in canonical plan order.
             snapshots: Dict[str, Dict[str, Any]] = {}
             span_rows: Dict[str, List[Dict[str, Any]]] = {}
-            profile_payloads: Dict[str, Optional[Dict[str, Any]]] = {}
             cached: Dict[str, Any] = {}
             pending: List[Tuple[str, Any]] = []
             with tracer.span(obs_names.SPAN_CACHE_PROBE, stage=name):
                 for shard_key, payload in shards:
                     hit, obj = self.cache.load(name, keys[shard_key])
                     if hit:
-                        artifact, snapshot, rows, prof = _unwrap_envelope(obj)
+                        artifact, snapshot, rows = _unwrap_envelope(obj)
                         cached[shard_key] = artifact
                         snapshots[shard_key] = snapshot
                         span_rows[shard_key] = rows
-                        profile_payloads[shard_key] = prof
                         metrics.cache_hits += 1
                     else:
                         pending.append((shard_key, payload))
@@ -427,16 +363,15 @@ class ExecutionEngine:
             ) as execute_span:
                 fresh: Dict[str, Any] = {}
                 for shard_key, (
-                    artifact, snapshot, rows, prof,
+                    artifact, snapshot, rows,
                 ) in self.executor.execute(spec, world, products, pending):
                     fresh[shard_key] = artifact
                     snapshots[shard_key] = snapshot
                     span_rows[shard_key] = rows
-                    profile_payloads[shard_key] = prof
                     self.cache.store(
                         name,
                         keys[shard_key],
-                        _wrap_envelope(artifact, snapshot, rows, prof),
+                        _wrap_envelope(artifact, snapshot, rows),
                     )
             # Stitch the worker span trees under the execute span —
             # plan order, each shard's tree re-anchored so its root
@@ -457,23 +392,6 @@ class ExecutionEngine:
                         parent=execute_span.index,
                         offset=execute_span.wall_start - origin,
                     )
-            # Fold shard profiles in plan order.  When the engine is
-            # profiling, every stage owns a Profile even if no samples
-            # landed — the report's `_total` row must exist for budget
-            # envelopes to gate deterministically.
-            stage_profile = (
-                Profile() if self.profile_hz is not None else None
-            )
-            for shard_key, _ in shards:
-                payload = profile_payloads.get(shard_key)
-                if not payload:
-                    continue
-                if stage_profile is None:
-                    stage_profile = Profile()
-                stage_profile.merge(Profile.from_dict(payload))
-            if stage_profile is not None:
-                profiles[name] = stage_profile
-
             registry.counter(
                 obs_names.RUNTIME_SHARDS_PLANNED, stage=name
             ).inc(metrics.n_shards)

@@ -20,15 +20,13 @@ functions, which is what makes worker-count invariance testable.
 
 Every shard runs inside its own :class:`repro.obs.MetricsRegistry`
 collection scope **and** its own :class:`repro.obs.Tracer`, and each
-result ships back as an ``(artifact, metrics_snapshot, span_rows,
-profile)`` tuple.  Because every piece is shard-local and the engine
-folds them in canonical plan order, the merged registry (and the merged
-profile) is byte-identical for any worker count — observability rides
-the same determinism guarantees as the artifacts themselves.  Span rows
-carry the worker's real pid/tid, so the engine can stitch them into the
-parent trace as distinct process tracks; ``profile`` is a
-:class:`repro.obs.Profile` snapshot when the engine asked for sampling
-(``profile_hz``), else ``None``.
+result ships back as an ``(artifact, metrics_snapshot, span_rows)``
+tuple.  Because every piece is shard-local and the engine folds them in
+canonical plan order, the merged registry is byte-identical for any
+worker count — observability rides the same determinism guarantees as
+the artifacts themselves.  Span rows carry the worker's real pid/tid,
+so the engine can stitch them into the parent trace as distinct process
+tracks.
 """
 
 from __future__ import annotations
@@ -43,20 +41,13 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.datasets.builder import World, cached_build_world
 from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry, collecting
-from repro.obs.profile import SamplingProfiler
 from repro.obs.trace import Tracer, spans_to_payload, tracing
 from repro.runtime.graph import StageSpec
 from repro.runtime.stages import STAGE_GRAPH
 
-#: a shard's result: the artifact, its shard-local metrics snapshot,
-#: its span rows (pid/tid-stamped, graftable) and its stack profile
-#: (``None`` when the run is not profiling)
-ShardResult = Tuple[
-    Any,
-    Dict[str, Dict[str, Any]],
-    List[Dict[str, Any]],
-    Optional[Dict[str, Any]],
-]
+#: a shard's result: the artifact, its shard-local metrics snapshot and
+#: its span rows (pid/tid-stamped, graftable)
+ShardResult = Tuple[Any, Dict[str, Dict[str, Any]], List[Dict[str, Any]]]
 
 #: parent-side context inherited by forked workers: (stage, world,
 #: products).  Module state by necessity — it is what the fork snapshot
@@ -74,7 +65,6 @@ def _instrumented_run(
     stage_name: str,
     shard_key: str,
     payload: Any,
-    profile_hz: Optional[float] = None,
 ) -> ShardResult:
     """Run one shard inside fresh metrics/tracing collection scopes.
 
@@ -84,44 +74,22 @@ def _instrumented_run(
     instead of in global state a pool worker would silently discard.
     The shard's spans root at a ``stage:<name>`` span and are stamped
     with the recording pid/tid before shipping, so the engine can graft
-    them into the parent trace as real process tracks.  With
-    ``profile_hz`` set, a :class:`~repro.obs.profile.SamplingProfiler`
-    samples this process for the duration of the shard and its profile
-    snapshot ships back too.
+    them into the parent trace as real process tracks.
     """
     registry = MetricsRegistry()
     tracer = Tracer()
-    profiler = (
-        SamplingProfiler(hz=profile_hz) if profile_hz is not None else None
-    )
     with collecting(registry), tracing(tracer):
         with tracer.span(f"stage:{stage_name}", shard=shard_key):
-            if profiler is not None:
-                profiler.start()
-            try:
-                artifact = run(world, products, shard_key, payload)
-            finally:
-                if profiler is not None:
-                    profiler.stop()
+            artifact = run(world, products, shard_key, payload)
     pid = os.getpid()
     tid = threading.get_native_id()
     for span in tracer.spans:
         span.pid = pid
         span.tid = tid
-    profile = profiler.profile.to_dict() if profiler is not None else None
-    return (
-        artifact,
-        registry.to_dict(),
-        spans_to_payload(tracer.spans),
-        profile,
-    )
+    return artifact, registry.to_dict(), spans_to_payload(tracer.spans)
 
 
-def _run_shard_forked(
-    shard_key: str,
-    payload: Any,
-    profile_hz: Optional[float] = None,
-) -> ShardResult:
+def _run_shard_forked(shard_key: str, payload: Any) -> ShardResult:
     """Task body on the fork path: the stage, world and products come
     from the parent."""
     if _FORK_CONTEXT is None:
@@ -130,8 +98,7 @@ def _run_shard_forked(
         )
     spec, world, products = _FORK_CONTEXT
     return _instrumented_run(
-        spec.run, world, products, spec.name, shard_key, payload,
-        profile_hz,
+        spec.run, world, products, spec.name, shard_key, payload
     )
 
 
@@ -141,32 +108,22 @@ def _run_shard_shipped(
     shard_key: str,
     payload: Any,
     inputs: Mapping[str, Any],
-    profile_hz: Optional[float] = None,
 ) -> ShardResult:
     """Task body on the spawn path: rebuild the world, use shipped inputs."""
     world = cached_build_world(config)
     return _instrumented_run(
         STAGE_GRAPH[stage_name].run, world, inputs, stage_name,
-        shard_key, payload, profile_hz,
+        shard_key, payload,
     )
 
 
 class ShardExecutor:
-    """Executes one stage's shard list with a fixed worker budget.
+    """Executes one stage's shard list with a fixed worker budget."""
 
-    ``profile_hz`` (optional) turns on per-shard stack sampling: every
-    shard body — inline or pooled — runs under a
-    :class:`~repro.obs.profile.SamplingProfiler` at that rate and ships
-    its profile home in the shard result.
-    """
-
-    def __init__(
-        self, workers: int = 1, profile_hz: Optional[float] = None
-    ) -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ExecutionError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.profile_hz = profile_hz
 
     def execute(
         self,
@@ -176,7 +133,7 @@ class ShardExecutor:
         shards: List[Tuple[str, Any]],
     ) -> List[Tuple[str, ShardResult]]:
         """Run ``shards``; return ``(shard_key, (artifact, metrics,
-        spans, profile))`` in plan order."""
+        spans))`` in plan order."""
         if not shards:
             return []
         if self.workers == 1 or len(shards) == 1:
@@ -184,8 +141,7 @@ class ShardExecutor:
                 (
                     key,
                     _instrumented_run(
-                        spec.run, world, products, spec.name, key,
-                        payload, self.profile_hz,
+                        spec.run, world, products, spec.name, key, payload
                     ),
                 )
                 for key, payload in shards
@@ -215,7 +171,6 @@ class ShardExecutor:
                         key,
                         payload,
                         inputs,
-                        self.profile_hz,
                     )
                     for key, payload in shards
                 ]
@@ -229,9 +184,7 @@ class ShardExecutor:
             try:
                 with ProcessPoolExecutor(max_workers=max_workers) as pool:
                     futures = [
-                        pool.submit(
-                            _run_shard_forked, key, payload, self.profile_hz,
-                        )
+                        pool.submit(_run_shard_forked, key, payload)
                         for key, payload in shards
                     ]
                     return _collect(spec, shards, futures)

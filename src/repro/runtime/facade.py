@@ -44,7 +44,6 @@ def run_study(
     targets: Sequence[str] = ALL_TARGETS,
     tracer: Optional[Tracer] = None,
     progress: Optional[Callable[[str, Span], None]] = None,
-    profile_hz: Optional[float] = None,
 ) -> "RuntimeRun":
     """Run the pipeline through the engine and wrap the results.
 
@@ -53,9 +52,6 @@ def run_study(
     artifact cache; ``targets`` restricts execution to a sub-graph;
     ``tracer`` (optional) receives the engine's span tree — omit it for
     a zero-overhead untraced run with identical study products.
-    ``profile_hz`` (optional) turns on per-shard stack sampling at that
-    rate — read back :meth:`RuntimeRun.profile_report` /
-    :meth:`RuntimeRun.merged_profile`.
 
     ``progress`` (optional) is the live-events hook the ``repro serve``
     SSE stream rides on: a callable invoked as ``progress(phase, span)``
@@ -69,9 +65,7 @@ def run_study(
     config = config or WorldConfig.medium()
     if tracer is None and progress is not None:
         tracer = CallbackTracer(progress)
-    engine = ExecutionEngine(
-        workers=workers, cache_dir=cache_dir, profile_hz=profile_hz
-    )
+    engine = ExecutionEngine(workers=workers, cache_dir=cache_dir)
     result = engine.run(config, targets, tracer=tracer)
     return RuntimeRun(result=result)
 
@@ -194,22 +188,6 @@ class RuntimeRun:
     def trace_report(self) -> str:
         """The run's text flamegraph (``(tracing disabled)`` untraced)."""
         return self.result.trace_report()
-
-    @property
-    def profiles(self) -> Dict[str, Any]:
-        """Per-stage :class:`~repro.obs.Profile` records (empty when
-        the run neither sampled nor replayed profiles)."""
-        return self.result.profiles
-
-    def merged_profile(self) -> Any:
-        """All stage profiles folded into one
-        :class:`~repro.obs.Profile`."""
-        return self.result.merged_profile()
-
-    def profile_report(self) -> Optional[Dict[str, Any]]:
-        """The per-stage hot-function report
-        (:data:`~repro.obs.PROFILE_REPORT_SCHEMA`), or ``None``."""
-        return self.result.profile_report()
 
     @property
     def registry(self) -> MetricsRegistry:

@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.obs.ledger import LEDGER_SCHEMA
 from repro.obs.manifest import MANIFEST_SCHEMA
-from repro.obs.profile import report_gauges
 from repro.util.rng import derive_seed
 
 #: the fixed runtime-level derivation streams (per-shard streams are
@@ -53,10 +52,8 @@ def build_manifest(
     the run executed under.  ``footprints`` optionally maps stage names
     to :class:`~repro.lint.program.Footprint` records; when present the
     manifest gains a ``footprints`` section recording which modules each
-    stage's salt covered.  Profiled runs (``result.profile_report()`` not
-    ``None``) gain a ``profiles`` section: the per-stage hot-function
-    report of :func:`repro.obs.profile.build_report`.  The v1 schema is
-    open, so manifests without any of these sections stay valid.
+    stage's salt covered.  The v1 schema is open, so manifests without
+    that section stay valid.
     The output validates against
     :func:`repro.obs.manifest.validate_manifest` by construction.
     """
@@ -101,9 +98,6 @@ def build_manifest(
             }
             for name, fp in sorted(footprints.items())
         }
-    report = result.profile_report()
-    if report is not None:
-        manifest["profiles"] = report
     return manifest
 
 
@@ -119,14 +113,9 @@ def build_ledger_record(
     shard keys, seed lineage), the ledger record is the *comparable*
     subset that must line up across months of runs: config digest,
     effective salts, footprint salts, the registry snapshot, and
-    per-stage timings / cache counts / metric ownership.  Profiled runs
-    additionally fold ``profile.self_s{func=...,stage=...}`` gauges
-    (:func:`repro.obs.profile.report_gauges`) into the record's metric
-    map — into the *record*, never the live registry, so the merged
-    registry stays worker-count-invariant — which is what lets
-    ``repro obs diff`` and ``repro obs check`` track hot-function
-    movement across runs.  Identity fields (``seq``/``run_id``) are
-    stamped by :func:`repro.obs.ledger.append_record` at append time.
+    per-stage timings / cache counts / metric ownership.  Identity
+    fields (``seq``/``run_id``) are stamped by
+    :func:`repro.obs.ledger.append_record` at append time.
     """
     stages: List[Dict[str, Any]] = []
     for metrics in result.metrics.values():
@@ -153,8 +142,4 @@ def build_ledger_record(
         record["footprints"] = {
             name: fp.salt for name, fp in sorted(footprints.items())
         }
-    report = result.profile_report()
-    if report is not None:
-        record["metrics"].update(report_gauges(report))
-        record["profile_hz"] = report["hz"]
     return record

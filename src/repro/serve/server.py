@@ -14,8 +14,6 @@ Endpoints (see ``docs/service.md`` for the full reference)::
                                       (?format=prometheus or an Accept
                                       preferring text/plain switches to
                                       the Prometheus text exposition)
-    GET  /profile?seconds=N           sample the service's own stacks
-                                      for N seconds -> speedscope JSON
     POST /studies                     submit a config     -> 202 job
     GET  /studies                     all jobs, oldest first
     GET  /studies/{job_id}            one job document
@@ -63,11 +61,6 @@ from repro.obs.ledger import (
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.persist import append_jsonl_line
-from repro.obs.profile import (
-    DEFAULT_HZ,
-    SamplingProfiler,
-    speedscope_document,
-)
 from repro.serve.http import (
     HttpError,
     RawResponse,
@@ -115,7 +108,6 @@ class StudyServer:
         # Literal-suffix routes first: registration order is match order.
         self._router.add("GET", "/healthz", self._get_healthz)
         self._router.add("GET", "/metrics", self._get_metrics)
-        self._router.add("GET", "/profile", self._get_profile)
         self._router.add("POST", "/studies", self._post_studies)
         self._router.add("GET", "/studies", self._get_studies)
         self._router.add(
@@ -306,36 +298,6 @@ class StudyServer:
             "warm_hit_rate": self.jobs.warm_hit_rate,
             "metrics": self.registry.to_dict(),
         }
-
-    def _sample_profile(self, seconds: float, hz: float):
-        """Blocking stack sampling — runs on the executor, never the
-        loop thread, so the service keeps serving while it profiles
-        itself (the sampler observes the loop thread among others)."""
-        profiler = SamplingProfiler(hz=hz)
-        return profiler.sample_for(seconds)
-
-    async def _get_profile(
-        self, request: Request, params: Dict[str, str]
-    ) -> Tuple[int, Any]:
-        try:
-            seconds = float(request.query.get("seconds", "1"))
-            hz = float(request.query.get("hz", str(DEFAULT_HZ)))
-        except ValueError as exc:
-            raise HttpError(
-                400, f"seconds/hz must be numbers: {exc}"
-            ) from exc
-        if not 0 < seconds <= 30:
-            raise HttpError(
-                400, f"seconds must be in (0, 30], got {seconds}"
-            )
-        if not 0 < hz <= 10000:
-            raise HttpError(400, f"hz must be in (0, 10000], got {hz}")
-        profile = await asyncio.get_running_loop().run_in_executor(
-            None, self._sample_profile, seconds, hz
-        )
-        return 200, speedscope_document(
-            profile, name=f"repro serve ({seconds:g}s @ {hz:g}hz)"
-        )
 
     # -- study handlers --------------------------------------------------
     async def _post_studies(

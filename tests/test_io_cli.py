@@ -155,34 +155,6 @@ class TestCLI:
         args = parser.parse_args(["obs", "baseline", "latest~1"])
         assert args.selector == "latest~1"
 
-    def test_profile_flags_and_subcommand_parse(self, tmp_path):
-        # The profiling surface docs/observability.md advertises.
-        args = build_parser().parse_args([
-            "--preset", "small", "run",
-            "--profile", str(tmp_path / "profile.json"),
-            "--profile-hz", "200",
-            "--profile-report", str(tmp_path / "report.json"),
-        ])
-        assert args.profile == tmp_path / "profile.json"
-        assert args.profile_hz == 200.0
-        assert args.profile_report == tmp_path / "report.json"
-        args = build_parser().parse_args([
-            "obs", "profile", str(tmp_path / "profile.json"), "--top", "3",
-        ])
-        assert args.obs_command == "profile"
-        assert args.top == 3 and not args.flame
-        args = build_parser().parse_args([
-            "obs", "profile", str(tmp_path / "profile.json"), "--flame",
-        ])
-        assert args.flame
-
-    def test_obs_profile_missing_file_degrades_gracefully(
-        self, tmp_path, capsys
-    ):
-        status = main(["obs", "profile", str(tmp_path / "absent.json")])
-        assert status == 1
-        assert capsys.readouterr().err.startswith("repro obs:")
-
     def test_serve_command_flags_exist(self, tmp_path):
         # The flags the service docs advertise must parse — the
         # docs-drift tripwire for `repro serve` (docs/service.md).

@@ -199,8 +199,14 @@ class TestClassification:
         assert diff.unexplained() == []
 
     @pytest.mark.parametrize(
-        "key", ["bench.time_s{benchmark=t,stat=mean}", "lint.time_s"],
-        ids=["bench", "lint"],
+        "key",
+        [
+            "bench.time_s{benchmark=t,stat=mean}",
+            "lint.time_s",
+            # ledgers appended before the sampling profiler was removed
+            "profile.self_s{func=_total,stage=panel}",
+        ],
+        ids=["bench", "lint", "profile"],
     )
     def test_bench_metrics_are_timing(self, key):
         a = make_record(metrics={key: {"kind": "gauge", "value": 0.5}})

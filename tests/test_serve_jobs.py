@@ -240,7 +240,7 @@ class TestFacadeProgressHook:
         captured = {}
 
         class FakeEngine:
-            def __init__(self, workers=1, cache_dir=None, profile_hz=None):
+            def __init__(self, workers=1, cache_dir=None):
                 pass
 
             def run(self, config, targets, tracer=None):
@@ -266,7 +266,7 @@ class TestFacadeProgressHook:
         captured = {}
 
         class FakeEngine:
-            def __init__(self, workers=1, cache_dir=None, profile_hz=None):
+            def __init__(self, workers=1, cache_dir=None):
                 pass
 
             def run(self, config, targets, tracer=None):

@@ -22,7 +22,6 @@ from repro.obs import (
     append_record,
     ledger_path,
     parse_prometheus_text,
-    validate_speedscope,
 )
 from repro.serve import StudyServer, decode_events
 
@@ -298,24 +297,3 @@ class TestMetricsNegotiationAndProfile:
         status, _, text = request_with_headers(server, "/metrics?format=xml")
         assert status == 400
         assert "format" in json.loads(text)["error"]
-
-    def test_profile_returns_valid_speedscope(self, server):
-        status, content_type, text = request_with_headers(
-            server, "/profile?seconds=0.2&hz=200"
-        )
-        assert status == 200
-        assert content_type.startswith("application/json")
-        document = json.loads(text)
-        validate_speedscope(document)
-        # The server sampled *itself*: its own serve loop is on a stack.
-        frames = {
-            frame["file"] for frame in document["shared"]["frames"]
-        }
-        assert any("repro/serve" in file for file in frames)
-
-    @pytest.mark.parametrize("query", [
-        "seconds=0", "seconds=31", "seconds=abc", "hz=0", "hz=20000",
-    ])
-    def test_profile_bounds_are_400(self, server, query):
-        status, _, text = request_with_headers(server, f"/profile?{query}")
-        assert status == 400, text
