@@ -87,5 +87,5 @@ sweep:
 	$(PYTHON) scripts/seed_sweep.py 5 small
 
 clean:
-	rm -rf build *.egg-info .pytest_cache .hypothesis benchmarks/output
+	rm -rf build *.egg-info .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -14,9 +14,24 @@ confinement structure:
   organizations confine EU users within EU28 this way.
 * ``HOME`` — always answer from the organization's home deployment,
   wherever the client is (small trackers without a CDN).
-* ``WEIGHTED`` — random endpoint weighted by capacity (load balancing
-  without geo awareness).
-* ``ROUND_ROBIN`` — deterministic rotation over endpoints.
+* ``WEIGHTED`` — random endpoint weighted by capacity (load balancing),
+  fenced to the querying resolver's continent for most answers.
+
+Which endpoint ``NEAREST`` picks for a client site, and which group of
+endpoints a fenced ``WEIGHTED`` answer draws from, depend only on the
+service's endpoints and the site, both fixed per world.  Each service
+therefore memoizes them as queries arrive: the ``NEAREST`` endpoint per
+client site; the ``WEIGHTED`` endpoint and weight groups per continent,
+built once; and per client site, a pointer to its fence group.  The
+memos are keyed by site, never by country (one country can have
+several vantage sites: its hosting hub and public-resolver sites), and
+entries share the per-continent groups rather than copying them.  A
+``WEIGHTED`` answer still makes its two ``rng.random()`` draws per
+query, so answers and RNG streams are those of the plain computation.
+Like :meth:`~repro.geoloc.probes.ProbeMesh.distance_rows`, the memos
+are filled without a lock and each value is published whole, with one
+assignment: a thread that races another stores identical values, and a
+worker forked mid-fill inherits no held lock.
 
 Server endpoints are duck-typed: any object with ``ip`` (an
 :class:`~repro.netbase.addr.IPAddress`), ``country`` (ISO2 string) and
@@ -59,7 +74,6 @@ class SelectionPolicy(enum.Enum):
     NEAREST = "nearest"
     HOME = "home"
     WEIGHTED = "weighted"
-    ROUND_ROBIN = "round_robin"
 
 
 def _continent_of(iso2: str) -> str:
@@ -68,6 +82,16 @@ def _continent_of(iso2: str) -> str:
 
     country = default_registry().find(iso2)
     return country.continent if country is not None else iso2
+
+
+#: what a ``WEIGHTED`` answer draws from: endpoints in service order,
+#: their weights, and the weights' sum
+WeightedGroup = Tuple[Tuple[Endpoint, ...], Tuple[float, ...], float]
+
+
+def _weighted_group(pairs: Sequence[Tuple[Endpoint, float]]) -> WeightedGroup:
+    weights = tuple(weight for _, weight in pairs)
+    return tuple(endpoint for endpoint, _ in pairs), weights, sum(weights)
 
 
 @dataclass
@@ -85,7 +109,19 @@ class FqdnService:
     policy: SelectionPolicy = SelectionPolicy.NEAREST
     ttl: int = 300
     weights: Optional[List[float]] = None
-    _rr_cursor: int = field(default=0, repr=False)
+    # World-fixed answer geometry, filled as queries arrive (see the
+    # module docstring): the NEAREST endpoint per client site; the
+    # WEIGHTED groups, (all endpoints, {continent: group}); and the
+    # fence group per client site, pointing into the latter.
+    _nearest: Dict[ClientSite, Endpoint] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _groups: Optional[Tuple[WeightedGroup, Dict[str, WeightedGroup]]] = (
+        field(default=None, init=False, repr=False, compare=False)
+    )
+    _fences: Dict[ClientSite, WeightedGroup] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.endpoints:
@@ -98,53 +134,32 @@ class FqdnService:
     ) -> Endpoint:
         """Pick the endpoint this authority answers with for ``client``."""
         if self.policy is SelectionPolicy.NEAREST:
-            return min(
-                self.endpoints,
-                key=lambda e: (
-                    great_circle_km(client.lat, client.lon, e.lat, e.lon),
-                    int(e.ip),
-                ),
-            )
+            nearest = self._nearest.get(client)
+            if nearest is None:
+                nearest = min(
+                    self.endpoints,
+                    key=lambda e: (
+                        great_circle_km(client.lat, client.lon, e.lat, e.lon),
+                        int(e.ip),
+                    ),
+                )
+                self._nearest[client] = nearest
+            return nearest
         if self.policy is SelectionPolicy.HOME:
             return self.endpoints[0]
-        if self.policy is SelectionPolicy.ROUND_ROBIN:
-            endpoint = self.endpoints[self._rr_cursor % len(self.endpoints)]
-            self._rr_cursor += 1
-            return endpoint
         # WEIGHTED: continent-fenced load balancing.
         if rng is None:
             # Test-convenience default only: every runtime path injects
             # the shard's seeded stream through MappingService.
             rng = fixed_rng()  # reprolint: disable=S703
-        candidates: Sequence[Endpoint] = self.endpoints
-        candidate_weights = self.weights or [1.0] * len(self.endpoints)
         if rng.random() < self.GEOFENCE_PROBABILITY:
-            client_continent = _continent_of(client.country)
-            fenced = [
-                (endpoint, weight)
-                for endpoint, weight in zip(candidates, candidate_weights)
-                if _continent_of(endpoint.country) == client_continent
-            ]
-            if not fenced:
-                # No footprint on the client's continent: fence to the
-                # continent of the closest endpoint instead (e.g. South
-                # American clients ride the North American sites).
-                nearest = min(
-                    self.endpoints,
-                    key=lambda e: great_circle_km(
-                        client.lat, client.lon, e.lat, e.lon
-                    ),
-                )
-                nearest_continent = _continent_of(nearest.country)
-                fenced = [
-                    (endpoint, weight)
-                    for endpoint, weight in zip(candidates, candidate_weights)
-                    if _continent_of(endpoint.country) == nearest_continent
-                ]
-            if fenced:
-                candidates = [endpoint for endpoint, _ in fenced]
-                candidate_weights = [weight for _, weight in fenced]
-        total = sum(candidate_weights)
+            group = self._fences.get(client)
+            if group is None:
+                group = self._fence_group(client)
+                self._fences[client] = group
+        else:
+            group = self._weighted_groups()[0]
+        candidates, candidate_weights, total = group
         point = rng.random() * total
         cumulative = 0.0
         for endpoint, weight in zip(candidates, candidate_weights):
@@ -152,6 +167,48 @@ class FqdnService:
             if point <= cumulative:
                 return endpoint
         return candidates[-1]
+
+    def _weighted_groups(
+        self,
+    ) -> Tuple[WeightedGroup, Dict[str, WeightedGroup]]:
+        """The unfenced ``WEIGHTED`` group and one group per endpoint
+        continent, both in endpoint order; built on the first call."""
+        groups = self._groups
+        if groups is None:
+            pairs = list(
+                zip(self.endpoints, self.weights or [1.0] * len(self.endpoints))
+            )
+            members: Dict[str, List[Tuple[Endpoint, float]]] = {}
+            for endpoint, weight in pairs:
+                members.setdefault(_continent_of(endpoint.country), []).append(
+                    (endpoint, weight)
+                )
+            groups = (
+                _weighted_group(pairs),
+                {
+                    continent: _weighted_group(fenced)
+                    for continent, fenced in members.items()
+                },
+            )
+            self._groups = groups
+        return groups
+
+    def _fence_group(self, client: ClientSite) -> WeightedGroup:
+        """The group a fenced ``WEIGHTED`` answer for ``client`` draws
+        from: the client's continent, or with no footprint there, the
+        continent of the closest endpoint instead (e.g. South American
+        clients ride the North American sites)."""
+        by_continent = self._weighted_groups()[1]
+        group = by_continent.get(_continent_of(client.country))
+        if group is None:
+            nearest = min(
+                self.endpoints,
+                key=lambda e: great_circle_km(
+                    client.lat, client.lon, e.lat, e.lon
+                ),
+            )
+            group = by_continent[_continent_of(nearest.country)]
+        return group
 
     def countries(self) -> List[str]:
         """Distinct endpoint countries, sorted (used by what-if engines)."""

@@ -88,11 +88,13 @@ class ProbeMesh:
         Built on the first call and kept for the life of the mesh, so
         every engine over one world shares one copy: 8 bytes per
         (probe, site) pair, about 4.75 MiB for 752 probes and 827 sites.
-        The one exception to a world being read-only while stages run:
-        the memo holds values any caller would compute identically.  It
-        is built without a lock and published with one assignment, so a
-        worker forked mid-build inherits no held lock (it builds its own
-        copy), and a racing duplicate build stores the same values.
+        One of two exceptions to a world being read-only while stages
+        run, with each DNS service's answer geometry
+        (:class:`~repro.dnssim.authority.FqdnService`): the memo holds
+        values any caller would compute identically.  It is built
+        without a lock and published with one assignment, so a worker
+        forked mid-build inherits no held lock (it builds its own copy),
+        and a racing duplicate build stores the same values.
         """
         memo = self._distance_rows
         if memo is None or memo[0] != sites:

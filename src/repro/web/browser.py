@@ -13,6 +13,13 @@ DNS behaviour is faithful to the confinement mechanics:
   country);
 * latency-mapped (NEAREST/HOME) answers are cached per
   (FQDN, vantage country); load-balanced answers are drawn per query.
+  The cache belongs to one :class:`MappingService` (the engine builds
+  one per shard) and is part of the simulated resolver's behaviour: it
+  hands the first answer computed for a country to every vantage site
+  in that country.  Beneath it, each
+  :class:`~repro.dnssim.authority.FqdnService` memoizes its world-fixed
+  answer geometry per vantage site, which saves cost only and changes
+  no answer.
 
 Every resolution is reported to the passive-DNS collector, which is what
 later makes the tracker-IP completeness step possible.

@@ -1,11 +1,16 @@
 """Tests for repro.dnssim: records, authority, resolver, passive DNS."""
 
+import hashlib
 import random
+import sys
+import threading
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import repro.dnssim.authority as authority_module
+from repro.datasets.builder import build_world, cached_build_world
 from repro.dnssim.authority import (
     AuthorityDirectory,
     ClientSite,
@@ -22,7 +27,11 @@ from repro.dnssim.resolver import (
     default_public_resolvers,
 )
 from repro.errors import DNSError, NXDomainError
+from repro.geodata.countries import default_registry
+from repro.geodata.distance import great_circle_km
 from repro.netbase.addr import IPAddress
+from repro.runtime import run_study
+from repro.runtime.stages import panel_plan, panel_run
 
 
 @dataclass(frozen=True)
@@ -92,15 +101,6 @@ class TestFqdnService:
         )
         assert service.select(BERLIN) is ES_SERVER
 
-    def test_round_robin_rotates(self):
-        service = FqdnService(
-            fqdn="a.example",
-            endpoints=[DE_SERVER, ES_SERVER],
-            policy=SelectionPolicy.ROUND_ROBIN,
-        )
-        picks = [service.select(BERLIN) for _ in range(4)]
-        assert picks == [DE_SERVER, ES_SERVER, DE_SERVER, ES_SERVER]
-
     def test_weighted_geofence_keeps_continent(self):
         service = FqdnService(
             fqdn="a.example",
@@ -131,6 +131,300 @@ class TestFqdnService:
             fqdn="a.example", endpoints=[US_SERVER, DE_SERVER, DE_SERVER]
         )
         assert service.countries() == ["DE", "US"]
+
+
+def continent_of(iso2):
+    country = default_registry().find(iso2)
+    return country.continent if country is not None else iso2
+
+
+def reference_select(service, client, rng):
+    """``FqdnService.select`` computed from scratch on every query, as it
+    was before services memoized their answer geometry."""
+    if service.policy is SelectionPolicy.NEAREST:
+        return min(
+            service.endpoints,
+            key=lambda e: (
+                great_circle_km(client.lat, client.lon, e.lat, e.lon),
+                int(e.ip),
+            ),
+        )
+    if service.policy is SelectionPolicy.HOME:
+        return service.endpoints[0]
+    candidates = service.endpoints
+    candidate_weights = service.weights or [1.0] * len(service.endpoints)
+    if rng.random() < service.GEOFENCE_PROBABILITY:
+        client_continent = continent_of(client.country)
+        fenced = [
+            (endpoint, weight)
+            for endpoint, weight in zip(candidates, candidate_weights)
+            if continent_of(endpoint.country) == client_continent
+        ]
+        if not fenced:
+            nearest = min(
+                service.endpoints,
+                key=lambda e: great_circle_km(
+                    client.lat, client.lon, e.lat, e.lon
+                ),
+            )
+            nearest_continent = continent_of(nearest.country)
+            fenced = [
+                (endpoint, weight)
+                for endpoint, weight in zip(candidates, candidate_weights)
+                if continent_of(endpoint.country) == nearest_continent
+            ]
+        if fenced:
+            candidates = [endpoint for endpoint, _ in fenced]
+            candidate_weights = [weight for _, weight in fenced]
+    total = sum(candidate_weights)
+    point = rng.random() * total
+    cumulative = 0.0
+    for endpoint, weight in zip(candidates, candidate_weights):
+        cumulative += weight
+        if point <= cumulative:
+            return endpoint
+    return candidates[-1]
+
+
+def fresh_twin(service):
+    """A copy of ``service`` that has memoized no answer."""
+    return FqdnService(
+        fqdn=service.fqdn,
+        endpoints=service.endpoints,
+        policy=service.policy,
+        ttl=service.ttl,
+        weights=service.weights,
+    )
+
+
+def forget_answers(world):
+    """Reset every service of ``world`` to a fresh twin's state."""
+    for deployed in world.fleet.fqdns():
+        vars(deployed.service).update(vars(fresh_twin(deployed.service)))
+
+
+#: endpoint countries per continent; "ZZ" is in no registry, so it
+#: forms a continent bucket of its own
+ENDPOINT_COUNTRIES = {
+    "EU": ("DE", "FR", "NL"),
+    "NA": ("US", "CA"),
+    "AS": ("SG", "JP"),
+}
+
+#: endpoint coordinates, drawn with repetition so endpoints tie on
+#: distance and NEAREST falls back to the lower IP
+COORDINATES = (
+    (50.11, 8.68),
+    (48.86, 2.35),
+    (52.37, 4.90),
+    (39.04, -77.49),
+    (37.77, -122.42),
+    (43.65, -79.38),
+    (1.35, 103.82),
+)
+
+#: vantage sites: two or three per country code for DE and US (hub and
+#: public-resolver sites), clients on continents no endpoint covers,
+#: and a country code no registry knows
+CLIENT_SITES = (
+    ClientSite("DE", 50.11, 8.68),
+    ClientSite("DE", 52.52, 13.41),
+    ClientSite("US", 39.04, -77.49),
+    ClientSite("US", 37.39, -122.08),
+    ClientSite("US", 40.71, -74.01),
+    ClientSite("NL", 52.37, 4.90),
+    ClientSite("SG", 1.35, 103.82),
+    ClientSite("BR", -23.55, -46.63),
+    ClientSite("AU", -33.87, 151.21),
+    ClientSite("ZA", -25.75, 28.19),
+    ClientSite("ZZ", 10.0, -30.0),
+)
+
+
+@st.composite
+def services(draw):
+    continents = draw(
+        st.lists(
+            st.sampled_from(sorted(ENDPOINT_COUNTRIES)),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    countries = [
+        country
+        for continent in continents
+        for country in ENDPOINT_COUNTRIES[continent]
+    ] + ["ZZ"]
+    ips = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=2 ** 32 - 1),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    endpoints = [
+        FakeEndpoint(
+            IPAddress.v4(ip),
+            draw(st.sampled_from(countries)),
+            *draw(st.sampled_from(COORDINATES)),
+        )
+        for ip in ips
+    ]
+    weights = draw(
+        st.none()
+        | st.lists(
+            st.floats(min_value=0.1, max_value=10.0)
+            | st.integers(min_value=1, max_value=5),
+            min_size=len(ips),
+            max_size=len(ips),
+        )
+    )
+    return FqdnService(
+        fqdn="a.example",
+        endpoints=endpoints,
+        policy=draw(st.sampled_from(list(SelectionPolicy))),
+        weights=weights,
+    )
+
+
+class TestAnswerMemos:
+    """Services memoize their world-fixed answer geometry; every answer
+    and every RNG stream stays that of the computation from scratch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        service=services(),
+        clients=st.lists(
+            st.sampled_from(CLIENT_SITES), min_size=1, max_size=40
+        ),
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    def test_select_equals_reference(self, service, clients, seed):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for client in clients:
+            assert service.select(client, rng) is reference_select(
+                service, client, reference_rng
+            )
+        assert rng.getstate() == reference_rng.getstate()
+        # Fence entries point at the per-continent groups, never copies.
+        if service._fences:
+            groups = service._groups[1].values()
+            for group in service._fences.values():
+                assert any(group is shared for shared in groups)
+
+    def test_memos_stay_out_of_equality(self):
+        service = FqdnService(
+            fqdn="a.example",
+            endpoints=[DE_SERVER, ES_SERVER, US_SERVER],
+            policy=SelectionPolicy.WEIGHTED,
+        )
+        twin = fresh_twin(service)
+        rng = random.Random(0)
+        for client in CLIENT_SITES * 3:
+            service.select(client, rng)
+        assert service._fences and not twin._fences
+        assert service == twin
+        assert repr(service) == repr(twin)
+
+    def test_threads_match_serial_reference(self, small_world):
+        deployed = small_world.fleet.fqdns()
+        clients = [
+            ClientSite(code, *small_world.registry.get(code).hosting_site)
+            for code in small_world.registry.codes()
+        ] + [
+            site
+            for resolver in default_public_resolvers()
+            for site in resolver.sites
+        ]
+        rng = random.Random(19)
+        serial = [
+            reference_select(d.service, client, rng)
+            for d in deployed
+            for client in clients
+        ]
+        shared = [fresh_twin(d.service) for d in deployed]
+        results = {}
+
+        def answer(index):
+            rng = random.Random(19)
+            results[index] = [
+                service.select(client, rng)
+                for service in shared
+                for client in clients
+            ]
+
+        threads = [
+            threading.Thread(target=answer, args=(index,))
+            for index in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(range(6))
+        for index in range(6):
+            assert results[index] == serial
+
+
+class TestPanelAnswers:
+    """The panel's DNS answers on the small world, pinned: Table 2 never
+    depends on them, so nothing else would catch a changed server IP."""
+
+    #: sha256 of ``repr([(url, str(ip), truth_country)])`` over the
+    #: requests and of ``repr(pdns_pairs)``, every panel shard run in
+    #: plan order; computed before services memoized answer geometry
+    PINNED_REQUESTS = (
+        "17db5541839ce94e94edf3e8bdf8a3351eb878af4ac7db7b9ab2b547b24cdd2e"
+    )
+    PINNED_PDNS_PAIRS = (
+        "e3dda4bfd8d19e28562da011a623767c9678b203a8a2726babf58d614cc62abb"
+    )
+
+    def test_pinned_with_memos_empty_then_filled(self, small_config):
+        world = build_world(small_config)
+        forget_answers(world)
+        for _ in ("empty", "filled"):
+            requests, pairs = [], []
+            for shard_key, payload in panel_plan(world, {}):
+                shard = panel_run(world, {}, shard_key, payload)
+                requests.extend(shard["requests"])
+                pairs.extend(shard["pdns_pairs"])
+            answers = repr(
+                [(r.url, str(r.ip), r.truth_country) for r in requests]
+            )
+            assert (
+                hashlib.sha256(answers.encode()).hexdigest(),
+                hashlib.sha256(repr(pairs).encode()).hexdigest(),
+            ) == (self.PINNED_REQUESTS, self.PINNED_PDNS_PAIRS)
+
+    def test_repeat_run_evaluates_no_distance(
+        self, small_config, monkeypatch
+    ):
+        # A second panel over the same world finds every nearest site
+        # and continent fence memoized (188,618 distances each run
+        # before the memos).
+        forget_answers(cached_build_world(small_config))
+        calls = []
+
+        def counting(lat1, lon1, lat2, lon2):
+            calls.append(None)
+            return great_circle_km(lat1, lon1, lat2, lon2)
+
+        monkeypatch.setattr(authority_module, "great_circle_km", counting)
+        run_study(small_config, workers=1, targets=("classification",))
+        assert len(calls) > 0
+        calls.clear()
+        run = run_study(small_config, workers=1, targets=("classification",))
+        assert run.cache_misses > 0
+        assert calls == []
 
 
 class TestZone:
