@@ -13,10 +13,11 @@ test:
 
 # reprolint: whole-program pass over every invariant family
 # (determinism, error discipline, layering, cache integrity, shard
-# purity, observability consistency) plus a dump of the import/call
-# graph the C4xx/P5xx/O6xx rules reason over.  See docs/linting.md.
+# purity, observability consistency, seed lineage, resource discipline,
+# concurrency context) plus dumps of the import/call graph and the
+# execution-context report.  See docs/linting.md.
 lint:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro scripts benchmarks --jobs 0 --graph-json build/program-graph.json --dataflow-json build/dataflow-report.json --concurrency-json build/concurrency-report.json
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro scripts benchmarks --jobs 0 --graph-json build/program-graph.json --concurrency-json build/concurrency-report.json
 
 # The JSON report (build/bench.json) feeds scripts/bench_to_ledger.py,
 # which folds the timing statistics into the run ledger as a

@@ -20,12 +20,15 @@ checks the ledger pipeline end to end:
   fails (exit 1) against an impossible envelope.
 
 Artifacts (ledger, diff JSON, trace events, budgets) land in
-``out_dir`` (default ``build/diff-smoke``) so CI can upload them.
+``out_dir`` (default ``build/diff-smoke``) so CI can upload them.  The
+cache lives in ``out_dir/cache`` and is removed before the cold run, so
+a rerun starts cold again; ``out_dir`` itself is never removed.
 ``make diff-smoke`` wires this into CI.
 """
 
 import json
 import os
+import shutil
 import sys
 
 from repro.cli import main as cli_main
@@ -61,6 +64,7 @@ def main() -> int:
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "build/diff-smoke"
     os.makedirs(out_dir, exist_ok=True)
     cache = os.path.join(out_dir, "cache")
+    shutil.rmtree(cache, ignore_errors=True)
 
     for label in ("cold", "warm"):
         status = cli_main([

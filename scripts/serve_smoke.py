@@ -25,8 +25,10 @@ then drives the full service contract over real HTTP:
 
 Artifacts (server request log, both event streams, the metrics
 snapshot, diff JSON, budgets) land in ``out_dir`` (default
-``build/serve-smoke``) so CI can upload them.  ``make serve-smoke``
-wires this into CI.
+``build/serve-smoke``) so CI can upload them.  The cache lives in
+``out_dir/cache`` and is removed before the server starts, so a rerun
+starts cold again; ``out_dir`` itself is never removed.
+``make serve-smoke`` wires this into CI.
 """
 
 import contextlib
@@ -34,6 +36,7 @@ import http.client
 import io
 import json
 import os
+import shutil
 import sys
 import threading
 
@@ -104,6 +107,7 @@ def main() -> int:
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "build/serve-smoke"
     os.makedirs(out_dir, exist_ok=True)
     cache = os.path.join(out_dir, "cache")
+    shutil.rmtree(cache, ignore_errors=True)
     budgets_path = os.path.join(out_dir, "budgets.json")
 
     server = StudyServer(

@@ -1,12 +1,13 @@
 """reprolint — AST-based invariant checks for the reproduction.
 
-Ten rule families guard the properties the paper's tables depend on:
+Nine rule families guard the properties the paper's tables depend on:
 
 * **D-rules** (determinism): no shared/ad-hoc RNG state, no wall-clock
   or environment reads in simulation layers, no ``hash()`` seeding, no
   unsorted set iteration;
 * **E-rules** (error discipline): every raise inside the ReproError
-  taxonomy, no bare excepts, no assert-based input validation;
+  taxonomy, no bare excepts, no assert-based input validation, every
+  wrapping raise chained with ``from``;
 * **A-rules** (layering): the package import DAG points strictly down,
   with no cycles;
 * **C-rules** (cache integrity): every stage's footprint salt covers
@@ -15,21 +16,18 @@ Ten rule families guard the properties the paper's tables depend on:
   reads on a stage's run path;
 * **O-rules** (observability): metric and span names/labels match the
   declared catalog;
-* **S-rules** (seed lineage): every RNG on a run path descends from
-  the shard's seeded root, no double-spent stream names;
-* **X-rules** (exception escape): no builtin exception leaves a public
-  entrypoint un-wrapped, CLIs never exit with raw tracebacks;
-* **I-rules** (resource discipline): file I/O through the atomic
-  helpers only, no sockets or subprocesses;
+* **S-rules** (seed lineage): no double-spent stream names, no
+  ``fixed_rng`` outside tests, no RNG returned across the shard
+  boundary;
+* **I-rules** (resource discipline): no sockets or subprocesses
+  outside tests (the serve layer may listen);
 * **T-rules** (concurrency context): no blocking calls reachable from
   the event loop, no cross-context shared-state writes without a lock
   witness, no loop-only APIs from threads, no raw concurrent file
   writes bypassing the atomic helpers.
 
-The C/P/O families read the whole-program import/call graph
-(:mod:`repro.lint.program`); the S/X/I families ride the
-interprocedural dataflow engine on top of it
-(:mod:`repro.lint.dataflow`); the T family classifies every function by
+The C/P/O/S/I families read the whole-program import/call graph
+(:mod:`repro.lint.program`); the T family classifies every function by
 its reachable execution contexts (:mod:`repro.lint.concurrency`).
 Run ``python -m repro.lint src/repro`` (or ``make lint``); see
 ``docs/linting.md`` for pragmas, the baseline workflow, and how to add
@@ -61,7 +59,6 @@ RULE_FAMILIES = {
     "P": "shard purity",
     "O": "observability",
     "S": "seed lineage",
-    "X": "exception escape",
     "I": "resource discipline",
     "T": "concurrency context",
 }

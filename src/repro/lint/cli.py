@@ -26,9 +26,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "reprolint: AST-based invariant checks for determinism "
             "(D-rules), error discipline (E-rules), layering (A-rules), "
-            "caching (C-rules), observability (O-rules), shard purity "
-            "(P-rules), seed lineage (S-rules), exception escape "
-            "(X-rules) and resource discipline (I-rules)."
+            "caching (C-rules), shard purity (P-rules), observability "
+            "(O-rules), seed lineage (S-rules), resource discipline "
+            "(I-rules) and concurrency context (T-rules)."
         ),
     )
     parser.add_argument(
@@ -87,37 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes or family prefixes (e.g. D,E201)",
     )
     parser.add_argument(
-        "--rule",
-        action="append",
-        default=[],
-        metavar="CODE",
-        help="run only this rule code (repeatable; combines with --family)",
-    )
-    parser.add_argument(
-        "--family",
-        action="append",
-        default=[],
-        metavar="PREFIX",
-        help=(
-            "run only rules whose code starts with this prefix, e.g. C4 "
-            "or P (repeatable; combines with --rule)"
-        ),
-    )
-    parser.add_argument(
         "--graph-json",
         metavar="OUT",
         help=(
             "also write the whole-program import/call graph as JSON to "
             "OUT ('-' for stdout)"
-        ),
-    )
-    parser.add_argument(
-        "--dataflow-json",
-        metavar="OUT",
-        help=(
-            "also write the interprocedural dataflow report (entrypoint "
-            "escape sets, per-stage RNG lineage trees, taint traces) as "
-            "JSON to OUT ('-' for stdout)"
         ),
     )
     parser.add_argument(
@@ -147,8 +121,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     selectors = [token for token in args.select.split(",") if token.strip()]
-    selectors.extend(token for token in args.rule if token.strip())
-    selectors.extend(token for token in args.family if token.strip())
     rules = select_rules(selectors) if selectors else all_rules()
     if selectors and not rules:
         shown = ",".join(selectors)
@@ -178,26 +150,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         graph = result.project.program_model().graph_json()
         _emit(args.graph_json, graph)
 
-    if args.dataflow_json and result.project is not None:
-        from repro.lint.dataflow import dataflow_for
-
-        report = dataflow_for(result.project).report_json()
-        report["time_s"] = round(result.wall_s, 6)
-        report["family_time_s"] = {
-            family: round(seconds, 6)
-            for family, seconds in result.family_wall_s.items()
-        }
-        _emit(args.dataflow_json, report)
-
     if args.concurrency_json and result.project is not None:
         from repro.lint.concurrency import concurrency_for
 
         report = concurrency_for(result.project).report_json()
         report["time_s"] = round(result.wall_s, 6)
-        report["family_time_s"] = {
-            family: round(seconds, 6)
-            for family, seconds in result.family_wall_s.items()
-        }
         _emit(args.concurrency_json, report)
 
     if args.write_baseline:

@@ -41,11 +41,11 @@ T-family rules (:mod:`repro.lint.rules_concurrency`) report:
   (:mod:`repro.obs.persist`, the artifact cache's ``.tmp.{pid}.{tid}``
   path) reachable from a concurrent context.
 
-Every reported site carries a ``file:line`` witness chain from a
-context seed down to the site, rendered exactly like the dataflow
-witness chains.  :func:`ContextAnalysis.report_json` emits the whole
-picture as the versioned ``repro.lint/concurrency/v1`` document the
-CLI writes via ``--concurrency-json``.
+Every reported site carries a witness chain from a context seed down
+to the site, one ``file:line snippet`` hop per call.
+:func:`ContextAnalysis.report_json` emits the whole picture as the
+versioned ``repro.lint/concurrency/v1`` document the CLI writes via
+``--concurrency-json``.
 """
 
 from __future__ import annotations
@@ -55,12 +55,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.lint.dataflow import (
-    DataflowAnalysis,
-    dataflow_for_model,
-    is_io_sanctioned,
-    is_test_module,
-)
+from repro.lint.framework import is_test_module
 from repro.lint.program import FunctionInfo, ModuleInfo, ProgramModel
 
 #: schema tag of the report emitted by ``--concurrency-json``
@@ -107,12 +102,29 @@ _MAX_CHAIN_HOPS = 12
 FunctionRef = Tuple[str, str]
 
 
+def is_io_sanctioned(module: str) -> bool:
+    """Modules allowed to touch file handles directly: the ``repro.io``
+    package and the obs persistence layer (atomic write helpers)."""
+    parts = module.split(".")
+    return "io" in parts or parts[-1] == "persist"
+
+
 def is_atomic_write_module(module: str) -> bool:
     """Modules that own the sanctioned atomic write paths: the
     ``repro.io`` package, :mod:`repro.obs.persist` and the artifact
     cache (its ``store`` writes through ``.tmp.{pid}.{thread_ident}``
     followed by ``os.replace``)."""
     return is_io_sanctioned(module) or module.split(".")[-1] == "cache"
+
+
+def _snippet(info: ModuleInfo, line: int) -> str:
+    lines = info.ctx.lines
+    return lines[line - 1].strip() if 0 < line <= len(lines) else ""
+
+
+def _callee_at(fn: FunctionInfo) -> Dict[Tuple[int, int], Any]:
+    """(line, col) → resolved Callee for every call in ``fn``."""
+    return {(c.line, c.col): c.callee for c in fn.calls}
 
 
 @dataclass(frozen=True)
@@ -177,7 +189,6 @@ class ContextAnalysis:
 
     def __init__(self, model: ProgramModel) -> None:
         self.model = model
-        self.df: DataflowAnalysis = dataflow_for_model(model)
         self._contexts: Optional[Dict[FunctionRef, Set[str]]] = None
         self._parents: Dict[
             str, Dict[FunctionRef, Optional[Tuple[FunctionRef, int]]]
@@ -313,7 +324,7 @@ class ContextAnalysis:
         if info is None or fn is None:
             return f"{ref[0]}:{ref[1]}"
         line = fn.node.lineno
-        return f"{info.ctx.rel_path}:{line} {self.df._snippet(info, line)}"
+        return f"{info.ctx.rel_path}:{line} {_snippet(info, line)}"
 
     def _render_site(
         self, parent: FunctionRef, line: Optional[int], target: FunctionRef
@@ -321,7 +332,7 @@ class ContextAnalysis:
         info = self.model.modules.get(parent[0])
         if info is None or line is None:
             return f"{target[0]}:{target[1]}"
-        return f"{info.ctx.rel_path}:{line} {self.df._snippet(info, line)}"
+        return f"{info.ctx.rel_path}:{line} {_snippet(info, line)}"
 
     # -- call edges ------------------------------------------------------
 
@@ -337,8 +348,8 @@ class ContextAnalysis:
             return cached
         info = self.model.modules[ref[0]]
         fn = info.functions[ref[1]]
-        callee_at = self.df._callee_at(fn)
-        local_types = self.df._local_types(info, fn, callee_at)
+        callee_at = _callee_at(fn)
+        local_types = self._local_types(info, fn, callee_at)
         sync: List[Tuple[FunctionRef, int]] = []
         offload: List[Tuple[FunctionRef, str, int]] = []
         for node in ast.walk(fn.node):
@@ -357,7 +368,7 @@ class ContextAnalysis:
                 if self.model.function(ctor) is not None:
                     target = ctor
             if target is None:
-                target = self.df._method_target(fn, node, local_types)
+                target = self._method_target(fn, node, local_types)
             if target is None:
                 target = self._self_attr_method_target(info, fn, node)
             if target is not None and self.model.function(target):
@@ -365,6 +376,101 @@ class ContextAnalysis:
         result = (tuple(sync), tuple(offload))
         self._edges_memo[ref] = result
         return result
+
+    def _local_types(
+        self,
+        info: ModuleInfo,
+        fn: FunctionInfo,
+        callee_at: Dict[Tuple[int, int], Any],
+    ) -> Dict[str, Tuple[str, str]]:
+        """Local name → (module, class) from single-assignment
+        instantiations (``x = Cls(...)``) and class-typed annotations
+        (parameters and ``x: Cls``).  Names bound ambiguously are
+        dropped — never guessed."""
+        types: Dict[str, Optional[Tuple[str, str]]] = {}
+
+        def bind(name: str, target: Optional[Tuple[str, str]]) -> None:
+            if name in types and types[name] != target:
+                types[name] = None
+            else:
+                types[name] = target
+
+        def annotation_class(node: ast.expr) -> Optional[Tuple[str, str]]:
+            dotted = info.ctx.dotted_name(node)
+            if dotted is None:
+                return None
+            parts = dotted.split(".")
+            symbol = info.symbols.get(parts[0])
+            if symbol is None:
+                return None
+            if symbol.kind == "class" and len(parts) == 1:
+                return (symbol.module, symbol.qualname)
+            if symbol.kind == "module" and len(parts) == 2:
+                origin = self.model.modules.get(symbol.module)
+                if origin and parts[1] in origin.classes:
+                    return (symbol.module, parts[1])
+            return None
+
+        args = getattr(fn.node, "args", None)
+        if args is not None:
+            params = list(args.args) + list(args.kwonlyargs)
+            params += list(getattr(args, "posonlyargs", []))
+            for param in params:
+                if param.annotation is not None:
+                    cls = annotation_class(param.annotation)
+                    if cls is not None:
+                        bind(param.arg, cls)
+        for node in ast.walk(fn.node):
+            if isinstance(node, ast.Assign):
+                targets = [
+                    t for t in node.targets if isinstance(t, ast.Name)
+                ]
+                if len(targets) != len(node.targets):
+                    continue
+                value: Optional[Tuple[str, str]] = None
+                if isinstance(node.value, ast.Call):
+                    callee = callee_at.get(
+                        (node.value.lineno, node.value.col_offset)
+                    )
+                    if callee is not None and callee.kind == "class":
+                        value = (callee.module, callee.qualname)
+                for target in targets:
+                    bind(target.id, value)
+            elif isinstance(node, ast.AnnAssign) and isinstance(
+                node.target, ast.Name
+            ):
+                cls = annotation_class(node.annotation)
+                bind(node.target.id, cls)
+        return {k: v for k, v in types.items() if v is not None}
+
+    def _method_target(
+        self,
+        fn: FunctionInfo,
+        node: ast.Call,
+        local_types: Dict[str, Tuple[str, str]],
+    ) -> Optional[FunctionRef]:
+        """Resolve ``x.method(...)`` through the local-type map, and
+        ``self.method(...)`` through the enclosing class."""
+        func = node.func
+        if not (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+        ):
+            return None
+        owner: Optional[Tuple[str, str]] = None
+        if func.value.id in ("self", "cls") and "." in fn.qualname:
+            owner = (fn.module, fn.qualname.rsplit(".", 1)[0])
+        else:
+            owner = local_types.get(func.value.id)
+        if owner is None:
+            return None
+        callee = self.model._lookup_method(
+            owner[0], owner[1], func.attr, rendered=f"{func.value.id}.{func.attr}"
+        )
+        if callee.kind != "function":
+            return None
+        target = (callee.module, callee.qualname)
+        return target if self.model.function(target) is not None else None
 
     def _offload_edge(
         self,
@@ -464,7 +570,7 @@ class ContextAnalysis:
                     method = info.functions.get(method_qual)
                     if method is None:
                         continue
-                    callee_at = self.df._callee_at(method)
+                    callee_at = _callee_at(method)
                     for node in ast.walk(method.node):
                         self._bind_self_attr(node, callee_at, attrs)
                 table[(module_name, class_name)] = {
@@ -568,7 +674,7 @@ class ContextAnalysis:
         root: ast.AST,
         include_nested: bool,
     ) -> Tuple[BlockingSite, ...]:
-        callee_at = self.df._callee_at(fn)
+        callee_at = _callee_at(fn)
         sites: List[BlockingSite] = []
         for node in self._walk(root, include_nested):
             if not isinstance(node, ast.Call):
@@ -579,7 +685,7 @@ class ContextAnalysis:
             sites.append(BlockingSite(
                 rendered=rendered,
                 line=node.lineno,
-                snippet=self.df._snippet(info, node.lineno),
+                snippet=_snippet(info, node.lineno),
             ))
         return tuple(sites)
 
@@ -636,7 +742,7 @@ class ContextAnalysis:
             sites.append(LoopTouch(
                 rendered=rendered,
                 line=node.lineno,
-                snippet=self.df._snippet(info, node.lineno),
+                snippet=_snippet(info, node.lineno),
             ))
         return tuple(sites)
 
@@ -662,7 +768,7 @@ class ContextAnalysis:
             sites.append(RawWrite(
                 rendered=rendered,
                 line=node.lineno,
-                snippet=self.df._snippet(info, node.lineno),
+                snippet=_snippet(info, node.lineno),
             ))
         return tuple(sites)
 
@@ -719,7 +825,7 @@ class ContextAnalysis:
                 target=target,
                 function=ref,
                 line=line,
-                snippet=self.df._snippet(info, line),
+                snippet=_snippet(info, line),
                 locked=any(
                     start < line <= end for start, end in locked_spans
                 ),
@@ -861,7 +967,7 @@ class ContextAnalysis:
         contexts = self.contexts()
         for ref in sorted(contexts):
             info = self.model.modules[ref[0]]
-            if is_test_module(info.ctx.rel_path, info.name):
+            if is_test_module(info.ctx.rel_path):
                 continue
             reached = contexts[ref]
             fn = info.functions[ref[1]]
@@ -898,7 +1004,7 @@ class ContextAnalysis:
                 if site.locked:
                     continue
                 info = self.model.modules[site.function[0]]
-                if is_test_module(info.ctx.rel_path, info.name):
+                if is_test_module(info.ctx.rel_path):
                     continue
                 finding = self._finding(
                     "T1003", ctxs[0], site.function, site.line,

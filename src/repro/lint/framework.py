@@ -55,6 +55,16 @@ def _parse_pragmas(lines: Sequence[str]) -> Tuple[Dict[int, Set[str]], Set[str]]
     return per_line, per_file
 
 
+def is_test_module(rel_path: str) -> bool:
+    """Test code, where ``fixed_rng``, sockets, subprocesses and ad-hoc
+    state are allowed."""
+    parts = rel_path.split("/")
+    if any(part in ("tests", "test") for part in parts[:-1]):
+        return True
+    basename = parts[-1]
+    return basename.startswith("test_") or basename == "conftest.py"
+
+
 def module_name_for(path: Path) -> str:
     """Dotted module name, derived from the ``__init__.py`` chain.
 
@@ -221,7 +231,6 @@ def load_builtin_rules() -> None:
         rules_concurrency,
         rules_determinism,
         rules_errors,
-        rules_escape,
         rules_layering,
         rules_obs,
         rules_purity,
@@ -284,11 +293,8 @@ class LintResult:
     #: the project the run analyzed — lets callers (the CLI's
     #: ``--graph-json``) reuse the already-built program model
     project: Optional[ProjectContext] = None
-    #: wall-clock duration of the run, for the JSON report / ledger
+    #: wall-clock duration of the run, for the text and JSON reports
     wall_s: float = 0.0
-    #: wall-clock seconds spent per rule family (first letter of the
-    #: rule code), folded into the ledger as lint.time_s{family=...}
-    family_wall_s: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -303,14 +309,21 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return max(1, jobs or 1)
 
 
-def _lint_file_worker(
-    task: Tuple[str, str, Tuple[str, ...]]
-) -> Tuple[List[Finding], Dict[str, float]]:
+def _check_file(rules: Sequence[Rule], ctx: FileContext) -> List[Finding]:
+    """Every unsuppressed per-file finding of ``rules`` on one file."""
+    return [
+        finding
+        for rule in rules
+        for finding in rule.check_file(ctx)
+        if not ctx.is_suppressed(finding)
+    ]
+
+
+def _lint_file_worker(task: Tuple[str, str, Tuple[str, ...]]) -> List[Finding]:
     """Per-file rule pass in a worker process: re-parse the file and run
     every registered rule in ``codes``.  Top-level (picklable) and
     registry-driven — rule instances never cross the process boundary,
-    only their codes do.  Returns the findings plus the wall seconds
-    spent per rule family."""
+    only their codes do."""
     path_str, rel, codes = task
     wanted = set(codes)
     active = [rule for rule in all_rules() if rule.code in wanted]
@@ -319,19 +332,8 @@ def _lint_file_worker(
     if ctx.parse_error is not None:
         # The parent's own context carries the parse error; nothing to
         # run here.
-        return [], {}
-    findings: List[Finding] = []
-    family_s: Dict[str, float] = {}
-    for rule in active:
-        rule_start = time.monotonic()
-        for finding in rule.check_file(ctx):
-            if not ctx.is_suppressed(finding):
-                findings.append(finding)
-        family = rule.code[:1]
-        family_s[family] = (
-            family_s.get(family, 0.0) + time.monotonic() - rule_start
-        )
-    return findings, family_s
+        return []
+    return _check_file(active, ctx)
 
 
 def _poolable(rules: Sequence[Rule]) -> bool:
@@ -362,12 +364,6 @@ def run_lint(
     root = (root or Path.cwd()).resolve()
     project = ProjectContext()
     findings: List[Finding] = []
-    family_s: Dict[str, float] = {}
-
-    def charge(rule: Rule, seconds: float) -> None:
-        family = rule.code[:1]
-        family_s[family] = family_s.get(family, 0.0) + seconds
-
     files_checked = 0
     workers = resolve_jobs(jobs)
     fan_out = workers > 1 and _poolable(active)
@@ -388,31 +384,22 @@ def run_lint(
         if fan_out:
             tasks.append((str(resolved), rel, codes))
             continue
-        for rule in active:
-            rule_start = time.monotonic()
-            for finding in rule.check_file(ctx):
-                if not ctx.is_suppressed(finding):
-                    findings.append(finding)
-            charge(rule, time.monotonic() - rule_start)
+        findings.extend(_check_file(active, ctx))
     if fan_out and tasks:
         n_workers = min(workers, len(tasks))
         chunksize = max(1, len(tasks) // (n_workers * 4))
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=n_workers
         ) as pool:
-            for batch, batch_family_s in pool.map(
+            for batch in pool.map(
                 _lint_file_worker, tasks, chunksize=chunksize
             ):
                 findings.extend(batch)
-                for family, seconds in batch_family_s.items():
-                    family_s[family] = family_s.get(family, 0.0) + seconds
     for rule in active:
-        rule_start = time.monotonic()
         for finding in rule.finalize(project):
             ctx = project.files.get(finding.path)
             if ctx is None or not ctx.is_suppressed(finding):
                 findings.append(finding)
-        charge(rule, time.monotonic() - rule_start)
     # Finding equality is (path, line, col, rule): collapse duplicates a
     # rule may emit when scopes overlap.
     findings = sorted(set(findings))
@@ -421,5 +408,4 @@ def run_lint(
         files_checked=files_checked,
         project=project,
         wall_s=time.monotonic() - started,
-        family_wall_s=dict(sorted(family_s.items())),
     )

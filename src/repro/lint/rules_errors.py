@@ -3,14 +3,15 @@
 Callers of ``repro`` are promised one catchable base class
 (:class:`repro.errors.ReproError`) at every API boundary.  These rules
 keep that promise honest: every raise must speak the taxonomy, nothing
-may swallow arbitrary exceptions, and input validation must not hide in
-``assert`` statements that ``python -O`` strips.
+may swallow arbitrary exceptions, input validation must not hide in
+``assert`` statements that ``python -O`` strips, and a wrapped error
+keeps its cause attached.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.lint.findings import Finding
 from repro.lint.framework import FileContext, Rule, register
@@ -207,3 +208,60 @@ class AssertValidationRule(Rule):
             ):
                 return node.id
         return None
+
+
+@register
+class UnchainedWrapRule(Rule):
+    """E204 — wrapping ``raise`` in a handler without ``from``."""
+
+    code = "E204"
+    name = "unchained-wrap"
+    description = (
+        "raise of a new exception inside an except handler without "
+        "'from': the original traceback is detached from the wrapped "
+        "error"
+    )
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        assert ctx.tree is not None
+        for handler in ast.walk(ctx.tree):
+            if not isinstance(handler, ast.ExceptHandler):
+                continue
+            for node in self._handler_raises(handler.body):
+                if node.exc is None or node.cause is not None:
+                    continue
+                if not isinstance(node.exc, ast.Call):
+                    # ``raise exc`` / ``raise name`` re-raises are the
+                    # chain itself, not a wrap.
+                    continue
+                yield ctx.finding(
+                    self,
+                    node,
+                    "exception wrapped inside an except handler without "
+                    "'from': use 'raise ...(...) from <cause>' to keep "
+                    "the causal chain",
+                )
+
+    @classmethod
+    def _handler_raises(
+        cls, body: List[ast.stmt]
+    ) -> Iterator[ast.Raise]:
+        """Raise statements belonging to this handler — not those of
+        nested ``try`` statements (they have their own handlers)."""
+        for stmt in body:
+            if isinstance(stmt, ast.Raise):
+                yield stmt
+                continue
+            if isinstance(
+                stmt,
+                (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+            ) or (
+                hasattr(ast, "TryStar")
+                and isinstance(stmt, getattr(ast, "TryStar"))
+            ):
+                continue
+            for _, value in ast.iter_fields(stmt):
+                if isinstance(value, list) and value and all(
+                    isinstance(item, ast.stmt) for item in value
+                ):
+                    yield from cls._handler_raises(value)

@@ -1,98 +1,76 @@
 """I-rules: resource discipline.
 
 Stage shards may run in worker subprocesses and may be skipped entirely
-on a cache hit, so shard code must not acquire ambient resources: every
-file lands through the atomic helpers in :mod:`repro.io` /
-``repro.obs.persist`` (write-temp-then-rename, so a crashed worker
-never leaves a half-written artifact), and a simulated study never
-opens sockets or spawns subprocesses at all.  This is the prerequisite
-for the always-on ``repro serve`` shape on the roadmap: a handler that
-leaks file handles or shells out works in a one-shot CLI and falls over
-in a long-lived process.
+on a cache hit, so shard code must not acquire ambient resources: a
+simulated study never opens sockets or spawns subprocesses at all.
+This is the prerequisite for the always-on ``repro serve`` shape: a
+handler that shells out works in a one-shot CLI and falls over in a
+long-lived process.  (Write-mode file I/O from a shard, thread or the
+event loop outside the atomic helpers is T1005's; see
+:mod:`repro.lint.rules_concurrency`.)
 
-* **I901** — raw ``open()`` reachable from a stage ``run`` outside the
-  sanctioned I/O modules;
 * **I902** — ``socket`` / ``subprocess`` / ``os.system`` use anywhere
   in non-test code.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import ast
+from typing import Iterable, Iterator, Optional, Tuple
 
-from repro.lint.dataflow import (
-    DataflowAnalysis,
-    dataflow_for,
-    is_io_sanctioned,
-    is_serve_module,
-    is_test_module,
-)
 from repro.lint.findings import Finding
-from repro.lint.framework import ProjectContext, Rule, register
+from repro.lint.framework import (
+    FileContext,
+    ProjectContext,
+    Rule,
+    is_test_module,
+    register,
+)
+from repro.lint.program import FunctionRef, ProgramModel
 
 
-class _ResourceRule(Rule):
-    """Shared driver over the dataflow engine's raw-I/O site table."""
+def is_serve_module(module: str) -> bool:
+    """Modules inside a ``serve`` package: the study service transport.
 
-    def finalize(self, project: ProjectContext) -> Iterable[Finding]:
-        if not project.files:
-            return
-        df = dataflow_for(project)
-        yield from self._check(project, df)
-
-    def _check(
-        self, project: ProjectContext, df: DataflowAnalysis
-    ) -> Iterable[Finding]:
-        return ()
+    This is the **only** carve-out from the I902 no-sockets rule, and it
+    is deliberately narrow: the service must listen on a socket to be a
+    service, but the exemption covers the ``serve`` layer alone (socket
+    calls only — subprocess escapes stay flagged everywhere), so the
+    simulation underneath it remains hermetic.
+    """
+    return "serve" in module.split(".")
 
 
-@register
-class UnmanagedOpenRule(_ResourceRule):
-    """I901 — raw ``open()`` on a stage run path."""
+def _process_call(ctx: FileContext, node: ast.Call) -> Optional[str]:
+    """The rendered name of a socket/subprocess/shell call, else None."""
+    dotted = ctx.dotted_name(node.func)
+    if dotted is None:
+        return None
+    if dotted == "socket" or dotted.startswith(("socket.", "subprocess.")):
+        return dotted
+    if dotted in ("os.popen", "os.system"):
+        return dotted
+    return None
 
-    code = "I901"
-    name = "io-unmanaged-open"
-    description = (
-        "open() in code reachable from a stage's run, outside repro.io/"
-        "obs.persist: shard artifacts must land through the atomic "
-        "helpers"
-    )
 
-    def _check(
-        self, project: ProjectContext, df: DataflowAnalysis
-    ) -> Iterable[Finding]:
-        run_reach = df.run_reachable()
-        sites = df.io_sites()
-        for ref in sorted(run_reach):
-            if is_io_sanctioned(ref[0]):
-                continue
-            ctx = project.context_for_module(ref[0])
-            if ctx is None or is_test_module(ctx.rel_path, ref[0]):
-                continue
-            for site in sites.get(ref, ()):
-                if site.rendered != "open":
+def process_sites(
+    model: ProgramModel,
+) -> Iterator[Tuple[FunctionRef, str, ast.Call]]:
+    """(function, rendered name, call) for every socket/subprocess/shell
+    call inside a function body, in module and qualname order."""
+    for module_name in sorted(model.modules):
+        info = model.modules[module_name]
+        for qualname in sorted(info.functions):
+            for node in ast.walk(info.functions[qualname].node):
+                if not isinstance(node, ast.Call):
                     continue
-                for stage in run_reach[ref]:
-                    chain = df.run_path_chain(stage, ref)
-                    witness = " -> ".join(
-                        chain + [f"{ctx.rel_path}:{site.line}"]
-                    )
-                    yield Finding(
-                        path=ctx.rel_path,
-                        line=site.line,
-                        col=site.col,
-                        rule=self.code,
-                        message=(
-                            f"raw open() on the run path of stage "
-                            f"'{stage}'; use repro.io / obs.persist "
-                            f"atomic helpers [witness: {witness}]"
-                        ),
-                        snippet=site.snippet,
-                    )
+                rendered = _process_call(info.ctx, node)
+                if rendered is not None:
+                    yield (module_name, qualname), rendered, node
 
 
 @register
-class ProcessEscapeRule(_ResourceRule):
+class ProcessEscapeRule(Rule):
     """I902 — sockets or subprocesses in non-test code."""
 
     code = "I902"
@@ -104,33 +82,23 @@ class ProcessEscapeRule(_ResourceRule):
         "transport has to listen somewhere)"
     )
 
-    def _check(
-        self, project: ProjectContext, df: DataflowAnalysis
-    ) -> Iterable[Finding]:
-        for ref, sites in sorted(df.io_sites().items()):
+    def finalize(self, project: ProjectContext) -> Iterable[Finding]:
+        if not project.files:
+            return
+        for ref, rendered, node in process_sites(project.program_model()):
             ctx = project.context_for_module(ref[0])
-            if ctx is None or is_test_module(ctx.rel_path, ref[0]):
+            if ctx is None or is_test_module(ctx.rel_path):
                 continue
-            for site in sites:
-                if site.rendered == "open":
-                    continue
-                # The serve layer's listening socket is the one
-                # sanctioned network touchpoint; subprocess/os.system
-                # stay forbidden even there.
-                if is_serve_module(ref[0]) and (
-                    site.rendered == "socket"
-                    or site.rendered.startswith("socket.")
-                ):
-                    continue
-                yield Finding(
-                    path=ctx.rel_path,
-                    line=site.line,
-                    col=site.col,
-                    rule=self.code,
-                    message=(
-                        f"{site.rendered}(...) in {site.function[1]}: "
-                        "the simulation is hermetic — no sockets, no "
-                        "subprocesses"
-                    ),
-                    snippet=site.snippet,
-                )
+            # The serve layer's listening socket is the one sanctioned
+            # network touchpoint; subprocess/os.system stay forbidden
+            # even there.
+            if is_serve_module(ref[0]) and (
+                rendered == "socket" or rendered.startswith("socket.")
+            ):
+                continue
+            yield ctx.finding(
+                self,
+                node,
+                f"{rendered}(...) in {ref[1]}: the simulation is "
+                "hermetic — no sockets, no subprocesses",
+            )

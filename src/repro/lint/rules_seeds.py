@@ -3,16 +3,15 @@
 Replays are only cold-equals-warm because every ``random.Random`` in
 shard code descends from the shard's seeded root through the
 :mod:`repro.util.rng` derivation APIs (``seeded_rng`` / ``spawn_rng`` /
-``RngStreams.spawn``/``fork``).  A raw ``random.Random()`` three helpers
-below a stage ``run`` draws from process entropy and silently breaks
-that guarantee; a stream *name* derived in two places makes two
-components draw correlated values; ``fixed_rng`` outside tests hides a
-missing injection point.  These rules ride the interprocedural engine
-(:mod:`repro.lint.dataflow`), so the witness for each finding is a real
-static call chain from the stage's ``run`` seed down to the offending
-``file:line``.
+``RngStreams.spawn``/``fork``); the per-file D102 already rejects a raw
+``random.Random(...)`` anywhere outside ``util/rng.py``.  These rules
+read one syntactic scan of every RNG-producing or seed-deriving call
+site in the program model, with its statically-resolved stream name:
+a stream *name* derived in two places makes two components draw
+correlated values; ``fixed_rng`` outside tests hides a missing
+injection point; a stage ``run`` returning a generator carries RNG
+state across the shard boundary.
 
-* **S701** — raw ``random.Random(...)`` reachable from a stage ``run``;
 * **S702** — the same literal stream name derived at two different call
   sites in the same API family (a double-spent seed);
 * **S703** — ``fixed_rng`` use outside test code;
@@ -23,19 +22,128 @@ static call chain from the stage's ``run`` seed down to the offending
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.dataflow import (
-    _DERIVE_FAMILIES,
-    _RNG_PRODUCERS,
-    DataflowAnalysis,
-    RngSite,
-    dataflow_for,
-    is_rng_module,
-    is_test_module,
-)
 from repro.lint.findings import Finding
-from repro.lint.framework import ProjectContext, Rule, register
+from repro.lint.framework import ProjectContext, Rule, is_test_module, register
+from repro.lint.program import FunctionInfo, FunctionRef, ModuleInfo, ProgramModel
+
+#: rng-derivation APIs grouped by the child-seed namespace they draw
+#: from (``spawn("x")`` and ``seeded_rng(seed, "x")`` do *not* collide:
+#: RngStreams.spawn derives under an internal ``spawn:`` prefix)
+_DERIVE_FAMILIES = {
+    "seeded_rng": "derive",
+    "derive_seed": "derive",
+    "spawn": "spawn",
+    "fork": "fork",
+}
+
+#: APIs that *produce* an RNG (or RNG-stream) value
+_RNG_PRODUCERS = frozenset({
+    "seeded_rng", "spawn_rng", "fixed_rng", "spawn", "fork", "raw",
+})
+
+_RNG_FUNCTIONS = ("seeded_rng", "spawn_rng", "fixed_rng", "derive_seed")
+
+
+def is_rng_module(module: str) -> bool:
+    """The sanctioned RNG implementation module (``repro.util.rng`` in
+    the real tree; any ``*.rng`` module in fixture trees)."""
+    return module.split(".")[-1] == "rng"
+
+
+@dataclass(frozen=True)
+class RngSite:
+    """One RNG-producing or seed-deriving call site."""
+
+    function: FunctionRef
+    api: str  # seeded_rng | spawn_rng | fixed_rng | derive_seed | spawn | fork | raw
+    #: statically-resolved stream name; ``None`` when the API takes none
+    #: (fixed_rng, spawn_rng, raw) or the argument is missing
+    name: Optional[str]
+    #: True when ``name`` is a full literal (f-strings record only
+    #: their static prefix and are never literal)
+    literal: bool
+    node: ast.Call
+
+
+def rng_sites(model: ProgramModel) -> Dict[FunctionRef, Tuple[RngSite, ...]]:
+    """Every RNG-producing / seed-deriving call site per function."""
+    sites: Dict[FunctionRef, Tuple[RngSite, ...]] = {}
+    for module_name in sorted(model.modules):
+        info = model.modules[module_name]
+        for qualname in sorted(info.functions):
+            ref = (module_name, qualname)
+            sites[ref] = tuple(
+                _scan_rng_sites(model, info, info.functions[qualname], ref)
+            )
+    return sites
+
+
+def _scan_rng_sites(
+    model: ProgramModel, info: ModuleInfo, fn: FunctionInfo, ref: FunctionRef
+) -> List[RngSite]:
+    callee_at = {(c.line, c.col): c.callee for c in fn.calls}
+    out: List[RngSite] = []
+    for node in ast.walk(fn.node):
+        if not isinstance(node, ast.Call):
+            continue
+        api = _rng_api(info, node, callee_at)
+        if api is None:
+            continue
+        name, literal = _stream_name(model, info, node, api)
+        out.append(RngSite(
+            function=ref, api=api, name=name, literal=literal, node=node,
+        ))
+    return out
+
+
+def _rng_api(info: ModuleInfo, node: ast.Call, callee_at) -> Optional[str]:
+    dotted = info.ctx.dotted_name(node.func)
+    if dotted is not None:
+        if dotted == "random.Random" or dotted.endswith(".random.Random"):
+            return "raw"
+        last = dotted.split(".")[-1]
+        if last in _RNG_FUNCTIONS:
+            return last
+    callee = callee_at.get((node.lineno, node.col_offset))
+    if callee is not None and callee.kind == "function":
+        if is_rng_module(callee.module) and callee.qualname in _RNG_FUNCTIONS:
+            return callee.qualname
+    if isinstance(node.func, ast.Attribute) and node.func.attr in (
+        "spawn", "fork",
+    ):
+        return node.func.attr
+    return None
+
+
+def _stream_name(
+    model: ProgramModel, info: ModuleInfo, node: ast.Call, api: str
+) -> Tuple[Optional[str], bool]:
+    """The statically-resolved stream-name argument of a derivation
+    call: (name, is-full-literal).  F-strings resolve to their static
+    prefix and count as non-literal."""
+    if api not in _DERIVE_FAMILIES:
+        return None, False
+    index = 1 if api in ("seeded_rng", "derive_seed") else 0
+    args = list(node.args)
+    expr: Optional[ast.expr] = None
+    if len(args) > index:
+        expr = args[index]
+    else:
+        for kw in node.keywords:
+            if kw.arg == "name":
+                expr = kw.value
+    if expr is None:
+        return None, False
+    resolved = model.resolve_string(info, expr)
+    if resolved is not None:
+        return resolved, True
+    prefix = model.static_prefix(expr)
+    if prefix:
+        return prefix + "…", False
+    return "<dynamic>", False
 
 
 def _site_ctx(project: ProjectContext, site: RngSite):
@@ -44,68 +152,26 @@ def _site_ctx(project: ProjectContext, site: RngSite):
     ctx = project.context_for_module(module)
     if ctx is None:
         return None, True
-    exempt = is_rng_module(module) or is_test_module(ctx.rel_path, module)
+    exempt = is_rng_module(module) or is_test_module(ctx.rel_path)
     return ctx, exempt
 
 
 class _SeedRule(Rule):
-    """Shared driver over the dataflow engine's RNG-site table."""
+    """Shared driver over the program's RNG-site table."""
 
     def finalize(self, project: ProjectContext) -> Iterable[Finding]:
         if not project.files:
             return
-        df = dataflow_for(project)
-        yield from self._check(project, df)
+        model = project.program_model()
+        yield from self._check(project, model, rng_sites(model))
 
     def _check(
-        self, project: ProjectContext, df: DataflowAnalysis
+        self,
+        project: ProjectContext,
+        model: ProgramModel,
+        sites: Dict[FunctionRef, Tuple[RngSite, ...]],
     ) -> Iterable[Finding]:
         return ()
-
-
-@register
-class TaintedRngRule(_SeedRule):
-    """S701 — raw ``random.Random`` on a stage run path."""
-
-    code = "S701"
-    name = "seed-tainted-rng"
-    description = (
-        "random.Random(...) reachable from a stage's run is not derived "
-        "from the shard's seeded root; use seeded_rng/spawn_rng or the "
-        "world's RngStreams"
-    )
-
-    def _check(
-        self, project: ProjectContext, df: DataflowAnalysis
-    ) -> Iterable[Finding]:
-        run_reach = df.run_reachable()
-        sites = df.rng_sites()
-        for ref in sorted(run_reach):
-            if is_rng_module(ref[0]):
-                continue
-            ctx = project.context_for_module(ref[0])
-            if ctx is None:
-                continue
-            for site in sites.get(ref, ()):
-                if site.api != "raw":
-                    continue
-                for stage in run_reach[ref]:
-                    chain = df.run_path_chain(stage, ref)
-                    witness = " -> ".join(
-                        chain + [f"{ctx.rel_path}:{site.line}"]
-                    )
-                    yield Finding(
-                        path=ctx.rel_path,
-                        line=site.line,
-                        col=site.col,
-                        rule=self.code,
-                        message=(
-                            f"random.Random(...) on the run path of stage "
-                            f"'{stage}' is not derived from the shard's "
-                            f"seeded root [witness: {witness}]"
-                        ),
-                        snippet=site.snippet,
-                    )
 
 
 @register
@@ -120,12 +186,10 @@ class DoubleSpentSeedRule(_SeedRule):
         "values from one seed"
     )
 
-    def _check(
-        self, project: ProjectContext, df: DataflowAnalysis
-    ) -> Iterable[Finding]:
+    def _check(self, project, model, sites) -> Iterable[Finding]:
         groups: Dict[Tuple[str, str], List[Tuple[RngSite, object]]] = {}
-        for ref, sites in sorted(df.rng_sites().items()):
-            for site in sites:
+        for ref, ref_sites in sorted(sites.items()):
+            for site in ref_sites:
                 family = _DERIVE_FAMILIES.get(site.api)
                 if family is None or not site.literal or site.name is None:
                     continue
@@ -135,28 +199,24 @@ class DoubleSpentSeedRule(_SeedRule):
                 groups.setdefault((family, site.name), []).append((site, ctx))
         for (family, name), members in sorted(groups.items()):
             distinct = {
-                (ctx.rel_path, site.line, site.col) for site, ctx in members
+                (ctx.rel_path, site.node.lineno, site.node.col_offset)
+                for site, ctx in members
             }
             if len(distinct) < 2:
                 continue
             locations = ", ".join(
-                f"{ctx.rel_path}:{site.line}"
+                f"{ctx.rel_path}:{site.node.lineno}"
                 for site, ctx in sorted(
-                    members, key=lambda m: (m[1].rel_path, m[0].line)
+                    members, key=lambda m: (m[1].rel_path, m[0].node.lineno)
                 )
             )
             for site, ctx in members:
-                yield Finding(
-                    path=ctx.rel_path,
-                    line=site.line,
-                    col=site.col,
-                    rule=self.code,
-                    message=(
-                        f"stream name '{name}' ({family} family) is "
-                        f"derived at {len(distinct)} sites: {locations}; "
-                        "each seed must have exactly one consumer"
-                    ),
-                    snippet=site.snippet,
+                yield ctx.finding(
+                    self,
+                    site.node,
+                    f"stream name '{name}' ({family} family) is "
+                    f"derived at {len(distinct)} sites: {locations}; "
+                    "each seed must have exactly one consumer",
                 )
 
 
@@ -172,27 +232,20 @@ class FixedRngOutsideTestsRule(_SeedRule):
         "fabricate a constant-seed generator"
     )
 
-    def _check(
-        self, project: ProjectContext, df: DataflowAnalysis
-    ) -> Iterable[Finding]:
-        for ref, sites in sorted(df.rng_sites().items()):
-            for site in sites:
+    def _check(self, project, model, sites) -> Iterable[Finding]:
+        for ref, ref_sites in sorted(sites.items()):
+            for site in ref_sites:
                 if site.api != "fixed_rng":
                     continue
                 ctx, exempt = _site_ctx(project, site)
                 if ctx is None or exempt:
                     continue
-                yield Finding(
-                    path=ctx.rel_path,
-                    line=site.line,
-                    col=site.col,
-                    rule=self.code,
-                    message=(
-                        f"fixed_rng(...) in {site.function[1]} is outside "
-                        "test code; inject the rng from the caller or "
-                        "derive it from the shard's streams"
-                    ),
-                    snippet=site.snippet,
+                yield ctx.finding(
+                    self,
+                    site.node,
+                    f"fixed_rng(...) in {site.function[1]} is outside "
+                    "test code; inject the rng from the caller or "
+                    "derive it from the shard's streams",
                 )
 
 
@@ -208,11 +261,7 @@ class RngEscapesShardRule(_SeedRule):
         "merge boundary deterministically"
     )
 
-    def _check(
-        self, project: ProjectContext, df: DataflowAnalysis
-    ) -> Iterable[Finding]:
-        model = df.model
-        sites = df.rng_sites()
+    def _check(self, project, model, sites) -> Iterable[Finding]:
         for decl in model.discover_stages():
             run_seed = decl.seeds.get("run")
             fn = model.function(run_seed) if run_seed else None
@@ -222,7 +271,7 @@ class RngEscapesShardRule(_SeedRule):
             if ctx is None:
                 continue
             producer_at = {
-                (site.line, site.col)
+                (site.node.lineno, site.node.col_offset)
                 for site in sites.get(run_seed, ())
                 if site.api in _RNG_PRODUCERS
             }

@@ -15,8 +15,8 @@ whose callables the model cannot see — lambdas, closures, functions
 defined outside the analyzed root, as in synthetic unit-test graphs —
 simply get no footprint, which folds as the empty salt and reproduces
 the pre-footprint cache keys.  Only the program model is built here:
-the dataflow and concurrency analyses that sit on top of it are lint
-artifacts and stay off the run path.
+the lint rules and the concurrency analysis that sit on top of it are
+lint artifacts and stay off the run path.
 """
 
 from __future__ import annotations

@@ -163,38 +163,37 @@ def test_missing_baseline_file_is_empty(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# --rule / --family / --graph-json
+# --select codes and family prefixes / --graph-json
 # ---------------------------------------------------------------------------
 
 
-def test_rule_flag_restricts_to_single_code(project, capsys):
+def test_select_single_code_restricts_to_that_rule(project, capsys):
     write(project, "pkg/dirty.py", DIRTY)
-    assert main(["pkg", "--rule", "E201", "--no-baseline"]) == 1
+    assert main(["pkg", "--select", "E201", "--no-baseline"]) == 1
     out = capsys.readouterr().out
     assert "E201" in out
     assert "D101" not in out
 
 
-def test_family_flag_selects_prefix(project, capsys):
+def test_select_family_prefix(project, capsys):
     write(project, "pkg/dirty.py", DIRTY)
-    assert main(["pkg", "--family", "D", "--no-baseline"]) == 1
+    assert main(["pkg", "--select", "D", "--no-baseline"]) == 1
     out = capsys.readouterr().out
     assert "D101" in out
     assert "E201" not in out
 
 
-def test_rule_and_family_flags_combine(project, capsys):
+def test_select_combines_codes_and_prefixes(project, capsys):
     write(project, "pkg/dirty.py", DIRTY)
-    assert main(["pkg", "--family", "D", "--rule", "E201",
-                 "--no-baseline"]) == 1
+    assert main(["pkg", "--select", "D,E201", "--no-baseline"]) == 1
     out = capsys.readouterr().out
     assert "D101" in out
     assert "E201" in out
 
 
-def test_family_flag_unknown_prefix_is_usage_error(project, capsys):
+def test_select_unknown_family_prefix_is_usage_error(project, capsys):
     write(project, "pkg/dirty.py", DIRTY)
-    assert main(["pkg", "--family", "Z9"]) == 2
+    assert main(["pkg", "--select", "Z9"]) == 2
     assert "no rules match" in capsys.readouterr().err
 
 
@@ -220,7 +219,7 @@ def test_graph_json_to_stdout(project, capsys):
 
 
 # ---------------------------------------------------------------------------
-# --jobs / --dataflow-json / --update-baseline / time_s
+# --jobs / --update-baseline / time_s
 # ---------------------------------------------------------------------------
 
 
@@ -254,18 +253,6 @@ def test_reports_carry_wall_time(project, capsys):
     assert payload["time_s"] >= 0.0
     assert main(["pkg"]) == 0
     assert " in " in capsys.readouterr().out
-
-
-def test_dataflow_json_writes_report(project, capsys):
-    write(project, "pkg/__init__.py", "")
-    write(project, "pkg/clean.py", CLEAN)
-    assert main(["pkg", "--dataflow-json", "dataflow.json"]) == 0
-    report = json.loads((project / "dataflow.json").read_text())
-    assert report["schema"] == "repro.lint/dataflow/v1"
-    assert isinstance(report["time_s"], float)
-    assert set(report["summary"]) >= {
-        "modules", "functions", "entrypoints", "stages", "taints",
-    }
 
 
 def test_update_baseline_drops_stale_entries(project, capsys):

@@ -501,7 +501,7 @@ def test_t1005_pragma_disable(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# copied-tree T1003 regression (mirrors the S701 copied-tree lock)
+# copied-tree T1003 regression (mirrors the D102 copied-tree lock)
 # ---------------------------------------------------------------------------
 
 

@@ -497,6 +497,53 @@ def test_e203_quiet_on_narrowing_and_locals(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# E204 — wrapping raise without ``from``
+# ---------------------------------------------------------------------------
+
+
+def test_e204_fires_on_unchained_wrap(tmp_path):
+    findings = lint_snippet(
+        tmp_path,
+        """
+        from repro.errors import ValidationError
+
+        def f(payload):
+            try:
+                return payload["key"]
+            except KeyError:
+                raise ValidationError("missing key")
+        """,
+        select=["E204"],
+    )
+    assert codes(findings) == ["E204"]
+    assert findings[0].line == 8
+    assert "'from'" in findings[0].message
+
+
+def test_e204_quiet_on_chained_wrap_and_bare_reraise(tmp_path):
+    findings = lint_snippet(
+        tmp_path,
+        """
+        from repro.errors import ValidationError
+
+        def f(payload):
+            try:
+                return payload["key"]
+            except KeyError as exc:
+                raise ValidationError("missing key") from exc
+
+        def g(payload):
+            try:
+                return payload["key"]
+            except KeyError:
+                raise
+        """,
+        select=["E204"],
+    )
+    assert findings == []
+
+
+# ---------------------------------------------------------------------------
 # A301 — layer order
 # ---------------------------------------------------------------------------
 

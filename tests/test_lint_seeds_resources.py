@@ -1,0 +1,358 @@
+"""The S and I rule families, and the rules that guard run paths.
+
+S702–S704 and I902 read syntactic scans of the program model (RNG
+derivation sites, socket/subprocess sites); the tests below run small
+fixture trees through the real lint framework.  The second half pins
+where the run-path invariants are enforced: a raw ``random.Random`` on
+a stage's run path is D102's (including a copied-tree test that plants
+one inside ``panel_run``), an explicit builtin ``raise`` under a stage
+``run`` or a CLI ``main`` is E201's, and a write-mode ``open()`` in a
+stage ``run`` helper is T1005's — each flagged at the offending line,
+while the same write inside the sanctioned I/O module stays quiet.
+"""
+
+from __future__ import annotations
+
+import shutil
+import textwrap
+from pathlib import Path
+from typing import List, Optional, Sequence
+
+from repro.lint import Finding, run_lint, select_rules
+from repro.lint.rules_resources import is_serve_module
+from repro.runtime.footprint import default_root
+
+
+def write_tree(tmp_path: Path, files) -> Path:
+    """Write a {relpath: source} tree with ``__init__.py`` chains."""
+    for relpath, source in files.items():
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+        parent = path.parent
+        while parent != tmp_path:
+            init = parent / "__init__.py"
+            if not init.exists():
+                init.write_text("")
+            parent = parent.parent
+    return tmp_path
+
+
+def lint_tree(
+    tmp_path: Path, files, select: Optional[Sequence[str]] = None
+) -> List[Finding]:
+    write_tree(tmp_path, files)
+    rules = select_rules(select) if select else None
+    return run_lint([tmp_path], rules=rules, root=tmp_path).findings
+
+
+def codes(findings: Sequence[Finding]) -> List[str]:
+    return [finding.rule for finding in findings]
+
+
+def line_of(source: str, needle: str) -> int:
+    """1-based line of the first ``needle`` in a dedented fixture."""
+    for number, text in enumerate(textwrap.dedent(source).splitlines(), 1):
+        if needle in text:
+            return number
+    raise AssertionError(f"{needle!r} not in fixture")
+
+
+# ---------------------------------------------------------------------------
+# fixture building blocks
+# ---------------------------------------------------------------------------
+
+RNG_MODULE = {
+    "pkg/util/rng.py": """
+        import random
+
+        def seeded_rng(seed, name):
+            return random.Random((seed, name))
+
+        def fixed_rng(seed=0):
+            return random.Random(seed)
+    """,
+}
+
+
+def stage_tree(helper_source: str, run_body: str = "helpers.crunch(payload)"):
+    """A one-stage fixture whose ``run`` calls ``helpers.crunch``."""
+    files = dict(RNG_MODULE)
+    files["pkg/helpers.py"] = helper_source
+    files["pkg/stages.py"] = f"""
+        from pkg import helpers
+
+        def _plan(world, products):
+            return [("s0", None)]
+
+        def _run(world, products, payload):
+            return {run_body}
+
+        def _merge(world, products, shards):
+            return shards
+
+        SPEC = StageSpec(
+            name="alpha", plan=_plan, run=_run, merge=_merge,
+        )
+    """
+    return files
+
+
+# ---------------------------------------------------------------------------
+# S-rules
+# ---------------------------------------------------------------------------
+
+
+def test_s702_fires_on_double_spent_stream_name(tmp_path):
+    files = dict(RNG_MODULE)
+    files["pkg/consumers.py"] = """
+        from pkg.util.rng import seeded_rng
+
+        def one(seed):
+            return seeded_rng(seed, "panel:dup")
+
+        def two(seed):
+            return seeded_rng(seed, "panel:dup")
+    """
+    findings = lint_tree(tmp_path, files, select=["S702"])
+    assert codes(findings) == ["S702", "S702"]
+    assert "panel:dup" in findings[0].message
+    assert "2 sites" in findings[0].message
+
+
+def test_s702_quiet_on_distinct_stream_names(tmp_path):
+    files = dict(RNG_MODULE)
+    files["pkg/consumers.py"] = """
+        from pkg.util.rng import seeded_rng
+
+        def one(seed):
+            return seeded_rng(seed, "panel:one")
+
+        def two(seed):
+            return seeded_rng(seed, "panel:two")
+    """
+    assert lint_tree(tmp_path, files, select=["S702"]) == []
+
+
+def test_s703_fires_outside_tests_and_stays_quiet_inside(tmp_path):
+    files = dict(RNG_MODULE)
+    files["pkg/lib.py"] = """
+        from pkg.util.rng import fixed_rng
+
+        def sample():
+            return fixed_rng().random()
+    """
+    files["tests/test_lib.py"] = """
+        from pkg.util.rng import fixed_rng
+
+        def test_sample():
+            assert fixed_rng().random() is not None
+    """
+    findings = lint_tree(tmp_path, files, select=["S703"])
+    assert codes(findings) == ["S703"]
+    assert findings[0].path == "pkg/lib.py"
+
+
+def test_s704_fires_when_a_run_returns_the_rng(tmp_path):
+    findings = lint_tree(tmp_path, stage_tree(
+        """
+        def crunch(payload):
+            return payload
+        """,
+        run_body="_draw(payload)",
+    ) | {
+        "pkg/stages.py": """
+            from pkg.util.rng import seeded_rng
+
+            def _plan(world, products):
+                return [("s0", None)]
+
+            def _run(world, products, payload):
+                rng = seeded_rng(payload, "alpha:run")
+                return rng
+
+            def _merge(world, products, shards):
+                return shards
+
+            SPEC = StageSpec(
+                name="alpha", plan=_plan, run=_run, merge=_merge,
+            )
+        """,
+    }, select=["S704"])
+    assert codes(findings) == ["S704"]
+    assert "returns the RNG bound to 'rng'" in findings[0].message
+
+
+# ---------------------------------------------------------------------------
+# I-rules
+# ---------------------------------------------------------------------------
+
+
+def test_i902_fires_on_subprocess_anywhere(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "pkg/mod.py": """
+            import subprocess
+
+            def shell(cmd):
+                return subprocess.run(cmd)
+        """,
+    }, select=["I902"])
+    assert codes(findings) == ["I902"]
+    assert "hermetic" in findings[0].message
+
+
+def test_i902_quiet_in_test_code(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "tests/test_mod.py": """
+            import subprocess
+
+            def test_shell():
+                assert subprocess.run(["true"]) is not None
+        """,
+    }, select=["I902"])
+    assert findings == []
+
+
+SOCKET_SERVER = """
+    import socket
+
+    def listen(host, port):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.bind((host, port))
+        return sock
+"""
+
+
+def test_i902_serve_carveout_sanctions_socket_in_serve_modules(tmp_path):
+    # The one scoped exemption: the serve layer may bind its listening
+    # socket (docs/service.md).
+    findings = lint_tree(tmp_path, {
+        "pkg/serve/server.py": SOCKET_SERVER,
+    }, select=["I902"])
+    assert findings == []
+
+
+def test_i902_still_fires_on_socket_outside_serve(tmp_path):
+    # The carve-out is scoped to serve modules — socket anywhere else
+    # is still a raw-I/O finding.
+    findings = lint_tree(tmp_path, {
+        "pkg/core/net.py": SOCKET_SERVER,
+    }, select=["I902"])
+    assert codes(findings) == ["I902"]
+    assert "socket" in findings[0].message
+
+
+def test_i902_still_fires_on_subprocess_in_serve(tmp_path):
+    # ... and scoped to the socket family — subprocess stays banned
+    # even inside the serve layer.
+    findings = lint_tree(tmp_path, {
+        "pkg/serve/worker.py": """
+            import subprocess
+
+            def shell(cmd):
+                return subprocess.run(cmd)
+        """,
+    }, select=["I902"])
+    assert codes(findings) == ["I902"]
+
+
+def test_is_serve_module_matches_path_segments_only():
+    assert is_serve_module("repro.serve.server")
+    assert is_serve_module("pkg.serve")
+    assert not is_serve_module("repro.core.observe")
+    assert not is_serve_module("repro.serveur.mod")
+
+
+# ---------------------------------------------------------------------------
+# run-path invariants, flagged at the offending line
+# ---------------------------------------------------------------------------
+
+RAW_RNG_HELPER = """
+    import random
+
+    def crunch(payload):
+        rng = random.Random(0)
+        return rng.random()
+"""
+
+
+def test_d102_flags_raw_rng_in_a_run_path_helper(tmp_path):
+    findings = lint_tree(tmp_path, stage_tree(RAW_RNG_HELPER))
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("D102", "pkg/helpers.py", line_of(RAW_RNG_HELPER, "random.Random(0)")),
+    ]
+
+
+def test_e201_flags_a_builtin_raise_under_a_stage_run(tmp_path):
+    helper = """
+        def crunch(payload):
+            if payload is None:
+                raise KeyError("missing payload")
+            return payload
+    """
+    findings = lint_tree(tmp_path, stage_tree(helper))
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("E201", "pkg/helpers.py", line_of(helper, "raise KeyError")),
+    ]
+
+
+def test_e201_flags_a_builtin_raise_under_a_cli_main(tmp_path):
+    cli = """
+        def work():
+            raise ValueError("boom")
+
+        def main(argv=None):
+            work()
+            return 0
+    """
+    findings = lint_tree(tmp_path, {"pkg/cli.py": cli})
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("E201", "pkg/cli.py", line_of(cli, "raise ValueError")),
+    ]
+
+
+def test_t1005_flags_a_write_mode_open_in_a_stage_run_helper(tmp_path):
+    helper = """
+        def crunch(payload):
+            with open("artifact.json", "w") as handle:
+                return handle.write(payload)
+    """
+    findings = lint_tree(tmp_path, stage_tree(helper))
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("T1005", "pkg/helpers.py", line_of(helper, "open(")),
+    ]
+    assert "shard context" in findings[0].message
+
+
+def test_t1005_quiet_on_a_stage_run_write_in_the_sanctioned_io_module(tmp_path):
+    files = stage_tree("""
+        from pkg.io.files import dump
+
+        def crunch(payload):
+            return dump(payload)
+    """)
+    files["pkg/io/files.py"] = """
+        def dump(payload):
+            with open("artifact.json", "w") as handle:
+                return handle.write(payload)
+    """
+    assert lint_tree(tmp_path, files) == []
+
+
+def test_planted_raw_rng_in_panel_run_yields_d102(tmp_path):
+    target = tmp_path / "edited" / "repro"
+    shutil.copytree(default_root(), target)
+    stages = target / "runtime" / "stages.py"
+    source = stages.read_text()
+    anchor = "    lo, hi = payload\n"
+    start = source.index("def panel_run(")
+    planted = source.index(anchor, start) + len(anchor)
+    rogue = "    _rogue = random.Random(0)\n"
+    edited = "import random\n" + source[:planted] + rogue + source[planted:]
+    stages.write_text(edited)
+    findings = run_lint(
+        [target], rules=select_rules(["D102"]), root=target.parent
+    ).findings
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("D102", "repro/runtime/stages.py", line_of(edited, "_rogue = ")),
+    ]

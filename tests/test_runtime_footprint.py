@@ -11,6 +11,7 @@ module keep byte-identical salts and keys.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shutil
@@ -41,12 +42,12 @@ CLASSIFY_DEPENDENTS = {
 #: stages whose closure does not include core/classify.py
 CLASSIFY_INDEPENDENT = {"panel", "sensitive_domains"}
 
-#: lint analyses that are lint-time artifacts only: salting cache keys
-#: needs the program model, never these
+#: lint analyses and scans that are lint-time artifacts only: salting
+#: cache keys needs the program model, never these
 LINT_ONLY_MODULES = (
     "repro.lint.concurrency",
-    "repro.lint.cost",
-    "repro.lint.dataflow",
+    "repro.lint.rules_resources",
+    "repro.lint.rules_seeds",
 )
 
 
@@ -175,6 +176,9 @@ def test_manifest_records_footprints():
 
 
 def test_engine_construction_imports_no_lint_analysis():
+    # A guard over modules that do not exist would pass trivially.
+    for module in LINT_ONLY_MODULES:
+        assert importlib.util.find_spec(module) is not None, module
     # A fresh interpreter, so modules other tests imported cannot mask
     # an import the engine's set-up makes.
     probe = (
