@@ -35,8 +35,9 @@ bench:
 report:
 	$(PYTHON) -m repro --preset medium report
 
-# Tiny end-to-end engine run: cold fill + warm replay of the artifact
-# cache must produce identical headline numbers (see docs/runtime.md).
+# Tiny end-to-end engine run: cold fill, warm replay, and a partly warm
+# run with one stage's artifacts removed must produce identical headline
+# numbers (see docs/runtime.md).
 run-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/run_smoke.py
 

@@ -104,9 +104,6 @@ class ClassificationResult:
             if not stage.is_tracking
         ]
 
-    def stage_of(self, index: int) -> ClassificationStage:
-        return self.stages[index]
-
     def n_tracking(self) -> int:
         return sum(1 for stage in self.stages if stage.is_tracking)
 

@@ -75,13 +75,6 @@ class World:
     isps: List[ISPProfile]
     synthesizers: Dict[str, TrafficSynthesizer]
 
-    def org_seat(self, org_name: str) -> Optional[str]:
-        """Legal-seat country of an organization, if known."""
-        for org in self.organizations:
-            if org.name == org_name:
-                return org.legal_country
-        return None
-
 
 def build_world(config: Optional[WorldConfig] = None) -> World:
     """Construct the full simulated world for ``config`` (deterministic)."""

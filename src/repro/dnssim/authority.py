@@ -291,14 +291,3 @@ class AuthorityDirectory:
 
     def zones(self) -> List[Zone]:
         return [self._zones[apex] for apex in sorted(self._zones)]
-
-    def all_services(self) -> List[FqdnService]:
-        out: List[FqdnService] = []
-        for zone in self.zones():
-            out.extend(zone.services())
-        return out
-
-    def services_under_tld1(self, apex: str) -> List[FqdnService]:
-        """All services in the zone of a registrable domain, if known."""
-        zone = self._zones.get(apex)
-        return zone.services() if zone is not None else []

@@ -81,9 +81,6 @@ class RecursiveResolver:
         # shard's seeded stream through MappingService.
         self._rng = rng or fixed_rng()  # reprolint: disable=S703
 
-    def attach_collector(self, collector: PassiveDNSDatabase) -> None:
-        self._collectors.append(collector)
-
     def resolve(self, fqdn: str, client: ClientSite, at: float) -> DNSAnswer:
         """Resolve ``fqdn`` for ``client`` at simulation time ``at`` (days).
 

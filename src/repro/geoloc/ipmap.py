@@ -150,11 +150,6 @@ class IPmapEngine:
         obs_metrics.inc(obs_names.IPMAP_LOCATE, verdict="accepted")
         return estimate.country
 
-    def bulk_geolocate(
-        self, addresses: Sequence[IPAddress]
-    ) -> Dict[IPAddress, GeolocationEstimate]:
-        return {address: self.geolocate(address) for address in addresses}
-
     # -- campaign internals ----------------------------------------------
     def _run_campaign(self, address: IPAddress) -> GeolocationEstimate:
         target = self._oracle.coordinates(address)

@@ -55,8 +55,3 @@ class GroundTruthOracle:
         """The organization (or cloud provider) owning the covering prefix."""
         record = self._plan.lookup(address)
         return record.owner if record is not None else None
-
-    def network_kind(self, address: IPAddress) -> Optional[str]:
-        """'eyeball', 'hosting' or 'cloud' for the covering prefix."""
-        record = self._plan.lookup(address)
-        return record.kind if record is not None else None

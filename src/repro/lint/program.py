@@ -42,7 +42,17 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.lint.framework import (
     FileContext,
@@ -92,6 +102,23 @@ def node_source(ctx: FileContext, node: ast.AST) -> str:
     lines[-1] = lines[-1][: node.end_col_offset]
     lines[0] = lines[0][col:]
     return "\n".join(lines)
+
+
+#: the qualname a scan reports for code outside every function body
+MODULE_SCOPE = "<module>"
+
+
+def module_level_calls(tree: ast.AST) -> Iterator[ast.Call]:
+    """Every call a module makes outside its function bodies, in source
+    order: what runs at import, class bodies included.  A function's
+    decorators and defaults belong to the function's own scan, as
+    ``ast.walk`` over its node reaches them."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Call):
+            yield child
+        yield from module_level_calls(child)
 
 
 def resolve_relative_import(
@@ -268,7 +295,7 @@ class StageDecl:
     node: ast.Call
     version: str
     version_explicit: bool
-    #: resolved plan/run/merge seeds, keyed by keyword
+    #: resolved plan/run/merge/index seeds, keyed by keyword
     seeds: Dict[str, FunctionRef] = field(default_factory=dict)
     #: keywords whose callable could not be resolved statically
     unresolved: List[Tuple[str, str]] = field(default_factory=list)
@@ -1065,7 +1092,7 @@ class ProgramModel:
             version=version,
             version_explicit=version_explicit,
         )
-        for role in ("plan", "run", "merge"):
+        for role in ("plan", "run", "merge", "index"):
             value = keywords.get(role)
             if value is None:
                 decl.unresolved.append((role, "<missing keyword>"))

@@ -7,11 +7,11 @@ that coverage as the stage's module footprint
 (:meth:`~repro.lint.program.ProgramModel.footprint`); these rules check
 the two ways the coverage can silently go wrong:
 
-* **C401** — a stage's ``plan``/``run``/``merge`` cannot be resolved
-  statically, or its closure reaches a first-party (``repro.*``) module
-  the analyzer cannot index.  Either way the footprint salt does not
-  cover code the stage can execute, and a warm cache may replay stale
-  artifacts after an edit.
+* **C401** — a stage's ``plan``/``run``/``merge``/``index`` cannot be
+  resolved statically, or its closure reaches a first-party
+  (``repro.*``) module the analyzer cannot index.  Either way the
+  footprint salt does not cover code the stage can execute, and a warm
+  cache may replay stale artifacts after an edit.
 * **C402** — a module was *deliberately* excluded from the footprint
   with a ``# reprolint: footprint-exempt`` pragma on its import.  That
   is allowed (e.g. a huge generated module whose digest would churn),
@@ -36,7 +36,8 @@ class SaltFootprintRule(Rule):
     name = "salt-footprint"
     description = (
         "stage code reaches a module the cache salt cannot cover "
-        "(unresolvable plan/run/merge, or an unindexed repro.* import)"
+        "(unresolvable plan/run/merge/index, or an unindexed repro.* "
+        "import)"
     )
 
     def finalize(self, project: ProjectContext) -> Iterable[Finding]:

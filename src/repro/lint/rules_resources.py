@@ -10,13 +10,13 @@ event loop outside the atomic helpers is T1005's; see
 :mod:`repro.lint.rules_concurrency`.)
 
 * **I902** — ``socket`` / ``subprocess`` / ``os.system`` use anywhere
-  in non-test code.
+  in non-test code, module level included.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.framework import (
@@ -26,7 +26,12 @@ from repro.lint.framework import (
     is_test_module,
     register,
 )
-from repro.lint.program import FunctionRef, ProgramModel
+from repro.lint.program import (
+    MODULE_SCOPE,
+    FunctionRef,
+    ProgramModel,
+    module_level_calls,
+)
 
 
 def is_serve_module(module: str) -> bool:
@@ -57,11 +62,18 @@ def process_sites(
     model: ProgramModel,
 ) -> Iterator[Tuple[FunctionRef, str, ast.Call]]:
     """(function, rendered name, call) for every socket/subprocess/shell
-    call inside a function body, in module and qualname order."""
+    call, in module and qualname order; calls outside every function
+    body come last in their module, under :data:`MODULE_SCOPE`."""
     for module_name in sorted(model.modules):
         info = model.modules[module_name]
-        for qualname in sorted(info.functions):
-            for node in ast.walk(info.functions[qualname].node):
+        scopes: List[Tuple[str, Iterable[ast.AST]]] = [
+            (qualname, ast.walk(info.functions[qualname].node))
+            for qualname in sorted(info.functions)
+        ]
+        if info.ctx.tree is not None:
+            scopes.append((MODULE_SCOPE, module_level_calls(info.ctx.tree)))
+        for qualname, nodes in scopes:
+            for node in nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 rendered = _process_call(info.ctx, node)

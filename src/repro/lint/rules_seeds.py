@@ -14,7 +14,8 @@ state across the shard boundary.
 
 * **S702** — the same literal stream name derived at two different call
   sites in the same API family (a double-spent seed);
-* **S703** — ``fixed_rng`` use outside test code;
+* **S703** — ``fixed_rng`` use outside test code, module level
+  included;
 * **S704** — a stage ``run`` returning an RNG or stream object (the
   shard boundary must carry data, not generators).
 """
@@ -27,7 +28,14 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.framework import ProjectContext, Rule, is_test_module, register
-from repro.lint.program import FunctionInfo, FunctionRef, ModuleInfo, ProgramModel
+from repro.lint.program import (
+    MODULE_SCOPE,
+    Callee,
+    FunctionRef,
+    ModuleInfo,
+    ProgramModel,
+    module_level_calls,
+)
 
 #: rng-derivation APIs grouped by the child-seed namespace they draw
 #: from (``spawn("x")`` and ``seeded_rng(seed, "x")`` do *not* collide:
@@ -69,24 +77,38 @@ class RngSite:
 
 
 def rng_sites(model: ProgramModel) -> Dict[FunctionRef, Tuple[RngSite, ...]]:
-    """Every RNG-producing / seed-deriving call site per function."""
+    """Every RNG-producing / seed-deriving call site per function; a
+    module's calls outside every function body sit under
+    ``(module, MODULE_SCOPE)``."""
     sites: Dict[FunctionRef, Tuple[RngSite, ...]] = {}
     for module_name in sorted(model.modules):
         info = model.modules[module_name]
         for qualname in sorted(info.functions):
             ref = (module_name, qualname)
-            sites[ref] = tuple(
-                _scan_rng_sites(model, info, info.functions[qualname], ref)
-            )
+            fn = info.functions[qualname]
+            callee_at = {(c.line, c.col): c.callee for c in fn.calls}
+            sites[ref] = tuple(_scan_rng_sites(
+                model, info, ast.walk(fn.node), callee_at, ref
+            ))
+        if info.ctx.tree is not None:
+            module_sites = tuple(_scan_rng_sites(
+                model, info, module_level_calls(info.ctx.tree), {},
+                (module_name, MODULE_SCOPE),
+            ))
+            if module_sites:
+                sites[(module_name, MODULE_SCOPE)] = module_sites
     return sites
 
 
 def _scan_rng_sites(
-    model: ProgramModel, info: ModuleInfo, fn: FunctionInfo, ref: FunctionRef
+    model: ProgramModel,
+    info: ModuleInfo,
+    nodes: Iterable[ast.AST],
+    callee_at: Dict[Tuple[int, int], Callee],
+    ref: FunctionRef,
 ) -> List[RngSite]:
-    callee_at = {(c.line, c.col): c.callee for c in fn.calls}
     out: List[RngSite] = []
-    for node in ast.walk(fn.node):
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         api = _rng_api(info, node, callee_at)

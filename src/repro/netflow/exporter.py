@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import NetFlowError
 from repro.netbase.addr import IPAddress, Prefix
@@ -84,9 +84,6 @@ class FlowExporter:
             raise NetFlowError("exporter needs an internal-edge interface")
         self._subscriber_space = list(subscriber_space)
         self.sampler = sampler
-
-    def internal_interfaces(self) -> List[RouterInterface]:
-        return list(self._internal)
 
     def pick_interface(self, rng: random.Random) -> RouterInterface:
         return self._internal[rng.randrange(len(self._internal))]

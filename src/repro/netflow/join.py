@@ -134,10 +134,6 @@ class JoinResult:
     #: destination country → matched flow count
     destinations: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_flows(self) -> int:
-        return self.matched_flows + self.unmatched_flows
-
     def web_share(self) -> float:
         return self.web_flows / self.matched_flows if self.matched_flows else 0.0
 

@@ -58,12 +58,3 @@ class FlowRecord:
     def is_encrypted(self) -> bool:
         """Port-443 traffic (TLS, or QUIC over UDP)."""
         return 443 in (self.src_port, self.dst_port)
-
-    @property
-    def external_ip(self) -> IPAddress:
-        """The non-subscriber side, by convention the destination.
-
-        The synthesizer emits user→server flows; the join still checks
-        both sides, as the paper's hashed matcher does.
-        """
-        return self.dst_ip

@@ -69,9 +69,10 @@ RUNTIME_CACHE_CORRUPT = "runtime.cache.corrupt"
 #: timing, never drift
 BENCH_TIME = "bench.time_s"
 
-#: wall time of one reprolint run, folded into the ledger from the
-#: dataflow report (scripts/bench_to_ledger.py --lint-report); labelled
-#: by rule family ("total" for the whole run, "T"/"S"/... per family)
+#: wall time of one reprolint run, labelled by rule family.  Nothing
+#: writes it any more: its only writer, ``bench_to_ledger.py
+#: --lint-report``, left with the lint dataflow engine.  It stays in
+#: the catalog because ledgers written before then carry it
 LINT_TIME = "lint.time_s"
 
 #: HTTP requests served, by route pattern (serve/server.py)

@@ -28,7 +28,7 @@ import fcntl
 import json
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Tuple, Union
 
 from repro.errors import ObservabilityError
 
@@ -129,9 +129,3 @@ def read_jsonl_lines(path: PathLike) -> Iterator[Tuple[int, Dict[str, Any]]]:
                     f"object, got {type(record).__name__}"
                 )
             yield number, record
-
-
-def load_jsonl(path: PathLike) -> List[Dict[str, Any]]:
-    """All records of a JSONL file, in file order (see
-    :func:`read_jsonl_lines` for the error contract)."""
-    return [record for _, record in read_jsonl_lines(path)]

@@ -8,14 +8,16 @@ exploits that structure:
 * :mod:`repro.runtime.graph` — the **stage graph**: the eight pipeline
   stages as declarative nodes with explicit inputs/outputs and a shard
   axis (users, tracker domains, IPs, flows, ISPs);
-* :mod:`repro.runtime.stages` — per-stage plan / run / merge
+* :mod:`repro.runtime.stages` — per-stage plan / run / merge / index
   implementations with per-shard seeded RNG, so every shard is
   independent of every other and of the worker that executes it;
 * :mod:`repro.runtime.executor` — the parallel executor fanning shards
   over ``concurrent.futures`` process workers (or running them inline
   for ``workers=1``), with a deterministic, order-independent merge;
 * :mod:`repro.runtime.cache` — the content-addressed on-disk artifact
-  cache keyed on (config digest, code-version salt, stage, shard);
+  cache keyed on (config digest, code-version salt, stage, shard), plus
+  one index entry per stage, so a warm run decodes only the bodies its
+  caller reads;
 * :mod:`repro.runtime.engine` — the orchestrator tying the four
   together, recording spans/metrics through :mod:`repro.obs` and
   reporting per-stage wall-time / cache-hit counters;
@@ -49,11 +51,7 @@ from repro.runtime.engine import (
 from repro.runtime.facade import RuntimeRun, run_study
 from repro.runtime.graph import ShardAxis, StageGraph, StageSpec, partition
 from repro.runtime.provenance import build_manifest, seed_lineage
-from repro.runtime.stages import (
-    STAGE_GRAPH,
-    STAGE_NAMES,
-    product_record_counts,
-)
+from repro.runtime.stages import STAGE_GRAPH, STAGE_NAMES
 
 __all__ = [
     "ArtifactCache",
@@ -70,7 +68,6 @@ __all__ = [
     "build_manifest",
     "config_digest",
     "partition",
-    "product_record_counts",
     "run_study",
     "seed_lineage",
 ]

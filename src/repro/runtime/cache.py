@@ -2,13 +2,16 @@
 
 Cache keys are ``blake2b(config_digest | effective_salt | stage | shard)``
 where the *effective salt* of a stage folds its own code-version salt
-(source text of its plan/run/merge callables plus a manual version
-string) with the effective salts of all its dependencies.  Editing the
-code of stage N therefore changes the keys of N **and every downstream
-stage**, while leaving upstream artifacts valid — a re-run recomputes
-exactly N and its dependents.
+(source text of its plan/run/merge/index callables plus a manual
+version string) with the effective salts of all its dependencies.
+Editing the code of stage N therefore changes the keys of N **and every
+downstream stage**, while leaving upstream artifacts valid — a re-run
+recomputes exactly N and its dependents.
 
-Artifacts are pickled per shard under ``cache_dir/<stage>/<key>.pkl``.
+Artifacts are pickled per shard under ``cache_dir/<stage>/<key>.pkl``;
+each stage's index entry (its index plus its shards' observability,
+see :mod:`repro.runtime.engine`) under
+``cache_dir/index/<stage>/<key>.pkl``, keyed by the stage's shard keys.
 Writes go through a temp file + ``os.replace`` so a crashed run never
 leaves a truncated artifact behind, and a write that fails (full disk,
 unpicklable artifact) removes its temp file before the error
@@ -33,13 +36,17 @@ import os
 import pickle
 import threading
 from dataclasses import asdict, is_dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
+from repro.runtime.graph import ROLES
 
 _DIGEST_BYTES = 20
+
+#: subdirectory of the cache root that holds the stage index entries
+INDEX_DIR = "index"
 
 
 @contextlib.contextmanager
@@ -101,24 +108,20 @@ def _callable_source(fn: Any) -> str:
 
 
 def stage_code_salt(spec: Any, module_footprint_salt: str = "") -> str:
-    """Salt for one stage's own code: plan/run/merge source + version.
+    """Salt for one stage's own code: plan/run/merge/index source +
+    version.
 
     ``module_footprint_salt`` folds in the digest of every module the
     stage's code can transitively reach (see
     :mod:`repro.runtime.footprint`): editing a helper in e.g.
     ``core/classify.py`` then changes the salt even though the stage's
-    own plan/run/merge source is untouched — the stale-cache hazard the
-    C401 lint rule guards statically is thereby closed at runtime too.
-    An empty footprint salt reproduces the PR-3 salt exactly, so
-    footprint-less callers (unit tests over synthetic specs) stay
-    valid.
+    own source is untouched — the stale-cache hazard the C401 lint rule
+    guards statically is thereby closed at runtime too.  An empty
+    footprint salt folds nothing, so footprint-less callers (unit tests
+    over synthetic specs) salt their own source alone.
     """
-    parts = [
-        spec.name,
-        spec.version,
-        _callable_source(spec.plan),
-        _callable_source(spec.run),
-        _callable_source(spec.merge),
+    parts = [spec.name, spec.version] + [
+        _callable_source(getattr(spec, role)) for role in ROLES
     ]
     if module_footprint_salt:
         parts.append(module_footprint_salt)
@@ -167,17 +170,41 @@ class ArtifactCache:
     def key(self, config_dig: str, salt: str, stage: str, shard_key: str) -> str:
         return _blake(config_dig, salt, stage, shard_key)
 
-    def _path(self, stage: str, key: str) -> str:
+    def index_key(
+        self, config_dig: str, salt: str, stage: str, shard_keys: Sequence[str]
+    ) -> str:
+        """The key of a stage's index entry: its shard cache keys in
+        plan order (plus the identity a zero-shard stage still has)."""
+        return _blake(config_dig, salt, stage, INDEX_DIR, *shard_keys)
+
+    def _path(self, stage: str, key: str, index: bool = False) -> str:
         # One directory per stage keeps listings small and makes
         # `du -sh cache/<stage>` a useful profiling tool.
-        return os.path.join(str(self._root), stage, f"{key}.pkl")
+        parts = (INDEX_DIR, stage) if index else (stage,)
+        return os.path.join(str(self._root), *parts, f"{key}.pkl")
 
-    def load(self, stage: str, key: str) -> Tuple[bool, Any]:
-        """Return ``(hit, artifact)``; corrupt artifacts count as misses."""
+    def exists(self, stage: str, key: str) -> bool:
+        """Whether a shard artifact is on disk (a ``stat``, no decode)."""
+        if self._root is None:
+            return False
+        try:
+            os.stat(self._path(stage, key))
+        except FileNotFoundError:
+            return False
+        return True
+
+    def load(
+        self, stage: str, key: str, index: bool = False
+    ) -> Tuple[bool, Any]:
+        """Return ``(hit, artifact)``; corrupt artifacts count as misses.
+
+        ``index`` selects the stage's index entries instead of its
+        shard artifacts.
+        """
         if self._root is None:
             self.misses += 1
             return False, None
-        path = self._path(stage, key)
+        path = self._path(stage, key, index)
         try:
             fh = open(path, "rb")
         except FileNotFoundError:
@@ -201,10 +228,12 @@ class ArtifactCache:
         self.hits += 1
         return True, artifact
 
-    def store(self, stage: str, key: str, artifact: Any) -> None:
+    def store(
+        self, stage: str, key: str, artifact: Any, index: bool = False
+    ) -> None:
         if self._root is None:
             return
-        path = self._path(stage, key)
+        path = self._path(stage, key, index)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         # The temp name must be unique per *writer*, not just per
         # process: the serve job pool runs concurrent engine runs on

@@ -3,17 +3,29 @@
 For every stage in topological order the engine
 
 1. asks the stage to **plan** its shard list (a pure function of the
-   world and upstream products),
-2. probes the **artifact cache** for each shard's content key,
+   world and upstream indexes),
+2. probes the **artifact cache**: first the stage's index entry, then
+   each shard's content key,
 3. fans the missing shards out through the :class:`ShardExecutor`,
 4. persists fresh shard products, and
-5. **merges** hits and fresh results in canonical shard order.
+5. **merges** hits and fresh results in canonical shard order into the
+   stage's *body*, and summarizes the body into its *index*.
 
-A warm re-run therefore executes zero shard work — every shard is a
-cache hit and only the (cheap) merges replay — and editing one stage's
-code invalidates exactly that stage and its dependents, because cache
-keys fold the dependency chain's code salts (see
-:mod:`repro.runtime.cache`).
+Index and body
+--------------
+
+Each stage's index (:attr:`StageSpec.index`) is stored in one cache
+entry with its shards' metrics snapshots and span rows, keyed by the
+stage's shard keys in plan order.  A stage whose index entry is present
+and whose shard files all exist (a ``stat``, no decode) is a hit on
+every shard: the engine replays its observability from the entry and
+leaves its body **lazy**.  :attr:`RunResult.products` decodes a lazy
+body — shard artifacts, then ``merge`` — on first access and keeps it;
+a shard found missing or corrupt then is recomputed and stored again.
+A fully warm run therefore decodes only the bodies its caller reads,
+and editing one stage's code invalidates exactly that stage and its
+dependents, because cache keys fold the dependency chain's code salts
+(see :mod:`repro.runtime.cache`).
 
 Observability rides along without touching determinism:
 
@@ -40,9 +52,20 @@ Observability rides along without touching determinism:
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.config import WorldConfig
 from repro.datasets.builder import World, cached_build_world
@@ -51,12 +74,12 @@ from repro.obs.ledger import append_record, ledger_path
 from repro.obs.manifest import write_manifest
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.trace import NULL_TRACER, Tracer, tracing
-from repro.runtime.cache import ArtifactCache, config_digest, effective_salts
+from repro.runtime.cache import ArtifactCache, config_digest
 from repro.runtime.executor import ShardExecutor
-from repro.runtime.footprint import footprint_salts, stage_footprints
-from repro.runtime.graph import StageGraph
+from repro.runtime.footprint import stage_salts
+from repro.runtime.graph import StageGraph, StageSpec
 from repro.runtime.provenance import build_ledger_record, build_manifest
-from repro.runtime.stages import STAGE_GRAPH, product_record_counts
+from repro.runtime.stages import STAGE_GRAPH
 
 #: filename of the per-run provenance manifest inside the cache dir
 MANIFEST_FILENAME = "manifest.json"
@@ -98,6 +121,57 @@ def _unwrap_envelope(
     return obj, {}, []
 
 
+class StageProducts(Mapping[str, Any]):
+    """Stage bodies by stage name, in run order.
+
+    A body is held, or *deferred* behind a loader that decodes it on
+    first access (a stage replayed from its index entry).  Membership,
+    iteration and length never decode; a lookup decodes once and keeps
+    the body, so a second access returns the same object.  The lock
+    lets serve threads read one run's products safely; it is
+    re-entrant because one body's loader may read another's.
+    """
+
+    def __init__(self) -> None:
+        self._bodies: Dict[str, Any] = {}
+        self._loaders: Dict[str, Callable[[], Any]] = {}
+        self._order: List[str] = []
+        self._lock = threading.RLock()
+
+    def put(self, name: str, body: Any) -> None:
+        self._enter(name)
+        self._bodies[name] = body
+
+    def defer(self, name: str, loader: Callable[[], Any]) -> None:
+        self._enter(name)
+        self._loaders[name] = loader
+
+    def _enter(self, name: str) -> None:
+        if name not in self:
+            self._order.append(name)
+
+    def __getitem__(self, name: str) -> Any:
+        # A held body is read without the lock, so a forked worker never
+        # touches a lock its parent may have held while forking.
+        if name in self._bodies:
+            return self._bodies[name]
+        with self._lock:
+            if name not in self._bodies:
+                # KeyError for a stage this run did not reach
+                self._bodies[name] = self._loaders[name]()
+                del self._loaders[name]
+            return self._bodies[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._bodies or name in self._loaders
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+
 @dataclass
 class StageMetrics:
     """Wall-time, cache behaviour and record flow of one stage in one run."""
@@ -126,7 +200,10 @@ class RunResult:
 
     config: WorldConfig
     workers: int
-    products: Dict[str, Any]
+    #: stage bodies; a replayed stage's body decodes on first access
+    products: StageProducts = field(default_factory=StageProducts)
+    #: stage indexes (:attr:`StageSpec.index`), always in memory
+    indexes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     metrics: Dict[str, StageMetrics] = field(default_factory=dict)
     world_build_s: float = 0.0
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -230,13 +307,10 @@ class ExecutionEngine:
         # Module footprints close the stale-cache hazard: a stage's salt
         # folds the digest of every module its code can transitively
         # reach, so editing a helper (core/classify.py, ...) invalidates
-        # exactly the stages that can execute it.  The underlying
-        # program model is memoized per process; stages whose callables
-        # the model cannot see (ad-hoc test graphs) fold no footprint.
-        self._footprints = stage_footprints(self.graph)
-        self._salts = effective_salts(
-            self.graph, footprint_salts(self._footprints)
-        )
+        # exactly the stages that can execute it.  Salts and the program
+        # model are memoized per process; stages whose callables the
+        # model cannot see (ad-hoc test graphs) fold no footprint.
+        self._footprints, self._salts = stage_salts(self.graph)
 
     @property
     def workers(self) -> int:
@@ -262,7 +336,6 @@ class ExecutionEngine:
         result = RunResult(
             config=config,
             workers=self.workers,
-            products={},
             registry=registry,
             tracer=tracer,
         )
@@ -286,8 +359,7 @@ class ExecutionEngine:
                 with collecting(registry):
                     for name in self.graph.topological_order(targets):
                         result.metrics[name] = self._run_stage(
-                            name, world, digest, result.products, tracer,
-                            registry,
+                            name, world, digest, result, tracer
                         )
         result.manifest = build_manifest(
             result, digest, self._salts, self._footprints
@@ -314,49 +386,59 @@ class ExecutionEngine:
         name: str,
         world: World,
         digest: str,
-        products: Dict[str, Any],
+        result: RunResult,
         tracer: Tracer,
-        registry: MetricsRegistry,
     ) -> StageMetrics:
         spec = self.graph[name]
+        products, indexes, registry = (
+            result.products, result.indexes, result.registry,
+        )
         metrics = StageMetrics(name=name)
         metrics.records_in = {
-            dep: product_record_counts(dep, products[dep])
-            for dep in spec.inputs
+            dep: dict(indexes[dep]["records"]) for dep in spec.inputs
         }
         start = time.perf_counter()
         cpu_start = time.process_time()
         with tracer.span(f"stage:{name}") as stage_span:
             with tracer.span(obs_names.SPAN_PLAN, stage=name):
-                shards = spec.plan(world, products)
+                shards = spec.plan(world, indexes)
             metrics.n_shards = len(shards)
             metrics.shard_keys = [shard_key for shard_key, _ in shards]
 
+            salt = self._salts[name]
             keys: Dict[str, str] = {
-                shard_key: self.cache.key(
-                    digest, self._salts[name], name, shard_key
-                )
+                shard_key: self.cache.key(digest, salt, name, shard_key)
                 for shard_key, _ in shards
             }
+            index_key = self.cache.index_key(
+                digest, salt, name, [keys[key] for key, _ in shards]
+            )
             # Shard-local observability, keyed by shard — replayed from
-            # the cache envelope on hits, fresh from the executor on
-            # misses, folded below in canonical plan order.
+            # the index entry or the cache envelopes on hits, fresh from
+            # the executor on misses, folded below in canonical plan
+            # order.
             snapshots: Dict[str, Dict[str, Any]] = {}
             span_rows: Dict[str, List[Dict[str, Any]]] = {}
             cached: Dict[str, Any] = {}
             pending: List[Tuple[str, Any]] = []
             with tracer.span(obs_names.SPAN_CACHE_PROBE, stage=name):
-                for shard_key, payload in shards:
-                    hit, obj = self.cache.load(name, keys[shard_key])
-                    if hit:
-                        artifact, snapshot, rows = _unwrap_envelope(obj)
-                        cached[shard_key] = artifact
-                        snapshots[shard_key] = snapshot
-                        span_rows[shard_key] = rows
-                        metrics.cache_hits += 1
-                    else:
-                        pending.append((shard_key, payload))
-                        metrics.cache_misses += 1
+                entry = self._index_entry(name, index_key, keys)
+                if entry is not None:
+                    snapshots.update(entry["metrics"])
+                    span_rows.update(entry["spans"])
+                    metrics.cache_hits = len(shards)
+                else:
+                    for shard_key, payload in shards:
+                        hit, obj = self.cache.load(name, keys[shard_key])
+                        if hit:
+                            artifact, snapshot, rows = _unwrap_envelope(obj)
+                            cached[shard_key] = artifact
+                            snapshots[shard_key] = snapshot
+                            span_rows[shard_key] = rows
+                            metrics.cache_hits += 1
+                        else:
+                            pending.append((shard_key, payload))
+                            metrics.cache_misses += 1
 
             with tracer.span(
                 obs_names.SPAN_EXECUTE, stage=name, shards=len(pending)
@@ -414,19 +496,38 @@ class ExecutionEngine:
                 for key in (snapshot or {})
             })
 
-            # Merge in canonical plan order, mixing hits and fresh results.
-            ordered: List[Tuple[str, Any]] = [
-                (
-                    shard_key,
-                    cached[shard_key]
-                    if shard_key in cached
-                    else fresh[shard_key],
+            if entry is not None:
+                indexes[name] = entry["index"]
+                products.defer(name, lambda: self._load_body(
+                    spec, world, products, shards, keys, registry
+                ))
+            else:
+                # Merge in canonical plan order, mixing hits and fresh
+                # results.
+                ordered: List[Tuple[str, Any]] = [
+                    (
+                        shard_key,
+                        cached[shard_key]
+                        if shard_key in cached
+                        else fresh[shard_key],
+                    )
+                    for shard_key, _ in shards
+                ]
+                with tracer.span(obs_names.SPAN_MERGE, stage=name):
+                    body = spec.merge(world, products, ordered)
+                    indexes[name] = spec.index(body)
+                products.put(name, body)
+                self.cache.store(
+                    name,
+                    index_key,
+                    {
+                        "index": indexes[name],
+                        "metrics": snapshots,
+                        "spans": span_rows,
+                    },
+                    index=True,
                 )
-                for shard_key, _ in shards
-            ]
-            with tracer.span(obs_names.SPAN_MERGE, stage=name):
-                products[name] = spec.merge(world, products, ordered)
-            metrics.records_out = product_record_counts(name, products[name])
+            metrics.records_out = dict(indexes[name]["records"])
             stage_span.attrs.update(
                 shards=metrics.n_shards,
                 hits=metrics.cache_hits,
@@ -439,3 +540,55 @@ class ExecutionEngine:
         # cost on the inline workers=1 path.
         metrics.cpu_s = time.process_time() - cpu_start
         return metrics
+
+    def _index_entry(
+        self, name: str, index_key: str, keys: Mapping[str, str]
+    ) -> Optional[Dict[str, Any]]:
+        """The stage's index entry when the whole stage can replay from
+        it: the entry decodes and every shard file exists."""
+        if not self.cache.enabled or not all(
+            self.cache.exists(name, key) for key in keys.values()
+        ):
+            return None
+        hit, entry = self.cache.load(name, index_key, index=True)
+        return entry if hit else None
+
+    def _load_body(
+        self,
+        spec: StageSpec,
+        world: World,
+        products: StageProducts,
+        shards: List[Tuple[str, Any]],
+        keys: Mapping[str, str],
+        registry: MetricsRegistry,
+    ) -> Any:
+        """Decode a replayed stage's body: its shard artifacts, merged.
+
+        A shard that went missing or corrupt since the probe is executed
+        again and stored.  The run registry collects the cache's corrupt
+        counter; the replayed snapshots already hold the shards' own
+        metrics, so a recomputed shard's snapshot is not folded twice.
+        """
+        artifacts: Dict[str, Any] = {}
+        pending: List[Tuple[str, Any]] = []
+        with collecting(registry):
+            for shard_key, payload in shards:
+                hit, obj = self.cache.load(spec.name, keys[shard_key])
+                if hit:
+                    artifacts[shard_key] = _unwrap_envelope(obj)[0]
+                else:
+                    pending.append((shard_key, payload))
+            for shard_key, (artifact, snapshot, rows) in self.executor.execute(
+                spec, world, products, pending
+            ):
+                artifacts[shard_key] = artifact
+                self.cache.store(
+                    spec.name,
+                    keys[shard_key],
+                    _wrap_envelope(artifact, snapshot, rows),
+                )
+            return spec.merge(
+                world,
+                products,
+                [(shard_key, artifacts[shard_key]) for shard_key, _ in shards],
+            )

@@ -7,9 +7,11 @@ merge is independent of completion order and of the worker count.
 Two dispatch paths:
 
 * **fork** (Linux default): the pool is created per stage, after the
-  parent has built the world and the upstream products — workers inherit
-  them and the stage spec copy-on-write, and the submitted task carries
-  only the shard key and payload.
+  parent has built the world and materialized the stage's input bodies
+  (a body replayed from the cache decodes lazily, and it must decode
+  once, in the parent, not once per child) — workers inherit them and
+  the stage spec copy-on-write, and the submitted task carries only the
+  shard key and payload.
 * **spawn/forkserver** (portability fallback): tasks ship the config and
   the stage's input products; workers rebuild the world once per process
   via :func:`repro.datasets.builder.cached_build_world`.
@@ -158,6 +160,10 @@ class ShardExecutor:
         global _FORK_CONTEXT
         use_fork = multiprocessing.get_start_method() == "fork"
         max_workers = min(self.workers, len(shards))
+        # Materializes every input body in the parent, outside the fork
+        # lock: a lazy body's decode may itself recompute a lost shard
+        # through an executor, and forked children then inherit the
+        # decoded body instead of each decoding its own.
         inputs: Dict[str, Any] = {
             name: products[name] for name in spec.inputs
         }

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import WorldConfig
-from repro.core.classify import ClassificationResult, StageStats
+from repro.core.classify import ClassificationResult
 from repro.core.geolocate import GeolocationSuite
 from repro.core.localization import LocalizationScenario, ScenarioOutcome
 from repro.core.pipeline import Study
@@ -29,7 +29,7 @@ from repro.errors import ExecutionError
 from repro.geodata.regions import Region
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import CallbackTracer, Span, Tracer
-from repro.runtime.engine import ExecutionEngine, RunResult
+from repro.runtime.engine import ExecutionEngine, RunResult, StageProducts
 from repro.runtime.stages import GeoTableLocator
 from repro.web.browser import VisitLog
 
@@ -70,16 +70,6 @@ def run_study(
     return RuntimeRun(result=result)
 
 
-def _stats_counts(stats: StageStats) -> Dict[str, int]:
-    """Collapse a :class:`StageStats` into its four headline counts."""
-    return {
-        "fqdns": len(stats.fqdns),
-        "tlds": len(stats.tlds),
-        "unique_urls": len(stats.unique_urls),
-        "total_requests": stats.total_requests,
-    }
-
-
 @dataclass
 class RuntimeRun:
     """One engine run's products with paper-facing accessors."""
@@ -93,18 +83,22 @@ class RuntimeRun:
         return self.result.config
 
     @property
-    def products(self) -> Dict[str, Any]:
-        """Merged stage products, keyed by stage name."""
+    def products(self) -> StageProducts:
+        """Merged stage products (bodies), keyed by stage name; a body
+        replayed from the cache decodes on first access."""
         return self.result.products
 
     def _product(self, stage: str) -> Any:
         """One stage's merged product, or raise if it was not run."""
+        self._require(stage)
+        return self.products[stage]
+
+    def _require(self, stage: str) -> None:
         if stage not in self.products:
             raise ExecutionError(
                 f"stage {stage!r} was not part of this run; "
                 f"available: {sorted(self.products)}"
             )
-        return self.products[stage]
 
     # -- headline accessors (engine products, no Study needed) ----------
     def classification(self) -> ClassificationResult:
@@ -115,13 +109,11 @@ class RuntimeRun:
         )
 
     def table2_counts(self) -> Dict[str, Dict[str, int]]:
-        """Table 2's classification aggregates as plain counts."""
-        by_list, semi, total = self.classification().table2_stats()
-        return {
-            "list": _stats_counts(by_list),
-            "semi_automatic": _stats_counts(semi),
-            "total": _stats_counts(total),
-        }
+        """Table 2's classification aggregates as plain counts, read
+        from the classification index (no body decodes)."""
+        self._require("classification")
+        table2 = self.result.indexes["classification"]["table2"]
+        return {row: dict(counts) for row, counts in table2.items()}
 
     def eu28_destination_regions(
         self, tool: str = "RIPE IPmap"

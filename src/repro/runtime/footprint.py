@@ -1,8 +1,8 @@
 """Module-footprint salts: the lint analyzer's view, folded into cache keys.
 
 :func:`repro.runtime.cache.stage_code_salt` hashes a stage's own
-plan/run/merge source — but those callables reach helpers across the
-tree (``core/classify.py``, ``geoloc/ipmap.py``, …), and editing a
+plan/run/merge/index source — but those callables reach helpers across
+the tree (``core/classify.py``, ``geoloc/ipmap.py``, …), and editing a
 helper must invalidate the cached artifacts of exactly the stages that
 can execute it.  This module computes that *footprint* from the same
 :class:`~repro.lint.program.ProgramModel` the C4xx lint rules use, so
@@ -17,21 +17,40 @@ simply get no footprint, which folds as the empty salt and reproduces
 the pre-footprint cache keys.  Only the program model is built here:
 the lint rules and the concurrency analysis that sit on top of it are
 lint artifacts and stay off the run path.
+
+The salts themselves are memoized per process too (:func:`stage_salts`):
+an engine built over a graph this process has salted before reads no
+source at all.  That also keeps the two halves of a salt in step in a
+long-lived process — the footprint half is frozen with the memoized
+model, and the source half would otherwise follow edits made on disk
+to code the process is not running.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Dict, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.lint.program import Footprint, ProgramModel
+from repro.runtime.cache import effective_salts
+from repro.runtime.graph import ROLES
 
 #: process-wide model memo, keyed by resolved source root; engines run
 #: on serve worker threads as well as the main thread, so the memo is
 #: guarded by a lock
 _MODELS: Dict[str, ProgramModel] = {}
 _MODELS_LOCK = threading.Lock()
+
+#: footprints and effective salts of one graph, read-only
+Salts = Tuple[Mapping[str, Footprint], Mapping[str, str]]
+
+#: process-wide salts memo: (model root, per-stage identity) -> salts.
+#: A stage's identity is its name, version, inputs and role callables;
+#: functions hash by identity, so a swapped callable or an ad-hoc test
+#: graph gets its own entry.
+_SALTS: Dict[Tuple[Any, ...], Salts] = {}
 
 
 def default_root() -> Path:
@@ -60,14 +79,14 @@ def stage_footprints(
     (``__module__``/``__qualname__``), not from static stage discovery,
     so any graph whose callables live inside the analyzed root gets a
     footprint — including test graphs assembled ad hoc.  A stage is
-    footprinted only when *all three* callables resolve into the model;
+    footprinted only when *all four* callables resolve into the model;
     a partial footprint would claim coverage it does not have.
     """
     model = program_model(root)
     footprints: Dict[str, Footprint] = {}
     for spec in graph.stages:
         seeds = []
-        for fn in (spec.plan, spec.run, spec.merge):
+        for fn in (getattr(spec, role) for role in ROLES):
             module = getattr(fn, "__module__", None)
             qualname = getattr(fn, "__qualname__", None)
             if (
@@ -88,3 +107,30 @@ def stage_footprints(
 def footprint_salts(footprints: Dict[str, Footprint]) -> Dict[str, str]:
     """Just the salt strings, shaped for :func:`effective_salts`."""
     return {name: fp.salt for name, fp in footprints.items()}
+
+
+def stage_salts(graph: Any, root: Optional[Path] = None) -> Salts:
+    """``(footprints, effective salts)`` of a graph, once per process.
+
+    Every engine over the same graph shares them, so both are
+    read-only views.
+    """
+    resolved = (root or default_root()).resolve()
+    key = (str(resolved),) + tuple(
+        (spec.name, spec.version, spec.inputs)
+        + tuple(getattr(spec, role) for role in ROLES)
+        for spec in graph.stages
+    )
+    with _MODELS_LOCK:
+        memo = _SALTS.get(key)
+    if memo is None:
+        footprints = stage_footprints(graph, resolved)
+        memo = (
+            MappingProxyType(footprints),
+            MappingProxyType(
+                effective_salts(graph, footprint_salts(footprints))
+            ),
+        )
+        with _MODELS_LOCK:
+            memo = _SALTS.setdefault(key, memo)
+    return memo

@@ -6,19 +6,20 @@ shards.  A :class:`StageGraph` is a validated collection of specs with
 a deterministic topological order.
 
 The graph is *declarative*: specs carry callables (``plan``, ``run``,
-``merge``) but the graph itself never executes anything.  Execution
-belongs to :mod:`repro.runtime.executor` and orchestration to
+``merge``, ``index``) but the graph itself never executes anything.
+Execution belongs to :mod:`repro.runtime.executor` and orchestration to
 :mod:`repro.runtime.engine`.
 
 Sharding contract
 -----------------
 
-``plan(world, products) -> [(shard_key, payload), ...]`` returns the
+``plan(world, indexes) -> [(shard_key, payload), ...]`` returns the
 shard list in canonical order.  The partition must be a pure function
-of the world and of upstream products — never of the worker count —
-so that a run with one worker and a run with eight produce identical
-shard sets, identical per-shard RNG derivations, and therefore
-identical merged results.
+of the world and of upstream *indexes* — never of the worker count, and
+never of an upstream body — so that a run with one worker and a run
+with eight produce identical shard sets, identical per-shard RNG
+derivations, and therefore identical merged results, and so that a
+warm run can plan without decoding upstream bodies.
 
 ``run(world, products, shard_key, payload) -> shard_product`` executes
 one shard.  It must treat the world as **read-only**: no drawing from
@@ -26,7 +27,14 @@ shared world RNG streams, no observing into ``world.pdns``.  Any
 randomness comes from streams derived from the shard key.
 
 ``merge(world, products, [(shard_key, shard_product), ...]) -> product``
-folds shard products *in canonical shard order* into the stage product.
+folds shard products *in canonical shard order* into the stage product,
+the stage's *body*.
+
+``index(product) -> {"records": {name: count}, ...}`` is a small, pure
+summary of the body: its record counts (the manifest's
+``records_in``/``records_out``) plus whatever downstream plans and the
+headline accessors read.  The engine caches it apart from the body, so
+a fully warm stage never decodes a body nobody asks for.
 """
 
 from dataclasses import dataclass, field
@@ -38,6 +46,10 @@ from repro.errors import ValidationError
 PlanFn = Callable[[Any, Mapping[str, Any]], List[Tuple[str, Any]]]
 RunFn = Callable[[Any, Mapping[str, Any], str, Any], Any]
 MergeFn = Callable[[Any, Mapping[str, Any], List[Tuple[str, Any]]], Any]
+IndexFn = Callable[[Any], Dict[str, Any]]
+
+#: a stage's callables, in the order its cache salt folds their source
+ROLES = ("plan", "run", "merge", "index")
 
 
 class ShardAxis(Enum):
@@ -55,11 +67,12 @@ class ShardAxis(Enum):
 class StageSpec:
     """One pipeline stage as a declarative node.
 
-    ``inputs`` names upstream stages whose products this stage reads;
-    ``outputs`` documents the keys of the product mapping the stage
-    emits.  ``version`` is a manual salt folded into the cache key so
-    that semantic changes invisible to ``inspect.getsource`` (e.g. a
-    data file) can still invalidate cached artifacts.
+    ``inputs`` names upstream stages whose indexes this stage plans
+    from and whose bodies its shards and merge read; ``outputs``
+    documents the keys of the body the stage emits.  ``version`` is a
+    manual salt folded into the cache key so that semantic changes
+    invisible to ``inspect.getsource`` (e.g. a data file) can still
+    invalidate cached artifacts.
     """
 
     name: str
@@ -69,6 +82,7 @@ class StageSpec:
     plan: PlanFn
     run: RunFn
     merge: MergeFn
+    index: IndexFn
     version: str = "1"
 
 

@@ -42,7 +42,7 @@ def seed_lineage(seed: int, shard_keys: List[str]) -> Dict[str, Any]:
 def build_manifest(
     result: Any,
     digest: str,
-    salts: Dict[str, str],
+    salts: Mapping[str, str],
     footprints: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble a v1 manifest from a finished :class:`RunResult`.
@@ -104,7 +104,7 @@ def build_manifest(
 def build_ledger_record(
     result: Any,
     digest: str,
-    salts: Dict[str, str],
+    salts: Mapping[str, str],
     footprints: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble a run-kind ledger record from a finished run.

@@ -1,8 +1,8 @@
 """The pipeline's stages as runtime graph nodes.
 
-Each stage gets three module-level functions — ``plan`` / ``run`` /
-``merge`` — registered into :data:`STAGE_GRAPH`.  Shard axes follow the
-natural unit of independence in the paper's pipeline:
+Each stage gets four module-level functions — ``plan`` / ``run`` /
+``merge`` / ``index`` — registered into :data:`STAGE_GRAPH`.  Shard axes
+follow the natural unit of independence in the paper's pipeline:
 
 ========================  =================  =================================
 stage                     axis               shard product
@@ -26,6 +26,11 @@ writing into shard-local passive-DNS collectors, and the active
 geolocation engine runs with a per-address campaign seed.  That is what
 makes shard products — and therefore the merged stage products —
 independent of worker count and of execution order.
+
+Every ``plan`` reads upstream *indexes* only (record counts, the
+tracking-flow count, the sorted tracking FQDNs), never an upstream
+body, so a warm run plans every stage without decoding the panel's
+requests.  The classification index also carries Table 2's counts.
 """
 
 from __future__ import annotations
@@ -34,8 +39,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.config import SNAPSHOT_DAYS
 from repro.core.classify import (
+    ClassificationResult,
     ClassificationStage,
     RequestClassifier,
+    StageStats,
 )
 from repro.core.confinement import ConfinementAnalyzer
 from repro.core.ispscale import ISPScaleStudy
@@ -134,11 +141,16 @@ def _user_block(world: World, payload: Tuple[int, int]) -> List[int]:
     return [user.user_id for user in world.users[lo:hi]]
 
 
+def _records_index(**records: int) -> Dict[str, Any]:
+    """An index that holds record counts and nothing else."""
+    return {"records": records}
+
+
 # ---------------------------------------------------------------------------
 # stage 1: panel
 # ---------------------------------------------------------------------------
 
-def panel_plan(world: World, products: Mapping[str, Any]) -> List[Tuple[str, Any]]:
+def panel_plan(world: World, indexes: Mapping[str, Any]) -> List[Tuple[str, Any]]:
     return [
         (f"users[{lo}:{hi}]", (lo, hi))
         for lo, hi in partition(world.users, DEFAULT_SHARDS)
@@ -192,12 +204,20 @@ def panel_merge(
     return {"visits": visits, "requests": requests, "pdns_pairs": pairs}
 
 
+def panel_index(product: Any) -> Dict[str, Any]:
+    return _records_index(
+        visits=len(product["visits"]),
+        requests=len(product["requests"]),
+        pdns_pairs=len(product["pdns_pairs"]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # stage 2: classification
 # ---------------------------------------------------------------------------
 
 def classification_plan(
-    world: World, products: Mapping[str, Any]
+    world: World, indexes: Mapping[str, Any]
 ) -> List[Tuple[str, Any]]:
     # Same user partition as the panel: referrer chains never span users
     # (URLs carry per-user tokens), so the closure is complete per shard.
@@ -245,14 +265,51 @@ def classification_merge(
     return {"stages": stages, "tracking": tracking}
 
 
+def _stats_counts(stats: StageStats) -> Dict[str, int]:
+    """Collapse a :class:`StageStats` into its four headline counts."""
+    return {
+        "fqdns": len(stats.fqdns),
+        "tlds": len(stats.tlds),
+        "unique_urls": len(stats.unique_urls),
+        "total_requests": stats.total_requests,
+    }
+
+
+def classification_index(product: Any) -> Dict[str, Any]:
+    """Record counts, Table 2's counts, and what the flow-axis and
+    inventory plans partition: the tracking-flow count and the sorted
+    tracking FQDNs.
+
+    Table 2 reads only tracking flows (its list and semi-automatic
+    rows partition them), so the tracking list and its labels, both in
+    panel order, give the same rows as the whole request log, and the
+    total row's FQDNs are every tracking FQDN.
+    """
+    tracking = product["tracking"]
+    by_list, semi, total = ClassificationResult(
+        requests=tracking,
+        stages=[stage for stage in product["stages"] if stage.is_tracking],
+    ).table2_stats()
+    return {
+        "records": {"stages": len(product["stages"])},
+        "table2": {
+            "list": _stats_counts(by_list),
+            "semi_automatic": _stats_counts(semi),
+            "total": _stats_counts(total),
+        },
+        "tracking_flows": len(tracking),
+        "tracking_fqdns": sorted(total.fqdns),
+    }
+
+
 # ---------------------------------------------------------------------------
 # stage 3: tracker-IP inventory
 # ---------------------------------------------------------------------------
 
 def inventory_plan(
-    world: World, products: Mapping[str, Any]
+    world: World, indexes: Mapping[str, Any]
 ) -> List[Tuple[str, Any]]:
-    fqdns = sorted({r.fqdn for r in _tracking_requests(products)})
+    fqdns = indexes["classification"]["tracking_fqdns"]
     return [
         (f"fqdns[{lo}:{hi}]", tuple(fqdns[lo:hi]))
         for lo, hi in partition(fqdns, DEFAULT_SHARDS)
@@ -292,14 +349,18 @@ def inventory_merge(
     return merged
 
 
+def inventory_index(product: Any) -> Dict[str, Any]:
+    return _records_index(tracker_ips=len(product))
+
+
 # ---------------------------------------------------------------------------
 # stage 4: geolocation
 # ---------------------------------------------------------------------------
 
 def geolocation_plan(
-    world: World, products: Mapping[str, Any]
+    world: World, indexes: Mapping[str, Any]
 ) -> List[Tuple[str, Any]]:
-    addresses = products["inventory"].addresses()
+    addresses = range(indexes["inventory"]["records"]["tracker_ips"])
     return [
         (f"ips[{lo}:{hi}]", (lo, hi))
         for lo, hi in partition(addresses, DEFAULT_SHARDS)
@@ -334,12 +395,16 @@ def geolocation_merge(
     return {"table": table, "agreement": agreement}
 
 
+def geolocation_index(product: Any) -> Dict[str, Any]:
+    return _records_index(addresses=len(product["table"]))
+
+
 # ---------------------------------------------------------------------------
 # stages 5-6: confinement / localization (flow axes)
 # ---------------------------------------------------------------------------
 
-def _flow_plan(world: World, products: Mapping[str, Any]) -> List[Tuple[str, Any]]:
-    flows = _tracking_requests(products)
+def _flow_plan(world: World, indexes: Mapping[str, Any]) -> List[Tuple[str, Any]]:
+    flows = range(indexes["classification"]["tracking_flows"])
     return [
         (f"flows[{lo}:{hi}]", (lo, hi))
         for lo, hi in partition(flows, DEFAULT_SHARDS)
@@ -347,9 +412,9 @@ def _flow_plan(world: World, products: Mapping[str, Any]) -> List[Tuple[str, Any
 
 
 def confinement_plan(
-    world: World, products: Mapping[str, Any]
+    world: World, indexes: Mapping[str, Any]
 ) -> List[Tuple[str, Any]]:
-    return _flow_plan(world, products)
+    return _flow_plan(world, indexes)
 
 
 def confinement_run(
@@ -394,6 +459,13 @@ def confinement_merge(
     return {"eu28": eu28, "regions": regions, "countries": countries}
 
 
+def confinement_index(product: Any) -> Dict[str, Any]:
+    return _records_index(
+        region_flows=int(product["regions"].total),
+        eu28_country_flows=int(product["countries"].total),
+    )
+
+
 #: Table 5 scenario order plus the extreme migration case
 _SCENARIOS = (
     LocalizationScenario.DEFAULT,
@@ -406,9 +478,9 @@ _SCENARIOS = (
 
 
 def localization_plan(
-    world: World, products: Mapping[str, Any]
+    world: World, indexes: Mapping[str, Any]
 ) -> List[Tuple[str, Any]]:
-    return _flow_plan(world, products)
+    return _flow_plan(world, indexes)
 
 
 def localization_run(
@@ -445,12 +517,18 @@ def localization_merge(
     return {"counts": counts}
 
 
+def localization_index(product: Any) -> Dict[str, Any]:
+    counts = product["counts"]
+    default = counts.get(LocalizationScenario.DEFAULT.name, (0, 0, 0))
+    return _records_index(scenarios=len(counts), default_flows=default[0])
+
+
 # ---------------------------------------------------------------------------
 # stage 7a: sensitive-domain identification (single shard)
 # ---------------------------------------------------------------------------
 
 def sensitive_domains_plan(
-    world: World, products: Mapping[str, Any]
+    world: World, indexes: Mapping[str, Any]
 ) -> List[Tuple[str, Any]]:
     return [("all", None)]
 
@@ -477,14 +555,18 @@ def sensitive_domains_merge(
     return results[0][1]
 
 
+def sensitive_domains_index(product: Any) -> Dict[str, Any]:
+    return _records_index(identified_domains=len(product["identified"]))
+
+
 # ---------------------------------------------------------------------------
 # stage 7b: sensitive flow analyses (flow axis)
 # ---------------------------------------------------------------------------
 
 def sensitive_plan(
-    world: World, products: Mapping[str, Any]
+    world: World, indexes: Mapping[str, Any]
 ) -> List[Tuple[str, Any]]:
-    return _flow_plan(world, products)
+    return _flow_plan(world, indexes)
 
 
 def sensitive_run(
@@ -567,12 +649,19 @@ def sensitive_merge(
     }
 
 
+def sensitive_index(product: Any) -> Dict[str, Any]:
+    return _records_index(
+        tracking_flows=product["n_tracking"],
+        sensitive_flows=product["n_sensitive"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # stage 8: ISP scale
 # ---------------------------------------------------------------------------
 
 def ispscale_plan(
-    world: World, products: Mapping[str, Any]
+    world: World, indexes: Mapping[str, Any]
 ) -> List[Tuple[str, Any]]:
     return [
         (f"isp:{name}", name) for name in sorted(world.synthesizers)
@@ -620,49 +709,8 @@ def ispscale_merge(
     return merged
 
 
-# ---------------------------------------------------------------------------
-# provenance: record counts per stage product
-# ---------------------------------------------------------------------------
-
-def product_record_counts(stage: str, product: Any) -> Dict[str, int]:
-    """Named record counts of one stage's *merged* product.
-
-    Used by the provenance manifest to state, per stage, how many
-    records flowed in and out — e.g. the panel's visit/request/pdns-pair
-    totals or the geolocation table's address count.  A pure inspection
-    of the product: calling it never perturbs a run.
-    """
-    if stage == "panel":
-        return {
-            "visits": len(product["visits"]),
-            "requests": len(product["requests"]),
-            "pdns_pairs": len(product["pdns_pairs"]),
-        }
-    if stage == "classification":
-        return {"stages": len(product["stages"])}
-    if stage == "inventory":
-        return {"tracker_ips": len(product)}
-    if stage == "geolocation":
-        return {"addresses": len(product["table"])}
-    if stage == "confinement":
-        return {
-            "region_flows": int(product["regions"].total),
-            "eu28_country_flows": int(product["countries"].total),
-        }
-    if stage == "localization":
-        counts = product["counts"]
-        default = counts.get(LocalizationScenario.DEFAULT.name, (0, 0, 0))
-        return {"scenarios": len(counts), "default_flows": default[0]}
-    if stage == "sensitive_domains":
-        return {"identified_domains": len(product["identified"])}
-    if stage == "sensitive":
-        return {
-            "tracking_flows": product["n_tracking"],
-            "sensitive_flows": product["n_sensitive"],
-        }
-    if stage == "ispscale":
-        return {"snapshot_reports": len(product)}
-    raise ExecutionError(f"no record-count rule for stage {stage!r}")
+def ispscale_index(product: Any) -> Dict[str, Any]:
+    return _records_index(snapshot_reports=len(product))
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +728,7 @@ def build_stage_graph() -> StageGraph:
         plan=panel_plan,
         run=panel_run,
         merge=panel_merge,
+        index=panel_index,
     ))
     graph.add(StageSpec(
         name="classification",
@@ -689,6 +738,7 @@ def build_stage_graph() -> StageGraph:
         plan=classification_plan,
         run=classification_run,
         merge=classification_merge,
+        index=classification_index,
     ))
     graph.add(StageSpec(
         name="inventory",
@@ -698,6 +748,7 @@ def build_stage_graph() -> StageGraph:
         plan=inventory_plan,
         run=inventory_run,
         merge=inventory_merge,
+        index=inventory_index,
     ))
     graph.add(StageSpec(
         name="geolocation",
@@ -707,6 +758,7 @@ def build_stage_graph() -> StageGraph:
         plan=geolocation_plan,
         run=geolocation_run,
         merge=geolocation_merge,
+        index=geolocation_index,
     ))
     graph.add(StageSpec(
         name="confinement",
@@ -716,6 +768,7 @@ def build_stage_graph() -> StageGraph:
         plan=confinement_plan,
         run=confinement_run,
         merge=confinement_merge,
+        index=confinement_index,
     ))
     graph.add(StageSpec(
         name="localization",
@@ -725,6 +778,7 @@ def build_stage_graph() -> StageGraph:
         plan=localization_plan,
         run=localization_run,
         merge=localization_merge,
+        index=localization_index,
     ))
     graph.add(StageSpec(
         name="sensitive_domains",
@@ -734,6 +788,7 @@ def build_stage_graph() -> StageGraph:
         plan=sensitive_domains_plan,
         run=sensitive_domains_run,
         merge=sensitive_domains_merge,
+        index=sensitive_domains_index,
     ))
     graph.add(StageSpec(
         name="sensitive",
@@ -746,6 +801,7 @@ def build_stage_graph() -> StageGraph:
         plan=sensitive_plan,
         run=sensitive_run,
         merge=sensitive_merge,
+        index=sensitive_index,
     ))
     graph.add(StageSpec(
         name="ispscale",
@@ -755,6 +811,7 @@ def build_stage_graph() -> StageGraph:
         plan=ispscale_plan,
         run=ispscale_run,
         merge=ispscale_merge,
+        index=ispscale_index,
     ))
     return graph
 

@@ -146,12 +146,6 @@ class VisitLog:
             return 0.0
         return sum(1 for r in self.requests if r.https) / len(self.requests)
 
-    def requests_by_user_country(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for request in self.requests:
-            out[request.user_country] = out.get(request.user_country, 0) + 1
-        return out
-
 
 class BrowserExtensionSimulator:
     """Simulates the panel's browsing and the extension's logging."""

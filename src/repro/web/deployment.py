@@ -75,10 +75,6 @@ class DeployedFqdn:
     role: ServiceRole
     service: FqdnService
 
-    @property
-    def is_tracking_role(self) -> bool:
-        return self.role is not ServiceRole.CLEAN_WIDGET
-
 
 #: FQDN label pools per service role
 _ROLE_LABELS: Dict[ServiceRole, Tuple[str, ...]] = {
@@ -194,20 +190,9 @@ class Fleet:
     def fqdns_by_role(self, role: ServiceRole) -> List[DeployedFqdn]:
         return [d for d in self.fqdns() if d.role is role]
 
-    def fqdns_of_org(self, org_name: str) -> List[DeployedFqdn]:
-        return [d for d in self.fqdns() if d.org_name == org_name]
-
-    def fqdns_of_domain(self, domain: str) -> List[DeployedFqdn]:
-        return [d for d in self.fqdns() if d.domain == domain]
-
     def tracking_fqdns(self) -> List[DeployedFqdn]:
         return [
             d for d in self.fqdns() if self.org(d.org_name).is_tracking
-        ]
-
-    def clean_fqdns(self) -> List[DeployedFqdn]:
-        return [
-            d for d in self.fqdns() if not self.org(d.org_name).is_tracking
         ]
 
 

@@ -64,10 +64,6 @@ def url_has_args(url: str) -> bool:
     return bool(urlsplit(url).query)
 
 
-def url_path(url: str) -> str:
-    return urlsplit(url).path
-
-
 def url_args(url: str) -> Dict[str, str]:
     return dict(parse_qsl(urlsplit(url).query))
 

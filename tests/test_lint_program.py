@@ -393,19 +393,23 @@ def test_discover_stages_resolves_seeds_and_version(tmp_path):
             def _merge(world, products, shards):
                 return None
 
+            def _index(product):
+                return {}
+
             SPEC = StageSpec(
                 name="alpha", version="3", plan=_plan, run=_run,
-                merge=_merge,
+                merge=_merge, index=_index,
             )
             BAD = StageSpec(
                 name="beta", plan=lambda w, p: [], run=_run, merge=_merge,
+                index=_index,
             )
         """,
     })
     decls = {decl.name: decl for decl in model.discover_stages()}
     alpha = decls["alpha"]
     assert alpha.version == "3" and alpha.version_explicit
-    assert set(alpha.seeds) == {"plan", "run", "merge"}
+    assert set(alpha.seeds) == {"plan", "run", "merge", "index"}
     assert alpha.seeds["run"] == ("pkg.stages", "_run")
     beta = decls["beta"]
     assert not beta.version_explicit and beta.version == "1"

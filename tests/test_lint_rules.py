@@ -731,8 +731,12 @@ STAGE_FIXTURE = {
         def _merge(world, products, shards):
             return shards
 
+        def _index(product):
+            return {"records": {}}
+
         SPEC = StageSpec(
             name="alpha", plan=_plan, run=_run, merge=_merge,
+            index=_index,
         )
     """,
 }
@@ -752,6 +756,19 @@ def test_c401_fires_on_lambda_role(tmp_path):
     assert codes(findings) == ["C401"]
     assert "run=" in findings[0].message
     assert "cannot be computed" in findings[0].message
+
+
+def test_c401_fires_on_missing_index_role(tmp_path):
+    # The index role is salted like plan/run/merge, so a stage that
+    # names none leaves code outside its footprint.
+    files = dict(STAGE_FIXTURE)
+    assert files["pkg/stages.py"].count("index=_index,") == 1
+    files["pkg/stages.py"] = files["pkg/stages.py"].replace(
+        "index=_index,", ""
+    )
+    findings = lint_tree(tmp_path, files, select=["C401"])
+    assert codes(findings) == ["C401"]
+    assert "index=<missing keyword>" in findings[0].message
 
 
 def test_c401_fires_on_unindexed_repro_import(tmp_path):

@@ -91,8 +91,12 @@ def stage_tree(helper_source: str, run_body: str = "helpers.crunch(payload)"):
         def _merge(world, products, shards):
             return shards
 
+        def _index(product):
+            return {{"records": {{}}}}
+
         SPEC = StageSpec(
             name="alpha", plan=_plan, run=_run, merge=_merge,
+            index=_index,
         )
     """
     return files
@@ -199,6 +203,28 @@ def test_i902_fires_on_subprocess_anywhere(tmp_path):
     }, select=["I902"])
     assert codes(findings) == ["I902"]
     assert "hermetic" in findings[0].message
+
+
+def test_module_level_subprocess_and_fixed_rng_are_flagged(tmp_path):
+    # Code outside every function body runs at import: I902 and S703
+    # scan it as they scan function bodies.
+    files = dict(RNG_MODULE)
+    files["pkg/boot.py"] = """
+        import subprocess
+
+        subprocess.run(["true"])
+    """
+    files["pkg/defaults.py"] = """
+        from pkg.util.rng import fixed_rng
+
+        RNG = fixed_rng()
+    """
+    findings = lint_tree(tmp_path, files, select=["I902", "S703"])
+    assert sorted((f.rule, f.path) for f in findings) == [
+        ("I902", "pkg/boot.py"),
+        ("S703", "pkg/defaults.py"),
+    ]
+    assert all("<module>" in finding.message for finding in findings)
 
 
 def test_i902_quiet_in_test_code(tmp_path):

@@ -10,14 +10,19 @@ module-wide; every comparison below is exact equality, no tolerances.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import os
 import shutil
 
 import pytest
 
 import repro.runtime.cache as cache_module
 from repro import WorldConfig
+from repro.analysis.figures import figure7
+from repro.analysis.tables import table2, table3
 from repro.obs import TickClock, Tracer, validate_manifest
+from repro.obs import names as obs_names
 from repro.runtime import run_study
 from repro.runtime.cache import _collector_paused
 from repro.runtime.stages import STAGE_NAMES
@@ -251,6 +256,118 @@ class TestCachedRunDecodesWithoutCollecting:
         assert run.cache_misses == 0 and run.cache_hits > 0
         assert collections == []
         assert gc.isenabled()
+
+
+#: stages whose bodies are large (the panel's requests and what is
+#: built from them); a headline read must decode none of them
+LARGE_BODIES = {"panel", "classification", "inventory", "geolocation"}
+
+
+def decoded_dirs(monkeypatch, root):
+    """Record the cache subdirectory of every file the cache decodes."""
+    load = cache_module.pickle.load
+    decoded = []
+
+    def observed_load(fh):
+        decoded.append(os.path.relpath(fh.name, root).split(os.sep)[0])
+        return load(fh)
+
+    monkeypatch.setattr(cache_module.pickle, "load", observed_load)
+    return decoded
+
+
+def comparable(obj):
+    """``obj`` with plain-class instances (Sankey, the inventory) opened
+    into their attributes, so equal products compare equal."""
+    if isinstance(obj, dict):
+        return {key: comparable(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [comparable(value) for value in obj]
+    if hasattr(obj, "__dict__") and not dataclasses.is_dataclass(obj):
+        return (type(obj).__name__, comparable(vars(obj)))
+    return obj
+
+
+def shard_files(cache_root, stage):
+    directory = os.path.join(cache_root, stage)
+    return sorted(
+        os.path.join(directory, name) for name in os.listdir(directory)
+    )
+
+
+class TestWarmBodiesDecodeOnDemand:
+    def test_fully_warm_headline_decodes_no_large_body(
+        self, engine_config, replay_dir, parallel_cold_run, monkeypatch
+    ):
+        # Table 2 reads the classification index; Fig. 7, Sect. 6 and
+        # Table 5 decode only their own small bodies.
+        decoded = decoded_dirs(monkeypatch, replay_dir)
+        run = run_study(engine_config, workers=1, cache_dir=replay_dir)
+        run.table2_counts()
+        run.eu28_destination_regions("RIPE IPmap")
+        run.eu28_destination_regions("MaxMind")
+        run.sensitive_summary()
+        run.scenario_table()
+        assert run.cache_hits == parallel_cold_run.cache_misses
+        assert run.cache_misses == 0
+        assert decoded and not LARGE_BODIES & set(decoded)
+
+    def test_every_body_matches_the_cold_run(
+        self, engine_config, replay_dir, parallel_cold_run
+    ):
+        warm = run_study(engine_config, workers=1, cache_dir=replay_dir)
+        for stage in STAGE_NAMES:
+            body = warm.products[stage]
+            assert comparable(body) == comparable(
+                parallel_cold_run.products[stage]
+            ), stage
+            assert warm.products[stage] is body, stage
+        warm_study, cold_study = warm.study(), parallel_cold_run.study()
+        for view in (table2, table3, figure7):
+            assert view(warm_study) == view(cold_study), view.__name__
+
+    def test_deleted_shard_is_a_miss_and_executes(
+        self, engine_config, replay_dir, parallel_cold_run
+    ):
+        os.remove(shard_files(replay_dir, "confinement")[0])
+        run = run_study(engine_config, workers=1, cache_dir=replay_dir)
+        stage = run.result.metrics["confinement"]
+        assert (stage.cache_misses, stage.executed_shards) == (1, 1)
+        assert run.cache_misses == 1
+        assert headline(run) == headline(parallel_cold_run)
+
+    def test_corrupt_shard_in_a_lazy_decode_is_recomputed(
+        self, engine_config, replay_dir, parallel_cold_run
+    ):
+        run = run_study(engine_config, workers=1, cache_dir=replay_dir)
+        assert run.cache_misses == 0
+        damaged = shard_files(replay_dir, "panel")[0]
+        with open(damaged, "r+b") as fh:
+            fh.truncate(16)
+        panel = run.products["panel"]
+        assert comparable(panel) == comparable(
+            parallel_cold_run.products["panel"]
+        )
+        assert run.registry.value(
+            obs_names.RUNTIME_CACHE_CORRUPT, stage="panel"
+        ) == 1
+        assert os.path.getsize(damaged) > 16
+        rerun = run_study(engine_config, workers=1, cache_dir=replay_dir)
+        assert rerun.cache_misses == 0
+        assert comparable(rerun.products["panel"]) == comparable(panel)
+
+    def test_pooled_run_with_a_missing_stage_gives_the_cold_headline(
+        self, engine_config, replay_dir, parallel_cold_run
+    ):
+        # Localization's shards execute on the fork path, so the parent
+        # decodes the classification, inventory and geolocation bodies
+        # before the pool starts.
+        shutil.rmtree(os.path.join(replay_dir, "localization"))
+        run = run_study(engine_config, workers=4, cache_dir=replay_dir)
+        for name, stage in run.result.metrics.items():
+            expected = stage.n_shards if name == "localization" else 0
+            assert stage.executed_shards == expected, name
+        assert headline(run) == headline(parallel_cold_run)
 
 
 class TestCollectorPaused:

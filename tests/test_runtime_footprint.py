@@ -6,12 +6,17 @@ appends a helper function to ``core/classify.py`` in one copy, and
 asserts that the classification stage's footprint salt — and therefore
 its effective salt and its cache keys, plus those of every stage
 downstream of it — changes, while stages that cannot reach the edited
-module keep byte-identical salts and keys.
+module keep byte-identical salts and keys.  Edits to a stage's
+``index`` role, and to a helper only the index reaches, move salts the
+same way.  Salts are computed once per process: a second engine reads
+no source, and an edit on disk to code the process is running does not
+move them.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import json
 import os
 import shutil
@@ -24,13 +29,14 @@ import pytest
 from repro import WorldConfig
 from repro.runtime import run_study
 from repro.runtime.cache import ArtifactCache, effective_salts, stage_code_salt
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.footprint import (
     default_root,
     footprint_salts,
     program_model,
     stage_footprints,
 )
-from repro.runtime.graph import StageGraph, StageSpec
+from repro.runtime.graph import ShardAxis, StageGraph, StageSpec
 from repro.runtime.stages import STAGE_NAMES, build_stage_graph
 
 #: stages that can reach core/classify.py, directly or through an input
@@ -131,6 +137,96 @@ def test_helper_edit_propagates_to_effective_salts_and_cache_keys(
             assert key_before == key_after, name
 
 
+#: (module file under the copied tree, text, replacement): an edit to
+#: the classification stage's ``index`` role, and one to a helper that
+#: only the index reaches
+INDEX_EDITS = {
+    "index-role": (
+        "runtime/stages.py",
+        '        "tracking_flows": len(tracking),\n',
+        '        "tracking_flows": len(tracking) + 0,\n',
+    ),
+    "index-helper": (
+        "runtime/stages.py",
+        '        "total_requests": stats.total_requests,\n',
+        '        "total_requests": stats.total_requests + 0,\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(INDEX_EDITS))
+def test_index_edit_propagates_to_effective_salts(tmp_path, edit):
+    relpath, text, replacement = INDEX_EDITS[edit]
+    edited = copy_tree(tmp_path, "edited")
+    module = edited / relpath
+    source = module.read_text()
+    assert source.count(text) == 1
+    module.write_text(source.replace(text, replacement))
+    graph = build_stage_graph()
+    before = effective_salts(graph, footprint_salts(stage_footprints(graph)))
+    after = effective_salts(
+        graph, footprint_salts(stage_footprints(graph, root=edited))
+    )
+    for name in STAGE_NAMES:
+        if name in CLASSIFY_DEPENDENTS:
+            assert before[name] != after[name], name
+        else:
+            assert before[name] == after[name], name
+
+
+def test_second_engine_reads_no_source(monkeypatch):
+    ExecutionEngine()
+    read = []
+    getsource = inspect.getsource
+
+    def counting_getsource(obj):
+        read.append(obj)
+        return getsource(obj)
+
+    monkeypatch.setattr(inspect, "getsource", counting_getsource)
+    ExecutionEngine()
+    assert read == []
+
+
+SYNTHETIC_STAGE = """
+def plan(world, indexes):
+    return [("all", None)]
+
+
+def run(world, products, shard_key, payload):
+    return None
+
+
+def merge(world, products, shards):
+    return None
+
+
+def index(product):
+    return {"records": {}}
+"""
+
+
+def test_salts_stay_fixed_when_running_source_is_edited_on_disk(tmp_path):
+    # A long-lived process keys artifacts by the code it runs: editing
+    # the file on disk must not move the salts of the loaded functions.
+    path = tmp_path / "synthetic_stage.py"
+    path.write_text(SYNTHETIC_STAGE)
+    spec = importlib.util.spec_from_file_location("synthetic_stage", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    graph = StageGraph()
+    graph.add(StageSpec(
+        name="synthetic", axis=ShardAxis.NONE, inputs=(), outputs=(),
+        plan=module.plan, run=module.run, merge=module.merge,
+        index=module.index,
+    ))
+    before = dict(ExecutionEngine(graph=graph)._salts)
+    path.write_text(SYNTHETIC_STAGE.replace(
+        "return None", "return 'edited on disk'"
+    ))
+    assert dict(ExecutionEngine(graph=graph)._salts) == before
+
+
 def test_footprint_salt_folds_into_stage_code_salt():
     spec = build_stage_graph()["classification"]
     plain = stage_code_salt(spec)
@@ -150,10 +246,13 @@ def test_synthetic_graph_without_model_coverage_gets_no_footprint():
     def merge(world, products, shards):
         return None
 
+    def index(product):
+        return {"records": {}}
+
     graph = StageGraph()
     graph.add(StageSpec(
         name="synthetic", axis=None, inputs=(), outputs=("out",),
-        plan=plan, run=run, merge=merge,
+        plan=plan, run=run, merge=merge, index=index,
     ))
     # test-local functions have '<locals>' qualnames: no footprint, and
     # effective_salts degrades to the footprint-less behavior

@@ -43,6 +43,7 @@ def _spec(name, inputs=(), run=None, version="1"):
         plan=lambda world, products: [("all", None)],
         run=run or (lambda world, products, key, payload: None),
         merge=lambda world, products, shards: shards,
+        index=lambda product: {"records": {}},
         version=version,
     )
 
