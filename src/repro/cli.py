@@ -29,13 +29,12 @@ Commands
     Inspect the run ledger (``<cache_dir>/ledger.jsonl``) that every
     cached engine run appends to: ``list`` / ``show`` the records,
     ``diff`` two of them with every metric delta classified as
-    config-driven, code-driven or unexplained drift, ``check`` a record
-    against a budgets file (CI gate), and get/set the ``baseline``
-    selector.  See ``docs/ledger.md``.
+    config-driven, code-driven or unexplained drift, and get/set the
+    ``baseline`` selector.  See ``docs/ledger.md``.
 ``serve``
     Run the always-on study service: submit configs over
     ``POST /studies``, follow per-job progress as Server-Sent Events,
-    and query the run ledger (list/show/diff/check/baseline) over
+    and query the run ledger (list/show/diff/baseline) over
     HTTP — all against one shared artifact cache, so repeat
     submissions replay warm.  ``--port 0`` picks an ephemeral port
     (printed on the ready line).  See ``docs/service.md``.
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     obs_command = commands.add_parser(
-        "obs", help="inspect the run ledger: list/show/diff/check/baseline"
+        "obs", help="inspect the run ledger: list/show/diff/baseline"
     )
     obs_command.add_argument(
         "--cache-dir", type=pathlib.Path, default=pathlib.Path(".repro-cache"),
@@ -174,19 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_diff.add_argument(
         "--out", type=pathlib.Path, default=None,
         help="also write the JSON diff report to this file",
-    )
-    obs_check = obs_subcommands.add_parser(
-        "check", help="fail (exit 1) when a record leaves its budgets"
-    )
-    obs_check.add_argument(
-        "--budgets", type=pathlib.Path, required=True,
-        help="budgets file (schema repro.obs/budgets/v1)",
-    )
-    obs_check.add_argument(
-        "--run", default="latest", help="record selector (default: latest)"
-    )
-    obs_check.add_argument(
-        "--json", action="store_true", help="emit violations as JSON"
     )
     obs_baseline = obs_subcommands.add_parser(
         "baseline", help="show or set the baseline selector's target"
@@ -223,10 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_command.add_argument(
         "--queue-limit", type=int, default=8,
         help="max queued submissions before 503 (default: 8)",
-    )
-    serve_command.add_argument(
-        "--budgets", type=pathlib.Path, default=None,
-        help="budgets file backing GET /runs/<selector>/check",
     )
     serve_command.add_argument(
         "--log", type=pathlib.Path, default=None, metavar="OUT",
@@ -340,12 +322,9 @@ def _command_obs(args: argparse.Namespace) -> int:
     """The ``repro obs`` family; returns the process exit code."""
     from repro.errors import ObservabilityError
     from repro.obs import (
-        check_budgets,
         diff_records,
-        load_budgets,
         load_ledger,
         read_baseline,
-        render_budget_text,
         render_diff_text,
         select_record,
         write_baseline,
@@ -372,21 +351,6 @@ def _command_obs(args: argparse.Namespace) -> int:
             else:
                 print(render_diff_text(diff))
             return 1 if diff.unexplained() else 0
-        elif args.obs_command == "check":
-            record = select_record(records, args.run, baseline_id)
-            budgets = load_budgets(args.budgets)
-            violations = check_budgets(record, budgets)
-            if args.json:
-                print(json.dumps(
-                    {
-                        "run_id": record.get("run_id"),
-                        "violations": [v.to_dict() for v in violations],
-                    },
-                    indent=1, sort_keys=True,
-                ))
-            else:
-                print(render_budget_text(record, violations))
-            return 1 if violations else 0
         elif args.obs_command == "baseline":
             if args.selector is None:
                 if baseline_id is None:
@@ -419,7 +383,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         job_limit=args.jobs,
         queue_limit=args.queue_limit,
-        budgets=str(args.budgets) if args.budgets is not None else None,
         log_path=str(args.log) if args.log is not None else None,
     )
 

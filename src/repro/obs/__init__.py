@@ -19,7 +19,7 @@ On top of those, the persistent layer added for longitudinal work:
   (``latest``/``latest~N``/``baseline``/seq/run-id prefix);
 * :mod:`repro.obs.diff` — the regression **diff engine** classifying
   every metric delta as config-driven, code-driven or unexplained
-  drift, plus the CI **budget checker**;
+  drift;
 * :mod:`repro.obs.export` — span trees as Chrome **trace-event JSON**
   (Perfetto / ``chrome://tracing`` loadable, with real pid/tid tracks
   for stitched worker spans) plus the Prometheus text exposition of a
@@ -33,14 +33,9 @@ may all instrument themselves through it without cycles.
 
 from repro.obs.clock import NullClock, SystemClock, TickClock
 from repro.obs.diff import (
-    BUDGETS_SCHEMA,
-    BudgetViolation,
     LedgerDiff,
     MetricDelta,
-    check_budgets,
     diff_records,
-    load_budgets,
-    render_budget_text,
     render_diff_text,
 )
 from repro.obs.export import (
@@ -97,14 +92,9 @@ __all__ = [
     "NullClock",
     "SystemClock",
     "TickClock",
-    "BUDGETS_SCHEMA",
-    "BudgetViolation",
     "LedgerDiff",
     "MetricDelta",
-    "check_budgets",
     "diff_records",
-    "load_budgets",
-    "render_budget_text",
     "render_diff_text",
     "PROMETHEUS_CONTENT_TYPE",
     "TRACE_EVENTS_SCHEMA",

@@ -1,4 +1,4 @@
-"""Regression diffing between ledger records, plus budget checking.
+"""Regression diffing between ledger records.
 
 Two runs of the pipeline disagree on a metric for exactly one of three
 reasons, and the diff engine names which:
@@ -12,35 +12,28 @@ reasons, and the diff engine names which:
   changed, with the footprint-changed stages listed as the cause;
 * **unexplained drift** — same config, same salts, different value:
   the red flag.  A deterministic pipeline must never produce one; any
-  occurrence is a nondeterminism bug (and ``make diff-smoke`` gates CI
-  on exactly this being empty).
+  occurrence is a nondeterminism bug (and ``make smoke`` gates CI on
+  exactly this being empty).
 
 Cache-behaviour counters (hits/misses/executed/corrupt) legitimately
 differ between a cold and a warm run of identical code, so they get
-their own ``cache`` class and can never count as drift; ``bench.*``
-gauges are wall-time statistics and classify as ``timing``.  Stage
-wall/CPU timings are reported separately — timing is never drift.
+their own ``cache`` class and can never count as drift; the wall-time
+and throughput gauges of ``kind="bench"`` records classify as
+``timing``.  Stage wall/CPU timings are reported separately — timing is
+never drift.
 
 Metric ownership comes from the records themselves: each run record's
 stage entries list the metric keys its shards touched, so attribution
 needs no hand-maintained metric→stage table and automatically covers
 future metrics.
-
-The budget checker (:func:`check_budgets`) closes the loop for CI: a
-``budgets.json`` document (schema :data:`BUDGETS_SCHEMA`) declares
-envelopes for headline metrics and stage wall-times, and
-``repro obs check`` fails the build when a record leaves them.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ObservabilityError
-from repro.obs.metrics import Histogram, base_name
+from repro.obs.metrics import base_name
 from repro.obs.names import (
     RUNTIME_CACHE_CORRUPT,
     RUNTIME_CACHE_HITS,
@@ -56,11 +49,16 @@ CACHE_VARIABLE_METRICS = frozenset({
     RUNTIME_SHARDS_EXECUTED,
 })
 
-#: metric name prefixes that carry wall-time statistics (never drift) —
-#: "profile." stays because ledger records appended before the sampling
-#: profiler was removed carry ``profile.self_s`` gauges, and the ledger
-#: is append-only history
-TIMING_METRIC_PREFIXES = ("bench.", "lint.", "profile.")
+#: metric name prefixes that carry wall-time or throughput statistics
+#: (never drift).  Nothing writes any of them any more, but the ledger
+#: is append-only history: records appended before the sampling
+#: profiler was removed carry ``profile.self_s`` gauges, and ``bench``
+#: records appended before the scripts that folded benchmark timings
+#: and serve throughput into the ledger were removed carry
+#: ``bench.time_s``, ``lint.time_s`` and ``serve.requests_per_s`` gauges
+TIMING_METRIC_PREFIXES = (
+    "bench.", "lint.", "profile.", "serve.requests_per_s",
+)
 
 #: classification labels, in report order
 CLASSIFICATIONS = ("config", "code", "cache", "timing", "drift")
@@ -326,173 +324,4 @@ def render_diff_text(diff: LedgerDiff) -> str:
         )
     else:
         lines.append("  no unexplained drift")
-    return "\n".join(lines)
-
-
-# -- budgets -----------------------------------------------------------------
-
-#: schema identifier of a budgets document
-BUDGETS_SCHEMA = "repro.obs/budgets/v1"
-
-#: statistics a histogram budget may pin
-_HISTOGRAM_STATS = ("count", "mean", "min", "max")
-
-
-@dataclass
-class BudgetViolation:
-    """One budget bound a ledger record left."""
-
-    subject: str
-    kind: str  # "metric" | "stage_wall_s" | "total_wall_s" | "missing"
-    actual: Optional[float]
-    bound: str  # "min" | "max"
-    limit: float
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "subject": self.subject,
-            "kind": self.kind,
-            "actual": self.actual,
-            "bound": self.bound,
-            "limit": self.limit,
-        }
-
-    def render(self) -> str:
-        if self.kind == "missing":
-            return f"{self.subject}: required by budget but absent from run"
-        op = "<" if self.bound == "min" else ">"
-        return (
-            f"{self.subject}: {self.actual} {op} {self.bound}={self.limit} "
-            f"({self.kind})"
-        )
-
-
-def load_budgets(path: Union[str, "os.PathLike[str]"]) -> Dict[str, Any]:
-    """Load and validate a budgets document."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ObservabilityError(
-            f"cannot read budgets {os.fspath(path)!r}: {exc}"
-        ) from exc
-    if not isinstance(payload, dict):
-        raise ObservabilityError("budgets document must be a JSON object")
-    if payload.get("schema") != BUDGETS_SCHEMA:
-        raise ObservabilityError(
-            f"unsupported budgets schema {payload.get('schema')!r} "
-            f"(expected {BUDGETS_SCHEMA!r})"
-        )
-    for section in ("metrics", "stage_wall_s"):
-        entries = payload.get(section, {})
-        if not isinstance(entries, dict):
-            raise ObservabilityError(
-                f"budgets section {section!r} must be an object"
-            )
-        for subject, bounds in sorted(entries.items()):
-            _validate_bounds(f"{section}.{subject}", bounds)
-    if "total_wall_s" in payload:
-        _validate_bounds("total_wall_s", payload["total_wall_s"])
-    return payload
-
-
-def _validate_bounds(subject: str, bounds: Any) -> None:
-    if not isinstance(bounds, dict):
-        raise ObservabilityError(
-            f"budget {subject!r} must be an object with min/max bounds"
-        )
-    if not ("min" in bounds or "max" in bounds):
-        raise ObservabilityError(
-            f"budget {subject!r} declares neither 'min' nor 'max'"
-        )
-    for bound in ("min", "max"):
-        if bound in bounds and not isinstance(bounds[bound], (int, float)):
-            raise ObservabilityError(
-                f"budget {subject!r} bound {bound!r} must be a number"
-            )
-    stat = bounds.get("stat")
-    if stat is not None and not (
-        stat in _HISTOGRAM_STATS
-        or (stat.startswith("p") and stat[1:].isdigit())
-    ):
-        raise ObservabilityError(
-            f"budget {subject!r} stat {stat!r} is not one of "
-            f"{_HISTOGRAM_STATS} or pNN"
-        )
-
-
-def _metric_scalar(entry: Mapping[str, Any], stat: Optional[str]) -> float:
-    """One number out of a metric snapshot entry, honoring ``stat``."""
-    kind = entry.get("kind")
-    value = entry.get("value")
-    if kind in ("counter", "gauge"):
-        return float(value)
-    histogram = Histogram.from_value(value)
-    stat = stat or "mean"
-    if stat == "count":
-        return float(histogram.count)
-    if stat == "mean":
-        return histogram.mean
-    if stat == "min":
-        return float(histogram.min if histogram.min is not None else 0.0)
-    if stat == "max":
-        return float(histogram.max if histogram.max is not None else 0.0)
-    return histogram.quantile(int(stat[1:]) / 100.0)
-
-
-def check_budgets(
-    record: Mapping[str, Any], budgets: Mapping[str, Any]
-) -> List[BudgetViolation]:
-    """Every bound of ``budgets`` that ``record`` violates (empty = pass)."""
-    violations: List[BudgetViolation] = []
-
-    def check(subject: str, kind: str, actual: Optional[float],
-              bounds: Mapping[str, Any]) -> None:
-        if actual is None:
-            violations.append(BudgetViolation(
-                subject=subject, kind="missing", actual=None,
-                bound="min", limit=0.0,
-            ))
-            return
-        if "min" in bounds and actual < bounds["min"]:
-            violations.append(BudgetViolation(
-                subject=subject, kind=kind, actual=actual,
-                bound="min", limit=float(bounds["min"]),
-            ))
-        if "max" in bounds and actual > bounds["max"]:
-            violations.append(BudgetViolation(
-                subject=subject, kind=kind, actual=actual,
-                bound="max", limit=float(bounds["max"]),
-            ))
-
-    metrics = record.get("metrics", {})
-    for key, bounds in sorted(budgets.get("metrics", {}).items()):
-        entry = metrics.get(key)
-        actual = (
-            _metric_scalar(entry, bounds.get("stat"))
-            if entry is not None else None
-        )
-        check(key, "metric", actual, bounds)
-
-    stages = {s["stage"]: s for s in record.get("stages", ())}
-    for name, bounds in sorted(budgets.get("stage_wall_s", {}).items()):
-        entry = stages.get(name)
-        actual = float(entry["wall_s"]) if entry is not None else None
-        check(f"stage:{name}", "stage_wall_s", actual, bounds)
-
-    if "total_wall_s" in budgets:
-        total = sum(float(s.get("wall_s", 0.0)) for s in stages.values())
-        check("total", "total_wall_s", total, budgets["total_wall_s"])
-    return violations
-
-
-def render_budget_text(
-    record: Mapping[str, Any], violations: List[BudgetViolation]
-) -> str:
-    """Human-readable budget report (what ``repro obs check`` prints)."""
-    run_id = record.get("run_id", "?")
-    if not violations:
-        return f"budgets OK for run {run_id}"
-    lines = [f"budget violations for run {run_id}:"]
-    lines.extend(f"  {violation.render()}" for violation in violations)
     return "\n".join(lines)

@@ -25,9 +25,10 @@ ledger always reproduces the same ids.  Appends are single-write
 line raises :class:`~repro.errors.ObservabilityError` with the line
 number, never a raw ``json.JSONDecodeError``.
 
-Besides run records the ledger accepts ``kind="bench"`` records
-(``scripts/bench_to_ledger.py`` folds pytest-benchmark reports in), so
-performance history lands in the same auditable journal.
+Besides run records the ledger accepts ``kind="bench"`` records: no
+tool writes them any more, but ledgers that hold them (benchmark
+timings and serve throughput folded in by since-removed scripts) keep
+loading, listing and diffing, their gauges classified as timing.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ the cache artifacts it describes, and again wherever ``--trace`` points.
 
 This module owns the **schema** (:data:`MANIFEST_SCHEMA`), the
 **validator** (:func:`validate_manifest`, used by tests and the
-``make trace-smoke`` CI gate) and the **atomic writer/loader**.  The
+``make smoke`` CI gate) and the **atomic writer/loader**.  The
 *assembly* of a manifest from a live run belongs to the runtime layer
 (:mod:`repro.runtime.provenance`), which knows the stage graph; this
 module stays import-free of it.

@@ -64,17 +64,6 @@ RUNTIME_CACHE_MISSES = "runtime.cache.misses"
 #: damaged cache artifacts discarded on load (runtime/cache.py)
 RUNTIME_CACHE_CORRUPT = "runtime.cache.corrupt"
 
-#: per-benchmark wall-time statistics folded into the run ledger
-#: (scripts/bench_to_ledger.py); the diff engine classifies these as
-#: timing, never drift
-BENCH_TIME = "bench.time_s"
-
-#: wall time of one reprolint run, labelled by rule family.  Nothing
-#: writes it any more: its only writer, ``bench_to_ledger.py
-#: --lint-report``, left with the lint dataflow engine.  It stays in
-#: the catalog because ledgers written before then carry it
-LINT_TIME = "lint.time_s"
-
 #: HTTP requests served, by route pattern (serve/server.py)
 SERVE_HTTP_REQUESTS = "serve.http.requests"
 
@@ -97,11 +86,6 @@ SERVE_JOBS_RUNNING = "serve.jobs.running"
 #: engine run — 1.0 means the study was served entirely warm
 #: (serve/jobs.py)
 SERVE_WARM_HIT_RATE = "serve.cache.warm_hit_rate"
-
-#: throughput of one serve load benchmark against a warm server, by
-#: endpoint (scripts/serve_load.py, folded into the ledger via
-#: scripts/bench_to_ledger.py --serve-report)
-SERVE_REQUESTS_PER_S = "serve.requests_per_s"
 
 #: (name, kind, label names, description) — the closed declaration list.
 #: ``kind`` is counter | gauge | histogram.  O602 compares call-site
@@ -132,10 +116,6 @@ _METRIC_DECLS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
      "artifact-cache misses per stage"),
     (RUNTIME_CACHE_CORRUPT, "counter", ("stage",),
      "damaged cache artifacts discarded on load"),
-    (BENCH_TIME, "gauge", ("benchmark", "stat"),
-     "pytest-benchmark wall-time statistic per benchmark"),
-    (LINT_TIME, "gauge", ("family",),
-     "wall time of one reprolint run, by rule family (or 'total')"),
     (SERVE_HTTP_REQUESTS, "counter", ("route",),
      "HTTP requests served, by route pattern"),
     (SERVE_JOBS_SUBMITTED, "counter", (),
@@ -150,8 +130,6 @@ _METRIC_DECLS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
      "jobs currently executing"),
     (SERVE_WARM_HIT_RATE, "gauge", (),
      "cache hit share of the most recent job's engine run"),
-    (SERVE_REQUESTS_PER_S, "gauge", ("endpoint",),
-     "serve load-benchmark throughput, by endpoint"),
 )
 
 # -- span names -------------------------------------------------------------

@@ -155,8 +155,6 @@ class ArtifactCache:
 
     def __init__(self, cache_dir: Optional[str]) -> None:
         self._root = cache_dir
-        self.hits = 0
-        self.misses = 0
 
     @property
     def enabled(self) -> bool:
@@ -202,13 +200,11 @@ class ArtifactCache:
         shard artifacts.
         """
         if self._root is None:
-            self.misses += 1
             return False, None
         path = self._path(stage, key, index)
         try:
             fh = open(path, "rb")
         except FileNotFoundError:
-            self.misses += 1
             return False, None
         with fh:
             try:
@@ -223,9 +219,7 @@ class ArtifactCache:
                 # the worker-count-invariance of a healthy run's
                 # registry.
                 obs_metrics.inc(obs_names.RUNTIME_CACHE_CORRUPT, stage=stage)
-                self.misses += 1
                 return False, None
-        self.hits += 1
         return True, artifact
 
     def store(

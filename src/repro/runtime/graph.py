@@ -136,11 +136,6 @@ class StageGraph:
             frontier.extend(spec.inputs)
         return tuple(name for name in self._specs if name in needed)
 
-    def dependencies_transitive(self, name: str) -> Tuple[str, ...]:
-        """All stages reachable upstream of ``name``, in graph order."""
-        order = self.topological_order([name])
-        return tuple(stage for stage in order if stage != name)
-
 
 def partition(items: Sequence[Any], target_shards: int) -> List[Tuple[int, int]]:
     """Split ``len(items)`` positions into at most ``target_shards`` blocks.

@@ -16,10 +16,9 @@ frameworks) wrapping three existing layers:
   sourced live from the span tracer: stage start/finish, wall times,
   and the cache hit/miss outcome;
 * **history** — the PR-5 run ledger is served over HTTP: ``GET /runs``,
-  ``GET /runs/<selector>``, ``GET /runs/<a>/diff/<b>``,
-  ``GET /runs/<selector>/check`` (budgets gate) and ``PUT /baseline``,
-  plus ``GET /healthz`` and ``GET /metrics`` for liveness and the
-  headline warm-cache hit-rate gauge.
+  ``GET /runs/<selector>``, ``GET /runs/<a>/diff/<b>`` and
+  ``PUT /baseline``, plus ``GET /healthz`` and ``GET /metrics`` for
+  liveness and the headline warm-cache hit-rate gauge.
 
 Start it with ``repro serve --port P --cache-dir D --workers N``; see
 ``docs/service.md`` for the endpoint reference, the job state machine

@@ -21,7 +21,6 @@ Endpoints (see ``docs/service.md`` for the full reference)::
     GET  /runs                        ledger summaries
     GET  /runs/{selector}             one ledger record
     GET  /runs/{a}/diff/{b}           classified metric deltas
-    GET  /runs/{selector}/check       budgets gate (needs --budgets)
     PUT  /baseline                    point the baseline selector
 
 Error taxonomy → status codes: :class:`~repro.serve.http.HttpError`
@@ -46,11 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, ObservabilityError, ServeError
 from repro.obs import names as obs_names
-from repro.obs.diff import (
-    check_budgets,
-    diff_records,
-    load_budgets,
-)
+from repro.obs.diff import diff_records
 from repro.obs.ledger import (
     ledger_path,
     load_ledger,
@@ -85,13 +80,11 @@ class StudyServer:
         workers: int = 1,
         job_limit: int = 1,
         queue_limit: int = 8,
-        budgets: Optional[str] = None,
         log_path: Optional[str] = None,
     ) -> None:
         self.cache_dir = cache_dir
         self.host = host
         self.port = port
-        self.budgets = budgets
         self.log_path = log_path
         self.registry = MetricsRegistry()
         self.jobs = JobManager(
@@ -116,7 +109,6 @@ class StudyServer:
         self._router.add("GET", "/studies/{job_id}", self._get_study)
         self._router.add("GET", "/runs", self._get_runs)
         self._router.add("GET", "/runs/{a}/diff/{b}", self._get_diff)
-        self._router.add("GET", "/runs/{selector}/check", self._get_check)
         self._router.add("GET", "/runs/{selector}", self._get_run)
         self._router.add("PUT", "/baseline", self._put_baseline)
         self._streaming = {self._get_study_events}
@@ -409,28 +401,6 @@ class StudyServer:
         record_a = select_record(records, params["a"], baseline_id)
         record_b = select_record(records, params["b"], baseline_id)
         return 200, diff_records(record_a, record_b).to_dict()
-
-    async def _get_check(
-        self, request: Request, params: Dict[str, str]
-    ) -> Tuple[int, Any]:
-        if self.budgets is None:
-            raise HttpError(
-                400, "no budgets file configured (start with --budgets)"
-            )
-        loop = asyncio.get_running_loop()
-        _path, records, baseline_id = await loop.run_in_executor(
-            None, self._ledger
-        )
-        record = select_record(records, params["selector"], baseline_id)
-        budgets = await loop.run_in_executor(
-            None, load_budgets, self.budgets
-        )
-        violations = check_budgets(record, budgets)
-        return 200, {
-            "run_id": record["run_id"],
-            "ok": not violations,
-            "violations": [violation.to_dict() for violation in violations],
-        }
 
     async def _put_baseline(
         self, request: Request, params: Dict[str, str]

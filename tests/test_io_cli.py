@@ -148,10 +148,9 @@ class TestCLI:
         ])
         assert (args.run_a, args.run_b) == ("baseline", "latest")
         args = parser.parse_args([
-            "obs", "--ledger", str(tmp_path / "ledger.jsonl"),
-            "check", "--budgets", str(tmp_path / "budgets.json"),
+            "obs", "--ledger", str(tmp_path / "ledger.jsonl"), "list",
         ])
-        assert args.run == "latest"
+        assert args.ledger == tmp_path / "ledger.jsonl"
         args = parser.parse_args(["obs", "baseline", "latest~1"])
         assert args.selector == "latest~1"
 
@@ -166,14 +165,12 @@ class TestCLI:
             "--workers", "4",
             "--jobs", "2",
             "--queue-limit", "16",
-            "--budgets", str(tmp_path / "budgets.json"),
             "--log", str(tmp_path / "server-log.jsonl"),
         ])
         assert args.command == "serve"
         assert (args.host, args.port) == ("0.0.0.0", 0)
         assert args.cache_dir == tmp_path / "cache"
         assert (args.workers, args.jobs, args.queue_limit) == (4, 2, 16)
-        assert args.budgets == tmp_path / "budgets.json"
         assert args.log == tmp_path / "server-log.jsonl"
 
     def test_serve_defaults(self):
@@ -181,7 +178,7 @@ class TestCLI:
         assert args.port == 8377
         assert args.host == "127.0.0.1"
         assert (args.workers, args.jobs, args.queue_limit) == (1, 1, 8)
-        assert args.budgets is None and args.log is None
+        assert args.log is None
 
     def test_obs_missing_ledger_degrades_gracefully(self, tmp_path, capsys):
         # No traceback, exit code 1, a one-line friendly message.
@@ -191,6 +188,47 @@ class TestCLI:
         assert status == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("repro obs:")
+
+    def test_obs_lists_and_diffs_old_bench_records(self, tmp_path, capsys):
+        # Ledgers may hold records whose gauges no tool writes any more:
+        # reprolint timings on a run record, and bench records carrying
+        # benchmark timings and serve throughput.  They must still load,
+        # list, and diff as timing rather than drift.
+        from repro.obs import LEDGER_SCHEMA, append_record
+
+        def gauge(value):
+            return {"kind": "gauge", "value": value}
+
+        ledger = str(tmp_path / "ledger.jsonl")
+        append_record(ledger, {
+            "schema": LEDGER_SCHEMA,
+            "kind": "run",
+            "config": {"digest": "abc123", "seed": 7},
+            "workers": 1,
+            "salts": {},
+            "stages": [],
+            "metrics": {"lint.time_s{family=total}": gauge(6.5)},
+        })
+        for mean, rate in ((0.5, 120.0), (0.7, 95.5)):
+            append_record(ledger, {
+                "schema": LEDGER_SCHEMA,
+                "kind": "bench",
+                "metrics": {
+                    "bench.time_s{benchmark=test_engine,stat=mean}":
+                        gauge(mean),
+                    "serve.requests_per_s{endpoint=/runs}": gauge(rate),
+                },
+                "n_benchmarks": 1,
+            })
+
+        assert main(["obs", "--ledger", ledger, "list"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[2] for row in rows] == ["run", "bench", "bench"]
+        status = main(["obs", "--ledger", ledger, "diff", "1", "2", "--json"])
+        assert status == 0
+        deltas = json.loads(capsys.readouterr().out)["deltas"]
+        assert len(deltas) == 2
+        assert {delta["classification"] for delta in deltas} == {"timing"}
 
 
 class TestCLIReporting:

@@ -1,10 +1,11 @@
-"""Unit tests for :mod:`repro.obs.diff` — delta classification and budgets.
+"""Unit tests for :mod:`repro.obs.diff` — delta classification.
 
 The classification matrix under test (see docs/ledger.md): config
 changes own every delta; code changes are attributed to the owning
 stages whose salts moved; cache-behaviour counters never count as
-drift; ``bench.*`` and ``lint.*`` are timing; anything left is
-unexplained drift.
+drift; the old ``bench``-record gauges (``bench.*``, ``lint.*``,
+``serve.requests_per_s``) are timing; anything left is unexplained
+drift.
 """
 
 from __future__ import annotations
@@ -13,16 +14,7 @@ import json
 
 import pytest
 
-from repro.errors import ObservabilityError
-from repro.obs import (
-    BUDGETS_SCHEMA,
-    check_budgets,
-    diff_records,
-    load_budgets,
-    render_budget_text,
-    render_diff_text,
-)
-from repro.obs.metrics import Histogram
+from repro.obs import diff_records, render_diff_text
 
 
 def make_record(
@@ -246,105 +238,3 @@ class TestClassification:
         assert payload["counts"]["drift"] == 1
         assert len(payload["unexplained"]) == 1
         json.dumps(payload)  # must serialize cleanly
-
-
-class TestBudgets:
-    def write(self, tmp_path, payload):
-        path = tmp_path / "budgets.json"
-        path.write_text(json.dumps(payload))
-        return path
-
-    def test_load_valid(self, tmp_path):
-        path = self.write(tmp_path, {
-            "schema": BUDGETS_SCHEMA,
-            "metrics": {"web.requests": {"min": 1, "max": 1000}},
-            "stage_wall_s": {"panel": {"max": 60.0}},
-            "total_wall_s": {"max": 120.0},
-        })
-        assert load_budgets(path)["total_wall_s"] == {"max": 120.0}
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {"schema": "repro.obs/budgets/v0"},
-            {"schema": BUDGETS_SCHEMA, "metrics": {"m": {}}},
-            {"schema": BUDGETS_SCHEMA, "metrics": {"m": {"max": "big"}}},
-            {"schema": BUDGETS_SCHEMA, "metrics": {"m": 5}},
-            {"schema": BUDGETS_SCHEMA,
-             "metrics": {"m": {"max": 1, "stat": "p9x"}}},
-            {"schema": BUDGETS_SCHEMA, "stage_wall_s": "fast"},
-            {"schema": BUDGETS_SCHEMA, "total_wall_s": {"stat": "mean"}},
-        ],
-    )
-    def test_load_rejects_malformed(self, tmp_path, payload):
-        path = self.write(tmp_path, payload)
-        with pytest.raises(ObservabilityError):
-            load_budgets(path)
-
-    def test_load_rejects_garbage_file(self, tmp_path):
-        path = tmp_path / "budgets.json"
-        path.write_text("{nope")
-        with pytest.raises(ObservabilityError):
-            load_budgets(path)
-        with pytest.raises(ObservabilityError):
-            load_budgets(tmp_path / "absent.json")
-
-    def test_within_budget_passes(self):
-        budgets = {
-            "schema": BUDGETS_SCHEMA,
-            "metrics": {"web.requests": {"min": 100, "max": 100}},
-            "stage_wall_s": {"panel": {"max": 10.0}},
-            "total_wall_s": {"max": 10.0},
-        }
-        record = make_record()
-        assert check_budgets(record, budgets) == []
-        assert "budgets OK" in render_budget_text(record, [])
-
-    def test_min_max_and_missing_violations(self):
-        budgets = {
-            "schema": BUDGETS_SCHEMA,
-            "metrics": {
-                "web.requests": {"min": 500},          # actual 100
-                "classify.flows{stage=list}": {"max": 10},  # actual 40
-                "never.recorded": {"min": 1},          # absent
-            },
-            "stage_wall_s": {"panel": {"max": 1.0}},   # actual 2.0
-            "total_wall_s": {"max": 2.5},              # actual 3.0
-        }
-        record = make_record()
-        violations = check_budgets(record, budgets)
-        by_subject = {v.subject: v for v in violations}
-        assert by_subject["web.requests"].bound == "min"
-        assert by_subject["classify.flows{stage=list}"].bound == "max"
-        assert by_subject["never.recorded"].kind == "missing"
-        assert by_subject["stage:panel"].kind == "stage_wall_s"
-        assert by_subject["total"].actual == 3.0
-        text = render_budget_text(record, violations)
-        assert "budget violations" in text
-        assert "never.recorded: required by budget but absent" in text
-
-    def test_histogram_stats(self):
-        histogram = Histogram(buckets=(0.5, 1.0))
-        for value in (0.2, 0.4, 0.6, 0.8, 2.0):
-            histogram.observe(value)
-        record = make_record(metrics={
-            "lat": {"kind": "histogram", "value": histogram.to_value()},
-        })
-        budgets = {
-            "schema": BUDGETS_SCHEMA,
-            "metrics": {
-                "lat": {"stat": "count", "min": 5, "max": 5},
-            },
-        }
-        assert check_budgets(record, budgets) == []
-        for stat, bound in (
-            ("mean", {"max": 0.5}),       # mean 0.8
-            ("max", {"max": 1.0}),        # max 2.0
-            ("min", {"min": 0.3}),        # min 0.2
-            ("p95", {"max": 0.5}),        # p95 well above 0.5
-        ):
-            budgets = {
-                "schema": BUDGETS_SCHEMA,
-                "metrics": {"lat": dict(bound, stat=stat)},
-            }
-            assert check_budgets(record, budgets), stat

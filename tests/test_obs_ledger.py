@@ -2,7 +2,7 @@
 
 Everything runs against hand-built records on tmp_path ledgers; the
 integration with real engine runs is locked in
-``test_runtime_determinism.py`` and ``make diff-smoke``.
+``test_runtime_determinism.py`` and ``make smoke``.
 """
 
 from __future__ import annotations

@@ -87,7 +87,6 @@ class TestStageGraph:
         graph.add(_spec("d", inputs=("b",)))
         assert graph.topological_order() == ("a", "b", "c", "d")
         assert graph.topological_order(["d"]) == ("a", "b", "d")
-        assert graph.dependencies_transitive("d") == ("a", "b")
 
     def test_unknown_stage_lookup(self):
         with pytest.raises(ValidationError):
@@ -154,18 +153,13 @@ class TestArtifactCache:
         cache = ArtifactCache(None)
         assert not cache.enabled
         cache.store("stage", "k", {"x": 1})
-        hit, artifact = cache.load("stage", "k")
-        assert (hit, artifact) == (False, None)
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache.load("stage", "k") == (False, None)
 
     def test_roundtrip(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
-        hit, _ = cache.load("stage", "k1")
-        assert not hit
+        assert cache.load("stage", "k1") == (False, None)
         cache.store("stage", "k1", {"x": [1, 2]})
-        hit, artifact = cache.load("stage", "k1")
-        assert hit and artifact == {"x": [1, 2]}
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.load("stage", "k1") == (True, {"x": [1, 2]})
 
     def test_corrupt_artifact_is_a_miss(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))

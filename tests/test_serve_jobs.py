@@ -4,7 +4,7 @@ The engine itself is stubbed (``repro.runtime.facade.run_study`` is
 monkeypatched — :meth:`JobManager._execute` resolves it at call time),
 so these tests exercise the queueing, lifecycle, event and metric
 semantics in milliseconds; the real engine-under-the-service path is
-locked by ``make serve-smoke``.
+locked by ``make smoke``.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class TestFacadeProgressHook:
         # The facade's wiring: progress=... with no tracer must trace
         # the run through a CallbackTracer so span events reach the
         # callback.  The engine is stubbed; the real traced-run path is
-        # tier-1 elsewhere (test_runtime_determinism) and serve-smoke.
+        # tier-1 elsewhere (test_runtime_determinism) and ``make smoke``.
         from repro.obs.trace import CallbackTracer
         from repro.runtime import facade
 

@@ -5,7 +5,7 @@ stubbed (fast, deterministic — see ``test_serve_jobs``) but everything
 above it is real: the hand-rolled HTTP parser over a live socket, the
 router, the SSE stream, the ledger handlers against a real ledger
 file, the request log.  The full engine-under-the-service contract is
-``make serve-smoke``.
+``make smoke``.
 """
 
 from __future__ import annotations
@@ -214,11 +214,10 @@ class TestService:
         submit_and_finish(server, {"preset": "small"})
         assert request(server, "GET", "/runs/zzzzzz")[0] == 404
 
-    def test_check_without_budgets_is_400(self, server):
-        submit_and_finish(server, {"preset": "small"})
+    def test_check_route_is_gone(self, server):
         status, text = request(server, "GET", "/runs/latest/check")
-        assert status == 400
-        assert "budgets" in json.loads(text)["error"]
+        assert status == 404
+        assert "no route" in json.loads(text)["error"]
 
     def test_request_log_records_routes_not_just_paths(self, server):
         import time
