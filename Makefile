@@ -14,10 +14,9 @@ test:
 # reprolint: whole-program pass over every invariant family
 # (determinism, error discipline, layering, cache integrity, shard
 # purity, observability consistency, seed lineage, resource discipline,
-# concurrency context) plus dumps of the import/call graph and the
-# execution-context report.  See docs/linting.md.
+# concurrency context).  See docs/linting.md.
 lint:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro scripts benchmarks --jobs 0 --graph-json build/program-graph.json --concurrency-json build/concurrency-report.json
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro scripts benchmarks
 
 # Writes pytest-benchmark's JSON report to build/bench.json.
 bench:

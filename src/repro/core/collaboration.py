@@ -10,7 +10,8 @@ the tracker that initiated the hand-off, and the request URL names the
 tracker receiving the identifier.  Folding every classified chain edge
 to the registrable-domain level yields the **collaboration graph**: a
 directed graph whose nodes are tracking domains and whose edges count
-observed identifier hand-offs.
+observed identifier hand-offs, kept as a plain ``{source: {target:
+weight}}`` mapping in which every domain is a key.
 
 On top of the graph the analyzer reports the paper-style geographic
 angle: how many hand-offs cross national borders or leave the GDPR
@@ -23,8 +24,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.core.classify import ClassificationResult
 from repro.core.confinement import Locator
@@ -71,7 +70,7 @@ class CollaborationAnalyzer:
         self._locate = locate
         self._location_cache: Dict[IPAddress, Optional[str]] = {}
         self._hand_offs: Optional[List[HandOff]] = None
-        self._graph: Optional[nx.DiGraph] = None
+        self._graph: Optional[Dict[str, Dict[str, int]]] = None
 
     # -- construction -----------------------------------------------------
     def _located(self, address: IPAddress) -> Optional[str]:
@@ -119,31 +118,47 @@ class CollaborationAnalyzer:
         self._hand_offs = out
         return out
 
-    def graph(self) -> nx.DiGraph:
-        """The weighted directed collaboration graph."""
+    def graph(self) -> Dict[str, Dict[str, int]]:
+        """The weighted directed collaboration graph: source domain →
+        target domain → hand-off count; domains that only receive map to
+        an empty dict."""
         if self._graph is not None:
             return self._graph
-        graph = nx.DiGraph()
+        graph: Dict[str, Dict[str, int]] = {}
         for hand_off in self.hand_offs():
-            if graph.has_edge(hand_off.source_domain, hand_off.target_domain):
-                graph[hand_off.source_domain][hand_off.target_domain][
-                    "weight"
-                ] += 1
-            else:
-                graph.add_edge(
-                    hand_off.source_domain, hand_off.target_domain, weight=1
-                )
+            targets = graph.setdefault(hand_off.source_domain, {})
+            targets[hand_off.target_domain] = (
+                targets.get(hand_off.target_domain, 0) + 1
+            )
+            graph.setdefault(hand_off.target_domain, {})
         self._graph = graph
         return graph
+
+    def _components(self) -> List[int]:
+        """Sizes of the weakly connected components (union-find over
+        the edges, direction ignored)."""
+        graph = self.graph()
+        parent = {domain: domain for domain in graph}
+
+        def root(domain: str) -> str:
+            while parent[domain] != domain:
+                parent[domain] = parent[parent[domain]]
+                domain = parent[domain]
+            return domain
+
+        for source, targets in graph.items():
+            for target in targets:
+                parent[root(source)] = root(target)
+        return list(Counter(root(domain) for domain in parent).values())
 
     # -- structure metrics ---------------------------------------------------
     def top_collaborations(self, k: int = 10) -> List[Tuple[str, str, int]]:
         """The k heaviest domain→domain hand-off edges."""
-        graph = self.graph()
         edges = sorted(
             (
-                (source, target, data["weight"])
-                for source, target, data in graph.edges(data=True)
+                (source, target, weight)
+                for source, targets in self.graph().items()
+                for target, weight in targets.items()
             ),
             key=lambda edge: (-edge[2], edge[0], edge[1]),
         )
@@ -152,26 +167,26 @@ class CollaborationAnalyzer:
     def hubs(self, k: int = 10) -> List[Tuple[str, int]]:
         """Domains receiving identifiers from the most partners."""
         graph = self.graph()
+        in_degree = {domain: 0 for domain in graph}
+        for targets in graph.values():
+            for target in targets:
+                in_degree[target] += 1
         ranked = sorted(
-            graph.in_degree(), key=lambda pair: (-pair[1], pair[0])
+            in_degree.items(), key=lambda pair: (-pair[1], pair[0])
         )
-        return [pair for pair in ranked[:k]]
+        return ranked[:k]
 
     def n_components(self) -> int:
         """Weakly connected components of the collaboration graph."""
-        graph = self.graph()
-        if graph.number_of_nodes() == 0:
-            return 0
-        return nx.number_weakly_connected_components(graph)
+        return len(self._components())
 
     def giant_component_share(self) -> float:
         """Fraction of domains in the largest component (ecosystem
         cohesion — cookie syncing binds most of the industry together)."""
-        graph = self.graph()
-        if graph.number_of_nodes() == 0:
+        sizes = self._components()
+        if not sizes:
             return 0.0
-        giant = max(nx.weakly_connected_components(graph), key=len)
-        return len(giant) / graph.number_of_nodes()
+        return max(sizes) / len(self.graph())
 
     # -- geographic metrics ---------------------------------------------------
     def cross_border_share_pct(self) -> float:
@@ -206,8 +221,8 @@ class CollaborationAnalyzer:
         graph = self.graph()
         return {
             "hand_offs": float(len(self.hand_offs())),
-            "domains": float(graph.number_of_nodes()),
-            "edges": float(graph.number_of_edges()),
+            "domains": float(len(graph)),
+            "edges": float(sum(len(targets) for targets in graph.values())),
             "components": float(self.n_components()),
             "giant_component_share": self.giant_component_share(),
             "cross_border_share_pct": self.cross_border_share_pct(),

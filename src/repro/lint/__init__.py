@@ -30,11 +30,9 @@ The C/P/O/S/I families read the whole-program import/call graph
 (:mod:`repro.lint.program`); the T family classifies every function by
 its reachable execution contexts (:mod:`repro.lint.concurrency`).
 Run ``python -m repro.lint src/repro`` (or ``make lint``); see
-``docs/linting.md`` for pragmas, the baseline workflow, and how to add
-a rule.
+``docs/linting.md`` for pragmas and how to add a rule.
 """
 
-from repro.lint.baseline import load_baseline, partition, write_baseline
 from repro.lint.findings import Finding
 from repro.lint.framework import (
     FileContext,
@@ -74,7 +72,4 @@ __all__ = [
     "register",
     "run_lint",
     "select_rules",
-    "load_baseline",
-    "partition",
-    "write_baseline",
 ]

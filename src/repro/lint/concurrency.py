@@ -43,9 +43,6 @@ T-family rules (:mod:`repro.lint.rules_concurrency`) report:
 
 Every reported site carries a witness chain from a context seed down
 to the site, one ``file:line snippet`` hop per call.
-:func:`ContextAnalysis.report_json` emits the whole picture as the
-versioned ``repro.lint/concurrency/v1`` document the CLI writes via
-``--concurrency-json``.
 """
 
 from __future__ import annotations
@@ -57,9 +54,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.lint.framework import is_test_module
 from repro.lint.program import FunctionInfo, ModuleInfo, ProgramModel
-
-#: schema tag of the report emitted by ``--concurrency-json``
-CONCURRENCY_SCHEMA = "repro.lint/concurrency/v1"
 
 #: the execution contexts, in seed-priority order
 CONTEXTS = ("main", "async", "thread", "shard")
@@ -173,13 +167,12 @@ class WriteSite:
 
 @dataclass
 class ContextFinding:
-    """One report entry: a hazard site plus its witness chain."""
+    """One hazard site plus its witness chain."""
 
     rule: str
     context: str
     function: FunctionRef
     site: str
-    snippet: str
     chain: List[str] = field(default_factory=list)
     detail: str = ""
 
@@ -275,11 +268,6 @@ class ContextAnalysis:
         self._contexts = contexts
         self._parents = parents
         return contexts
-
-    def contexts_of(self, ref: FunctionRef) -> Tuple[str, ...]:
-        """The contexts reaching ``ref``, in canonical order."""
-        reached = self.contexts().get(ref, set())
-        return tuple(c for c in CONTEXTS if c in reached)
 
     # -- witness chains --------------------------------------------------
 
@@ -954,14 +942,13 @@ class ContextAnalysis:
                 out[target] = (ordered, sites)
         return out
 
-    # -- the report ------------------------------------------------------
+    # -- findings --------------------------------------------------------
 
     def findings(self) -> List[ContextFinding]:
         """Every T-family hazard, pragma-agnostic, with witness chains.
 
-        This is the raw scan the report serialises; the registered
-        rules re-derive the same sites so per-line pragmas and the
-        baseline can suppress them individually.
+        The registered rules turn these into lint findings, so per-line
+        pragmas can suppress them individually.
         """
         out: List[ContextFinding] = []
         contexts = self.contexts()
@@ -1031,64 +1018,9 @@ class ContextAnalysis:
             context=context,
             function=ref,
             site=f"{info.ctx.rel_path}:{line}",
-            snippet=snippet,
             chain=chain,
             detail=detail,
         )
-
-    def _suppressed(self, finding: ContextFinding) -> bool:
-        """Whether a site-level pragma disables this finding — the
-        report honors the same ``# reprolint: disable=`` markers the
-        framework does."""
-        from repro.lint.findings import Finding
-
-        info = self.model.modules.get(finding.function[0])
-        ctx = getattr(info, "ctx", None)
-        if ctx is None:
-            return False
-        path, _, line = finding.site.rpartition(":")
-        return ctx.is_suppressed(Finding(
-            path=path, line=int(line), col=0,
-            rule=finding.rule, message="",
-        ))
-
-    def report_json(self) -> Dict[str, Any]:
-        """The full ``repro.lint/concurrency/v1`` document."""
-        contexts = self.contexts()
-        multi = {
-            f"{ref[0]}:{ref[1]}": list(self.contexts_of(ref))
-            for ref in sorted(contexts)
-            if len(contexts[ref]) > 1
-        }
-        findings = [
-            {
-                "rule": finding.rule,
-                "context": finding.context,
-                "function": f"{finding.function[0]}:{finding.function[1]}",
-                "site": finding.site,
-                "snippet": finding.snippet,
-                "detail": finding.detail,
-                "chain": finding.chain,
-            }
-            for finding in self.findings()
-            if not self._suppressed(finding)
-        ]
-        return {
-            "schema": CONCURRENCY_SCHEMA,
-            "modules": len(self.model.modules),
-            "seeds": {
-                context: [f"{ref[0]}:{ref[1]}" for ref in refs]
-                for context, refs in self.seeds().items()
-            },
-            "functions": multi,
-            "findings": findings,
-            "summary": {
-                "functions": len(contexts),
-                "multi_context": len(multi),
-                "findings": len(findings),
-                "contested_targets": len(self.contested_targets()),
-            },
-        }
 
 
 def concurrency_for_model(model: ProgramModel) -> ContextAnalysis:

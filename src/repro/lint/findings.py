@@ -1,16 +1,12 @@
 """The :class:`Finding` record emitted by every reprolint rule.
 
 A finding is a plain value object: rules produce them, the framework
-filters them through pragmas and the baseline, and reporters render
-them.  The ``snippet`` field (the stripped source line) doubles as the
-line-number-independent fingerprint used by the baseline, so findings
-survive unrelated edits above them in the file.
+filters them through pragmas, and the CLI prints them one per line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -22,21 +18,6 @@ class Finding:
     col: int
     rule: str
     message: str = field(compare=False)
-    snippet: str = field(default="", compare=False)
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Baseline identity: stable across pure line-number shifts."""
-        return (self.rule, self.path, self.snippet)
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-            "snippet": self.snippet,
-        }

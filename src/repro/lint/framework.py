@@ -4,20 +4,15 @@ The framework is deliberately small.  A :class:`Rule` sees one parsed
 file at a time through :class:`FileContext` (AST, source lines, module
 name, import table) and may run a whole-project pass in
 :meth:`Rule.finalize` through :class:`ProjectContext` (used by the
-import-cycle rule).  Suppression happens in exactly two places, both
-owned by the framework, never by rules:
-
-* inline pragmas — ``# reprolint: disable=D101`` on the offending line
-  (or ``disable=all``), and ``# reprolint: disable-file=E201`` anywhere
-  in the file;
-* the committed baseline (see :mod:`repro.lint.baseline`).
+import-cycle rule).  Suppression is owned by the framework, never by
+rules: inline pragmas — ``# reprolint: disable=D101`` on the offending
+line (or ``disable=all``), and ``# reprolint: disable-file=E201``
+anywhere in the file.
 """
 
 from __future__ import annotations
 
 import ast
-import concurrent.futures
-import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -101,7 +96,6 @@ class FileContext:
                 col=(exc.offset or 1) - 1,
                 rule=PARSE_ERROR_RULE,
                 message=f"syntax error: {exc.msg}",
-                snippet=(exc.text or "").strip(),
             )
         self._line_pragmas, self._file_pragmas = _parse_pragmas(self.lines)
         #: local name -> fully-qualified origin, e.g. ``Random`` ->
@@ -151,14 +145,12 @@ class FileContext:
     def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
-        snippet = self.lines[line - 1].strip() if 0 < line <= len(self.lines) else ""
         return Finding(
             path=self.rel_path,
             line=line,
             col=col,
             rule=rule.code,
             message=message,
-            snippet=snippet,
         )
 
     def is_suppressed(self, finding: Finding) -> bool:
@@ -290,74 +282,19 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 class LintResult:
     findings: List[Finding]
     files_checked: int
-    #: the project the run analyzed — lets callers (the CLI's
-    #: ``--graph-json``) reuse the already-built program model
-    project: Optional[ProjectContext] = None
-    #: wall-clock duration of the run, for the text and JSON reports
+    #: wall-clock duration of the run, for the report's summary line
     wall_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` value: ``0`` means the CPU count, ``None``
-    (or anything below 2) means serial."""
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return max(1, jobs or 1)
-
-
-def _check_file(rules: Sequence[Rule], ctx: FileContext) -> List[Finding]:
-    """Every unsuppressed per-file finding of ``rules`` on one file."""
-    return [
-        finding
-        for rule in rules
-        for finding in rule.check_file(ctx)
-        if not ctx.is_suppressed(finding)
-    ]
-
-
-def _lint_file_worker(task: Tuple[str, str, Tuple[str, ...]]) -> List[Finding]:
-    """Per-file rule pass in a worker process: re-parse the file and run
-    every registered rule in ``codes``.  Top-level (picklable) and
-    registry-driven — rule instances never cross the process boundary,
-    only their codes do."""
-    path_str, rel, codes = task
-    wanted = set(codes)
-    active = [rule for rule in all_rules() if rule.code in wanted]
-    path = Path(path_str)
-    ctx = FileContext(path, rel, path.read_text(encoding="utf-8"))
-    if ctx.parse_error is not None:
-        # The parent's own context carries the parse error; nothing to
-        # run here.
-        return []
-    return _check_file(active, ctx)
-
-
-def _poolable(rules: Sequence[Rule]) -> bool:
-    """Per-file passes can fan out only when every rule is recoverable
-    from the registry by code inside a worker process."""
-    return all(
-        type(rule) is _REGISTRY.get(rule.code) for rule in rules
-    )
 
 
 def run_lint(
     paths: Sequence[Path],
     rules: Optional[Sequence[Rule]] = None,
     root: Optional[Path] = None,
-    jobs: Optional[int] = None,
 ) -> LintResult:
     """Lint every Python file under ``paths`` and return the findings.
 
-    ``root`` anchors the relative paths used in reports and baselines;
-    it defaults to the current working directory.  ``jobs`` fans the
-    per-file rule passes out over worker processes (``0`` = CPU count);
-    the program-model build and every ``finalize`` pass stay
-    single-threaded in the parent, so whole-program rules see one
-    consistent model either way.
+    ``root`` anchors the relative paths used in reports; it defaults to
+    the current working directory.
     """
     started = time.monotonic()
     active = list(rules) if rules is not None else all_rules()
@@ -365,10 +302,6 @@ def run_lint(
     project = ProjectContext()
     findings: List[Finding] = []
     files_checked = 0
-    workers = resolve_jobs(jobs)
-    fan_out = workers > 1 and _poolable(active)
-    tasks: List[Tuple[str, str, Tuple[str, ...]]] = []
-    codes = tuple(sorted(rule.code for rule in active))
     for path in iter_python_files(paths):
         files_checked += 1
         resolved = path.resolve()
@@ -381,20 +314,12 @@ def run_lint(
         if ctx.parse_error is not None:
             findings.append(ctx.parse_error)
             continue
-        if fan_out:
-            tasks.append((str(resolved), rel, codes))
-            continue
-        findings.extend(_check_file(active, ctx))
-    if fan_out and tasks:
-        n_workers = min(workers, len(tasks))
-        chunksize = max(1, len(tasks) // (n_workers * 4))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=n_workers
-        ) as pool:
-            for batch in pool.map(
-                _lint_file_worker, tasks, chunksize=chunksize
-            ):
-                findings.extend(batch)
+        findings.extend(
+            finding
+            for rule in active
+            for finding in rule.check_file(ctx)
+            if not ctx.is_suppressed(finding)
+        )
     for rule in active:
         for finding in rule.finalize(project):
             ctx = project.files.get(finding.path)
@@ -406,6 +331,5 @@ def run_lint(
     return LintResult(
         findings=findings,
         files_checked=files_checked,
-        project=project,
         wall_s=time.monotonic() - started,
     )

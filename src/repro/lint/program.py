@@ -43,7 +43,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Any,
     Dict,
     Iterable,
     Iterator,
@@ -1110,44 +1109,6 @@ class ProgramModel:
                 rendered = self._render(value) or type(value).__name__
                 decl.unresolved.append((role, rendered))
         return decl
-
-    # -- export ----------------------------------------------------------
-    def graph_json(self) -> Dict[str, Any]:
-        """The import and call graphs as one JSON-able document."""
-        modules: Dict[str, Any] = {}
-        functions: Dict[str, Any] = {}
-        for name in sorted(self.modules):
-            info = self.modules[name]
-            modules[name] = {
-                "path": info.ctx.rel_path,
-                "imports": sorted(info.imports_toplevel),
-                "imports_all": sorted(info.imports_all),
-                "missing_imports": sorted(info.missing_imports),
-                "footprint_exempt": sorted(info.exempt_imports),
-                "classes": sorted(info.classes),
-            }
-            for qualname in sorted(info.functions):
-                fn = info.functions[qualname]
-                functions[f"{name}:{qualname}"] = {
-                    "calls": [
-                        {
-                            "line": call.line,
-                            "kind": call.callee.kind,
-                            "target": (
-                                f"{call.callee.module}:{call.callee.qualname}"
-                                if call.callee.kind == "function"
-                                else call.callee.module or None
-                            ),
-                            "rendered": call.callee.rendered,
-                        }
-                        for call in fn.calls
-                    ],
-                }
-        return {
-            "schema": "repro.lint/program-graph/v1",
-            "modules": modules,
-            "functions": functions,
-        }
 
 
 def program_model_for(project: ProjectContext) -> ProgramModel:

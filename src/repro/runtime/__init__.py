@@ -43,7 +43,6 @@ Typical use::
 
 from repro.runtime.cache import ArtifactCache, config_digest
 from repro.runtime.engine import (
-    MANIFEST_FILENAME,
     ExecutionEngine,
     RunResult,
     StageMetrics,
@@ -56,7 +55,6 @@ from repro.runtime.stages import STAGE_GRAPH, STAGE_NAMES
 __all__ = [
     "ArtifactCache",
     "ExecutionEngine",
-    "MANIFEST_FILENAME",
     "RunResult",
     "RuntimeRun",
     "ShardAxis",

@@ -45,13 +45,13 @@ Observability rides along without touching determinism:
   so a traced ``--workers N`` run exports one Chrome trace with N
   worker process tracks stitched into the engine timeline;
 * after the root span closes, the engine assembles a provenance
-  manifest (:mod:`repro.runtime.provenance`) and — when a cache
-  directory is configured — writes it atomically next to the artifacts.
+  manifest (:mod:`repro.runtime.provenance`) into
+  :attr:`RunResult.manifest` and — when a cache directory is
+  configured — appends one record to the run ledger.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -71,7 +71,6 @@ from repro.config import WorldConfig
 from repro.datasets.builder import World, cached_build_world
 from repro.obs import names as obs_names
 from repro.obs.ledger import append_record, ledger_path
-from repro.obs.manifest import write_manifest
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.trace import NULL_TRACER, Tracer, tracing
 from repro.runtime.cache import ArtifactCache, config_digest
@@ -80,9 +79,6 @@ from repro.runtime.footprint import stage_salts
 from repro.runtime.graph import StageGraph, StageSpec
 from repro.runtime.provenance import build_ledger_record, build_manifest
 from repro.runtime.stages import STAGE_GRAPH
-
-#: filename of the per-run provenance manifest inside the cache dir
-MANIFEST_FILENAME = "manifest.json"
 
 #: marker key of the cache envelope that pairs an artifact with the
 #: shard-local observability recorded while producing it: the metrics
@@ -365,14 +361,9 @@ class ExecutionEngine:
             result, digest, self._salts, self._footprints
         )
         if self.cache.enabled:
-            write_manifest(
-                result.manifest,
-                os.path.join(str(self.cache.root), MANIFEST_FILENAME),
-            )
-            # The run ledger accumulates where the manifest overwrites:
-            # every cached run appends one record (config digest, salts,
-            # footprints, registry snapshot, per-stage timings), which
-            # is what `repro obs diff` compares across runs.
+            # Every cached run appends one ledger record (config digest,
+            # salts, footprints, registry snapshot, per-stage timings),
+            # which is what `repro obs diff` compares across runs.
             result.ledger_record = append_record(
                 ledger_path(str(self.cache.root)),
                 build_ledger_record(

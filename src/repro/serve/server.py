@@ -237,8 +237,10 @@ class StudyServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
-                # The peer hanging up mid-close is its business.
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # The peer hanging up mid-close is its business, and a
+                # loop teardown cancelling the close is shutdown's (the
+                # same unhandled-callback traceback as above otherwise).
                 pass
 
     def _log(

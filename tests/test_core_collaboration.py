@@ -79,6 +79,44 @@ LOCATIONS = {
 }
 
 
+def split_classification():
+    """Two weakly connected islands: a → b (twice) ← c, and x → y."""
+    a = make_request(
+        "https://sync.a.example/usermatch?uid=1",
+        "https://site.example/",
+        "1.0.0.1",
+    )
+    c = make_request(
+        "https://sync.c.example/usermatch?uid=1",
+        "https://site.example/",
+        "1.0.0.3",
+    )
+    x = make_request(
+        "https://sync.x.example/usermatch?uid=1",
+        "https://site.example/",
+        "1.0.0.5",
+    )
+    requests = [
+        a,
+        c,
+        x,
+        make_request("https://cs.b.example/p?uid=1", a.url, "1.0.0.2"),
+        make_request("https://cs.b.example/p?uid=2", a.url, "1.0.0.2"),
+        make_request("https://cs.b.example/p?uid=3", c.url, "1.0.0.2"),
+        make_request("https://cs.y.example/p?uid=1", x.url, "1.0.0.6"),
+    ]
+    stages = [ClassificationStage.KEYWORD] * 3 + [
+        ClassificationStage.REFERRER
+    ] * 4
+    return ClassificationResult(requests=requests, stages=stages)
+
+
+SPLIT_LOCATIONS = {
+    "1.0.0.1": "DE", "1.0.0.2": "US", "1.0.0.3": "FR",
+    "1.0.0.5": "DE", "1.0.0.6": "DE",
+}
+
+
 class TestCollaborationAnalyzer:
     def test_hand_offs_extracted_from_chains(self):
         analyzer = CollaborationAnalyzer(
@@ -102,8 +140,11 @@ class TestCollaborationAnalyzer:
             chain_classification(), locator(LOCATIONS)
         )
         graph = analyzer.graph()
-        assert graph["a.example"]["b.example"]["weight"] == 1
-        assert graph.number_of_edges() == 2
+        assert graph == {
+            "a.example": {"b.example": 1},
+            "b.example": {"c.example": 1},
+            "c.example": {},
+        }
 
     def test_geography(self):
         analyzer = CollaborationAnalyzer(
@@ -122,6 +163,28 @@ class TestCollaborationAnalyzer:
         assert summary["domains"] == 3
         assert summary["components"] == 1
         assert summary["giant_component_share"] == pytest.approx(1.0)
+
+    def test_two_components_and_a_sender_only_domain(self):
+        analyzer = CollaborationAnalyzer(
+            split_classification(), locator(SPLIT_LOCATIONS)
+        )
+        assert analyzer.graph() == {
+            "a.example": {"b.example": 2},
+            "b.example": {},
+            "c.example": {"b.example": 1},
+            "x.example": {"y.example": 1},
+            "y.example": {},
+        }
+        assert analyzer.n_components() == 2
+        assert analyzer.giant_component_share() == pytest.approx(3 / 5)
+        # Every domain is ranked, the three that only send with 0.
+        assert analyzer.hubs() == [
+            ("b.example", 2), ("y.example", 1),
+            ("a.example", 0), ("c.example", 0), ("x.example", 0),
+        ]
+        assert analyzer.top_collaborations(2) == [
+            ("a.example", "b.example", 2), ("c.example", "b.example", 1),
+        ]
 
     def test_empty_log(self):
         analyzer = CollaborationAnalyzer(

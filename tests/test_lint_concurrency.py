@@ -5,8 +5,8 @@ probe the context map directly; rule tests run the same fixtures
 through the real lint framework (fixture + pragma pair per rule); a
 copied-tree regression plants a lock-free cross-thread mutation inside
 the live ``repro.serve.jobs`` worker body and demands a T1003 finding
-whose witness chain names the write site; and a report tripwire
-validates the ``repro.lint/concurrency/v1`` document shape.
+whose witness chain names the write site; and shape checks pin the
+analysis's seeds and findings, on a fixture and on the live tree.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence
 
 from repro.lint import Finding, run_lint, select_rules
 from repro.lint.concurrency import (
-    CONCURRENCY_SCHEMA,
     CONTEXTS,
     ContextAnalysis,
     concurrency_for_model,
@@ -553,35 +552,39 @@ def test_live_tree_has_no_t_family_findings():
 
 
 # ---------------------------------------------------------------------------
-# report document
+# the analysis's seeds and findings
 # ---------------------------------------------------------------------------
 
 
-def test_report_json_shape(tmp_path):
+def test_findings_shape(tmp_path):
     analysis = analysis_for(
         tmp_path,
         {**T1002_FIXTURE, "pkg/loops.py": T1004_FIXTURE["pkg/loops.py"]},
     )
-    report = analysis.report_json()
-    assert report["schema"] == CONCURRENCY_SCHEMA
-    assert set(report["seeds"]) == set(CONTEXTS)
-    assert report["summary"]["findings"] == len(report["findings"])
-    assert report["findings"], "fixture should produce findings"
-    for entry in report["findings"]:
-        assert re.match(r"\S+\.py:\d+$", entry["site"]), entry["site"]
-        assert entry["chain"], entry
-        for hop in entry["chain"]:
+    assert set(analysis.seeds()) == set(CONTEXTS)
+    findings = analysis.findings()
+    assert findings, "fixture should produce findings"
+    for entry in findings:
+        assert re.match(r"\S+\.py:\d+$", entry.site), entry.site
+        assert entry.chain, entry
+        for hop in entry.chain:
             assert re.match(r"\S+\.py:\d+ ", hop), hop
-        assert entry["rule"].startswith("T")
-        assert entry["context"] in CONTEXTS
+        assert entry.rule.startswith("T")
+        assert entry.context in CONTEXTS
 
 
-def test_report_json_live_tree_validates():
-    report = concurrency_for_model(
-        ProgramModel.from_paths([default_root()], root=default_root().parent)
-    ).report_json()
-    assert report["schema"] == CONCURRENCY_SCHEMA
-    assert report["findings"] == []
-    assert report["summary"]["functions"] > 100
-    # Context classification must have found all four context kinds.
-    assert all(report["seeds"].get(context) for context in ("main", "async"))
+def test_live_tree_analysis_validates():
+    root = default_root()
+    model = ProgramModel.from_paths([root], root=root.parent)
+    analysis = concurrency_for_model(model)
+
+    def suppressed(entry) -> bool:
+        path, _, line = entry.site.rpartition(":")
+        ctx = model.modules[entry.function[0]].ctx
+        return ctx.is_suppressed(Finding(path, int(line), 0, entry.rule, ""))
+
+    unsuppressed = [e for e in analysis.findings() if not suppressed(e)]
+    assert unsuppressed == [], unsuppressed
+    assert len(analysis.contexts()) > 100
+    # Context classification must have found the main and async seeds.
+    assert all(analysis.seeds().get(context) for context in ("main", "async"))

@@ -461,14 +461,14 @@ def test_node_source_slices_definition(tmp_path):
     assert fn.source.rstrip().endswith("return 1")
 
 
-def test_graph_json_shape(tmp_path):
+def test_model_import_and_call_edges(tmp_path):
     model = build_model(tmp_path, _stage_tree())
-    graph = model.graph_json()
-    assert graph["schema"] == "repro.lint/program-graph/v1"
-    assert "pkg.stages" in graph["modules"]
-    assert "pkg.work" in graph["modules"]["pkg.stages"]["imports"]
-    run_calls = graph["functions"]["pkg.stages:run"]["calls"]
+    assert "pkg.stages" in model.modules
+    assert "pkg.work" in model.modules["pkg.stages"].imports_toplevel
+    run_calls = model.function(("pkg.stages", "run")).calls
     assert any(
-        call["kind"] == "function" and call["target"] == "pkg.work:crunch"
+        call.callee.kind == "function"
+        and (call.callee.module, call.callee.qualname)
+        == ("pkg.work", "crunch")
         for call in run_calls
     )

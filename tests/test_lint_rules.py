@@ -1066,7 +1066,7 @@ def test_repo_tree_is_lint_clean():
     if not source_tree.exists():  # pragma: no cover - exotic layouts
         pytest.skip("source tree not present")
     # The same roster `make lint` checks: the package plus the scripts
-    # and benchmarks that ride in CI, against an empty baseline.
+    # and benchmarks that ride in CI.
     paths = [source_tree] + [
         extra
         for extra in (repo_root / "scripts", repo_root / "benchmarks")

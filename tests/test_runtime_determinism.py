@@ -448,6 +448,13 @@ class TestLedgerIntegration:
             }
             assert owned and owned <= set(record["metrics"])
 
+    def test_cached_runs_write_no_manifest_file(
+        self, cache_dir, parallel_cold_run, parallel_warm_run
+    ):
+        # The manifest stays on the result; only `--trace` writes it.
+        validate_manifest(parallel_warm_run.manifest)
+        assert "manifest.json" not in os.listdir(cache_dir)
+
     def test_uncached_run_appends_nothing(self, serial_run):
         assert serial_run.ledger_record is None
 

@@ -10,6 +10,7 @@ file, the request log.  The full engine-under-the-service contract is
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import threading
@@ -296,3 +297,26 @@ class TestMetricsNegotiationAndProfile:
         status, _, text = request_with_headers(server, "/metrics?format=xml")
         assert status == 400
         assert "format" in json.loads(text)["error"]
+
+
+class CancelledCloseWriter:
+    """A stream writer whose close a loop teardown cancels."""
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        raise asyncio.CancelledError
+
+
+def test_connection_close_cancelled_by_teardown_returns(tmp_path):
+    server = StudyServer(cache_dir=str(tmp_path), port=0)
+
+    async def drive():
+        reader = asyncio.StreamReader()
+        reader.feed_eof()
+        await server._handle_connection(reader, CancelledCloseWriter())
+
+    # Returns instead of ending the connection task cancelled, which
+    # asyncio would report as an unhandled-callback traceback.
+    asyncio.run(drive())
