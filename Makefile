@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench report smoke perf-smoke calibrate sweep clean
+.PHONY: install test lint bench report smoke perf-smoke examples calibrate sweep clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -50,6 +50,14 @@ smoke:
 # "Measuring" section of docs/runtime.md).
 perf-smoke:
 	$(PYTHON) scripts/perf_smoke.py
+
+# Runs every script under examples/ at its default seed; fails on the
+# first one that exits non-zero.
+examples:
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) $$script || exit 1; \
+	done
 
 calibrate:
 	$(PYTHON) scripts/calibrate.py medium

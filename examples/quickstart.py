@@ -24,7 +24,7 @@ import sys
 from repro import Study, WorldConfig
 from repro.analysis.tables import table1, table2, table5
 from repro.geodata.regions import Region
-from repro.obs import Tracer
+from repro.obs.trace import Tracer
 from repro.runtime import run_study
 
 

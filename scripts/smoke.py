@@ -57,8 +57,9 @@ import threading
 from repro import WorldConfig
 from repro.cli import main as cli_main
 from repro.errors import ReproError
-from repro.obs import load_ledger, load_manifest, load_trace_events
-from repro.obs.ledger import ledger_path
+from repro.obs.export import load_trace_events
+from repro.obs.ledger import ledger_path, load_ledger
+from repro.obs.manifest import load_manifest
 from repro.runtime import run_study
 from repro.runtime.stages import STAGE_NAMES
 from repro.serve import StudyServer, decode_events, validate_event

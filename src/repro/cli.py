@@ -228,7 +228,9 @@ def _make_study(args: argparse.Namespace) -> Study:
 
 def _command_run(args: argparse.Namespace) -> str:
     from repro.io import run_metrics_to_json
-    from repro.obs import Tracer, write_manifest, write_trace_events
+    from repro.obs.export import write_trace_events
+    from repro.obs.manifest import write_manifest
+    from repro.obs.trace import Tracer
     from repro.runtime import run_study
 
     cache_dir = str(args.cache_dir) if args.cache_dir is not None else None
@@ -292,7 +294,7 @@ def _command_run(args: argparse.Namespace) -> str:
 
 
 def _obs_ledger_path(args: argparse.Namespace) -> str:
-    from repro.obs import ledger_path
+    from repro.obs.ledger import ledger_path
 
     if args.ledger is not None:
         return str(args.ledger)
@@ -321,11 +323,10 @@ def _obs_list(records) -> str:
 def _command_obs(args: argparse.Namespace) -> int:
     """The ``repro obs`` family; returns the process exit code."""
     from repro.errors import ObservabilityError
-    from repro.obs import (
-        diff_records,
+    from repro.obs.diff import diff_records, render_diff_text
+    from repro.obs.ledger import (
         load_ledger,
         read_baseline,
-        render_diff_text,
         select_record,
         write_baseline,
     )

@@ -77,8 +77,7 @@ class UnknownKeyError(ReproError, KeyError):
 
 
 class LintError(ReproError):
-    """Raised by :mod:`repro.lint` for malformed baselines or rule
-    registration conflicts."""
+    """Raised by :mod:`repro.lint` for rule registration conflicts."""
 
 
 class ExecutionError(ReproError):

@@ -39,7 +39,6 @@ from __future__ import annotations
 import ast
 import builtins
 import hashlib
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -59,10 +58,6 @@ from repro.lint.framework import (
     iter_python_files,
     module_name_for,
 )
-
-#: pragma marking an import line whose target is deliberately excluded
-#: from salt footprints (C402 then demands a manual version bump)
-_FOOTPRINT_EXEMPT_RE = re.compile(r"#\s*reprolint:\s*footprint-exempt\b")
 
 #: digest width for footprint salts (matches the runtime cache's)
 _DIGEST_BYTES = 20
@@ -234,8 +229,6 @@ class ModuleInfo:
     imports_all: Set[str] = field(default_factory=set)
     #: ``repro.*`` import targets that resolve to no analyzed module
     missing_imports: Set[str] = field(default_factory=set)
-    #: absolute module names excluded from footprints by pragma
-    exempt_imports: Set[str] = field(default_factory=set)
 
     def source_digest(self) -> str:
         return _digest(self.ctx.source)
@@ -276,9 +269,6 @@ class Footprint:
     stage_modules: Tuple[str, ...]
     #: external modules folded at whole-module granularity (sorted)
     modules: Tuple[str, ...]
-    #: reachable modules shielded from the salt by a footprint-exempt
-    #: pragma (C402 requires a version bump when non-empty)
-    exempted: Tuple[str, ...]
     #: ``repro.*`` names the salt cannot cover (C401 findings)
     missing: Tuple[str, ...]
     #: blake2b over every folded definition and module source
@@ -292,8 +282,6 @@ class StageDecl:
     name: str
     module: str
     node: ast.Call
-    version: str
-    version_explicit: bool
     #: resolved plan/run/merge/index seeds, keyed by keyword
     seeds: Dict[str, FunctionRef] = field(default_factory=dict)
     #: keywords whose callable could not be resolved statically
@@ -461,22 +449,13 @@ class ProgramModel:
         if toplevel:
             info.imports_toplevel.add(target)
 
-    def _import_exempt(self, info: ModuleInfo, node: ast.AST) -> bool:
-        line = getattr(node, "lineno", 0)
-        if 0 < line <= len(info.ctx.lines):
-            return bool(_FOOTPRINT_EXEMPT_RE.search(info.ctx.lines[line - 1]))
-        return False
-
     def _link_plain_import(
         self, info: ModuleInfo, node: ast.Import, toplevel: bool
     ) -> None:
-        exempt = self._import_exempt(info, node)
         for alias in node.names:
             name = alias.name
             if name in self.modules:
                 self._record_edge(info, name, toplevel)
-                if exempt:
-                    info.exempt_imports.add(name)
                 local = alias.asname or name.split(".")[0]
                 bound = name if alias.asname else name.split(".")[0]
                 if bound in self.modules:
@@ -495,21 +474,16 @@ class ProgramModel:
         target = resolve_relative_import(
             info.name, info.is_package, node.level, node.module
         )
-        exempt = self._import_exempt(info, node)
         if target is None:
             return
         target_indexed = target in self.modules
         if target_indexed:
             self._record_edge(info, target, toplevel)
-            if exempt:
-                info.exempt_imports.add(target)
         for alias in node.names:
             local = alias.asname or alias.name
             submodule = f"{target}.{alias.name}"
             if submodule in self.modules:
                 self._record_edge(info, submodule, toplevel)
-                if exempt:
-                    info.exempt_imports.add(submodule)
                 info.symbols.setdefault(local, Symbol("module", module=submodule))
             elif target_indexed:
                 origin = self.modules[target]
@@ -976,11 +950,7 @@ class ProgramModel:
             module for module, _ in seeds if module in self.modules
         }))
         reach = self.reachable(seeds)
-        exempt: Set[str] = set()
-        for module in stage_modules:
-            exempt |= self.modules[module].exempt_imports
         external: Set[str] = set()
-        exempted_used: Set[str] = set()
         uncovered: Set[str] = set()
         for module in stage_modules:
             uncovered |= self.modules[module].missing_imports
@@ -988,18 +958,9 @@ class ProgramModel:
             uncovered.add(call.callee.rendered)
         touched = (reach.modules | reach.module_grain) - set(stage_modules)
         for module in sorted(touched):
-            if module in exempt:
-                exempted_used.add(module)
-                continue
             closure, closure_missing = self.transitive_imports(module)
             uncovered |= closure_missing
-            for candidate in sorted(closure | {module}):
-                if candidate in set(stage_modules):
-                    continue
-                if candidate in exempt:
-                    exempted_used.add(candidate)
-                else:
-                    external.add(candidate)
+            external |= (closure | {module}) - set(stage_modules)
         entries: List[str] = []
         seen_defs: Set[str] = set()
         for module, qualname in reach.functions:
@@ -1039,7 +1000,6 @@ class ProgramModel:
         return Footprint(
             stage_modules=stage_modules,
             modules=tuple(sorted(external)),
-            exempted=tuple(sorted(exempted_used)),
             missing=tuple(sorted(uncovered)),
             salt=_digest(*sorted(entries)),
         )
@@ -1076,21 +1036,7 @@ class ProgramModel:
             and isinstance(name_value.value, str)
             else "<unknown>"
         )
-        version_value = keywords.get("version")
-        version_explicit = version_value is not None
-        version = (
-            version_value.value
-            if isinstance(version_value, ast.Constant)
-            and isinstance(version_value.value, str)
-            else "1"
-        )
-        decl = StageDecl(
-            name=name,
-            module=info.name,
-            node=node,
-            version=version,
-            version_explicit=version_explicit,
-        )
+        decl = StageDecl(name=name, module=info.name, node=node)
         for role in ("plan", "run", "merge", "index"):
             value = keywords.get(role)
             if value is None:

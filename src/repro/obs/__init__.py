@@ -29,110 +29,10 @@ On top of those, the persistent layer added for longitudinal work:
 Layering: this package sits below every simulation and runtime layer
 (it imports only :mod:`repro.errors`), so core/dnssim/geoloc/runtime
 may all instrument themselves through it without cycles.
+
+The package re-exports nothing: callers import the submodule they use
+(``from repro.obs.trace import Tracer``).  Stage code reaches
+:mod:`~repro.obs.metrics` and :mod:`~repro.obs.names`, and every module
+a stage can reach folds into its cache salt, so re-exports here would
+put the tooling modules above into every salt as well.
 """
-
-from repro.obs.clock import NullClock, SystemClock, TickClock
-from repro.obs.diff import (
-    LedgerDiff,
-    MetricDelta,
-    diff_records,
-    render_diff_text,
-)
-from repro.obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    TRACE_EVENTS_SCHEMA,
-    load_trace_events,
-    parse_prometheus_text,
-    prometheus_text,
-    trace_document,
-    trace_events,
-    validate_trace_events,
-    write_trace_events,
-)
-from repro.obs.ledger import (
-    LEDGER_FILENAME,
-    LEDGER_SCHEMA,
-    append_record,
-    ledger_path,
-    load_ledger,
-    read_baseline,
-    select_record,
-    validate_record,
-    write_baseline,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    load_manifest,
-    validate_manifest,
-    write_manifest,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    collecting,
-    inc,
-    observe,
-    set_gauge,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    CallbackTracer,
-    NullTracer,
-    Span,
-    Tracer,
-    current_tracer,
-    spans_to_payload,
-    tracing,
-)
-
-__all__ = [
-    "NullClock",
-    "SystemClock",
-    "TickClock",
-    "LedgerDiff",
-    "MetricDelta",
-    "diff_records",
-    "render_diff_text",
-    "PROMETHEUS_CONTENT_TYPE",
-    "TRACE_EVENTS_SCHEMA",
-    "load_trace_events",
-    "parse_prometheus_text",
-    "prometheus_text",
-    "trace_document",
-    "trace_events",
-    "validate_trace_events",
-    "write_trace_events",
-    "LEDGER_FILENAME",
-    "LEDGER_SCHEMA",
-    "append_record",
-    "ledger_path",
-    "load_ledger",
-    "read_baseline",
-    "select_record",
-    "validate_record",
-    "write_baseline",
-    "MANIFEST_SCHEMA",
-    "load_manifest",
-    "validate_manifest",
-    "write_manifest",
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "collecting",
-    "inc",
-    "observe",
-    "set_gauge",
-    "NULL_TRACER",
-    "CallbackTracer",
-    "NullTracer",
-    "Span",
-    "Tracer",
-    "current_tracer",
-    "spans_to_payload",
-    "tracing",
-]

@@ -4,8 +4,9 @@ A manifest is one JSON document answering, for a finished pipeline run:
 *what configuration ran, under which code, over which shards, producing
 how many records, with what cache behaviour, drawing from which seeds.*
 It is the auditable hand-off artifact between a run and whoever reads
-its numbers — written atomically (temp file + ``os.replace``) next to
-the cache artifacts it describes, and again wherever ``--trace`` points.
+its numbers — every run keeps its manifest in memory, and ``repro run
+--trace`` writes it atomically (temp file + ``os.replace``) wherever
+that flag points.
 
 This module owns the **schema** (:data:`MANIFEST_SCHEMA`), the
 **validator** (:func:`validate_manifest`, used by tests and the

@@ -1,9 +1,10 @@
 """Crash-safe persistence primitives shared by the obs artifacts.
 
-Manifests, ledgers and trace-event exports all live next to the cache
-artifacts they describe, and all follow the same discipline the
-artifact cache established: **a reader must never see a half-written
-document**.  Two primitives cover every obs writer:
+The run ledger lives in the cache directory, and manifests and
+trace-event exports go wherever ``--trace`` and ``--trace-events``
+point; all follow the same discipline the artifact cache established:
+**a reader must never see a half-written document**.  Two primitives
+cover every obs writer:
 
 * :func:`atomic_write_json` — whole-document replace through a
   ``.tmp.<pid>`` sibling and ``os.replace``; a crashed writer leaves

@@ -5,9 +5,9 @@ independently, tracker IPs are geolocated one campaign at a time, flows
 aggregate by counting, ISPs are analyzed in isolation.  This subsystem
 exploits that structure:
 
-* :mod:`repro.runtime.graph` — the **stage graph**: the eight pipeline
-  stages as declarative nodes with explicit inputs/outputs and a shard
-  axis (users, tracker domains, IPs, flows, ISPs);
+* :mod:`repro.runtime.graph` — the **stage graph**: the pipeline
+  stages as declarative nodes, each a name, the stages it reads and
+  its plan / run / merge / index functions;
 * :mod:`repro.runtime.stages` — per-stage plan / run / merge / index
   implementations with per-shard seeded RNG, so every shard is
   independent of every other and of the worker that executes it;
@@ -48,7 +48,7 @@ from repro.runtime.engine import (
     StageMetrics,
 )
 from repro.runtime.facade import RuntimeRun, run_study
-from repro.runtime.graph import ShardAxis, StageGraph, StageSpec, partition
+from repro.runtime.graph import StageGraph, StageSpec, partition
 from repro.runtime.provenance import build_manifest, seed_lineage
 from repro.runtime.stages import STAGE_GRAPH, STAGE_NAMES
 
@@ -57,7 +57,6 @@ __all__ = [
     "ExecutionEngine",
     "RunResult",
     "RuntimeRun",
-    "ShardAxis",
     "StageGraph",
     "StageMetrics",
     "StageSpec",

@@ -1,9 +1,10 @@
 """Content-addressed on-disk artifact cache.
 
 Cache keys are ``blake2b(config_digest | effective_salt | stage | shard)``
-where the *effective salt* of a stage folds its own code-version salt
-(source text of its plan/run/merge/index callables plus a manual
-version string) with the effective salts of all its dependencies.
+where the *effective salt* of a stage folds its own code salt (its
+name, the source text of its plan/run/merge/index callables and the
+digest of every module they can reach) with the effective salts of
+all its dependencies.
 Editing the code of stage N therefore changes the keys of N **and every
 downstream stage**, while leaving upstream artifacts valid — a re-run
 recomputes exactly N and its dependents.
@@ -108,8 +109,8 @@ def _callable_source(fn: Any) -> str:
 
 
 def stage_code_salt(spec: Any, module_footprint_salt: str = "") -> str:
-    """Salt for one stage's own code: plan/run/merge/index source +
-    version.
+    """Salt for one stage's own code: its name and plan/run/merge/index
+    source.
 
     ``module_footprint_salt`` folds in the digest of every module the
     stage's code can transitively reach (see
@@ -120,7 +121,7 @@ def stage_code_salt(spec: Any, module_footprint_salt: str = "") -> str:
     footprint salt folds nothing, so footprint-less callers (unit tests
     over synthetic specs) salt their own source alone.
     """
-    parts = [spec.name, spec.version] + [
+    parts = [spec.name] + [
         _callable_source(getattr(spec, role)) for role in ROLES
     ]
     if module_footprint_salt:

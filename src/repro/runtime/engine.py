@@ -29,17 +29,17 @@ dependents, because cache keys fold the dependency chain's code salts
 
 Observability rides along without touching determinism:
 
-* every run carries a :class:`repro.obs.MetricsRegistry`; shard-local
-  snapshots (produced inside the executor) are folded into it in
-  canonical plan order, so the merged registry is identical for any
-  worker count — and cached shards replay their snapshots from the
+* every run carries a :class:`repro.obs.metrics.MetricsRegistry`;
+  shard-local snapshots (produced inside the executor) are folded into
+  it in canonical plan order, so the merged registry is identical for
+  any worker count — and cached shards replay their snapshots from the
   cache envelope, so a warm run reports the same shard metrics as the
   cold run that produced it;
-* an injected :class:`repro.obs.Tracer` (default: the no-op
-  :data:`~repro.obs.NULL_TRACER`) records ``run`` → ``world:build`` /
-  ``stage:<name>`` → ``plan`` / ``cache:probe`` / ``execute`` /
-  ``merge`` spans; timing lives **only** in spans, never in the
-  registry, which is what keeps registry snapshots comparable;
+* an injected :class:`repro.obs.trace.Tracer` (default: the no-op
+  :data:`~repro.obs.trace.NULL_TRACER`) records ``run`` →
+  ``world:build`` / ``stage:<name>`` → ``plan`` / ``cache:probe`` /
+  ``execute`` / ``merge`` spans; timing lives **only** in spans, never
+  in the registry, which is what keeps registry snapshots comparable;
 * worker span trees ship home in the shard results and are **grafted**
   under each stage's ``execute`` span with their real pid/tid tracks,
   so a traced ``--workers N`` run exports one Chrome trace with N
@@ -147,8 +147,8 @@ class StageProducts(Mapping[str, Any]):
             self._order.append(name)
 
     def __getitem__(self, name: str) -> Any:
-        # A held body is read without the lock, so a forked worker never
-        # touches a lock its parent may have held while forking.
+        # A held body is read without the lock, so a reader never waits
+        # on another body's decode.
         if name in self._bodies:
             return self._bodies[name]
         with self._lock:
@@ -321,10 +321,11 @@ class ExecutionEngine:
         """Execute the graph (or the sub-graph reaching ``targets``).
 
         ``tracer`` selects the observability level: ``None`` (the no-op
-        default) records nothing; a real :class:`~repro.obs.Tracer` is
-        installed as the ambient tracer for the run and receives the
-        engine's span tree.  Traced and untraced runs execute identical
-        pipeline code — the study products cannot differ.
+        default) records nothing; a real
+        :class:`~repro.obs.trace.Tracer` is installed as the ambient
+        tracer for the run and receives the engine's span tree.  Traced
+        and untraced runs execute identical pipeline code — the study
+        products cannot differ.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         registry = MetricsRegistry()

@@ -4,24 +4,24 @@ Fans a stage's shards over ``concurrent.futures`` process workers and
 returns the shard products in canonical (plan) order, so the caller's
 merge is independent of completion order and of the worker count.
 
-Two dispatch paths:
-
-* **fork** (Linux default): the pool is created per stage, after the
-  parent has built the world and materialized the stage's input bodies
-  (a body replayed from the cache decodes lazily, and it must decode
-  once, in the parent, not once per child) — workers inherit them and
-  the stage spec copy-on-write, and the submitted task carries only the
-  shard key and payload.
-* **spawn/forkserver** (portability fallback): tasks ship the config and
-  the stage's input products; workers rebuild the world once per process
-  via :func:`repro.datasets.builder.cached_build_world`.
+With more than one worker and shard, the pool is created per stage,
+after the parent has built the world and materialized the bodies of
+the stage's declared inputs (a body replayed from the cache decodes
+lazily, and it must decode once, in the parent, not once per child).
+Each worker receives the stage's ``run``, its name, the world and those
+bodies once, through the pool's initializer, and a task carries only
+the shard key and payload.  Under fork the initializer's arguments are
+inherited, not pickled, so the hand-off copies nothing; under spawn or
+forkserver they are pickled once per worker.  Either way a worker runs
+exactly the spec it was given.
 
 ``workers=1`` (or a single shard) executes inline in the calling
 process — the engine's "serial path" — through the exact same stage
 functions, which is what makes worker-count invariance testable.
 
-Every shard runs inside its own :class:`repro.obs.MetricsRegistry`
-collection scope **and** its own :class:`repro.obs.Tracer`, and each
+Every shard runs inside its own
+:class:`~repro.obs.metrics.MetricsRegistry` collection scope **and**
+its own :class:`~repro.obs.trace.Tracer`, and each
 result ships back as an ``(artifact, metrics_snapshot, span_rows)``
 tuple.  Because every piece is shard-local and the engine folds them in
 canonical plan order, the merged registry is byte-identical for any
@@ -33,31 +33,25 @@ tracks.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.datasets.builder import World, cached_build_world
+from repro.datasets.builder import World
 from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.trace import Tracer, spans_to_payload, tracing
-from repro.runtime.graph import StageSpec
-from repro.runtime.stages import STAGE_GRAPH
+from repro.runtime.graph import RunFn, StageSpec
 
 #: a shard's result: the artifact, its shard-local metrics snapshot and
 #: its span rows (pid/tid-stamped, graftable)
 ShardResult = Tuple[Any, Dict[str, Dict[str, Any]], List[Dict[str, Any]]]
 
-#: parent-side context inherited by forked workers: (stage, world,
-#: products).  Module state by necessity — it is what the fork snapshot
-#: carries — so the set→fork→reset window is serialized by
-#: :data:`_FORK_LOCK`: two serve jobs pooling concurrently must not fork
-#: each other's worlds.
-_FORK_CONTEXT: Optional[Tuple[StageSpec, World, Mapping[str, Any]]] = None
-_FORK_LOCK = threading.Lock()
+#: what a pool worker runs its shards with: (run, stage name, world,
+#: input bodies), set once per worker process by :func:`_install`
+_WORKER: Optional[Tuple[RunFn, str, Optional[World], Mapping[str, Any]]] = None
 
 
 def _instrumented_run(
@@ -91,31 +85,22 @@ def _instrumented_run(
     return artifact, registry.to_dict(), spans_to_payload(tracer.spans)
 
 
-def _run_shard_forked(shard_key: str, payload: Any) -> ShardResult:
-    """Task body on the fork path: the stage, world and products come
-    from the parent."""
-    if _FORK_CONTEXT is None:
-        raise ExecutionError(
-            "forked worker has no inherited execution context"
-        )
-    spec, world, products = _FORK_CONTEXT
-    return _instrumented_run(
-        spec.run, world, products, spec.name, shard_key, payload
-    )
-
-
-def _run_shard_shipped(
-    config: Any,
+def _install(
+    run: RunFn,
     stage_name: str,
-    shard_key: str,
-    payload: Any,
+    world: Optional[World],
     inputs: Mapping[str, Any],
-) -> ShardResult:
-    """Task body on the spawn path: rebuild the world, use shipped inputs."""
-    world = cached_build_world(config)
+) -> None:
+    """Pool initializer: keep the stage's hand-off in this worker."""
+    global _WORKER
+    _WORKER = (run, stage_name, world, inputs)
+
+
+def _run_shard(shard_key: str, payload: Any) -> ShardResult:
+    """Task body in a pool worker: one shard of the installed stage."""
+    run, stage_name, world, inputs = _WORKER
     return _instrumented_run(
-        STAGE_GRAPH[stage_name].run, world, inputs, stage_name,
-        shard_key, payload,
+        run, world, inputs, stage_name, shard_key, payload
     )
 
 
@@ -153,49 +138,27 @@ class ShardExecutor:
     def _execute_pool(
         self,
         spec: StageSpec,
-        world: World,
+        world: Optional[World],
         products: Mapping[str, Any],
         shards: List[Tuple[str, Any]],
     ) -> List[Tuple[str, ShardResult]]:
-        global _FORK_CONTEXT
-        use_fork = multiprocessing.get_start_method() == "fork"
-        max_workers = min(self.workers, len(shards))
-        # Materializes every input body in the parent, outside the fork
-        # lock: a lazy body's decode may itself recompute a lost shard
-        # through an executor, and forked children then inherit the
-        # decoded body instead of each decoding its own.
+        # Materializes every input body in the parent before the pool
+        # starts: a lazy body's decode may itself recompute a lost shard
+        # through an executor, and workers then receive the decoded body
+        # instead of each decoding its own.
         inputs: Dict[str, Any] = {
             name: products[name] for name in spec.inputs
         }
-        if not use_fork:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(
-                        _run_shard_shipped,
-                        world.config,
-                        spec.name,
-                        key,
-                        payload,
-                        inputs,
-                    )
-                    for key, payload in shards
-                ]
-                return _collect(spec, shards, futures)
-        # Fork path: the context must be set BEFORE the pool exists —
-        # forked children inherit the world and upstream products
-        # copy-on-write.  The lock holds until the stage drains so a
-        # concurrent job cannot swap the context under our fork.
-        with _FORK_LOCK:
-            _FORK_CONTEXT = (spec, world, products)
-            try:
-                with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                    futures = [
-                        pool.submit(_run_shard_forked, key, payload)
-                        for key, payload in shards
-                    ]
-                    return _collect(spec, shards, futures)
-            finally:
-                _FORK_CONTEXT = None
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(shards)),
+            initializer=_install,
+            initargs=(spec.run, spec.name, world, inputs),
+        ) as pool:
+            futures = [
+                pool.submit(_run_shard, key, payload)
+                for key, payload in shards
+            ]
+            return _collect(spec, shards, futures)
 
 
 def _collect(

@@ -7,7 +7,7 @@ hydrator that seeds a classic :class:`repro.core.pipeline.Study` with
 the engine's stage products so every existing table/figure/export
 consumer works unchanged on engine (or cache-replayed) results.
 
-Observability surfaces here too: pass a :class:`repro.obs.Tracer` to
+Observability surfaces here too: pass a :class:`repro.obs.trace.Tracer` to
 :func:`run_study` and read back :meth:`RuntimeRun.trace_report` (the
 text flamegraph), :attr:`RuntimeRun.registry` (the merged, worker-count
 -invariant metrics) and :attr:`RuntimeRun.manifest` (the provenance
@@ -57,10 +57,11 @@ def run_study(
     SSE stream rides on: a callable invoked as ``progress(phase, span)``
     with ``phase`` in ``("start", "end")`` for every span the engine
     opens, on the engine's thread.  When set and no ``tracer`` is given,
-    the run is traced through a :class:`repro.obs.CallbackTracer`, so
+    the run is traced through a
+    :class:`repro.obs.trace.CallbackTracer`, so
     :meth:`RuntimeRun.trace_report` works too; a caller that needs both
     a custom tracer and live callbacks should pass a
-    :class:`~repro.obs.CallbackTracer` as ``tracer`` directly.
+    :class:`~repro.obs.trace.CallbackTracer` as ``tracer`` directly.
     """
     config = config or WorldConfig.medium()
     if tracer is None and progress is not None:

@@ -47,7 +47,7 @@ _MODELS_LOCK = threading.Lock()
 Salts = Tuple[Mapping[str, Footprint], Mapping[str, str]]
 
 #: process-wide salts memo: (model root, per-stage identity) -> salts.
-#: A stage's identity is its name, version, inputs and role callables;
+#: A stage's identity is its name, inputs and role callables;
 #: functions hash by identity, so a swapped callable or an ad-hoc test
 #: graph gets its own entry.
 _SALTS: Dict[Tuple[Any, ...], Salts] = {}
@@ -117,7 +117,7 @@ def stage_salts(graph: Any, root: Optional[Path] = None) -> Salts:
     """
     resolved = (root or default_root()).resolve()
     key = (str(resolved),) + tuple(
-        (spec.name, spec.version, spec.inputs)
+        (spec.name, spec.inputs)
         + tuple(getattr(spec, role) for role in ROLES)
         for spec in graph.stages
     )

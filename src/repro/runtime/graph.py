@@ -1,9 +1,10 @@
 """Declarative stage graph for the runtime engine.
 
-A :class:`StageSpec` describes one pipeline stage: what it consumes,
-what it produces, and along which axis its work splits into independent
-shards.  A :class:`StageGraph` is a validated collection of specs with
-a deterministic topological order.
+A :class:`StageSpec` is the whole statement of one pipeline stage: its
+name, the upstream stages it reads, and the four functions below.  The
+cache salt and the worker hand-off derive from the spec alone.  A
+:class:`StageGraph` is a validated collection of specs with a
+deterministic topological order.
 
 The graph is *declarative*: specs carry callables (``plan``, ``run``,
 ``merge``, ``index``) but the graph itself never executes anything.
@@ -22,7 +23,8 @@ derivations, and therefore identical merged results, and so that a
 warm run can plan without decoding upstream bodies.
 
 ``run(world, products, shard_key, payload) -> shard_product`` executes
-one shard.  It must treat the world as **read-only**: no drawing from
+one shard, reading upstream bodies from ``products`` by the names in
+``inputs``.  It must treat the world as **read-only**: no drawing from
 shared world RNG streams, no observing into ``world.pdns``.  Any
 randomness comes from streams derived from the shard key.
 
@@ -38,7 +40,6 @@ a fully warm stage never decodes a body nobody asks for.
 """
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ValidationError
@@ -52,38 +53,21 @@ IndexFn = Callable[[Any], Dict[str, Any]]
 ROLES = ("plan", "run", "merge", "index")
 
 
-class ShardAxis(Enum):
-    """The axis along which a stage's work splits into shards."""
-
-    USERS = "users"
-    TRACKER_DOMAINS = "tracker-domains"
-    IPS = "ips"
-    FLOWS = "flows"
-    ISPS = "isps"
-    NONE = "none"
-
-
 @dataclass(frozen=True)
 class StageSpec:
     """One pipeline stage as a declarative node.
 
-    ``inputs`` names upstream stages whose indexes this stage plans
-    from and whose bodies its shards and merge read; ``outputs``
-    documents the keys of the body the stage emits.  ``version`` is a
-    manual salt folded into the cache key so that semantic changes
-    invisible to ``inspect.getsource`` (e.g. a data file) can still
-    invalidate cached artifacts.
+    ``inputs`` names the upstream stages whose indexes this stage plans
+    from and whose bodies its shards and merge read: a pooled shard
+    sees those bodies and no other.
     """
 
     name: str
-    axis: ShardAxis
     inputs: Tuple[str, ...]
-    outputs: Tuple[str, ...]
     plan: PlanFn
     run: RunFn
     merge: MergeFn
     index: IndexFn
-    version: str = "1"
 
 
 @dataclass

@@ -94,7 +94,6 @@ def build_manifest(
                 "salt": fp.salt,
                 "stage_modules": list(fp.stage_modules),
                 "modules": list(fp.modules),
-                "exempted": list(fp.exempted),
             }
             for name, fp in sorted(footprints.items())
         }

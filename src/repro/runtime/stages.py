@@ -55,7 +55,7 @@ from repro.errors import ExecutionError
 from repro.geodata.regions import Region, region_of_country
 from repro.geoloc.ipmap import IPmapEngine
 from repro.netbase.addr import IPAddress
-from repro.runtime.graph import ShardAxis, StageGraph, StageSpec, partition
+from repro.runtime.graph import StageGraph, StageSpec, partition
 from repro.util.rng import derive_seed
 from repro.util.sankey import Sankey
 from repro.web.browser import BrowserExtensionSimulator, MappingService
@@ -722,9 +722,7 @@ def build_stage_graph() -> StageGraph:
     graph = StageGraph()
     graph.add(StageSpec(
         name="panel",
-        axis=ShardAxis.USERS,
         inputs=(),
-        outputs=("visits", "requests", "pdns_pairs"),
         plan=panel_plan,
         run=panel_run,
         merge=panel_merge,
@@ -732,9 +730,7 @@ def build_stage_graph() -> StageGraph:
     ))
     graph.add(StageSpec(
         name="classification",
-        axis=ShardAxis.USERS,
         inputs=("panel",),
-        outputs=("stages", "tracking"),
         plan=classification_plan,
         run=classification_run,
         merge=classification_merge,
@@ -742,9 +738,7 @@ def build_stage_graph() -> StageGraph:
     ))
     graph.add(StageSpec(
         name="inventory",
-        axis=ShardAxis.TRACKER_DOMAINS,
         inputs=("panel", "classification"),
-        outputs=("inventory",),
         plan=inventory_plan,
         run=inventory_run,
         merge=inventory_merge,
@@ -752,9 +746,7 @@ def build_stage_graph() -> StageGraph:
     ))
     graph.add(StageSpec(
         name="geolocation",
-        axis=ShardAxis.IPS,
         inputs=("inventory",),
-        outputs=("table", "agreement"),
         plan=geolocation_plan,
         run=geolocation_run,
         merge=geolocation_merge,
@@ -762,9 +754,7 @@ def build_stage_graph() -> StageGraph:
     ))
     graph.add(StageSpec(
         name="confinement",
-        axis=ShardAxis.FLOWS,
-        inputs=("panel", "classification", "geolocation"),
-        outputs=("eu28", "regions", "countries"),
+        inputs=("classification", "geolocation"),
         plan=confinement_plan,
         run=confinement_run,
         merge=confinement_merge,
@@ -772,9 +762,7 @@ def build_stage_graph() -> StageGraph:
     ))
     graph.add(StageSpec(
         name="localization",
-        axis=ShardAxis.FLOWS,
-        inputs=("panel", "classification", "inventory", "geolocation"),
-        outputs=("counts",),
+        inputs=("classification", "inventory", "geolocation"),
         plan=localization_plan,
         run=localization_run,
         merge=localization_merge,
@@ -782,9 +770,7 @@ def build_stage_graph() -> StageGraph:
     ))
     graph.add(StageSpec(
         name="sensitive_domains",
-        axis=ShardAxis.NONE,
         inputs=("panel",),
-        outputs=("identified",),
         plan=sensitive_domains_plan,
         run=sensitive_domains_run,
         merge=sensitive_domains_merge,
@@ -792,12 +778,7 @@ def build_stage_graph() -> StageGraph:
     ))
     graph.add(StageSpec(
         name="sensitive",
-        axis=ShardAxis.FLOWS,
-        inputs=("panel", "classification", "geolocation", "sensitive_domains"),
-        outputs=(
-            "n_tracking", "n_sensitive", "categories",
-            "category_regions", "leakage", "identified",
-        ),
+        inputs=("classification", "geolocation", "sensitive_domains"),
         plan=sensitive_plan,
         run=sensitive_run,
         merge=sensitive_merge,
@@ -805,9 +786,7 @@ def build_stage_graph() -> StageGraph:
     ))
     graph.add(StageSpec(
         name="ispscale",
-        axis=ShardAxis.ISPS,
         inputs=("inventory", "geolocation"),
-        outputs=("reports",),
         plan=ispscale_plan,
         run=ispscale_run,
         merge=ispscale_merge,

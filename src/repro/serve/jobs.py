@@ -17,7 +17,7 @@ The lifecycle is a strict state machine::
 with the transitions published as ``repro.serve/event/v1`` events on
 the job's stream: ``job:queued``, ``job:start``, then live
 ``span:start``/``span:end`` pairs sourced from a
-:class:`~repro.obs.CallbackTracer` threaded into the engine (the
+:class:`~repro.obs.trace.CallbackTracer` threaded into the engine (the
 ``serve:job`` wrapper span, the engine's ``run``/``world:build`` spans
 and every ``stage:*`` span with its wall time), and finally the
 terminal ``job:done`` carrying either the result summary — cache

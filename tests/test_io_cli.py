@@ -194,7 +194,7 @@ class TestCLI:
         # reprolint timings on a run record, and bench records carrying
         # benchmark timings and serve throughput.  They must still load,
         # list, and diff as timing rather than drift.
-        from repro.obs import LEDGER_SCHEMA, append_record
+        from repro.obs.ledger import LEDGER_SCHEMA, append_record
 
         def gauge(value):
             return {"kind": "gauge", "value": value}

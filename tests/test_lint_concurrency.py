@@ -364,7 +364,8 @@ def test_t1003_pragma_disable(tmp_path):
 
 def test_t1003_sees_global_declared_rebind(tmp_path):
     # Regression for the analyzer gap that hid ``global X; X = ...``
-    # writes behind the local-name scan (the _FORK_CONTEXT shape).
+    # writes behind the local-name scan: module state rebound from a
+    # function that runs on an executor thread.
     files = {
         "pkg/forkctx.py": """
             import asyncio

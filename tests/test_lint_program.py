@@ -344,18 +344,6 @@ def test_footprint_ignores_unrelated_sibling_edit(tmp_path):
     assert before.footprint(seeds).salt == after.footprint(seeds).salt
 
 
-def test_footprint_exempt_pragma(tmp_path):
-    files = _stage_tree()
-    files["pkg/stages.py"] = files["pkg/stages.py"].replace(
-        "from pkg import work",
-        "from pkg import work  # reprolint: footprint-exempt",
-    )
-    model = build_model(tmp_path, files)
-    fp = model.footprint([("pkg.stages", "run")])
-    assert "pkg.work" in fp.exempted
-    assert "pkg.work" not in fp.modules
-
-
 def test_footprint_reports_missing_repro_modules(tmp_path):
     model = build_model(tmp_path, {
         "pkg/stages.py": """
@@ -397,8 +385,8 @@ def test_discover_stages_resolves_seeds_and_version(tmp_path):
                 return {}
 
             SPEC = StageSpec(
-                name="alpha", version="3", plan=_plan, run=_run,
-                merge=_merge, index=_index,
+                name="alpha", plan=_plan, run=_run, merge=_merge,
+                index=_index,
             )
             BAD = StageSpec(
                 name="beta", plan=lambda w, p: [], run=_run, merge=_merge,
@@ -408,11 +396,9 @@ def test_discover_stages_resolves_seeds_and_version(tmp_path):
     })
     decls = {decl.name: decl for decl in model.discover_stages()}
     alpha = decls["alpha"]
-    assert alpha.version == "3" and alpha.version_explicit
     assert set(alpha.seeds) == {"plan", "run", "merge", "index"}
     assert alpha.seeds["run"] == ("pkg.stages", "_run")
     beta = decls["beta"]
-    assert not beta.version_explicit and beta.version == "1"
     assert [role for role, _ in beta.unresolved] == ["plan"]
 
 

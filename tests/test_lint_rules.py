@@ -794,27 +794,6 @@ def test_c401_pragma_disable(tmp_path):
     assert codes(findings) == []
 
 
-def test_c402_fires_on_exempt_without_version_bump(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/stages.py"] = files["pkg/stages.py"].replace(
-        "from pkg import helpers",
-        "from pkg import helpers  # reprolint: footprint-exempt",
-    )
-    findings = lint_tree(tmp_path, files, select=["C402"])
-    assert codes(findings) == ["C402"]
-    assert "pkg.helpers" in findings[0].message
-
-
-def test_c402_quiet_when_version_bumped(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/stages.py"] = files["pkg/stages.py"].replace(
-        "from pkg import helpers",
-        "from pkg import helpers  # reprolint: footprint-exempt",
-    ).replace('name="alpha",', 'name="alpha", version="2",')
-    findings = lint_tree(tmp_path, files, select=["C402"])
-    assert codes(findings) == []
-
-
 def test_p501_fires_on_global_in_run_path_helper(tmp_path):
     files = dict(STAGE_FIXTURE)
     files["pkg/helpers.py"] = """

@@ -13,27 +13,24 @@ import os
 import pytest
 
 from repro.errors import ObservabilityError, ReproError
-from repro.obs import (
+from repro.obs.clock import NullClock, SystemClock, TickClock
+from repro.obs.manifest import (
     MANIFEST_SCHEMA,
+    load_manifest,
+    validate_manifest,
+    write_manifest,
+)
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullClock,
-    NullTracer,
-    SystemClock,
-    TickClock,
-    Tracer,
     collecting,
-    current_tracer,
     inc,
-    load_manifest,
     observe,
     set_gauge,
-    tracing,
-    validate_manifest,
-    write_manifest,
 )
+from repro.obs.trace import NullTracer, Tracer, current_tracer, tracing
 from repro.obs.metrics import base_name, metric_key
 
 

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.obs import diff_records, render_diff_text
+from repro.obs.diff import diff_records, render_diff_text
 
 
 def make_record(

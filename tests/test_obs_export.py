@@ -13,12 +13,10 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import (
+from repro.obs.clock import TickClock
+from repro.obs.export import (
     PROMETHEUS_CONTENT_TYPE,
     TRACE_EVENTS_SCHEMA,
-    MetricsRegistry,
-    TickClock,
-    Tracer,
     load_trace_events,
     parse_prometheus_text,
     prometheus_text,
@@ -27,6 +25,8 @@ from repro.obs import (
     validate_trace_events,
     write_trace_events,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 
 
 def make_tracer():

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError, ReproError
-from repro.obs import (
+from repro.obs.ledger import (
     LEDGER_FILENAME,
     LEDGER_SCHEMA,
     append_record,

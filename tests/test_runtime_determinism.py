@@ -6,14 +6,21 @@ byte-identical regardless of (a) how many workers execute the shards
 and (b) whether the shards ran live or replayed from the artifact
 cache.  Three full engine runs over ``WorldConfig.small()`` are shared
 module-wide; every comparison below is exact equality, no tolerances.
+The pool path gives the same answers under every start method and with
+two pooled runs at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import os
 import shutil
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +28,14 @@ import repro.runtime.cache as cache_module
 from repro import WorldConfig
 from repro.analysis.figures import figure7
 from repro.analysis.tables import table2, table3
-from repro.obs import TickClock, Tracer, validate_manifest
+from repro.datasets.builder import cached_build_world
 from repro.obs import names as obs_names
+from repro.obs.clock import TickClock
+from repro.obs.manifest import validate_manifest
+from repro.obs.trace import Tracer
 from repro.runtime import run_study
 from repro.runtime.cache import _collector_paused
-from repro.runtime.stages import STAGE_NAMES
+from repro.runtime.stages import STAGE_GRAPH, STAGE_NAMES
 
 
 def headline(run):
@@ -115,6 +125,102 @@ class TestCacheReplayInvariance:
         assert (
             parallel_warm_run.cache_hits == parallel_cold_run.cache_misses
         )
+
+
+#: run in a fresh interpreter under the start method in ``argv[1]``: a
+#: one-stage graph named ``toy`` over the panel's functions, and the
+#: Table 2 sub-graph, each pooled over two workers and compared with a
+#: one-worker run
+POOL_PROBE = """
+import json
+import multiprocessing
+import sys
+
+from repro import WorldConfig
+from repro.runtime import run_study
+from repro.runtime.engine import ExecutionEngine
+from repro.runtime.graph import StageGraph, StageSpec
+from repro.runtime.stages import (
+    panel_index, panel_merge, panel_plan, panel_run,
+)
+
+multiprocessing.set_start_method(sys.argv[1])
+config = WorldConfig.small()
+toy = StageGraph()
+toy.add(StageSpec(
+    name="toy", inputs=(), plan=panel_plan, run=panel_run,
+    merge=panel_merge, index=panel_index,
+))
+pooled_toy = ExecutionEngine(workers=2, graph=toy).run(config)
+serial = run_study(config, workers=1, targets=["classification"])
+pooled = run_study(config, workers=2, targets=["classification"])
+print(json.dumps({
+    "toy": pooled_toy.indexes["toy"] == serial.result.indexes["panel"],
+    "table2": pooled.table2_counts() == serial.table2_counts(),
+}))
+"""
+
+
+class TestPoolPath:
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_method_runs_the_given_spec(self, method):
+        # A fresh interpreter, so the start method is set before any
+        # pool exists.
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", POOL_PROBE, method],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"toy": True, "table2": True}
+
+    def test_two_pooled_runs_on_two_threads(self):
+        # Each run forks its own pools while the other's are alive,
+        # with more worker processes than the machine has cores.
+        seeds = (7, 8)
+        pooled = {}
+
+        def run(seed):
+            try:
+                pooled[seed] = run_study(
+                    WorldConfig.small(seed=seed), workers=3,
+                    targets=["classification"],
+                ).table2_counts()
+            except BaseException as exc:  # surfaced by the assert below
+                pooled[seed] = exc
+
+        threads = [
+            threading.Thread(target=run, args=(seed,), daemon=True)
+            for seed in seeds
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=600)
+        assert not [thread for thread in threads if thread.is_alive()]
+        for seed in seeds:
+            serial = run_study(
+                WorldConfig.small(seed=seed), workers=1,
+                targets=["classification"],
+            )
+            assert pooled[seed] == serial.table2_counts(), seed
+
+    def test_stages_read_only_their_declared_inputs(self, serial_run):
+        # A pooled shard is handed its stage's declared input bodies and
+        # nothing else, so every stage must reproduce its index from
+        # them alone.
+        result = serial_run.result
+        world = cached_build_world(result.config)
+        for spec in STAGE_GRAPH.stages:
+            indexes = {name: result.indexes[name] for name in spec.inputs}
+            inputs = {name: result.products[name] for name in spec.inputs}
+            shards = [
+                (key, spec.run(world, inputs, key, payload))
+                for key, payload in spec.plan(world, indexes)
+            ]
+            body = spec.merge(world, inputs, shards)
+            assert spec.index(body) == result.indexes[spec.name], spec.name
 
 
 @pytest.fixture(scope="module")
@@ -430,7 +536,7 @@ class TestLedgerIntegration:
     def test_cached_runs_append_ledger_records(
         self, cache_dir, parallel_cold_run, parallel_warm_run
     ):
-        from repro.obs import ledger_path, load_ledger
+        from repro.obs.ledger import ledger_path, load_ledger
 
         records = load_ledger(ledger_path(cache_dir))
         assert [r["run_id"] for r in records] == [
@@ -461,7 +567,7 @@ class TestLedgerIntegration:
     def test_cold_vs_warm_diff_has_zero_drift(
         self, parallel_cold_run, parallel_warm_run
     ):
-        from repro.obs import diff_records
+        from repro.obs.diff import diff_records
 
         diff = diff_records(
             parallel_cold_run.ledger_record,

@@ -1,16 +1,18 @@
 """The footprint-salt loop: edit a helper, invalidate exactly the right
 stages.
 
-The flagship regression here copies the installed source tree twice,
-appends a helper function to ``core/classify.py`` in one copy, and
-asserts that the classification stage's footprint salt — and therefore
-its effective salt and its cache keys, plus those of every stage
-downstream of it — changes, while stages that cannot reach the edited
-module keep byte-identical salts and keys.  Edits to a stage's
-``index`` role, and to a helper only the index reaches, move salts the
-same way.  Salts are computed once per process: a second engine reads
-no source, and an edit on disk to code the process is running does not
-move them.
+The flagship regression here copies the installed source tree once per
+edit and appends to modules in each copy: a helper function to
+``core/classify.py``, a comment to ``obs/metrics.py``, and a comment to
+each obs tooling module (tracing, manifests, the ledger and its diff,
+exports).  It asserts that exactly the stages whose footprints list an
+edited module get a new footprint salt, and that exactly those and the
+stages downstream of them get new effective salts and cache keys; the
+tooling edit moves no salt at all.  Edits to a stage's ``index`` role,
+and to a helper only the index reaches, move salts the same way.
+Salts are computed once per process: a second engine reads no source,
+and an edit on disk to code the process is running does not move
+them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.runtime.footprint import (
     program_model,
     stage_footprints,
 )
-from repro.runtime.graph import ShardAxis, StageGraph, StageSpec
+from repro.runtime.graph import StageGraph, StageSpec
 from repro.runtime.stages import STAGE_NAMES, build_stage_graph
 
 #: stages that can reach core/classify.py, directly or through an input
@@ -47,6 +49,41 @@ CLASSIFY_DEPENDENTS = {
 
 #: stages whose closure does not include core/classify.py
 CLASSIFY_INDEPENDENT = {"panel", "sensitive_domains"}
+
+#: stages whose footprints list obs/metrics.py: every stage that counts
+METRICS_DEPENDENTS = set(STAGE_NAMES) - {"sensitive_domains"}
+
+#: obs modules that observe, record or export a run; no stage runs them
+OBS_TOOLING_MODULES = (
+    "clock", "diff", "export", "ledger", "manifest", "persist", "trace",
+)
+
+#: edit name -> (text appended per module file of a copied tree, the
+#: stages whose footprints list an edited module, the stages whose
+#: effective salts move: those and every stage downstream of one)
+APPENDED_EDITS = {
+    "classify-helper": (
+        {
+            "core/classify.py":
+                "\n\ndef _footprint_probe(flow):\n    return flow\n",
+        },
+        {"classification"},
+        CLASSIFY_DEPENDENTS,
+    ),
+    "obs-metrics": (
+        {"obs/metrics.py": "# footprint probe\n"},
+        METRICS_DEPENDENTS,
+        set(STAGE_NAMES),
+    ),
+    "obs-tooling": (
+        {
+            f"obs/{name}.py": "# footprint probe\n"
+            for name in OBS_TOOLING_MODULES
+        },
+        set(),
+        set(),
+    ),
+}
 
 #: lint analyses and scans that are lint-time artifacts only: salting
 #: cache keys needs the program model, never these
@@ -65,15 +102,15 @@ def copy_tree(tmp_path: Path, name: str) -> Path:
 
 @pytest.fixture(scope="module")
 def edited_trees(tmp_path_factory):
-    """(pristine copy, copy with a helper appended to core/classify.py)."""
+    """(pristine copy, {edit name: copy with that edit appended})."""
     tmp_path = tmp_path_factory.mktemp("footprint-trees")
-    pristine = copy_tree(tmp_path, "v1")
-    edited = copy_tree(tmp_path, "v2")
-    classify = edited / "core" / "classify.py"
-    classify.write_text(
-        classify.read_text()
-        + "\n\ndef _footprint_probe(flow):\n    return flow\n"
-    )
+    pristine = copy_tree(tmp_path, "pristine")
+    edited = {}
+    for edit, (appended, _, _) in APPENDED_EDITS.items():
+        tree = edited[edit] = copy_tree(tmp_path, edit)
+        for relpath, text in appended.items():
+            module = tree / relpath
+            module.write_text(module.read_text() + text)
     return pristine, edited
 
 
@@ -85,10 +122,17 @@ def test_program_model_is_memoized_per_root():
 def test_every_pipeline_stage_gets_a_footprint():
     footprints = stage_footprints(build_stage_graph())
     assert set(footprints) == set(STAGE_NAMES)
+    tooling = {f"repro.obs.{name}" for name in OBS_TOOLING_MODULES}
     for name, fp in footprints.items():
         assert fp.salt, name
         assert fp.stage_modules, name
         assert fp.missing == (), name
+        # the salt covers the code a stage can run, and no tooling
+        assert not tooling & set(fp.modules), name
+        assert not [
+            module for module in fp.modules
+            if module.startswith(("repro.lint.", "repro.serve."))
+        ], name
     # footprints discriminate between stages — no two identical
     salts = [fp.salt for fp in footprints.values()]
     assert len(set(salts)) == len(salts)
@@ -107,11 +151,15 @@ def test_helper_edit_changes_exactly_the_reaching_footprints(edited_trees):
     pristine, edited = edited_trees
     graph = build_stage_graph()
     before = stage_footprints(graph, root=pristine)
-    after = stage_footprints(graph, root=edited)
-    assert set(before) == set(STAGE_NAMES) and set(after) == set(STAGE_NAMES)
-    assert before["classification"].salt != after["classification"].salt
-    for name in CLASSIFY_INDEPENDENT:
-        assert before[name].salt == after[name].salt, name
+    assert set(before) == set(STAGE_NAMES)
+    for edit, (_, reaching, _) in APPENDED_EDITS.items():
+        after = stage_footprints(graph, root=edited[edit])
+        assert set(after) == set(STAGE_NAMES), edit
+        moved = {
+            name for name in STAGE_NAMES
+            if before[name].salt != after[name].salt
+        }
+        assert moved == reaching, edit
 
 
 def test_helper_edit_propagates_to_effective_salts_and_cache_keys(
@@ -119,22 +167,25 @@ def test_helper_edit_propagates_to_effective_salts_and_cache_keys(
 ):
     pristine, edited = edited_trees
     graph = build_stage_graph()
-    before = effective_salts(
-        graph, footprint_salts(stage_footprints(graph, root=pristine))
-    )
-    after = effective_salts(
-        graph, footprint_salts(stage_footprints(graph, root=edited))
-    )
+
+    def salts(root):
+        return effective_salts(
+            graph, footprint_salts(stage_footprints(graph, root=root))
+        )
+
+    before = salts(pristine)
     cache = ArtifactCache(None)
-    for name in STAGE_NAMES:
-        key_before = cache.key("cfg", before[name], name, "s0")
-        key_after = cache.key("cfg", after[name], name, "s0")
-        if name in CLASSIFY_DEPENDENTS:
-            assert before[name] != after[name], name
-            assert key_before != key_after, name
-        else:
-            assert before[name] == after[name], name
-            assert key_before == key_after, name
+    for edit, (_, _, moved) in APPENDED_EDITS.items():
+        after = salts(edited[edit])
+        for name in STAGE_NAMES:
+            key_before = cache.key("cfg", before[name], name, "s0")
+            key_after = cache.key("cfg", after[name], name, "s0")
+            if name in moved:
+                assert before[name] != after[name], (edit, name)
+                assert key_before != key_after, (edit, name)
+            else:
+                assert before[name] == after[name], (edit, name)
+                assert key_before == key_after, (edit, name)
 
 
 #: (module file under the copied tree, text, replacement): an edit to
@@ -216,9 +267,8 @@ def test_salts_stay_fixed_when_running_source_is_edited_on_disk(tmp_path):
     spec.loader.exec_module(module)
     graph = StageGraph()
     graph.add(StageSpec(
-        name="synthetic", axis=ShardAxis.NONE, inputs=(), outputs=(),
-        plan=module.plan, run=module.run, merge=module.merge,
-        index=module.index,
+        name="synthetic", inputs=(), plan=module.plan, run=module.run,
+        merge=module.merge, index=module.index,
     ))
     before = dict(ExecutionEngine(graph=graph)._salts)
     path.write_text(SYNTHETIC_STAGE.replace(
@@ -251,8 +301,8 @@ def test_synthetic_graph_without_model_coverage_gets_no_footprint():
 
     graph = StageGraph()
     graph.add(StageSpec(
-        name="synthetic", axis=None, inputs=(), outputs=("out",),
-        plan=plan, run=run, merge=merge, index=index,
+        name="synthetic", inputs=(), plan=plan, run=run, merge=merge,
+        index=index,
     ))
     # test-local functions have '<locals>' qualnames: no footprint, and
     # effective_salts degrades to the footprint-less behavior
@@ -271,7 +321,6 @@ def test_manifest_records_footprints():
     entry = footprints["classification"]
     assert entry["salt"]
     assert "repro.core.classify" in entry["modules"]
-    assert entry["exempted"] == []
 
 
 def test_engine_construction_imports_no_lint_analysis():

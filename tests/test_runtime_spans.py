@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro import WorldConfig
-from repro.obs import Tracer
+from repro.obs.trace import Tracer
 from repro.runtime import run_study
 from repro.runtime.engine import _unwrap_envelope, _wrap_envelope
 

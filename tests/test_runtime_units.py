@@ -23,7 +23,6 @@ from repro.obs import names as obs_names
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.runtime import (
     ArtifactCache,
-    ShardAxis,
     StageGraph,
     StageSpec,
     config_digest,
@@ -34,17 +33,14 @@ from repro.runtime.executor import ShardExecutor
 from repro.runtime.stages import STAGE_GRAPH, STAGE_NAMES
 
 
-def _spec(name, inputs=(), run=None, version="1"):
+def _spec(name, inputs=(), run=None):
     return StageSpec(
         name=name,
-        axis=ShardAxis.NONE,
         inputs=tuple(inputs),
-        outputs=(),
         plan=lambda world, products: [("all", None)],
         run=run or (lambda world, products, key, payload: None),
         merge=lambda world, products, shards: shards,
         index=lambda product: {"records": {}},
-        version=version,
     )
 
 
@@ -130,17 +126,6 @@ class TestCacheKeys:
         assert before["a"] == after["a"]
         assert before["b"] != after["b"]
         assert before["c"] != after["c"]
-
-    def test_version_bump_invalidates(self):
-        one = effective_salts_of(_spec("a", version="1"))
-        two = effective_salts_of(_spec("a", version="2"))
-        assert one != two
-
-
-def effective_salts_of(spec):
-    graph = StageGraph()
-    graph.add(spec)
-    return effective_salts(graph)[spec.name]
 
 
 class _Unpicklable:

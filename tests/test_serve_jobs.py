@@ -260,7 +260,8 @@ class TestFacadeProgressHook:
         assert run.result == "result"
 
     def test_explicit_tracer_wins_over_progress(self, monkeypatch):
-        from repro.obs import TickClock, Tracer
+        from repro.obs.clock import TickClock
+        from repro.obs.trace import Tracer
         from repro.runtime import facade
 
         captured = {}

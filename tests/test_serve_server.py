@@ -17,13 +17,8 @@ import threading
 
 import pytest
 
-from repro.obs import (
-    LEDGER_SCHEMA,
-    PROMETHEUS_CONTENT_TYPE,
-    append_record,
-    ledger_path,
-    parse_prometheus_text,
-)
+from repro.obs.export import PROMETHEUS_CONTENT_TYPE, parse_prometheus_text
+from repro.obs.ledger import LEDGER_SCHEMA, append_record, ledger_path
 from repro.serve import StudyServer, decode_events
 
 
