@@ -12,8 +12,8 @@ test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
 # reprolint: whole-program pass over every invariant family
-# (determinism, error discipline, layering, cache integrity, shard
-# purity, observability consistency, seed lineage, resource discipline,
+# (determinism, error discipline, layering, shard purity,
+# observability consistency, seed lineage, resource discipline,
 # concurrency context).  See docs/linting.md.
 lint:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro scripts benchmarks

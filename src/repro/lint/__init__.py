@@ -1,6 +1,6 @@
 """reprolint — AST-based invariant checks for the reproduction.
 
-Nine rule families guard the properties the paper's tables depend on:
+Eight rule families guard the properties the paper's tables depend on:
 
 * **D-rules** (determinism): no shared/ad-hoc RNG state, no wall-clock
   or environment reads in simulation layers, no ``hash()`` seeding, no
@@ -10,8 +10,6 @@ Nine rule families guard the properties the paper's tables depend on:
   wrapping raise chained with ``from``;
 * **A-rules** (layering): the package import DAG points strictly down,
   with no cycles;
-* **C-rules** (cache integrity): every stage's footprint salt covers
-  the code its callables can execute;
 * **P-rules** (shard purity): no globals, module mutation or ambient
   reads on a stage's run path;
 * **O-rules** (observability): metric and span names/labels match the
@@ -26,7 +24,7 @@ Nine rule families guard the properties the paper's tables depend on:
   witness, no loop-only APIs from threads, no raw concurrent file
   writes bypassing the atomic helpers.
 
-The C/P/O/S/I families read the whole-program import/call graph
+The P/O/S/I families read the whole-program import/call graph
 (:mod:`repro.lint.program`); the T family classifies every function by
 its reachable execution contexts (:mod:`repro.lint.concurrency`).
 Run ``python -m repro.lint src/repro`` (or ``make lint``); see
@@ -53,7 +51,6 @@ RULE_FAMILIES = {
     "D": "determinism",
     "E": "error discipline",
     "A": "layering",
-    "C": "cache integrity",
     "P": "shard purity",
     "O": "observability",
     "S": "seed lineage",

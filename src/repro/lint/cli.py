@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "reprolint: AST-based invariant checks for determinism "
             "(D-rules), error discipline (E-rules), layering (A-rules), "
-            "caching (C-rules), shard purity (P-rules), observability "
+            "shard purity (P-rules), observability "
             "(O-rules), seed lineage (S-rules), resource discipline "
             "(I-rules) and concurrency context (T-rules)."
         ),

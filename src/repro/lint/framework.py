@@ -219,7 +219,6 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
 def load_builtin_rules() -> None:
     """Import the rule modules for their registration side effects."""
     from repro.lint import (  # noqa: F401
-        rules_cache,
         rules_concurrency,
         rules_determinism,
         rules_errors,

@@ -7,15 +7,13 @@ whether a metric name matches the catalog — all require the *program*
 view: which module is which file, who imports whom, and who calls whom.
 
 :class:`ProgramModel` provides that view.  It is built once per lint run
-(or once per process for the runtime's footprint salts) from the same
-:class:`~repro.lint.framework.FileContext` objects the per-file rules
-see, and offers:
+from the same :class:`~repro.lint.framework.FileContext` objects the
+per-file rules see, and offers:
 
 * a **module index** — dotted module name → :class:`ModuleInfo`, with a
   per-module symbol table (imports resolved through aliases and
   relative levels, module-level functions/classes/constants);
-* an **import graph** — module-level and total (function-level
-  included) resolved import edges, with cycle-safe transitive closure;
+* an **import graph** — resolved module-level import edges;
 * a **conservative call graph** — every :class:`ast.Call` in every
   function body resolved to a :class:`Callee`: a function or method in
   the analyzed program, a class instantiation, a bare module, a
@@ -27,18 +25,15 @@ see, and offers:
   guesses: what cannot be proven degrades to ``unknown``, never to a
   wrong edge.
 
-On top of the call graph sit :meth:`ProgramModel.reachable` (BFS with
-parent pointers, cycle-safe) and :meth:`ProgramModel.footprint` — the
-per-stage *salt footprint* shared verbatim by the C4xx lint rules and
-by :mod:`repro.runtime.footprint`, so the invariant the linter checks
-is literally the quantity the runtime folds into its cache keys.
+On top of the call graph sits :meth:`ProgramModel.reachable` (BFS with
+parent pointers, cycle-safe).  The runtime's cache salts do not use
+this model: :mod:`repro.runtime.footprint` scans the source itself.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -58,18 +53,6 @@ from repro.lint.framework import (
     iter_python_files,
     module_name_for,
 )
-
-#: digest width for footprint salts (matches the runtime cache's)
-_DIGEST_BYTES = 20
-
-
-def _digest(*parts: str) -> str:
-    h = hashlib.blake2b(digest_size=_DIGEST_BYTES)
-    for part in parts:
-        h.update(part.encode("utf-8"))
-        h.update(b"\x1f")
-    return h.hexdigest()
-
 
 def node_source(ctx: FileContext, node: ast.AST) -> str:
     """The source text of ``node``, sliced from the file's line table.
@@ -181,8 +164,6 @@ class FunctionInfo:
     node: ast.AST
     source: str
     calls: List[CallSite] = field(default_factory=list)
-    #: module-level names of the own module read (not called) by the body
-    loads: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -220,18 +201,10 @@ class ModuleInfo:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: module-level string constants, e.g. ``NAME = "literal"``
     constants: Dict[str, str] = field(default_factory=dict)
-    #: module-level assignment statements by target name (for salting
-    #: constants that stage code reads by name)
+    #: module-level assignment statements by target name
     constant_nodes: Dict[str, ast.stmt] = field(default_factory=dict)
     #: resolved imports at module level only (cycle rule granularity)
     imports_toplevel: Set[str] = field(default_factory=set)
-    #: resolved imports anywhere in the file (footprint granularity)
-    imports_all: Set[str] = field(default_factory=set)
-    #: ``repro.*`` import targets that resolve to no analyzed module
-    missing_imports: Set[str] = field(default_factory=set)
-
-    def source_digest(self) -> str:
-        return _digest(self.ctx.source)
 
 
 @dataclass
@@ -240,12 +213,6 @@ class Reachability:
 
     functions: List[FunctionRef] = field(default_factory=list)
     classes: List[Tuple[str, str]] = field(default_factory=list)
-    #: modules containing any reached function/class
-    modules: Set[str] = field(default_factory=set)
-    #: modules reached only at module granularity (bare module callees)
-    module_grain: Set[str] = field(default_factory=set)
-    unknown: List[Tuple[FunctionRef, CallSite]] = field(default_factory=list)
-    missing: List[Tuple[FunctionRef, CallSite]] = field(default_factory=list)
     #: BFS tree: function -> the function that first reached it
     parents: Dict[FunctionRef, Optional[FunctionRef]] = field(
         default_factory=dict
@@ -261,20 +228,6 @@ class Reachability:
         return list(reversed(chain))
 
 
-@dataclass(frozen=True)
-class Footprint:
-    """The modules and definitions one stage's cache salt must cover."""
-
-    #: modules the seed functions are defined in (covered per-function)
-    stage_modules: Tuple[str, ...]
-    #: external modules folded at whole-module granularity (sorted)
-    modules: Tuple[str, ...]
-    #: ``repro.*`` names the salt cannot cover (C401 findings)
-    missing: Tuple[str, ...]
-    #: blake2b over every folded definition and module source
-    salt: str
-
-
 @dataclass
 class StageDecl:
     """One statically-discovered ``StageSpec(...)`` construction."""
@@ -284,8 +237,6 @@ class StageDecl:
     node: ast.Call
     #: resolved plan/run/merge/index seeds, keyed by keyword
     seeds: Dict[str, FunctionRef] = field(default_factory=dict)
-    #: keywords whose callable could not be resolved statically
-    unresolved: List[Tuple[str, str]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +261,7 @@ class ProgramModel:
     def from_paths(
         cls, paths: Sequence[Path], root: Optional[Path] = None
     ) -> "ProgramModel":
-        """Build a model straight from the filesystem (runtime entry)."""
+        """Build a model straight from the filesystem."""
         root = (root or Path.cwd()).resolve()
         contexts: List[FileContext] = []
         for path in iter_python_files(list(paths)):
@@ -443,10 +394,7 @@ class ProgramModel:
                 self._link_from_import(info, node, id(node) in toplevel_nodes)
 
     def _record_edge(self, info: ModuleInfo, target: str, toplevel: bool) -> None:
-        if target == info.name:
-            return
-        info.imports_all.add(target)
-        if toplevel:
+        if toplevel and target != info.name:
             info.imports_toplevel.add(target)
 
     def _link_plain_import(
@@ -462,9 +410,7 @@ class ProgramModel:
                     info.symbols.setdefault(
                         local, Symbol("module", module=bound)
                     )
-            elif name.split(".")[0] == "repro":
-                info.missing_imports.add(name)
-            else:
+            elif name.split(".")[0] != "repro":
                 local = alias.asname or name.split(".")[0]
                 info.symbols.setdefault(local, Symbol("external", value=name))
 
@@ -498,9 +444,7 @@ class ProgramModel:
                     info.symbols.setdefault(
                         local, Symbol("module", module=target)
                     )
-            elif target.split(".")[0] == "repro":
-                info.missing_imports.add(target)
-            else:
+            elif target.split(".")[0] != "repro":
                 info.symbols.setdefault(
                     local, Symbol("external", value=f"{target}.{alias.name}")
                 )
@@ -528,9 +472,6 @@ class ProgramModel:
                         line=sub.lineno, col=sub.col_offset, callee=callee
                     )
                 )
-            elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                if sub.id not in local_names and sub.id in info.constant_nodes:
-                    fn.loads.add(sub.id)
 
     @staticmethod
     def local_names(node: ast.AST) -> Set[str]:
@@ -848,34 +789,6 @@ class ProgramModel:
             return prefix
         return None
 
-    # -- import closure --------------------------------------------------
-    def transitive_imports(
-        self, module: str, toplevel_only: bool = False
-    ) -> Tuple[Set[str], Set[str]]:
-        """(reached modules, missing ``repro.*`` imports) for ``module``.
-
-        BFS over resolved import edges; cycle-safe by construction (the
-        visited set), so mutually-importing modules terminate.
-        """
-        reached: Set[str] = set()
-        unresolved: Set[str] = set()
-        frontier = [module]
-        while frontier:
-            current = frontier.pop()
-            if current in reached:
-                continue
-            reached.add(current)
-            info = self.modules.get(current)
-            if info is None:
-                continue
-            unresolved |= info.missing_imports
-            edges = (
-                info.imports_toplevel if toplevel_only else info.imports_all
-            )
-            frontier.extend(sorted(edges - reached))
-        reached.discard(module)
-        return reached, unresolved
-
     # -- reachability ----------------------------------------------------
     def reachable(self, seeds: Iterable[FunctionRef]) -> Reachability:
         result = Reachability()
@@ -899,7 +812,6 @@ class ProgramModel:
                 return
             seen_classes.add((module, name))
             result.classes.append((module, name))
-            result.modules.add(module)
             origin = self.modules.get(module)
             cls = origin.classes.get(name) if origin else None
             if cls is None:
@@ -915,94 +827,15 @@ class ProgramModel:
             ref = queue[index]
             index += 1
             result.functions.append(ref)
-            result.modules.add(ref[0])
             fn = self.function(ref)
             assert fn is not None
             for call in fn.calls:
                 callee = call.callee
                 if callee.kind == "function":
                     enqueue((callee.module, callee.qualname), ref)
-                    result.modules.add(callee.module)
                 elif callee.kind == "class":
                     reach_class(callee.module, callee.qualname, ref)
-                elif callee.kind == "module":
-                    result.module_grain.add(callee.module)
-                elif callee.kind == "missing":
-                    result.missing.append((ref, call))
-                elif callee.kind == "unknown":
-                    result.unknown.append((ref, call))
         return result
-
-    # -- footprints ------------------------------------------------------
-    def footprint(self, seeds: Sequence[FunctionRef]) -> Footprint:
-        """The salt footprint of a set of seed functions.
-
-        Within the seed functions' own modules coverage is
-        *per-definition* (each reached function/class body and each
-        module-level constant it reads is folded individually), so
-        sibling stages sharing a definition module do not invalidate
-        each other.  The moment the closure crosses into another module
-        it widens to *whole-module* granularity plus that module's
-        transitive import closure — conservative by design: a module's
-        source digest covers every helper it could possibly run.
-        """
-        stage_modules = tuple(sorted({
-            module for module, _ in seeds if module in self.modules
-        }))
-        reach = self.reachable(seeds)
-        external: Set[str] = set()
-        uncovered: Set[str] = set()
-        for module in stage_modules:
-            uncovered |= self.modules[module].missing_imports
-        for _, call in reach.missing:
-            uncovered.add(call.callee.rendered)
-        touched = (reach.modules | reach.module_grain) - set(stage_modules)
-        for module in sorted(touched):
-            closure, closure_missing = self.transitive_imports(module)
-            uncovered |= closure_missing
-            external |= (closure | {module}) - set(stage_modules)
-        entries: List[str] = []
-        seen_defs: Set[str] = set()
-        for module, qualname in reach.functions:
-            if module not in stage_modules:
-                continue
-            key = f"fn:{module}:{qualname}"
-            if key in seen_defs:
-                continue
-            seen_defs.add(key)
-            fn = self.function((module, qualname))
-            assert fn is not None
-            entries.append(_digest(key, fn.source))
-            origin = self.modules[module]
-            for load in sorted(fn.loads):
-                const_key = f"const:{module}:{load}"
-                if const_key in seen_defs:
-                    continue
-                seen_defs.add(const_key)
-                node = origin.constant_nodes[load]
-                entries.append(
-                    _digest(const_key, node_source(origin.ctx, node))
-                )
-        for module, name in reach.classes:
-            if module not in stage_modules:
-                continue
-            key = f"cls:{module}:{name}"
-            if key in seen_defs:
-                continue
-            seen_defs.add(key)
-            entries.append(
-                _digest(key, self.modules[module].classes[name].source)
-            )
-        for module in sorted(external):
-            entries.append(
-                _digest(f"mod:{module}", self.modules[module].source_digest())
-            )
-        return Footprint(
-            stage_modules=stage_modules,
-            modules=tuple(sorted(external)),
-            missing=tuple(sorted(uncovered)),
-            salt=_digest(*sorted(entries)),
-        )
 
     # -- stage discovery -------------------------------------------------
     def discover_stages(self) -> List[StageDecl]:
@@ -1040,7 +873,6 @@ class ProgramModel:
         for role in ("plan", "run", "merge", "index"):
             value = keywords.get(role)
             if value is None:
-                decl.unresolved.append((role, "<missing keyword>"))
                 continue
             callee = self._resolve_call(
                 info,
@@ -1051,9 +883,6 @@ class ProgramModel:
             )
             if callee.kind == "function":
                 decl.seeds[role] = (callee.module, callee.qualname)
-            else:
-                rendered = self._render(value) or type(value).__name__
-                decl.unresolved.append((role, rendered))
         return decl
 
 
@@ -1061,7 +890,7 @@ def program_model_for(project: ProjectContext) -> ProgramModel:
     """The (memoized) :class:`ProgramModel` of a lint run's project.
 
     Rules sharing one :class:`ProjectContext` share one model — the
-    C4xx/P5xx/O6xx families all call this from ``finalize``.
+    P5xx/O6xx families all call this from ``finalize``.
     """
     cached = getattr(project, "_program_model", None)
     if cached is None:

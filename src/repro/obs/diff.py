@@ -6,10 +6,11 @@ reasons, and the diff engine names which:
 * **config-driven** — the runs executed different configs (different
   ``config.digest``): every delta is expected and attributed to the
   config change;
-* **code-driven** — the configs agree but some stage **footprint
-  salts** (PR 4's module-closure digests) changed between the records:
-  a delta is attributed to the owning stage(s) whose *effective* salt
-  changed, with the footprint-changed stages listed as the cause;
+* **code-driven** — the configs agree but some **footprint salts**
+  (digests of the code each stage, and the world, can run) changed
+  between the records: a delta is attributed to the owning stage(s)
+  whose *effective* salt changed, with the changed footprints (stages,
+  or the world, which every stage's salt folds) listed as the cause;
 * **unexplained drift** — same config, same salts, different value:
   the red flag.  A deterministic pipeline must never produce one; any
   occurrence is a nondeterminism bug (and ``make smoke`` gates CI on

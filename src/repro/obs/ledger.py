@@ -8,9 +8,9 @@ ledger is that accumulation point: a JSONL journal
 every ``run_study`` invocation appends one record carrying
 
 * the **config digest** and seed the run executed under,
-* the **effective per-stage salts** and **footprint salts** (PR 4's
-  cache-identity machinery) — the evidence the diff engine uses to
-  attribute metric deltas to code changes,
+* the **effective per-stage salts** and **footprint salts** (digests
+  of the code each stage, and the world, can run) — the evidence the
+  diff engine uses to attribute metric deltas to code changes,
 * the full **metrics-registry snapshot** (worker-count invariant, so
   two records are comparable regardless of how they were sharded),
 * per-stage **wall/CPU timings**, **cache hit/miss counts** and the
@@ -43,8 +43,8 @@ from repro.errors import ObservabilityError
 from repro.obs.persist import (
     append_jsonl_line,
     atomic_write_json,
-    count_jsonl_lines,
     exclusive_lock,
+    last_jsonl_record,
     read_jsonl_lines,
 )
 
@@ -78,7 +78,7 @@ _RUN_FIELDS: Dict[str, Any] = {
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-#: serializes count-then-append within this process: the serve job pool
+#: serializes read-then-append within this process: the serve job pool
 #: runs concurrent engine runs on threads sharing one ledger, and an
 #: unlocked interleaving would stamp two records with the same seq
 #: (across processes, :func:`~repro.obs.persist.exclusive_lock` does)
@@ -175,18 +175,24 @@ def append_record(path: PathLike, payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Stamp ``seq``/``run_id`` onto ``payload``, validate and append it.
 
     ``payload`` carries everything *but* the identity fields; the
-    sequence number is the current record count of the ledger file and
-    the run id is content-derived (:func:`run_id_for`).  Count and
-    append happen under the thread lock and an exclusive ``flock`` on
-    the ledger, so threads of one process and separate processes (a
-    ``repro serve`` and a CLI run sharing one ``--cache-dir``) never
-    stamp the same seq.  Returns the completed record as written.
+    sequence number is one past the ``seq`` of the ledger's last record
+    (0 for an absent or empty ledger), read from the end of the file so
+    an append costs the same however long the history, and the run id
+    is content-derived (:func:`run_id_for`).  Read and append happen
+    under the thread lock and an exclusive ``flock`` on the ledger, so
+    threads of one process and separate processes (a ``repro serve``
+    and a CLI run sharing one ``--cache-dir``) never stamp the same
+    seq, and pruning the head of a ledger never makes a seq repeat.
+    Returns the completed record as written.
     """
     record = dict(payload)
     record.pop("run_id", None)
     record.pop("seq", None)
     with _APPEND_LOCK, exclusive_lock(path):
-        seq = count_jsonl_lines(path)
+        last = last_jsonl_record(path)
+        if last is not None:
+            validate_record(last)
+        seq = 0 if last is None else last["seq"] + 1
         record["seq"] = seq
         record["run_id"] = run_id_for(record, seq)
         validate_record(record)

@@ -29,7 +29,7 @@ import fcntl
 import json
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Mapping, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.errors import ObservabilityError
 
@@ -88,15 +88,33 @@ def exclusive_lock(path: PathLike) -> Iterator[None]:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-def count_jsonl_lines(path: PathLike) -> int:
-    """Number of newline-terminated records in a JSONL file (0 if absent)."""
+def last_jsonl_record(path: PathLike) -> Optional[Dict[str, Any]]:
+    """The last newline-terminated record of a JSONL file, read back
+    from its end, skipping blank lines and a torn final fragment (no
+    newline: a killed writer); ``None`` when it holds none."""
+    path = os.fspath(path)
     try:
-        with open(path, "rb") as handle:
-            return sum(chunk.count(b"\n") for chunk in iter(
-                lambda: handle.read(1 << 16), b""
-            ))
+        handle = open(path, "rb")
     except FileNotFoundError:
-        return 0
+        return None
+    with handle:
+        end = handle.seek(0, os.SEEK_END)
+        tail = b""
+        while end > 0:
+            start = max(0, end - (1 << 16))
+            handle.seek(start)
+            tail = handle.read(end - start) + tail
+            end = start
+            # Whole lines only: drop the fragment after the last newline
+            # and, unless the file's head was reached, the line the
+            # chunk boundary may have cut.
+            lines = tail[: tail.rfind(b"\n") + 1].split(b"\n")[:-1]
+            for line in reversed(lines[1:] if end else lines):
+                if line.strip():
+                    return _decode_record(
+                        f"{path!r} last record", line.decode("utf-8")
+                    )
+    return None
 
 
 def read_jsonl_lines(path: PathLike) -> Iterator[Tuple[int, Dict[str, Any]]]:
@@ -115,18 +133,21 @@ def read_jsonl_lines(path: PathLike) -> Iterator[Tuple[int, Dict[str, Any]]]:
         raise ObservabilityError(f"cannot read {path!r}: {exc}") from exc
     with handle:
         for number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-            except ValueError as exc:
-                raise ObservabilityError(
-                    f"{path!r} line {number}: corrupt JSONL record ({exc})"
-                ) from exc
-            if not isinstance(record, dict):
-                raise ObservabilityError(
-                    f"{path!r} line {number}: record must be a JSON "
-                    f"object, got {type(record).__name__}"
-                )
-            yield number, record
+            if line.strip():
+                yield number, _decode_record(f"{path!r} line {number}", line)
+
+
+def _decode_record(where: str, line: str) -> Dict[str, Any]:
+    """One JSONL line as a record; ``where`` names it in errors."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise ObservabilityError(
+            f"{where}: corrupt JSONL record ({exc})"
+        ) from exc
+    if not isinstance(record, dict):
+        raise ObservabilityError(
+            f"{where}: record must be a JSON object, got "
+            f"{type(record).__name__}"
+        )
+    return record

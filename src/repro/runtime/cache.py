@@ -3,8 +3,9 @@
 Cache keys are ``blake2b(config_digest | effective_salt | stage | shard)``
 where the *effective salt* of a stage folds its own code salt (its
 name, the source text of its plan/run/merge/index callables and the
-digest of every module they can reach) with the effective salts of
-all its dependencies.
+digest of every definition and module they can reach), the salt of
+the code that builds the world, and the effective salts of all its
+dependencies.
 Editing the code of stage N therefore changes the keys of N **and every
 downstream stage**, while leaving upstream artifacts valid — a re-run
 recomputes exactly N and its dependents.
@@ -23,9 +24,8 @@ other error opening one (e.g. permissions) propagates.
 
 Decoding runs with the cyclic garbage collector paused: a warm run's
 artifacts unpickle into tens of thousands of container objects next to
-a long-lived heap (the memoized world and program model), and left on,
-the collector would start hundreds of collections per run that re-scan
-that heap.
+a long-lived heap (the memoized world), and left on, the collector
+would start hundreds of collections per run that re-scan that heap.
 """
 
 import contextlib
@@ -112,14 +112,13 @@ def stage_code_salt(spec: Any, module_footprint_salt: str = "") -> str:
     """Salt for one stage's own code: its name and plan/run/merge/index
     source.
 
-    ``module_footprint_salt`` folds in the digest of every module the
-    stage's code can transitively reach (see
+    ``module_footprint_salt`` folds in the digest of every definition
+    and module the stage's code can reach (see
     :mod:`repro.runtime.footprint`): editing a helper in e.g.
     ``core/classify.py`` then changes the salt even though the stage's
-    own source is untouched — the stale-cache hazard the C401 lint rule
-    guards statically is thereby closed at runtime too.  An empty
-    footprint salt folds nothing, so footprint-less callers (unit tests
-    over synthetic specs) salt their own source alone.
+    own source is untouched.  An empty footprint salt folds nothing, so
+    footprint-less callers (unit tests over synthetic specs) salt their
+    own source alone.
     """
     parts = [spec.name] + [
         _callable_source(getattr(spec, role)) for role in ROLES
@@ -130,19 +129,21 @@ def stage_code_salt(spec: Any, module_footprint_salt: str = "") -> str:
 
 
 def effective_salts(
-    graph: Any, footprints: Optional[Dict[str, str]] = None
+    graph: Any, footprints: Optional[Dict[str, str]] = None, world: str = ""
 ) -> Dict[str, str]:
     """Fold each stage's code salt with its dependencies' effective salts.
 
     ``footprints`` optionally maps stage names to module-footprint salts
-    (missing stages fold an empty footprint).
+    (missing stages fold an empty footprint); ``world`` (the world's
+    footprint salt, see :mod:`repro.runtime.footprint`) folds into every
+    stage, since every stage's ``run`` receives the world.
     """
     salts: Dict[str, str] = {}
     for spec in graph.stages:
         footprint = footprints.get(spec.name, "") if footprints else ""
         own = stage_code_salt(spec, footprint)
         dep_salts = [salts[dep] for dep in spec.inputs]
-        salts[spec.name] = _blake(own, *dep_salts)
+        salts[spec.name] = _blake(own, world, *dep_salts)
     return salts
 
 

@@ -301,11 +301,12 @@ class ExecutionEngine:
         self.executor = ShardExecutor(workers)
         self.cache = ArtifactCache(cache_dir)
         # Module footprints close the stale-cache hazard: a stage's salt
-        # folds the digest of every module its code can transitively
-        # reach, so editing a helper (core/classify.py, ...) invalidates
-        # exactly the stages that can execute it.  Salts and the program
-        # model are memoized per process; stages whose callables the
-        # model cannot see (ad-hoc test graphs) fold no footprint.
+        # folds the definitions and modules its code can reach, and the
+        # world's code, so editing a helper (core/classify.py, ...)
+        # invalidates exactly the stages that can execute it.  Salts
+        # are memoized per process; stages whose roles lie outside the
+        # source tree (ad-hoc test graphs) fold no footprint of their
+        # own.
         self._footprints, self._salts = stage_salts(self.graph)
 
     @property

@@ -49,10 +49,11 @@ def build_manifest(
 
     ``result`` carries the merged registry, the tracer and the per-stage
     :class:`StageMetrics`; ``digest``/``salts`` are the cache identity
-    the run executed under.  ``footprints`` optionally maps stage names
-    to :class:`~repro.lint.program.Footprint` records; when present the
-    manifest gains a ``footprints`` section recording which modules each
-    stage's salt covered.  The v1 schema is open, so manifests without
+    the run executed under.  ``footprints`` optionally maps stage names,
+    and the world's key, to
+    :class:`~repro.runtime.footprint.Footprint` records; when present
+    the manifest gains a ``footprints`` section recording which modules
+    each salt covered.  The v1 schema is open, so manifests without
     that section stay valid.
     The output validates against
     :func:`repro.obs.manifest.validate_manifest` by construction.

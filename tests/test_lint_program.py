@@ -2,8 +2,9 @@
 
 Fixture trees are synthetic packages written to tmp_path; every test
 builds a real :class:`ProgramModel` from the filesystem, so the module
-index, import resolution, call graph, reachability and footprint logic
-are exercised end to end.
+index, import resolution, call graph and reachability are exercised
+end to end.  The runtime's footprint scans are tested in
+``test_runtime_footprint.py``.
 """
 
 from __future__ import annotations
@@ -101,22 +102,10 @@ def test_import_cycle_does_not_hang(tmp_path):
                 return pkg.a.fa()
         """,
     })
-    reached, unresolved = model.transitive_imports("pkg.a")
-    assert "pkg.b" in reached
-    assert not unresolved
-    # the call graph closure over the cycle terminates too
+    # the call graph closure over the cycle terminates
     reach = model.reachable([("pkg.a", "fa")])
     assert ("pkg.b", "fb") in reach.functions
     assert ("pkg.a", "fa") in reach.functions
-
-
-def test_missing_repro_import_is_recorded(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/a.py": """
-            from repro.nowhere import thing
-        """,
-    })
-    assert "repro.nowhere" in model.modules["pkg.a"].missing_imports
 
 
 # ---------------------------------------------------------------------------
@@ -268,96 +257,6 @@ def test_reachability_parents_give_path(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# footprints
-# ---------------------------------------------------------------------------
-
-
-def _stage_tree() -> Dict[str, str]:
-    return {
-        "pkg/stages.py": """
-            from pkg import work
-
-            def plan(world, products):
-                return [("s0", None)]
-
-            def run(world, products, payload):
-                return work.crunch()
-
-            def merge(world, products, shards):
-                return shards
-
-            def unrelated():
-                return 0
-        """,
-        "pkg/work.py": """
-            from pkg import deep
-
-            def crunch():
-                return deep.core()
-        """,
-        "pkg/deep.py": """
-            def core():
-                return 1
-        """,
-        "pkg/island.py": """
-            def lonely():
-                return 2
-        """,
-    }
-
-
-def test_footprint_covers_transitive_modules(tmp_path):
-    model = build_model(tmp_path, _stage_tree())
-    seeds = [("pkg.stages", "plan"), ("pkg.stages", "run"),
-             ("pkg.stages", "merge")]
-    fp = model.footprint(seeds)
-    assert fp.stage_modules == ("pkg.stages",)
-    assert "pkg.work" in fp.modules
-    assert "pkg.deep" in fp.modules  # via pkg.work's import closure
-    assert "pkg.island" not in fp.modules
-    assert not fp.missing
-
-
-def test_footprint_changes_on_cross_module_helper_edit(tmp_path):
-    files = _stage_tree()
-    before = build_model(tmp_path / "v1", files)
-    files["pkg/deep.py"] = """
-        def core():
-            return 99  # changed helper body
-    """
-    after = build_model(tmp_path / "v2", files)
-    seeds = [("pkg.stages", "run")]
-    assert before.footprint(seeds).salt != after.footprint(seeds).salt
-
-
-def test_footprint_ignores_unrelated_sibling_edit(tmp_path):
-    files = _stage_tree()
-    before = build_model(tmp_path / "v1", files)
-    files["pkg/stages.py"] = files["pkg/stages.py"].replace(
-        "return 0", "return 123"
-    )
-    after = build_model(tmp_path / "v2", files)
-    seeds = [("pkg.stages", "plan"), ("pkg.stages", "run"),
-             ("pkg.stages", "merge")]
-    # `unrelated` is in the stage module but not reachable from the
-    # seeds: per-definition granularity keeps the salt stable.
-    assert before.footprint(seeds).salt == after.footprint(seeds).salt
-
-
-def test_footprint_reports_missing_repro_modules(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/stages.py": """
-            import repro.not_there
-
-            def run(world, products, payload):
-                return repro.not_there.helper()
-        """,
-    })
-    fp = model.footprint([("pkg.stages", "run")])
-    assert any("repro.not_there" in name for name in fp.missing)
-
-
-# ---------------------------------------------------------------------------
 # stage discovery / constants / export
 # ---------------------------------------------------------------------------
 
@@ -398,8 +297,9 @@ def test_discover_stages_resolves_seeds_and_version(tmp_path):
     alpha = decls["alpha"]
     assert set(alpha.seeds) == {"plan", "run", "merge", "index"}
     assert alpha.seeds["run"] == ("pkg.stages", "_run")
+    # a lambda role resolves to no function, so it seeds nothing
     beta = decls["beta"]
-    assert [role for role, _ in beta.unresolved] == ["plan"]
+    assert set(beta.seeds) == {"run", "merge", "index"}
 
 
 def test_resolve_string_through_constants(tmp_path):
@@ -448,7 +348,18 @@ def test_node_source_slices_definition(tmp_path):
 
 
 def test_model_import_and_call_edges(tmp_path):
-    model = build_model(tmp_path, _stage_tree())
+    model = build_model(tmp_path, {
+        "pkg/stages.py": """
+            from pkg import work
+
+            def run(world, products, payload):
+                return work.crunch()
+        """,
+        "pkg/work.py": """
+            def crunch():
+                return 1
+        """,
+    })
     assert "pkg.stages" in model.modules
     assert "pkg.work" in model.modules["pkg.stages"].imports_toplevel
     run_calls = model.function(("pkg.stages", "run")).calls

@@ -689,7 +689,7 @@ def test_pragma_does_not_suppress_other_rules(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# C4xx / P5xx / O6xx — whole-program rules (multi-file fixtures)
+# P5xx / O6xx — whole-program rules (multi-file fixtures)
 # ---------------------------------------------------------------------------
 
 
@@ -740,58 +740,6 @@ STAGE_FIXTURE = {
         )
     """,
 }
-
-
-def test_c401_quiet_on_fully_resolvable_stage(tmp_path):
-    findings = lint_tree(tmp_path, dict(STAGE_FIXTURE), select=["C401"])
-    assert codes(findings) == []
-
-
-def test_c401_fires_on_lambda_role(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/stages.py"] = files["pkg/stages.py"].replace(
-        "run=_run", "run=lambda w, p, s: None"
-    )
-    findings = lint_tree(tmp_path, files, select=["C401"])
-    assert codes(findings) == ["C401"]
-    assert "run=" in findings[0].message
-    assert "cannot be computed" in findings[0].message
-
-
-def test_c401_fires_on_missing_index_role(tmp_path):
-    # The index role is salted like plan/run/merge, so a stage that
-    # names none leaves code outside its footprint.
-    files = dict(STAGE_FIXTURE)
-    assert files["pkg/stages.py"].count("index=_index,") == 1
-    files["pkg/stages.py"] = files["pkg/stages.py"].replace(
-        "index=_index,", ""
-    )
-    findings = lint_tree(tmp_path, files, select=["C401"])
-    assert codes(findings) == ["C401"]
-    assert "index=<missing keyword>" in findings[0].message
-
-
-def test_c401_fires_on_unindexed_repro_import(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/helpers.py"] = """
-        from repro.vanished import thing
-
-        def crunch(payload):
-            return thing(payload)
-    """
-    findings = lint_tree(tmp_path, files, select=["C401"])
-    assert codes(findings) == ["C401"]
-    assert "repro.vanished" in findings[0].message
-
-
-def test_c401_pragma_disable(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/stages.py"] = files["pkg/stages.py"].replace(
-        "SPEC = StageSpec(",
-        "SPEC = StageSpec(  # reprolint: disable=C401",
-    ).replace("run=_run", "run=lambda w, p, s: None")
-    findings = lint_tree(tmp_path, files, select=["C401"])
-    assert codes(findings) == []
 
 
 def test_p501_fires_on_global_in_run_path_helper(tmp_path):

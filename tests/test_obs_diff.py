@@ -143,6 +143,29 @@ class TestClassification:
         assert delta.classification == "code"
         assert delta.caused_by == ("panel",)
 
+    def test_world_code_change_is_blamed_on_the_world(self):
+        # Only the world's code moved: every effective salt folds it,
+        # so every stage's salt moves while no stage footprint does.
+        stage_footprints = {"panel": "f1", "classification": "f2"}
+        a = make_record(footprints={**stage_footprints, "world": "w1"})
+        b = make_record(
+            run_id="run-b",
+            salts={"panel": "s1'", "classification": "s2'"},
+            footprints={**stage_footprints, "world": "w2"},
+            metrics={
+                "web.requests": counter(120),
+                "classify.flows{stage=list}": counter(41),
+            },
+        )
+        diff = diff_records(a, b)
+        assert diff.changed_footprints == ("world",)
+        assert [delta.classification for delta in diff.deltas] == [
+            "code", "code",
+        ]
+        assert {delta.caused_by for delta in diff.deltas} == {("world",)}
+        assert diff.unexplained() == []
+        assert "changed footprints: world" in render_diff_text(diff)
+
     def test_delta_in_untouched_stage_is_drift(self):
         # panel's salt changed, but the delta belongs to classification
         # — a changed salt does not excuse other stages' metrics.

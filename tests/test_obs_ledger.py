@@ -24,11 +24,7 @@ from repro.obs.ledger import (
     write_baseline,
 )
 from repro.obs.ledger import run_id_for
-from repro.obs.persist import (
-    append_jsonl_line,
-    count_jsonl_lines,
-    read_jsonl_lines,
-)
+from repro.obs.persist import append_jsonl_line, read_jsonl_lines
 
 
 def make_run_payload(digest="abc123", seed=7, value=25825):
@@ -59,20 +55,21 @@ def make_run_payload(digest="abc123", seed=7, value=25825):
 
 
 def _append_fifty(path, barrier, worker):
-    """Child-process body: append 50 records, with the count-to-append
-    window widened so that unserialized appenders would collide."""
+    """Child-process body: append 50 records, with the window between
+    reading the last record and appending widened so that unserialized
+    appenders would collide."""
     import time
 
     from repro.obs import ledger
 
-    count = ledger.count_jsonl_lines
+    read_last = ledger.last_jsonl_record
 
-    def slow_count(target):
-        lines = count(target)
+    def slow_read_last(target):
+        last = read_last(target)
         time.sleep(0.002)
-        return lines
+        return last
 
-    ledger.count_jsonl_lines = slow_count
+    ledger.last_jsonl_record = slow_read_last
     barrier.wait()
     for i in range(50):
         append_record(path, make_run_payload(value=worker * 100 + i))
@@ -121,7 +118,40 @@ class TestAppendAndLoad:
         with pytest.raises(ObservabilityError):
             append_record(path, broken)
         # A rejected append writes nothing.
-        assert count_jsonl_lines(path) == 0
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == ""
+
+    def test_seq_follows_last_record_after_head_is_pruned(self, tmp_path):
+        # Seqs stay unique when the oldest records are cut from the
+        # ledger: the next seq follows the last record, not the count.
+        path = ledger_path(tmp_path)
+        for value in range(3):
+            append_record(path, make_run_payload(value=value))
+        with open(path, encoding="utf-8") as handle:
+            kept = handle.readlines()[1:]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(kept)
+        newest = append_record(path, make_run_payload(value=3))
+        records = load_ledger(path)
+        assert [record["seq"] for record in records] == [1, 2, 3]
+        assert select_record(records, "3") == newest
+
+    def test_seq_skips_torn_fragment_and_blank_lines(self, tmp_path):
+        path = ledger_path(tmp_path)
+        append_record(path, make_run_payload(value=0))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\n\n" + json.dumps(make_run_payload())[:40])
+        assert append_record(path, make_run_payload(value=1))["seq"] == 1
+
+    def test_seq_of_a_record_longer_than_one_read(self, tmp_path):
+        # The last record is read backwards in chunks; one longer than
+        # a chunk must still be read whole.
+        path = ledger_path(tmp_path)
+        payload = make_run_payload()
+        payload["padding"] = "x" * 200_000
+        append_record(path, payload)
+        append_record(path, payload)
+        assert append_record(path, make_run_payload())["seq"] == 2
 
     def test_concurrent_appends_get_unique_dense_seqs(self, tmp_path):
         # Concurrent serve jobs append to one ledger from threads of

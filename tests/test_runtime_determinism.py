@@ -335,7 +335,7 @@ class TestCachedRunDecodesWithoutCollecting:
         self, engine_config, replay_dir, monkeypatch
     ):
         # A warm run's artifacts decode into ~84K container objects next
-        # to the long-lived world and program model.  With the collector
+        # to the long-lived world.  With the collector
         # on during decode, that started ~240 collections per run (1-2
         # of them full passes over the heap); paused, it starts none.
         load = cache_module.pickle.load

@@ -1,42 +1,60 @@
-"""The footprint-salt loop: edit a helper, invalidate exactly the right
+"""The footprint-salt loop: edit code, invalidate exactly the right
 stages.
 
 The flagship regression here copies the installed source tree once per
-edit and appends to modules in each copy: a helper function to
-``core/classify.py``, a comment to ``obs/metrics.py``, and a comment to
-each obs tooling module (tracing, manifests, the ledger and its diff,
-exports).  It asserts that exactly the stages whose footprints list an
-edited module get a new footprint salt, and that exactly those and the
-stages downstream of them get new effective salts and cache keys; the
-tooling edit moves no salt at all.  Edits to a stage's ``index`` role,
-and to a helper only the index reaches, move salts the same way.
-Salts are computed once per process: a second engine reads no source,
-and an edit on disk to code the process is running does not move
-them.
+edit and edits modules in each copy: a helper function appended to
+``core/classify.py``, a comment to ``obs/metrics.py`` and to each obs
+tooling module (tracing, manifests, the ledger and its diff, exports),
+and two edits to the code that builds the world: a commercial
+geolocation database that answers one country, and a passive-DNS
+window one day longer.  It asserts that exactly the footprints that
+list an edited module get a new salt, and that exactly the stages
+downstream of one get new effective salts and cache keys; the tooling
+edit moves no salt at all, and a world edit moves every effective
+salt.  Edits to a stage's ``index`` role, and to a helper only the
+index reaches, move salts the same way.  Salts are computed once per
+process: a second engine
+reads no source, and an edit on disk to code the process is running
+does not move them.
+
+The scans themselves are exercised on small fixture trees: reach by
+name inside a stage module, whole modules and import closures across
+modules, a lambda role folding its whole module, and the imports no
+salt can cover raising.
 """
 
 from __future__ import annotations
 
+import builtins
 import importlib.util
 import inspect
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+from typing import Dict
 
 import pytest
 
 from repro import WorldConfig
+from repro.datasets.builder import cached_build_world
+from repro.errors import ValidationError
 from repro.runtime import run_study
 from repro.runtime.cache import ArtifactCache, effective_salts, stage_code_salt
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.footprint import (
+    WORLD,
+    WORLD_MODULE,
     default_root,
+    footprint,
     footprint_salts,
-    program_model,
     stage_footprints,
+    stage_salts,
+    world_footprint,
 )
 from repro.runtime.graph import StageGraph, StageSpec
 from repro.runtime.stages import STAGE_NAMES, build_stage_graph
@@ -58,40 +76,58 @@ OBS_TOOLING_MODULES = (
     "clock", "diff", "export", "ledger", "manifest", "persist", "trace",
 )
 
-#: edit name -> (text appended per module file of a copied tree, the
-#: stages whose footprints list an edited module, the stages whose
-#: effective salts move: those and every stage downstream of one)
-APPENDED_EDITS = {
+#: edit name -> ({module file of a copied tree: (text, replacement)},
+#: the footprints that list an edited module or definition, the stages
+#: whose effective salts move: those and every stage downstream of one,
+#: or every stage when the world's code moved).  An empty text appends
+#: the replacement to the file.
+EDITS = {
     "classify-helper": (
         {
-            "core/classify.py":
-                "\n\ndef _footprint_probe(flow):\n    return flow\n",
+            "core/classify.py": (
+                "", "\n\ndef _footprint_probe(flow):\n    return flow\n",
+            ),
         },
         {"classification"},
         CLASSIFY_DEPENDENTS,
     ),
     "obs-metrics": (
-        {"obs/metrics.py": "# footprint probe\n"},
-        METRICS_DEPENDENTS,
+        {"obs/metrics.py": ("", "# footprint probe\n")},
+        METRICS_DEPENDENTS | {WORLD},
         set(STAGE_NAMES),
     ),
     "obs-tooling": (
         {
-            f"obs/{name}.py": "# footprint probe\n"
+            f"obs/{name}.py": ("", "# footprint probe\n")
             for name in OBS_TOOLING_MODULES
         },
         set(),
         set(),
     ),
+    # The stages reach this code only through the world object, which
+    # no name in a stage module refers to; inventory lists the module
+    # through datasets/builder.py, whose passive-DNS window it reads.
+    "world-geolocation": (
+        {
+            "geoloc/commercial.py": (
+                "        record = self._plan.lookup(address)\n",
+                '        return "US"\n',
+            ),
+        },
+        {"inventory", WORLD},
+        set(STAGE_NAMES),
+    ),
+    "world-window": (
+        {
+            "datasets/builder.py": (
+                "BACKGROUND_END_DAY = max(SNAPSHOT_DAYS.values()) + 10.0\n",
+                "BACKGROUND_END_DAY = max(SNAPSHOT_DAYS.values()) + 11.0\n",
+            ),
+        },
+        {"inventory", WORLD},
+        set(STAGE_NAMES),
+    ),
 }
-
-#: lint analyses and scans that are lint-time artifacts only: salting
-#: cache keys needs the program model, never these
-LINT_ONLY_MODULES = (
-    "repro.lint.concurrency",
-    "repro.lint.rules_resources",
-    "repro.lint.rules_seeds",
-)
 
 
 def copy_tree(tmp_path: Path, name: str) -> Path:
@@ -102,21 +138,43 @@ def copy_tree(tmp_path: Path, name: str) -> Path:
 
 @pytest.fixture(scope="module")
 def edited_trees(tmp_path_factory):
-    """(pristine copy, {edit name: copy with that edit appended})."""
+    """(pristine copy, {edit name: copy with that edit made})."""
     tmp_path = tmp_path_factory.mktemp("footprint-trees")
     pristine = copy_tree(tmp_path, "pristine")
     edited = {}
-    for edit, (appended, _, _) in APPENDED_EDITS.items():
+    for edit, (files, _, _) in EDITS.items():
         tree = edited[edit] = copy_tree(tmp_path, edit)
-        for relpath, text in appended.items():
+        for relpath, (text, replacement) in files.items():
             module = tree / relpath
-            module.write_text(module.read_text() + text)
+            source = module.read_text()
+            if text:
+                assert source.count(text) == 1, (edit, relpath)
+                source = source.replace(text, replacement)
+            else:
+                source += replacement
+            module.write_text(source)
     return pristine, edited
 
 
-def test_program_model_is_memoized_per_root():
-    assert program_model() is program_model()
-    assert program_model() is program_model(default_root())
+def write_tree(root: Path, files: Dict[str, str]) -> Path:
+    """Write ``files`` (relpath -> source) with an ``__init__.py`` in
+    every package directory; return the ``pkg`` package root."""
+    for relpath, source in files.items():
+        path = root / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+        parent = path.parent
+        while parent != root:
+            init = parent / "__init__.py"
+            if not init.exists():
+                init.write_text("")
+            parent = parent.parent
+    return root / "pkg"
+
+
+# ---------------------------------------------------------------------------
+# the pipeline's footprints
+# ---------------------------------------------------------------------------
 
 
 def test_every_pipeline_stage_gets_a_footprint():
@@ -126,7 +184,6 @@ def test_every_pipeline_stage_gets_a_footprint():
     for name, fp in footprints.items():
         assert fp.salt, name
         assert fp.stage_modules, name
-        assert fp.missing == (), name
         # the salt covers the code a stage can run, and no tooling
         assert not tooling & set(fp.modules), name
         assert not [
@@ -147,18 +204,28 @@ def test_classification_footprint_covers_classify_module():
         assert "repro.core.classify" not in covered, name
 
 
+def test_world_footprint_covers_the_builder_closure():
+    assert WORLD_MODULE == cached_build_world.__module__
+    world = world_footprint()
+    assert world.stage_modules == ()
+    assert WORLD_MODULE in world.modules
+    assert "repro.geoloc.commercial" in world.modules
+    # the world is built from the substrate, never from the analyses
+    assert not [
+        module for module in world.modules
+        if module.startswith(("repro.core.", "repro.runtime."))
+    ]
+
+
 def test_helper_edit_changes_exactly_the_reaching_footprints(edited_trees):
     pristine, edited = edited_trees
     graph = build_stage_graph()
-    before = stage_footprints(graph, root=pristine)
-    assert set(before) == set(STAGE_NAMES)
-    for edit, (_, reaching, _) in APPENDED_EDITS.items():
-        after = stage_footprints(graph, root=edited[edit])
-        assert set(after) == set(STAGE_NAMES), edit
-        moved = {
-            name for name in STAGE_NAMES
-            if before[name].salt != after[name].salt
-        }
+    before, _ = stage_salts(graph, root=pristine)
+    assert set(before) == set(STAGE_NAMES) | {WORLD}
+    for edit, (_, reaching, _) in EDITS.items():
+        after, _ = stage_salts(graph, root=edited[edit])
+        assert set(after) == set(before), edit
+        moved = {name for name in before if before[name] != after[name]}
         assert moved == reaching, edit
 
 
@@ -167,16 +234,10 @@ def test_helper_edit_propagates_to_effective_salts_and_cache_keys(
 ):
     pristine, edited = edited_trees
     graph = build_stage_graph()
-
-    def salts(root):
-        return effective_salts(
-            graph, footprint_salts(stage_footprints(graph, root=root))
-        )
-
-    before = salts(pristine)
+    _, before = stage_salts(graph, root=pristine)
     cache = ArtifactCache(None)
-    for edit, (_, _, moved) in APPENDED_EDITS.items():
-        after = salts(edited[edit])
+    for edit, (_, _, moved) in EDITS.items():
+        _, after = stage_salts(graph, root=edited[edit])
         for name in STAGE_NAMES:
             key_before = cache.key("cfg", before[name], name, "s0")
             key_after = cache.key("cfg", after[name], name, "s0")
@@ -214,15 +275,79 @@ def test_index_edit_propagates_to_effective_salts(tmp_path, edit):
     assert source.count(text) == 1
     module.write_text(source.replace(text, replacement))
     graph = build_stage_graph()
-    before = effective_salts(graph, footprint_salts(stage_footprints(graph)))
-    after = effective_salts(
-        graph, footprint_salts(stage_footprints(graph, root=edited))
-    )
+    footprints_before, before = stage_salts(graph)
+    footprints_after, after = stage_salts(graph, root=edited)
+    assert {
+        name for name in footprints_before
+        if footprints_before[name] != footprints_after[name]
+    } == {"classification"}
     for name in STAGE_NAMES:
         if name in CLASSIFY_DEPENDENTS:
             assert before[name] != after[name], name
         else:
             assert before[name] == after[name], name
+
+
+def test_stage_salts_fold_the_world_into_every_stage():
+    graph = build_stage_graph()
+    footprints, salts = stage_salts(graph)
+    stages = {name: fp for name, fp in footprints.items() if name != WORLD}
+    without_world = effective_salts(graph, footprint_salts(stages))
+    assert dict(salts) == effective_salts(
+        graph, footprint_salts(stages), footprints[WORLD].salt
+    )
+    assert not set(salts.values()) & set(without_world.values())
+
+
+def test_stage_named_like_the_world_is_rejected():
+    graph = build_stage_graph()
+    spec = graph["panel"]
+    clash = StageGraph()
+    clash.add(StageSpec(
+        name=WORLD, inputs=(), plan=spec.plan, run=spec.run,
+        merge=spec.merge, index=spec.index,
+    ))
+    with pytest.raises(ValidationError, match="world"):
+        stage_salts(clash)
+
+
+# ---------------------------------------------------------------------------
+# memo and set-up
+# ---------------------------------------------------------------------------
+
+
+def _record_opened_sources(monkeypatch):
+    """Record every ``.py`` file opened from now on."""
+    opened = []
+    real_open = io.open
+
+    def recording_open(file, *args, **kwargs):
+        if str(file).endswith(".py"):
+            opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    return opened
+
+
+def test_module_scans_are_memoized_per_root(monkeypatch, tmp_path):
+    # Each module's digests and imports are kept per process and root:
+    # footprints computed again read no source, while a new root is
+    # scanned afresh.
+    graph = build_stage_graph()
+    stage_footprints(graph)
+    world_footprint()
+    opened = _record_opened_sources(monkeypatch)
+    stage_footprints(graph)
+    world_footprint()
+    assert opened == []
+    root = write_tree(tmp_path, _stage_tree())
+    del opened[:]
+    footprint(STAGE_SEEDS, root)
+    assert sorted(Path(path).name for path in opened) == [
+        "deep.py", "stages.py", "work.py",
+    ]
 
 
 def test_second_engine_reads_no_source(monkeypatch):
@@ -235,8 +360,10 @@ def test_second_engine_reads_no_source(monkeypatch):
         return getsource(obj)
 
     monkeypatch.setattr(inspect, "getsource", counting_getsource)
+    opened = _record_opened_sources(monkeypatch)
     ExecutionEngine()
     assert read == []
+    assert opened == []
 
 
 SYNTHETIC_STAGE = """
@@ -257,14 +384,19 @@ def index(product):
 """
 
 
+def load_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_salts_stay_fixed_when_running_source_is_edited_on_disk(tmp_path):
     # A long-lived process keys artifacts by the code it runs: editing
     # the file on disk must not move the salts of the loaded functions.
     path = tmp_path / "synthetic_stage.py"
     path.write_text(SYNTHETIC_STAGE)
-    spec = importlib.util.spec_from_file_location("synthetic_stage", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_module("synthetic_stage", path)
     graph = StageGraph()
     graph.add(StageSpec(
         name="synthetic", inputs=(), plan=module.plan, run=module.run,
@@ -304,8 +436,8 @@ def test_synthetic_graph_without_model_coverage_gets_no_footprint():
         name="synthetic", inputs=(), plan=plan, run=run, merge=merge,
         index=index,
     ))
-    # test-local functions have '<locals>' qualnames: no footprint, and
-    # effective_salts degrades to the footprint-less behavior
+    # test-local functions live outside the source root: no footprint,
+    # and effective_salts degrades to the footprint-less behavior
     footprints = stage_footprints(graph)
     assert footprints == {}
     salts = effective_salts(graph, footprint_salts(footprints))
@@ -317,24 +449,24 @@ def test_manifest_records_footprints():
     manifest = run.manifest
     assert manifest is not None
     footprints = manifest["footprints"]
-    assert set(footprints) == set(STAGE_NAMES)
+    assert set(footprints) == set(STAGE_NAMES) | {WORLD}
     entry = footprints["classification"]
     assert entry["salt"]
     assert "repro.core.classify" in entry["modules"]
+    world = footprints[WORLD]
+    assert world["stage_modules"] == []
+    assert WORLD_MODULE in world["modules"]
 
 
-def test_engine_construction_imports_no_lint_analysis():
-    # A guard over modules that do not exist would pass trivially.
-    for module in LINT_ONLY_MODULES:
-        assert importlib.util.find_spec(module) is not None, module
+def test_engine_construction_imports_no_lint_analysis(tmp_path):
     # A fresh interpreter, so modules other tests imported cannot mask
     # an import the engine's set-up makes.
     probe = (
         "import json, sys\n"
         "from repro.runtime.engine import ExecutionEngine\n"
-        "ExecutionEngine()\n"
-        f"print(json.dumps([m for m in {LINT_ONLY_MODULES!r} "
-        "if m in sys.modules]))\n"
+        f"ExecutionEngine(cache_dir={str(tmp_path / 'cache')!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m == 'repro.lint' or m.startswith('repro.lint.'))))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(default_root().parent)}
     result = subprocess.run(
@@ -342,3 +474,227 @@ def test_engine_construction_imports_no_lint_analysis():
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(result.stdout) == []
+
+
+# ---------------------------------------------------------------------------
+# the scans, on fixture trees
+# ---------------------------------------------------------------------------
+
+
+def _stage_tree() -> Dict[str, str]:
+    return {
+        "pkg/stages.py": """
+            from pkg import work
+
+            def plan(world, products):
+                return [("s0", None)]
+
+            def run(world, products, payload):
+                return work.crunch()
+
+            def merge(world, products, shards):
+                return shards
+
+            def unrelated():
+                return 0
+        """,
+        "pkg/work.py": """
+            from pkg import deep
+
+            def crunch():
+                return deep.core()
+        """,
+        "pkg/deep.py": """
+            def core():
+                return 1
+        """,
+        "pkg/island.py": """
+            def lonely():
+                return 2
+        """,
+    }
+
+
+STAGE_SEEDS = [
+    ("pkg.stages", "plan"), ("pkg.stages", "run"), ("pkg.stages", "merge"),
+]
+
+
+def test_footprint_covers_transitive_modules(tmp_path):
+    files = _stage_tree()
+    files["pkg/__init__.py"] = "VERSION = 1\n"
+    fp = footprint(STAGE_SEEDS, write_tree(tmp_path, files))
+    assert fp.stage_modules == ("pkg.stages",)
+    assert "pkg.work" in fp.modules
+    assert "pkg.deep" in fp.modules  # via pkg.work's import closure
+    assert "pkg.island" not in fp.modules
+    # importing a module does not fold its package's __init__
+    assert "pkg" not in fp.modules
+
+
+def test_footprint_changes_on_cross_module_helper_edit(tmp_path):
+    files = _stage_tree()
+    before = write_tree(tmp_path / "v1", files)
+    files["pkg/deep.py"] = """
+        def core():
+            return 99  # changed helper body
+    """
+    after = write_tree(tmp_path / "v2", files)
+    seeds = [("pkg.stages", "run")]
+    assert footprint(seeds, before).salt != footprint(seeds, after).salt
+
+
+def test_footprint_ignores_unrelated_sibling_edit(tmp_path):
+    files = _stage_tree()
+    before = write_tree(tmp_path / "v1", files)
+    files["pkg/stages.py"] = files["pkg/stages.py"].replace(
+        "return 0", "return 123"
+    )
+    after = write_tree(tmp_path / "v2", files)
+    # `unrelated` is in the stage module but no seed reads its name:
+    # per-definition granularity keeps the salt stable.
+    assert (
+        footprint(STAGE_SEEDS, before).salt
+        == footprint(STAGE_SEEDS, after).salt
+    )
+
+
+def test_reach_follows_names_but_not_annotations(tmp_path):
+    files = {
+        "pkg/stages.py": """
+            from pkg import typing_only, work
+            from pkg.deep import core
+
+            LIMIT = 3
+
+            def _helper(value: typing_only.Kind) -> typing_only.Kind:
+                from pkg import late
+                return late.grow(value) + LIMIT
+
+            def run(world: typing_only.World, products, payload):
+                return _helper(core()) + work.crunch()
+        """,
+        "pkg/typing_only.py": "Kind = int\nWorld = object\n",
+        "pkg/work.py": "def crunch():\n    return 1\n",
+        "pkg/deep.py": "def core():\n    return 2\n",
+        "pkg/late.py": "def grow(value):\n    return value + 1\n",
+    }
+    seeds = [("pkg.stages", "run")]
+    before = footprint(seeds, write_tree(tmp_path / "v1", files))
+    assert before.modules == ("pkg.deep", "pkg.late", "pkg.work")
+    files["pkg/stages.py"] = files["pkg/stages.py"].replace(
+        "LIMIT = 3", "LIMIT = 4"
+    )
+    after = footprint(seeds, write_tree(tmp_path / "v2", files))
+    # a constant read by a reached helper folds its own source
+    assert after.salt != before.salt
+
+
+LAMBDA_STAGE = """
+def plan(world, indexes):
+    return [("all", None)]
+
+
+run = lambda world, products, shard_key, payload: None
+
+
+def merge(world, products, shards):
+    return None
+
+
+def index(product):
+    return {"records": {}}
+
+
+def unrelated():
+    return 0
+"""
+
+
+def test_lambda_role_folds_its_whole_module(tmp_path):
+    roots = {}
+    for version, body in (("v1", "return 0"), ("v2", "return 123")):
+        roots[version] = write_tree(tmp_path / version, {
+            "pkg/stages.py": LAMBDA_STAGE.replace("return 0", body),
+        })
+    module = load_module("pkg.stages", roots["v1"] / "stages.py")
+    assert module.run.__qualname__ == "<lambda>"
+    graph = StageGraph()
+    graph.add(StageSpec(
+        name="alpha", inputs=(), plan=module.plan, run=module.run,
+        merge=module.merge, index=module.index,
+    ))
+    before = stage_footprints(graph, roots["v1"])["alpha"]
+    after = stage_footprints(graph, roots["v2"])["alpha"]
+    assert before.stage_modules == ("pkg.stages",)
+    # a lambda can run any code of its module, so an edit to a
+    # definition no role names moves the salt
+    assert before.salt != after.salt
+
+
+def test_footprint_reports_missing_repro_modules(tmp_path):
+    root = write_tree(tmp_path, {
+        "pkg/stages.py": """
+            import pkg.not_there
+
+            def run(world, products, payload):
+                return pkg.not_there.helper()
+        """,
+    })
+    with pytest.raises(ValidationError, match="pkg.not_there"):
+        footprint([("pkg.stages", "run")], root)
+
+
+def test_missing_first_party_from_import_raises(tmp_path):
+    root = write_tree(tmp_path, {
+        "pkg/stages.py": """
+            from pkg.nowhere import thing
+
+            def run(world, products, payload):
+                return thing()
+        """,
+    })
+    # the name a role reads binds a from-import of a module with no file
+    with pytest.raises(ValidationError, match="pkg.nowhere"):
+        footprint([("pkg.stages", "run")], root)
+
+
+def test_unindexed_import_in_a_reached_module_raises(tmp_path):
+    files = _stage_tree()
+    files["pkg/deep.py"] = """
+        def core():
+            from pkg.vanished import thing
+            return thing()
+    """
+    with pytest.raises(ValidationError, match="pkg.vanished"):
+        footprint(STAGE_SEEDS, write_tree(tmp_path, files))
+
+
+def test_relative_import_raises(tmp_path):
+    files = _stage_tree()
+    files["pkg/work.py"] = files["pkg/work.py"].replace(
+        "from pkg import deep", "from . import deep"
+    )
+    with pytest.raises(ValidationError, match="relative import"):
+        footprint(STAGE_SEEDS, write_tree(tmp_path, files))
+
+
+def test_import_cycle_closure_terminates(tmp_path):
+    root = write_tree(tmp_path, {
+        "pkg/a.py": """
+            import pkg.b
+
+            def fa():
+                return pkg.b.fb()
+        """,
+        "pkg/b.py": """
+            import pkg.a
+
+            def fb():
+                return pkg.a.fa()
+        """,
+    })
+    fp = footprint([("pkg.a", "fa")], root)
+    # pkg.b's closure leads back to the stage module, which is covered
+    # per definition, not folded whole
+    assert fp.modules == ("pkg.b",)
