@@ -33,12 +33,12 @@ report:
 	$(PYTHON) -m repro --preset medium report
 
 # End-to-end smoke on the small preset (see scripts/smoke.py): an
-# untraced, uncached reference run, then cold fill, warm replay and
-# ledger diff through `repro run` and through `repro serve`, and a partly
+# untraced, uncached reference run, then cold fill, warm replay, ledger
+# diff and baseline pin through `repro run` and `repro obs`, and a partly
 # warm run with localization's artifacts removed.  Every run must report
 # the reference's Table 2, Fig. 7(b), Sect. 6 and Table 5; the manifest,
-# trace exports, SSE streams and diffs must validate, with zero
-# unexplained drift.  Leaves its artifacts in build/smoke for CI.
+# trace exports and diff must validate, with zero unexplained drift.
+# Leaves its artifacts in build/smoke for CI.
 smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/smoke.py
 

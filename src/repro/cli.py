@@ -31,13 +31,6 @@ Commands
     ``diff`` two of them with every metric delta classified as
     config-driven, code-driven or unexplained drift, and get/set the
     ``baseline`` selector.  See ``docs/ledger.md``.
-``serve``
-    Run the always-on study service: submit configs over
-    ``POST /studies``, follow per-job progress as Server-Sent Events,
-    and query the run ledger (list/show/diff/baseline) over
-    HTTP — all against one shared artifact cache, so repeat
-    submissions replay warm.  ``--port 0`` picks an ephemeral port
-    (printed on the ready line).  See ``docs/service.md``.
 
 Every command accepts ``--preset small|medium|paper`` and ``--seed N``.
 """
@@ -180,39 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_baseline.add_argument(
         "selector", nargs="?", default=None,
         help="record to mark as baseline (omit to show the current one)",
-    )
-
-    serve_command = commands.add_parser(
-        "serve", help="run the always-on study service (HTTP + SSE)"
-    )
-    serve_command.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to bind (default: 127.0.0.1)",
-    )
-    serve_command.add_argument(
-        "--port", type=int, default=8377,
-        help="port to bind; 0 picks an ephemeral port (default: 8377)",
-    )
-    serve_command.add_argument(
-        "--cache-dir", type=pathlib.Path, default=pathlib.Path(".repro-cache"),
-        help="shared artifact cache + ledger directory "
-        "(default: .repro-cache)",
-    )
-    serve_command.add_argument(
-        "--workers", type=int, default=1,
-        help="process workers per job's engine run (default: 1, inline)",
-    )
-    serve_command.add_argument(
-        "--jobs", type=int, default=1,
-        help="concurrent job limit (default: 1)",
-    )
-    serve_command.add_argument(
-        "--queue-limit", type=int, default=8,
-        help="max queued submissions before 503 (default: 8)",
-    )
-    serve_command.add_argument(
-        "--log", type=pathlib.Path, default=None, metavar="OUT",
-        help="append one JSONL line per request to OUT",
     )
     return parser
 
@@ -374,34 +334,6 @@ def _command_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
-    from repro.serve import StudyServer
-
-    server = StudyServer(
-        cache_dir=str(args.cache_dir),
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        job_limit=args.jobs,
-        queue_limit=args.queue_limit,
-        log_path=str(args.log) if args.log is not None else None,
-    )
-
-    def ready(ready_server: StudyServer) -> None:
-        print(
-            f"repro serve: listening on "
-            f"http://{ready_server.host}:{ready_server.port} "
-            f"(cache: {args.cache_dir})",
-            flush=True,
-        )
-
-    try:
-        server.run(on_ready=ready)
-    except KeyboardInterrupt:
-        print("repro serve: shutting down", file=sys.stderr)
-    return 0
-
-
 def _command_world(study: Study) -> str:
     world = study.world
     lines = [
@@ -445,8 +377,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "obs":
             return _command_obs(args)
-        if args.command == "serve":
-            return _command_serve(args)
         if args.command == "run":
             print(_command_run(args))
             return 0

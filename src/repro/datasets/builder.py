@@ -178,8 +178,8 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
 
 #: per-process world memo: config digest → built world.  Worker processes
 #: execute many shards against the same world; rebuilding it per shard
-#: would dwarf the shard work itself.  Serve jobs call this from worker
-#: threads too, so the memo is lock-guarded.
+#: would dwarf the shard work itself.  Engines run on a library caller's
+#: threads call this too, so the memo is lock-guarded.
 _WORLD_MEMO: Dict[str, World] = {}
 _WORLD_MEMO_LOCK = threading.Lock()
 

@@ -89,17 +89,3 @@ class ExecutionError(ReproError):
 class ObservabilityError(ReproError):
     """Raised by :mod:`repro.obs` for malformed manifests, mismatched
     span nesting, or metric type conflicts."""
-
-
-class ServeError(ReproError):
-    """Raised by :mod:`repro.serve` for malformed study submissions,
-    unroutable requests, a full job queue, or a misconfigured server."""
-
-
-class HttpError(ServeError):
-    """A transport-level failure in the study service, carrying the
-    HTTP status code the server sends back."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status

@@ -219,8 +219,6 @@ def default_registry() -> CountryRegistry:
     global _DEFAULT  # reprolint: disable=P501
     if _DEFAULT is None:
         # Benign race: losers rebuild identical immutable data, so the
-        # lock-free memo needs no witness.
-        _DEFAULT = CountryRegistry(  # reprolint: disable=T1003
-            Country(*row) for row in _COUNTRY_ROWS
-        )
+        # memo needs no lock.
+        _DEFAULT = CountryRegistry(Country(*row) for row in _COUNTRY_ROWS)
     return _DEFAULT

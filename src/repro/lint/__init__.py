@@ -18,11 +18,9 @@ Eight rule families guard the properties the paper's tables depend on:
   ``fixed_rng`` outside tests, no RNG returned across the shard
   boundary;
 * **I-rules** (resource discipline): no sockets or subprocesses
-  outside tests (the serve layer may listen);
-* **T-rules** (concurrency context): no blocking calls reachable from
-  the event loop, no cross-context shared-state writes without a lock
-  witness, no loop-only APIs from threads, no raw concurrent file
-  writes bypassing the atomic helpers.
+  outside tests;
+* **T-rules** (concurrency context): no raw file writes from thread or
+  shard code bypassing the atomic helpers.
 
 The P/O/S/I families read the whole-program import/call graph
 (:mod:`repro.lint.program`); the T family classifies every function by

@@ -1,48 +1,33 @@
 """Execution-context analysis over the whole-program call graph.
 
-The runtime mixes four execution contexts: the asyncio event loop that
-``repro.serve`` handlers run on, the ``repro-serve-job`` worker threads
-that execute studies, the process-pool shard workers that run stage
-bodies, and the plain ``main`` thread of the CLIs.  Code that is safe in
-one context is a hazard in another — a raw ``open()`` is fine in a
-worker thread and a stall on the event loop; a module-level dict write
-is fine on ``main`` and a race from two job threads.
+The runtime runs code in three execution contexts: the plain ``main``
+thread of the CLIs, threads that a library caller or the code itself
+starts, and the process-pool shard workers that run stage bodies.  A
+raw write-mode ``open()`` is fine on ``main`` and a hazard from a
+thread or a shard, where two writers may race on one file.
 
 :class:`ContextAnalysis` classifies every function by the set of
 contexts it is *reachable from*, by BFS over the
 :class:`~repro.lint.program.ProgramModel` call graph from known
 entrypoints:
 
-* **async** — every ``async def`` (its body runs on the event loop);
-* **thread** — targets of ``loop.run_in_executor``, ``executor.submit``
+* **main** — every ``main`` function (CLI entry convention);
+* **thread** — targets of ``run_in_executor``, ``executor.submit``
   and ``threading.Thread(target=...)``;
 * **shard** — every discovered stage's ``run`` callable (executed in
-  process-pool workers);
-* **main** — every ``main`` function (CLI entry convention).
+  process-pool workers).
 
-Propagation follows plain call edges.  Two edge kinds change context
-instead of propagating it: offloads (``run_in_executor`` / ``submit`` /
-``Thread(target=...)``) move the callee to **thread**, and
-``call_soon_threadsafe`` / ``call_soon`` / ``call_later`` /
-``call_at`` move the callback to **async**.  Calling an ``async def``
-from sync code only creates a coroutine, so async bodies never inherit
-their callers' contexts — they are seeded as **async** directly.
+Propagation follows plain call edges; an offload edge (``submit`` /
+``run_in_executor`` / ``Thread(target=...)``) moves the callee to
+**thread** instead.
 
-On top of the context map the analysis collects the hazard sites the
-T-family rules (:mod:`repro.lint.rules_concurrency`) report:
-
-* blocking calls (``time.sleep``, raw ``open``, ``run_study``,
-  blocking socket helpers) and the contexts that reach them;
-* module-level / instance-attribute writes without a lock witness,
-  grouped by target so cross-context write sets can be detected;
-* event-loop APIs touched from thread context without
-  ``call_soon_threadsafe``;
-* write-mode file opens outside the sanctioned atomic-write helpers
-  (:mod:`repro.obs.persist`, the artifact cache's ``.tmp.{pid}.{tid}``
-  path) reachable from a concurrent context.
-
-Every reported site carries a witness chain from a context seed down
-to the site, one ``file:line snippet`` hop per call.
+On top of the context map the analysis collects the write-mode file
+opens outside the sanctioned atomic-write helpers
+(:mod:`repro.obs.persist`, the artifact cache's ``.tmp.{pid}.{tid}``
+path) that a thread or shard reaches, which T1005
+(:mod:`repro.lint.rules_concurrency`) reports.  Every reported site
+carries a witness chain from a context seed down to the site, one
+``file:line snippet`` hop per call.
 """
 
 from __future__ import annotations
@@ -56,51 +41,19 @@ from repro.lint.framework import is_test_module
 from repro.lint.program import FunctionInfo, ModuleInfo, ProgramModel
 
 #: the execution contexts, in seed-priority order
-CONTEXTS = ("main", "async", "thread", "shard")
+CONTEXTS = ("main", "thread", "shard")
 
 #: offload attribute → positional index of the callable argument; the
 #: callee runs on an executor thread
 _THREAD_OFFLOADS = {"run_in_executor": 1, "submit": 0}
-
-#: loop-scheduling attribute → callable index; the callee runs on the
-#: event loop regardless of which context schedules it
-_LOOP_OFFLOADS = {
-    "call_soon_threadsafe": 0,
-    "call_soon": 0,
-    "call_later": 1,
-    "call_at": 1,
-}
-
-#: loop APIs that are only safe to touch *from* loop context; threads
-#: must hop through ``call_soon_threadsafe`` instead
-_LOOP_ONLY_ATTRS = ("call_soon", "call_later", "call_at", "create_task")
-_LOOP_ONLY_DOTTED = ("asyncio.ensure_future", "asyncio.create_task")
-
-#: dotted call names that block the calling thread
-_BLOCKING_DOTTED = (
-    "time.sleep",
-    "socket.create_connection",
-    "socket.getaddrinfo",
-    "socket.gethostbyname",
-)
-
-#: container methods that mutate their receiver in place
-_MUTATORS = (
-    "append", "add", "update", "extend", "setdefault", "pop", "popitem",
-    "clear", "remove", "discard", "insert", "sort", "reverse",
-)
 
 #: write chains longer than this are truncated (defensive bound)
 _MAX_CHAIN_HOPS = 12
 
 FunctionRef = Tuple[str, str]
 
-
-def is_io_sanctioned(module: str) -> bool:
-    """Modules allowed to touch file handles directly: the ``repro.io``
-    package and the obs persistence layer (atomic write helpers)."""
-    parts = module.split(".")
-    return "io" in parts or parts[-1] == "persist"
+#: (callee, call line) pairs out of one function
+Edges = Tuple[Tuple[FunctionRef, int], ...]
 
 
 def is_atomic_write_module(module: str) -> bool:
@@ -108,7 +61,8 @@ def is_atomic_write_module(module: str) -> bool:
     ``repro.io`` package, :mod:`repro.obs.persist` and the artifact
     cache (its ``store`` writes through ``.tmp.{pid}.{thread_ident}``
     followed by ``os.replace``)."""
-    return is_io_sanctioned(module) or module.split(".")[-1] == "cache"
+    parts = module.split(".")
+    return "io" in parts or parts[-1] in ("persist", "cache")
 
 
 def _snippet(info: ModuleInfo, line: int) -> str:
@@ -122,47 +76,12 @@ def _callee_at(fn: FunctionInfo) -> Dict[Tuple[int, int], Any]:
 
 
 @dataclass(frozen=True)
-class BlockingSite:
-    """One call that blocks the calling thread."""
-
-    rendered: str
-    line: int
-    snippet: str
-
-
-@dataclass(frozen=True)
-class LoopTouch:
-    """One event-loop-only API call (``create_task``, ``call_soon``...)."""
-
-    rendered: str
-    line: int
-    snippet: str
-
-
-@dataclass(frozen=True)
 class RawWrite:
     """One write-mode ``open()`` / ``Path.write_*`` call."""
 
     rendered: str
     line: int
     snippet: str
-
-
-@dataclass(frozen=True)
-class WriteSite:
-    """One mutation of module-level or instance-attribute state.
-
-    ``target`` is ``("module", module, name)`` for module globals and
-    ``("attr", module, class, attr)`` for instance attributes; writes
-    to the same target from different functions form one shared-state
-    write set.
-    """
-
-    target: Tuple[str, ...]
-    function: FunctionRef
-    line: int
-    snippet: str
-    locked: bool
 
 
 @dataclass
@@ -187,17 +106,10 @@ class ContextAnalysis:
             str, Dict[FunctionRef, Optional[Tuple[FunctionRef, int]]]
         ] = {}
         self._seeds: Optional[Dict[str, Tuple[FunctionRef, ...]]] = None
-        self._edges_memo: Dict[
-            FunctionRef,
-            Tuple[
-                Tuple[Tuple[FunctionRef, int], ...],
-                Tuple[Tuple[FunctionRef, str, int], ...],
-            ],
-        ] = {}
+        self._edges_memo: Dict[FunctionRef, Tuple[Edges, Edges]] = {}
         self._self_attr_types: Optional[
             Dict[Tuple[str, str], Dict[str, Tuple[str, str]]]
         ] = None
-        self._write_sites: Optional[Tuple[WriteSite, ...]] = None
 
     # -- seeds -----------------------------------------------------------
 
@@ -209,12 +121,8 @@ class ContextAnalysis:
         for module_name in sorted(self.model.modules):
             info = self.model.modules[module_name]
             for qualname in sorted(info.functions):
-                fn = info.functions[qualname]
-                ref = (module_name, qualname)
-                if isinstance(fn.node, ast.AsyncFunctionDef):
-                    out["async"].append(ref)
                 if qualname.split(".")[-1] == "main":
-                    out["main"].append(ref)
+                    out["main"].append((module_name, qualname))
         for decl in self.model.discover_stages():
             run_seed = decl.seeds.get("run")
             if run_seed is not None and self.model.function(run_seed):
@@ -255,16 +163,9 @@ class ContextAnalysis:
             ref, context = queue.popleft()
             sync_edges, offload_edges = self._edges(ref)
             for target, line in sync_edges:
-                fn = self.model.function(target)
-                if fn is not None and isinstance(
-                    fn.node, ast.AsyncFunctionDef
-                ):
-                    # calling an async def only builds a coroutine; its
-                    # body runs on the loop, where it is already seeded
-                    continue
                 visit(target, context, (ref, line))
-            for target, target_context, line in offload_edges:
-                visit(target, target_context, (ref, line))
+            for target, line in offload_edges:
+                visit(target, "thread", (ref, line))
         self._contexts = contexts
         self._parents = parents
         return contexts
@@ -324,13 +225,8 @@ class ContextAnalysis:
 
     # -- call edges ------------------------------------------------------
 
-    def _edges(
-        self, ref: FunctionRef
-    ) -> Tuple[
-        Tuple[Tuple[FunctionRef, int], ...],
-        Tuple[Tuple[FunctionRef, str, int], ...],
-    ]:
-        """(sync call edges, offload edges) out of one function."""
+    def _edges(self, ref: FunctionRef) -> Tuple[Edges, Edges]:
+        """(sync call edges, thread-offload edges) out of one function."""
         cached = self._edges_memo.get(ref)
         if cached is not None:
             return cached
@@ -339,7 +235,7 @@ class ContextAnalysis:
         callee_at = _callee_at(fn)
         local_types = self._local_types(info, fn, callee_at)
         sync: List[Tuple[FunctionRef, int]] = []
-        offload: List[Tuple[FunctionRef, str, int]] = []
+        offload: List[Tuple[FunctionRef, int]] = []
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
@@ -466,8 +362,8 @@ class ContextAnalysis:
         fn: FunctionInfo,
         node: ast.Call,
         local_types: Dict[str, Tuple[str, str]],
-    ) -> Optional[Tuple[FunctionRef, str, int]]:
-        """An offload/scheduling edge out of one call, if it is one."""
+    ) -> Optional[Tuple[FunctionRef, int]]:
+        """A thread-offload edge out of one call, if it is one."""
         func = node.func
         dotted = info.ctx.dotted_name(func)
         if dotted is not None and dotted.split(".")[-1] == "Thread":
@@ -477,22 +373,17 @@ class ContextAnalysis:
                         info, fn, keyword.value, local_types
                     )
                     if target is not None:
-                        return (target, "thread", node.lineno)
+                        return (target, node.lineno)
             return None
         if not isinstance(func, ast.Attribute):
             return None
-        attr = func.attr
-        index = _THREAD_OFFLOADS.get(attr)
-        context = "thread"
-        if index is None:
-            index = _LOOP_OFFLOADS.get(attr)
-            context = "async"
+        index = _THREAD_OFFLOADS.get(func.attr)
         if index is None or len(node.args) <= index:
             return None
         target = self._callable_ref(info, fn, node.args[index], local_types)
         if target is None:
             return None
-        return (target, context, node.lineno)
+        return (target, node.lineno)
 
     def _callable_ref(
         self,
@@ -638,101 +529,7 @@ class ContextAnalysis:
         ref = (callee.module, callee.qualname)
         return ref if self.model.function(ref) else None
 
-    # -- hazard site scans -----------------------------------------------
-
-    def blocking_sites(self, ref: FunctionRef) -> Tuple[BlockingSite, ...]:
-        """Blocking calls anywhere inside one function body."""
-        info = self.model.modules[ref[0]]
-        fn = info.functions[ref[1]]
-        return self._blocking_in(info, fn, fn.node, include_nested=True)
-
-    def direct_blocking_sites(
-        self, ref: FunctionRef
-    ) -> Tuple[BlockingSite, ...]:
-        """Blocking calls in the function's own body, excluding nested
-        ``def`` bodies (those run when *called*, not when defined)."""
-        info = self.model.modules[ref[0]]
-        fn = info.functions[ref[1]]
-        return self._blocking_in(info, fn, fn.node, include_nested=False)
-
-    def _blocking_in(
-        self,
-        info: ModuleInfo,
-        fn: FunctionInfo,
-        root: ast.AST,
-        include_nested: bool,
-    ) -> Tuple[BlockingSite, ...]:
-        callee_at = _callee_at(fn)
-        sites: List[BlockingSite] = []
-        for node in self._walk(root, include_nested):
-            if not isinstance(node, ast.Call):
-                continue
-            rendered = self._blocking_name(info, callee_at, node)
-            if rendered is None:
-                continue
-            sites.append(BlockingSite(
-                rendered=rendered,
-                line=node.lineno,
-                snippet=_snippet(info, node.lineno),
-            ))
-        return tuple(sites)
-
-    @staticmethod
-    def _walk(root: ast.AST, include_nested: bool):
-        if include_nested:
-            yield from ast.walk(root)
-            return
-        queue: deque = deque(ast.iter_child_nodes(root))
-        while queue:
-            node = queue.popleft()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            yield node
-            queue.extend(ast.iter_child_nodes(node))
-
-    def _blocking_name(
-        self,
-        info: ModuleInfo,
-        callee_at: Dict[Tuple[int, int], Any],
-        node: ast.Call,
-    ) -> Optional[str]:
-        dotted = info.ctx.dotted_name(node.func)
-        if dotted == "open" or dotted in _BLOCKING_DOTTED:
-            return dotted
-        callee = callee_at.get((node.lineno, node.col_offset))
-        if callee is not None and callee.kind == "function" and (
-            callee.qualname.split(".")[-1] == "run_study"
-        ):
-            return f"{callee.module}:{callee.qualname}"
-        return None
-
-    def loop_touches(self, ref: FunctionRef) -> Tuple[LoopTouch, ...]:
-        """Event-loop-only API calls inside one function."""
-        info = self.model.modules[ref[0]]
-        fn = info.functions[ref[1]]
-        sites: List[LoopTouch] = []
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            rendered: Optional[str] = None
-            if isinstance(node.func, ast.Attribute) and (
-                node.func.attr in _LOOP_ONLY_ATTRS
-            ):
-                rendered = node.func.attr
-            else:
-                dotted = info.ctx.dotted_name(node.func)
-                if dotted in _LOOP_ONLY_DOTTED:
-                    rendered = dotted
-            if rendered is None:
-                continue
-            sites.append(LoopTouch(
-                rendered=rendered,
-                line=node.lineno,
-                snippet=_snippet(info, node.lineno),
-            ))
-        return tuple(sites)
+    # -- raw writes ------------------------------------------------------
 
     def raw_writes(self, ref: FunctionRef) -> Tuple[RawWrite, ...]:
         """Write-mode ``open()`` / ``Path.write_*`` calls in one
@@ -774,174 +571,6 @@ class ContextAnalysis:
             return False
         return any(flag in mode.value for flag in ("w", "a", "x", "+"))
 
-    # -- shared-state writes ---------------------------------------------
-
-    def write_sites(self) -> Tuple[WriteSite, ...]:
-        """Every module-global / instance-attribute mutation site."""
-        if self._write_sites is not None:
-            return self._write_sites
-        sites: List[WriteSite] = []
-        for module_name in sorted(self.model.modules):
-            info = self.model.modules[module_name]
-            for qualname in sorted(info.functions):
-                fn = info.functions[qualname]
-                if qualname.split(".")[-1] in (
-                    "__init__", "__new__", "__post_init__",
-                ):
-                    # constructors initialise per-instance state before
-                    # the instance can be shared — not a write set
-                    continue
-                sites.extend(self._writes_in(info, fn))
-        self._write_sites = tuple(sites)
-        return self._write_sites
-
-    def _writes_in(
-        self, info: ModuleInfo, fn: FunctionInfo
-    ) -> List[WriteSite]:
-        ref = (info.name, fn.qualname)
-        local = set(self.model.local_names(fn.node))
-        for node in ast.walk(fn.node):
-            # `global X; X = ...` binds module state, not a local
-            if isinstance(node, ast.Global):
-                local.difference_update(node.names)
-        locked_spans = self._lock_spans(info, fn.node)
-        sites: List[WriteSite] = []
-
-        def emit(target: Tuple[str, ...], node: ast.AST) -> None:
-            line = node.lineno
-            sites.append(WriteSite(
-                target=target,
-                function=ref,
-                line=line,
-                snippet=_snippet(info, line),
-                locked=any(
-                    start < line <= end for start, end in locked_spans
-                ),
-            ))
-
-        def module_target(name: str) -> Optional[Tuple[str, ...]]:
-            if name in local or name not in info.constant_nodes:
-                return None
-            if self._is_thread_local(info, name):
-                return None
-            return ("module", info.name, name)
-
-        def attr_target(attr: str) -> Optional[Tuple[str, ...]]:
-            if "." not in fn.qualname:
-                return None
-            return ("attr", info.name, fn.qualname.rsplit(".", 1)[0], attr)
-
-        for node in ast.walk(fn.node):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target_node in targets:
-                    target = self._write_target(
-                        target_node, module_target, attr_target
-                    )
-                    if target is not None:
-                        emit(target, node)
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ) and node.func.attr in _MUTATORS:
-                receiver = node.func.value
-                target = None
-                if isinstance(receiver, ast.Name):
-                    target = module_target(receiver.id)
-                elif (
-                    isinstance(receiver, ast.Attribute)
-                    and isinstance(receiver.value, ast.Name)
-                    and receiver.value.id == "self"
-                ):
-                    target = attr_target(receiver.attr)
-                if target is not None:
-                    emit(target, node)
-        return sites
-
-    def _write_target(self, node, module_target, attr_target):
-        if isinstance(node, ast.Name):
-            return module_target(node.id)
-        if isinstance(node, ast.Subscript):
-            return self._write_target(
-                node.value, module_target, attr_target
-            )
-        if isinstance(node, ast.Attribute) and isinstance(
-            node.value, ast.Name
-        ):
-            if node.value.id == "self":
-                return attr_target(node.attr)
-            return module_target(node.value.id)
-        return None
-
-    @staticmethod
-    def _is_thread_local(info: ModuleInfo, name: str) -> bool:
-        """Module state initialised as ``threading.local()`` is
-        per-thread by construction — never a cross-context target."""
-        decl = info.constant_nodes.get(name)
-        value = getattr(decl, "value", None)
-        if not isinstance(value, ast.Call):
-            return False
-        dotted = info.ctx.dotted_name(value.func)
-        return dotted is not None and dotted.split(".")[-1] == "local"
-
-    def _lock_spans(
-        self, info: ModuleInfo, root: ast.AST
-    ) -> List[Tuple[int, int]]:
-        """(start, end) line spans of ``with <...lock...>:`` bodies."""
-        spans: List[Tuple[int, int]] = []
-        for node in ast.walk(root):
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            for item in node.items:
-                rendered = info.ctx.dotted_name(item.context_expr)
-                if rendered is None and isinstance(
-                    item.context_expr, ast.Call
-                ):
-                    rendered = info.ctx.dotted_name(
-                        item.context_expr.func
-                    )
-                if rendered is not None and "lock" in rendered.lower():
-                    end = getattr(node, "end_lineno", node.lineno)
-                    spans.append((node.lineno, end or node.lineno))
-                    break
-        return spans
-
-    def contested_targets(
-        self,
-    ) -> Dict[Tuple[str, ...], Tuple[Tuple[str, ...], List[WriteSite]]]:
-        """Shared-state targets written from a racy context mix.
-
-        A module-global target is contested as soon as **thread**
-        context reaches any of its writers (the job pool is
-        multi-threaded, so one thread-context writer already races with
-        itself).  An instance-attribute target needs writers reachable
-        from both **async** and **thread** (distinct instances per
-        context never share memory with only one concurrent context).
-        Shard workers run in separate processes and ``main`` is
-        sequential — neither contributes contention.
-        """
-        by_target: Dict[Tuple[str, ...], List[WriteSite]] = {}
-        for site in self.write_sites():
-            by_target.setdefault(site.target, []).append(site)
-        out: Dict[
-            Tuple[str, ...], Tuple[Tuple[str, ...], List[WriteSite]]
-        ] = {}
-        for target, sites in by_target.items():
-            combined: Set[str] = set()
-            for site in sites:
-                combined.update(self.contexts().get(site.function, set()))
-            if target[0] == "module":
-                contested = "thread" in combined
-            else:
-                contested = {"async", "thread"} <= combined
-            if contested:
-                ordered = tuple(c for c in CONTEXTS if c in combined)
-                out[target] = (ordered, sites)
-        return out
-
     # -- findings --------------------------------------------------------
 
     def findings(self) -> List[ContextFinding]:
@@ -956,27 +585,7 @@ class ContextAnalysis:
             info = self.model.modules[ref[0]]
             if is_test_module(info.ctx.rel_path):
                 continue
-            reached = contexts[ref]
-            fn = info.functions[ref[1]]
-            if isinstance(fn.node, ast.AsyncFunctionDef):
-                for site in self.direct_blocking_sites(ref):
-                    out.append(self._finding(
-                        "T1001", "async", ref, site.line, site.snippet,
-                        detail=site.rendered,
-                    ))
-            elif "async" in reached:
-                for site in self.blocking_sites(ref):
-                    out.append(self._finding(
-                        "T1002", "async", ref, site.line, site.snippet,
-                        detail=site.rendered,
-                    ))
-            if "thread" in reached:
-                for touch in self.loop_touches(ref):
-                    out.append(self._finding(
-                        "T1004", "thread", ref, touch.line, touch.snippet,
-                        detail=touch.rendered,
-                    ))
-            concurrent = reached & {"async", "thread", "shard"}
+            concurrent = contexts[ref] & {"thread", "shard"}
             if concurrent and not is_atomic_write_module(info.name):
                 context = next(c for c in CONTEXTS if c in concurrent)
                 for write in self.raw_writes(ref):
@@ -984,21 +593,6 @@ class ContextAnalysis:
                         "T1005", context, ref, write.line,
                         write.snippet, detail=write.rendered,
                     ))
-        for target, (ctxs, sites) in sorted(
-            self.contested_targets().items()
-        ):
-            for site in sites:
-                if site.locked:
-                    continue
-                info = self.model.modules[site.function[0]]
-                if is_test_module(info.ctx.rel_path):
-                    continue
-                finding = self._finding(
-                    "T1003", ctxs[0], site.function, site.line,
-                    site.snippet, detail="/".join(target[1:]),
-                )
-                finding.detail += f" [contexts: {', '.join(ctxs)}]"
-                out.append(finding)
         return out
 
     def _finding(

@@ -1,17 +1,9 @@
-"""Concurrency-context rules (T1001–T1005).
+"""Concurrency-context rule (T1005).
 
 Built on :mod:`repro.lint.concurrency`: every function is classified by
-the execution contexts that reach it (event loop, job thread, shard
-worker, main), and the T rules flag code that is only a hazard because
-of *where* it runs:
+the execution contexts that reach it (main, thread, shard worker), and
+the T rule flags code that is only a hazard because of *where* it runs:
 
-* **T1001** — blocking call directly inside an ``async def`` body.
-* **T1002** — blocking call transitively reachable from async context
-  along sync call edges, without an executor offload on the way.
-* **T1003** — module-global / instance-attribute state written from a
-  racy context mix without a lock witness on the write.
-* **T1004** — event-loop-only API (``call_soon``, ``create_task``...)
-  touched from thread context instead of ``call_soon_threadsafe``.
 * **T1005** — write-mode file I/O in a concurrent context outside the
   sanctioned atomic-write helpers (``.tmp.{pid}.{thread_ident}`` +
   ``os.replace``).
@@ -26,7 +18,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Iterable, List
 
-from repro.lint.concurrency import ContextFinding, concurrency_for
+from repro.lint.concurrency import concurrency_for
 from repro.lint.framework import Finding, ProjectContext, Rule, register
 
 #: cap on rendered witness hops per message (keep findings one-line-ish)
@@ -40,122 +32,31 @@ def _witness(chain: List[str]) -> str:
     return " -> ".join(hops)
 
 
-class _ContextRule(Rule):
-    """Shared driver: surface the analysis findings of one rule code."""
-
-    def finalize(self, project: ProjectContext) -> Iterable[Finding]:
-        analysis = concurrency_for(project)
-        for entry in analysis.findings():
-            if entry.rule != self.code:
-                continue
-            ctx = project.context_for_module(entry.function[0])
-            if ctx is None:
-                continue
-            node = SimpleNamespace(
-                lineno=int(entry.site.rsplit(":", 1)[1]), col_offset=0
-            )
-            yield ctx.finding(self, node, self._message(entry))
-
-    def _message(self, entry: ContextFinding) -> str:
-        # Subclasses override; the base rendering still reads sensibly.
-        return f"{entry.detail} [witness: {_witness(entry.chain)}]"
-
-
 @register
-class AsyncBlockingCallRule(_ContextRule):
-    """T1001 — blocking call directly inside an ``async def``."""
-
-    code = "T1001"
-    name = "async-blocking-call"
-    description = (
-        "blocking call (time.sleep, raw open, run_study, blocking "
-        "socket helpers) directly inside an async def body"
-    )
-
-    def _message(self, entry: ContextFinding) -> str:
-        return (
-            f"blocking call '{entry.detail}' inside async def "
-            f"{entry.function[1]}: the event loop stalls for its "
-            "duration; offload via loop.run_in_executor"
-        )
-
-
-@register
-class AsyncBlockingReachableRule(_ContextRule):
-    """T1002 — blocking call reachable from async context."""
-
-    code = "T1002"
-    name = "async-blocking-reachable"
-    description = (
-        "blocking call transitively reachable from an async def along "
-        "sync call edges, without an executor offload on the path"
-    )
-
-    def _message(self, entry: ContextFinding) -> str:
-        return (
-            f"blocking call '{entry.detail}' in {entry.function[1]} is "
-            "reachable from the event loop without executor offload "
-            f"[witness: {_witness(entry.chain)}]"
-        )
-
-
-@register
-class CrossContextWriteRule(_ContextRule):
-    """T1003 — cross-context shared-state write without a lock."""
-
-    code = "T1003"
-    name = "cross-context-unlocked-write"
-    description = (
-        "module-level or instance-attribute state written from a racy "
-        "context mix (job threads, event loop) with no lock witness on "
-        "the write"
-    )
-
-    def _message(self, entry: ContextFinding) -> str:
-        return (
-            f"shared state {entry.detail} is written in "
-            f"{entry.function[1]} without a lock witness "
-            f"[witness: {_witness(entry.chain)}]"
-        )
-
-
-@register
-class ThreadLoopTouchRule(_ContextRule):
-    """T1004 — event-loop state touched from a thread."""
-
-    code = "T1004"
-    name = "thread-loop-unsafe"
-    description = (
-        "event-loop-only API (call_soon, call_later, call_at, "
-        "create_task, ensure_future) called from thread context; "
-        "threads must hop through loop.call_soon_threadsafe"
-    )
-
-    def _message(self, entry: ContextFinding) -> str:
-        return (
-            f"event-loop API '{entry.detail}' called from thread "
-            f"context in {entry.function[1]}; use "
-            "loop.call_soon_threadsafe "
-            f"[witness: {_witness(entry.chain)}]"
-        )
-
-
-@register
-class NonAtomicCacheWriteRule(_ContextRule):
+class NonAtomicCacheWriteRule(Rule):
     """T1005 — concurrent file write bypassing the atomic helpers."""
 
     code = "T1005"
     name = "cache-write-nonatomic"
     description = (
         "write-mode file I/O reachable from a concurrent context "
-        "(event loop, job thread, shard worker) outside the sanctioned "
-        "atomic-write helpers (.tmp.{pid}.{thread_ident} + os.replace)"
+        "(thread or shard worker) outside the sanctioned atomic-write "
+        "helpers (.tmp.{pid}.{thread_ident} + os.replace)"
     )
 
-    def _message(self, entry: ContextFinding) -> str:
-        return (
-            f"raw file write ('{entry.detail}') in {entry.function[1]} "
-            f"runs in {entry.context} context; route it through the "
-            "atomic write helpers (repro.obs.persist / the artifact "
-            f"cache) [witness: {_witness(entry.chain)}]"
-        )
+    def finalize(self, project: ProjectContext) -> Iterable[Finding]:
+        for entry in concurrency_for(project).findings():
+            ctx = project.context_for_module(entry.function[0])
+            if ctx is None:
+                continue
+            node = SimpleNamespace(
+                lineno=int(entry.site.rsplit(":", 1)[1]), col_offset=0
+            )
+            yield ctx.finding(
+                self,
+                node,
+                f"raw file write ('{entry.detail}') in {entry.function[1]} "
+                f"runs in {entry.context} context; route it through the "
+                "atomic write helpers (repro.obs.persist / the artifact "
+                f"cache) [witness: {_witness(entry.chain)}]",
+            )

@@ -43,9 +43,6 @@ LAYER_RANKS: Dict[str, int] = {
     "analysis": 90,
     "runtime": 90,
     "repro": 95,
-    # the study service wraps the runtime facade (and the obs ledger)
-    # behind a transport; only the CLI sits above it
-    "serve": 96,
     "cli": 100,
     "__main__": 110,
 }

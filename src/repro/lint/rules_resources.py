@@ -3,11 +3,8 @@
 Stage shards may run in worker subprocesses and may be skipped entirely
 on a cache hit, so shard code must not acquire ambient resources: a
 simulated study never opens sockets or spawns subprocesses at all.
-This is the prerequisite for the always-on ``repro serve`` shape: a
-handler that shells out works in a one-shot CLI and falls over in a
-long-lived process.  (Write-mode file I/O from a shard, thread or the
-event loop outside the atomic helpers is T1005's; see
-:mod:`repro.lint.rules_concurrency`.)
+(Write-mode file I/O from a shard or a thread outside the atomic
+helpers is T1005's; see :mod:`repro.lint.rules_concurrency`.)
 
 * **I902** — ``socket`` / ``subprocess`` / ``os.system`` use anywhere
   in non-test code, module level included.
@@ -32,18 +29,6 @@ from repro.lint.program import (
     ProgramModel,
     module_level_calls,
 )
-
-
-def is_serve_module(module: str) -> bool:
-    """Modules inside a ``serve`` package: the study service transport.
-
-    This is the **only** carve-out from the I902 no-sockets rule, and it
-    is deliberately narrow: the service must listen on a socket to be a
-    service, but the exemption covers the ``serve`` layer alone (socket
-    calls only — subprocess escapes stay flagged everywhere), so the
-    simulation underneath it remains hermetic.
-    """
-    return "serve" in module.split(".")
 
 
 def _process_call(ctx: FileContext, node: ast.Call) -> Optional[str]:
@@ -89,9 +74,7 @@ class ProcessEscapeRule(Rule):
     name = "io-process-escape"
     description = (
         "socket/subprocess/os.system call in library code: a simulated "
-        "study must not touch the network or spawn processes (sole "
-        "carve-out: socket use inside a serve package — the service "
-        "transport has to listen somewhere)"
+        "study must not touch the network or spawn processes"
     )
 
     def finalize(self, project: ProjectContext) -> Iterable[Finding]:
@@ -100,13 +83,6 @@ class ProcessEscapeRule(Rule):
         for ref, rendered, node in process_sites(project.program_model()):
             ctx = project.context_for_module(ref[0])
             if ctx is None or is_test_module(ctx.rel_path):
-                continue
-            # The serve layer's listening socket is the one sanctioned
-            # network touchpoint; subprocess/os.system stay forbidden
-            # even there.
-            if is_serve_module(ref[0]) and (
-                rendered == "socket" or rendered.startswith("socket.")
-            ):
                 continue
             yield ctx.finding(
                 self,

@@ -24,8 +24,8 @@ Wall-clock origins are rebased to the earliest span start, so exported
 timestamps are small, stable offsets rather than epoch seconds.
 
 This module also owns the Prometheus **text exposition** of a metrics
-registry snapshot (:func:`prometheus_text`) — the ``GET /metrics``
-scrape format of the serve layer.
+registry snapshot (:func:`prometheus_text`) and the minimal parser
+that reads it back (:func:`parse_prometheus_text`).
 """
 
 from __future__ import annotations
@@ -278,8 +278,8 @@ def _split_key(key: str) -> Tuple[str, Dict[str, str]]:
     Inverts :func:`repro.obs.metrics.metric_key`: the suffix between
     the first ``{`` and the final ``}`` splits on ``,`` then on the
     first ``=`` — registry label values never contain commas (the
-    catalog's label vocabulary is stage names, routes, function labels
-    and the like), which is what keeps the canonical key parseable.
+    catalog's label vocabulary is stage names, verdicts and the like),
+    which is what keeps the canonical key parseable.
     """
     brace = key.find("{")
     if brace < 0:

@@ -21,9 +21,10 @@ Records are identified by a deterministic ``run_id`` — a content hash
 of the record plus its sequence number (no wall clock, no randomness)
 — so a record can be named unambiguously months later and the same
 ledger always reproduces the same ids.  Appends are single-write
-(:mod:`repro.obs.persist`), loading is strict: a corrupt or truncated
-line raises :class:`~repro.errors.ObservabilityError` with the line
-number, never a raw ``json.JSONDecodeError``.
+(:mod:`repro.obs.persist`) and drop a killed writer's torn tail first;
+loading is strict: a corrupt or truncated line raises
+:class:`~repro.errors.ObservabilityError` with the line number, never a
+raw ``json.JSONDecodeError``.
 
 Besides run records the ledger accepts ``kind="bench"`` records: no
 tool writes them any more, but ledgers that hold them (benchmark
@@ -78,9 +79,9 @@ _RUN_FIELDS: Dict[str, Any] = {
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-#: serializes read-then-append within this process: the serve job pool
-#: runs concurrent engine runs on threads sharing one ledger, and an
-#: unlocked interleaving would stamp two records with the same seq
+#: serializes read-then-append within this process: engine runs on
+#: threads of one process may share one ledger, and an unlocked
+#: interleaving would stamp two records with the same seq
 #: (across processes, :func:`~repro.obs.persist.exclusive_lock` does)
 _APPEND_LOCK = threading.Lock()
 
@@ -180,22 +181,26 @@ def append_record(path: PathLike, payload: Mapping[str, Any]) -> Dict[str, Any]:
     an append costs the same however long the history, and the run id
     is content-derived (:func:`run_id_for`).  Read and append happen
     under the thread lock and an exclusive ``flock`` on the ledger, so
-    threads of one process and separate processes (a ``repro serve``
-    and a CLI run sharing one ``--cache-dir``) never stamp the same
-    seq, and pruning the head of a ledger never makes a seq repeat.
-    Returns the completed record as written.
+    threads of one process and separate processes (two ``repro run``
+    sharing one ``--cache-dir``) never stamp the same seq, and pruning
+    the head of a ledger never makes a seq repeat.  Bytes after the
+    ledger's last newline are a killed writer's unfinished record
+    (every append is one ``write``); they are dropped before the
+    append, so the new record starts on its own line and the ledger
+    loads again.  Returns the completed record as written.
     """
     record = dict(payload)
     record.pop("run_id", None)
     record.pop("seq", None)
     with _APPEND_LOCK, exclusive_lock(path):
-        last = last_jsonl_record(path)
+        last, whole = last_jsonl_record(path)
         if last is not None:
             validate_record(last)
         seq = 0 if last is None else last["seq"] + 1
         record["seq"] = seq
         record["run_id"] = run_id_for(record, seq)
         validate_record(record)
+        os.truncate(path, whole)
         append_jsonl_line(path, record)
     return record
 

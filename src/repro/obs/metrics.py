@@ -239,10 +239,9 @@ _KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 class MetricsRegistry:
     """A named collection of counters, gauges and histograms.
 
-    Instrument creation and merging are guarded by a lock: one registry
-    can be read by the event loop (the ``/metrics`` handler) while job
-    threads create instruments in theirs, and the class must be safe
-    from both contexts.
+    Instrument creation and merging are guarded by a lock: a library
+    caller may read one registry on one thread while engine runs on
+    other threads create instruments in it.
     """
 
     def __init__(self) -> None:
@@ -372,8 +371,8 @@ class MetricsRegistry:
 # -- ambient collection ------------------------------------------------------
 #: per-thread stacks of active registries; instrumented code writes into
 #: the top of its own thread's stack.  Thread-local on purpose: two
-#: serve jobs collecting concurrently in different worker threads must
-#: never see (or pop) each other's registries.
+#: engine runs collecting concurrently on different threads of one
+#: process must never see (or pop) each other's registries.
 _AMBIENT = threading.local()
 
 

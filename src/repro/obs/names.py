@@ -64,29 +64,6 @@ RUNTIME_CACHE_MISSES = "runtime.cache.misses"
 #: damaged cache artifacts discarded on load (runtime/cache.py)
 RUNTIME_CACHE_CORRUPT = "runtime.cache.corrupt"
 
-#: HTTP requests served, by route pattern (serve/server.py)
-SERVE_HTTP_REQUESTS = "serve.http.requests"
-
-#: study submissions accepted onto the job queue (serve/jobs.py)
-SERVE_JOBS_SUBMITTED = "serve.jobs.submitted"
-
-#: submissions rejected because the bounded queue was full (serve/jobs.py)
-SERVE_JOBS_REJECTED = "serve.jobs.rejected"
-
-#: jobs that reached a terminal state, by outcome (serve/jobs.py)
-SERVE_JOBS_COMPLETED = "serve.jobs.completed"
-
-#: jobs currently waiting on the queue (serve/jobs.py)
-SERVE_JOBS_QUEUED = "serve.jobs.queued"
-
-#: jobs currently executing (serve/jobs.py)
-SERVE_JOBS_RUNNING = "serve.jobs.running"
-
-#: headline service gauge: cache hit share of the most recent job's
-#: engine run — 1.0 means the study was served entirely warm
-#: (serve/jobs.py)
-SERVE_WARM_HIT_RATE = "serve.cache.warm_hit_rate"
-
 #: (name, kind, label names, description) — the closed declaration list.
 #: ``kind`` is counter | gauge | histogram.  O602 compares call-site
 #: label keywords against the label tuple as a *set*: every declared
@@ -116,20 +93,6 @@ _METRIC_DECLS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
      "artifact-cache misses per stage"),
     (RUNTIME_CACHE_CORRUPT, "counter", ("stage",),
      "damaged cache artifacts discarded on load"),
-    (SERVE_HTTP_REQUESTS, "counter", ("route",),
-     "HTTP requests served, by route pattern"),
-    (SERVE_JOBS_SUBMITTED, "counter", (),
-     "study submissions accepted onto the job queue"),
-    (SERVE_JOBS_REJECTED, "counter", (),
-     "study submissions rejected by the bounded queue"),
-    (SERVE_JOBS_COMPLETED, "counter", ("outcome",),
-     "jobs that reached a terminal state, by outcome"),
-    (SERVE_JOBS_QUEUED, "gauge", (),
-     "jobs currently waiting on the queue"),
-    (SERVE_JOBS_RUNNING, "gauge", (),
-     "jobs currently executing"),
-    (SERVE_WARM_HIT_RATE, "gauge", (),
-     "cache hit share of the most recent job's engine run"),
 )
 
 # -- span names -------------------------------------------------------------
@@ -140,7 +103,6 @@ SPAN_PLAN = "plan"
 SPAN_CACHE_PROBE = "cache:probe"
 SPAN_EXECUTE = "execute"
 SPAN_MERGE = "merge"
-SPAN_SERVE_JOB = "serve:job"
 SPAN_STUDY_PANEL = "study:panel"
 SPAN_STUDY_CLASSIFICATION = "study:classification"
 SPAN_STUDY_INVENTORY = "study:inventory"
@@ -157,7 +119,6 @@ SPAN_NAMES: Tuple[str, ...] = (
     SPAN_CACHE_PROBE,
     SPAN_EXECUTE,
     SPAN_MERGE,
-    SPAN_SERVE_JOB,
     SPAN_STUDY_PANEL,
     SPAN_STUDY_CLASSIFICATION,
     SPAN_STUDY_INVENTORY,

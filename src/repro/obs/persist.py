@@ -12,15 +12,17 @@ cover every obs writer:
 * :func:`append_jsonl_line` — append-only journal write: the record is
   serialized first, then written with a *single* ``write`` call on a
   file opened in append mode, so concurrent readers see whole lines.
-  (Appenders that derive anything from the journal's current contents —
-  the ledger's seq — hold :func:`exclusive_lock` around read and write,
-  which serializes processes as well as threads.)
+  So bytes after the journal's last newline can only be a killed
+  writer's unfinished record.  The ledger's appender holds
+  :func:`exclusive_lock` (which serializes processes as well as
+  threads) while it reads the last record with
+  :func:`last_jsonl_record`, drops such a torn tail, and appends.
 
 Reading the journal back goes through :func:`read_jsonl_lines`, which
 converts any decoding failure into an :class:`ObservabilityError`
-carrying the offending **line number**: a truncated tail or a corrupted
-middle line is a diagnosable event, never a raw
-``json.JSONDecodeError`` escaping to the caller.
+carrying the offending **line number**: a truncated tail that no append
+has healed yet, or a corrupted middle line, is a diagnosable event,
+never a raw ``json.JSONDecodeError`` escaping to the caller.
 """
 
 from __future__ import annotations
@@ -88,18 +90,26 @@ def exclusive_lock(path: PathLike) -> Iterator[None]:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-def last_jsonl_record(path: PathLike) -> Optional[Dict[str, Any]]:
+def last_jsonl_record(
+    path: PathLike,
+) -> Tuple[Optional[Dict[str, Any]], int]:
     """The last newline-terminated record of a JSONL file, read back
-    from its end, skipping blank lines and a torn final fragment (no
-    newline: a killed writer); ``None`` when it holds none."""
+    from its end, and the byte length of the file's whole lines.
+
+    Blank lines are skipped, and so is a torn final fragment (no
+    newline: a killed writer), which starts at the returned length.
+    The record is ``None`` when the file holds none; the length is 0
+    for a missing file.
+    """
     path = os.fspath(path)
     try:
         handle = open(path, "rb")
     except FileNotFoundError:
-        return None
+        return None, 0
     with handle:
         end = handle.seek(0, os.SEEK_END)
         tail = b""
+        whole = 0
         while end > 0:
             start = max(0, end - (1 << 16))
             handle.seek(start)
@@ -108,13 +118,15 @@ def last_jsonl_record(path: PathLike) -> Optional[Dict[str, Any]]:
             # Whole lines only: drop the fragment after the last newline
             # and, unless the file's head was reached, the line the
             # chunk boundary may have cut.
-            lines = tail[: tail.rfind(b"\n") + 1].split(b"\n")[:-1]
+            whole = tail.rfind(b"\n") + 1
+            lines = tail[:whole].split(b"\n")[:-1]
             for line in reversed(lines[1:] if end else lines):
                 if line.strip():
-                    return _decode_record(
+                    record = _decode_record(
                         f"{path!r} last record", line.decode("utf-8")
                     )
-    return None
+                    return record, end + whole
+    return None, whole
 
 
 def read_jsonl_lines(path: PathLike) -> Iterator[Tuple[int, Dict[str, Any]]]:

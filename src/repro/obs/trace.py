@@ -242,42 +242,6 @@ class NullTracer(Tracer):
     def report(self) -> str:
         return "(tracing disabled)"
 
-class CallbackTracer(Tracer):
-    """A tracer that also notifies a callback on span open and close.
-
-    The callback receives ``(phase, span)`` where ``phase`` is
-    ``"start"`` (the span just opened; timings not yet final) or
-    ``"end"`` (the span closed; ``wall_s``/``attrs`` are final).  This
-    is the live-progress hook behind :func:`repro.runtime.run_study`'s
-    ``progress`` parameter and the ``repro serve`` SSE stream: span
-    recording is unchanged, so a callback-traced run produces the exact
-    span tree a plain :class:`Tracer` would.
-
-    The callback runs on the engine's thread; receivers that live on
-    another thread (an asyncio event loop) must hand the event off
-    themselves (``loop.call_soon_threadsafe``).  A callback exception
-    propagates — observability hooks must fail loudly, not corrupt the
-    span stack silently.
-    """
-
-    def __init__(self, callback: Any, clock: Optional[NullClock] = None) -> None:
-        super().__init__(clock=clock)
-        self._callback = callback
-
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
-        with Tracer.span(self, name, **attrs) as record:
-            self._callback("start", record)
-            try:
-                yield record
-            finally:
-                # Close timings first (the base manager's finally ran
-                # for nested spans, ours has not) so the "end" event
-                # sees a finished record: stamp via the clock directly.
-                record.wall_end = self.clock.wall()
-                record.cpu_end = self.clock.cpu()
-                self._callback("end", record)
-
 
 def spans_to_payload(spans: List[Span]) -> List[Dict[str, Any]]:
     """Full-fidelity, JSON/pickle-able span rows for cross-process
@@ -310,9 +274,9 @@ def spans_to_payload(spans: List[Span]) -> List[Dict[str, Any]]:
 NULL_TRACER = NullTracer()
 
 #: per-thread stacks of ambient tracers; the top of a thread's stack
-#: receives its pipeline spans.  Thread-local on purpose: concurrent
-#: serve jobs trace in their own worker threads and must never receive
-#: (or pop) each other's spans.
+#: receives its pipeline spans.  Thread-local on purpose: engine runs
+#: on concurrent threads of one process trace on their own threads and
+#: must never receive (or pop) each other's spans.
 _AMBIENT = threading.local()
 
 

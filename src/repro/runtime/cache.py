@@ -57,9 +57,10 @@ def _collector_paused() -> Iterator[None]:
     On exit the collector is re-enabled only if it was enabled on
     entry, so a caller that turned it off keeps it off, a nested pause
     restores only at the outer exit, and an exception restores the
-    prior state.  The switch is process-wide: ``repro serve`` decodes
-    on job threads, so one thread ending its pause can re-enable
-    collection while another is still decoding.  That costs the other
+    prior state.  The switch is process-wide: a library caller running
+    engines on several threads decodes on each, so one thread ending
+    its pause can re-enable collection while another is still
+    decoding.  That costs the other
     decode speed, never correctness, so there is no lock or depth
     counter.
     """
@@ -232,11 +233,12 @@ class ArtifactCache:
         path = self._path(stage, key, index)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         # The temp name must be unique per *writer*, not just per
-        # process: the serve job pool runs concurrent engine runs on
-        # threads of one process, and two threads sharing a pid-only
-        # suffix would interleave writes into the same temp file and
-        # publish a corrupt artifact.  pid + thread id keeps the
-        # write-temp-then-rename slot exclusive in both worlds.
+        # process: a library caller may run engines on threads of one
+        # process, and two threads sharing a pid-only suffix would
+        # interleave writes into the same temp file and publish a
+        # corrupt artifact.  pid + thread id keeps the
+        # write-temp-then-rename slot exclusive for threads and
+        # processes alike.
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         try:
             with open(tmp, "wb") as fh:

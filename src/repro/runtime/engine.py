@@ -124,8 +124,8 @@ class StageProducts(Mapping[str, Any]):
     first access (a stage replayed from its index entry).  Membership,
     iteration and length never decode; a lookup decodes once and keeps
     the body, so a second access returns the same object.  The lock
-    lets serve threads read one run's products safely; it is
-    re-entrant because one body's loader may read another's.
+    lets a library caller's threads read one run's products safely; it
+    is re-entrant because one body's loader may read another's.
     """
 
     def __init__(self) -> None:

@@ -17,7 +17,7 @@ manifest the engine assembled).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import WorldConfig
 from repro.core.classify import ClassificationResult
@@ -28,7 +28,7 @@ from repro.datasets.builder import cached_build_world
 from repro.errors import ExecutionError
 from repro.geodata.regions import Region
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import CallbackTracer, Span, Tracer
+from repro.obs.trace import Tracer
 from repro.runtime.engine import ExecutionEngine, RunResult, StageProducts
 from repro.runtime.stages import GeoTableLocator
 from repro.web.browser import VisitLog
@@ -43,7 +43,6 @@ def run_study(
     cache_dir: Optional[str] = None,
     targets: Sequence[str] = ALL_TARGETS,
     tracer: Optional[Tracer] = None,
-    progress: Optional[Callable[[str, Span], None]] = None,
 ) -> "RuntimeRun":
     """Run the pipeline through the engine and wrap the results.
 
@@ -52,20 +51,8 @@ def run_study(
     artifact cache; ``targets`` restricts execution to a sub-graph;
     ``tracer`` (optional) receives the engine's span tree — omit it for
     a zero-overhead untraced run with identical study products.
-
-    ``progress`` (optional) is the live-events hook the ``repro serve``
-    SSE stream rides on: a callable invoked as ``progress(phase, span)``
-    with ``phase`` in ``("start", "end")`` for every span the engine
-    opens, on the engine's thread.  When set and no ``tracer`` is given,
-    the run is traced through a
-    :class:`repro.obs.trace.CallbackTracer`, so
-    :meth:`RuntimeRun.trace_report` works too; a caller that needs both
-    a custom tracer and live callbacks should pass a
-    :class:`~repro.obs.trace.CallbackTracer` as ``tracer`` directly.
     """
     config = config or WorldConfig.medium()
-    if tracer is None and progress is not None:
-        tracer = CallbackTracer(progress)
     engine = ExecutionEngine(workers=workers, cache_dir=cache_dir)
     result = engine.run(config, targets, tracer=tracer)
     return RuntimeRun(result=result)

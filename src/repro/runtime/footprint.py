@@ -73,7 +73,7 @@ Salts = Tuple[Mapping[str, Footprint], Mapping[str, str]]
 
 #: module scans and graph salts, keyed by kind, root, and a module or
 #: the stages' names, inputs and role callables (which hash by
-#: identity); serve runs engines on worker threads, hence the lock
+#: identity); library callers may run engines on threads, hence the lock
 _MEMO: Dict[Tuple[Any, ...], Any] = {}
 _LOCK = threading.Lock()
 

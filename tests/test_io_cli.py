@@ -154,32 +154,6 @@ class TestCLI:
         args = parser.parse_args(["obs", "baseline", "latest~1"])
         assert args.selector == "latest~1"
 
-    def test_serve_command_flags_exist(self, tmp_path):
-        # The flags the service docs advertise must parse — the
-        # docs-drift tripwire for `repro serve` (docs/service.md).
-        args = build_parser().parse_args([
-            "serve",
-            "--host", "0.0.0.0",
-            "--port", "0",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--workers", "4",
-            "--jobs", "2",
-            "--queue-limit", "16",
-            "--log", str(tmp_path / "server-log.jsonl"),
-        ])
-        assert args.command == "serve"
-        assert (args.host, args.port) == ("0.0.0.0", 0)
-        assert args.cache_dir == tmp_path / "cache"
-        assert (args.workers, args.jobs, args.queue_limit) == (4, 2, 16)
-        assert args.log == tmp_path / "server-log.jsonl"
-
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.port == 8377
-        assert args.host == "127.0.0.1"
-        assert (args.workers, args.jobs, args.queue_limit) == (1, 1, 8)
-        assert args.log is None
-
     def test_obs_missing_ledger_degrades_gracefully(self, tmp_path, capsys):
         # No traceback, exit code 1, a one-line friendly message.
         status = main([

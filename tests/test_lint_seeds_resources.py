@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.lint import Finding, run_lint, select_rules
-from repro.lint.rules_resources import is_serve_module
 from repro.runtime.footprint import default_root
 
 
@@ -249,18 +248,18 @@ SOCKET_SERVER = """
 """
 
 
-def test_i902_serve_carveout_sanctions_socket_in_serve_modules(tmp_path):
-    # The one scoped exemption: the serve layer may bind its listening
-    # socket (docs/service.md).
+def test_i902_fires_on_socket_in_a_serve_package(tmp_path):
+    # No package is exempt: a module under a package named `serve` may
+    # not open a socket either.
     findings = lint_tree(tmp_path, {
         "pkg/serve/server.py": SOCKET_SERVER,
     }, select=["I902"])
-    assert findings == []
+    assert codes(findings) == ["I902"]
+    assert findings[0].path == "pkg/serve/server.py"
 
 
 def test_i902_still_fires_on_socket_outside_serve(tmp_path):
-    # The carve-out is scoped to serve modules — socket anywhere else
-    # is still a raw-I/O finding.
+    # Socket use in any other library package is a raw-I/O finding.
     findings = lint_tree(tmp_path, {
         "pkg/core/net.py": SOCKET_SERVER,
     }, select=["I902"])
@@ -269,8 +268,7 @@ def test_i902_still_fires_on_socket_outside_serve(tmp_path):
 
 
 def test_i902_still_fires_on_subprocess_in_serve(tmp_path):
-    # ... and scoped to the socket family — subprocess stays banned
-    # even inside the serve layer.
+    # ... and subprocess stays banned inside a package named `serve`.
     findings = lint_tree(tmp_path, {
         "pkg/serve/worker.py": """
             import subprocess
@@ -280,13 +278,6 @@ def test_i902_still_fires_on_subprocess_in_serve(tmp_path):
         """,
     }, select=["I902"])
     assert codes(findings) == ["I902"]
-
-
-def test_is_serve_module_matches_path_segments_only():
-    assert is_serve_module("repro.serve.server")
-    assert is_serve_module("pkg.serve")
-    assert not is_serve_module("repro.core.observe")
-    assert not is_serve_module("repro.serveur.mod")
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ class TestPrometheus:
         registry = MetricsRegistry()
         registry.counter("classify.flows", stage="list").inc(10)
         registry.counter("classify.flows", stage="none").inc(3)
-        registry.gauge("serve.warm_hit_rate").set(0.5)
+        registry.gauge("runtime.cache.hit_rate").set(0.5)
         registry.histogram(
             "ipmap.country_agreement", buckets=(0.5, 0.9)
         ).observe(0.95)
@@ -238,7 +238,7 @@ class TestPrometheus:
         samples = parse_prometheus_text(text)
         assert samples['classify_flows{stage="list"}'] == 10.0
         assert samples['classify_flows{stage="none"}'] == 3.0
-        assert samples["serve_warm_hit_rate"] == 0.5
+        assert samples["runtime_cache_hit_rate"] == 0.5
 
     def test_histograms_expand_cumulatively(self):
         text = prometheus_text(self.build_registry().to_dict())
@@ -252,7 +252,7 @@ class TestPrometheus:
     def test_type_lines_and_catalog_help(self):
         lines = prometheus_text(self.build_registry().to_dict()).splitlines()
         assert "# TYPE classify_flows counter" in lines
-        assert "# TYPE serve_warm_hit_rate gauge" in lines
+        assert "# TYPE runtime_cache_hit_rate gauge" in lines
         assert "# TYPE ipmap_country_agreement histogram" in lines
         # Catalog-declared metrics carry their description as HELP.
         assert any(

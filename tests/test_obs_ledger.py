@@ -143,6 +143,19 @@ class TestAppendAndLoad:
             handle.write("\n\n" + json.dumps(make_run_payload())[:40])
         assert append_record(path, make_run_payload(value=1))["seq"] == 1
 
+    def test_append_heals_a_torn_tail(self, tmp_path):
+        # A killed writer left part of a record and no newline.  The
+        # next append drops that fragment, so its record starts on its
+        # own line and the ledger loads again, both records intact.
+        path = ledger_path(tmp_path)
+        first = append_record(path, make_run_payload(value=0))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(make_run_payload())[:40])
+        second = append_record(path, make_run_payload(value=1))
+        records = load_ledger(path)
+        assert [record["seq"] for record in records] == [0, 1]
+        assert records == [first, second]
+
     def test_seq_of_a_record_longer_than_one_read(self, tmp_path):
         # The last record is read backwards in chunks; one longer than
         # a chunk must still be read whole.
@@ -154,8 +167,8 @@ class TestAppendAndLoad:
         assert append_record(path, make_run_payload())["seq"] == 2
 
     def test_concurrent_appends_get_unique_dense_seqs(self, tmp_path):
-        # Concurrent serve jobs append to one ledger from threads of
-        # one process; the append lock serializes the count-stamp-write
+        # Engine runs on threads of one process may append to one
+        # ledger; the append lock serializes the read-stamp-write
         # critical section, so every record gets a unique seq and the
         # journal stays dense and loadable.
         import threading
@@ -182,9 +195,9 @@ class TestAppendAndLoad:
         assert len({record["run_id"] for record in records}) == 80
 
     def test_two_processes_get_unique_dense_seqs(self, tmp_path):
-        # A `repro serve` and a CLI run sharing one --cache-dir append
-        # from separate processes, where the thread lock does not reach;
-        # the flock on the ledger serializes them.
+        # Two `repro run` sharing one --cache-dir append from separate
+        # processes, where the thread lock does not reach; the flock on
+        # the ledger serializes them.
         import multiprocessing
 
         path = ledger_path(tmp_path)

@@ -1,10 +1,10 @@
 """Cross-thread isolation of the ambient metrics/tracing stacks.
 
-The serve layer runs one study per worker thread, each under its own
+A library caller may run one study per thread, each under its own
 ``collecting``/``tracing`` scope.  The ambient stacks are
 thread-local, so concurrent scopes must never observe each other —
-the regression these tests pin down (reprolint T1003 caught the
-original module-global stacks).
+the regression these tests pin down (the original stacks were module
+globals).
 """
 
 from __future__ import annotations

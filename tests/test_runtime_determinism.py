@@ -308,8 +308,7 @@ class TestCachedRunParsesNothing:
     ):
         # Replayed panel artifacts carry each request's URL facts and the
         # classification merge derives the tracking set once, so a fully
-        # cached resubmit (a serve job's body) and its headline accessors
-        # split no URL at all.
+        # cached resubmit and its headline accessors split no URL at all.
         import repro.web.requests as requests_module
 
         split = requests_module.urlsplit

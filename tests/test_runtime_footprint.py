@@ -188,7 +188,7 @@ def test_every_pipeline_stage_gets_a_footprint():
         assert not tooling & set(fp.modules), name
         assert not [
             module for module in fp.modules
-            if module.startswith(("repro.lint.", "repro.serve."))
+            if module.startswith("repro.lint.")
         ], name
     # footprints discriminate between stages — no two identical
     salts = [fp.salt for fp in footprints.values()]

@@ -242,11 +242,11 @@ class TestArtifactCache:
         assert base != cache.key("dig", "salt", "stage", "shard2")
 
     def test_concurrent_stores_of_same_key_never_corrupt(self, tmp_path):
-        # The serve job pool runs engine runs on threads of one
-        # process, so two threads can store the same artifact key at
-        # once.  The per-writer temp suffix (pid + thread id) keeps
-        # their write-temp-then-rename slots disjoint: whichever rename
-        # lands last, the published artifact is one writer's complete
+        # A library caller may run engines on threads of one process,
+        # so two threads can store the same artifact key at once.  The
+        # per-writer temp suffix (pid + thread id) keeps their
+        # write-temp-then-rename slots disjoint: whichever rename lands
+        # last, the published artifact is one writer's complete
         # payload, never an interleaving, and no temp files survive.
         import threading
 
@@ -272,6 +272,47 @@ class TestArtifactCache:
             if not p.name.endswith(".pkl")
         ]
         assert leftovers == []
+
+    def test_two_processes_storing_one_key_never_corrupt(self, tmp_path):
+        # Two `repro run --cache-dir D` (or a run beside the benchmark)
+        # are separate processes filling one cache dir.  Their pids keep
+        # the temp names apart, so the key loads as one writer's
+        # complete payload and no temp file survives.
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2)
+        processes = [
+            context.Process(
+                target=_store_twentyfive, args=(str(tmp_path), barrier, n)
+            )
+            for n in range(2)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(60)
+        assert [process.exitcode for process in processes] == [0, 0]
+
+        hit, artifact = ArtifactCache(str(tmp_path)).load("stage", "k1")
+        assert hit and artifact in (_store_payload(0), _store_payload(1))
+        leftovers = [
+            p for p in (tmp_path / "stage").iterdir()
+            if not p.name.endswith(".pkl")
+        ]
+        assert leftovers == []
+
+
+def _store_payload(writer):
+    return {"writer": writer, "rows": list(range(2000))}
+
+
+def _store_twentyfive(root, barrier, writer):
+    """Child-process body: store one key 25 times after the barrier."""
+    cache = ArtifactCache(root)
+    barrier.wait()
+    for _ in range(25):
+        cache.store("stage", "k1", _store_payload(writer))
 
 
 class TestExecutorValidation:
