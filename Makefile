@@ -12,9 +12,9 @@ test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
 # reprolint: whole-program pass over every invariant family
-# (determinism, error discipline, layering, shard purity,
-# observability consistency, seed lineage, resource discipline,
-# concurrency context).  See docs/linting.md.
+# (determinism, error discipline, layering, observability
+# consistency, seed lineage, resource discipline).  Shard purity is
+# checked by tier-1, which runs every shard.  See docs/linting.md.
 lint:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro scripts benchmarks
 

@@ -216,7 +216,7 @@ def default_registry() -> CountryRegistry:
     # An idempotent memo of immutable data built from a module constant:
     # every process converges to the same registry, so shard outputs
     # cannot depend on which worker built it first.
-    global _DEFAULT  # reprolint: disable=P501
+    global _DEFAULT
     if _DEFAULT is None:
         # Benign race: losers rebuild identical immutable data, so the
         # memo needs no lock.

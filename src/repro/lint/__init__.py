@@ -1,6 +1,6 @@
 """reprolint — AST-based invariant checks for the reproduction.
 
-Eight rule families guard the properties the paper's tables depend on:
+Six rule families guard the properties the paper's tables depend on:
 
 * **D-rules** (determinism): no shared/ad-hoc RNG state, no wall-clock
   or environment reads in simulation layers, no ``hash()`` seeding, no
@@ -10,23 +10,21 @@ Eight rule families guard the properties the paper's tables depend on:
   wrapping raise chained with ``from``;
 * **A-rules** (layering): the package import DAG points strictly down,
   with no cycles;
-* **P-rules** (shard purity): no globals, module mutation or ambient
-  reads on a stage's run path;
 * **O-rules** (observability): metric and span names/labels match the
   declared catalog;
 * **S-rules** (seed lineage): no double-spent stream names, no
   ``fixed_rng`` outside tests, no RNG returned across the shard
   boundary;
 * **I-rules** (resource discipline): no sockets or subprocesses
-  outside tests;
-* **T-rules** (concurrency context): no raw file writes from thread or
-  shard code bypassing the atomic helpers.
+  outside tests.
 
-The P/O/S/I families read the whole-program import/call graph
-(:mod:`repro.lint.program`); the T family classifies every function by
-its reachable execution contexts (:mod:`repro.lint.concurrency`).
-Run ``python -m repro.lint src/repro`` (or ``make lint``); see
-``docs/linting.md`` for pragmas and how to add a rule.
+The O/S/I families read the whole-program import/call graph
+(:mod:`repro.lint.program`).  Shard purity (no module-state, world,
+environment, clock or filesystem effects in a stage's ``run``) is not
+a lint family: tier-1 checks it by running every shard, see
+``docs/runtime.md``.  Run ``python -m repro.lint src/repro`` (or
+``make lint``); see ``docs/linting.md`` for pragmas and how to add a
+rule.
 """
 
 from repro.lint.findings import Finding
@@ -49,11 +47,9 @@ RULE_FAMILIES = {
     "D": "determinism",
     "E": "error discipline",
     "A": "layering",
-    "P": "shard purity",
     "O": "observability",
     "S": "seed lineage",
     "I": "resource discipline",
-    "T": "concurrency context",
 }
 
 __all__ = [

@@ -21,9 +21,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "reprolint: AST-based invariant checks for determinism "
             "(D-rules), error discipline (E-rules), layering (A-rules), "
-            "shard purity (P-rules), observability "
-            "(O-rules), seed lineage (S-rules), resource discipline "
-            "(I-rules) and concurrency context (T-rules)."
+            "observability (O-rules), seed lineage (S-rules) and "
+            "resource discipline (I-rules)."
         ),
     )
     parser.add_argument(

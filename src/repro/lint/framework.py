@@ -82,7 +82,6 @@ class FileContext:
     def __init__(self, path: Path, rel_path: str, source: str) -> None:
         self.path = path
         self.rel_path = rel_path
-        self.source = source
         self.lines: List[str] = source.splitlines()
         self.module = module_name_for(path)
         self.tree: Optional[ast.Module] = None
@@ -219,12 +218,10 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
 def load_builtin_rules() -> None:
     """Import the rule modules for their registration side effects."""
     from repro.lint import (  # noqa: F401
-        rules_concurrency,
         rules_determinism,
         rules_errors,
         rules_layering,
         rules_obs,
-        rules_purity,
         rules_resources,
         rules_seeds,
     )

@@ -1,10 +1,11 @@
-"""Whole-program analysis: module index, import graph, and call graph.
+"""Whole-program analysis: module index, symbol tables, and call graph.
 
-PR 1's rules see one file at a time; the properties this module serves
-cannot be checked that way.  Whether a stage's cache salt covers every
-helper it executes, whether shard ``run`` code mutates module state,
-whether a metric name matches the catalog — all require the *program*
-view: which module is which file, who imports whom, and who calls whom.
+The per-file rules see one file at a time; the properties this module
+serves cannot be checked that way.  Whether a metric name matches the
+catalog constant it is imported from, whether one RNG stream name is
+derived in two modules, which function a stage's ``run`` is — all
+require the *program* view: which module is which file, what each
+imported name is bound to, and who calls whom.
 
 :class:`ProgramModel` provides that view.  It is built once per lint run
 from the same :class:`~repro.lint.framework.FileContext` objects the
@@ -13,7 +14,6 @@ per-file rules see, and offers:
 * a **module index** — dotted module name → :class:`ModuleInfo`, with a
   per-module symbol table (imports resolved through aliases and
   relative levels, module-level functions/classes/constants);
-* an **import graph** — resolved module-level import edges;
 * a **conservative call graph** — every :class:`ast.Call` in every
   function body resolved to a :class:`Callee`: a function or method in
   the analyzed program, a class instantiation, a bare module, a
@@ -25,9 +25,10 @@ per-file rules see, and offers:
   guesses: what cannot be proven degrades to ``unknown``, never to a
   wrong edge.
 
-On top of the call graph sits :meth:`ProgramModel.reachable` (BFS with
-parent pointers, cycle-safe).  The runtime's cache salts do not use
-this model: :mod:`repro.runtime.footprint` scans the source itself.
+Stage discovery (:meth:`ProgramModel.discover_stages`) resolves every
+``StageSpec(...)`` construction's role functions.  The runtime's cache
+salts do not use this model: :mod:`repro.runtime.footprint` scans the
+source itself.
 """
 
 from __future__ import annotations
@@ -36,50 +37,13 @@ import ast
 import builtins
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.framework import (
     FileContext,
     ProjectContext,
     iter_python_files,
-    module_name_for,
 )
-
-def node_source(ctx: FileContext, node: ast.AST) -> str:
-    """The source text of ``node``, sliced from the file's line table.
-
-    Equivalent to :func:`ast.get_source_segment` for our nodes but
-    O(span) instead of O(file) — ``get_source_segment`` re-splits the
-    whole file per call, which dominates model-build time on a real
-    tree.  Decorator lines are included (a decorator change must change
-    a salted definition).
-    """
-    start = getattr(node, "lineno", None)
-    end = getattr(node, "end_lineno", None)
-    if start is None or end is None:
-        return ""
-    col = node.col_offset
-    for decorator in getattr(node, "decorator_list", ()):
-        if decorator.lineno < start:
-            start = decorator.lineno
-            col = 0
-    lines = ctx.lines[start - 1 : end]
-    if not lines:
-        return ""
-    lines = list(lines)
-    lines[-1] = lines[-1][: node.end_col_offset]
-    lines[0] = lines[0][col:]
-    return "\n".join(lines)
-
 
 #: the qualname a scan reports for code outside every function body
 MODULE_SCOPE = "<module>"
@@ -159,10 +123,7 @@ class CallSite:
 class FunctionInfo:
     """One function or method body in the analyzed program."""
 
-    module: str
-    qualname: str
     node: ast.AST
-    source: str
     calls: List[CallSite] = field(default_factory=list)
 
 
@@ -170,10 +131,6 @@ class FunctionInfo:
 class ClassInfo:
     """One class defined at module level."""
 
-    module: str
-    name: str
-    node: ast.ClassDef
-    source: str
     bases: Tuple[str, ...]
     #: method name -> qualname in the module's function table
     methods: Dict[str, str] = field(default_factory=dict)
@@ -203,29 +160,6 @@ class ModuleInfo:
     constants: Dict[str, str] = field(default_factory=dict)
     #: module-level assignment statements by target name
     constant_nodes: Dict[str, ast.stmt] = field(default_factory=dict)
-    #: resolved imports at module level only (cycle rule granularity)
-    imports_toplevel: Set[str] = field(default_factory=set)
-
-
-@dataclass
-class Reachability:
-    """The closure of the call graph from a set of seed functions."""
-
-    functions: List[FunctionRef] = field(default_factory=list)
-    classes: List[Tuple[str, str]] = field(default_factory=list)
-    #: BFS tree: function -> the function that first reached it
-    parents: Dict[FunctionRef, Optional[FunctionRef]] = field(
-        default_factory=dict
-    )
-
-    def path_to(self, ref: FunctionRef, limit: int = 5) -> List[str]:
-        """The seed→ref call chain (qualnames), capped at ``limit`` hops."""
-        chain: List[str] = []
-        cursor: Optional[FunctionRef] = ref
-        while cursor is not None and len(chain) < limit:
-            chain.append(cursor[1])
-            cursor = self.parents.get(cursor)
-        return list(reversed(chain))
 
 
 @dataclass
@@ -233,8 +167,6 @@ class StageDecl:
     """One statically-discovered ``StageSpec(...)`` construction."""
 
     name: str
-    module: str
-    node: ast.Call
     #: resolved plan/run/merge/index seeds, keyed by keyword
     seeds: Dict[str, FunctionRef] = field(default_factory=dict)
 
@@ -244,7 +176,7 @@ class StageDecl:
 # ---------------------------------------------------------------------------
 
 class ProgramModel:
-    """Module index + import graph + call graph over an analyzed tree."""
+    """Module index + symbol tables + call graph over an analyzed tree."""
 
     def __init__(self, modules: Dict[str, ModuleInfo]) -> None:
         self.modules = modules
@@ -341,25 +273,15 @@ class ProgramModel:
     def _register_function(
         self, info: ModuleInfo, node: ast.AST, qualname: str
     ) -> None:
-        source = node_source(info.ctx, node)
-        info.functions[qualname] = FunctionInfo(
-            module=info.name, qualname=qualname, node=node, source=source
-        )
+        info.functions[qualname] = FunctionInfo(node=node)
 
     def _register_class(self, info: ModuleInfo, node: ast.ClassDef) -> None:
-        source = node_source(info.ctx, node)
         bases = tuple(
             rendered
             for rendered in (self._render(base) for base in node.bases)
             if rendered is not None
         )
-        cls_info = ClassInfo(
-            module=info.name,
-            name=node.name,
-            node=node,
-            source=source,
-            bases=bases,
-        )
+        cls_info = ClassInfo(bases=bases)
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{node.name}.{stmt.name}"
@@ -382,28 +304,20 @@ class ProgramModel:
         parts.append(node.id)
         return ".".join(reversed(parts))
 
-    # -- pass 2: import edges and imported symbols -----------------------
+    # -- pass 2: imported symbols ----------------------------------------
     def _link_imports(self, info: ModuleInfo) -> None:
         tree = info.ctx.tree
         assert tree is not None
-        toplevel_nodes = set(map(id, tree.body))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                self._link_plain_import(info, node, id(node) in toplevel_nodes)
+                self._link_plain_import(info, node)
             elif isinstance(node, ast.ImportFrom):
-                self._link_from_import(info, node, id(node) in toplevel_nodes)
+                self._link_from_import(info, node)
 
-    def _record_edge(self, info: ModuleInfo, target: str, toplevel: bool) -> None:
-        if toplevel and target != info.name:
-            info.imports_toplevel.add(target)
-
-    def _link_plain_import(
-        self, info: ModuleInfo, node: ast.Import, toplevel: bool
-    ) -> None:
+    def _link_plain_import(self, info: ModuleInfo, node: ast.Import) -> None:
         for alias in node.names:
             name = alias.name
             if name in self.modules:
-                self._record_edge(info, name, toplevel)
                 local = alias.asname or name.split(".")[0]
                 bound = name if alias.asname else name.split(".")[0]
                 if bound in self.modules:
@@ -414,22 +328,17 @@ class ProgramModel:
                 local = alias.asname or name.split(".")[0]
                 info.symbols.setdefault(local, Symbol("external", value=name))
 
-    def _link_from_import(
-        self, info: ModuleInfo, node: ast.ImportFrom, toplevel: bool
-    ) -> None:
+    def _link_from_import(self, info: ModuleInfo, node: ast.ImportFrom) -> None:
         target = resolve_relative_import(
             info.name, info.is_package, node.level, node.module
         )
         if target is None:
             return
         target_indexed = target in self.modules
-        if target_indexed:
-            self._record_edge(info, target, toplevel)
         for alias in node.names:
             local = alias.asname or alias.name
             submodule = f"{target}.{alias.name}"
             if submodule in self.modules:
-                self._record_edge(info, submodule, toplevel)
                 info.symbols.setdefault(local, Symbol("module", module=submodule))
             elif target_indexed:
                 origin = self.modules[target]
@@ -439,8 +348,8 @@ class ProgramModel:
                 ):
                     info.symbols.setdefault(local, symbol)
                 else:
-                    # Re-exported or dynamically-defined name: the module
-                    # edge above still covers it for footprints.
+                    # Re-exported or dynamically-defined name: resolve it
+                    # to module granularity.
                     info.symbols.setdefault(
                         local, Symbol("module", module=target)
                     )
@@ -789,54 +698,6 @@ class ProgramModel:
             return prefix
         return None
 
-    # -- reachability ----------------------------------------------------
-    def reachable(self, seeds: Iterable[FunctionRef]) -> Reachability:
-        result = Reachability()
-        queue: List[FunctionRef] = []
-        for ref in seeds:
-            if self.function(ref) is not None and ref not in result.parents:
-                result.parents[ref] = None
-                queue.append(ref)
-        seen_classes: Set[Tuple[str, str]] = set()
-
-        def enqueue(ref: FunctionRef, parent: FunctionRef) -> None:
-            if ref in result.parents:
-                return
-            if self.function(ref) is None:
-                return
-            result.parents[ref] = parent
-            queue.append(ref)
-
-        def reach_class(module: str, name: str, parent: FunctionRef) -> None:
-            if (module, name) in seen_classes:
-                return
-            seen_classes.add((module, name))
-            result.classes.append((module, name))
-            origin = self.modules.get(module)
-            cls = origin.classes.get(name) if origin else None
-            if cls is None:
-                return
-            # Reaching a class conservatively reaches all its methods:
-            # which ones execute depends on values the static analysis
-            # cannot see (callbacks, dunder protocols), so assume all.
-            for method in sorted(cls.methods):
-                enqueue((module, cls.methods[method]), parent)
-
-        index = 0
-        while index < len(queue):
-            ref = queue[index]
-            index += 1
-            result.functions.append(ref)
-            fn = self.function(ref)
-            assert fn is not None
-            for call in fn.calls:
-                callee = call.callee
-                if callee.kind == "function":
-                    enqueue((callee.module, callee.qualname), ref)
-                elif callee.kind == "class":
-                    reach_class(callee.module, callee.qualname, ref)
-        return result
-
     # -- stage discovery -------------------------------------------------
     def discover_stages(self) -> List[StageDecl]:
         """Every ``StageSpec(...)`` construction in the analyzed tree.
@@ -869,7 +730,7 @@ class ProgramModel:
             and isinstance(name_value.value, str)
             else "<unknown>"
         )
-        decl = StageDecl(name=name, module=info.name, node=node)
+        decl = StageDecl(name=name)
         for role in ("plan", "run", "merge", "index"):
             value = keywords.get(role)
             if value is None:
@@ -890,7 +751,7 @@ def program_model_for(project: ProjectContext) -> ProgramModel:
     """The (memoized) :class:`ProgramModel` of a lint run's project.
 
     Rules sharing one :class:`ProjectContext` share one model — the
-    P5xx/O6xx families all call this from ``finalize``.
+    O, S and I families all call this from ``finalize``.
     """
     cached = getattr(project, "_program_model", None)
     if cached is None:

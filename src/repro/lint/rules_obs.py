@@ -8,8 +8,8 @@ argument of every instrumentation call site against the catalog,
 *statically* (the catalog module's AST is read through the program
 model; nothing is imported).
 
-* **O601** — the metric name at an ``inc``/``observe``/``set_gauge`` /
-  ``registry.counter``/``gauge``/``histogram``/``sum_counters`` call
+* **O601** — the metric name at an ``inc``/``observe`` /
+  ``registry.counter``/``histogram``/``sum_counters`` call
   site must resolve to a declared metric.  Dynamic names (variables,
   f-strings) cannot be checked and are flagged too: a name the linter
   cannot see is a name the catalog does not close over.
@@ -35,10 +35,10 @@ from repro.lint.framework import FileContext, ProjectContext, Rule, register
 from repro.lint.program import ModuleInfo, ProgramModel
 
 #: ambient helpers in repro.obs.metrics (name is the first argument)
-AMBIENT_METRIC_CALLS = {"inc", "observe", "set_gauge"}
+AMBIENT_METRIC_CALLS = {"inc", "observe"}
 
 #: registry/duck-typed accessors whose first argument is a metric name
-REGISTRY_METRIC_CALLS = {"counter", "gauge", "histogram", "sum_counters"}
+REGISTRY_METRIC_CALLS = {"counter", "histogram", "sum_counters"}
 
 #: keyword arguments of metric calls that are values, not labels
 NON_LABEL_KWARGS = {"amount", "value"}

@@ -3,8 +3,8 @@
 Stage shards may run in worker subprocesses and may be skipped entirely
 on a cache hit, so shard code must not acquire ambient resources: a
 simulated study never opens sockets or spawns subprocesses at all.
-(Write-mode file I/O from a shard or a thread outside the atomic
-helpers is T1005's; see :mod:`repro.lint.rules_concurrency`.)
+(A shard that writes to the filesystem fails tier-1's shard-purity
+harness, which runs every shard; see ``docs/runtime.md``.)
 
 * **I902** — ``socket`` / ``subprocess`` / ``os.system`` use anywhere
   in non-test code, module level included.

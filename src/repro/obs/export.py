@@ -22,21 +22,15 @@ begin/end matching for documents produced by other tools.
 
 Wall-clock origins are rebased to the earliest span start, so exported
 timestamps are small, stable offsets rather than epoch seconds.
-
-This module also owns the Prometheus **text exposition** of a metrics
-registry snapshot (:func:`prometheus_text`) and the minimal parser
-that reads it back (:func:`parse_prometheus_text`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Sequence, Union
 
 from repro.errors import ObservabilityError
-from repro.obs.names import METRICS
 from repro.obs.persist import atomic_write_json
 from repro.obs.trace import Span
 
@@ -233,153 +227,3 @@ def validate_trace_events(payload: Any) -> None:
         raise ObservabilityError(
             f"unbalanced 'B' events at end of trace: {unbalanced}"
         )
-
-
-# -- Prometheus text exposition ----------------------------------------------
-
-#: the Content-Type of the Prometheus text format, version 0.0.4
-PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4"
-
-#: characters legal in a Prometheus metric name
-_PROM_NAME_ILLEGAL = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    """A dotted registry name as a Prometheus metric name."""
-    sanitized = _PROM_NAME_ILLEGAL.sub("_", name)
-    if not sanitized or sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized
-
-
-def _prom_value(value: Any) -> str:
-    return repr(float(value))
-
-
-def _prom_escape(value: str) -> str:
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _prom_labels(labels: Mapping[str, str]) -> str:
-    if not labels:
-        return ""
-    rendered = ",".join(
-        f'{label}="{_prom_escape(str(labels[label]))}"'
-        for label in sorted(labels)
-    )
-    return "{" + rendered + "}"
-
-
-def _split_key(key: str) -> Tuple[str, Dict[str, str]]:
-    """A canonical registry key back into (name, labels).
-
-    Inverts :func:`repro.obs.metrics.metric_key`: the suffix between
-    the first ``{`` and the final ``}`` splits on ``,`` then on the
-    first ``=`` — registry label values never contain commas (the
-    catalog's label vocabulary is stage names, verdicts and the like),
-    which is what keeps the canonical key parseable.
-    """
-    brace = key.find("{")
-    if brace < 0:
-        return key, {}
-    name = key[:brace]
-    labels: Dict[str, str] = {}
-    for part in key[brace + 1:-1].split(","):
-        label, _, value = part.partition("=")
-        labels[label] = value
-    return name, labels
-
-
-def prometheus_text(snapshot: Mapping[str, Mapping[str, Any]]) -> str:
-    """A registry snapshot in the Prometheus text exposition format.
-
-    ``snapshot`` is a :meth:`~repro.obs.metrics.MetricsRegistry.to_dict`
-    document.  Counters and gauges render as single samples; histograms
-    expand into cumulative ``_bucket{le=...}`` series (with the
-    mandatory ``le="+Inf"`` bucket) plus ``_sum`` and ``_count``.
-    ``# TYPE`` is emitted once per metric name, and metrics declared in
-    the catalog (:mod:`repro.obs.names`) carry their description as
-    ``# HELP``.
-    """
-    lines: List[str] = []
-    typed: set = set()
-    for key in sorted(snapshot):
-        entry = snapshot[key]
-        kind = entry.get("kind")
-        value = entry.get("value")
-        name, labels = _split_key(key)
-        prom = _prom_name(name)
-        if prom not in typed:
-            typed.add(prom)
-            declared = METRICS.get(name)
-            if declared is not None:
-                lines.append(f"# HELP {prom} {declared[2]}")
-            prom_type = {
-                "counter": "counter", "gauge": "gauge",
-                "histogram": "histogram",
-            }.get(kind)
-            if prom_type is None:
-                raise ObservabilityError(
-                    f"metric {key!r} has unknown kind {kind!r}"
-                )
-            lines.append(f"# TYPE {prom} {prom_type}")
-        if kind in ("counter", "gauge"):
-            lines.append(f"{prom}{_prom_labels(labels)} {_prom_value(value)}")
-            continue
-        if not isinstance(value, Mapping):
-            raise ObservabilityError(
-                f"histogram {key!r} carries no snapshot mapping"
-            )
-        cumulative = 0
-        for bound, count in zip(value["bounds"], value["counts"]):
-            cumulative += count
-            bucket = dict(labels)
-            bucket["le"] = _prom_value(bound)
-            lines.append(
-                f"{prom}_bucket{_prom_labels(bucket)} {_prom_value(cumulative)}"
-            )
-        bucket = dict(labels)
-        bucket["le"] = "+Inf"
-        lines.append(
-            f"{prom}_bucket{_prom_labels(bucket)} "
-            f"{_prom_value(value['count'])}"
-        )
-        lines.append(
-            f"{prom}_sum{_prom_labels(labels)} {_prom_value(value['total'])}"
-        )
-        lines.append(
-            f"{prom}_count{_prom_labels(labels)} {_prom_value(value['count'])}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_prometheus_text(text: str) -> Dict[str, float]:
-    """Samples of a Prometheus text exposition, keyed by series.
-
-    Keys are the literal ``name{label="value",...}`` series strings;
-    comment (``#``) and blank lines are skipped.  This is the minimal
-    parser the round-trip tests (and scrape debugging) need — exotic
-    escapes beyond the ones :func:`prometheus_text` emits are not
-    handled.
-    """
-    samples: Dict[str, float] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        series, _, value = stripped.rpartition(" ")
-        if not series:
-            raise ObservabilityError(
-                f"prometheus line {number} needs 'series value', "
-                f"got {line!r:.120}"
-            )
-        try:
-            samples[series] = float(value)
-        except ValueError as exc:
-            raise ObservabilityError(
-                f"prometheus line {number} carries a non-numeric "
-                f"value {value!r}"
-            ) from exc
-    return samples

@@ -16,10 +16,14 @@ safe for the runtime's sharded execution:
   fold min/max, gauges fold by max, so folding shard snapshots in any
   order yields the same registry.
 
+Nothing in the package writes a gauge any more; :class:`Gauge` stays so
+that older snapshots and ledger records carrying one (``bench.time_s``,
+``lint.time_s``, ``serve.requests_per_s``) still load, merge and diff.
+
 Instrumented library code (the classifier, the geolocation engine, the
 passive-DNS store) does not receive a registry argument — it writes
-through the module-level ambient helpers :func:`inc`, :func:`observe`
-and :func:`set_gauge`, which are no-ops unless a collection scope
+through the module-level ambient helpers :func:`inc` and
+:func:`observe`, which are no-ops unless a collection scope
 (:func:`collecting`) is active.  That keeps instrumentation zero-cost
 and invisible on the legacy serial path.
 """
@@ -99,10 +103,6 @@ class Gauge:
     kind = "gauge"
 
     def __init__(self, value: float = 0.0) -> None:
-        self.value = value
-
-    def set(self, value: Union[int, float]) -> None:
-        """Record the current level."""
         self.value = value
 
     def merge(self, other: "Gauge") -> None:
@@ -268,10 +268,6 @@ class MetricsRegistry:
         """The counter at ``name{labels}``, created on first use."""
         return self._get("counter", metric_key(name, labels), Counter)
 
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        """The gauge at ``name{labels}``, created on first use."""
-        return self._get("gauge", metric_key(name, labels), Gauge)
-
     def histogram(
         self,
         name: str,
@@ -421,9 +417,3 @@ def observe(name: str, value: Union[int, float], **labels: Any) -> None:
     if stack:
         stack[-1].histogram(name, **labels).observe(value)
 
-
-def set_gauge(name: str, value: Union[int, float], **labels: Any) -> None:
-    """Set a gauge level in the active registry (no-op when inactive)."""
-    stack = _stack()
-    if stack:
-        stack[-1].gauge(name, **labels).set(value)

@@ -7,7 +7,7 @@ repeating string literals, which buys three guarantees:
   with duplicate metric names, so two subsystems can never silently
   write into each other's time series;
 * **static checkability** — the O6xx lint rules resolve the name
-  argument of every ``inc``/``observe``/``set_gauge``/``span`` call
+  argument of every ``inc``/``observe``/``span`` call
   site against this catalog and compare its labels against the declared
   label set, so a typo'd name or a renamed-in-one-place metric is a
   lint failure, not a dashboard mystery;

@@ -26,7 +26,11 @@ warm run can plan without decoding upstream bodies.
 one shard, reading upstream bodies from ``products`` by the names in
 ``inputs``.  It must treat the world as **read-only**: no drawing from
 shared world RNG streams, no observing into ``world.pdns``.  Any
-randomness comes from streams derived from the shard key.
+randomness comes from streams derived from the shard key.  It must
+leave module state, the environment and the filesystem alone, and
+its product must not depend on the clock or on which shards ran
+before it.  ``TestShardPurity`` in ``tests/test_runtime_determinism.py``
+enforces this by running every shard of the ``small`` graph.
 
 ``merge(world, products, [(shard_key, shard_product), ...]) -> product``
 folds shard products *in canonical shard order* into the stage product,

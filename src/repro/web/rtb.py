@@ -88,7 +88,6 @@ class RTBEngine:
         self._fleet = fleet
         self._config = config
         self._registry = default_registry()
-        self._rng = streams.get("rtb")
         # Per-stage organization-kind multipliers: hyperscalers dominate
         # the list-visible serving path, but user matching bounces mostly
         # between the RTB middle tier — the list-invisible population.

@@ -2,9 +2,8 @@
 
 Fixture trees are synthetic packages written to tmp_path; every test
 builds a real :class:`ProgramModel` from the filesystem, so the module
-index, import resolution, call graph and reachability are exercised
-end to end.  The runtime's footprint scans are tested in
-``test_runtime_footprint.py``.
+index, import resolution and call graph are exercised end to end.  The
+runtime's footprint scans are tested in ``test_runtime_footprint.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Dict
 
 from repro.lint.program import (
     ProgramModel,
-    node_source,
+    Symbol,
     resolve_relative_import,
 )
 
@@ -63,9 +62,9 @@ def test_relative_imports_resolve_to_edges(tmp_path):
         "pkg/b.py": "X = 1\n",
         "pkg/sub/c.py": "Y = 2\n",
     })
-    info = model.modules["pkg.a"]
-    assert "pkg.b" in info.imports_toplevel
-    assert "pkg.sub.c" in info.imports_toplevel
+    symbols = model.modules["pkg.a"].symbols
+    assert symbols["b"] == Symbol("module", module="pkg.b")
+    assert symbols["c"] == Symbol("module", module="pkg.sub.c")
 
 
 def test_from_import_alias_binds_origin_symbol(tmp_path):
@@ -102,10 +101,11 @@ def test_import_cycle_does_not_hang(tmp_path):
                 return pkg.a.fa()
         """,
     })
-    # the call graph closure over the cycle terminates
-    reach = model.reachable([("pkg.a", "fa")])
-    assert ("pkg.b", "fb") in reach.functions
-    assert ("pkg.a", "fa") in reach.functions
+    # the model builds over the cycle, and each call resolves across it
+    for caller, callee in (("fa", "fb"), ("fb", "fa")):
+        module = "pkg.a" if caller == "fa" else "pkg.b"
+        resolved = model.function((module, caller)).calls[0].callee
+        assert (resolved.kind, resolved.qualname) == ("function", callee)
 
 
 # ---------------------------------------------------------------------------
@@ -215,47 +215,6 @@ def test_dynamic_calls_degrade_to_unknown(tmp_path):
     assert {c.callee.kind for c in fn.calls} == {"unknown"}
 
 
-def test_reached_class_reaches_all_methods(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/svc.py": """
-            class Thing:
-                def a(self):
-                    return 1
-
-                def b(self):
-                    return 2
-        """,
-        "pkg/main.py": """
-            from pkg.svc import Thing
-
-            def go():
-                return Thing()
-        """,
-    })
-    reach = model.reachable([("pkg.main", "go")])
-    qualnames = {qualname for _, qualname in reach.functions}
-    # constructing Thing conservatively reaches every method
-    assert {"Thing.a", "Thing.b"} <= qualnames
-    assert ("pkg.svc", "Thing") in reach.classes
-
-
-def test_reachability_parents_give_path(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/main.py": """
-            def a():
-                return b()
-
-            def b():
-                return c()
-
-            def c():
-                return 1
-        """,
-    })
-    reach = model.reachable([("pkg.main", "a")])
-    assert reach.path_to(("pkg.main", "c")) == ["a", "b", "c"]
-
-
 # ---------------------------------------------------------------------------
 # stage discovery / constants / export
 # ---------------------------------------------------------------------------
@@ -332,21 +291,6 @@ def test_static_prefix_of_fstring():
     assert ProgramModel.static_prefix(call) is None
 
 
-def test_node_source_slices_definition(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/mod.py": """
-            import functools
-
-            @functools.lru_cache()
-            def decorated():
-                return 1
-        """,
-    })
-    fn = model.function(("pkg.mod", "decorated"))
-    assert fn.source.startswith("@functools.lru_cache()")
-    assert fn.source.rstrip().endswith("return 1")
-
-
 def test_model_import_and_call_edges(tmp_path):
     model = build_model(tmp_path, {
         "pkg/stages.py": """
@@ -361,7 +305,9 @@ def test_model_import_and_call_edges(tmp_path):
         """,
     })
     assert "pkg.stages" in model.modules
-    assert "pkg.work" in model.modules["pkg.stages"].imports_toplevel
+    assert model.modules["pkg.stages"].symbols["work"] == Symbol(
+        "module", module="pkg.work"
+    )
     run_calls = model.function(("pkg.stages", "run")).calls
     assert any(
         call.callee.kind == "function"

@@ -27,7 +27,7 @@ def test_every_family_has_at_least_one_rule():
 
 def test_docs_family_table_matches_roster():
     text = DOCS.read_text()
-    # Family table rows look like `| T | concurrency context | ... |`.
+    # Family table rows look like `| S | seed lineage | ... |`.
     documented = {
         match.group(1): match.group(2).strip()
         for match in re.finditer(

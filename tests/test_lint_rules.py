@@ -689,7 +689,7 @@ def test_pragma_does_not_suppress_other_rules(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# P5xx / O6xx — whole-program rules (multi-file fixtures)
+# O6xx — whole-program rules (multi-file fixtures)
 # ---------------------------------------------------------------------------
 
 
@@ -712,135 +712,6 @@ def lint_tree(
             parent = parent.parent
     rules = select_rules(select) if select else None
     return run_lint([tmp_path], rules=rules, root=tmp_path).findings
-
-
-STAGE_FIXTURE = {
-    "pkg/helpers.py": """
-        def crunch(payload):
-            return payload
-    """,
-    "pkg/stages.py": """
-        from pkg import helpers
-
-        def _plan(world, products):
-            return [("s0", None)]
-
-        def _run(world, products, payload):
-            return helpers.crunch(payload)
-
-        def _merge(world, products, shards):
-            return shards
-
-        def _index(product):
-            return {"records": {}}
-
-        SPEC = StageSpec(
-            name="alpha", plan=_plan, run=_run, merge=_merge,
-            index=_index,
-        )
-    """,
-}
-
-
-def test_p501_fires_on_global_in_run_path_helper(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/helpers.py"] = """
-        _CACHE = None
-
-        def crunch(payload):
-            global _CACHE
-            _CACHE = payload
-            return payload
-    """
-    findings = lint_tree(tmp_path, files, select=["P501"])
-    assert codes(findings) == ["P501"]
-    assert "run path of: alpha" in findings[0].message
-    assert "crunch" in findings[0].message
-
-
-def test_p501_quiet_off_the_run_path(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/helpers.py"] = """
-        _CACHE = None
-
-        def crunch(payload):
-            return payload
-
-        def warm_up():
-            global _CACHE
-            _CACHE = object()
-    """
-    findings = lint_tree(tmp_path, files, select=["P501"])
-    assert codes(findings) == []
-
-
-def test_p501_pragma_disable(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/helpers.py"] = """
-        _CACHE = None
-
-        def crunch(payload):
-            global _CACHE  # reprolint: disable=P501
-            _CACHE = payload
-            return payload
-    """
-    findings = lint_tree(tmp_path, files, select=["P501"])
-    assert codes(findings) == []
-
-
-def test_p502_fires_on_module_container_mutation(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/helpers.py"] = """
-        SEEN = []
-        TABLE = {}
-
-        def crunch(payload):
-            SEEN.append(payload)
-            TABLE[payload] = 1
-            return payload
-    """
-    findings = lint_tree(tmp_path, files, select=["P502"])
-    assert codes(findings) == ["P502", "P502"]
-    assert "SEEN.append" in findings[0].message
-
-
-def test_p502_quiet_on_local_container(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/helpers.py"] = """
-        def crunch(payload):
-            seen = []
-            seen.append(payload)
-            table = {}
-            table[payload] = 1
-            return payload
-    """
-    findings = lint_tree(tmp_path, files, select=["P502"])
-    assert codes(findings) == []
-
-
-def test_p503_fires_on_wall_clock_in_run_path(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/helpers.py"] = """
-        import time
-
-        def crunch(payload):
-            return time.time()
-    """
-    findings = lint_tree(tmp_path, files, select=["P503"])
-    assert codes(findings) == ["P503"]
-    assert "time.time" in findings[0].message
-
-
-def test_p503_fires_on_environ_read_outside_patrolled_packages(tmp_path):
-    files = dict(STAGE_FIXTURE)
-    files["pkg/helpers.py"] = """
-        import os
-
-        def crunch(payload):
-            return os.environ.get("HOME")
-    """
-    findings = lint_tree(tmp_path, files, select=["P503"])
-    assert codes(findings) == ["P503"]
 
 
 OBS_FIXTURE = {

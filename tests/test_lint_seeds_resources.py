@@ -5,10 +5,9 @@ derivation sites, socket/subprocess sites); the tests below run small
 fixture trees through the real lint framework.  The second half pins
 where the run-path invariants are enforced: a raw ``random.Random`` on
 a stage's run path is D102's (including a copied-tree test that plants
-one inside ``panel_run``), an explicit builtin ``raise`` under a stage
-``run`` or a CLI ``main`` is E201's, and a write-mode ``open()`` in a
-stage ``run`` helper is T1005's — each flagged at the offending line,
-while the same write inside the sanctioned I/O module stays quiet.
+one inside ``panel_run``), and an explicit builtin ``raise`` under a
+stage ``run`` or a CLI ``main`` is E201's — each flagged at the
+offending line.
 """
 
 from __future__ import annotations
@@ -326,34 +325,6 @@ def test_e201_flags_a_builtin_raise_under_a_cli_main(tmp_path):
     assert [(f.rule, f.path, f.line) for f in findings] == [
         ("E201", "pkg/cli.py", line_of(cli, "raise ValueError")),
     ]
-
-
-def test_t1005_flags_a_write_mode_open_in_a_stage_run_helper(tmp_path):
-    helper = """
-        def crunch(payload):
-            with open("artifact.json", "w") as handle:
-                return handle.write(payload)
-    """
-    findings = lint_tree(tmp_path, stage_tree(helper))
-    assert [(f.rule, f.path, f.line) for f in findings] == [
-        ("T1005", "pkg/helpers.py", line_of(helper, "open(")),
-    ]
-    assert "shard context" in findings[0].message
-
-
-def test_t1005_quiet_on_a_stage_run_write_in_the_sanctioned_io_module(tmp_path):
-    files = stage_tree("""
-        from pkg.io.files import dump
-
-        def crunch(payload):
-            return dump(payload)
-    """)
-    files["pkg/io/files.py"] = """
-        def dump(payload):
-            with open("artifact.json", "w") as handle:
-                return handle.write(payload)
-    """
-    assert lint_tree(tmp_path, files) == []
 
 
 def test_planted_raw_rng_in_panel_run_yields_d102(tmp_path):

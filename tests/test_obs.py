@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     collecting,
     inc,
     observe,
-    set_gauge,
 )
 from repro.obs.trace import NullTracer, Tracer, current_tracer, tracing
 from repro.obs.metrics import base_name, metric_key
@@ -147,9 +146,8 @@ class TestInstruments:
             counter.inc(-1)
 
     def test_gauge_merges_by_max(self):
-        low, high = Gauge(), Gauge()
-        low.set(2)
-        high.set(9)
+        # Gauges only arrive in snapshots (old ledger records).
+        low, high = Gauge.from_value(2), Gauge.from_value(9)
         low.merge(high)
         assert low.value == 9
 
@@ -185,10 +183,12 @@ class TestInstruments:
 
 class TestRegistry:
     def build(self):
-        registry = MetricsRegistry()
+        # The gauge comes from a snapshot, as old ledger records hold.
+        registry = MetricsRegistry.from_dict(
+            {"depth": {"kind": "gauge", "value": 4}}
+        )
         registry.counter("flows", stage="list").inc(10)
         registry.counter("flows", stage="referrer").inc(3)
-        registry.gauge("depth").set(4)
         registry.histogram("margin", buckets=(0.5, 0.9)).observe(0.95)
         return registry
 
@@ -218,7 +218,9 @@ class TestRegistry:
     def test_kind_conflict_rejected(self):
         registry = self.build()
         with pytest.raises(ObservabilityError):
-            registry.gauge("flows", stage="list")
+            registry.histogram("flows", stage="list")
+        with pytest.raises(ObservabilityError):
+            registry.counter("depth")
         with pytest.raises(ObservabilityError):
             MetricsRegistry.from_dict(
                 {"x": {"kind": "mystery", "value": 1}}
@@ -235,17 +237,14 @@ class TestAmbientCollection:
         # Must not raise, must not create hidden global state.
         inc("orphan")
         observe("orphan.h", 1.0)
-        set_gauge("orphan.g", 2.0)
 
     def test_helpers_write_into_active_registry(self):
         registry = MetricsRegistry()
         with collecting(registry):
             inc("hits", 2, stage="panel")
             observe("margin", 0.75)
-            set_gauge("level", 3)
         assert registry.value("hits", stage="panel") == 2
         assert registry.value("margin")["count"] == 1
-        assert registry.value("level") == 3
 
     def test_scopes_nest_and_restore(self):
         outer, inner = MetricsRegistry(), MetricsRegistry()

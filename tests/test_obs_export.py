@@ -15,17 +15,13 @@ import pytest
 from repro.errors import ObservabilityError
 from repro.obs.clock import TickClock
 from repro.obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
     TRACE_EVENTS_SCHEMA,
     load_trace_events,
-    parse_prometheus_text,
-    prometheus_text,
     trace_document,
     trace_events,
     validate_trace_events,
     write_trace_events,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 
@@ -217,56 +213,3 @@ class TestWorkerTracks:
                 {"name": "a", "ph": "X", "ts": 9, "dur": 1, "pid": 2, "tid": 1},
                 {"name": "b", "ph": "X", "ts": 8, "dur": 1, "pid": 2, "tid": 1},
             ])
-
-
-class TestPrometheus:
-    def build_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("classify.flows", stage="list").inc(10)
-        registry.counter("classify.flows", stage="none").inc(3)
-        registry.gauge("runtime.cache.hit_rate").set(0.5)
-        registry.histogram(
-            "ipmap.country_agreement", buckets=(0.5, 0.9)
-        ).observe(0.95)
-        return registry
-
-    def test_content_type_is_the_prometheus_text_version(self):
-        assert PROMETHEUS_CONTENT_TYPE == "text/plain; version=0.0.4"
-
-    def test_counters_and_gauges_round_trip(self):
-        text = prometheus_text(self.build_registry().to_dict())
-        samples = parse_prometheus_text(text)
-        assert samples['classify_flows{stage="list"}'] == 10.0
-        assert samples['classify_flows{stage="none"}'] == 3.0
-        assert samples["runtime_cache_hit_rate"] == 0.5
-
-    def test_histograms_expand_cumulatively(self):
-        text = prometheus_text(self.build_registry().to_dict())
-        samples = parse_prometheus_text(text)
-        assert samples['ipmap_country_agreement_bucket{le="0.5"}'] == 0.0
-        assert samples['ipmap_country_agreement_bucket{le="0.9"}'] == 0.0
-        assert samples['ipmap_country_agreement_bucket{le="+Inf"}'] == 1.0
-        assert samples["ipmap_country_agreement_sum"] == 0.95
-        assert samples["ipmap_country_agreement_count"] == 1.0
-
-    def test_type_lines_and_catalog_help(self):
-        lines = prometheus_text(self.build_registry().to_dict()).splitlines()
-        assert "# TYPE classify_flows counter" in lines
-        assert "# TYPE runtime_cache_hit_rate gauge" in lines
-        assert "# TYPE ipmap_country_agreement histogram" in lines
-        # Catalog-declared metrics carry their description as HELP.
-        assert any(
-            line.startswith("# HELP classify_flows ") for line in lines
-        )
-
-    def test_empty_snapshot_is_empty_text(self):
-        assert prometheus_text({}) == ""
-        assert parse_prometheus_text("") == {}
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ObservabilityError, match="unknown kind"):
-            prometheus_text({"x": {"kind": "meter", "value": 1}})
-
-    def test_parser_rejects_non_numeric_values(self):
-        with pytest.raises(ObservabilityError, match="non-numeric"):
-            parse_prometheus_text("metric abc")

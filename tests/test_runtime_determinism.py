@@ -7,34 +7,56 @@ and (b) whether the shards ran live or replayed from the artifact
 cache.  Three full engine runs over ``WorldConfig.small()`` are shared
 module-wide; every comparison below is exact equality, no tolerances.
 The pool path gives the same answers under every start method and with
-two pooled runs at once.
+two pooled runs at once.  Every shard is also run once under watch,
+which checks that it is pure (``TestShardPurity``), and a SIGKILLed
+run resumes from the shards it stored (``TestKilledRunResumes``).
 """
 
 from __future__ import annotations
 
+import array
+import collections
+import collections.abc
+import contextlib
+import copy
 import dataclasses
+import functools
 import gc
 import json
 import os
+import pickle
+import random
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
+import types
 from pathlib import Path
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import pytest
 
 import repro.runtime.cache as cache_module
+import repro.runtime.engine as engine_module
 from repro import WorldConfig
 from repro.analysis.figures import figure7
 from repro.analysis.tables import table2, table3
-from repro.datasets.builder import cached_build_world
+from repro.datasets.builder import build_world
+from repro.dnssim.authority import FqdnService
+from repro.geoloc.probes import ProbeMesh
 from repro.obs import names as obs_names
 from repro.obs.clock import TickClock
 from repro.obs.manifest import validate_manifest
 from repro.obs.trace import Tracer
 from repro.runtime import run_study
 from repro.runtime.cache import _collector_paused
+from repro.runtime.engine import ExecutionEngine
+from repro.runtime.executor import _instrumented_run
+from repro.runtime.graph import StageGraph, StageSpec
 from repro.runtime.stages import STAGE_GRAPH, STAGE_NAMES
 
 
@@ -206,21 +228,468 @@ class TestPoolPath:
             )
             assert pooled[seed] == serial.table2_counts(), seed
 
-    def test_stages_read_only_their_declared_inputs(self, serial_run):
-        # A pooled shard is handed its stage's declared input bodies and
-        # nothing else, so every stage must reproduce its index from
-        # them alone.
+
+# ---------------------------------------------------------------------------
+# shard purity: every shard, run once, watched
+# ---------------------------------------------------------------------------
+
+#: world values a shard may fill, (owner class, attribute) -> why that
+#: keeps shard products pure; the harness neither compares nor walks them
+WORLD_MEMOS = {
+    (FqdnService, "_nearest"): (
+        "client site -> NEAREST endpoint, a pure function of the "
+        "service's endpoints (compare=False)"
+    ),
+    (FqdnService, "_groups"): (
+        "the service's weighted answer groups, built once from its "
+        "endpoints (compare=False)"
+    ),
+    (FqdnService, "_fences"): (
+        "client site -> the weighted group its continent is fenced to, "
+        "a pure function of the groups (compare=False)"
+    ),
+    (ProbeMesh, "_distance_rows"): (
+        "probe -> great-circle distances to the sites last asked for, a "
+        "pure function of both"
+    ),
+}
+
+#: the clocks a shard could read the host's time through, each shifted
+#: by CLOCK_SHIFT_S while the harness runs, so a product that depends on
+#: the time differs from the serial run's
+CLOCKS = (
+    "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+    "perf_counter_ns", "process_time", "process_time_ns",
+)
+CLOCK_SHIFT_S = 10 * 365 * 86400
+
+#: ``open`` flags that write; an "open" audit event carrying any is a write
+WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+
+#: audit events that change the filesystem or the process environment
+MUTATING_EVENTS = frozenset({
+    "os.chmod", "os.chown", "os.link", "os.mkdir", "os.putenv",
+    "os.remove", "os.rename", "os.rmdir", "os.symlink", "os.truncate",
+    "os.unsetenv", "os.utime", "shutil.copyfile", "shutil.copymode",
+    "shutil.copystat", "shutil.copytree", "shutil.move", "shutil.rmtree",
+})
+
+#: module-level values whose contents are compared, not only their binding
+CONTAINERS = (list, dict, set, bytearray, collections.deque, array.array)
+
+#: values the world walk neither copies nor enters
+LEAVES = (
+    int, float, complex, str, bytes, frozenset, type(None), range, type,
+    types.FunctionType, types.BuiltinFunctionType, types.ModuleType,
+)
+
+_ABSENT = object()
+
+
+class _Watch:
+    """The audit hook's view of the shard being watched.  The hook stays
+    installed for the process, and returns at once while ``thread`` is
+    None (no shard is being watched)."""
+
+    hooked = False
+    thread: Optional[int] = None
+    hazards: List[str] = []
+
+
+def _audit(event: str, args: Tuple[Any, ...]) -> None:
+    if _Watch.thread is None or _Watch.thread != threading.get_ident():
+        return
+    if event == "open":
+        path, _, flags = args
+        if flags & WRITE_FLAGS:
+            _Watch.hazards.append(f"opens {path!r} to write")
+    elif event in MUTATING_EVENTS:
+        _Watch.hazards.append(f"raises the audit event {event} {args!r}")
+
+
+class _RecordingEnviron(collections.abc.MutableMapping):
+    """``os.environ`` while a shard runs: every access is a hazard."""
+
+    def __init__(self, environ, hazards: List[str]) -> None:
+        self._environ = environ
+        self._hazards = hazards
+
+    def _touch(self, key: str) -> None:
+        self._hazards.append(f"reads the environment ({key!r})")
+
+    def __getitem__(self, key):
+        self._touch(key)
+        return self._environ[key]
+
+    def __setitem__(self, key, value):
+        self._touch(key)
+        self._environ[key] = value
+
+    def __delitem__(self, key):
+        self._touch(key)
+        del self._environ[key]
+
+    def __iter__(self):
+        self._touch("every variable")
+        return iter(self._environ)
+
+    def __len__(self):
+        self._touch("every variable")
+        return len(self._environ)
+
+
+@contextlib.contextmanager
+def shifted_clocks() -> Iterator[None]:
+    saved = {name: getattr(time, name) for name in CLOCKS}
+    for name, clock in saved.items():
+        shift = CLOCK_SHIFT_S * (10 ** 9 if name.endswith("_ns") else 1)
+        setattr(time, name, lambda clock=clock, shift=shift: clock() + shift)
+    try:
+        yield
+    finally:
+        for name, clock in saved.items():
+            setattr(time, name, clock)
+
+
+@contextlib.contextmanager
+def watched_shard() -> Iterator[List[str]]:
+    """Record the shard's environment accesses and filesystem writes."""
+    if not _Watch.hooked:
+        sys.addaudithook(_audit)
+        _Watch.hooked = True
+    hazards: List[str] = []
+    environ = os.environ
+    os.environ = _RecordingEnviron(environ, hazards)
+    _Watch.hazards, _Watch.thread = hazards, threading.get_ident()
+    try:
+        yield hazards
+    finally:
+        _Watch.thread = None
+        os.environ = environ
+
+
+def module_state(names: Sequence[str]) -> Dict[str, Tuple[dict, dict]]:
+    """Each module's namespace, and a copy of each module-level container."""
+    state = {}
+    for name in names:
+        namespace = dict(vars(sys.modules[name]))
+        state[name] = (namespace, {
+            attr: copy.copy(value)
+            for attr, value in namespace.items()
+            if isinstance(value, CONTAINERS)
+        })
+    return state
+
+
+def module_changes(before: Dict[str, Tuple[dict, dict]]) -> List[str]:
+    changes = []
+    for name, (namespace, containers) in before.items():
+        now = vars(sys.modules[name])
+        for attr in sorted(set(namespace) | set(now)):
+            if namespace.get(attr, _ABSENT) is not now.get(attr, _ABSENT):
+                changes.append(f"rebinds {name}.{attr}")
+            elif attr in containers and containers[attr] != now[attr]:
+                changes.append(f"changes the container {name}.{attr}")
+    return changes
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _attributes_without(skipped: set, obj: Any) -> Dict[str, Any]:
+    return {
+        attr: item for attr, item in vars(obj).items() if attr not in skipped
+    }
+
+
+class WorldState:
+    """Every mutable value reachable from the world, with a shallow copy
+    of its contents, so a shard's change anywhere in it is named by its
+    path.  RNGs compare by ``getstate()``; :data:`WORLD_MEMOS` are left
+    out.  Dict keys and set members are hashable, so only their presence
+    is compared."""
+
+    def __init__(self, world: Any) -> None:
+        self._memos: Dict[type, set] = {}
+        for owner, attr in WORLD_MEMOS:
+            self._memos.setdefault(owner, set()).add(attr)
+        #: (read the current contents, value, saved contents, path)
+        self.entries: List[Tuple[Callable[[Any], Any], Any, Any, Any]] = []
+        seen = set()
+        stack: List[Tuple[Any, Any]] = [(world, "world")]
+        while stack:
+            value, path = stack.pop()
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            read, form, children = self._contents(value)
+            if read is not None:
+                saved = copy.copy(read(value))
+                self.entries.append((read, value, saved, path))
+            stack.extend(
+                (child, (path, (form, key)))
+                for key, child in children
+                if not isinstance(child, LEAVES)
+            )
+
+    def _contents(self, value: Any):
+        """How to read ``value``'s contents (None when they cannot
+        change), and its children as a path-step format and (key, child)
+        pairs."""
+        if isinstance(value, random.Random):
+            return random.Random.getstate, "", ()
+        if isinstance(value, dict):
+            return _same, "[{!r}]", value.items()
+        if isinstance(value, list):
+            return _same, "[{}]", enumerate(value)
+        if isinstance(value, tuple):
+            return None, "[{}]", enumerate(value)
+        if isinstance(value, set):
+            return _same, "", ()
+        assert hasattr(value, "__dict__"), (
+            f"the world walk cannot compare a {type(value).__name__}"
+        )
+        skipped = self._memos.get(type(value))
+        read = vars if skipped is None else functools.partial(
+            _attributes_without, skipped
+        )
+        return read, ".{}", read(value).items()
+
+    def changes(self) -> List[str]:
+        return [
+            f"changes {_render(path)}"
+            for read, value, saved, path in self.entries
+            if read(value) != saved
+        ]
+
+
+def _render(path: Any) -> str:
+    """``world.a['b']`` from the walk's (parent, (format, key)) chain."""
+    steps = []
+    while isinstance(path, tuple):
+        path, (form, key) = path
+        steps.append(form.format(key))
+    return path + "".join(reversed(steps))
+
+
+def check_shard_purity(graph, world, products, indexes) -> None:
+    """Run every shard of ``graph`` once on ``world``, as a pool worker
+    does, and fail on any impurity, naming the stage, the shard and the
+    culprit.
+
+    Each shard reads only its stage's declared inputs from ``products``,
+    the serial run's bodies.  Shards run in reverse plan order (stages
+    last to first) with every clock in :data:`CLOCKS` shifted, and
+    each one fails the harness if it rebinds a name or changes a
+    module-level container in a loaded ``repro`` module or in the
+    module of a stage's ``run``, changes a world value outside
+    :data:`WORLD_MEMOS`, touches ``os.environ`` or writes to the
+    filesystem.  Each stage's shard products are then merged in plan
+    order, and the body and index must equal the serial run's.
+    """
+    plans = {
+        spec.name: spec.plan(
+            world, {name: indexes[name] for name in spec.inputs}
+        )
+        for spec in graph.stages
+    }
+    runs = {spec.run.__module__ for spec in graph.stages}
+    modules = sorted(
+        name for name, module in sys.modules.items()
+        if module is not None
+        and (name == "repro" or name.startswith("repro.") or name in runs)
+    )
+    state = WorldState(world)
+    artifacts: Dict[str, Dict[str, Any]] = {}
+    with shifted_clocks():
+        for spec in reversed(graph.stages):
+            inputs = {name: products[name] for name in spec.inputs}
+            artifacts[spec.name] = {}
+            for key, payload in reversed(plans[spec.name]):
+                before = module_state(modules)
+                with watched_shard() as hazards:
+                    artifacts[spec.name][key] = _instrumented_run(
+                        spec.run, world, inputs, spec.name, key, payload
+                    )[0]
+                hazards += module_changes(before) + state.changes()
+                assert not hazards, (
+                    f"stage {spec.name!r}, shard {key!r}: "
+                    + "; ".join(dict.fromkeys(hazards))
+                )
+    for spec in graph.stages:
+        inputs = {name: products[name] for name in spec.inputs}
+        body = spec.merge(world, inputs, [
+            (key, artifacts[spec.name][key]) for key, _ in plans[spec.name]
+        ])
+        serial = products[spec.name]
+        assert body == serial or comparable(body) == comparable(serial), (
+            f"stage {spec.name!r}: the merged body differs from the "
+            "serial run's"
+        )
+        assert spec.index(body) == indexes[spec.name], (
+            f"stage {spec.name!r}: the index differs from the serial run's"
+        )
+
+
+@pytest.fixture(scope="module")
+def pickled_world(engine_config):
+    """A freshly built world, pickled, so each toy case gets its own."""
+    return pickle.dumps(build_world(engine_config))
+
+
+#: toy-stage state at module level, for the module-state cases
+_TOY_LAST_SHARD = None
+_TOY_SHARDS: List[str] = []
+
+
+def _toy_clean(world, products, shard_key, payload):
+    return (shard_key, len(world.users), world.config.seed)
+
+
+def _toy_global_rebind(world, products, shard_key, payload):
+    global _TOY_LAST_SHARD
+    _TOY_LAST_SHARD = shard_key
+    return shard_key
+
+
+def _toy_module_container(world, products, shard_key, payload):
+    _TOY_SHARDS.append(shard_key)
+    return shard_key
+
+
+def _toy_world_attribute(world, products, shard_key, payload):
+    world.last_shard = shard_key
+    return shard_key
+
+
+def _toy_world_rng(world, products, shard_key, payload):
+    # A stream the world's build drew from, so it exists before the shard.
+    return world.streams.get("background-dns").random()
+
+
+def _toy_environ(world, products, shard_key, payload):
+    return os.environ.get("HOME")
+
+
+def _toy_clock(world, products, shard_key, payload):
+    return int(time.time() // 86400)
+
+
+def _toy_open_w(world, products, shard_key, payload):
+    with open(payload, "w") as handle:
+        handle.write(shard_key)
+    return shard_key
+
+
+def _toy_write_text(world, products, shard_key, payload):
+    Path(payload).write_text(shard_key)
+    return shard_key
+
+
+def _toy_os_open(world, products, shard_key, payload):
+    os.close(os.open(payload, os.O_CREAT | os.O_WRONLY))
+    return shard_key
+
+
+def _toy_memo_order(world, products, shard_key, payload):
+    # The first shard to reach an allowlisted memo leaves its key there,
+    # and every later shard reads it back.
+    memo = world.fleet.tracking_fqdns()[0].service._fences
+    return memo.setdefault("toy", shard_key)
+
+
+def toy_graph(run, payloads) -> StageGraph:
+    """A one-stage graph running ``run`` over one shard per payload."""
+    graph = StageGraph()
+    graph.add(StageSpec(
+        name="toy",
+        inputs=(),
+        plan=lambda world, indexes: [
+            (f"toy[{i}]", payload) for i, payload in enumerate(payloads)
+        ],
+        run=run,
+        merge=lambda world, products, results: [
+            artifact for _, artifact in results
+        ],
+        index=lambda body: {"records": {"shards": len(body)}},
+    ))
+    return graph
+
+
+def check_toy(run, pickled_world, tmp_path, monkeypatch) -> None:
+    """The harness over a toy stage, against the engine's serial run of
+    it; each run gets its own fresh world."""
+    graph = toy_graph(run, [str(tmp_path / f"toy{i}") for i in range(3)])
+    monkeypatch.setattr(
+        engine_module, "cached_build_world",
+        lambda config: pickle.loads(pickled_world),
+    )
+    serial = ExecutionEngine(workers=1, graph=graph).run(WorldConfig.small())
+    check_shard_purity(
+        graph, pickle.loads(pickled_world), serial.products, serial.indexes
+    )
+
+
+class TestShardPurity:
+    def test_every_small_shard_is_pure(self, serial_run):
+        # The serial run's bodies are the shards' inputs; a fresh world
+        # has every memo empty and every RNG where the build left it.
         result = serial_run.result
-        world = cached_build_world(result.config)
-        for spec in STAGE_GRAPH.stages:
-            indexes = {name: result.indexes[name] for name in spec.inputs}
-            inputs = {name: result.products[name] for name in spec.inputs}
-            shards = [
-                (key, spec.run(world, inputs, key, payload))
-                for key, payload in spec.plan(world, indexes)
-            ]
-            body = spec.merge(world, inputs, shards)
-            assert spec.index(body) == result.indexes[spec.name], spec.name
+        check_shard_purity(
+            STAGE_GRAPH, build_world(result.config), result.products,
+            result.indexes,
+        )
+
+    def test_a_clean_toy_stage_passes(
+        self, pickled_world, tmp_path, monkeypatch
+    ):
+        check_toy(_toy_clean, pickled_world, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("run, culprit", [
+        pytest.param(
+            _toy_global_rebind, r"'toy\[2\]': rebinds \S*\._TOY_LAST_SHARD",
+            id="global-rebind",
+        ),
+        pytest.param(
+            _toy_module_container,
+            r"'toy\[2\]': changes the container \S*\._TOY_SHARDS",
+            id="module-container",
+        ),
+        pytest.param(
+            _toy_world_attribute, r"'toy\[2\]': changes world(?![.\[])",
+            id="world-attribute",
+        ),
+        pytest.param(
+            _toy_world_rng,
+            r"changes world\.streams\._streams\['background-dns'\]",
+            id="world-rng-draw",
+        ),
+        pytest.param(
+            _toy_environ, r"reads the environment \('HOME'\)",
+            id="environ-read",
+        ),
+        pytest.param(
+            _toy_clock, r"stage 'toy': the merged body differs",
+            id="clock-output",
+        ),
+        pytest.param(_toy_open_w, r"opens '\S*toy2' to write", id="open-w"),
+        pytest.param(
+            _toy_write_text, r"opens '\S*toy2' to write", id="write-text",
+        ),
+        pytest.param(
+            _toy_os_open, r"opens '\S*toy2' to write", id="os-open-creat",
+        ),
+        pytest.param(
+            _toy_memo_order, r"stage 'toy': the merged body differs",
+            id="memo-order",
+        ),
+    ])
+    def test_an_impure_toy_stage_fails(
+        self, run, culprit, pickled_world, tmp_path, monkeypatch
+    ):
+        with pytest.raises(AssertionError, match=culprit):
+            check_toy(run, pickled_world, tmp_path, monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -473,6 +942,58 @@ class TestWarmBodiesDecodeOnDemand:
             expected = stage.n_shards if name == "localization" else 0
             assert stage.executed_shards == expected, name
         assert headline(run) == headline(parallel_cold_run)
+
+
+def stored_shards(cache_root):
+    """How many shard files each stage has stored (temp files left out)."""
+    return {
+        stage: sum(
+            path.endswith(".pkl") for path in shard_files(cache_root, stage)
+        ) if os.path.isdir(os.path.join(cache_root, stage)) else 0
+        for stage in STAGE_NAMES
+    }
+
+
+class TestKilledRunResumes:
+    def test_a_killed_run_resumes_from_its_stored_shards(
+        self, engine_config, serial_run, tmp_path
+    ):
+        # SIGKILL a pooled CLI run once inventory has stored a shard:
+        # the rerun must hit every shard file the dead run left, execute
+        # the rest, and give the serial run's answer.
+        cache = str(tmp_path / "cache")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--preset", "small", "run",
+             "--workers", "2", "--cache-dir", cache],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 300
+            while not stored_shards(cache)["inventory"]:
+                assert proc.poll() is None, proc.communicate()[1]
+                assert time.monotonic() < deadline, "no inventory shard"
+                time.sleep(0.005)
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate(timeout=60)
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a killed worker remains"
+            time.sleep(0.05)
+        stored = stored_shards(cache)
+        run = run_study(engine_config, workers=1, cache_dir=cache)
+        for name, stage in run.result.metrics.items():
+            assert stage.cache_hits == stored[name], name
+            assert stage.cache_misses == stage.n_shards - stored[name], name
+        assert run.cache_misses >= 1
+        assert headline(run) == headline(serial_run)
 
 
 class TestCollectorPaused:
