@@ -165,25 +165,36 @@ class LocalizationAnalyzer:
         The additive form of :meth:`evaluate`: counts over disjoint flow
         subsets sum to the counts over their union, which lets the
         runtime evaluate scenarios shard-by-shard and merge.
+
+        A flow's outcome depends only on its user country, FQDN and
+        server IP, and flows repeat those keys (on ``small``, 13,867
+        EU28 flows hold 5,156 keys), so each key's ``(country_ok,
+        region_ok)`` pair is computed once per call.
         """
+        registry = self._registry
         n = 0
         country_ok = 0
         region_ok = 0
+        outcomes: Dict[Tuple[str, str, IPAddress], Tuple[bool, bool]] = {}
         for request in requests:
-            if (
-                region_of_country(request.user_country, self._registry)
-                is not origin_region
-            ):
+            user_country = request.user_country
+            if region_of_country(user_country, registry) is not origin_region:
                 continue
             n += 1
-            reachable = self._reachable_countries(request, scenario)
-            if request.user_country in reachable:
-                country_ok += 1
-            if any(
-                region_of_country(c, self._registry) is origin_region
-                for c in reachable
-            ):
-                region_ok += 1
+            key = (user_country, request.fqdn, request.ip)
+            outcome = outcomes.get(key)
+            if outcome is None:
+                reachable = self._reachable_countries(request, scenario)
+                outcome = (
+                    user_country in reachable,
+                    any(
+                        region_of_country(c, registry) is origin_region
+                        for c in reachable
+                    ),
+                )
+                outcomes[key] = outcome
+            country_ok += outcome[0]
+            region_ok += outcome[1]
         return n, country_ok, region_ok
 
     def evaluate(

@@ -31,7 +31,11 @@ query, so answers and RNG streams are those of the plain computation.
 Like :meth:`~repro.geoloc.probes.ProbeMesh.distance_rows`, the memos
 are filled without a lock and each value is published whole, with one
 assignment: a thread that races another stores identical values, and a
-worker forked mid-fill inherits no held lock.
+worker forked mid-fill inherits no held lock.  A memo miss measures the
+client site to every endpoint with one
+:func:`~repro.geodata.distance.great_circle_row_km` row; the endpoints'
+row points are taken for that row and not kept, so a service holds no
+geometry beyond its memos.
 
 Server endpoints are duck-typed: any object with ``ip`` (an
 :class:`~repro.netbase.addr.IPAddress`), ``country`` (ISO2 string) and
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import DNSError, NXDomainError
-from repro.geodata.distance import great_circle_km
+from repro.geodata.distance import great_circle_row_km, row_point
 from repro.util.rng import fixed_rng
 from repro.netbase.addr import IPAddress
 
@@ -129,6 +133,14 @@ class FqdnService:
         if self.weights is not None and len(self.weights) != len(self.endpoints):
             raise DNSError(f"FQDN {self.fqdn}: weights/endpoints length mismatch")
 
+    def _distances(self, client: ClientSite) -> List[float]:
+        """Great-circle distance from ``client`` to each endpoint."""
+        return great_circle_row_km(
+            client.lat,
+            client.lon,
+            [row_point(e.lat, e.lon) for e in self.endpoints],
+        )
+
     def select(
         self, client: ClientSite, rng: Optional[random.Random] = None
     ) -> Endpoint:
@@ -136,12 +148,16 @@ class FqdnService:
         if self.policy is SelectionPolicy.NEAREST:
             nearest = self._nearest.get(client)
             if nearest is None:
+                # the closest endpoint; of equally close ones, the lowest IP
+                distances = self._distances(client)
+                closest = min(distances)
                 nearest = min(
-                    self.endpoints,
-                    key=lambda e: (
-                        great_circle_km(client.lat, client.lon, e.lat, e.lon),
-                        int(e.ip),
+                    (
+                        endpoint
+                        for endpoint, d in zip(self.endpoints, distances)
+                        if d == closest
                     ),
+                    key=lambda e: int(e.ip),
                 )
                 self._nearest[client] = nearest
             return nearest
@@ -201,12 +217,8 @@ class FqdnService:
         by_continent = self._weighted_groups()[1]
         group = by_continent.get(_continent_of(client.country))
         if group is None:
-            nearest = min(
-                self.endpoints,
-                key=lambda e: great_circle_km(
-                    client.lat, client.lon, e.lat, e.lon
-                ),
-            )
+            distances = self._distances(client)
+            nearest = self.endpoints[distances.index(min(distances))]
             group = by_continent[_continent_of(nearest.country)]
         return group
 

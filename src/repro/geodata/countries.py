@@ -20,9 +20,12 @@ a simulation, not a data product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import GeoDataError
+
+if TYPE_CHECKING:
+    from repro.geodata.regions import Region
 
 CONTINENTS = ("AF", "AS", "EU", "NA", "OC", "SA")
 
@@ -169,11 +172,20 @@ class CountryRegistry:
     """Lookup and iteration over the simulated world's countries."""
 
     def __init__(self, countries: Iterable[Country]) -> None:
+        # regions.py imports this module, so the mapping is imported late
+        from repro.geodata.regions import region_of
+
         self._by_iso2: Dict[str, Country] = {}
         for country in countries:
             if country.iso2 in self._by_iso2:
                 raise GeoDataError(f"duplicate country {country.iso2}")
             self._by_iso2[country.iso2] = country
+        #: ISO code -> the paper's region label, built with the registry
+        #: for :func:`~repro.geodata.regions.region_of_country` (read-only)
+        self.regions: Dict[str, Region] = {
+            iso2: region_of(country)
+            for iso2, country in self._by_iso2.items()
+        }
 
     def __len__(self) -> int:
         return len(self._by_iso2)

@@ -7,17 +7,27 @@ speed-of-light-in-fibre bound: light in glass covers roughly 200 km per
 millisecond, and real paths are longer than geodesics, so measured RTTs
 sit above ``2 * distance / 200`` with path-stretch and queueing noise on
 top.  :func:`min_rtt_ms` produces such an RTT sample.
+
+:func:`great_circle_km` measures one pair.  Where one point is measured
+to many — a probe's row of candidate sites, a target's campaign probes,
+a client's DNS endpoints — :func:`great_circle_row_km` does the same
+float operations in the same order, with each far point's latitude
+cosine carried in the point (:func:`row_point`), so every value is the
+pair function's, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Tuple
+from math import asin, cos, radians, sin, sqrt
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import ValidationError
 
 EARTH_RADIUS_KM = 6371.0
+#: the haversine's outer factor, ``2.0 * EARTH_RADIUS_KM`` (exact)
+_DIAMETER_KM = 2.0 * EARTH_RADIUS_KM
 #: kilometres light travels per millisecond in fibre (c / refractive index)
 FIBRE_KM_PER_MS = 200.0
 #: typical multiplicative path stretch of real routes over geodesics
@@ -42,6 +52,40 @@ def great_circle_km(
         + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2.0) ** 2
     )
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+
+
+#: a point rows are measured to: ``(lat, lon, cos(radians(lat)))``
+RowPoint = Tuple[float, float, float]
+
+
+def row_point(lat: float, lon: float) -> RowPoint:
+    """``(lat, lon)`` with the latitude cosine the row kernel reads."""
+    return (lat, lon, cos(radians(lat)))
+
+
+def great_circle_row_km(
+    lat: float, lon: float, points: Iterable[RowPoint]
+) -> List[float]:
+    """Great-circle distance in kilometres from ``(lat, lon)`` to each
+    of ``points``, in order.
+
+    Each value equals ``great_circle_km(lat, lon, p_lat, p_lon)`` bit
+    for bit: the origin's cosine is taken once, each point's comes
+    precomputed, and the rest is the haversine's float operations in
+    its order (``r if r < 1.0 else 1.0`` is ``min(1.0, r)``).  Swapping
+    the ends changes no value either, so a row from a target to its
+    probes equals each probe's distance to the target.
+    """
+    cos_lat = cos(radians(lat))
+    row: List[float] = []
+    append = row.append
+    for point_lat, point_lon, point_cos in points:
+        r = sqrt(
+            sin(radians(point_lat - lat) / 2.0) ** 2
+            + cos_lat * point_cos * sin(radians(point_lon - lon) / 2.0) ** 2
+        )
+        append(_DIAMETER_KM * asin(r if r < 1.0 else 1.0))
+    return row
 
 
 def propagation_floor_ms(distance_km: float) -> float:

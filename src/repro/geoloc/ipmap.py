@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import GeolocationConfig
@@ -37,6 +38,8 @@ from repro.geodata.countries import CountryRegistry
 from repro.geodata.distance import (
     BASE_OVERHEAD_MS,
     DEFAULT_PATH_STRETCH,
+    great_circle_row_km,
+    min_rtt_ms,
     rtt_upper_bound_km,
 )
 from repro.geodata.regions import Region, region_of_country
@@ -165,8 +168,15 @@ class IPmapEngine:
         probes = self._mesh.sample(
             campaign_rng, self._config.probes_per_campaign
         )
+        # ``Probe.rtt_to`` per probe, with the target's trig taken once:
+        # one row from the target to the probes, then each probe's RTT
+        # sample drawn in probe order.
+        probe_distances = great_circle_row_km(
+            lat, lon, [probe.point for probe in probes]
+        )
         measured: List[Tuple[float, Probe]] = [
-            (probe.rtt_to(lat, lon, campaign_rng), probe) for probe in probes
+            (min_rtt_ms(distance, campaign_rng), probe)
+            for distance, probe in zip(probe_distances, probes)
         ]
         measured.sort(key=lambda pair: pair[0])
         voters = measured[: self.N_VOTERS]
@@ -186,10 +196,11 @@ class IPmapEngine:
         ]
         shortlist = [self._sites[index] for index in indexes]
         # Per-voter distances to every shortlisted site.
-        distances: List[List[float]] = []
-        for _, probe in voters:
-            row = rows[probe]
-            distances.append([row[index] for index in indexes])
+        pick = itemgetter(*indexes)
+        distances = [pick(rows[probe]) for _, probe in voters]
+        if len(indexes) == 1:
+            # one index: itemgetter returns the item, not a 1-tuple
+            distances = [(distance,) for distance in distances]
         bounds = [rtt_upper_bound_km(rtt) for rtt, _ in voters]
         # Expected ring: deflate the hard bound by the typical path
         # stretch *after* removing the fixed per-measurement overhead —
@@ -249,23 +260,35 @@ class IPmapEngine:
         bounds: Sequence[float],
         expected: Sequence[float],
     ) -> List[float]:
-        """Joint misfit of every shortlisted site over all voters."""
-        scores: List[float] = []
-        for site_index in range(len(shortlist)):
-            score = 0.0
-            for voter_index in range(len(distances)):
-                distance = distances[voter_index][site_index]
-                violation = distance - (
-                    bounds[voter_index] + self.SITE_SLACK_KM
+        """Joint misfit of every shortlisted site over all voters.
+
+        One pass per voter over all sites: each site adds the voter's
+        hard-bound violation penalty, then its ring misfit
+        ``|distance - expected|``, so every site's sum runs in voter
+        order and each score is the same float a site-by-site loop
+        gives.  A ring lies inside its hard bound (``expected <=
+        bound``), so a distance past ``bound + SITE_SLACK_KM`` is past
+        the ring too, and its misfit is ``distance - ring``.
+        """
+        slack = self.SITE_SLACK_KM
+        weight = self.VIOLATION_WEIGHT
+        scores = [0.0] * len(shortlist)
+        for row, bound, ring in zip(distances, bounds, expected):
+            limit = bound + slack
+            scores = [
+                score + (distance - limit) * weight + (distance - ring)
+                if distance > limit
+                else score + (
+                    distance - ring if distance >= ring else ring - distance
                 )
-                if violation > 0:
-                    score += violation * self.VIOLATION_WEIGHT
-                score += abs(distance - expected[voter_index])
-            score -= len(distances) * self._infra_bonus_km.get(
-                shortlist[site_index].country, 0.0
-            )
-            scores.append(score)
-        return scores
+                for score, distance in zip(scores, row)
+            ]
+        voters = len(distances)
+        bonus = self._infra_bonus_km
+        return [
+            score - voters * bonus.get(site.country, 0.0)
+            for score, site in zip(scores, shortlist)
+        ]
 
     def _voter_vote(
         self,

@@ -12,20 +12,29 @@ The mesh also holds the one piece of world-fixed geometry every
 campaign reads: each probe's great-circle distance to every candidate
 site (:meth:`ProbeMesh.distance_rows`).  Both sets are fixed per world,
 so the rows are computed once, on the first campaign, and shared by
-every engine built over the mesh.
+every engine built over the mesh.  Each probe also carries its
+:func:`~repro.geodata.distance.row_point` from construction: a
+campaign measures its target's row to the sampled probes with
+:func:`~repro.geodata.distance.great_circle_row_km`.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import GeolocationConfig
 from repro.errors import GeolocationError
 from repro.geodata.countries import Country, CountryRegistry
-from repro.geodata.distance import great_circle_km, min_rtt_ms
+from repro.geodata.distance import (
+    RowPoint,
+    great_circle_km,
+    great_circle_row_km,
+    min_rtt_ms,
+    row_point,
+)
 from repro.util.rng import RngStreams
 
 
@@ -37,6 +46,12 @@ class Probe:
     country: str
     lat: float
     lon: float
+    #: ``row_point(lat, lon)``: the probe as a campaign's target row
+    #: reads it
+    point: RowPoint = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "point", row_point(self.lat, self.lon))
 
     def rtt_to(
         self, lat: float, lon: float, rng: Optional[random.Random] = None
@@ -83,7 +98,7 @@ class ProbeMesh:
         self, sites: SiteCoordinates
     ) -> Mapping[Probe, Sequence[float]]:
         """Each probe's distance row: ``great_circle_km`` from the probe
-        to every site, in ``sites`` order.
+        to every site, in ``sites`` order, through the row kernel.
 
         Built on the first call and kept for the life of the mesh, so
         every engine over one world shares one copy: 8 bytes per
@@ -98,11 +113,11 @@ class ProbeMesh:
         """
         memo = self._distance_rows
         if memo is None or memo[0] != sites:
+            points = [row_point(lat, lon) for lat, lon in sites]
             rows = {
-                probe: array("d", [
-                    great_circle_km(probe.lat, probe.lon, lat, lon)
-                    for lat, lon in sites
-                ])
+                probe: array(
+                    "d", great_circle_row_km(probe.lat, probe.lon, points)
+                )
                 for probe in self._probes
             }
             memo = (sites, rows)

@@ -107,7 +107,6 @@ class Callee:
     kind: str
     module: str = ""
     qualname: str = ""
-    rendered: str = ""
 
 
 @dataclass(frozen=True)
@@ -506,28 +505,18 @@ class ProgramModel:
                 info, func, class_name, local_names, local_types
             )
         # Calling the result of a call / subscript / lambda: dynamic.
-        return Callee(kind="unknown", rendered="<dynamic>")
+        return Callee("unknown")
 
-    def _symbol_callee(self, symbol: Symbol, rendered: str) -> Callee:
-        if symbol.kind == "function":
+    def _symbol_callee(self, symbol: Symbol) -> Callee:
+        if symbol.kind in ("function", "class"):
             return Callee(
-                "function",
-                module=symbol.module,
-                qualname=symbol.qualname,
-                rendered=rendered,
-            )
-        if symbol.kind == "class":
-            return Callee(
-                "class",
-                module=symbol.module,
-                qualname=symbol.qualname,
-                rendered=rendered,
+                symbol.kind, module=symbol.module, qualname=symbol.qualname
             )
         if symbol.kind == "module":
-            return Callee("module", module=symbol.module, rendered=rendered)
+            return Callee("module", module=symbol.module)
         if symbol.kind == "external":
-            return Callee("external", rendered=rendered)
-        return Callee("unknown", rendered=rendered)
+            return Callee("external")
+        return Callee("unknown")
 
     def _resolve_name_call(
         self, info: ModuleInfo, name: str, local_names: Set[str]
@@ -538,12 +527,12 @@ class ProgramModel:
         # scan cannot distinguish; prefer the module symbol, which is
         # correct for the overwhelmingly common no-shadowing case.
         if symbol is not None:
-            return self._symbol_callee(symbol, name)
+            return self._symbol_callee(symbol)
         if name in local_names:
-            return Callee("unknown", rendered=name)
+            return Callee("unknown")
         if hasattr(builtins, name):
-            return Callee("external", rendered=name)
-        return Callee("unknown", rendered=name)
+            return Callee("external")
+        return Callee("unknown")
 
     def _resolve_attribute_call(
         self,
@@ -556,40 +545,36 @@ class ProgramModel:
         rendered = self._render(func)
         if rendered is None:
             # Method call on a call result / subscript: dynamic.
-            return Callee("unknown", rendered=f"<dynamic>.{func.attr}")
+            return Callee("unknown")
         parts = rendered.split(".")
         root, attrs = parts[0], parts[1:]
         # self.method() / cls.method() inside a class body.
         if root in ("self", "cls") and class_name is not None and len(attrs) == 1:
-            return self._lookup_method(
-                info.name, class_name, attrs[0], rendered
-            )
+            return self._lookup_method(info.name, class_name, attrs[0])
         # obj.method() on a locally-typed variable.
         if root in local_types and len(attrs) == 1:
             module, cls = local_types[root]
-            return self._lookup_method(module, cls, attrs[0], rendered)
+            return self._lookup_method(module, cls, attrs[0])
         symbol = info.symbols.get(root)
         if symbol is None:
             if root in local_names:
-                return Callee("unknown", rendered=rendered)
+                return Callee("unknown")
             if hasattr(builtins, root):
-                return Callee("external", rendered=rendered)
-            return Callee("unknown", rendered=rendered)
+                return Callee("external")
+            return Callee("unknown")
         if symbol.kind == "class" and len(attrs) == 1:
             # ClassName.method(...) — classmethod/static style dispatch.
             return self._lookup_method(
-                symbol.module, symbol.qualname, attrs[0], rendered
+                symbol.module, symbol.qualname, attrs[0]
             )
         if symbol.kind == "module":
-            return self._resolve_dotted(
-                ".".join([symbol.module] + attrs), rendered
-            )
+            return self._resolve_dotted(".".join([symbol.module] + attrs))
         if symbol.kind == "external":
-            return Callee("external", rendered=rendered)
+            return Callee("external")
         # Attribute access on an imported function/constant: dynamic.
-        return Callee("unknown", rendered=rendered)
+        return Callee("unknown")
 
-    def _resolve_dotted(self, dotted: str, rendered: str) -> Callee:
+    def _resolve_dotted(self, dotted: str) -> Callee:
         """Resolve ``pkg.mod.attr...`` via the longest indexed module
         prefix."""
         parts = dotted.split(".")
@@ -604,37 +589,34 @@ class ProgramModel:
                 if symbol is not None and symbol.kind in (
                     "function", "class",
                 ):
-                    return self._symbol_callee(symbol, rendered)
-                return Callee("module", module=prefix, rendered=rendered)
-            return Callee("module", module=prefix, rendered=rendered)
+                    return self._symbol_callee(symbol)
+                return Callee("module", module=prefix)
+            return Callee("module", module=prefix)
         if parts[0] == "repro":
-            return Callee("missing", rendered=dotted)
-        return Callee("external", rendered=rendered)
+            return Callee("missing")
+        return Callee("external")
 
     def _lookup_method(
         self,
         module: str,
         class_name: str,
         attr: str,
-        rendered: str,
         _seen: Optional[Set[Tuple[str, str]]] = None,
     ) -> Callee:
         """Find ``attr`` on a class or its resolvable base classes."""
         seen = _seen if _seen is not None else set()
         if (module, class_name) in seen:
-            return Callee("unknown", rendered=rendered)
+            return Callee("unknown")
         seen.add((module, class_name))
         origin = self.modules.get(module)
         if origin is None:
-            return Callee("unknown", rendered=rendered)
+            return Callee("unknown")
         cls = origin.classes.get(class_name)
         if cls is None:
-            return Callee("unknown", rendered=rendered)
+            return Callee("unknown")
         qualname = cls.methods.get(attr)
         if qualname is not None:
-            return Callee(
-                "function", module=module, qualname=qualname, rendered=rendered
-            )
+            return Callee("function", module=module, qualname=qualname)
         for base in cls.bases:
             base_parts = base.split(".")
             symbol = origin.symbols.get(base_parts[0])
@@ -642,17 +624,17 @@ class ProgramModel:
                 continue
             if symbol.kind == "class" and len(base_parts) == 1:
                 resolved = self._lookup_method(
-                    symbol.module, symbol.qualname, attr, rendered, seen
+                    symbol.module, symbol.qualname, attr, seen
                 )
             elif symbol.kind == "module" and len(base_parts) == 2:
                 resolved = self._lookup_method(
-                    symbol.module, base_parts[1], attr, rendered, seen
+                    symbol.module, base_parts[1], attr, seen
                 )
             else:
                 continue
             if resolved.kind == "function":
                 return resolved
-        return Callee("unknown", rendered=rendered)
+        return Callee("unknown")
 
     # -- lookups ---------------------------------------------------------
     def function(self, ref: FunctionRef) -> Optional[FunctionInfo]:

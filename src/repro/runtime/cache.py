@@ -17,7 +17,10 @@ see :mod:`repro.runtime.engine`) under
 Writes go through a temp file + ``os.replace`` so a crashed run never
 leaves a truncated artifact behind, and a write that fails (full disk,
 unpicklable artifact) removes its temp file before the error
-propagates.  An artifact is corrupt when any exception comes out of
+propagates.  A writer killed between the two leaves its temp file; the
+first store into a directory by a cache sweeps the temp files there
+whose writer process is gone (a warm run stores nothing and pays
+nothing).  An artifact is corrupt when any exception comes out of
 its decode (truncation, flipped bytes, a stale class path): it counts
 as a miss and is overwritten.  A missing file is a plain miss; any
 other error opening one (e.g. permissions) propagates.
@@ -37,7 +40,7 @@ import os
 import pickle
 import threading
 from dataclasses import asdict, is_dataclass
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.errors import ValidationError
 from repro.obs import metrics as obs_metrics
@@ -48,6 +51,10 @@ _DIGEST_BYTES = 20
 
 #: subdirectory of the cache root that holds the stage index entries
 INDEX_DIR = "index"
+
+#: what a store's temp name puts between the artifact path and the
+#: writer's ``<pid>.<thread id>``
+_TEMP_MARK = ".tmp."
 
 
 @contextlib.contextmanager
@@ -71,6 +78,32 @@ def _collector_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _process_alive(pid: int) -> bool:
+    """Whether ``pid`` may name a live process: a zombie, another
+    user's process and a number too large for a pid all count."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        pass
+    return True
+
+
+def _sweep_dead_writers(directory: str) -> None:
+    """Remove the temp files in ``directory`` whose writer is gone.
+
+    A live writer's file stays: it may belong to another process
+    storing into the same cache dir.
+    """
+    for name in os.listdir(directory):
+        writer = name.partition(_TEMP_MARK)[2]
+        pid = writer.split(".", 1)[0]
+        if pid.isdecimal() and not _process_alive(int(pid)):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(directory, name))
 
 
 def _blake(*parts: str) -> str:
@@ -158,6 +191,9 @@ class ArtifactCache:
 
     def __init__(self, cache_dir: Optional[str]) -> None:
         self._root = cache_dir
+        # directories this cache has stored into, each swept of dead
+        # writers' temp files at its first store
+        self._swept: Set[str] = set()
 
     @property
     def enabled(self) -> bool:
@@ -231,7 +267,11 @@ class ArtifactCache:
         if self._root is None:
             return
         path = self._path(stage, key, index)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        if directory not in self._swept:
+            _sweep_dead_writers(directory)
+            self._swept.add(directory)
         # The temp name must be unique per *writer*, not just per
         # process: a library caller may run engines on threads of one
         # process, and two threads sharing a pid-only suffix would
@@ -239,7 +279,7 @@ class ArtifactCache:
         # corrupt artifact.  pid + thread id keeps the
         # write-temp-then-rename slot exclusive for threads and
         # processes alike.
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        tmp = f"{path}{_TEMP_MARK}{os.getpid()}.{threading.get_ident()}"
         try:
             with open(tmp, "wb") as fh:
                 pickle.dump(artifact, fh, protocol=pickle.HIGHEST_PROTOCOL)

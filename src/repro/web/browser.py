@@ -171,7 +171,7 @@ class BrowserExtensionSimulator:
         self._registry = registry
         self._mapping = mapping
         self._streams = streams
-        self._rtb = RTBEngine(fleet, browsing_config, streams)
+        self._rtb = RTBEngine(fleet, browsing_config)
         self._home_samplers: Dict[str, WeightedSampler] = {}
         by_country: Dict[str, List[Publisher]] = {}
         for publisher in self._publishers:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import BrowsingConfig
 from repro.errors import ConfigError
-from repro.util.rng import RngStreams, WeightedSampler, poisson
+from repro.util.rng import WeightedSampler, poisson
 from repro.web.deployment import DeployedFqdn, Fleet
 from repro.web.organizations import OrgKind, ServiceRole
 from repro.web.publishers import Publisher
@@ -81,7 +81,6 @@ class RTBEngine:
         self,
         fleet: Fleet,
         config: BrowsingConfig,
-        streams: RngStreams,
     ) -> None:
         from repro.geodata.countries import default_registry
 

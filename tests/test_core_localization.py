@@ -1,8 +1,11 @@
 """Tests for the localization what-if analysis (Sect. 5, Tables 5/6)."""
 
+import random
+
 import pytest
 
 from repro.core.localization import LocalizationScenario
+from repro.geodata.regions import Region, region_of_country
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +21,39 @@ def analyzer(small_study_module):
 @pytest.fixture(scope="module")
 def tracking(small_study_module):
     return small_study_module.tracking_requests()
+
+
+def reference_counts(analyzer, requests, scenario, origin_region):
+    """``scenario_counts`` flow by flow, as it was before per-key
+    outcomes: every flow's reachable set computed afresh."""
+    n = country_ok = region_ok = 0
+    for request in requests:
+        if region_of_country(request.user_country) is not origin_region:
+            continue
+        n += 1
+        reachable = analyzer._reachable_countries(request, scenario)
+        country_ok += request.user_country in reachable
+        region_ok += any(
+            region_of_country(c) is origin_region for c in reachable
+        )
+    return n, country_ok, region_ok
+
+
+class TestScenarioCounts:
+    @pytest.mark.parametrize("scenario", list(LocalizationScenario))
+    def test_per_key_outcomes_equal_a_per_flow_loop(
+        self, analyzer, tracking, scenario
+    ):
+        flows = list(tracking)
+        random.Random(28).shuffle(flows)
+        keys = {(r.user_country, r.fqdn, r.ip) for r in flows}
+        assert len(keys) < len(flows)
+        for origin in (Region.EU28, Region.REST_EUROPE):
+            counts = analyzer.scenario_counts(flows, scenario, origin)
+            assert counts == reference_counts(
+                analyzer, flows, scenario, origin
+            )
+            assert counts[0] > 0
 
 
 class TestScenarioOrdering:

@@ -28,7 +28,7 @@ from repro.dnssim.resolver import (
 )
 from repro.errors import DNSError, NXDomainError
 from repro.geodata.countries import default_registry
-from repro.geodata.distance import great_circle_km
+from repro.geodata.distance import great_circle_km, great_circle_row_km
 from repro.netbase.addr import IPAddress
 from repro.runtime import run_study
 from repro.runtime.stages import panel_plan, panel_run
@@ -414,11 +414,14 @@ class TestPanelAnswers:
         forget_answers(cached_build_world(small_config))
         calls = []
 
-        def counting(lat1, lon1, lat2, lon2):
-            calls.append(None)
-            return great_circle_km(lat1, lon1, lat2, lon2)
+        def counting_row(lat, lon, points):
+            row = great_circle_row_km(lat, lon, points)
+            calls.extend([None] * len(row))
+            return row
 
-        monkeypatch.setattr(authority_module, "great_circle_km", counting)
+        monkeypatch.setattr(
+            authority_module, "great_circle_row_km", counting_row
+        )
         run_study(small_config, workers=1, targets=("classification",))
         assert len(calls) > 0
         calls.clear()

@@ -13,8 +13,10 @@ from repro.geodata.countries import (
     default_registry)
 from repro.geodata.distance import (
                 great_circle_km,
+    great_circle_row_km,
     min_rtt_ms,
     propagation_floor_ms,
+    row_point,
     rtt_upper_bound_km)
 from repro.geodata.regions import (
     Region,
@@ -119,6 +121,23 @@ class TestRegions:
         for country in default_registry():
             assert region_of(country) is region_of_country(country.iso2)
 
+    def test_region_table_maps_every_code(self):
+        registry = default_registry()
+        assert sorted(registry.regions) == registry.codes()
+        for code in registry.codes():
+            region = region_of(registry.get(code))
+            assert registry.regions[code] is region
+            assert region_of_country(code, registry) is region
+
+    def test_region_table_is_the_given_registry(self):
+        # A registry's table holds its own countries: a code it lacks
+        # raises even when the default registry knows it.
+        registry = CountryRegistry([default_registry().get("CH")])
+        assert registry.regions == {"CH": Region.REST_EUROPE}
+        assert region_of_country("CH", registry) is Region.REST_EUROPE
+        with pytest.raises(GeoDataError):
+            region_of_country("DE", registry)
+
     def test_same_country(self):
         assert same_country("DE", "DE")
         assert not same_country("DE", "FR")
@@ -175,6 +194,84 @@ class TestDistance:
             distance = rng.uniform(0, 15000)
             rtt = min_rtt_ms(distance, rng)
             assert rtt >= propagation_floor_ms(distance)
+
+
+def _bits(values):
+    return [value.hex() for value in values]
+
+
+def _antipode(lat, lon):
+    return (-lat, lon + 180.0 if lon <= 0.0 else lon - 180.0)
+
+
+class TestRowKernel:
+    """``great_circle_row_km`` gives ``great_circle_km``'s floats bit
+    for bit, from the origin to each point (the mesh rows' order) and
+    from each point to the origin (a campaign's target row)."""
+
+    #: identical points, antipodes, both poles and both sides of the
+    #: antimeridian pair up among these
+    EDGE_POINTS = [
+        (0.0, 0.0), (0.0, 180.0), (0.0, -180.0), (90.0, 0.0),
+        (-90.0, 0.0), (90.0, -180.0), (-90.0, 180.0), (45.0, -90.0),
+        (-45.0, 90.0), (52.52, 13.41), (-52.52, -166.59), (12.0, 179.99),
+        (-12.0, -0.01), (89.999, -179.999), (-89.999, 0.001),
+    ]
+
+    @staticmethod
+    def assert_rows_match(origins, points):
+        row_points = [row_point(lat, lon) for lat, lon in points]
+        for lat, lon in origins:
+            row = _bits(great_circle_row_km(lat, lon, row_points))
+            assert row == _bits(
+                great_circle_km(lat, lon, p_lat, p_lon)
+                for p_lat, p_lon in points
+            )
+            assert row == _bits(
+                great_circle_km(p_lat, p_lon, lat, lon)
+                for p_lat, p_lon in points
+            )
+
+    def test_random_points(self):
+        rng = random.Random(28)
+        points = [
+            (rng.uniform(-90, 90), rng.uniform(-180, 180))
+            for _ in range(400)
+        ]
+        self.assert_rows_match(points[:100], points)
+
+    def test_edge_points(self):
+        self.assert_rows_match(self.EDGE_POINTS, self.EDGE_POINTS)
+
+    def test_identical_points_are_zero_apart(self):
+        for lat, lon in self.EDGE_POINTS:
+            assert great_circle_row_km(lat, lon, [row_point(lat, lon)]) == [
+                0.0
+            ]
+
+    def test_antipodes_take_the_clamp(self):
+        # The haversine term reaches 1.0 at these antipodes, so the
+        # clamp's branch gives the value: half the circumference.
+        half = 2.0 * 6371.0 * math.asin(1.0)
+        for lat, lon in ((0.0, 0.0), (45.0, -90.0), (-12.0, 169.0)):
+            point = row_point(*_antipode(lat, lon))
+            assert great_circle_row_km(lat, lon, [point]) == [half]
+            assert great_circle_km(lat, lon, *_antipode(lat, lon)) == half
+
+    def test_empty_row(self):
+        assert great_circle_row_km(10.0, 20.0, []) == []
+
+
+@given(
+    st.floats(min_value=-90, max_value=90),
+    st.floats(min_value=-180, max_value=180),
+    st.floats(min_value=-90, max_value=90),
+    st.floats(min_value=-180, max_value=180),
+)
+def test_row_kernel_matches_pair_property(lat1, lon1, lat2, lon2):
+    row = great_circle_row_km(lat1, lon1, [row_point(lat2, lon2)])
+    assert _bits(row) == _bits([great_circle_km(lat1, lon1, lat2, lon2)])
+    assert _bits(row) == _bits([great_circle_km(lat2, lon2, lat1, lon1)])
 
 
 @given(

@@ -9,8 +9,14 @@ from array import array
 
 import pytest
 
+from repro.config import GeolocationConfig
 from repro.datasets.builder import build_world, cached_build_world
-from repro.geodata.distance import great_circle_km, rtt_upper_bound_km
+from repro.geodata.countries import Country, CountryRegistry
+from repro.geodata.distance import (
+    great_circle_km,
+    great_circle_row_km,
+    rtt_upper_bound_km,
+)
 from repro.geodata.regions import region_of_country
 from repro.geoloc import ipmap as ipmap_module
 from repro.geoloc import probes as probes_module
@@ -21,6 +27,7 @@ from repro.geoloc.probes import Probe, ProbeMesh
 from repro.netbase.addr import IPAddress
 from repro.runtime import run_study
 from repro.runtime.stages import campaign_engine
+from repro.util.rng import RngStreams, seeded_rng
 
 
 class TestProbeMesh:
@@ -114,6 +121,43 @@ def _server_ips(world, count):
     return sorted({server.ip for server in world.fleet.servers()})[:count]
 
 
+def _measured(world, engine, address):
+    """A campaign's ``(rtt, probe)`` pairs as ``Probe.rtt_to`` measures
+    them, from an RNG seeded as the engine seeds the campaign's."""
+    rng = seeded_rng(engine._campaign_seed, f"campaign:{address}")
+    lat, lon = world.oracle.coordinates(address)
+    probes = world.probes.sample(
+        rng, world.config.geolocation.probes_per_campaign
+    )
+    return [(probe.rtt_to(lat, lon, rng), probe) for probe in probes]
+
+
+def reference_joint_scores(engine, shortlist, distances, bounds, expected):
+    """``IPmapEngine._joint_scores`` as it was before the voter-outer
+    fit: site by site, each voter's violation penalty and ring misfit
+    added in voter order."""
+    scores = []
+    for site_index in range(len(shortlist)):
+        score = 0.0
+        for voter_index in range(len(distances)):
+            distance = distances[voter_index][site_index]
+            violation = distance - (
+                bounds[voter_index] + engine.SITE_SLACK_KM
+            )
+            if violation > 0:
+                score += violation * engine.VIOLATION_WEIGHT
+            score += abs(distance - expected[voter_index])
+        score -= len(distances) * engine._infra_bonus_km.get(
+            shortlist[site_index].country, 0.0
+        )
+        scores.append(score)
+    return scores
+
+
+def _bits(values):
+    return [value.hex() for value in values]
+
+
 class TestDistanceRows:
     """Each probe's distances to the candidate sites are computed once
     per world, stored compactly, shared by every engine over the mesh,
@@ -146,19 +190,21 @@ class TestDistanceRows:
     def test_index_shortlist_equals_filtering_sites(
         self, small_world, monkeypatch
     ):
+        # Each campaign's RTTs are recomputed with ``Probe.rtt_to`` from
+        # an identically seeded RNG: the voters' hard bounds must be
+        # theirs, and the shortlist the sites within the best probe's.
         engine = campaign_engine(small_world)
         measured = []
         checked = []
-        rtt_to = Probe.rtt_to
         joint_scores = engine._joint_scores
 
-        def measuring(probe, lat, lon, rng=None):
-            rtt = rtt_to(probe, lat, lon, rng)
-            measured.append((rtt, probe))
-            return rtt
-
-        def scoring(shortlist, *args):
-            rtt, best = min(measured, key=lambda pair: pair[0])
+        def scoring(shortlist, distances, bounds, expected):
+            voters = sorted(measured, key=lambda pair: pair[0])
+            voters = voters[: engine.N_VOTERS]
+            assert _bits(bounds) == _bits(
+                [rtt_upper_bound_km(rtt) for rtt, _ in voters]
+            )
+            rtt, best = voters[0]
             radius = rtt_upper_bound_km(rtt) + engine.SITE_SLACK_KM
             assert list(shortlist) == [
                 site
@@ -166,15 +212,75 @@ class TestDistanceRows:
                 if great_circle_km(best.lat, best.lon, site.lat, site.lon)
                 <= radius
             ]
-            measured.clear()
             checked.append(shortlist)
-            return joint_scores(shortlist, *args)
+            return joint_scores(shortlist, distances, bounds, expected)
 
-        monkeypatch.setattr(Probe, "rtt_to", measuring)
         monkeypatch.setattr(engine, "_joint_scores", scoring)
         for address in _server_ips(small_world, 200):
+            measured[:] = _measured(small_world, engine, address)
             engine.geolocate(address)
         assert len(checked) == 200
+
+    def test_joint_scores_equal_site_by_site_reference(
+        self, small_world, monkeypatch
+    ):
+        engine = campaign_engine(small_world)
+        checked = []
+        joint_scores = engine._joint_scores
+
+        def scoring(*args):
+            scores = joint_scores(*args)
+            assert _bits(scores) == _bits(
+                reference_joint_scores(engine, *args)
+            )
+            checked.append(len(scores))
+            return scores
+
+        monkeypatch.setattr(engine, "_joint_scores", scoring)
+        for address in _server_ips(small_world, 300):
+            engine.geolocate(address)
+        assert len(checked) == 300
+        assert max(checked) > 1
+
+    def test_one_site_shortlist(self, monkeypatch):
+        # Two probes on the equator 120 degrees apart, country centroids
+        # far from both: a target beside the first probe shortlists that
+        # probe's own site alone, where itemgetter returns a scalar.
+        registry = CountryRegistry([
+            Country("AA", "A", "AF", False, 1.0, 10.0, 40.0, 60.0),
+            Country("BB", "B", "AS", False, 1.0, 10.0, -40.0, -60.0),
+        ])
+        mesh = ProbeMesh(
+            [Probe(0, "AA", 0.0, 0.0), Probe(1, "BB", 0.0, 120.0)]
+        )
+
+        class Oracle:
+            @staticmethod
+            def coordinates(address):
+                return (0.0, 0.5)
+
+        engine = IPmapEngine(
+            mesh, Oracle(), registry, GeolocationConfig(), RngStreams(28),
+            campaign_seed=28,
+        )
+        seen = []
+        joint_scores = engine._joint_scores
+
+        def scoring(shortlist, distances, bounds, expected):
+            seen.append((list(shortlist), [list(row) for row in distances]))
+            scores = joint_scores(shortlist, distances, bounds, expected)
+            assert scores == reference_joint_scores(
+                engine, shortlist, distances, bounds, expected
+            )
+            return scores
+
+        monkeypatch.setattr(engine, "_joint_scores", scoring)
+        estimate = engine.geolocate(IPAddress.parse("192.0.2.1"))
+        assert seen == [([engine._sites[0]], [[0.0], [
+            great_circle_km(0.0, 120.0, 0.0, 0.0)
+        ]])]
+        assert estimate.country == "AA"
+        assert estimate.votes == (("AA", 2),)
 
     def test_pinned_estimates(self, small_world):
         engine = campaign_engine(small_world)
@@ -266,9 +372,18 @@ class TestDistanceRows:
             calls.append(None)
             return great_circle_km(lat1, lon1, lat2, lon2)
 
+        def counting_row(lat, lon, points):
+            row = great_circle_row_km(lat, lon, points)
+            calls.extend([None] * len(row))
+            return row
+
         for module in (ipmap_module, probes_module):
             if hasattr(module, "great_circle_km"):
                 monkeypatch.setattr(module, "great_circle_km", counting)
+            if hasattr(module, "great_circle_row_km"):
+                monkeypatch.setattr(
+                    module, "great_circle_row_km", counting_row
+                )
         run = run_study(small_config, workers=1, targets=("geolocation",))
         addresses = len(run.products["geolocation"]["table"])
         sites = len(next(iter(world.probes._distance_rows[1].values())))

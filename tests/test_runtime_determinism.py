@@ -994,6 +994,15 @@ class TestKilledRunResumes:
             assert stage.cache_misses == stage.n_shards - stored[name], name
         assert run.cache_misses >= 1
         assert headline(run) == headline(serial_run)
+        # the rerun stored into every directory the dead run was writing
+        # to, and swept the dead writers' temp files there
+        leftovers = [
+            os.path.join(directory, name)
+            for directory, _, names in os.walk(cache)
+            for name in names
+            if ".tmp." in name
+        ]
+        assert leftovers == []
 
 
 class TestCollectorPaused:

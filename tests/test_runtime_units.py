@@ -12,6 +12,8 @@ import errno
 import gc
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -206,6 +208,32 @@ class TestArtifactCache:
             if not p.name.endswith(".pkl")
         ]
         assert leftovers == []
+
+    def test_first_store_sweeps_dead_writers_temp_files(self, tmp_path):
+        # A writer killed between its temp write and the rename leaves
+        # <key>.pkl.tmp.<pid>.<tid>.  The next cache to store into that
+        # directory removes the file once its pid is gone, and keeps a
+        # live writer's, which may be another process's store underway.
+        exited = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True, text=True, check=True,
+        )
+        dead = f"k0.pkl.tmp.{int(exited.stdout)}.7"
+        live = f"k0.pkl.tmp.{os.getpid()}.7"
+        stage_dir = tmp_path / "stage"
+        index_dir = tmp_path / "index" / "stage"
+        for directory in (stage_dir, index_dir):
+            directory.mkdir(parents=True)
+            for name in (dead, live):
+                (directory / name).write_bytes(b"\x80\x05partial")
+        cache = ArtifactCache(str(tmp_path))
+        assert cache.load("stage", "k0") == (False, None)
+        assert sorted(os.listdir(stage_dir)) == sorted([dead, live])
+        cache.store("stage", "k1", "shard")
+        assert sorted(os.listdir(stage_dir)) == sorted(["k1.pkl", live])
+        assert sorted(os.listdir(index_dir)) == sorted([dead, live])
+        cache.store("stage", "k1", "index", index=True)
+        assert sorted(os.listdir(index_dir)) == sorted(["k1.pkl", live])
 
     def test_full_disk_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
         # ENOSPC in the middle of the temp-file write: the error

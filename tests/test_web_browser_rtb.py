@@ -49,11 +49,7 @@ class TestRequestHelpers:
 class TestRTBEngine:
     @pytest.fixture()
     def engine(self, small_world):
-        return RTBEngine(
-            small_world.fleet,
-            small_world.config.browsing,
-            small_world.streams.spawn("test-rtb"),
-        )
+        return RTBEngine(small_world.fleet, small_world.config.browsing)
 
     def _publisher(self, small_world, sensitive=None):
         candidates = [
