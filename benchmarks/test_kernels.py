@@ -1,7 +1,12 @@
 """Hot kernels of a cold run, timed on their own on the small world.
 
-Three timings, none gated:
+Five timings, none gated:
 
+* one panel shard (``panel_run``): a fresh shard-local DNS mapping and
+  browser simulator, then ``BrowserExtensionSimulator.simulate`` over
+  the shard's users, which renders and logs every third-party request;
+* ``RequestClassifier.classify`` over the whole small panel (39,276
+  requests): filter lists, referrer closure and keywords;
 * the probe mesh's distance rows, built on a fresh mesh: every probe's
   great-circle row to every candidate site (752 × 827 pairs);
 * 300 active-geolocation campaigns with the rows already built: the
@@ -9,10 +14,12 @@ Three timings, none gated:
 * the Table 5 scenario counts, all six scenarios over the tracking
   flows.
 
+The first two are the kernels behind perfbench's ``cold`` workload
+(``panel_s`` and ``classification_s``); the others feed its ``warm``
+set-up layers (see the "Measuring" section of ``docs/runtime.md``).
 ``make bench`` runs them with the paper benchmarks;
-``pytest benchmarks/test_kernels.py --benchmark-only`` runs them alone.
-The end-to-end numbers these kernels feed are perfbench's ``setup_``
-layers (see the "Measuring" section of ``docs/runtime.md``).
+``pytest benchmarks/test_kernels.py --benchmark-only`` runs them alone,
+and with ``--benchmark-disable`` each runs once with its asserts.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from __future__ import annotations
 import pytest
 
 from repro import Study, WorldConfig
+from repro.core.classify import ClassificationStage
 from repro.core.localization import LocalizationScenario
 from repro.geoloc.probes import ProbeMesh
-from repro.runtime.stages import campaign_engine
+from repro.runtime.stages import campaign_engine, panel_plan, panel_run
 
 N_CAMPAIGNS = 300
 
@@ -30,6 +38,32 @@ N_CAMPAIGNS = 300
 @pytest.fixture(scope="module")
 def small_study() -> Study:
     return Study(WorldConfig.small())
+
+
+def test_panel_shard(benchmark, small_study):
+    world = small_study.world
+    shard_key, payload = panel_plan(world, {})[0]
+
+    def shard():
+        return panel_run(world, {}, shard_key, payload)
+
+    product = benchmark(shard)
+    lo, hi = payload
+    users = {user.user_id for user in world.users[lo:hi]}
+    assert product["requests"]
+    assert {request.user_id for request in product["requests"]} <= users
+
+
+def test_classify(benchmark, small_study):
+    requests = small_study.visit_log.requests
+    classifier = small_study.classifier
+
+    def classify():
+        return classifier.classify(requests)
+
+    result = benchmark(classify)
+    assert result.stages == small_study.classification.stages
+    assert ClassificationStage.LIST in result.stages
 
 
 def test_distance_rows(benchmark, small_study):

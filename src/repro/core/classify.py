@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 from repro.errors import ValidationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
-from repro.web.filterlists import FilterList
+from repro.web.filterlists import FilterList, HostVerdict
 from repro.web.requests import ThirdPartyRequest
 from repro.web.rtb import TRACKING_KEYWORDS
 
@@ -188,8 +188,10 @@ class RequestClassifier:
     def matches_lists(self, request: ThirdPartyRequest) -> bool:
         """Stage-1 predicate: does either filter list match the request?
 
-        Raises :class:`repro.errors.ClassificationError` when the
-        request URL carries no derivable host (propagated from
+        The per-request reference for :meth:`classify`'s first stage,
+        which reaches the same verdict with each host's anchor verdicts
+        derived once.  Raises :class:`repro.errors.ClassificationError`
+        when the request URL carries no derivable host (propagated from
         :attr:`ThirdPartyRequest.fqdn`).
         """
         url, fqdn = request.url, request.fqdn
@@ -227,14 +229,27 @@ class RequestClassifier:
         ltf_urls: Set[str] = set()
         by_referrer: Dict[str, List[int]] = defaultdict(list)
 
-        # Stage 1: filter lists.
+        # Stage 1: filter lists, as :meth:`matches_lists`.  Anchor rules
+        # read the host alone, so both lists' host verdicts are derived
+        # once per FQDN; only the substring rules read each URL.
+        easylist, easyprivacy = self._easylist, self._easyprivacy
+        hosts: Dict[str, Tuple[HostVerdict, HostVerdict]] = {}
         frontier: List[str] = []
         for index, request in enumerate(requests):
-            if self.matches_lists(request):
+            fqdn, url = request.fqdn, request.url
+            verdicts = hosts.get(fqdn)
+            if verdicts is None:
+                verdicts = hosts[fqdn] = (
+                    easylist.host_verdict(fqdn),
+                    easyprivacy.host_verdict(fqdn),
+                )
+            if easylist.url_matches(url, verdicts[0]) or (
+                easyprivacy.url_matches(url, verdicts[1])
+            ):
                 stages[index] = ClassificationStage.LIST
-                if request.url not in ltf_urls:
-                    ltf_urls.add(request.url)
-                    frontier.append(request.url)
+                if url not in ltf_urls:
+                    ltf_urls.add(url)
+                    frontier.append(url)
             else:
                 by_referrer[request.referrer].append(index)
 

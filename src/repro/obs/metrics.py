@@ -241,7 +241,11 @@ class MetricsRegistry:
 
     Instrument creation and merging are guarded by a lock: a library
     caller may read one registry on one thread while engine runs on
-    other threads create instruments in it.
+    other threads create instruments in it.  Looking up an instrument
+    that already exists takes no lock.  That is safe because nothing
+    removes or replaces a stored instrument: creation, :meth:`merge`
+    and :meth:`from_dict` only add absent keys, so a key once seen
+    maps to the same instrument for the registry's lifetime.
     """
 
     def __init__(self) -> None:
@@ -252,6 +256,9 @@ class MetricsRegistry:
         return len(self._instruments)
 
     def _get(self, kind: str, key: str, factory) -> Any:
+        instrument = self._instruments.get(key)
+        if instrument is not None and instrument.kind == kind:
+            return instrument
         with self._lock:
             instrument = self._instruments.get(key)
             if instrument is None:

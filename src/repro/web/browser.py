@@ -28,6 +28,7 @@ later makes the tracker-IP completeness step possible.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +41,7 @@ from repro.geodata.countries import CountryRegistry
 from repro.util.rng import RngStreams, WeightedSampler, poisson
 from repro.web.deployment import Fleet, Server
 from repro.web.publishers import Publisher
-from repro.web.requests import ThirdPartyRequest, Visit, build_url
+from repro.web.requests import ThirdPartyRequest, Visit, build_url, tld1_of
 from repro.web.rtb import RequestSpec, RTBEngine
 from repro.web.users import PanelUser
 
@@ -172,6 +173,8 @@ class BrowserExtensionSimulator:
         self._mapping = mapping
         self._streams = streams
         self._rtb = RTBEngine(fleet, browsing_config)
+        #: FQDN -> its TLD+1, derived once per FQDN this simulator renders
+        self._tld1s: Dict[str, str] = {}
         self._home_samplers: Dict[str, WeightedSampler] = {}
         by_country: Dict[str, List[Publisher]] = {}
         for publisher in self._publishers:
@@ -310,15 +313,25 @@ class BrowserExtensionSimulator:
             ]
             specs_chains.append([self._rtb.clean_request(partner, rng)])
 
+        # Each request's URL facts come from the spec its URL is built
+        # from, so no URL is split again: the host is the spec's FQDN, and
+        # the URL has arguments exactly when the spec does.  TLD+1s are
+        # interned as a parsed request's are, so FQDNs under one domain
+        # share one string and the panel pickles as it would parsed.
+        tld1s = self._tld1s
         first_party_url = f"https://{publisher.domain}/"
         for chain in specs_chains:
             urls: List[str] = []
             depths: List[int] = []
             for spec in chain:
-                server = self._mapping.resolve(spec.fqdn, vantage, day)
+                fqdn = spec.fqdn
+                server = self._mapping.resolve(fqdn, vantage, day)
                 https = rng.random() < 0.834
-                url = build_url(spec.fqdn, spec.path, spec.args, https)
+                url = build_url(fqdn, spec.path, spec.args, https)
                 urls.append(url)
+                tld1 = tld1s.get(fqdn)
+                if tld1 is None:
+                    tld1 = tld1s[fqdn] = sys.intern(tld1_of(fqdn))
                 if spec.parent is None:
                     referrer = first_party_url
                     depth = 0
@@ -340,5 +353,6 @@ class BrowserExtensionSimulator:
                         truth_org=spec.org_name,
                         truth_country=server.country,
                         chain_depth=depth,
+                        facts=(fqdn, tld1, bool(spec.args)),
                     )
                 )

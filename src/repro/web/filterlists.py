@@ -34,6 +34,10 @@ from repro.web.deployment import Fleet
 from repro.web.organizations import OrgKind
 
 
+#: one list's anchor-rule verdict on a host: (blocked, excepted)
+HostVerdict = Tuple[bool, bool]
+
+
 class RuleAction(enum.Enum):
     BLOCK = "block"
     ALLOW = "allow"  # @@ exception
@@ -101,6 +105,16 @@ class FilterRule:
         return self.substring in url
 
 
+def _contains_any(url: str, texts: List[str]) -> bool:
+    # A plain loop: ``any()`` over a generator costs about three times
+    # as much per request, and every request is matched against both
+    # lists.
+    for text in texts:
+        if text in url:
+            return True
+    return False
+
+
 class FilterList:
     """A named, ordered collection of filter rules with fast matching."""
 
@@ -108,8 +122,8 @@ class FilterList:
         self.name = name
         self._block_anchors: Set[str] = set()
         self._allow_anchors: Set[str] = set()
-        self._block_substrings: List[FilterRule] = []
-        self._allow_substrings: List[FilterRule] = []
+        self._block_substrings: List[str] = []
+        self._allow_substrings: List[str] = []
         self._n_rules = 0
         for rule in rules:
             self.add(rule)
@@ -132,7 +146,8 @@ class FilterList:
                 if rule.action is RuleAction.BLOCK
                 else self._allow_substrings
             )
-            target_list.append(rule)
+            assert rule.substring is not None
+            target_list.append(rule.substring)
 
     def add_lines(self, lines: Iterable[str]) -> None:
         """Parse and add rule lines, skipping comments and blanks."""
@@ -151,18 +166,33 @@ class FilterList:
                 return True
         return False
 
-    def matches(self, url: str, fqdn: str) -> bool:
-        """ABP semantics: any block match, unless an exception matches."""
+    def host_verdict(self, fqdn: str) -> HostVerdict:
+        """The anchor rules' verdict on a host: ``(blocked, excepted)``
+        by ``||d^`` and ``@@||d^`` rules, matched case-insensitively.
+
+        Anchor rules read the host alone, so one verdict serves every
+        URL on that host (see :meth:`url_matches`).
+        """
         fqdn = fqdn.lower()
-        blocked = self._anchor_hit(fqdn, self._block_anchors) or any(
-            rule.matches(url, fqdn) for rule in self._block_substrings
+        return (
+            self._anchor_hit(fqdn, self._block_anchors),
+            self._anchor_hit(fqdn, self._allow_anchors),
         )
-        if not blocked:
+
+    def url_matches(self, url: str, host: HostVerdict) -> bool:
+        """ABP semantics given the URL host's :meth:`host_verdict`: any
+        block match, unless an exception matches.  What is left to match
+        are the substring rules, which read the URL alone."""
+        blocked, excepted = host
+        if excepted or not (
+            blocked or _contains_any(url, self._block_substrings)
+        ):
             return False
-        allowed = self._anchor_hit(fqdn, self._allow_anchors) or any(
-            rule.matches(url, fqdn) for rule in self._allow_substrings
-        )
-        return not allowed
+        return not _contains_any(url, self._allow_substrings)
+
+    def matches(self, url: str, fqdn: str) -> bool:
+        """Does the list match a request to ``url`` on host ``fqdn``?"""
+        return self.url_matches(url, self.host_verdict(fqdn))
 
     def anchor_domains(self) -> List[str]:
         return sorted(self._block_anchors)

@@ -11,8 +11,8 @@ the measurement pipeline itself never reads.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import InitVar, dataclass
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import ClassificationError
@@ -68,6 +68,30 @@ def url_args(url: str) -> Dict[str, str]:
     return dict(parse_qsl(urlsplit(url).query))
 
 
+#: a request URL's host, TLD+1 and has-args; ``None`` marks a fact the
+#: URL does not yield, which its accessor re-derives and so raises
+UrlFacts = Tuple[Optional[str], Optional[str], Optional[bool]]
+
+
+def _parse_url_facts(url: str) -> UrlFacts:
+    """Split ``url`` once into the facts a request stores."""
+    host: Optional[str] = None
+    tld1: Optional[str] = None
+    has_args: Optional[bool] = None
+    try:
+        parts = urlsplit(url)
+        host, has_args = parts.hostname, bool(parts.query)
+    except ValueError:
+        pass  # unparseable: the accessors re-raise the parser's error
+    if host is not None:
+        host = sys.intern(host)
+        try:
+            tld1 = sys.intern(tld1_of(host))
+        except ClassificationError:
+            pass  # no TLD+1: the accessor raises on access
+    return host, tld1, has_args
+
+
 @dataclass(frozen=True)
 class ThirdPartyRequest:
     """One observed third-party request.
@@ -93,29 +117,25 @@ class ThirdPartyRequest:
     truth_country: str
     chain_depth: int
 
-    def __post_init__(self) -> None:
-        # The URL is split once, here, and its facts are kept as plain
-        # attributes: the record path reads ``fqdn``/``tld1``/``has_args``
-        # per request in every stage and report.  They are not fields, so
-        # equality, hashing, ``asdict`` and the export see the logged
-        # fields only; pickles carry them, so replayed shard artifacts
-        # never re-parse.  A URL without a derivable host or TLD+1 stores
-        # ``None`` and the accessor re-derives it, which raises: malformed
-        # logs still fail loudly, on access rather than at construction.
-        host: Optional[str] = None
-        tld1: Optional[str] = None
-        has_args: Optional[bool] = None
-        try:
-            parts = urlsplit(self.url)
-            host, has_args = parts.hostname, bool(parts.query)
-        except ValueError:
-            pass  # unparseable: the accessors re-raise the parser's error
-        if host is not None:
-            host = sys.intern(host)
-            try:
-                tld1 = sys.intern(tld1_of(host))
-            except ClassificationError:
-                pass  # no TLD+1: the accessor raises on access
+    #: the URL's facts when the caller already knows them (the panel
+    #: renderer, from the spec it builds the URL from); init-only
+    facts: InitVar[Optional[UrlFacts]] = None
+
+    def __post_init__(self, facts: Optional[UrlFacts]) -> None:
+        # The record path reads ``fqdn``/``tld1``/``has_args`` per request
+        # in every stage and report, so they are kept as plain attributes.
+        # The renderer passes them in as ``facts``; every other caller
+        # (the export reader, tests, ``dataclasses.replace``) leaves it
+        # ``None`` and the URL is split once, here.  They are not fields,
+        # and ``facts`` is init-only, so equality, hashing, ``asdict``,
+        # repr and the export see the logged fields only; pickles carry
+        # them, so replayed shard artifacts never re-parse.  A URL without
+        # a derivable host or TLD+1 stores ``None`` and the accessor
+        # re-derives it, which raises: malformed logs still fail loudly,
+        # on access rather than at construction.
+        if facts is None:
+            facts = _parse_url_facts(self.url)
+        host, tld1, has_args = facts
         object.__setattr__(self, "_host", host)
         object.__setattr__(self, "_tld1", tld1)
         object.__setattr__(self, "_has_args", has_args)

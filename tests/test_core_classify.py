@@ -10,7 +10,7 @@ from repro.core.classify import (
     StageStats,
 )
 from repro.netbase.addr import IPAddress
-from repro.web.filterlists import FilterList, FilterRule
+from repro.web.filterlists import FilterList, FilterRule, RuleAction
 from repro.web.organizations import ServiceRole
 from repro.web.requests import ThirdPartyRequest
 
@@ -253,3 +253,73 @@ def test_adding_rules_is_monotone_property(data):
         return classifier.classify(requests).n_tracking()
 
     assert count(superset) >= count(subset)
+
+
+#: hosts at three depths under two registrable domains, so anchors on a
+#: parent cover its subdomains
+MEMO_HOSTS = (
+    "a.example", "ads.a.example", "x.ads.a.example", "b.test", "t.b.test",
+)
+#: every host is requested on every path and query, so one host verdict
+#: meets URLs that do and do not hit each substring rule
+MEMO_PATHS = ("/clean", "/ads/banner", "/beacon/track", "/static/ads.js")
+MEMO_QUERIES = ("", "?uid=1", "?uid=1&slot=2")
+MEMO_SUBSTRINGS = ("/ads/", "track", "uid=", "&slot=")
+
+memo_rule = st.tuples(
+    st.booleans(),  # an @@ exception
+    st.one_of(
+        st.sampled_from(MEMO_HOSTS).map(lambda host: f"||{host}^"),
+        st.sampled_from(MEMO_SUBSTRINGS),
+    ),
+).map(lambda rule: ("@@" if rule[0] else "") + rule[1])
+
+
+def _rule_by_rule(rules, url: str, fqdn: str) -> bool:
+    """ABP semantics one rule at a time: blocked, and no exception."""
+    hits = [rule.action for rule in rules if rule.matches(url, fqdn)]
+    return RuleAction.BLOCK in hits and RuleAction.ALLOW not in hits
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_host_verdict_memo_labels_as_matches_property(data):
+    """Stage 1 derives each host's anchor verdicts once per
+    classification; every label must still be the per-request verdict
+    of ``FilterList.matches`` (``matches_lists``), exceptions included,
+    and that verdict the rules' taken one at a time."""
+    lines = {
+        name: data.draw(st.lists(memo_rule, max_size=6), label=name)
+        for name in ("easylist", "easyprivacy")
+    }
+    easylist, easyprivacy = FilterList("easylist"), FilterList("easyprivacy")
+    easylist.add_lines(lines["easylist"])
+    easyprivacy.add_lines(lines["easyprivacy"])
+    hosts = data.draw(
+        st.lists(st.sampled_from(MEMO_HOSTS), min_size=1, unique=True)
+    )
+    urls = data.draw(st.permutations([
+        f"https://{host}{path}{query}"
+        for host in hosts
+        for path in MEMO_PATHS
+        for query in MEMO_QUERIES
+    ]))
+    requests = [make_request(url) for url in urls]
+
+    classifier = RequestClassifier(easylist, easyprivacy)
+    stages = classifier.classify(requests).stages
+
+    rules = {
+        name: [FilterRule.parse(line) for line in lines[name]]
+        for name in lines
+    }
+    for request, stage in zip(requests, stages):
+        listed = classifier.matches_lists(request)
+        assert (stage is ClassificationStage.LIST) == listed, request.url
+        url, fqdn = request.url, request.fqdn
+        for name, filter_list in (
+            ("easylist", easylist), ("easyprivacy", easyprivacy),
+        ):
+            assert filter_list.matches(url, fqdn) == _rule_by_rule(
+                rules[name], url, fqdn
+            ), (name, url)

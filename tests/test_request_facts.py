@@ -1,11 +1,14 @@
 """The URL facts a request stores at construction, and the one-pass
 Table 2 that reads them.
 
-``ThirdPartyRequest`` splits its URL once, when it is built, and keeps
-host, TLD+1 and has-args as attributes.  These tests hold the stored
-facts to the parsing functions they replace (over every small-world
-panel request), check that they follow a request through ``pickle`` —
-the artifact cache's format — and ``dataclasses.replace``, and that a
+``ThirdPartyRequest`` keeps host, TLD+1 and has-args as attributes: the
+panel renderer passes them in from the spec it builds the URL from, and
+any other caller's request splits its URL once, when it is built.  These
+tests hold the stored facts to the parsing functions they replace (over
+every small-world panel request, on both record paths), check that a
+request built with renderer facts is indistinguishable from one built by
+parsing, that the facts follow a request through ``pickle`` — the
+artifact cache's format — and ``dataclasses.replace``, and that a
 malformed URL still fails loudly on access.  The one-pass Table 2 is
 held to the three per-predicate rows it replaces.
 """
@@ -14,27 +17,34 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+from typing import Optional
 
 import pytest
 
 from repro.core.classify import ClassificationStage
 from repro.errors import ClassificationError
 from repro.netbase.addr import IPAddress
+from repro.runtime.facade import run_study
 from repro.web.organizations import ServiceRole
 from repro.web.requests import (
     ThirdPartyRequest,
+    UrlFacts,
     tld1_of,
     url_fqdn,
     url_has_args,
 )
 
+URL = "https://t.example.com/sync?uid=1"
+#: the facts the panel renderer passes for URL
+RENDERED = ("t.example.com", "example.com", True)
 
-def _request(url: str) -> ThirdPartyRequest:
+
+def _request(url: str, facts: Optional[UrlFacts] = None) -> ThirdPartyRequest:
     return ThirdPartyRequest(
         first_party="s.example", url=url, referrer="https://s.example/",
         ip=IPAddress.v4(1), user_id=1, user_country="DE", day=0.0,
         https=True, truth_role=ServiceRole.COOKIE_SYNC, truth_org="o",
-        truth_country="DE", chain_depth=0,
+        truth_country="DE", chain_depth=0, facts=facts,
     )
 
 
@@ -47,21 +57,45 @@ def _parsed(url: str):
     return fqdn, tld1_of(fqdn), url_has_args(url)
 
 
+@pytest.fixture(scope="module")
+def engine_requests(small_config):
+    """The panel of the engine's sharded record path."""
+    run = run_study(small_config, workers=1, targets=("classification",))
+    return run.result.products["panel"]["requests"]
+
+
 class TestStoredFacts:
-    def test_match_the_parsers_on_every_panel_request(self, small_study):
-        requests = small_study.visit_log.requests
-        assert requests
-        for request in requests:
-            assert _facts(request) == _parsed(request.url), request.url
+    def test_match_the_parsers_on_every_panel_request(
+        self, small_study, engine_requests
+    ):
+        panels = {
+            "study": small_study.visit_log.requests,
+            "engine": engine_requests,
+        }
+        for path, requests in panels.items():
+            assert requests, path
+            for request in requests:
+                assert _facts(request) == _parsed(request.url), (
+                    path, request.url,
+                )
 
     def test_survive_pickle(self, small_study):
-        requests = small_study.visit_log.requests
-        restored = pickle.loads(
-            pickle.dumps(requests, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        assert restored == requests
-        for original, copy in zip(requests, restored):
-            assert vars(copy) == vars(original)
+        for requests in (
+            small_study.visit_log.requests,
+            [_request(URL, RENDERED)],
+        ):
+            data = pickle.dumps(requests, protocol=pickle.HIGHEST_PROTOCOL)
+            # Renderer facts share strings as parsed ones do, so the
+            # requests pickle byte for byte as the same ones rebuilt by
+            # parsing.
+            parsed = [dataclasses.replace(request) for request in requests]
+            assert data == pickle.dumps(
+                parsed, protocol=pickle.HIGHEST_PROTOCOL
+            )
+            restored = pickle.loads(data)
+            assert restored == requests
+            for original, copy in zip(requests, restored):
+                assert vars(copy) == vars(original)
 
     def test_follow_dataclasses_replace(self, small_study):
         requests = small_study.visit_log.requests
@@ -74,15 +108,17 @@ class TestStoredFacts:
         assert _facts(moved) == ("a.other.example", "other.example", False)
 
     def test_are_not_fields(self):
-        request = _request("https://t.example.com/sync?uid=1")
-        assert _facts(request) == ("t.example.com", "example.com", True)
-        names = {field.name for field in dataclasses.fields(request)}
-        assert not names & {"fqdn", "tld1", "has_args", "_host"}
-        assert "_host" not in dataclasses.asdict(request)
-        assert request == _request("https://t.example.com/sync?uid=1")
-        assert hash(request) == hash(
-            _request("https://t.example.com/sync?uid=1")
-        )
+        parsed = _request(URL)
+        # built by parsing its URL, and with the facts the renderer passes
+        for request in (parsed, _request(URL, RENDERED)):
+            assert _facts(request) == RENDERED
+            names = {field.name for field in dataclasses.fields(request)}
+            assert not names & {"fqdn", "tld1", "has_args", "_host", "facts"}
+            assert not {"_host", "facts"} & set(dataclasses.asdict(request))
+            assert dataclasses.asdict(request) == dataclasses.asdict(parsed)
+            assert request == parsed and hash(request) == hash(parsed)
+            assert repr(request) == repr(parsed)
+            assert vars(request) == vars(parsed)
 
     def test_hostless_url_fails_on_access_not_construction(self):
         request = _request("not-a-url")
