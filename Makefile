@@ -11,10 +11,10 @@ install:
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
-# reprolint: whole-program pass over every invariant family
-# (determinism, error discipline, layering, observability
-# consistency, seed lineage, resource discipline).  Shard purity is
-# checked by tier-1, which runs every shard.  See docs/linting.md.
+# reprolint: every invariant family (determinism, error discipline,
+# layering, observability consistency, seed lineage, resource
+# discipline), standard library only.  Shard purity is checked by
+# tier-1, which runs every shard.  See docs/linting.md.
 lint:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.lint src/repro scripts benchmarks
 

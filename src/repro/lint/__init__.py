@@ -18,13 +18,16 @@ Six rule families guard the properties the paper's tables depend on:
 * **I-rules** (resource discipline): no sockets or subprocesses
   outside tests.
 
-The O/S/I families read the whole-program import/call graph
-(:mod:`repro.lint.program`).  Shard purity (no module-state, world,
-environment, clock or filesystem effects in a stage's ``run``) is not
-a lint family: tier-1 checks it by running every shard, see
-``docs/runtime.md``.  Run ``python -m repro.lint src/repro`` (or
-``make lint``); see ``docs/linting.md`` for pragmas and how to add a
-rule.
+Every rule reads files: one parsed file at a time, and where a rule
+needs more than one file (the metric catalog, a stream name spent in
+two modules, a stage's ``run`` imported from another module, an import
+cycle) a cross-file pass over the same parsed files, resolving names
+one import hop away.  There is no call graph.  Shard purity (no
+module-state, world, environment, clock or filesystem effects in a
+stage's ``run``) is not a lint family: tier-1 checks it by running
+every shard, see ``docs/runtime.md``.  Run ``python -m repro.lint
+src/repro`` (or ``make lint``); see ``docs/linting.md`` for pragmas and
+how to add a rule.
 """
 
 from repro.lint.findings import Finding
@@ -39,26 +42,12 @@ from repro.lint.framework import (
     select_rules,
 )
 
-#: the registered rule families: code prefix -> short name.  The
-#: tripwire test locks this roster against the family table in
-#: ``docs/linting.md`` and against the codes actually registered, so a
-#: new family cannot ship undocumented (or documented but unregistered).
-RULE_FAMILIES = {
-    "D": "determinism",
-    "E": "error discipline",
-    "A": "layering",
-    "O": "observability",
-    "S": "seed lineage",
-    "I": "resource discipline",
-}
-
 __all__ = [
     "Finding",
     "FileContext",
     "LintResult",
     "ProjectContext",
     "Rule",
-    "RULE_FAMILIES",
     "all_rules",
     "register",
     "run_lint",

@@ -2,12 +2,15 @@
 
 The framework is deliberately small.  A :class:`Rule` sees one parsed
 file at a time through :class:`FileContext` (AST, source lines, module
-name, import table) and may run a whole-project pass in
-:meth:`Rule.finalize` through :class:`ProjectContext` (used by the
-import-cycle rule).  Suppression is owned by the framework, never by
-rules: inline pragmas — ``# reprolint: disable=D101`` on the offending
-line (or ``disable=all``), and ``# reprolint: disable-file=E201``
-anywhere in the file.
+name, import table, module-level bindings) and may run a cross-file
+pass in :meth:`Rule.finalize` through :class:`ProjectContext` (the
+import-cycle rule, the catalog rules, a stream name spent in two files,
+a stage's ``run`` in another module).  The helpers below are the whole
+of the linter's name resolution: one import hop, never a call graph.
+Suppression is owned by the framework, never by rules: inline pragmas
+— ``# reprolint: disable=D101`` on the offending line (or
+``disable=all``), and ``# reprolint: disable-file=E201`` anywhere in
+the file.
 """
 
 from __future__ import annotations
@@ -17,12 +20,26 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
 
 from repro.errors import LintError
 from repro.lint.findings import Finding
 
 PARSE_ERROR_RULE = "P001"
+
+#: the scope a scan reports for code outside every function body
+MODULE_SCOPE = "<module>"
 
 _PRAGMA_RE = re.compile(
     r"#\s*reprolint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_,\s]+)"
@@ -76,6 +93,29 @@ def module_name_for(path: Path) -> str:
     return ".".join(reversed(parts)) or path.stem
 
 
+def resolve_relative_import(
+    module: str, is_package: bool, level: int, target: Optional[str]
+) -> Optional[str]:
+    """Absolute dotted module for a (possibly relative) ImportFrom.
+
+    ``level == 0`` is already absolute.  For relative imports the base
+    is the importing module's package: a plain module drops its own
+    name first, a package (``__init__.py``) counts as its own base.
+    Over-deep relativity resolves to ``None``.
+    """
+    if level == 0:
+        return target
+    base = module.split(".")
+    if is_package:
+        base.append("__init__")
+    if level > len(base):
+        return None
+    prefix = base[: len(base) - level]
+    if target:
+        prefix.extend(target.split("."))
+    return ".".join(prefix) if prefix else None
+
+
 class FileContext:
     """Everything a rule may want to know about one source file."""
 
@@ -84,6 +124,7 @@ class FileContext:
         self.rel_path = rel_path
         self.lines: List[str] = source.splitlines()
         self.module = module_name_for(path)
+        self.is_package = path.name == "__init__.py"
         self.tree: Optional[ast.Module] = None
         self.parse_error: Optional[Finding] = None
         try:
@@ -98,20 +139,39 @@ class FileContext:
             )
         self._line_pragmas, self._file_pragmas = _parse_pragmas(self.lines)
         #: local name -> fully-qualified origin, e.g. ``Random`` ->
-        #: ``random.Random`` for ``from random import Random`` and
-        #: ``np`` -> ``numpy`` for ``import numpy as np``.
+        #: ``random.Random`` for ``from random import Random``, ``np``
+        #: -> ``numpy`` for ``import numpy as np``, and ``b`` -> ``pkg.b``
+        #: for ``from . import b`` inside ``pkg``.
         self.imported_names: Dict[str, str] = {}
-        if self.tree is not None:
-            for node in ast.walk(self.tree):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        local = alias.asname or alias.name.split(".")[0]
-                        origin = alias.name if alias.asname else alias.name.split(".")[0]
-                        self.imported_names[local] = origin
-                elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                    for alias in node.names:
-                        local = alias.asname or alias.name
-                        self.imported_names[local] = f"{node.module}.{alias.name}"
+        #: module-level ``NAME = value`` bindings (a later one wins)
+        self.assignments: Dict[str, ast.expr] = {}
+        if self.tree is None:
+            return
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    origin = alias.name if alias.asname else alias.name.split(".")[0]
+                    self.imported_names[local] = origin
+            elif isinstance(node, ast.ImportFrom):
+                module = resolve_relative_import(
+                    self.module, self.is_package, node.level, node.module
+                )
+                if module is None:
+                    continue
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    self.imported_names[local] = f"{module}.{alias.name}"
+        for stmt in self.tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    self.assignments[target.id] = value
 
     @property
     def package(self) -> str:
@@ -159,6 +219,73 @@ class FileContext:
         return "ALL" in codes or finding.rule in codes
 
 
+def scoped_calls(tree: ast.Module) -> Iterator[Tuple[str, ast.Call]]:
+    """Every call in a module, with the scope it runs in: the function
+    or method whose body holds it (``func``, ``Class.method``,
+    ``Outer.Inner.method``), or :data:`MODULE_SCOPE` for code outside
+    every function body, class bodies included.  Nested functions and
+    function-local classes belong to their enclosing function, and a
+    function's decorators and defaults to the function itself."""
+
+    def visit(node: ast.AST, classes: Tuple[str, ...]):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = ".".join(classes + (child.name,))
+                for sub in ast.walk(child):
+                    if isinstance(sub, ast.Call):
+                        yield scope, sub
+                continue
+            if isinstance(child, ast.Call):
+                yield MODULE_SCOPE, child
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, classes + (child.name,))
+            else:
+                yield from visit(child, classes)
+
+    return visit(tree, ())
+
+
+def _string_value(node: Optional[ast.expr]) -> Optional[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def resolve_string(
+    ctx: FileContext, expr: ast.expr, modules: Mapping[str, FileContext]
+) -> Optional[str]:
+    """The string ``expr`` statically names: a literal, a module-level
+    string constant of ``ctx``'s own file, or one a single import hop
+    away in another analyzed file (``names.CONST`` after ``from pkg
+    import names``, or ``CONST`` after ``from pkg.names import CONST``).
+    ``None`` when it is none of these."""
+    if isinstance(expr, ast.Constant):
+        return _string_value(expr)
+    if isinstance(expr, ast.Name):
+        if expr.id in ctx.assignments:
+            return _string_value(ctx.assignments[expr.id])
+        module, _, attr = ctx.imported_names.get(expr.id, "").rpartition(".")
+    elif isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+        module, attr = ctx.imported_names.get(expr.value.id, ""), expr.attr
+    else:
+        return None
+    origin = modules.get(module)
+    return _string_value(origin.assignments.get(attr)) if origin else None
+
+
+def static_prefix(expr: ast.expr) -> Optional[str]:
+    """The leading literal text of a string or f-string."""
+    if not isinstance(expr, ast.JoinedStr):
+        return _string_value(expr)
+    prefix = ""
+    for value in expr.values:
+        text = _string_value(value)
+        if text is None:
+            break
+        prefix += text
+    return prefix
+
+
 @dataclass
 class ProjectContext:
     """Cross-file state made available to :meth:`Rule.finalize`."""
@@ -171,18 +298,6 @@ class ProjectContext:
     @property
     def modules(self) -> Dict[str, FileContext]:
         return {ctx.module: ctx for ctx in self.files.values()}
-
-    def context_for_module(self, module: str) -> Optional[FileContext]:
-        return self.modules.get(module)
-
-    def program_model(self):
-        """The whole-program model of this project, built on first use
-        and shared by every rule (see :mod:`repro.lint.program`)."""
-        # Imported here: program.py builds on the framework's contexts,
-        # so the module-level dependency points the other way.
-        from repro.lint.program import program_model_for
-
-        return program_model_for(self)
 
 
 class Rule:

@@ -12,10 +12,16 @@ rejects module-level cycles outright.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.lint.findings import Finding
-from repro.lint.framework import FileContext, ProjectContext, Rule, register
+from repro.lint.framework import (
+    FileContext,
+    ProjectContext,
+    Rule,
+    register,
+    resolve_relative_import,
+)
 
 #: Import layering: a module may import only strictly lower ranks (or
 #: its own package).  Equal ranks mark independent siblings that must
@@ -62,30 +68,14 @@ def _imported_repro_packages(
                 if parts[0] == "repro":
                     yield node, parts[1] if len(parts) > 1 else "repro"
         elif isinstance(node, ast.ImportFrom):
-            module = _resolve_from_import(ctx, node)
+            module = resolve_relative_import(
+                ctx.module, ctx.is_package, node.level, node.module
+            )
             if module is None:
                 continue
             parts = module.split(".")
             if parts[0] == "repro":
                 yield node, parts[1] if len(parts) > 1 else "repro"
-
-
-def _resolve_from_import(
-    ctx: FileContext, node: ast.ImportFrom
-) -> Optional[str]:
-    """Absolute dotted module for an ImportFrom, resolving relativity
-    against the file's own module path."""
-    if node.level == 0:
-        return node.module
-    base = ctx.module.split(".")
-    # one level strips the module name itself, further levels strip
-    # packages; guard against over-deep relative imports.
-    if node.level > len(base):
-        return None
-    prefix = base[: len(base) - node.level]
-    if node.module:
-        prefix.append(node.module)
-    return ".".join(prefix) if prefix else None
 
 
 @register
@@ -162,7 +152,9 @@ class ImportCycleRule(Rule):
                 if alias.name in modules:
                     yield alias.name
         elif isinstance(node, ast.ImportFrom):
-            module = _resolve_from_import(ctx, node)
+            module = resolve_relative_import(
+                ctx.module, ctx.is_package, node.level, node.module
+            )
             if module is None:
                 return
             if module in modules:

@@ -5,8 +5,10 @@ comes from a closed vocabulary.  :mod:`repro.obs.names` declares that
 vocabulary — every metric name with its label set, every span name —
 and these rules hold the rest of the tree to it by resolving the name
 argument of every instrumentation call site against the catalog,
-*statically* (the catalog module's AST is read through the program
-model; nothing is imported).
+*statically* (the catalog file's AST is read once per run; nothing is
+imported).  A name resolves if it is a literal, a module-level constant
+of the calling file, or a catalog constant one import hop away
+(``obs_names.X`` or ``from repro.obs.names import X``).
 
 * **O601** — the metric name at an ``inc``/``observe`` /
   ``registry.counter``/``histogram``/``sum_counters`` call
@@ -28,11 +30,17 @@ names as values.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.lint.findings import Finding
-from repro.lint.framework import FileContext, ProjectContext, Rule, register
-from repro.lint.program import ModuleInfo, ProgramModel
+from repro.lint.framework import (
+    FileContext,
+    ProjectContext,
+    Rule,
+    register,
+    resolve_string,
+    static_prefix,
+)
 
 #: ambient helpers in repro.obs.metrics (name is the first argument)
 AMBIENT_METRIC_CALLS = {"inc", "observe"}
@@ -43,29 +51,33 @@ REGISTRY_METRIC_CALLS = {"counter", "histogram", "sum_counters"}
 #: keyword arguments of metric calls that are values, not labels
 NON_LABEL_KWARGS = {"amount", "value"}
 
+#: a parsed catalog: (metric -> declared labels, span patterns)
+Catalog = Tuple[Dict[str, Tuple[str, ...]], List[str]]
 
-def _catalog_module(model: ProgramModel) -> Optional[ModuleInfo]:
+
+def _catalog_module(
+    modules: Mapping[str, FileContext],
+) -> Optional[FileContext]:
     """The ``obs.names`` catalog module of the analyzed tree, if any."""
-    for name in sorted(model.modules):
+    for name in sorted(modules):
         if name == "repro.obs.names" or name.endswith(".obs.names"):
-            return model.modules[name]
+            return modules[name]
     return None
 
 
 def _parse_catalog(
-    model: ProgramModel, catalog: ModuleInfo
-) -> Tuple[Dict[str, Tuple[str, ...]], List[str]]:
+    catalog: FileContext, modules: Mapping[str, FileContext]
+) -> Catalog:
     """Statically read (metric -> labels, span patterns) from the
     catalog module's AST."""
     metrics: Dict[str, Tuple[str, ...]] = {}
     spans: List[str] = []
-    decls = catalog.constant_nodes.get("_METRIC_DECLS")
-    value = getattr(decls, "value", None)
+    value = catalog.assignments.get("_METRIC_DECLS")
     if isinstance(value, ast.Tuple):
         for element in value.elts:
             if not isinstance(element, ast.Tuple) or len(element.elts) < 3:
                 continue
-            name = model.resolve_string(catalog, element.elts[0])
+            name = resolve_string(catalog, element.elts[0], modules)
             labels_node = element.elts[2]
             if name is None or not isinstance(labels_node, ast.Tuple):
                 continue
@@ -76,11 +88,10 @@ def _parse_catalog(
                 and isinstance(label.value, str)
             )
             metrics[name] = labels
-    span_decl = catalog.constant_nodes.get("SPAN_NAMES")
-    span_value = getattr(span_decl, "value", None)
+    span_value = catalog.assignments.get("SPAN_NAMES")
     if isinstance(span_value, ast.Tuple):
         for element in span_value.elts:
-            name = model.resolve_string(catalog, element)
+            name = resolve_string(catalog, element, modules)
             if name is not None:
                 spans.append(name)
     return metrics, spans
@@ -91,23 +102,23 @@ def _in_obs_package(module: str) -> bool:
 
 
 def _metric_call_sites(
-    info: ModuleInfo,
+    ctx: FileContext, modules: Mapping[str, FileContext]
 ) -> Iterator[Tuple[ast.Call, str, bool]]:
     """Yield (call, helper name, strict) for metric-flavoured calls.
 
     ``strict`` means the call provably targets the obs metrics layer
-    (``obs_metrics.inc(...)``, ``from repro.obs.metrics import inc``):
-    there a dynamic name is itself a violation.  Duck-typed matches —
-    ``registry.counter(...)``, or any ``.observe(...)`` on an object the
-    analysis cannot type — are reported non-strict, and only checked
-    when the name argument is statically resolvable (an unrelated
-    ``db.observe(fqdn, ...)`` must not false-positive).
+    (``obs_metrics.inc(...)`` on an analyzed obs module, ``from
+    repro.obs.metrics import inc``): there a dynamic name is itself a
+    violation.  Duck-typed matches — ``registry.counter(...)``, or any
+    ``.observe(...)`` on an object that is not an imported module — are
+    reported non-strict, and only checked when the name argument is
+    statically resolvable (an unrelated ``db.observe(fqdn, ...)`` must
+    not false-positive).
 
-    Module-level and function-level code are both covered (the walk is
-    over the whole module AST, not the call graph).
+    The walk is over the whole module AST: module-level and
+    function-level code are both covered.
     """
-    assert info.ctx.tree is not None
-    for node in ast.walk(info.ctx.tree):
+    for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -117,16 +128,15 @@ def _metric_call_sites(
                 continue
             strict = False
             if isinstance(func.value, ast.Name):
-                symbol = info.symbols.get(func.value.id)
+                origin = ctx.imported_names.get(func.value.id, "")
                 strict = (
-                    symbol is not None
-                    and symbol.kind == "module"
-                    and _in_obs_package(symbol.module)
+                    origin in modules
+                    and _in_obs_package(origin)
                     and attr in AMBIENT_METRIC_CALLS
                 )
             yield node, attr, strict
         elif isinstance(func, ast.Name):
-            origin = info.ctx.imported_names.get(func.id, "")
+            origin = ctx.imported_names.get(func.id, "")
             if (
                 func.id in AMBIENT_METRIC_CALLS
                 and origin.split(".")[-1] == func.id
@@ -136,30 +146,25 @@ def _metric_call_sites(
 
 
 class _CatalogRule(Rule):
-    """Shared driver: resolve the catalog once, then visit call sites."""
+    """Shared driver: read the catalog once, then visit every file
+    outside the obs package."""
 
     def finalize(self, project: ProjectContext) -> Iterable[Finding]:
-        model = project.program_model()
-        catalog = _catalog_module(model)
-        if catalog is None:
+        modules = project.modules
+        catalog = _catalog_module(modules)
+        if catalog is None or catalog.tree is None:
             return
-        metrics, spans = _parse_catalog(model, catalog)
-        for name in sorted(model.modules):
-            if _in_obs_package(name):
+        parsed = _parse_catalog(catalog, modules)
+        for ctx in project.files.values():
+            if _in_obs_package(ctx.module) or ctx.tree is None:
                 continue
-            info = model.modules[name]
-            ctx = project.context_for_module(name)
-            if ctx is None or info.ctx.tree is None:
-                continue
-            yield from self._check_module(model, info, ctx, metrics, spans)
+            yield from self._check_module(ctx, modules, parsed)
 
     def _check_module(
         self,
-        model: ProgramModel,
-        info: ModuleInfo,
         ctx: FileContext,
-        metrics: Dict[str, Tuple[str, ...]],
-        spans: List[str],
+        modules: Mapping[str, FileContext],
+        catalog: Catalog,
     ) -> Iterator[Finding]:
         return iter(())
 
@@ -175,18 +180,12 @@ class MetricNameRule(_CatalogRule):
         "the obs.names catalog (or is dynamic and uncheckable)"
     )
 
-    def _check_module(
-        self,
-        model: ProgramModel,
-        info: ModuleInfo,
-        ctx: FileContext,
-        metrics: Dict[str, Tuple[str, ...]],
-        spans: List[str],
-    ) -> Iterator[Finding]:
-        for call, helper, strict in _metric_call_sites(info):
+    def _check_module(self, ctx, modules, catalog) -> Iterator[Finding]:
+        metrics, _ = catalog
+        for call, helper, strict in _metric_call_sites(ctx, modules):
             if not call.args:
                 continue
-            name = model.resolve_string(info, call.args[0])
+            name = resolve_string(ctx, call.args[0], modules)
             if name is None:
                 if strict:
                     yield ctx.finding(
@@ -215,21 +214,15 @@ class MetricLabelRule(_CatalogRule):
         "set declared for that metric in the obs.names catalog"
     )
 
-    def _check_module(
-        self,
-        model: ProgramModel,
-        info: ModuleInfo,
-        ctx: FileContext,
-        metrics: Dict[str, Tuple[str, ...]],
-        spans: List[str],
-    ) -> Iterator[Finding]:
-        for call, helper, strict in _metric_call_sites(info):
+    def _check_module(self, ctx, modules, catalog) -> Iterator[Finding]:
+        metrics, _ = catalog
+        for call, helper, strict in _metric_call_sites(ctx, modules):
             if helper == "sum_counters":
                 # aggregates across label sets by design
                 continue
             if not call.args:
                 continue
-            name = model.resolve_string(info, call.args[0])
+            name = resolve_string(ctx, call.args[0], modules)
             if name is None or name not in metrics:
                 continue  # O601 territory
             if any(kw.arg is None for kw in call.keywords):
@@ -274,16 +267,9 @@ class SpanNameRule(_CatalogRule):
                 return True
         return False
 
-    def _check_module(
-        self,
-        model: ProgramModel,
-        info: ModuleInfo,
-        ctx: FileContext,
-        metrics: Dict[str, Tuple[str, ...]],
-        spans: List[str],
-    ) -> Iterator[Finding]:
-        assert info.ctx.tree is not None
-        for node in ast.walk(info.ctx.tree):
+    def _check_module(self, ctx, modules, catalog) -> Iterator[Finding]:
+        _, spans = catalog
+        for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -292,7 +278,7 @@ class SpanNameRule(_CatalogRule):
             if not node.args:
                 continue
             arg = node.args[0]
-            name = model.resolve_string(info, arg)
+            name = resolve_string(ctx, arg, modules)
             if name is not None:
                 if not self._matches(name, spans, exact=True):
                     yield ctx.finding(
@@ -302,7 +288,7 @@ class SpanNameRule(_CatalogRule):
                         "names catalog",
                     )
                 continue
-            prefix = model.static_prefix(arg)
+            prefix = static_prefix(arg)
             if prefix is None:
                 continue  # not a string expression at all (e.g. a call)
             if not prefix or not self._matches(prefix, spans, exact=False):

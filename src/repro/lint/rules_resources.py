@@ -7,27 +7,22 @@ simulated study never opens sockets or spawns subprocesses at all.
 harness, which runs every shard; see ``docs/runtime.md``.)
 
 * **I902** — ``socket`` / ``subprocess`` / ``os.system`` use anywhere
-  in non-test code, module level included.
+  in non-test code, module level included.  A per-file rule: every
+  call in the file is scanned, and each finding names its scope.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.lint.findings import Finding
 from repro.lint.framework import (
     FileContext,
-    ProjectContext,
     Rule,
     is_test_module,
     register,
-)
-from repro.lint.program import (
-    MODULE_SCOPE,
-    FunctionRef,
-    ProgramModel,
-    module_level_calls,
+    scoped_calls,
 )
 
 
@@ -43,29 +38,6 @@ def _process_call(ctx: FileContext, node: ast.Call) -> Optional[str]:
     return None
 
 
-def process_sites(
-    model: ProgramModel,
-) -> Iterator[Tuple[FunctionRef, str, ast.Call]]:
-    """(function, rendered name, call) for every socket/subprocess/shell
-    call, in module and qualname order; calls outside every function
-    body come last in their module, under :data:`MODULE_SCOPE`."""
-    for module_name in sorted(model.modules):
-        info = model.modules[module_name]
-        scopes: List[Tuple[str, Iterable[ast.AST]]] = [
-            (qualname, ast.walk(info.functions[qualname].node))
-            for qualname in sorted(info.functions)
-        ]
-        if info.ctx.tree is not None:
-            scopes.append((MODULE_SCOPE, module_level_calls(info.ctx.tree)))
-        for qualname, nodes in scopes:
-            for node in nodes:
-                if not isinstance(node, ast.Call):
-                    continue
-                rendered = _process_call(info.ctx, node)
-                if rendered is not None:
-                    yield (module_name, qualname), rendered, node
-
-
 @register
 class ProcessEscapeRule(Rule):
     """I902 — sockets or subprocesses in non-test code."""
@@ -77,16 +49,15 @@ class ProcessEscapeRule(Rule):
         "study must not touch the network or spawn processes"
     )
 
-    def finalize(self, project: ProjectContext) -> Iterable[Finding]:
-        if not project.files:
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        if is_test_module(ctx.rel_path):
             return
-        for ref, rendered, node in process_sites(project.program_model()):
-            ctx = project.context_for_module(ref[0])
-            if ctx is None or is_test_module(ctx.rel_path):
-                continue
-            yield ctx.finding(
-                self,
-                node,
-                f"{rendered}(...) in {ref[1]}: the simulation is "
-                "hermetic — no sockets, no subprocesses",
-            )
+        for scope, node in scoped_calls(ctx.tree):
+            rendered = _process_call(ctx, node)
+            if rendered is not None:
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"{rendered}(...) in {scope}: the simulation is "
+                    "hermetic — no sockets, no subprocesses",
+                )

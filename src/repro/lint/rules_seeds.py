@@ -5,36 +5,39 @@ shard code descends from the shard's seeded root through the
 :mod:`repro.util.rng` derivation APIs (``seeded_rng`` / ``spawn_rng`` /
 ``RngStreams.spawn``/``fork``); the per-file D102 already rejects a raw
 ``random.Random(...)`` anywhere outside ``util/rng.py``.  These rules
-read one syntactic scan of every RNG-producing or seed-deriving call
-site in the program model, with its statically-resolved stream name:
-a stream *name* derived in two places makes two components draw
-correlated values; ``fixed_rng`` outside tests hides a missing
-injection point; a stage ``run`` returning a generator carries RNG
-state across the shard boundary.
+read one syntactic scan of each file's RNG-producing or seed-deriving
+call sites, with their statically-resolved stream names: a stream
+*name* derived in two places makes two components draw correlated
+values; ``fixed_rng`` outside tests hides a missing injection point; a
+stage ``run`` returning a generator carries RNG state across the shard
+boundary.
 
 * **S702** — the same literal stream name derived at two different call
-  sites in the same API family (a double-spent seed);
+  sites in the same API family (a double-spent seed); cross-file, as a
+  name may be spent in two modules;
 * **S703** — ``fixed_rng`` use outside test code, module level
-  included;
+  included; per-file;
 * **S704** — a stage ``run`` returning an RNG or stream object (the
-  shard boundary must carry data, not generators).
+  shard boundary must carry data, not generators); cross-file, as the
+  ``run`` a ``StageSpec`` names may be imported from another module.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.lint.findings import Finding
-from repro.lint.framework import ProjectContext, Rule, is_test_module, register
-from repro.lint.program import (
-    MODULE_SCOPE,
-    Callee,
-    FunctionRef,
-    ModuleInfo,
-    ProgramModel,
-    module_level_calls,
+from repro.lint.framework import (
+    FileContext,
+    ProjectContext,
+    Rule,
+    is_test_module,
+    register,
+    resolve_string,
+    scoped_calls,
+    static_prefix,
 )
 
 #: rng-derivation APIs grouped by the child-seed namespace they draw
@@ -61,11 +64,16 @@ def is_rng_module(module: str) -> bool:
     return module.split(".")[-1] == "rng"
 
 
+def _exempt(ctx: FileContext) -> bool:
+    return is_rng_module(ctx.module) or is_test_module(ctx.rel_path)
+
+
 @dataclass(frozen=True)
 class RngSite:
     """One RNG-producing or seed-deriving call site."""
 
-    function: FunctionRef
+    #: the function or method holding the call, or ``<module>``
+    scope: str
     api: str  # seeded_rng | spawn_rng | fixed_rng | derive_seed | spawn | fork | raw
     #: statically-resolved stream name; ``None`` when the API takes none
     #: (fixed_rng, spawn_rng, raw) or the argument is missing
@@ -76,63 +84,25 @@ class RngSite:
     node: ast.Call
 
 
-def rng_sites(model: ProgramModel) -> Dict[FunctionRef, Tuple[RngSite, ...]]:
-    """Every RNG-producing / seed-deriving call site per function; a
-    module's calls outside every function body sit under
-    ``(module, MODULE_SCOPE)``."""
-    sites: Dict[FunctionRef, Tuple[RngSite, ...]] = {}
-    for module_name in sorted(model.modules):
-        info = model.modules[module_name]
-        for qualname in sorted(info.functions):
-            ref = (module_name, qualname)
-            fn = info.functions[qualname]
-            callee_at = {(c.line, c.col): c.callee for c in fn.calls}
-            sites[ref] = tuple(_scan_rng_sites(
-                model, info, ast.walk(fn.node), callee_at, ref
-            ))
-        if info.ctx.tree is not None:
-            module_sites = tuple(_scan_rng_sites(
-                model, info, module_level_calls(info.ctx.tree), {},
-                (module_name, MODULE_SCOPE),
-            ))
-            if module_sites:
-                sites[(module_name, MODULE_SCOPE)] = module_sites
-    return sites
+def rng_sites(
+    ctx: FileContext, modules: Mapping[str, FileContext]
+) -> Iterator[RngSite]:
+    """Every RNG-producing / seed-deriving call site in one file."""
+    for scope, node in scoped_calls(ctx.tree):
+        api = _rng_api(ctx, node)
+        if api is not None:
+            name, literal = _stream_name(ctx, modules, node, api)
+            yield RngSite(scope, api, name, literal, node)
 
 
-def _scan_rng_sites(
-    model: ProgramModel,
-    info: ModuleInfo,
-    nodes: Iterable[ast.AST],
-    callee_at: Dict[Tuple[int, int], Callee],
-    ref: FunctionRef,
-) -> List[RngSite]:
-    out: List[RngSite] = []
-    for node in nodes:
-        if not isinstance(node, ast.Call):
-            continue
-        api = _rng_api(info, node, callee_at)
-        if api is None:
-            continue
-        name, literal = _stream_name(model, info, node, api)
-        out.append(RngSite(
-            function=ref, api=api, name=name, literal=literal, node=node,
-        ))
-    return out
-
-
-def _rng_api(info: ModuleInfo, node: ast.Call, callee_at) -> Optional[str]:
-    dotted = info.ctx.dotted_name(node.func)
+def _rng_api(ctx: FileContext, node: ast.Call) -> Optional[str]:
+    dotted = ctx.dotted_name(node.func)
     if dotted is not None:
         if dotted == "random.Random" or dotted.endswith(".random.Random"):
             return "raw"
         last = dotted.split(".")[-1]
         if last in _RNG_FUNCTIONS:
             return last
-    callee = callee_at.get((node.lineno, node.col_offset))
-    if callee is not None and callee.kind == "function":
-        if is_rng_module(callee.module) and callee.qualname in _RNG_FUNCTIONS:
-            return callee.qualname
     if isinstance(node.func, ast.Attribute) and node.func.attr in (
         "spawn", "fork",
     ):
@@ -141,7 +111,10 @@ def _rng_api(info: ModuleInfo, node: ast.Call, callee_at) -> Optional[str]:
 
 
 def _stream_name(
-    model: ProgramModel, info: ModuleInfo, node: ast.Call, api: str
+    ctx: FileContext,
+    modules: Mapping[str, FileContext],
+    node: ast.Call,
+    api: str,
 ) -> Tuple[Optional[str], bool]:
     """The statically-resolved stream-name argument of a derivation
     call: (name, is-full-literal).  F-strings resolve to their static
@@ -159,45 +132,68 @@ def _stream_name(
                 expr = kw.value
     if expr is None:
         return None, False
-    resolved = model.resolve_string(info, expr)
+    resolved = resolve_string(ctx, expr, modules)
     if resolved is not None:
         return resolved, True
-    prefix = model.static_prefix(expr)
+    prefix = static_prefix(expr)
     if prefix:
         return prefix + "…", False
     return "<dynamic>", False
 
 
-def _site_ctx(project: ProjectContext, site: RngSite):
-    """(FileContext, module-is-exempt) for one RNG site."""
-    module = site.function[0]
-    ctx = project.context_for_module(module)
-    if ctx is None:
-        return None, True
-    exempt = is_rng_module(module) or is_test_module(ctx.rel_path)
-    return ctx, exempt
+def stage_runs(
+    project: ProjectContext,
+) -> Iterator[Tuple[str, FileContext, ast.FunctionDef]]:
+    """(stage name, file, function) for every ``StageSpec(run=<name>)``
+    whose name is a top-level function of its own file or of the
+    analyzed module it is imported from.  Matching is by class name
+    (the last dotted segment), so fixture trees need no
+    ``repro.runtime.graph``."""
+    modules = project.modules
+    for ctx in project.files.values():
+        if ctx.tree is None:
+            continue
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = ctx.dotted_name(node.func)
+            if dotted is None or dotted.split(".")[-1] != "StageSpec":
+                continue
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            run = keywords.get("run")
+            if not isinstance(run, ast.Name):
+                continue
+            name = keywords.get("name")
+            stage = (
+                name.value
+                if isinstance(name, ast.Constant) and isinstance(name.value, str)
+                else "<unknown>"
+            )
+            home, fn = ctx, _top_level_function(ctx, run.id)
+            if fn is None:
+                origin = ctx.imported_names.get(run.id, "")
+                module, _, function = origin.rpartition(".")
+                home = modules.get(module)
+                fn = _top_level_function(home, function) if home else None
+            if fn is not None:
+                yield stage, home, fn
 
 
-class _SeedRule(Rule):
-    """Shared driver over the program's RNG-site table."""
-
-    def finalize(self, project: ProjectContext) -> Iterable[Finding]:
-        if not project.files:
-            return
-        model = project.program_model()
-        yield from self._check(project, model, rng_sites(model))
-
-    def _check(
-        self,
-        project: ProjectContext,
-        model: ProgramModel,
-        sites: Dict[FunctionRef, Tuple[RngSite, ...]],
-    ) -> Iterable[Finding]:
-        return ()
+def _top_level_function(
+    ctx: FileContext, name: str
+) -> Optional[ast.FunctionDef]:
+    if ctx.tree is None:
+        return None
+    for stmt in ctx.tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            stmt.name == name
+        ):
+            return stmt
+    return None
 
 
 @register
-class DoubleSpentSeedRule(_SeedRule):
+class DoubleSpentSeedRule(Rule):
     """S702 — one literal stream name derived at two call sites."""
 
     code = "S702"
@@ -208,15 +204,15 @@ class DoubleSpentSeedRule(_SeedRule):
         "values from one seed"
     )
 
-    def _check(self, project, model, sites) -> Iterable[Finding]:
-        groups: Dict[Tuple[str, str], List[Tuple[RngSite, object]]] = {}
-        for ref, ref_sites in sorted(sites.items()):
-            for site in ref_sites:
+    def finalize(self, project: ProjectContext) -> Iterable[Finding]:
+        modules = project.modules
+        groups: Dict[Tuple[str, str], List[Tuple[RngSite, FileContext]]] = {}
+        for ctx in project.files.values():
+            if ctx.tree is None or _exempt(ctx):
+                continue
+            for site in rng_sites(ctx, modules):
                 family = _DERIVE_FAMILIES.get(site.api)
                 if family is None or not site.literal or site.name is None:
-                    continue
-                ctx, exempt = _site_ctx(project, site)
-                if ctx is None or exempt:
                     continue
                 groups.setdefault((family, site.name), []).append((site, ctx))
         for (family, name), members in sorted(groups.items()):
@@ -243,7 +239,7 @@ class DoubleSpentSeedRule(_SeedRule):
 
 
 @register
-class FixedRngOutsideTestsRule(_SeedRule):
+class FixedRngOutsideTestsRule(Rule):
     """S703 — ``fixed_rng`` in non-test code."""
 
     code = "S703"
@@ -254,25 +250,22 @@ class FixedRngOutsideTestsRule(_SeedRule):
         "fabricate a constant-seed generator"
     )
 
-    def _check(self, project, model, sites) -> Iterable[Finding]:
-        for ref, ref_sites in sorted(sites.items()):
-            for site in ref_sites:
-                if site.api != "fixed_rng":
-                    continue
-                ctx, exempt = _site_ctx(project, site)
-                if ctx is None or exempt:
-                    continue
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        if _exempt(ctx):
+            return
+        for scope, node in scoped_calls(ctx.tree):
+            if _rng_api(ctx, node) == "fixed_rng":
                 yield ctx.finding(
                     self,
-                    site.node,
-                    f"fixed_rng(...) in {site.function[1]} is outside "
+                    node,
+                    f"fixed_rng(...) in {scope} is outside "
                     "test code; inject the rng from the caller or "
                     "derive it from the shard's streams",
                 )
 
 
 @register
-class RngEscapesShardRule(_SeedRule):
+class RngEscapesShardRule(Rule):
     """S704 — a stage ``run`` returning an RNG/stream object."""
 
     code = "S704"
@@ -283,58 +276,41 @@ class RngEscapesShardRule(_SeedRule):
         "merge boundary deterministically"
     )
 
-    def _check(self, project, model, sites) -> Iterable[Finding]:
-        for decl in model.discover_stages():
-            run_seed = decl.seeds.get("run")
-            fn = model.function(run_seed) if run_seed else None
-            if run_seed is None or fn is None:
-                continue
-            ctx = project.context_for_module(run_seed[0])
-            if ctx is None:
-                continue
-            producer_at = {
-                (site.node.lineno, site.node.col_offset)
-                for site in sites.get(run_seed, ())
-                if site.api in _RNG_PRODUCERS
+    def finalize(self, project: ProjectContext) -> Iterable[Finding]:
+        for stage, ctx, fn in stage_runs(project):
+            producers = {
+                node
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and _rng_api(ctx, node) in _RNG_PRODUCERS
             }
-            rng_names: Set[str] = set()
-            for node in ast.walk(fn.node):
-                if not isinstance(node, ast.Assign):
-                    continue
-                if not isinstance(node.value, ast.Call):
-                    continue
-                if (
-                    node.value.lineno,
-                    node.value.col_offset,
-                ) not in producer_at:
-                    continue
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        rng_names.add(target.id)
-            for node in ast.walk(fn.node):
+            rng_names: Set[str] = {
+                target.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign) and node.value in producers
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(fn):
                 if not isinstance(node, ast.Return) or node.value is None:
                     continue
-                leaked = self._leaked_rng(node.value, rng_names, producer_at)
+                leaked = self._leaked_rng(node.value, rng_names, producers)
                 if leaked is None:
                     continue
                 yield ctx.finding(
                     self,
                     node,
-                    f"stage '{decl.name}' run returns {leaked}; return "
+                    f"stage '{stage}' run returns {leaked}; return "
                     "drawn values instead of the generator",
                 )
 
     @staticmethod
     def _leaked_rng(
-        expr: ast.expr,
-        rng_names: Set[str],
-        producer_at: Set[Tuple[int, int]],
-    ):
+        expr: ast.expr, rng_names: Set[str], producers: Set[ast.Call]
+    ) -> Optional[str]:
         for sub in ast.walk(expr):
             if isinstance(sub, ast.Name) and sub.id in rng_names:
                 return f"the RNG bound to '{sub.id}'"
-            if isinstance(sub, ast.Call) and (
-                (sub.lineno, sub.col_offset) in producer_at
-            ):
+            if isinstance(sub, ast.Call) and sub in producers:
                 return "a freshly derived RNG"
         return None

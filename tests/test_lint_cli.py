@@ -1,5 +1,5 @@
 """End-to-end tests for ``python -m repro.lint``: exit codes, the text
-report and rule selection."""
+report, rule selection, and the registered rules against the docs."""
 
 from __future__ import annotations
 
@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint import all_rules
 from repro.lint.cli import main
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "linting.md"
 
 DIRTY = textwrap.dedent(
     """
@@ -86,6 +89,19 @@ def test_list_rules(project, capsys):
     out = capsys.readouterr().out
     for code in ("D101", "D102", "D103", "D104", "D105", "E201", "E202", "E203", "A301", "A302"):
         assert code in out
+
+
+def test_docs_mention_every_rule_code():
+    text = DOCS.read_text()
+    for rule in all_rules():
+        assert rule.code in text, rule.code
+
+
+def test_rule_codes_are_unique_and_well_formed():
+    codes = [rule.code for rule in all_rules()]
+    assert len(set(codes)) == len(codes)
+    for code in codes:
+        assert re.fullmatch(r"[A-Z]\d{3,4}", code), code
 
 
 # ---------------------------------------------------------------------------

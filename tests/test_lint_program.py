@@ -1,39 +1,47 @@
-"""Unit tests for the whole-program model (repro.lint.program).
+"""Unit tests for the linter's name resolution (repro.lint.framework)
+and its stage lookup (repro.lint.rules_seeds).
 
-Fixture trees are synthetic packages written to tmp_path; every test
-builds a real :class:`ProgramModel` from the filesystem, so the module
-index, import resolution and call graph are exercised end to end.  The
-runtime's footprint scans are tested in ``test_runtime_footprint.py``.
+Fixture trees are synthetic packages written to tmp_path and parsed
+into real :class:`FileContext` objects, so module names come from the
+``__init__.py`` chain exactly as in a lint run.  The runtime's
+footprint scans are tested in ``test_runtime_footprint.py``.
 """
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 from typing import Dict
 
-from repro.lint.program import (
-    ProgramModel,
-    Symbol,
+from repro.lint.framework import (
+    FileContext,
+    ProjectContext,
     resolve_relative_import,
+    resolve_string,
+    static_prefix,
 )
+from repro.lint.rules_seeds import stage_runs
 
 
-def build_model(tmp_path: Path, files: Dict[str, str]) -> ProgramModel:
-    """Write ``files`` (relpath -> source) and model the tree."""
+def load_tree(tmp_path: Path, files: Dict[str, str]) -> ProjectContext:
+    """Write ``files`` (relpath -> source) with ``__init__.py`` chains
+    and parse every file of the tree."""
     for relpath, source in files.items():
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
         parent = path.parent
-        while parent != tmp_path.parent and parent != parent.parent:
+        while parent != tmp_path:
             init = parent / "__init__.py"
-            if parent == tmp_path:
-                break
             if not init.exists():
                 init.write_text("")
             parent = parent.parent
-    return ProgramModel.from_paths([tmp_path], root=tmp_path)
+    project = ProjectContext()
+    for path in sorted(tmp_path.rglob("*.py")):
+        rel = path.relative_to(tmp_path).as_posix()
+        project.add(FileContext(path, rel, path.read_text()))
+    return project
 
 
 # ---------------------------------------------------------------------------
@@ -54,181 +62,40 @@ def test_resolve_relative_import_module_and_package():
 
 
 def test_relative_imports_resolve_to_edges(tmp_path):
-    model = build_model(tmp_path, {
+    project = load_tree(tmp_path, {
         "pkg/a.py": """
             from . import b
             from .sub import c
         """,
         "pkg/b.py": "X = 1\n",
         "pkg/sub/c.py": "Y = 2\n",
+        "pkg/sub/__init__.py": "from . import c as local_c\n",
     })
-    symbols = model.modules["pkg.a"].symbols
-    assert symbols["b"] == Symbol("module", module="pkg.b")
-    assert symbols["c"] == Symbol("module", module="pkg.sub.c")
-
-
-def test_from_import_alias_binds_origin_symbol(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/helpers.py": """
-            def work():
-                return 1
-        """,
-        "pkg/main.py": """
-            from pkg.helpers import work as w
-
-            def caller():
-                return w()
-        """,
-    })
-    fn = model.function(("pkg.main", "caller"))
-    callees = [c.callee for c in fn.calls]
-    assert callees[0].kind == "function"
-    assert (callees[0].module, callees[0].qualname) == ("pkg.helpers", "work")
-
-
-def test_import_cycle_does_not_hang(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/a.py": """
-            import pkg.b
-
-            def fa():
-                return pkg.b.fb()
-        """,
-        "pkg/b.py": """
-            import pkg.a
-
-            def fb():
-                return pkg.a.fa()
-        """,
-    })
-    # the model builds over the cycle, and each call resolves across it
-    for caller, callee in (("fa", "fb"), ("fb", "fa")):
-        module = "pkg.a" if caller == "fa" else "pkg.b"
-        resolved = model.function((module, caller)).calls[0].callee
-        assert (resolved.kind, resolved.qualname) == ("function", callee)
+    modules = project.modules
+    assert modules["pkg.a"].imported_names["b"] == "pkg.b"
+    assert modules["pkg.a"].imported_names["c"] == "pkg.sub.c"
+    assert modules["pkg.sub"].imported_names["local_c"] == "pkg.sub.c"
 
 
 # ---------------------------------------------------------------------------
-# call resolution
-# ---------------------------------------------------------------------------
-
-
-def test_module_attr_call_resolves(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/util.py": """
-            def helper():
-                return 1
-        """,
-        "pkg/main.py": """
-            from pkg import util
-
-            def go():
-                return util.helper()
-        """,
-    })
-    fn = model.function(("pkg.main", "go"))
-    callee = fn.calls[0].callee
-    assert callee.kind == "function"
-    assert (callee.module, callee.qualname) == ("pkg.util", "helper")
-
-
-def test_constructed_local_method_dispatch(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/svc.py": """
-            class Service:
-                def ping(self):
-                    return self.pong()
-
-                def pong(self):
-                    return 1
-        """,
-        "pkg/main.py": """
-            from pkg.svc import Service
-
-            def go():
-                s = Service()
-                return s.ping()
-        """,
-    })
-    fn = model.function(("pkg.main", "go"))
-    kinds = {(c.callee.kind, c.callee.qualname) for c in fn.calls}
-    assert ("class", "Service") in kinds
-    assert ("function", "Service.ping") in kinds
-    # self.pong() inside ping resolves through self-dispatch
-    ping = model.function(("pkg.svc", "Service.ping"))
-    assert ping.calls[0].callee.qualname == "Service.pong"
-
-
-def test_return_annotation_infers_local_type(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/svc.py": """
-            class Engine:
-                def start(self):
-                    return 1
-
-            def make_engine() -> Engine:
-                return Engine()
-        """,
-        "pkg/main.py": """
-            from pkg.svc import make_engine
-
-            def go():
-                engine = make_engine()
-                return engine.start()
-        """,
-    })
-    fn = model.function(("pkg.main", "go"))
-    resolved = {c.callee.qualname for c in fn.calls}
-    assert "Engine.start" in resolved
-
-
-def test_base_class_method_lookup(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/svc.py": """
-            class Base:
-                def shared(self):
-                    return 1
-
-            class Child(Base):
-                def own(self):
-                    return self.shared()
-        """,
-    })
-    own = model.function(("pkg.svc", "Child.own"))
-    callee = own.calls[0].callee
-    assert callee.kind == "function"
-    assert callee.qualname == "Base.shared"
-
-
-def test_dynamic_calls_degrade_to_unknown(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/main.py": """
-            def go(factory, table):
-                factory()()
-                table["key"]()
-                x = unknown_name
-                return x.method()
-        """,
-    })
-    fn = model.function(("pkg.main", "go"))
-    assert fn.calls, "calls must still be recorded"
-    assert {c.callee.kind for c in fn.calls} == {"unknown"}
-
-
-# ---------------------------------------------------------------------------
-# stage discovery / constants / export
+# names and stages
 # ---------------------------------------------------------------------------
 
 
 def test_discover_stages_resolves_seeds_and_version(tmp_path):
-    model = build_model(tmp_path, {
+    project = load_tree(tmp_path, {
         "pkg/graph.py": """
             class StageSpec:
                 def __init__(self, **kw):
                     pass
         """,
+        "pkg/roles.py": """
+            def shared_run(world, products, payload):
+                return None
+        """,
         "pkg/stages.py": """
             from pkg.graph import StageSpec
+            from pkg.roles import shared_run
 
             def _plan(world, products):
                 return []
@@ -236,82 +103,52 @@ def test_discover_stages_resolves_seeds_and_version(tmp_path):
             def _run(world, products, payload):
                 return None
 
-            def _merge(world, products, shards):
-                return None
-
-            def _index(product):
-                return {}
-
-            SPEC = StageSpec(
-                name="alpha", plan=_plan, run=_run, merge=_merge,
-                index=_index,
-            )
+            SPEC = StageSpec(name="alpha", plan=_plan, run=_run)
             BAD = StageSpec(
-                name="beta", plan=lambda w, p: [], run=_run, merge=_merge,
-                index=_index,
+                name="beta", plan=_plan, run=lambda w, p, k, x: None,
             )
+            IMPORTED = StageSpec(name="gamma", plan=_plan, run=shared_run)
         """,
     })
-    decls = {decl.name: decl for decl in model.discover_stages()}
-    alpha = decls["alpha"]
-    assert set(alpha.seeds) == {"plan", "run", "merge", "index"}
-    assert alpha.seeds["run"] == ("pkg.stages", "_run")
-    # a lambda role resolves to no function, so it seeds nothing
-    beta = decls["beta"]
-    assert set(beta.seeds) == {"run", "merge", "index"}
+    found = {
+        stage: (ctx.module, fn.name) for stage, ctx, fn in stage_runs(project)
+    }
+    # a lambda role names no function, so beta has no run to check
+    assert found == {
+        "alpha": ("pkg.stages", "_run"),
+        "gamma": ("pkg.roles", "shared_run"),
+    }
 
 
 def test_resolve_string_through_constants(tmp_path):
-    import ast
-
-    model = build_model(tmp_path, {
-        "pkg/names.py": 'NAME = "metric.one"\n',
+    project = load_tree(tmp_path, {
+        "pkg/names.py": 'NAME = "metric.one"\nCOUNT = 3\n',
         "pkg/main.py": """
             from pkg import names
             from pkg.names import NAME as LOCAL
+
+            OWN = "metric.own"
         """,
     })
-    info = model.modules["pkg.main"]
-    attr = ast.parse("names.NAME", mode="eval").body
-    assert model.resolve_string(info, attr) == "metric.one"
-    name = ast.parse("LOCAL", mode="eval").body
-    assert model.resolve_string(info, name) == "metric.one"
-    dynamic = ast.parse("some_variable", mode="eval").body
-    assert model.resolve_string(info, dynamic) is None
+    modules = project.modules
+    ctx = modules["pkg.main"]
+
+    def resolve(source):
+        return resolve_string(ctx, ast.parse(source, mode="eval").body, modules)
+
+    assert resolve("names.NAME") == "metric.one"
+    assert resolve("LOCAL") == "metric.one"
+    assert resolve("OWN") == "metric.own"
+    assert resolve('"literal"') == "literal"
+    assert resolve("names.COUNT") is None
+    assert resolve("some_variable") is None
+    assert resolve("names.NAME.upper()") is None
 
 
 def test_static_prefix_of_fstring():
-    import ast
-
     literal = ast.parse('"stage:fixed"', mode="eval").body
-    assert ProgramModel.static_prefix(literal) == "stage:fixed"
+    assert static_prefix(literal) == "stage:fixed"
     joined = ast.parse('f"stage:{name}"', mode="eval").body
-    assert ProgramModel.static_prefix(joined) == "stage:"
+    assert static_prefix(joined) == "stage:"
     call = ast.parse("make_name()", mode="eval").body
-    assert ProgramModel.static_prefix(call) is None
-
-
-def test_model_import_and_call_edges(tmp_path):
-    model = build_model(tmp_path, {
-        "pkg/stages.py": """
-            from pkg import work
-
-            def run(world, products, payload):
-                return work.crunch()
-        """,
-        "pkg/work.py": """
-            def crunch():
-                return 1
-        """,
-    })
-    assert "pkg.stages" in model.modules
-    assert model.modules["pkg.stages"].symbols["work"] == Symbol(
-        "module", module="pkg.work"
-    )
-    run_calls = model.function(("pkg.stages", "run")).calls
-    assert any(
-        call.callee.kind == "function"
-        and (call.callee.module, call.callee.qualname)
-        == ("pkg.work", "crunch")
-        for call in run_calls
-    )
+    assert static_prefix(call) is None

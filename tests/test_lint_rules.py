@@ -689,7 +689,7 @@ def test_pragma_does_not_suppress_other_rules(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# O6xx — whole-program rules (multi-file fixtures)
+# O6xx — cross-file rules (multi-file fixtures)
 # ---------------------------------------------------------------------------
 
 
@@ -699,7 +699,7 @@ def lint_tree(
     select: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
     """Write a {relpath: source} tree (with ``__init__.py`` chains for
-    every package directory) and lint it whole-program."""
+    every package directory) and lint the whole tree."""
     for relpath, source in files.items():
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -841,6 +841,25 @@ def test_o603_fires_on_unmatched_fstring_prefix(tmp_path):
                 pass
     """), select=["O603"])
     assert codes(findings) == ["O603"]
+
+
+def test_files_sharing_a_module_name_are_each_checked(tmp_path):
+    # Two script folders without `__init__.py` give both files the
+    # module name `tool`; each file is still checked on its own.
+    source = textwrap.dedent("""
+        from pkg.obs import metrics
+
+        def go():
+            metrics.inc("requests.bogus")
+    """)
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "tool.py").write_text(source)
+    findings = lint_tree(tmp_path, OBS_FIXTURE, select=["O601"])
+    assert [(f.rule, f.path) for f in findings] == [
+        ("O601", "a/tool.py"),
+        ("O601", "b/tool.py"),
+    ]
 
 
 def test_obs_rules_quiet_without_catalog_module(tmp_path):

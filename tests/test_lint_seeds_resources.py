@@ -1,13 +1,14 @@
 """The S and I rule families, and the rules that guard run paths.
 
-S702–S704 and I902 read syntactic scans of the program model (RNG
-derivation sites, socket/subprocess sites); the tests below run small
-fixture trees through the real lint framework.  The second half pins
-where the run-path invariants are enforced: a raw ``random.Random`` on
-a stage's run path is D102's (including a copied-tree test that plants
-one inside ``panel_run``), and an explicit builtin ``raise`` under a
-stage ``run`` or a CLI ``main`` is E201's — each flagged at the
-offending line.
+S702–S704 and I902 read syntactic scans of each file (RNG derivation
+sites, socket/subprocess sites); the tests below run small fixture
+trees through the real lint framework.  The second half pins where the
+run-path invariants are enforced: a raw ``random.Random`` on a stage's
+run path is D102's, and an explicit builtin ``raise`` under a stage
+``run`` or a CLI ``main`` is E201's — each flagged at the offending
+line.  One defect per O, S and I rule (and D102) is planted in a copy
+of the real tree, so the rules are held to the tree's own import
+forms.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import shutil
 import textwrap
 from pathlib import Path
 from typing import List, Optional, Sequence
+
+import pytest
 
 from repro.lint import Finding, run_lint, select_rules
 from repro.runtime.footprint import default_root
@@ -324,6 +327,147 @@ def test_e201_flags_a_builtin_raise_under_a_cli_main(tmp_path):
     findings = lint_tree(tmp_path, {"pkg/cli.py": cli})
     assert [(f.rule, f.path, f.line) for f in findings] == [
         ("E201", "pkg/cli.py", line_of(cli, "raise ValueError")),
+    ]
+
+
+NESTED_CLASS = """
+    import subprocess
+
+    from pkg.util.rng import fixed_rng
+
+    class Outer:
+        class Inner:
+            def go(self):
+                subprocess.run(["true"])
+                return fixed_rng()
+
+    def build():
+        class Local:
+            def go(self):
+                return fixed_rng(1)
+        return Local
+"""
+
+
+def test_calls_in_a_nested_class_method_are_scanned(tmp_path):
+    # A method of a class nested in a class body runs as surely as a
+    # top-level function; its calls are scanned and named by the
+    # method's dotted path.  A function-local class belongs to the
+    # function that defines it.
+    files = dict(RNG_MODULE)
+    files["pkg/nested.py"] = NESTED_CLASS
+    findings = lint_tree(tmp_path, files, select=["I902", "S703"])
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("I902", "pkg/nested.py", line_of(NESTED_CLASS, "subprocess.run")),
+        ("S703", "pkg/nested.py", line_of(NESTED_CLASS, "fixed_rng()")),
+        ("S703", "pkg/nested.py", line_of(NESTED_CLASS, "fixed_rng(1)")),
+    ]
+    assert ["Outer.Inner.go" in f.message for f in findings] == [
+        True, True, False,
+    ]
+    assert "in build " in findings[2].message
+
+
+# ---------------------------------------------------------------------------
+# one defect planted in a copy of the real tree, per rule
+# ---------------------------------------------------------------------------
+
+PANEL_UNPACK = "    lo, hi = payload\n"
+
+
+def _replace(old: str, new: str):
+    def edit(source: str) -> str:
+        assert source.count(old) == 1, old
+        return source.replace(old, new)
+    return edit
+
+
+def _in_panel_run(text: str):
+    """Insert ``text`` right after ``panel_run`` unpacks its payload."""
+    def edit(source: str) -> str:
+        start = source.index("def panel_run(")
+        at = source.index(PANEL_UNPACK, start) + len(PANEL_UNPACK)
+        return source[:at] + text + source[at:]
+    return edit
+
+
+def _append(text: str):
+    return lambda source: source + text
+
+
+PLANTED = [
+    pytest.param(
+        "O601", "core/classify.py",
+        _replace("obs_names.CLASSIFY_FLOWS, count,",
+                 '"classify.undeclared", count,'),
+        ["obs_metrics.inc("], "'classify.undeclared'", id="O601",
+    ),
+    pytest.param(
+        "O602", "core/classify.py",
+        _replace("obs_names.CLASSIFY_FLOWS, count, stage=stage.value",
+                 "obs_names.CLASSIFY_FLOWS, count"),
+        ["obs_metrics.inc("], "labels [<none>]", id="O602",
+    ),
+    pytest.param(
+        "O603", "runtime/engine.py",
+        _replace("tracer.span(obs_names.SPAN_WORLD_BUILD)",
+                 'tracer.span("world.undeclared")'),
+        ['tracer.span("world.undeclared")'], "'world.undeclared'", id="O603",
+    ),
+    pytest.param(
+        "S702", "runtime/stages.py",
+        _in_panel_run('    _twin = world.streams.spawn("runtime:sensitive")\n'),
+        ["_twin = ", 'streams=world.streams.spawn("runtime:sensitive")'],
+        "'runtime:sensitive' (spawn family) is derived at 2 sites",
+        id="S702",
+    ),
+    pytest.param(
+        "S703", "runtime/stages.py",
+        _in_panel_run(
+            "    from repro.util.rng import fixed_rng\n"
+            "    _rng = fixed_rng()\n"
+        ),
+        ["_rng = fixed_rng()"], "fixed_rng(...) in panel_run ", id="S703",
+    ),
+    pytest.param(
+        "S704", "runtime/stages.py",
+        _in_panel_run('    return world.streams.spawn("runtime:leak")\n'),
+        ['return world.streams.spawn("runtime:leak")'],
+        "stage 'panel' run returns a freshly derived RNG", id="S704",
+    ),
+    pytest.param(
+        "I902", "runtime/cache.py",
+        _append('\nimport subprocess\n\nsubprocess.run(["true"])\n'),
+        ['subprocess.run(["true"])'], "subprocess.run(...) in <module>",
+        id="I902",
+    ),
+]
+
+
+@pytest.mark.parametrize("rule,relpath,plant,needles,fragment", PLANTED)
+def test_planted_defect_in_the_real_tree(
+    tmp_path, rule, relpath, plant, needles, fragment
+):
+    # The rules must see the tree's own import forms: `obs_names.X`
+    # through `from repro.obs import names as obs_names`,
+    # `obs_metrics.inc`, `world.streams.spawn` and
+    # `StageSpec(run=panel_run)`.
+    target = tmp_path / "edited" / "repro"
+    shutil.copytree(
+        default_root(), target, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    path = target / relpath
+    edited = plant(path.read_text())
+    path.write_text(edited)
+    findings = run_lint(
+        [target], rules=select_rules([rule]), root=target.parent
+    ).findings
+    assert [(f.rule, f.path, f.line) for f in findings] == sorted(
+        (rule, f"repro/{relpath}", line_of(edited, needle))
+        for needle in needles
+    )
+    assert all(fragment in f.message for f in findings), [
+        f.message for f in findings
     ]
 
 
