@@ -15,8 +15,10 @@ and measure what the paper's design choices actually buy.
 
 from repro.core.classify import RequestClassifier
 from repro.core.tracker_ips import TrackerIPInventory
+from repro.dnssim.passive import PassiveDNSDatabase
 from repro.netflow.join import HashedIPMatcher, TrackerFlowJoin
 from repro.config import SNAPSHOT_DAYS
+from repro.web.browser import MappingService
 
 
 def test_ablation_lists_only_classifier(benchmark, study, save_artifact):
@@ -114,8 +116,18 @@ def test_ablation_strict_validity_windows(benchmark, study, save_artifact):
     for record in inventory.records():
         relaxed.add(record.address, record.window)
 
-    synthesizer = study.world.synthesizers["HU"]
-    records = synthesizer.snapshot(SNAPSHOT_DAYS["June 20"])
+    # a stream of its own and a private mapping, as an ISP shard draws
+    world = study.world
+    streams = world.streams.spawn("runtime:isp:HU")
+    mapping = MappingService(
+        world.fleet, world.registry, PassiveDNSDatabase(name="bench-HU"),
+        streams,
+    )
+    records = world.synthesizers["HU"].snapshot(
+        SNAPSHOT_DAYS["June 20"],
+        rng=streams.fork("snapshot:June 20"),
+        mapping=mapping,
+    )
     locate = study.geolocation.reference
     strict_result = TrackerFlowJoin(strict, locate).join(
         "HU", "HU", SNAPSHOT_DAYS["June 20"], records

@@ -3,10 +3,12 @@ classification throughput, geolocation throughput, and the full
 paper-vs-measured report."""
 
 
-from repro import Study, WorldConfig
+from repro import WorldConfig
 from repro.analysis.report import paper_vs_measured
 from repro.core.classify import RequestClassifier
-from repro.datasets.builder import build_world
+from repro.datasets.builder import build_world, cached_build_world
+from repro.runtime import run_study
+from repro.runtime.stages import campaign_engine
 
 
 def test_world_build_small(benchmark):
@@ -20,13 +22,14 @@ def test_world_build_small(benchmark):
 
 def test_panel_simulation_small(benchmark):
     """Cost of simulating the full browser-extension panel."""
-    study = Study(WorldConfig.small(seed=321))
+    config = WorldConfig.small(seed=321)
+    cached_build_world(config)  # the world build stays out of the timing
 
     def run():
-        return study.visit_log
+        return run_study(config, targets=("panel",)).products["panel"]
 
-    log = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert log.third_party_requests() > 0
+    panel = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert panel["requests"]
 
 
 def test_classification_throughput(benchmark, study):
@@ -44,15 +47,7 @@ def test_classification_throughput(benchmark, study):
 
 def test_geolocation_throughput(benchmark, study):
     """Active-measurement campaigns per second (fresh engine, 150 IPs)."""
-    from repro.geoloc.ipmap import IPmapEngine
-
-    engine = IPmapEngine(
-        mesh=study.world.probes,
-        oracle=study.world.oracle,
-        registry=study.world.registry,
-        config=study.config.geolocation,
-        streams=study.world.streams.spawn("bench-ipmap"),
-    )
+    engine = campaign_engine(study.world)
     addresses = study.inventory.addresses()[:150]
 
     def run():

@@ -2,6 +2,7 @@
 baselines it builds on (shortest ping, constraint-based geolocation)."""
 
 from repro.geoloc.baselines import CBGLocator, ShortestPingLocator
+from repro.runtime.stages import campaign_engine
 
 
 def test_geolocation_algorithm_comparison(benchmark, study, save_artifact):
@@ -28,7 +29,7 @@ def test_geolocation_algorithm_comparison(benchmark, study, save_artifact):
         return {
             "shortest_ping": accuracy(shortest.locate),
             "cbg": accuracy(cbg.locate),
-            "ipmap_engine": accuracy(world.ipmap.locate),
+            "ipmap_engine": accuracy(campaign_engine(world).locate),
         }
 
     accuracies = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -27,9 +27,10 @@ from __future__ import annotations
 import pytest
 
 from repro import Study, WorldConfig
-from repro.core.classify import ClassificationStage
+from repro.core.classify import ClassificationStage, RequestClassifier
 from repro.core.localization import LocalizationScenario
 from repro.geoloc.probes import ProbeMesh
+from repro.runtime import run_study
 from repro.runtime.stages import campaign_engine, panel_plan, panel_run
 
 N_CAMPAIGNS = 300
@@ -37,7 +38,7 @@ N_CAMPAIGNS = 300
 
 @pytest.fixture(scope="module")
 def small_study() -> Study:
-    return Study(WorldConfig.small())
+    return run_study(WorldConfig.small()).study()
 
 
 def test_panel_shard(benchmark, small_study):
@@ -56,7 +57,9 @@ def test_panel_shard(benchmark, small_study):
 
 def test_classify(benchmark, small_study):
     requests = small_study.visit_log.requests
-    classifier = small_study.classifier
+    classifier = RequestClassifier(
+        small_study.world.easylist, small_study.world.easyprivacy
+    )
 
     def classify():
         return classifier.classify(requests)

@@ -17,14 +17,15 @@ monitor over the same flows.
 
 import sys
 
-from repro import Study, WorldConfig
+from repro import WorldConfig
 from repro.core.collaboration import CollaborationAnalyzer
 from repro.core.regulations import RegulationMonitor
+from repro.runtime import run_study
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
-    study = Study(WorldConfig.small(seed=seed))
+    study = run_study(WorldConfig.small(seed=seed)).study()
     analyzer = CollaborationAnalyzer(
         study.classification, study.geolocation.reference
     )

@@ -17,6 +17,7 @@ import sys
 
 from repro import Study, WorldConfig
 from repro.geodata.regions import Region
+from repro.runtime import run_study
 
 
 def headline(study: Study) -> dict:
@@ -49,9 +50,9 @@ def main() -> None:
     )
 
     print("Running the baseline world…")
-    baseline = headline(Study(base_config))
+    baseline = headline(run_study(base_config).study())
     print("Running the consolidated (hyperscaler-dominated) world…")
-    consolidated = headline(Study(consolidated_config))
+    consolidated = headline(run_study(consolidated_config).study())
 
     print("\nmetric                     baseline   consolidated")
     for key in baseline:

@@ -16,15 +16,16 @@ that would still cross borders.
 import sys
 from collections import Counter
 
-from repro import Study, WorldConfig
+from repro import WorldConfig
 from repro.core.localization import LocalizationScenario
 from repro.geodata.regions import Region, region_of_country
+from repro.runtime import run_study
 from repro.web.requests import tld1_of
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
-    study = Study(WorldConfig.small(seed=seed))
+    study = run_study(WorldConfig.small(seed=seed)).study()
     localization = study.localization
     analyzer = study.confinement()
 

@@ -21,15 +21,16 @@ and reports:
 import sys
 from collections import Counter
 
-from repro import Study, WorldConfig
+from repro import WorldConfig
 from repro.geodata.regions import Region, region_of_country
+from repro.runtime import run_study
 from repro.web.requests import tld1_of
 
 
 def main() -> None:
     country = (sys.argv[1] if len(sys.argv) > 1 else "DE").upper()
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 7
-    study = Study(WorldConfig.small(seed=seed))
+    study = run_study(WorldConfig.small(seed=seed)).study()
     registry = study.world.registry
     name = registry.get(country).name
     print(f"=== GDPR tracking audit for the {name} DPA ===\n")

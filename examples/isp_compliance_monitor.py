@@ -14,13 +14,14 @@ Table 8 time series, and raises attention flags when confinement moves.
 
 import sys
 
-from repro import SNAPSHOT_DAYS, Study, WorldConfig
+from repro import SNAPSHOT_DAYS, WorldConfig
+from repro.runtime import run_study
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
-    study = Study(WorldConfig.small(seed=seed))
-    isp_study = study.isp_study
+    study = run_study(WorldConfig.small(seed=seed)).study()
+    reports = study.isp_reports
 
     print("=== Cross-border tracking monitor (four European ISPs) ===\n")
     print(
@@ -33,7 +34,7 @@ def main() -> None:
         print(f"\n--- {isp.name} ({isp.demographics}) ---")
         history = []
         for snapshot in SNAPSHOT_DAYS:
-            report = isp_study.run_snapshot(isp.name, snapshot)
+            report = reports[(isp.name, snapshot)]
             eu = report.region_shares.get("EU 28", 0.0)
             na = report.region_shares.get("N. America", 0.0)
             history.append((snapshot, eu))
@@ -55,7 +56,7 @@ def main() -> None:
         print(f"  confinement across the GDPR date: {verdict} "
               f"({delta:+.1f} points)")
 
-        top = isp_study.run_snapshot(isp.name, "June 20").top_destinations(4)
+        top = reports[(isp.name, "June 20")].top_destinations(4)
         print(
             "  current sinks: "
             + ", ".join(f"{country} {share:.1f}%" for country, share in top)

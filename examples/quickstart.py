@@ -15,13 +15,15 @@ pipeline end to end, and prints:
 * the Figure 7 geolocation flip (the paper's headline),
 * national confinement per EU28 country (Figure 8),
 * the localization what-if table (Table 5),
-* and, via the runtime engine, the run's provenance manifest
-  (docs/observability.md).
+* and the run's provenance manifest (docs/observability.md).
+
+One traced engine run computes every stage; the tables read its study
+view, and the manifest records what produced them.
 """
 
 import sys
 
-from repro import Study, WorldConfig
+from repro import WorldConfig
 from repro.analysis.tables import table1, table2, table5
 from repro.geodata.regions import Region
 from repro.obs.trace import Tracer
@@ -31,7 +33,8 @@ from repro.runtime import run_study
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
     print(f"Building the small world (seed={seed}) and running the study…")
-    study = Study(WorldConfig.small(seed=seed))
+    run = run_study(WorldConfig.small(seed=seed), tracer=Tracer())
+    study = run.study()
 
     print()
     print(table1(study)["text"])
@@ -65,12 +68,11 @@ def main() -> None:
     print()
     print(table5(study)["text"])
 
-    # The same study through the traced runtime engine: the provenance
-    # manifest records what produced these numbers — config digest, per-
-    # stage record counts and the merged metrics registry.
+    # The provenance manifest records what produced these numbers:
+    # config digest, per-stage record counts and the merged metrics
+    # registry.
     print()
-    print("Provenance — a traced engine run over the same config:")
-    run = run_study(WorldConfig.small(seed=seed), tracer=Tracer())
+    print("Provenance — the traced engine run behind these tables:")
     manifest = run.manifest
     print(f"  config digest: {manifest['config']['digest'][:16]}…")
     for entry in manifest["stages"]:

@@ -8,7 +8,8 @@ Usage: python scripts/calibrate.py [small|medium|paper]
 import sys
 import time
 
-from repro import Study, WorldConfig
+from repro import WorldConfig
+from repro.runtime import run_study
 
 
 def main() -> None:
@@ -19,9 +20,9 @@ def main() -> None:
         "paper": WorldConfig.paper_scale,
     }[preset]()
     t0 = time.time()
-    study = Study(config)
+    study = run_study(config).study()
     log = study.visit_log
-    print(f"[{time.time()-t0:6.1f}s] panel simulated")
+    print(f"[{time.time()-t0:6.1f}s] engine run done (every stage)")
     print(
         f"T1: users={log.n_users()} 1p_domains={log.first_party_domains()} "
         f"1p_reqs={log.first_party_requests()} 3p_fqdns={log.third_party_fqdns()} "
@@ -135,9 +136,8 @@ def main() -> None:
     print("    paper  : health=38 gambling=22 sexorient=11 pregnancy=11 politics=9 porn=7")
     print(f"[{time.time()-t0:6.1f}s] sensitive done")
 
-    isp = study.isp_study
     for name in ("DE-Broadband", "DE-Mobile", "PL", "HU"):
-        report = isp.run_snapshot(name, "April 4")
+        report = study.isp_reports[(name, "April 4")]
         top = ", ".join(f"{c}={s:.1f}" for c, s in report.top_destinations(5))
         eu = report.region_shares.get("EU 28", 0.0)
         na = report.region_shares.get("N. America", 0.0)

@@ -9,11 +9,16 @@ the ISP-scale NetFlow validation — over a faithful simulated substrate
 (web/RTB ecosystem, DNS, geolocation physics, cloud footprints, ISP
 NetFlow), since the paper's inputs are proprietary.
 
+The runtime engine (:mod:`repro.runtime`) is the one record path; a
+:class:`Study` is the read-only view of one engine run that the tables
+and figures read.
+
 Quickstart::
 
-    from repro import Study, WorldConfig
+    from repro import WorldConfig
+    from repro.runtime import run_study
 
-    study = Study(WorldConfig.small())
+    study = run_study(WorldConfig.small()).study()
     print(study.eu28_destination_regions())   # Fig. 7(b) shape
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -255,7 +255,7 @@ def figure11(study: Study) -> Dict[str, Any]:
 def figure12(study: Study, snapshot: str = "April 4") -> Dict[str, Any]:
     """Fig. 12 — top destination countries per ISP."""
     reports = {
-        isp.name: study.isp_study.run_snapshot(isp.name, snapshot)
+        isp.name: study.isp_reports[(isp.name, snapshot)]
         for isp in study.world.isps
     }
     rows = []

@@ -49,10 +49,10 @@ def experiment_summary(study: Study) -> Dict[str, float]:
     }
     from repro.core.localization import LocalizationScenario as S
 
-    reports = study.isp_study.run_all(["April 4"])
     eu28_shares = [
         report.region_shares.get("EU 28", 0.0)
-        for report in reports.values()
+        for (_, snapshot), report in study.isp_reports.items()
+        if snapshot == "April 4"
     ]
     return {
         "t1_users": float(study.visit_log.n_users()),

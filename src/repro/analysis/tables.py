@@ -214,12 +214,16 @@ def table8(
     """Table 8 — sampled tracking-flow statistics across ISPs and days."""
     from repro.config import SNAPSHOT_DAYS
 
-    reports = study.isp_study.run_all(snapshots)
-    isp_names = sorted({isp for isp, _ in reports})
+    isp_names = sorted(isp.name for isp in study.world.isps)
+    # KeyError on a day outside SNAPSHOT_DAYS.
+    wanted = {snap: SNAPSHOT_DAYS[snap] for snap in snapshots or SNAPSHOT_DAYS}
     # Columns follow the paper's chronological snapshot order.
-    snapshot_names = [
-        snap for snap in SNAPSHOT_DAYS if (isp_names[0], snap) in reports
-    ]
+    snapshot_names = [snap for snap in SNAPSHOT_DAYS if snap in wanted]
+    reports = {
+        (isp, snap): study.isp_reports[(isp, snap)]
+        for isp in isp_names
+        for snap in snapshot_names
+    }
     header = ["Metric"] + [
         f"{isp} {snap}" for isp in isp_names for snap in snapshot_names
     ]

@@ -3,14 +3,14 @@
 Commands
 --------
 ``report``
-    Run the full pipeline and print every regenerated table and figure
-    plus the paper-vs-measured block.
+    Run the full pipeline through the engine and print every
+    regenerated table and figure plus the paper-vs-measured block.
 ``table N`` / ``figure N``
     Regenerate one artifact (e.g. ``table 5``, ``figure 7``).
 ``summary``
     Print the headline paper-vs-measured metrics as JSON.
 ``world``
-    Build the world and print its population statistics.
+    Build the world and print its population statistics (runs no stage).
 ``export``
     Run the pipeline and export its products (request log JSONL,
     tracker-IP inventory JSON, continent sankey CSV) into a directory.
@@ -43,7 +43,7 @@ import pathlib
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
-from repro import Study, WorldConfig
+from repro import Study, World, WorldConfig, build_world
 from repro.analysis import figures as F
 from repro.analysis import tables as T
 from repro.analysis.report import (
@@ -183,7 +183,10 @@ def _make_config(args: argparse.Namespace) -> WorldConfig:
 
 
 def _make_study(args: argparse.Namespace) -> Study:
-    return Study(_make_config(args))
+    """The view of one inline, uncached engine run of the chosen world."""
+    from repro.runtime import run_study
+
+    return run_study(_make_config(args)).study()
 
 
 def _command_run(args: argparse.Namespace) -> str:
@@ -334,8 +337,7 @@ def _command_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_world(study: Study) -> str:
-    world = study.world
+def _command_world(world: World) -> str:
     lines = [
         f"seed:            {world.config.seed}",
         f"organizations:   {len(world.organizations)}",
@@ -380,6 +382,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run":
             print(_command_run(args))
             return 0
+        if args.command == "world":
+            print(_command_world(build_world(_make_config(args))))
+            return 0
         study = _make_study(args)
         if args.command == "report":
             print(full_report(study))
@@ -388,8 +393,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 json.dumps(experiment_summary(study), indent=1, sort_keys=True)
             )
             print("\n" + paper_vs_measured(study), file=sys.stderr)
-        elif args.command == "world":
-            print(_command_world(study))
         elif args.command == "table":
             print(_TABLES[args.number](study)["text"])
         elif args.command == "figure":

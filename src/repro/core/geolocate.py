@@ -2,7 +2,7 @@
 
 Bundles the three geolocation tools over the tracker IP inventory:
 
-* the active-measurement engine (RIPE IPmap substitute) — the study's
+* the active-measurement locator (RIPE IPmap substitute) — the study's
   reference tool,
 * the two commercial databases (MaxMind / IP-API substitutes),
 
@@ -25,7 +25,6 @@ from repro.geoloc.compare import (
     agreement_matrix,
     misgeolocation_report,
 )
-from repro.geoloc.ipmap import IPmapEngine
 from repro.geoloc.truth import GroundTruthOracle
 from repro.core.tracker_ips import TrackerIPInventory
 from repro.netbase.addr import IPAddress
@@ -38,7 +37,7 @@ class GeolocationSuite:
 
     def __init__(
         self,
-        ipmap: IPmapEngine,
+        ipmap: Locator,
         maxmind: CommercialGeoDatabase,
         ip_api: CommercialGeoDatabase,
         oracle: GroundTruthOracle,
@@ -50,7 +49,7 @@ class GeolocationSuite:
         # Built once: per-record lookups go through this index instead
         # of assembling a fresh dict per call.
         self._locators: Dict[str, Locator] = {
-            "RIPE IPmap": self._ipmap.locate,
+            "RIPE IPmap": self._ipmap,
             "MaxMind": self._maxmind.locate,
             "ip-api": self._ip_api.locate,
         }
@@ -75,7 +74,7 @@ class GeolocationSuite:
     @property
     def reference(self) -> Locator:
         """The study's reference tool (active measurements)."""
-        return self._ipmap.locate
+        return self._ipmap
 
     @property
     def maxmind(self) -> Locator:
@@ -121,7 +120,7 @@ class GeolocationSuite:
                 addresses=grouped.get(label, []),
                 request_counts=counts,
                 tested=self._maxmind.locate,
-                reference=self._ipmap.locate,
+                reference=self._ipmap,
             )
             for label in org_labels
         ]
@@ -147,7 +146,7 @@ class GeolocationSuite:
                 prefix = clouds.pool_record(provider_name, country).prefix
                 for offset in range(per_pool_samples):
                     address = prefix.nth(offset)
-                    estimate = self._ipmap.locate(address)
+                    estimate = self._ipmap(address)
                     if estimate is None:
                         continue
                     total += 1
@@ -176,7 +175,7 @@ class GeolocationSuite:
         total = country_ok = region_ok = 0
         for address in addresses:
             truth = self._oracle.country(address)
-            estimate = self._ipmap.locate(address)
+            estimate = self._ipmap(address)
             if truth is None or estimate is None:
                 continue
             total += 1

@@ -81,14 +81,14 @@ class ISPScaleStudy:
         isp_name: str,
         snapshot: str,
         *,
-        rng: Optional["random.Random"] = None,
-        mapping: Optional["MappingService"] = None,
+        rng: "random.Random",
+        mapping: "MappingService",
     ) -> SnapshotReport:
         """Synthesize, join and aggregate one (ISP, day) snapshot.
 
-        ``rng`` / ``mapping`` are forwarded to the synthesizer (see
-        :meth:`TrafficSynthesizer.snapshot`) so the runtime can run each
-        ISP shard against shard-local randomness and DNS state.
+        ``rng`` and ``mapping`` go to the synthesizer (see
+        :meth:`TrafficSynthesizer.snapshot`): the runtime runs each ISP
+        shard against its own stream and a private DNS mapping.
         """
         isp = self._isps[isp_name]
         day = SNAPSHOT_DAYS[snapshot]
@@ -96,19 +96,6 @@ class ISPScaleStudy:
         records = synthesizer.snapshot(day, rng=rng, mapping=mapping)
         result = self._join.join(isp_name, isp.country, day, records)
         return self._report(isp, snapshot, result)
-
-    def run_all(
-        self, snapshots: Optional[Sequence[str]] = None
-    ) -> Dict[Tuple[str, str], SnapshotReport]:
-        """The full Table 8 grid: every ISP on every snapshot day."""
-        snapshots = list(snapshots or SNAPSHOT_DAYS)
-        out: Dict[Tuple[str, str], SnapshotReport] = {}
-        for isp_name in sorted(self._isps):
-            for snapshot in snapshots:
-                out[(isp_name, snapshot)] = self.run_snapshot(
-                    isp_name, snapshot
-                )
-        return out
 
     # -- aggregation -----------------------------------------------------
     def _report(

@@ -1,166 +1,85 @@
-"""End-to-end study orchestration.
+"""A read-only view of one engine run's products.
 
-:class:`Study` is the package's top-level object: it owns a simulated
-world and runs the paper's pipeline over it, stage by stage, caching
-each product:
+The runtime engine (:mod:`repro.runtime`) is the only record path: it
+runs the paper's pipeline stage by stage, sharded and cached, and keeps
+each stage's merged product.  :class:`Study` holds one run's products
+for the tables and figures of :mod:`repro.analysis`:
 
-1. **panel** — simulate the browser-extension panel (Sect. 3.1);
+1. **panel** — the browser-extension panel's visit log (Sect. 3.1);
 2. **classification** — the two-stage tracking classifier (Sect. 3.2);
 3. **inventory** — tracker IPs with passive-DNS completion (Sect. 3.3);
 4. **geolocation** — the three-tool suite (Sect. 3.4);
 5. **confinement** — border-crossing analysis (Sect. 4);
 6. **localization** — the what-if scenarios (Sect. 5);
 7. **sensitive** — the sensitive-category study (Sect. 6);
-8. **ISP scale** — the four-ISP NetFlow validation (Sect. 7).
+8. **ISP scale** — the four-ISP NetFlow reports (Sect. 7).
+
+The view runs no stage and writes nothing into the world: a question
+asked through it gives the same answer whatever was asked before.
+:meth:`repro.runtime.RuntimeRun.study` builds it from a full-graph run.
 
 Typical use::
 
-    from repro import Study, WorldConfig
+    from repro import WorldConfig
+    from repro.runtime import run_study
 
-    study = Study(WorldConfig.small())
+    study = run_study(WorldConfig.small()).study()
     eu_shares = study.eu28_destination_regions()      # Fig. 7(b)
     table5 = study.localization.scenario_table(study.tracking_requests())
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Tuple
 
-from repro.config import WorldConfig
-from repro.core.classify import ClassificationResult, RequestClassifier
+from repro.core.classify import ClassificationResult
 from repro.core.confinement import ConfinementAnalyzer
 from repro.core.geolocate import GeolocationSuite
-from repro.core.ispscale import ISPScaleStudy
+from repro.core.ispscale import SnapshotReport
 from repro.core.localization import LocalizationAnalyzer
 from repro.core.sensitive import SensitiveStudy
 from repro.core.tracker_ips import TrackerIPInventory
-from repro.datasets.builder import BACKGROUND_END_DAY, World, build_world
-from repro.errors import PipelineError
+from repro.datasets.builder import World
 from repro.geodata.regions import Region
-from repro.obs import names as obs_names
-from repro.obs.trace import current_tracer
-from repro.web.browser import BrowserExtensionSimulator, VisitLog
+from repro.web.browser import VisitLog
 from repro.web.requests import ThirdPartyRequest
 
 
 class Study:
-    """The full reproduction pipeline over one simulated world."""
+    """One engine run's stage products over its world."""
 
     def __init__(
         self,
-        config: Optional[WorldConfig] = None,
-        world: Optional[World] = None,
-    ) -> None:
-        if world is not None and config is not None:
-            # Compare by value: an equal-but-distinct WorldConfig (e.g.
-            # round-tripped through a worker process) names the same world.
-            if world.config != config:
-                raise PipelineError(
-                    "pass either a config or a pre-built world, not both"
-                )
-        self.world = world if world is not None else build_world(config)
-        self.config = self.world.config
-        self._visit_log: Optional[VisitLog] = None
-        self._classification: Optional[ClassificationResult] = None
-        self._inventory: Optional[TrackerIPInventory] = None
-        self._geolocation: Optional[GeolocationSuite] = None
-        self._localization: Optional[LocalizationAnalyzer] = None
-        self._sensitive: Optional[SensitiveStudy] = None
-        self._isp_study: Optional[ISPScaleStudy] = None
-
-    @classmethod
-    def from_products(
-        cls,
         world: World,
         *,
-        visit_log: Optional[VisitLog] = None,
-        classification: Optional[ClassificationResult] = None,
-        inventory: Optional[TrackerIPInventory] = None,
-        geolocation: Optional[GeolocationSuite] = None,
-        sensitive: Optional[SensitiveStudy] = None,
-    ) -> "Study":
-        """Hydrate a study from precomputed stage products.
-
-        The injection point for :mod:`repro.runtime`: the engine computes
-        stage products shard-by-shard (possibly replayed from the artifact
-        cache) and seeds a study with them, so downstream consumers —
-        tables, figures, exports — read engine results instead of
-        recomputing the lazy serial path.  Stages not provided stay lazy.
-        """
-        study = cls(world=world)
-        study._visit_log = visit_log
-        study._classification = classification
-        study._inventory = inventory
-        study._geolocation = geolocation
-        study._sensitive = sensitive
-        return study
-
-    # -- stage 1: panel ----------------------------------------------------
-    @property
-    def visit_log(self) -> VisitLog:
-        if self._visit_log is None:
-            # Ambient spans (here and in the other lazy stages) go to
-            # whatever tracer the caller installed; the default is the
-            # no-op tracer, so the untraced path stays unchanged.
-            with current_tracer().span(obs_names.SPAN_STUDY_PANEL):
-                simulator = BrowserExtensionSimulator(
-                    fleet=self.world.fleet,
-                    publishers=self.world.publishers,
-                    users=self.world.users,
-                    panel_config=self.config.panel,
-                    browsing_config=self.config.browsing,
-                    registry=self.world.registry,
-                    mapping=self.world.mapping,
-                    streams=self.world.streams,
-                )
-                self._visit_log = simulator.simulate()
-        return self._visit_log
-
-    # -- stage 2: classification ------------------------------------------
-    @property
-    def classifier(self) -> RequestClassifier:
-        return RequestClassifier(
-            self.world.easylist, self.world.easyprivacy
+        visit_log: VisitLog,
+        classification: ClassificationResult,
+        inventory: TrackerIPInventory,
+        geolocation: GeolocationSuite,
+        sensitive: SensitiveStudy,
+        isp_reports: Mapping[Tuple[str, str], SnapshotReport],
+    ) -> None:
+        self.world = world
+        self.config = world.config
+        self.visit_log = visit_log
+        self.classification = classification
+        self.inventory = inventory
+        self.geolocation = geolocation
+        self.sensitive = sensitive
+        #: Table 8's grid: (ISP, snapshot) → :class:`SnapshotReport`
+        self.isp_reports: Dict[Tuple[str, str], SnapshotReport] = dict(
+            isp_reports
         )
-
-    @property
-    def classification(self) -> ClassificationResult:
-        if self._classification is None:
-            requests = self.visit_log.requests
-            with current_tracer().span(
-                obs_names.SPAN_STUDY_CLASSIFICATION, requests=len(requests)
-            ):
-                self._classification = self.classifier.classify(requests)
-        return self._classification
+        self.localization = LocalizationAnalyzer(
+            inventory=inventory,
+            locate=geolocation.reference,
+            clouds=world.clouds,
+            registry=world.registry,
+        )
 
     def tracking_requests(self) -> List[ThirdPartyRequest]:
         return self.classification.tracking_requests()
 
-    # -- stage 3: tracker IP inventory ----------------------------------
-    @property
-    def inventory(self) -> TrackerIPInventory:
-        if self._inventory is None:
-            with current_tracer().span(obs_names.SPAN_STUDY_INVENTORY):
-                self._inventory = TrackerIPInventory.build(
-                    tracking_requests=self.tracking_requests(),
-                    pdns=self.world.pdns,
-                    window=(0.0, BACKGROUND_END_DAY),
-                )
-        return self._inventory
-
-    # -- stage 4: geolocation ---------------------------------------------
-    @property
-    def geolocation(self) -> GeolocationSuite:
-        if self._geolocation is None:
-            self._geolocation = GeolocationSuite(
-                ipmap=self.world.ipmap,
-                maxmind=self.world.maxmind,
-                ip_api=self.world.ip_api,
-                oracle=self.world.oracle,
-            )
-        return self._geolocation
-
-    # -- stage 5: confinement ---------------------------------------------
     def confinement(self, tool: str = "RIPE IPmap") -> ConfinementAnalyzer:
         """A confinement analyzer bound to one geolocation tool."""
         locator = self.geolocation.locators()[tool]
@@ -173,57 +92,3 @@ class Study:
         return self.confinement(tool).destination_regions(
             self.tracking_requests(), Region.EU28
         )
-
-    # -- stage 6: localization ---------------------------------------------
-    @property
-    def localization(self) -> LocalizationAnalyzer:
-        if self._localization is None:
-            self._localization = LocalizationAnalyzer(
-                inventory=self.inventory,
-                locate=self.geolocation.reference,
-                clouds=self.world.clouds,
-                registry=self.world.registry,
-            )
-        return self._localization
-
-    # -- stage 7: sensitive categories --------------------------------------
-    @property
-    def sensitive(self) -> SensitiveStudy:
-        if self._sensitive is None:
-            with current_tracer().span(obs_names.SPAN_STUDY_SENSITIVE):
-                study = SensitiveStudy(
-                    publishers=self.world.publishers,
-                    streams=self.world.streams,
-                    registry=self.world.registry,
-                )
-                study.identify(
-                    visit.publisher_domain for visit in self.visit_log.visits
-                )
-                self._sensitive = study
-        return self._sensitive
-
-    # -- stage 8: ISP scale ----------------------------------------------
-    @property
-    def isp_study(self) -> ISPScaleStudy:
-        if self._isp_study is None:
-            self._isp_study = ISPScaleStudy(
-                synthesizers=self.world.synthesizers,
-                isps=self.world.isps,
-                inventory=self.inventory,
-                locate=self.geolocation.reference,
-                config=self.config.isp,
-                registry=self.world.registry,
-            )
-        return self._isp_study
-
-    # -- convenience -----------------------------------------------------
-    def run_all(self) -> "Study":
-        """Force every pipeline stage (useful for benchmarks)."""
-        _ = self.visit_log
-        _ = self.classification
-        _ = self.inventory
-        _ = self.geolocation
-        _ = self.localization
-        _ = self.sensitive
-        _ = self.isp_study
-        return self

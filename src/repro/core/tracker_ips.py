@@ -11,7 +11,7 @@ registrable domains sit behind each tracking IP (Figures 4 and 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dnssim.passive import PassiveDNSDatabase
 from repro.netbase.addr import IPAddress
@@ -68,21 +68,6 @@ class TrackerIPInventory:
         return address in self._records
 
     # -- construction -----------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        tracking_requests: Sequence[ThirdPartyRequest],
-        pdns: PassiveDNSDatabase,
-        window: Optional[Tuple[float, float]] = None,
-    ) -> "TrackerIPInventory":
-        """Build the inventory from classified flows plus passive DNS."""
-        inventory = cls()
-        inventory.ingest_panel(tracking_requests)
-        inventory.complete_from_pdns(pdns, window)
-        inventory.annotate_windows(pdns)
-        inventory.annotate_dedication(pdns, window)
-        return inventory
-
     def ingest_panel(
         self, tracking_requests: Iterable[ThirdPartyRequest]
     ) -> None:

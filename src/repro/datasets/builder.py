@@ -8,9 +8,9 @@ Construction order matters and is fixed here:
 4. passive DNS + the DNS mapping service,
 5. ISP profiles and their traffic synthesizers (this also allocates the
    ISPs' eyeball address pools),
-6. the geolocation substrate: probe mesh, active engine, and the two
-   commercial databases (built *after* every prefix exists, so each has
-   an entry for the whole world),
+6. the geolocation substrate: probe mesh, ground-truth oracle and the
+   two commercial databases (built *after* every prefix exists, so each
+   has an entry for the whole world),
 7. the synthetic filter lists,
 8. background resolutions: the rest of the world's resolvers keep
    resolving tracking FQDNs before, during, and after the panel window,
@@ -29,7 +29,6 @@ from repro.config import SNAPSHOT_DAYS, WorldConfig
 from repro.dnssim.passive import PassiveDNSDatabase
 from repro.geodata.countries import CountryRegistry, default_registry
 from repro.geoloc.commercial import CommercialGeoDatabase, derive_ip_api
-from repro.geoloc.ipmap import IPmapEngine
 from repro.geoloc.probes import ProbeMesh
 from repro.geoloc.truth import GroundTruthOracle
 from repro.netbase.allocator import AddressPlan
@@ -67,7 +66,6 @@ class World:
     mapping: MappingService
     probes: ProbeMesh
     oracle: GroundTruthOracle
-    ipmap: IPmapEngine
     maxmind: CommercialGeoDatabase
     ip_api: CommercialGeoDatabase
     easylist: FilterList
@@ -108,10 +106,8 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
         isp.name: TrafficSynthesizer(
             isp=isp,
             fleet=fleet,
-            mapping=mapping,
             plan=plan,
             config=config.isp,
-            streams=streams,
         )
         for isp in isps
     }
@@ -139,13 +135,6 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
 
     probes = ProbeMesh.build(registry, config.geolocation, streams)
     oracle = GroundTruthOracle(fleet, plan, registry)
-    ipmap = IPmapEngine(
-        mesh=probes,
-        oracle=oracle,
-        registry=registry,
-        config=config.geolocation,
-        streams=streams,
-    )
 
     easylist, easyprivacy = build_filter_lists(fleet, streams)
 
@@ -164,7 +153,6 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
         mapping=mapping,
         probes=probes,
         oracle=oracle,
-        ipmap=ipmap,
         maxmind=maxmind,
         ip_api=ip_api,
         easylist=easylist,

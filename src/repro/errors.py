@@ -48,10 +48,6 @@ class NetFlowError(ReproError):
     """Raised for malformed flow records or exporter misconfiguration."""
 
 
-class PipelineError(ReproError):
-    """Raised when a study pipeline stage is run out of order."""
-
-
 class ValidationError(ReproError, ValueError):
     """Raised when a caller passes an invalid argument.
 

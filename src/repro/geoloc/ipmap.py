@@ -48,7 +48,7 @@ from repro.geoloc.truth import GroundTruthOracle
 from repro.netbase.addr import IPAddress
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
-from repro.util.rng import RngStreams, seeded_rng, spawn_rng
+from repro.util.rng import seeded_rng
 
 
 @dataclass(frozen=True)
@@ -94,17 +94,15 @@ class IPmapEngine:
         oracle: GroundTruthOracle,
         registry: CountryRegistry,
         config: GeolocationConfig,
-        streams: RngStreams,
-        campaign_seed: Optional[int] = None,
+        campaign_seed: int,
     ) -> None:
         self._mesh = mesh
         self._oracle = oracle
         self._registry = registry
         self._config = config
-        self._rng = streams.get("ipmap")
-        # With a campaign seed set, each address gets an RNG derived from
-        # (seed, address) alone — campaigns are then independent of the
-        # order addresses are geolocated in, which lets the runtime shard
+        # Each address's campaign draws from a stream derived from
+        # (seed, address) alone, so an estimate does not depend on the
+        # order addresses are geolocated in, and the runtime can shard
         # the IP axis across workers without changing any estimate.
         self._campaign_seed = campaign_seed
         self._cache: Dict[IPAddress, GeolocationEstimate] = {}
@@ -159,12 +157,7 @@ class IPmapEngine:
         if target is None:
             raise GeolocationError(f"no physical location for {address}")
         lat, lon = target
-        if self._campaign_seed is not None:
-            campaign_rng = seeded_rng(
-                self._campaign_seed, f"campaign:{address}"
-            )
-        else:
-            campaign_rng = spawn_rng(self._rng)
+        campaign_rng = seeded_rng(self._campaign_seed, f"campaign:{address}")
         probes = self._mesh.sample(
             campaign_rng, self._config.probes_per_campaign
         )

@@ -34,7 +34,7 @@ from repro.netbase.allocator import AddressPlan
 from repro.netflow.exporter import FlowExporter, PacketSampler, RouterInterface
 from repro.netflow.isps import ISPProfile
 from repro.netflow.records import PROTO_TCP, PROTO_UDP, FlowRecord
-from repro.util.rng import RngStreams, WeightedSampler
+from repro.util.rng import WeightedSampler
 from repro.web.browser import MappingService
 from repro.web.deployment import DeployedFqdn, Fleet
 from repro.web.organizations import ServiceRole
@@ -57,17 +57,13 @@ class TrafficSynthesizer:
         self,
         isp: ISPProfile,
         fleet: Fleet,
-        mapping: MappingService,
         plan: AddressPlan,
         config: ISPConfig,
-        streams: RngStreams,
         n_subscriber_ips: int = 512,
     ) -> None:
         self._isp = isp
         self._fleet = fleet
-        self._mapping = mapping
         self._config = config
-        self._rng = streams.fork(f"isp-traffic-{isp.name}")
         self._tracking_sampler = self._build_sampler(tracking=True)
         self._clean_sampler = self._build_sampler(tracking=False)
         self._local_share, self._local_sampler = self._build_local_sampler()
@@ -149,24 +145,21 @@ class TrafficSynthesizer:
         self,
         day: float,
         *,
-        rng: Optional["random.Random"] = None,
-        mapping: Optional[MappingService] = None,
+        rng: "random.Random",
+        mapping: MappingService,
     ) -> List[FlowRecord]:
         """Synthesize the sampled flows of one 24h snapshot.
 
-        ``rng`` and ``mapping`` override the synthesizer's own stream
-        and DNS mapping for this snapshot only.  The runtime uses them
-        to run each (ISP, snapshot) shard against a shard-derived RNG
-        and a private mapping clone, decoupling shards from each other
-        and from the shared world state.
+        Every draw comes from ``rng`` and every resolution goes through
+        ``mapping``.  The runtime passes each ISP shard a stream derived
+        from the shard and a private mapping clone, so shards depend on
+        neither each other nor the shared world.
         """
         n_tracking = self._config.sampled_flows.get(self._isp.name)
         if n_tracking is None:
             raise NetFlowError(
                 f"no sampled-flow budget configured for {self._isp.name}"
             )
-        rng = self._rng if rng is None else rng
-        mapping = self._mapping if mapping is None else mapping
         records: List[FlowRecord] = []
         for _ in range(n_tracking):
             sampler = self._tracking_sampler

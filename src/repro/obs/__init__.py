@@ -22,8 +22,7 @@ On top of those, the persistent layer added for longitudinal work:
   drift;
 * :mod:`repro.obs.export` — span trees as Chrome **trace-event JSON**
   (Perfetto / ``chrome://tracing`` loadable, with real pid/tid tracks
-  for stitched worker spans) plus the Prometheus text exposition of a
-  registry snapshot;
+  for stitched worker spans);
 * :mod:`repro.obs.persist` — the shared crash-safe write primitives.
 
 Layering: this package sits below every simulation and runtime layer

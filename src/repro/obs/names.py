@@ -103,10 +103,6 @@ SPAN_PLAN = "plan"
 SPAN_CACHE_PROBE = "cache:probe"
 SPAN_EXECUTE = "execute"
 SPAN_MERGE = "merge"
-SPAN_STUDY_PANEL = "study:panel"
-SPAN_STUDY_CLASSIFICATION = "study:classification"
-SPAN_STUDY_INVENTORY = "study:inventory"
-SPAN_STUDY_SENSITIVE = "study:sensitive"
 
 #: every span name the tree may open.  A trailing ``*`` declares a
 #: prefix family (``stage:*`` covers the engine's per-stage f-strings);
@@ -119,10 +115,6 @@ SPAN_NAMES: Tuple[str, ...] = (
     SPAN_CACHE_PROBE,
     SPAN_EXECUTE,
     SPAN_MERGE,
-    SPAN_STUDY_PANEL,
-    SPAN_STUDY_CLASSIFICATION,
-    SPAN_STUDY_INVENTORY,
-    SPAN_STUDY_SENSITIVE,
 )
 
 

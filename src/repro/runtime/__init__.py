@@ -24,8 +24,11 @@ exploits that structure:
 * :mod:`repro.runtime.provenance` — assembly of the per-run provenance
   manifest (config digest, code salts, record counts, seed lineage);
 * :mod:`repro.runtime.facade` — the high-level entry point
-  (:func:`run_study`) that hydrates a :class:`repro.Study` from the
-  engine's products.
+  (:func:`run_study`); a run's :meth:`~RuntimeRun.study` is the
+  read-only :class:`repro.Study` view that the tables and figures read.
+
+The engine is the only record path: every table, figure, export and
+example reads one run's products.
 
 Results are invariant to the worker count and to cache replay: the
 shard partition is a pure function of the world (never of ``workers``),
@@ -34,11 +37,14 @@ fold shard products in shard order.
 
 Typical use::
 
+    from repro import WorldConfig
+    from repro.analysis.tables import table5
     from repro.runtime import run_study
 
     run = run_study(WorldConfig.small(), workers=4, cache_dir=".repro-cache")
     print(run.eu28_destination_regions())   # Fig. 7(b), engine-backed
     print(run.metrics_report())             # per-stage wall/cache stats
+    print(table5(run.study())["text"])      # any table, from the view
 """
 
 from repro.runtime.cache import ArtifactCache, config_digest

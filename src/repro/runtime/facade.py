@@ -1,11 +1,10 @@
 """High-level runtime entry point.
 
 :func:`run_study` executes the stage graph for a config and wraps the
-engine's products in a :class:`RuntimeRun` — headline accessors for the
-paper's tables and figures, per-stage metrics, and a :meth:`~RuntimeRun.study`
-hydrator that seeds a classic :class:`repro.core.pipeline.Study` with
-the engine's stage products so every existing table/figure/export
-consumer works unchanged on engine (or cache-replayed) results.
+engine's products in a :class:`RuntimeRun`: headline accessors for the
+paper's tables and figures, per-stage metrics, and
+:meth:`~RuntimeRun.study`, the read-only :class:`repro.core.pipeline.Study`
+view of a full-graph run that every table, figure and export reads.
 
 Observability surfaces here too: pass a :class:`repro.obs.trace.Tracer` to
 :func:`run_study` and read back :meth:`RuntimeRun.trace_report` (the
@@ -24,13 +23,14 @@ from repro.core.classify import ClassificationResult
 from repro.core.geolocate import GeolocationSuite
 from repro.core.localization import LocalizationScenario, ScenarioOutcome
 from repro.core.pipeline import Study
+from repro.core.sensitive import SensitiveStudy
 from repro.datasets.builder import cached_build_world
 from repro.errors import ExecutionError
 from repro.geodata.regions import Region
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.runtime.engine import ExecutionEngine, RunResult, StageProducts
-from repro.runtime.stages import GeoTableLocator
+from repro.runtime.stages import STAGE_NAMES, GeoTableLocator
 from repro.web.browser import VisitLog
 
 #: the stages whose products the default run materializes (all of them)
@@ -197,52 +197,40 @@ class RuntimeRun:
         """Run-total cache misses (registry-aggregated)."""
         return self.result.cache_misses
 
-    # -- Study hydration ------------------------------------------------
+    # -- the Study view --------------------------------------------------
     def study(self) -> Study:
-        """A classic :class:`Study` seeded with this run's products.
+        """The read-only :class:`Study` view of this run's products.
 
-        The geolocation suite is rebuilt around the persisted address →
-        country table (live-engine fallback for addresses outside it),
-        so tables and figures derived from the hydrated study agree
-        with the engine's own products.
+        Needs a full-graph run: raises :class:`ExecutionError` naming a
+        stage this run left out.  The IPmap locator answers from the
+        geolocation stage's address → country table, so tables and
+        figures read the engine's own estimates.
         """
-        if self._study is not None:
-            return self._study
-        world = cached_build_world(self.config)
-        products = self.products
-
-        visit_log = None
-        if "panel" in products:
-            visit_log = VisitLog(
-                visits=products["panel"]["visits"],
-                requests=products["panel"]["requests"],
+        if self._study is None:
+            for stage in STAGE_NAMES:
+                self._require(stage)
+            world = cached_build_world(self.config)
+            panel = self.products["panel"]
+            self._study = Study(
+                world,
+                visit_log=VisitLog(
+                    visits=panel["visits"], requests=panel["requests"]
+                ),
+                classification=self.classification(),
+                inventory=self.products["inventory"],
+                geolocation=GeolocationSuite(
+                    ipmap=GeoTableLocator(
+                        world, self.products["geolocation"]["table"]
+                    ),
+                    maxmind=world.maxmind,
+                    ip_api=world.ip_api,
+                    oracle=world.oracle,
+                ),
+                sensitive=SensitiveStudy.from_identified(
+                    world.publishers,
+                    self.products["sensitive_domains"]["identified"],
+                    registry=world.registry,
+                ),
+                isp_reports=self.isp_reports(),
             )
-        classification = None
-        if "panel" in products and "classification" in products:
-            classification = self.classification()
-        geolocation = None
-        if "geolocation" in products:
-            geolocation = GeolocationSuite(
-                ipmap=GeoTableLocator(world, products["geolocation"]["table"]),  # type: ignore[arg-type]
-                maxmind=world.maxmind,
-                ip_api=world.ip_api,
-                oracle=world.oracle,
-            )
-        sensitive = None
-        if "sensitive_domains" in products:
-            from repro.core.sensitive import SensitiveStudy
-
-            sensitive = SensitiveStudy.from_identified(
-                world.publishers,
-                products["sensitive_domains"]["identified"],
-                registry=world.registry,
-            )
-        self._study = Study.from_products(
-            world,
-            visit_log=visit_log,
-            classification=classification,
-            inventory=products.get("inventory"),
-            geolocation=geolocation,
-            sensitive=sensitive,
-        )
         return self._study

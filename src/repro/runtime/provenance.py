@@ -8,7 +8,7 @@ merged metrics registry meet.
 
 Seed lineage deserves a note: the runtime never draws from the world's
 root RNG directly.  Every random decision flows through named streams
-derived with :func:`repro.util.rng.derive_seed` — ``runtime:ipmap``,
+derived with :func:`repro.util.rng.derive_seed` —
 ``runtime:ipmap-campaign``, ``runtime:sensitive`` and the per-shard
 ``runtime:<shard_key>`` streams — so the manifest can list the exact
 child seeds a run consumed, making "which randomness produced this
@@ -25,7 +25,7 @@ from repro.util.rng import derive_seed
 
 #: the fixed runtime-level derivation streams (per-shard streams are
 #: appended per run, keyed on the planned shard keys)
-_FIXED_STREAMS = ("runtime:ipmap", "runtime:ipmap-campaign", "runtime:sensitive")
+_FIXED_STREAMS = ("runtime:ipmap-campaign", "runtime:sensitive")
 
 
 def seed_lineage(seed: int, shard_keys: List[str]) -> Dict[str, Any]:

@@ -68,7 +68,7 @@ DEFAULT_SHARDS = 8
 #: the geolocation tools whose confinement views the engine materializes
 GEO_TOOLS = ("RIPE IPmap", "MaxMind", "ip-api")
 
-#: the inventory's passive-DNS completion window (matches ``Study``)
+#: the inventory's passive-DNS completion window
 _PDNS_WINDOW = (0.0, BACKGROUND_END_DAY)
 
 
@@ -77,11 +77,10 @@ _PDNS_WINDOW = (0.0, BACKGROUND_END_DAY)
 # ---------------------------------------------------------------------------
 
 def campaign_engine(world: World) -> IPmapEngine:
-    """A fresh active-geolocation engine with per-address campaigns.
+    """A fresh active-geolocation engine over the world's probe mesh.
 
-    Seeding campaigns by ``(config seed, address)`` — instead of the
-    serial engine's draw-order-dependent ``spawn_rng`` — makes every
-    estimate a pure function of the world, so the IP axis can be
+    Campaigns are seeded by ``(config seed, address)``, so every
+    estimate is a pure function of the world and the IP axis can be
     sharded freely.
     """
     return IPmapEngine(
@@ -89,7 +88,6 @@ def campaign_engine(world: World) -> IPmapEngine:
         oracle=world.oracle,
         registry=world.registry,
         config=world.config.geolocation,
-        streams=world.streams.spawn("runtime:ipmap"),
         campaign_seed=derive_seed(world.config.seed, "runtime:ipmap-campaign"),
     )
 

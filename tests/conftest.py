@@ -1,8 +1,10 @@
 """Shared fixtures.
 
-The small world / study are expensive enough (seconds) that they are
-built once per test session and shared read-only across test modules.
-Tests that mutate state build their own objects.
+The small world, the engine run over it and that run's study view are
+expensive enough (seconds) that they are built once per test session
+and shared read-only across test modules.  ``small_world`` is a world of
+its own; the view's world is the one the engine shares across the
+process.  Tests that mutate state build their own objects.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 
 from repro import Study, WorldConfig
 from repro.datasets.builder import World, build_world
+from repro.runtime import RuntimeRun, run_study
 
 
 @pytest.fixture(autouse=True)
@@ -40,7 +43,10 @@ def small_world(small_config: WorldConfig) -> World:
 
 
 @pytest.fixture(scope="session")
-def small_study(small_world: World) -> Study:
-    study = Study(world=small_world)
-    study.run_all()
-    return study
+def small_run(small_config: WorldConfig) -> RuntimeRun:
+    return run_study(small_config, workers=1)
+
+
+@pytest.fixture(scope="session")
+def small_study(small_run: RuntimeRun) -> Study:
+    return small_run.study()

@@ -82,7 +82,7 @@ class TestErrorHierarchy:
         for name in ("ConfigError", "AddressError", "AllocationError",
                      "GeoDataError", "DNSError", "NXDomainError",
                      "GeolocationError", "ClassificationError",
-                     "NetFlowError", "PipelineError"):
+                     "NetFlowError", "ExecutionError"):
             cls = getattr(errors, name)
             assert issubclass(cls, errors.ReproError)
 

@@ -199,8 +199,11 @@ class TestOnRealLog:
         """Disabling a semi-automatic stage only ever removes its own
         labels; lists-only classification is exactly the LIST set."""
         requests = small_study.visit_log.requests
+        classifier = RequestClassifier(
+            small_study.world.easylist, small_study.world.easyprivacy
+        )
         stages = {
-            (referrer, keyword): small_study.classifier.classify(
+            (referrer, keyword): classifier.classify(
                 requests,
                 enable_referrer_stage=referrer,
                 enable_keyword_stage=keyword,

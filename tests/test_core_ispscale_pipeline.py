@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.config import WorldConfig
 from repro.core.ispscale import TABLE8_REGIONS
-from repro.core.pipeline import Study
-from repro.errors import PipelineError
 from repro.geodata.regions import Region
 
 
 class TestISPScaleStudy:
     def test_snapshot_report_shape(self, small_study):
-        report = small_study.isp_study.run_snapshot("DE-Broadband", "April 4")
+        report = small_study.isp_reports[("DE-Broadband", "April 4")]
         assert report.isp_name == "DE-Broadband"
         assert report.sampled_tracking_flows > 0
         assert report.estimated_tracking_flows == (
@@ -20,7 +17,7 @@ class TestISPScaleStudy:
         )
 
     def test_region_shares_sum_to_100(self, small_study):
-        report = small_study.isp_study.run_snapshot("HU", "Nov 8")
+        report = small_study.isp_reports[("HU", "Nov 8")]
         assert sum(report.region_shares.values()) == pytest.approx(
             100.0, abs=0.5
         )
@@ -29,7 +26,7 @@ class TestISPScaleStudy:
     def test_most_flows_join_as_tracking(self, small_study):
         """Background (clean) flows must not match the tracker list."""
         config = small_study.config.isp
-        report = small_study.isp_study.run_snapshot("DE-Mobile", "May 16")
+        report = small_study.isp_reports[("DE-Mobile", "May 16")]
         budget = config.sampled_flows["DE-Mobile"]
         assert report.sampled_tracking_flows <= budget + 5
         # The bulk of the tracking budget matched; the shortfall is
@@ -40,16 +37,16 @@ class TestISPScaleStudy:
     def test_eu28_confinement_high(self, small_study):
         """Table 8's headline: EU28 confinement between ~3/4 and ~19/20."""
         for isp in ("DE-Broadband", "DE-Mobile", "HU"):
-            report = small_study.isp_study.run_snapshot(isp, "April 4")
+            report = small_study.isp_reports[(isp, "April 4")]
             assert report.region_shares["EU 28"] > 65.0
 
     def test_encrypted_share_matches_paper(self, small_study):
-        report = small_study.isp_study.run_snapshot("DE-Broadband", "June 20")
+        report = small_study.isp_reports[("DE-Broadband", "June 20")]
         assert 70.0 < report.encrypted_share_pct < 95.0
         assert report.web_share_pct > 99.0
 
     def test_top_destinations_with_rest_bucket(self, small_study):
-        report = small_study.isp_study.run_snapshot("PL", "April 4")
+        report = small_study.isp_reports[("PL", "April 4")]
         top = report.top_destinations(5)
         assert len(top) <= 6
         shares = [share for _, share in top]
@@ -58,13 +55,16 @@ class TestISPScaleStudy:
         assert total == pytest.approx(100.0, abs=1.0)
 
     def test_run_all_grid(self, small_study):
-        grid = small_study.isp_study.run_all(["Nov 8", "June 20"])
+        from repro.analysis.tables import table8
+
+        grid = table8(small_study, snapshots=["Nov 8", "June 20"])["reports"]
         assert len(grid) == 4 * 2
         assert ("HU", "June 20") in grid
+        assert len(small_study.isp_reports) == 4 * 4
 
     def test_hungary_flows_terminate_in_austria(self, small_study):
         """Fig. 12(d): Vienna is the Hungarian ISP's dominant sink."""
-        report = small_study.isp_study.run_snapshot("HU", "April 4")
+        report = small_study.isp_reports[("HU", "April 4")]
         top = report.top_destinations(3)
         assert top[0][0] in ("Austria", "Hungary")
 
@@ -76,16 +76,7 @@ class TestStudyPipeline:
         assert small_study.inventory is small_study.inventory
         assert small_study.localization is small_study.localization
         assert small_study.sensitive is small_study.sensitive
-        assert small_study.isp_study is small_study.isp_study
-
-    def test_conflicting_constructor_args_rejected(self, small_world):
-        with pytest.raises(PipelineError):
-            Study(config=WorldConfig.small(seed=99), world=small_world)
-
-    def test_reuses_prebuilt_world(self, small_world):
-        study = Study(world=small_world)
-        assert study.world is small_world
-        assert study.config is small_world.config
+        assert small_study.isp_reports is small_study.isp_reports
 
     def test_tracking_requests_subset_of_log(self, small_study):
         tracking = small_study.tracking_requests()

@@ -3,8 +3,11 @@ world and study products; a different seed must not."""
 
 import pytest
 
-from repro import Study, WorldConfig
+import repro.runtime.engine as engine_module
+from repro import WorldConfig
 from repro.datasets.builder import build_world
+from repro.runtime import run_study
+from repro.runtime.stages import campaign_engine
 
 
 @pytest.fixture(scope="module")
@@ -52,25 +55,28 @@ class TestSameSeed:
         first, second = twin_worlds
         assert first.probes.probes() == second.probes.probes()
 
-    def test_study_products_identical(self, twin_worlds):
-        first, second = twin_worlds
-        study_a, study_b = Study(world=first), Study(world=second)
-        assert (
-            study_a.visit_log.third_party_requests()
-            == study_b.visit_log.third_party_requests()
+    def test_study_products_identical(self, twin_worlds, monkeypatch):
+        runs = []
+        for world in twin_worlds:
+            # each run over its own twin, not the process-wide world
+            monkeypatch.setattr(
+                engine_module, "cached_build_world", lambda config: world
+            )
+            runs.append(run_study(world.config, targets=("inventory",)))
+        run_a, run_b = (run.products for run in runs)
+        assert run_a["panel"]["requests"] == run_b["panel"]["requests"]
+        assert run_a["classification"]["stages"] == (
+            run_b["classification"]["stages"]
         )
-        assert study_a.classification.stages == study_b.classification.stages
         assert (
-            study_a.inventory.addresses() == study_b.inventory.addresses()
+            run_a["inventory"].addresses() == run_b["inventory"].addresses()
         )
 
     def test_geolocation_identical(self, twin_worlds):
         first, second = twin_worlds
-        sample = first.fleet.servers()[:30]
-        for server in sample:
-            assert first.ipmap.locate(server.ip) == second.ipmap.locate(
-                server.ip
-            )
+        engine_a, engine_b = campaign_engine(first), campaign_engine(second)
+        for server in first.fleet.servers()[:30]:
+            assert engine_a.locate(server.ip) == engine_b.locate(server.ip)
 
 
 class TestDifferentSeed:
@@ -87,9 +93,11 @@ class TestDifferentSeed:
         from repro.geodata.regions import Region
 
         for seed in (11, 22):
-            study = Study(WorldConfig.small(seed=seed))
-            ipmap = study.eu28_destination_regions("RIPE IPmap")
-            maxmind = study.eu28_destination_regions("MaxMind")
+            run = run_study(
+                WorldConfig.small(seed=seed), targets=("confinement",)
+            )
+            ipmap = run.eu28_destination_regions("RIPE IPmap")
+            maxmind = run.eu28_destination_regions("MaxMind")
             assert ipmap[Region.EU28.value] > 70.0
             assert (
                 maxmind[Region.EU28.value] < ipmap[Region.EU28.value] - 15.0

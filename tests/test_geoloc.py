@@ -27,7 +27,7 @@ from repro.geoloc.probes import Probe, ProbeMesh
 from repro.netbase.addr import IPAddress
 from repro.runtime import run_study
 from repro.runtime.stages import campaign_engine
-from repro.util.rng import RngStreams, seeded_rng
+from repro.util.rng import seeded_rng
 
 
 class TestProbeMesh:
@@ -66,10 +66,11 @@ class TestProbeMesh:
 
 class TestIPmapEngine:
     def test_region_always_correct_for_servers(self, small_world):
+        engine = campaign_engine(small_world)
         oracle_ok = 0
         servers = small_world.fleet.servers()[:150]
         for server in servers:
-            estimate = small_world.ipmap.geolocate(server.ip)
+            estimate = engine.geolocate(server.ip)
             if (
                 region_of_country(estimate.country)
                 is region_of_country(server.country)
@@ -78,32 +79,36 @@ class TestIPmapEngine:
         assert oracle_ok / len(servers) > 0.97
 
     def test_country_mostly_correct(self, small_world):
+        engine = campaign_engine(small_world)
         servers = small_world.fleet.servers()[:200]
         correct = sum(
             1
             for s in servers
-            if small_world.ipmap.locate(s.ip) == s.country
+            if engine.locate(s.ip) == s.country
         )
         assert correct / len(servers) > 0.9
 
     def test_votes_sum_to_voter_count(self, small_world):
         server = small_world.fleet.servers()[0]
-        estimate = small_world.ipmap.geolocate(server.ip)
+        estimate = campaign_engine(small_world).geolocate(server.ip)
         assert sum(count for _, count in estimate.votes) == IPmapEngine.N_VOTERS
         assert 0 < estimate.country_agreement <= 1.0
         assert estimate.region_agreement >= estimate.country_agreement
 
     def test_caching(self, small_world):
+        engine = campaign_engine(small_world)
         server = small_world.fleet.servers()[1]
-        first = small_world.ipmap.geolocate(server.ip)
-        second = small_world.ipmap.geolocate(server.ip)
+        first = engine.geolocate(server.ip)
+        second = engine.geolocate(server.ip)
         assert first is second
 
     def test_unknown_address_raises(self, small_world):
         from repro.errors import GeolocationError
 
         with pytest.raises(GeolocationError):
-            small_world.ipmap.geolocate(IPAddress.parse("203.0.113.7"))
+            campaign_engine(small_world).geolocate(
+                IPAddress.parse("203.0.113.7")
+            )
 
     def test_cloud_range_validation_accuracy(self, small_study):
         """Sect. 3.4's AWS/Azure check: near-perfect on cloud ranges."""
@@ -260,8 +265,7 @@ class TestDistanceRows:
                 return (0.0, 0.5)
 
         engine = IPmapEngine(
-            mesh, Oracle(), registry, GeolocationConfig(), RngStreams(28),
-            campaign_seed=28,
+            mesh, Oracle(), registry, GeolocationConfig(), campaign_seed=28,
         )
         seen = []
         joint_scores = engine._joint_scores
@@ -307,10 +311,9 @@ class TestDistanceRows:
         rows = world.probes._distance_rows[1]
         other = campaign_engine(world)
         other.geolocate(second)
-        world.ipmap.geolocate(third)
+        engine.geolocate(third)
         assert engine._rows is rows
         assert other._rows is rows
-        assert world.ipmap._rows is rows
         assert world.probes._distance_rows[1] is rows
 
     def test_threads_match_serial_estimates(self, small_config, small_world):

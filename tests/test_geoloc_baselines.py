@@ -6,6 +6,7 @@ import pytest
 from repro.errors import GeolocationError
 from repro.geoloc.baselines import CBGLocator, ShortestPingLocator
 from repro.netbase.addr import IPAddress
+from repro.runtime.stages import campaign_engine
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +56,7 @@ class TestBaselines:
         shortest, cbg = locators
         servers = small_study.world.fleet.servers()[:150]
         engine_accuracy = _accuracy(
-            small_study.world.ipmap.locate, servers
+            campaign_engine(small_study.world).locate, servers
         )
         assert engine_accuracy >= _accuracy(shortest.locate, servers) - 0.02
         assert engine_accuracy >= _accuracy(cbg.locate, servers) - 0.02

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SNAPSHOT_DAYS
+from repro.dnssim.passive import PassiveDNSDatabase
 from repro.errors import NetFlowError
 from repro.netbase.addr import IPAddress, Prefix
 from repro.netflow.exporter import FlowExporter, PacketSampler, RouterInterface
 from repro.netflow.isps import AccessType, ISPProfile, default_isps
 from repro.netflow.join import HashedIPMatcher, TrackerFlowJoin
 from repro.netflow.records import PROTO_TCP, PROTO_UDP, FlowRecord
+from repro.web.browser import MappingService
 
 
 def make_record(src="10.0.0.1", dst="1.0.0.1", dst_port=443,
@@ -156,10 +158,26 @@ class TestISPProfiles:
         assert hu.resolved_egress_mix().get("AT", 0) > 0.5
 
 
+def _snapshot(world, isp_name, snapshot):
+    """One snapshot drawn as an ISP shard draws it: from a stream of its
+    own, resolving through a private mapping clone."""
+    streams = world.streams.spawn(f"runtime:isp:{isp_name}")
+    mapping = MappingService(
+        world.fleet,
+        world.registry,
+        PassiveDNSDatabase(name=f"test-{isp_name}"),
+        streams,
+    )
+    return world.synthesizers[isp_name].snapshot(
+        SNAPSHOT_DAYS[snapshot],
+        rng=streams.fork(f"snapshot:{snapshot}"),
+        mapping=mapping,
+    )
+
+
 class TestTrafficSynthesizer:
     def test_snapshot_shape(self, small_world):
-        synthesizer = small_world.synthesizers["DE-Broadband"]
-        records = synthesizer.snapshot(SNAPSHOT_DAYS["April 4"])
+        records = _snapshot(small_world, "DE-Broadband", "April 4")
         expected = (
             small_world.config.isp.sampled_flows["DE-Broadband"]
             + small_world.config.isp.background_flows
@@ -171,22 +189,19 @@ class TestTrafficSynthesizer:
         assert all(day <= t <= day + 1 for t in timestamps)
 
     def test_port_mix_matches_paper(self, small_world):
-        synthesizer = small_world.synthesizers["DE-Broadband"]
-        records = synthesizer.snapshot(SNAPSHOT_DAYS["Nov 8"])
+        records = _snapshot(small_world, "DE-Broadband", "Nov 8")
         web = sum(1 for r in records if r.is_web)
         encrypted = sum(1 for r in records if r.is_encrypted)
         assert web / len(records) > 0.99
         assert 0.70 < encrypted / len(records) < 0.95
 
     def test_sources_are_subscribers(self, small_world):
-        synthesizer = small_world.synthesizers["HU"]
-        records = synthesizer.snapshot(SNAPSHOT_DAYS["Nov 8"])
-        prefix = synthesizer.subscriber_prefix
+        records = _snapshot(small_world, "HU", "Nov 8")
+        prefix = small_world.synthesizers["HU"].subscriber_prefix
         assert all(r.src_ip in prefix for r in records)
 
     def test_destinations_are_fleet_servers(self, small_world):
-        synthesizer = small_world.synthesizers["PL"]
-        records = synthesizer.snapshot(SNAPSHOT_DAYS["Nov 8"])
+        records = _snapshot(small_world, "PL", "Nov 8")
         fleet = small_world.fleet
         for record in records[:200]:
             assert fleet.server_for_ip(record.dst_ip) is not None

@@ -9,7 +9,10 @@ module-wide; every comparison below is exact equality, no tolerances.
 The pool path gives the same answers under every start method and with
 two pooled runs at once.  Every shard is also run once under watch,
 which checks that it is pure (``TestShardPurity``), and a SIGKILLed
-run resumes from the shards it stored (``TestKilledRunResumes``).
+run resumes from the shards it stored (``TestKilledRunResumes``).  The
+read-only ``Study`` view of a run gives the run's own answers, whatever
+was asked before, and writes nothing into the world the engine shares
+across the process (``TestHydratedStudyConsistency``).
 """
 
 from __future__ import annotations
@@ -43,10 +46,12 @@ import pytest
 import repro.runtime.cache as cache_module
 import repro.runtime.engine as engine_module
 from repro import WorldConfig
-from repro.analysis.figures import figure7
-from repro.analysis.tables import table2, table3
-from repro.datasets.builder import build_world
+from repro.analysis.figures import figure7, figure9
+from repro.analysis.report import experiment_summary, full_report
+from repro.analysis.tables import table2, table3, table5, table8
+from repro.datasets.builder import build_world, cached_build_world
 from repro.dnssim.authority import FqdnService
+from repro.errors import ExecutionError
 from repro.geoloc.probes import ProbeMesh
 from repro.obs import names as obs_names
 from repro.obs.clock import TickClock
@@ -1044,8 +1049,7 @@ class TestCollectorPaused:
 class TestHydratedStudyConsistency:
     def test_study_reads_engine_products(self, serial_run):
         study = serial_run.study()
-        # The hydrated study must report the engine's numbers, not a
-        # recomputation of the lazy path.
+        # The view must report the engine's numbers.
         totals = serial_run.table2_counts()["total"]
         stats = study.classification.total_stats()
         assert stats.total_requests == totals["total_requests"]
@@ -1055,6 +1059,63 @@ class TestHydratedStudyConsistency:
             study.eu28_destination_regions("RIPE IPmap")
             == serial_run.eu28_destination_regions("RIPE IPmap")
         )
+
+    def test_a_sub_graph_run_has_no_view(self, engine_config):
+        run = run_study(engine_config, targets=("classification",))
+        with pytest.raises(ExecutionError, match="'inventory'"):
+            run.study()
+
+    def test_the_view_leaves_the_world_alone(self, engine_config, serial_run):
+        # Nothing read through the view writes into the world the engine
+        # shares across the process: after the full report, passive DNS
+        # holds the same pairs and a fresh run finds the same tracker
+        # inventory.
+        world = cached_build_world(engine_config)
+        pairs = world.pdns.pairs()
+        full_report(serial_run.study())
+        assert world.pdns.pairs() == pairs
+        rerun = run_study(engine_config, workers=1, targets=("inventory",))
+        assert comparable(rerun.products["inventory"]) == comparable(
+            serial_run.products["inventory"]
+        )
+
+    def test_an_answer_does_not_depend_on_what_was_asked_before(
+        self, serial_run
+    ):
+        study = serial_run.study()
+        april = table8(study, snapshots=["April 4"])["reports"]
+        grid = table8(study)["reports"]
+        assert april == {key: grid[key] for key in april}
+        summary = experiment_summary(study)
+        full_report(study)
+        assert experiment_summary(study) == summary
+
+    def test_the_tables_give_the_engine_answers(self, serial_run):
+        study = serial_run.study()
+        counts = serial_run.table2_counts()
+        t2 = table2(study)
+        assert (t2["abp_requests"], t2["abp_fqdns"], t2["abp_tlds"]) == (
+            counts["list"]["total_requests"],
+            counts["list"]["fqdns"],
+            counts["list"]["tlds"],
+        )
+        assert (t2["semi_requests"], t2["semi_fqdns"], t2["semi_tlds"]) == (
+            counts["semi_automatic"]["total_requests"],
+            counts["semi_automatic"]["fqdns"],
+            counts["semi_automatic"]["tlds"],
+        )
+        assert t2["total_requests"] == counts["total"]["total_requests"]
+        f7 = figure7(study)
+        assert f7["maxmind"] == serial_run.eu28_destination_regions("MaxMind")
+        assert f7["ipmap"] == serial_run.eu28_destination_regions(
+            "RIPE IPmap"
+        )
+        assert table5(study)["outcomes"] == serial_run.scenario_table()
+        assert (
+            figure9(study)["category_shares"]
+            == serial_run.sensitive_summary()["category_shares"]
+        )
+        assert table8(study)["reports"] == serial_run.isp_reports()
 
 
 class TestLedgerIntegration:

@@ -18,8 +18,8 @@ import sys
 import pytest
 
 import repro.runtime.cache as cache_module
-from repro import Study, WorldConfig
-from repro.errors import ExecutionError, PipelineError, ValidationError
+from repro import WorldConfig
+from repro.errors import ExecutionError, ValidationError
 from repro.io import run_metrics_to_json
 from repro.obs import names as obs_names
 from repro.obs.metrics import MetricsRegistry, collecting
@@ -395,18 +395,6 @@ class TestMetricsExport:
         assert payload["stages"] == rows
         assert payload["workers"] == 4
         assert payload["preset"] == "small"
-
-
-class TestStudyConfigIdentity:
-    def test_equal_but_distinct_config_accepted(self, small_world):
-        # Regression: Study.__init__ used to compare config identity
-        # with `is`, rejecting a value-equal config built separately.
-        study = Study(config=WorldConfig.small(), world=small_world)
-        assert study.world is small_world
-
-    def test_differing_config_still_rejected(self, small_world):
-        with pytest.raises(PipelineError):
-            Study(config=WorldConfig.small(seed=99), world=small_world)
 
 
 def test_shard_products_pickle():

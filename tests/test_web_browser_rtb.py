@@ -174,21 +174,26 @@ class TestVisitLog:
         for request in log.requests[:500]:
             assert request.referrer in urls or request.referrer in first_parties
 
-    def test_pdns_saw_every_panel_mapping(self, small_study):
-        pdns = small_study.world.pdns
+    def test_pdns_saw_every_panel_mapping(self, small_run, small_study):
+        # Panel shards record into shard-local collectors, never into
+        # the world's passive DNS; the panel product carries the pairs.
+        pairs = {
+            (fqdn, address)
+            for fqdn, address, *_ in small_run.products["panel"]["pdns_pairs"]
+        }
         for request in small_study.visit_log.requests[:200]:
-            assert pdns.record(request.fqdn, request.ip) is not None
+            assert (request.fqdn, request.ip) in pairs
 
     def test_deterministic_rerun(self, small_config, small_study):
         """The same seed reproduces the identical panel log."""
-        from repro import Study
+        from repro.runtime import run_study
 
-        other = Study(small_config)
+        other = run_study(small_config, targets=("panel",))
         first = small_study.visit_log
-        second = other.visit_log
-        assert first.third_party_requests() == second.third_party_requests()
-        assert first.requests[0] == second.requests[0]
-        assert first.requests[-1] == second.requests[-1]
+        second = other.products["panel"]["requests"]
+        assert first.third_party_requests() == len(second)
+        assert first.requests[0] == second[0]
+        assert first.requests[-1] == second[-1]
 
 
 class TestFilterRules:
