@@ -4,7 +4,8 @@ Five timings, none gated:
 
 * one panel shard (``panel_run``): a fresh shard-local DNS mapping and
   browser simulator, then ``BrowserExtensionSimulator.simulate`` over
-  the shard's users, which renders and logs every third-party request;
+  the shard's users, which renders and logs every third-party request,
+  and the shard's passive-DNS totals added to its counters;
 * ``RequestClassifier.classify`` over the whole small panel (39,276
   requests): filter lists, referrer closure and keywords;
 * the probe mesh's distance rows, built on a fresh mesh: every probe's
@@ -30,6 +31,8 @@ from repro import Study, WorldConfig
 from repro.core.classify import ClassificationStage, RequestClassifier
 from repro.core.localization import LocalizationScenario
 from repro.geoloc.probes import ProbeMesh
+from repro.obs import names as obs_names
+from repro.obs.metrics import MetricsRegistry, collecting
 from repro.runtime import run_study
 from repro.runtime.stages import campaign_engine, panel_plan, panel_run
 
@@ -46,13 +49,20 @@ def test_panel_shard(benchmark, small_study):
     shard_key, payload = panel_plan(world, {})[0]
 
     def shard():
-        return panel_run(world, {}, shard_key, payload)
+        registry = MetricsRegistry()
+        with collecting(registry):
+            product = panel_run(world, {}, shard_key, payload)
+        return product, registry.to_dict()
 
-    product = benchmark(shard)
+    product, counters = benchmark(shard)
     lo, hi = payload
     users = {user.user_id for user in world.users[lo:hi]}
     assert product["requests"]
     assert {request.user_id for request in product["requests"]} <= users
+    # one resolution per request, added to the shard's counters at its end
+    assert counters[obs_names.PDNS_OBSERVATIONS]["value"] == len(
+        product["requests"]
+    )
 
 
 def test_classify(benchmark, small_study):

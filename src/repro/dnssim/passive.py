@@ -53,6 +53,11 @@ class PassiveDNSDatabase:
         # _pairs maps pair -> [first_seen, last_seen, count]
         self._forward: Dict[str, Set[IPAddress]] = {}
         self._reverse: Dict[IPAddress, Set[str]] = {}
+        #: resolutions :meth:`observe` ingested, and the pairs it saw
+        #: first; the runtime shard that owns a collector adds both to
+        #: the run's counters once, when the shard ends
+        self.observations = 0
+        self.pairs_new = 0
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -62,11 +67,11 @@ class PassiveDNSDatabase:
         """Record one resolution of ``fqdn`` to ``address`` at time ``at``."""
         if not fqdn:
             raise DNSError("cannot observe an empty name")
-        obs_metrics.inc(obs_names.PDNS_OBSERVATIONS)
+        self.observations += 1
         key = (fqdn, address)
         entry = self._pairs.get(key)
         if entry is None:
-            obs_metrics.inc(obs_names.PDNS_PAIRS_NEW)
+            self.pairs_new += 1
             self._pairs[key] = [at, at, 1]
             self._forward.setdefault(fqdn, set()).add(address)
             self._reverse.setdefault(address, set()).add(fqdn)

@@ -138,30 +138,21 @@ class FileContext:
                 message=f"syntax error: {exc.msg}",
             )
         self._line_pragmas, self._file_pragmas = _parse_pragmas(self.lines)
-        #: local name -> fully-qualified origin, e.g. ``Random`` ->
-        #: ``random.Random`` for ``from random import Random``, ``np``
-        #: -> ``numpy`` for ``import numpy as np``, and ``b`` -> ``pkg.b``
-        #: for ``from . import b`` inside ``pkg``.
+        #: the imports outside every function body: local name ->
+        #: fully-qualified origin, e.g. ``Random`` -> ``random.Random``
+        #: for ``from random import Random``, ``np`` -> ``numpy`` for
+        #: ``import numpy as np``, and ``b`` -> ``pkg.b`` for ``from .
+        #: import b`` inside ``pkg``.  Resolve a name where it is used
+        #: with :meth:`import_origin`, which sees function-local imports.
         self.imported_names: Dict[str, str] = {}
+        #: (first line, last line, imports) of each function that imports
+        #: names itself, an enclosing function before the ones it holds
+        self._local_imports: List[Tuple[int, int, Dict[str, str]]] = []
         #: module-level ``NAME = value`` bindings (a later one wins)
         self.assignments: Dict[str, ast.expr] = {}
         if self.tree is None:
             return
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    origin = alias.name if alias.asname else alias.name.split(".")[0]
-                    self.imported_names[local] = origin
-            elif isinstance(node, ast.ImportFrom):
-                module = resolve_relative_import(
-                    self.module, self.is_package, node.level, node.module
-                )
-                if module is None:
-                    continue
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self.imported_names[local] = f"{module}.{alias.name}"
+        self._collect_imports(self.tree, self.imported_names)
         for stmt in self.tree.body:
             if isinstance(stmt, ast.Assign):
                 targets, value = stmt.targets, stmt.value
@@ -172,6 +163,46 @@ class FileContext:
             for target in targets:
                 if isinstance(target, ast.Name):
                     self.assignments[target.id] = value
+
+    def _collect_imports(self, node: ast.AST, table: Dict[str, str]) -> None:
+        """Record the imports under ``node`` into ``table``; each function
+        body gets a table of its own."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local: Dict[str, str] = {}
+                position = len(self._local_imports)
+                self._collect_imports(child, local)
+                if local:
+                    self._local_imports.insert(
+                        position, (child.lineno, child.end_lineno, local)
+                    )
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    root = alias.name.split(".")[0]
+                    table[alias.asname or root] = (
+                        alias.name if alias.asname else root
+                    )
+            elif isinstance(child, ast.ImportFrom):
+                module = resolve_relative_import(
+                    self.module, self.is_package, child.level, child.module
+                )
+                if module is not None:
+                    for alias in child.names:
+                        local_name = alias.asname or alias.name
+                        table[local_name] = f"{module}.{alias.name}"
+            else:
+                self._collect_imports(child, table)
+
+    def import_origin(self, name: str, node: ast.AST) -> Optional[str]:
+        """The fully-qualified origin ``name`` is imported as where
+        ``node`` sits: the import of the innermost function around
+        ``node`` that imports ``name`` itself, else the module's.
+        ``None`` when ``name`` is not imported there."""
+        line = getattr(node, "lineno", 0)
+        for first, last, table in reversed(self._local_imports):
+            if first <= line <= last and name in table:
+                return table[name]
+        return self.imported_names.get(name)
 
     @property
     def package(self) -> str:
@@ -197,8 +228,7 @@ class FileContext:
             node = node.value
         if not isinstance(node, ast.Name):
             return None
-        root = self.imported_names.get(node.id, node.id)
-        parts.append(root)
+        parts.append(self.import_origin(node.id, node) or node.id)
         return ".".join(reversed(parts))
 
     def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
@@ -264,9 +294,11 @@ def resolve_string(
     if isinstance(expr, ast.Name):
         if expr.id in ctx.assignments:
             return _string_value(ctx.assignments[expr.id])
-        module, _, attr = ctx.imported_names.get(expr.id, "").rpartition(".")
+        origin = ctx.import_origin(expr.id, expr) or ""
+        module, _, attr = origin.rpartition(".")
     elif isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-        module, attr = ctx.imported_names.get(expr.value.id, ""), expr.attr
+        module = ctx.import_origin(expr.value.id, expr) or ""
+        attr = expr.attr
     else:
         return None
     origin = modules.get(module)

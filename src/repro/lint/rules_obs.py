@@ -128,7 +128,7 @@ def _metric_call_sites(
                 continue
             strict = False
             if isinstance(func.value, ast.Name):
-                origin = ctx.imported_names.get(func.value.id, "")
+                origin = ctx.import_origin(func.value.id, node) or ""
                 strict = (
                     origin in modules
                     and _in_obs_package(origin)
@@ -136,7 +136,7 @@ def _metric_call_sites(
                 )
             yield node, attr, strict
         elif isinstance(func, ast.Name):
-            origin = ctx.imported_names.get(func.id, "")
+            origin = ctx.import_origin(func.id, node) or ""
             if (
                 func.id in AMBIENT_METRIC_CALLS
                 and origin.split(".")[-1] == func.id

@@ -171,7 +171,7 @@ def stage_runs(
             )
             home, fn = ctx, _top_level_function(ctx, run.id)
             if fn is None:
-                origin = ctx.imported_names.get(run.id, "")
+                origin = ctx.import_origin(run.id, node) or ""
                 module, _, function = origin.rpartition(".")
                 home = modules.get(module)
                 fn = _top_level_function(home, function) if home else None

@@ -3,9 +3,8 @@
 Three small, composable pieces:
 
 * :mod:`repro.obs.trace` — hierarchical span tracing against an
-  *injected* clock (``tracer.span("stage:geolocate", shard=...)``),
-  with an ambient no-op default so instrumented code is free when
-  nobody is tracing;
+  *injected* clock (``tracer.span("stage:geolocate", shard=...)``) on
+  an explicitly passed tracer, with a no-op tracer for untraced runs;
 * :mod:`repro.obs.metrics` — typed counters/gauges/histograms with
   exact, commutative merges, built to fold per-shard snapshots into a
   worker-count-invariant run registry;

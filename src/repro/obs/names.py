@@ -40,10 +40,12 @@ IPMAP_CAMPAIGNS = "ipmap.campaigns"
 #: per-campaign country vote agreement ratio (geoloc/ipmap.py)
 IPMAP_COUNTRY_AGREEMENT = "ipmap.country_agreement"
 
-#: passive-DNS resolutions ingested (dnssim/passive.py)
+#: passive-DNS resolutions ingested: each collector's tally, added once
+#: per shard (runtime/stages.py)
 PDNS_OBSERVATIONS = "pdns.observations"
 
-#: first-seen (fqdn, address) pairs (dnssim/passive.py)
+#: first-seen (fqdn, address) pairs: each collector's tally, added once
+#: per shard (runtime/stages.py)
 PDNS_PAIRS_NEW = "pdns.pairs_new"
 
 #: exported pair tuples folded into a database (dnssim/passive.py)

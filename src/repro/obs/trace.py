@@ -8,17 +8,15 @@ context exit.  Spans are stored flat, in *opening* order, each carrying
 its parent index and depth — a form that serializes directly into the
 run manifest and renders as a text flame report.
 
-The ambient tracer (:func:`current_tracer` / :func:`tracing`) lets code
-deep inside the pipeline open spans without threading a tracer through
-every signature.  The default ambient tracer is :data:`NULL_TRACER`
-(null clock, records discarded), so un-instrumented callers pay nothing
-and — crucially — a traced and an untraced run execute the exact same
-pipeline code.
+Tracers are passed explicitly: the engine opens its spans on the tracer
+a run was given, and the executor gives each shard its own.  An
+untraced run passes :data:`NULL_TRACER` (null clock, records
+discarded), so it pays almost nothing and — crucially — a traced and an
+untraced run execute the exact same pipeline code.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
@@ -210,9 +208,9 @@ class Tracer:
 class NullTracer(Tracer):
     """A tracer that keeps the nesting discipline but records nothing.
 
-    The ambient default: pipeline code can always open spans, and when
-    nobody installed a real tracer the only cost is one context-manager
-    frame and a throwaway record — no clock reads, nothing retained.
+    An untraced run's tracer: the engine can always open spans, and
+    the only cost is one context-manager frame and a throwaway record —
+    no clock reads, nothing retained.
     """
 
     def __init__(self) -> None:
@@ -272,35 +270,3 @@ def spans_to_payload(spans: List[Span]) -> List[Dict[str, Any]]:
 
 #: the process-wide no-op tracer
 NULL_TRACER = NullTracer()
-
-#: per-thread stacks of ambient tracers; the top of a thread's stack
-#: receives its pipeline spans.  Thread-local on purpose: engine runs
-#: on concurrent threads of one process trace on their own threads and
-#: must never receive (or pop) each other's spans.
-_AMBIENT = threading.local()
-
-
-def _stack() -> List[Tracer]:
-    try:
-        return _AMBIENT.stack
-    except AttributeError:
-        stack: List[Tracer] = []
-        _AMBIENT.stack = stack
-        return stack
-
-
-def current_tracer() -> Tracer:
-    """The tracer ambient code should open spans on (never ``None``)."""
-    stack = _stack()
-    return stack[-1] if stack else NULL_TRACER
-
-
-@contextmanager
-def tracing(tracer: Tracer) -> Iterator[Tracer]:
-    """Install ``tracer`` as the ambient tracer for the scope."""
-    stack = _stack()
-    stack.append(tracer)
-    try:
-        yield tracer
-    finally:
-        stack.pop()

@@ -29,6 +29,8 @@ Decoding runs with the cyclic garbage collector paused: a warm run's
 artifacts unpickle into tens of thousands of container objects next to
 a long-lived heap (the memoized world), and left on, the collector
 would start hundreds of collections per run that re-scan that heap.
+The shard executor decodes pool results under the same pause
+(:func:`collector_paused`).
 """
 
 import contextlib
@@ -58,8 +60,12 @@ _TEMP_MARK = ".tmp."
 
 
 @contextlib.contextmanager
-def _collector_paused() -> Iterator[None]:
+def collector_paused() -> Iterator[None]:
     """Run the block with the cyclic garbage collector disabled.
+
+    Every decode of shard artifacts runs under it: a cache load, and
+    the pool's results, which its result thread unpickles while the
+    executor waits for them.
 
     On exit the collector is re-enabled only if it was enabled on
     entry, so a caller that turned it off keeps it off, a nested pause
@@ -247,7 +253,7 @@ class ArtifactCache:
             return False, None
         with fh:
             try:
-                with _collector_paused():
+                with collector_paused():
                     artifact = pickle.load(fh)
             except Exception:
                 # Damaged or stale-format artifact (crafted bytes can

@@ -72,7 +72,7 @@ from repro.datasets.builder import World, cached_build_world
 from repro.obs import names as obs_names
 from repro.obs.ledger import append_record, ledger_path
 from repro.obs.metrics import MetricsRegistry, collecting
-from repro.obs.trace import NULL_TRACER, Tracer, tracing
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.cache import ArtifactCache, config_digest
 from repro.runtime.executor import ShardExecutor
 from repro.runtime.footprint import stage_salts
@@ -323,10 +323,9 @@ class ExecutionEngine:
 
         ``tracer`` selects the observability level: ``None`` (the no-op
         default) records nothing; a real
-        :class:`~repro.obs.trace.Tracer` is installed as the ambient
-        tracer for the run and receives the engine's span tree.  Traced
-        and untraced runs execute identical pipeline code — the study
-        products cannot differ.
+        :class:`~repro.obs.trace.Tracer` receives the engine's span
+        tree.  Traced and untraced runs execute identical pipeline code
+        — the study products cannot differ.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         registry = MetricsRegistry()
@@ -337,28 +336,27 @@ class ExecutionEngine:
             registry=registry,
             tracer=tracer,
         )
-        with tracing(tracer):
-            with tracer.span(
-                obs_names.SPAN_RUN, digest=digest[:12], workers=self.workers
-            ):
-                build_start = time.perf_counter()
-                # World construction stays OUTSIDE the collection scope
-                # on purpose: cached_build_world is memoized in-process,
-                # so its instrumented internals fire on the first run
-                # and not on later ones — collecting them would make
-                # otherwise-identical runs disagree on their registries.
-                with tracer.span(obs_names.SPAN_WORLD_BUILD):
-                    world = cached_build_world(config)
-                result.world_build_s = time.perf_counter() - build_start
-                # The ambient scope makes engine-side instrumentation
-                # (e.g. the cache's corrupt-artifact counter) land in
-                # the run registry; shard bodies still collect into
-                # shard-local registries the executor opens on top.
-                with collecting(registry):
-                    for name in self.graph.topological_order(targets):
-                        result.metrics[name] = self._run_stage(
-                            name, world, digest, result, tracer
-                        )
+        with tracer.span(
+            obs_names.SPAN_RUN, digest=digest[:12], workers=self.workers
+        ):
+            build_start = time.perf_counter()
+            # World construction stays OUTSIDE the collection scope
+            # on purpose: cached_build_world is memoized in-process,
+            # so its instrumented internals fire on the first run
+            # and not on later ones — collecting them would make
+            # otherwise-identical runs disagree on their registries.
+            with tracer.span(obs_names.SPAN_WORLD_BUILD):
+                world = cached_build_world(config)
+            result.world_build_s = time.perf_counter() - build_start
+            # The ambient scope makes engine-side instrumentation
+            # (e.g. the cache's corrupt-artifact counter) land in
+            # the run registry; shard bodies still collect into
+            # shard-local registries the executor opens on top.
+            with collecting(registry):
+                for name in self.graph.topological_order(targets):
+                    result.metrics[name] = self._run_stage(
+                        name, world, digest, result, tracer
+                    )
         result.manifest = build_manifest(
             result, digest, self._salts, self._footprints
         )

@@ -8,6 +8,9 @@ With more than one worker and shard, the pool is created per stage,
 after the parent has built the world and materialized the bodies of
 the stage's declared inputs (a body replayed from the cache decodes
 lazily, and it must decode once, in the parent, not once per child).
+While the pool runs, the heap its workers inherit is frozen out of the
+cyclic collector's scans, and results decode with the collector
+paused (:func:`_heap_frozen`, :func:`_collect`).
 Each worker receives the stage's ``run``, its name, the world and those
 bodies once, through the pool's initializer, and a task carries only
 the shard key and payload.  Under fork the initializer's arguments are
@@ -20,8 +23,8 @@ process — the engine's "serial path" — through the exact same stage
 functions, which is what makes worker-count invariance testable.
 
 Every shard runs inside its own
-:class:`~repro.obs.metrics.MetricsRegistry` collection scope **and**
-its own :class:`~repro.obs.trace.Tracer`, and each
+:class:`~repro.obs.metrics.MetricsRegistry` collection scope under its
+own :class:`~repro.obs.trace.Tracer`'s ``stage:<name>`` span, and each
 result ships back as an ``(artifact, metrics_snapshot, span_rows)``
 tuple.  Because every piece is shard-local and the engine folds them in
 canonical plan order, the merged registry is byte-identical for any
@@ -33,16 +36,19 @@ tracks.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.datasets.builder import World
 from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry, collecting
-from repro.obs.trace import Tracer, spans_to_payload, tracing
+from repro.obs.trace import Tracer, spans_to_payload
+from repro.runtime.cache import collector_paused
 from repro.runtime.graph import RunFn, StageSpec
 
 #: a shard's result: the artifact, its shard-local metrics snapshot and
@@ -62,19 +68,19 @@ def _instrumented_run(
     shard_key: str,
     payload: Any,
 ) -> ShardResult:
-    """Run one shard inside fresh metrics/tracing collection scopes.
+    """Run one shard inside a fresh metrics collection scope and tracer.
 
     The registry and tracer are created here — per shard, per process —
-    so ambient :func:`repro.obs.metrics.inc` calls and spans inside
-    stage code land in containers that travel back with the artifact
-    instead of in global state a pool worker would silently discard.
-    The shard's spans root at a ``stage:<name>`` span and are stamped
-    with the recording pid/tid before shipping, so the engine can graft
-    them into the parent trace as real process tracks.
+    so ambient :func:`repro.obs.metrics.inc` calls inside stage code
+    land in a registry that travels back with the artifact instead of
+    in global state a pool worker would silently discard.  The shard's
+    span roots at a ``stage:<name>`` span and is stamped with the
+    recording pid/tid before shipping, so the engine can graft it into
+    the parent trace as a real process track.
     """
     registry = MetricsRegistry()
     tracer = Tracer()
-    with collecting(registry), tracing(tracer):
+    with collecting(registry):
         with tracer.span(f"stage:{stage_name}", shard=shard_key):
             artifact = run(world, products, shard_key, payload)
     pid = os.getpid()
@@ -83,6 +89,36 @@ def _instrumented_run(
         span.pid = pid
         span.tid = tid
     return artifact, registry.to_dict(), spans_to_payload(tracer.spans)
+
+
+@contextlib.contextmanager
+def _heap_frozen() -> Iterator[None]:
+    """Keep every object that exists on entry out of the cyclic
+    collector's scans until the block ends.
+
+    A forked worker inherits the parent's heap (the world and the
+    bodies its stage reads) copy-on-write.  A collection that scans an
+    inherited object writes to its header, which copies its page, so a
+    worker's full collection copies and re-scans the whole inherited
+    heap.  Results decoded with the collector paused (:func:`_collect`)
+    make that likely: the next pool's workers then find hundreds of
+    thousands of young objects, and a stale estimate of the long-lived
+    heap, and collect it all.  ``gc.freeze`` moves every tracked object
+    into the permanent generation, which no collection scans, in the
+    parent and in the workers forked from it; ``gc.unfreeze`` returns
+    them to the oldest generation.  A process that froze objects of its
+    own is left as it is.  Like the pause, the freeze is process-wide:
+    pools run from several threads at once can each end another's
+    freeze, which costs a later pool's workers speed, never a result.
+    """
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 def _install(
@@ -149,7 +185,7 @@ class ShardExecutor:
         inputs: Dict[str, Any] = {
             name: products[name] for name in spec.inputs
         }
-        with ProcessPoolExecutor(
+        with _heap_frozen(), ProcessPoolExecutor(
             max_workers=min(self.workers, len(shards)),
             initializer=_install,
             initargs=(spec.run, spec.name, world, inputs),
@@ -169,18 +205,25 @@ def _collect(
     """Shard results in submission (= plan) order, not completion order
     — merge determinism depends on it.
 
+    The pool's result thread unpickles each result while this waits,
+    so the wait runs with the cyclic garbage collector paused, as a
+    cache load does: a panel body decodes into hundreds of thousands
+    of objects next to the long-lived world.  Every worker has started
+    by now, so none inherits the pause.
+
     A worker that dies (killed, or ``os._exit`` in a shard) breaks the
     whole pool; the run then fails with an :class:`ExecutionError`
     naming the stage and the first shard, in plan order, whose result
     was lost.
     """
     results: List[Tuple[str, ShardResult]] = []
-    for (key, _), future in zip(shards, futures):
-        try:
-            results.append((key, future.result()))
-        except BrokenProcessPool as exc:
-            raise ExecutionError(
-                f"stage {spec.name!r}: a worker process died before shard "
-                f"{key!r} finished ({exc})"
-            ) from exc
+    with collector_paused():
+        for (key, _), future in zip(shards, futures):
+            try:
+                results.append((key, future.result()))
+            except BrokenProcessPool as exc:
+                raise ExecutionError(
+                    f"stage {spec.name!r}: a worker process died before "
+                    f"shard {key!r} finished ({exc})"
+                ) from exc
     return results

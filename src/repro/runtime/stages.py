@@ -27,15 +27,18 @@ geolocation engine runs with a per-address campaign seed.  That is what
 makes shard products — and therefore the merged stage products —
 independent of worker count and of execution order.
 
-Every ``plan`` reads upstream *indexes* only (record counts, the
-tracking-flow count, the sorted tracking FQDNs), never an upstream
-body, so a warm run plans every stage without decoding the panel's
-requests.  The classification index also carries Table 2's counts.
+Every ``plan`` reads upstream *indexes* only (record counts, each
+panel shard's request count, the tracking-flow count, the sorted
+tracking FQDNs), never an upstream body, so a warm run plans every
+stage without decoding the panel's requests.  The classification index
+also carries Table 2's counts.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+import contextlib
+import itertools
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.config import SNAPSHOT_DAYS
 from repro.core.classify import (
@@ -55,8 +58,10 @@ from repro.errors import ExecutionError
 from repro.geodata.regions import Region, region_of_country
 from repro.geoloc.ipmap import IPmapEngine
 from repro.netbase.addr import IPAddress
+from repro.obs import metrics as obs_metrics
+from repro.obs import names as obs_names
 from repro.runtime.graph import StageGraph, StageSpec, partition
-from repro.util.rng import derive_seed
+from repro.util.rng import RngStreams, derive_seed
 from repro.util.sankey import Sankey
 from repro.web.browser import BrowserExtensionSimulator, MappingService
 from repro.web.requests import ThirdPartyRequest
@@ -134,9 +139,25 @@ def _tracking_requests(products: Mapping[str, Any]) -> List[ThirdPartyRequest]:
     return products["classification"]["tracking"]
 
 
-def _user_block(world: World, payload: Tuple[int, int]) -> List[int]:
-    lo, hi = payload
-    return [user.user_id for user in world.users[lo:hi]]
+@contextlib.contextmanager
+def _shard_mapping(
+    world: World, streams: RngStreams, shard_key: str
+) -> Iterator[Tuple[MappingService, PassiveDNSDatabase]]:
+    """A shard-local DNS mapping clone and its passive-DNS collector.
+
+    The clone has a fresh answer cache and draws from ``streams``; it
+    records into the collector, never into the world's mapping or
+    passive DNS, so shards cannot observe each other.  When the block
+    ends, the collector's resolution and new-pair totals are added to
+    the shard's counters, once each and only when non-zero, so a shard
+    that resolves nothing creates no ``pdns.*`` key.
+    """
+    pdns = PassiveDNSDatabase(name=f"runtime-{shard_key}")
+    yield MappingService(world.fleet, world.registry, pdns, streams), pdns
+    if pdns.observations:
+        obs_metrics.inc(obs_names.PDNS_OBSERVATIONS, pdns.observations)
+    if pdns.pairs_new:
+        obs_metrics.inc(obs_names.PDNS_PAIRS_NEW, pdns.pairs_new)
 
 
 def _records_index(**records: int) -> Dict[str, Any]:
@@ -159,31 +180,23 @@ def panel_run(
     world: World, products: Mapping[str, Any], shard_key: str, payload: Any
 ) -> Any:
     lo, hi = payload
-    # A shard-local mapping clone: fresh answer cache, shard-derived DNS
-    # stream, shard-local passive-DNS collector.  The shared world
-    # mapping is never touched, so shards cannot observe each other.
-    local_pdns = PassiveDNSDatabase(name=f"runtime-{shard_key}")
-    mapping = MappingService(
-        world.fleet,
-        world.registry,
-        local_pdns,
-        world.streams.spawn(f"runtime:{shard_key}"),
-    )
-    simulator = BrowserExtensionSimulator(
-        fleet=world.fleet,
-        publishers=world.publishers,
-        users=world.users[lo:hi],
-        panel_config=world.config.panel,
-        browsing_config=world.config.browsing,
-        registry=world.registry,
-        mapping=mapping,
-        streams=world.streams,  # per-user forks are stateless derivations
-    )
-    log = simulator.simulate()
+    streams = world.streams.spawn(f"runtime:{shard_key}")
+    with _shard_mapping(world, streams, shard_key) as (mapping, pdns):
+        simulator = BrowserExtensionSimulator(
+            fleet=world.fleet,
+            publishers=world.publishers,
+            users=world.users[lo:hi],
+            panel_config=world.config.panel,
+            browsing_config=world.config.browsing,
+            registry=world.registry,
+            mapping=mapping,
+            streams=world.streams,  # per-user forks are stateless derivations
+        )
+        log = simulator.simulate()
     return {
         "visits": log.visits,
         "requests": log.requests,
-        "pdns_pairs": local_pdns.pairs(),
+        "pdns_pairs": pdns.pairs(),
     }
 
 
@@ -203,11 +216,31 @@ def panel_merge(
 
 
 def panel_index(product: Any) -> Dict[str, Any]:
-    return _records_index(
+    """Record counts, and each plan shard's request count in plan order.
+
+    Every user makes at least one visit, so the visits list the panel's
+    users in plan order, and partitioning them gives the plan's user
+    blocks.  The merge keeps each block's requests contiguous, so the
+    classification plan turns these counts into each shard's slice of
+    the request list.
+    """
+    users = list(dict.fromkeys(visit.user_id for visit in product["visits"]))
+    blocks = partition(users, DEFAULT_SHARDS)
+    block_of = {
+        user: number
+        for number, (lo, hi) in enumerate(blocks)
+        for user in users[lo:hi]
+    }
+    shard_requests = [0] * len(blocks)
+    for request in product["requests"]:
+        shard_requests[block_of[request.user_id]] += 1
+    index = _records_index(
         visits=len(product["visits"]),
         requests=len(product["requests"]),
         pdns_pairs=len(product["pdns_pairs"]),
     )
+    index["shard_requests"] = shard_requests
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +252,23 @@ def classification_plan(
 ) -> List[Tuple[str, Any]]:
     # Same user partition as the panel: referrer chains never span users
     # (URLs carry per-user tokens), so the closure is complete per shard.
+    # Each shard's requests are one contiguous block of the merged panel
+    # list, so its payload is that block's slice.
+    counts = indexes["panel"]["shard_requests"]
+    starts = itertools.accumulate([0] + counts)
     return [
-        (f"users[{lo}:{hi}]", (lo, hi))
-        for lo, hi in partition(world.users, DEFAULT_SHARDS)
+        (f"users[{lo}:{hi}]", (start, start + count))
+        for (lo, hi), start, count in zip(
+            partition(world.users, DEFAULT_SHARDS), starts, counts
+        )
     ]
 
 
 def classification_run(
     world: World, products: Mapping[str, Any], shard_key: str, payload: Any
 ) -> Any:
-    user_ids = set(_user_block(world, payload))
-    subset = [
-        request
-        for request in products["panel"]["requests"]
-        if request.user_id in user_ids
-    ]
+    start, stop = payload
+    subset = products["panel"]["requests"][start:stop]
     classifier = RequestClassifier(world.easylist, world.easyprivacy)
     result = classifier.classify(subset)
     return {"stages": result.stages, "n_requests": len(subset)}
@@ -679,20 +714,15 @@ def ispscale_run(
         registry=world.registry,
     )
     shard_streams = world.streams.spawn(f"runtime:{shard_key}")
-    mapping = MappingService(
-        world.fleet,
-        world.registry,
-        PassiveDNSDatabase(name=f"runtime-{shard_key}"),
-        shard_streams,
-    )
     reports = {}
-    for snapshot in SNAPSHOT_DAYS:
-        reports[(isp_name, snapshot)] = study.run_snapshot(
-            isp_name,
-            snapshot,
-            rng=shard_streams.fork(f"snapshot:{snapshot}"),
-            mapping=mapping,
-        )
+    with _shard_mapping(world, shard_streams, shard_key) as (mapping, _):
+        for snapshot in SNAPSHOT_DAYS:
+            reports[(isp_name, snapshot)] = study.run_snapshot(
+                isp_name,
+                snapshot,
+                rng=shard_streams.fork(f"snapshot:{snapshot}"),
+                mapping=mapping,
+            )
     return reports
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import BrowsingConfig, PanelConfig
-from repro.dnssim.authority import ClientSite, SelectionPolicy
+from repro.dnssim.authority import ClientSite, FqdnService, SelectionPolicy
 from repro.dnssim.passive import PassiveDNSDatabase
 from repro.dnssim.resolver import PublicResolver, default_public_resolvers
 from repro.errors import ConfigError
@@ -72,6 +72,9 @@ class MappingService:
         )
         self._site_cache: Dict[str, ClientSite] = {}
         self._answer_cache: Dict[Tuple[str, str], Server] = {}
+        #: FQDN -> (its service, whether its answer is fixed per vantage
+        #: country), looked up in the fleet once per FQDN
+        self._plans: Dict[str, Tuple[FqdnService, bool]] = {}
 
     def country_site(self, country: str) -> ClientSite:
         """The canonical query vantage for clients in ``country``.
@@ -104,10 +107,19 @@ class MappingService:
         return resolver.site_for(site)
 
     def resolve(self, fqdn: str, vantage: ClientSite, day: float) -> Server:
-        """Resolve ``fqdn`` from ``vantage``; returns the serving endpoint."""
-        deployed = self._fleet.fqdn(fqdn)
-        service = deployed.service
-        if service.policy in (SelectionPolicy.NEAREST, SelectionPolicy.HOME):
+        """Resolve ``fqdn`` from ``vantage``; returns the serving endpoint.
+
+        An FQDN the fleet does not deploy raises :class:`ConfigError`.
+        """
+        plan = self._plans.get(fqdn)
+        if plan is None:
+            service = self._fleet.fqdn(fqdn).service
+            per_country = service.policy in (
+                SelectionPolicy.NEAREST, SelectionPolicy.HOME,
+            )
+            plan = self._plans[fqdn] = (service, per_country)
+        service, per_country = plan
+        if per_country:
             key = (fqdn, vantage.country)
             server = self._answer_cache.get(key)
             if server is None:

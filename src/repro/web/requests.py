@@ -46,7 +46,7 @@ def build_url(
     query = ""
     if args:
         query = "?" + "&".join(
-            f"{key}={value}" for key, value in sorted(args.items())
+            [f"{key}={value}" for key, value in sorted(args.items())]
         )
     return f"{scheme}://{fqdn}{path}{query}"
 
@@ -92,7 +92,7 @@ def _parse_url_facts(url: str) -> UrlFacts:
     return host, tld1, has_args
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThirdPartyRequest:
     """One observed third-party request.
 
@@ -100,6 +100,16 @@ class ThirdPartyRequest:
     ``first_party``, ``url``, ``referrer``, ``ip``, ``user_country``,
     ``day``, ``https``.  The remaining fields are simulation ground
     truth used only for evaluation and calibration.
+
+    The constructor is written by hand because a panel builds one
+    request per rendered spec: it binds ``object.__setattr__`` once and
+    sets the twelve fields, then the URL facts, in the order the
+    generated ``__init__`` and ``__post_init__`` did.  So the instance
+    dict keeps its shared-key layout and order, and ``vars()``, the
+    pickle bytes, ``fields()``, equality, hashing, repr and ``asdict``
+    are those of a generated constructor.  ``facts`` stays an
+    ``InitVar`` defaulting to ``None``, so ``dataclasses.replace``
+    passes ``None`` and the facts are re-derived from the new URL.
     """
 
     # -- measurement-visible ------------------------------------------------
@@ -121,7 +131,35 @@ class ThirdPartyRequest:
     #: renderer, from the spec it builds the URL from); init-only
     facts: InitVar[Optional[UrlFacts]] = None
 
-    def __post_init__(self, facts: Optional[UrlFacts]) -> None:
+    def __init__(
+        self,
+        first_party: str,
+        url: str,
+        referrer: str,
+        ip: IPAddress,
+        user_id: int,
+        user_country: str,
+        day: float,
+        https: bool,
+        truth_role: ServiceRole,
+        truth_org: str,
+        truth_country: str,
+        chain_depth: int,
+        facts: Optional[UrlFacts] = None,
+    ) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "first_party", first_party)
+        setattr_(self, "url", url)
+        setattr_(self, "referrer", referrer)
+        setattr_(self, "ip", ip)
+        setattr_(self, "user_id", user_id)
+        setattr_(self, "user_country", user_country)
+        setattr_(self, "day", day)
+        setattr_(self, "https", https)
+        setattr_(self, "truth_role", truth_role)
+        setattr_(self, "truth_org", truth_org)
+        setattr_(self, "truth_country", truth_country)
+        setattr_(self, "chain_depth", chain_depth)
         # The record path reads ``fqdn``/``tld1``/``has_args`` per request
         # in every stage and report, so they are kept as plain attributes.
         # The renderer passes them in as ``facts``; every other caller
@@ -134,11 +172,11 @@ class ThirdPartyRequest:
         # re-derives it, which raises: malformed logs still fail loudly,
         # on access rather than at construction.
         if facts is None:
-            facts = _parse_url_facts(self.url)
+            facts = _parse_url_facts(url)
         host, tld1, has_args = facts
-        object.__setattr__(self, "_host", host)
-        object.__setattr__(self, "_tld1", tld1)
-        object.__setattr__(self, "_has_args", has_args)
+        setattr_(self, "_host", host)
+        setattr_(self, "_tld1", tld1)
+        setattr_(self, "_has_args", has_args)
 
     @property
     def fqdn(self) -> str:

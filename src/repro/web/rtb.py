@@ -19,8 +19,7 @@ population the paper's semi-automatic classifier recovers (Sect. 3.2).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import BrowsingConfig
 from repro.errors import ConfigError
@@ -57,13 +56,17 @@ _BID_PATHS: Tuple[str, ...] = ("/rtb/bid", "/openrtb2/auction", "/bidder/br")
 _INITIAL_PATHS: Tuple[str, ...] = ("/adserve/slot", "/ads/banner", "/tag/js")
 
 
-@dataclass(frozen=True)
-class RequestSpec:
+class RequestSpec(NamedTuple):
     """A request blueprint before DNS resolution / URL materialization.
 
     ``parent`` is the index (within the chain) of the request whose URL
     becomes this request's referrer; ``None`` means the first-party page
     is the referrer (code executing in first-party context).
+
+    A panel renders one spec per third-party request, so a spec is a
+    named tuple built positionally: that costs about half a frozen
+    dataclass's keyword construction.  Specs are in-memory blueprints
+    that nothing pickles, hashes or stores; callers read attributes only.
     """
 
     fqdn: str
@@ -242,12 +245,12 @@ class RTBEngine:
         # 1. initial ad call, from first-party context
         chain.append(
             RequestSpec(
-                fqdn=initial.fqdn,
-                org_name=initial.org_name,
-                role=initial.role,
-                path=rng.choice(_INITIAL_PATHS),
-                args={"pid": publisher.domain, "slot": str(rng.randint(1, 6))},
-                parent=None,
+                initial.fqdn,
+                initial.org_name,
+                initial.role,
+                rng.choice(_INITIAL_PATHS),
+                {"pid": publisher.domain, "slot": str(rng.randint(1, 6))},
+                None,
             )
         )
 
@@ -271,12 +274,8 @@ class RTBEngine:
                 parent = len(chain) - 1
             chain.append(
                 RequestSpec(
-                    fqdn=deployed.fqdn,
-                    org_name=deployed.org_name,
-                    role=deployed.role,
-                    path=path,
-                    args=args,
-                    parent=parent,
+                    deployed.fqdn, deployed.org_name, deployed.role, path,
+                    args, parent,
                 )
             )
             last_visible = len(chain) - 1
@@ -310,12 +309,8 @@ class RTBEngine:
                 args = {"uid": user_token, "ev": "imp"}
             chain.append(
                 RequestSpec(
-                    fqdn=deployed.fqdn,
-                    org_name=deployed.org_name,
-                    role=deployed.role,
-                    path=path,
-                    args=args,
-                    parent=previous,
+                    deployed.fqdn, deployed.org_name, deployed.role, path,
+                    args, previous,
                 )
             )
             previous = len(chain) - 1
@@ -328,12 +323,12 @@ class RTBEngine:
         """One analytics-tag hit (fired from first-party context)."""
         deployed = self._fleet.fqdn(fqdn)
         return RequestSpec(
-            fqdn=deployed.fqdn,
-            org_name=deployed.org_name,
-            role=deployed.role,
-            path="/collect",
-            args={"ev": rng.choice(("pv", "sc", "cl")), "uid": user_token},
-            parent=None,
+            deployed.fqdn,
+            deployed.org_name,
+            deployed.role,
+            "/collect",
+            {"ev": rng.choice(("pv", "sc", "cl")), "uid": user_token},
+            None,
         )
 
     def clean_request(
@@ -345,13 +340,13 @@ class RTBEngine:
         if rng.random() < 0.2:
             args = {"v": str(rng.randint(1, 9))}
         return RequestSpec(
-            fqdn=deployed.fqdn,
-            org_name=deployed.org_name,
-            role=deployed.role,
-            path=rng.choice(
+            deployed.fqdn,
+            deployed.org_name,
+            deployed.role,
+            rng.choice(
                 ("/embed/widget.js", "/chat/frame", "/comments/load",
                  "/fonts/pack.css", "/static/app.js")
             ),
-            args=args,
-            parent=None,
+            args,
+            None,
         )

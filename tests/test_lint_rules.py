@@ -131,6 +131,33 @@ def test_d102_quiet_on_annotation_only(tmp_path):
     assert findings == []
 
 
+def test_d102_function_local_import_binds_only_its_function(tmp_path):
+    # ``g``'s import rebinds ``random`` in ``g`` alone: ``f`` still builds
+    # a raw stream from the module-level ``random``, and is flagged as it
+    # is in a file without ``g``.
+    f = """
+        import random
+
+
+        def f():
+            return random.Random(0)
+        """
+    g = """
+
+        def g():
+            from numpy import random
+            return random.rand()
+        """
+    (tmp_path / "alone.py").write_text(textwrap.dedent(f))
+    findings = lint_snippet(
+        tmp_path, f + g, relpath="mixed.py", select=["D101", "D102"]
+    )
+    assert sorted((finding.path, finding.rule, finding.line)
+                  for finding in findings) == [
+        ("alone.py", "D102", 6), ("mixed.py", "D102", 6),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # D103 — wall clock / environment in deterministic packages
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.obs.metrics import (
     inc,
     observe,
 )
-from repro.obs.trace import NullTracer, Tracer, current_tracer, tracing
+from repro.obs.trace import NullTracer, Tracer
 from repro.obs.metrics import base_name, metric_key
 
 
@@ -122,18 +122,6 @@ class TestSpans:
         assert tracer.rows() == []
         assert tracer.report() == "(tracing disabled)"
         assert not tracer.enabled
-
-    def test_ambient_default_is_null(self):
-        assert not current_tracer().enabled
-
-    def test_ambient_install_and_restore(self):
-        tracer = Tracer(TickClock())
-        with tracing(tracer):
-            assert current_tracer() is tracer
-            with current_tracer().span("ambient"):
-                pass
-        assert not current_tracer().enabled
-        assert tracer.spans[0].name == "ambient"
 
 
 class TestInstruments:

@@ -1,12 +1,12 @@
-"""Cross-thread isolation of the ambient metrics/tracing stacks.
+"""Cross-thread isolation of the ambient metrics stack.
 
 A library caller may run one study per thread, each under its own
-``collecting``/``tracing`` scope.  The ambient stacks are
-thread-local, so concurrent scopes must never observe each other —
-the regression these tests pin down (the original stacks were module
-globals).  One registry shared by many threads must hand every thread
-the same instrument per key, whether it creates the instrument under
-the lock or finds it without.
+``collecting`` scope.  The ambient stack is thread-local, so
+concurrent scopes must never observe each other — the regression
+these tests pin down (the original stack was a module global).  One
+registry shared by many threads must hand every thread the same
+instrument per key, whether it creates the instrument under the lock
+or finds it without.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import threading
 from repro.errors import ObservabilityError
 from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry, collecting
-from repro.obs.trace import Tracer, current_tracer, tracing
 
 
 def test_collecting_scopes_are_thread_local():
@@ -61,33 +60,6 @@ def test_ambient_stack_empty_on_fresh_thread():
         thread.start()
         thread.join()
     assert seen == {"active": False, "current": None}
-
-
-def test_tracing_scopes_are_thread_local():
-    tracers = {}
-    barrier = threading.Barrier(2)
-
-    def work(name: str) -> None:
-        tracer = Tracer()
-        tracers[name] = tracer
-        with tracing(tracer):
-            barrier.wait()
-            assert current_tracer() is tracer
-            with tracer.span(f"stage-{name}"):
-                pass
-            barrier.wait()
-
-    threads = [
-        threading.Thread(target=work, args=(name,)) for name in ("a", "b")
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    for name in ("a", "b"):
-        spans = tracers[name].rows()
-        assert [row["name"] for row in spans] == [f"stage-{name}"]
 
 
 def test_concurrent_instrument_creation_loses_nothing():

@@ -7,7 +7,8 @@ any other caller's request splits its URL once, when it is built.  These
 tests hold the stored facts to the parsing functions they replace (over
 every small-world panel request, on both record paths), check that a
 request built with renderer facts is indistinguishable from one built by
-parsing, that the facts follow a request through ``pickle`` — the
+parsing, that the hand-written constructor takes the fields in order and
+then ``facts``, that the facts follow a request through ``pickle`` — the
 artifact cache's format — and ``dataclasses.replace``, and that a
 malformed URL still fails loudly on access.  The one-pass Table 2 is
 held to the three per-predicate rows it replaces.
@@ -16,6 +17,7 @@ held to the three per-predicate rows it replaces.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import pickle
 from typing import Optional
 
@@ -80,22 +82,29 @@ class TestStoredFacts:
                 )
 
     def test_survive_pickle(self, small_study):
+        names = [field.name for field in dataclasses.fields(ThirdPartyRequest)]
+        layout = names + ["_host", "_tld1", "_has_args"]
         for requests in (
             small_study.visit_log.requests,
             [_request(URL, RENDERED)],
         ):
             data = pickle.dumps(requests, protocol=pickle.HIGHEST_PROTOCOL)
-            # Renderer facts share strings as parsed ones do, so the
+            # Renderer facts share strings as parsed ones do, and both
+            # constructions set the attributes in one order, so the
             # requests pickle byte for byte as the same ones rebuilt by
-            # parsing.
+            # parsing, one by one and as a list.
             parsed = [dataclasses.replace(request) for request in requests]
             assert data == pickle.dumps(
                 parsed, protocol=pickle.HIGHEST_PROTOCOL
             )
+            for rendered, reparsed in zip(requests, parsed):
+                assert list(vars(rendered)) == list(vars(reparsed)) == layout
+                assert pickle.dumps(rendered) == pickle.dumps(reparsed)
             restored = pickle.loads(data)
             assert restored == requests
             for original, copy in zip(requests, restored):
                 assert vars(copy) == vars(original)
+                assert list(vars(copy)) == layout
 
     def test_follow_dataclasses_replace(self, small_study):
         requests = small_study.visit_log.requests
@@ -106,6 +115,16 @@ class TestStoredFacts:
             requests[0], url="https://a.other.example/p"
         )
         assert _facts(moved) == ("a.other.example", "other.example", False)
+
+    def test_constructor_takes_the_fields_then_facts(self):
+        parameters = inspect.signature(ThirdPartyRequest).parameters
+        names = [field.name for field in dataclasses.fields(ThirdPartyRequest)]
+        assert list(parameters) == names + ["facts"]
+        assert [
+            name for name, parameter in parameters.items()
+            if parameter.default is not inspect.Parameter.empty
+        ] == ["facts"]
+        assert parameters["facts"].default is None
 
     def test_are_not_fields(self):
         parsed = _request(URL)

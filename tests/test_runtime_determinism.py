@@ -58,11 +58,12 @@ from repro.obs.clock import TickClock
 from repro.obs.manifest import validate_manifest
 from repro.obs.trace import Tracer
 from repro.runtime import run_study
-from repro.runtime.cache import _collector_paused
+from repro.runtime.cache import collector_paused
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.executor import _instrumented_run
 from repro.runtime.graph import StageGraph, StageSpec
 from repro.runtime.stages import STAGE_GRAPH, STAGE_NAMES
+from repro.web.browser import MappingService
 
 
 def headline(run):
@@ -697,6 +698,54 @@ class TestShardPurity:
             check_toy(run, pickled_world, tmp_path, monkeypatch)
 
 
+class TestPassiveDNSCounts:
+    """A shard that owns a passive-DNS collector adds the collector's
+    totals to its own counters once, when it ends."""
+
+    @pytest.fixture
+    def resolutions(self, monkeypatch):
+        seen: List[Tuple[str, Any]] = []
+        resolve = MappingService.resolve
+
+        def counting(mapping, fqdn, vantage, day):
+            server = resolve(mapping, fqdn, vantage, day)
+            seen.append((fqdn, server.ip))
+            return server
+
+        monkeypatch.setattr(MappingService, "resolve", counting)
+        return seen
+
+    @pytest.mark.parametrize("stage", ["panel", "ispscale"])
+    def test_a_shard_counts_what_it_resolved(
+        self, serial_run, resolutions, stage
+    ):
+        result = serial_run.result
+        world = cached_build_world(result.config)
+        spec = STAGE_GRAPH[stage]
+        key, payload = spec.plan(world, result.indexes)[0]
+        _, snapshot, _ = _instrumented_run(
+            spec.run, world, result.products, stage, key, payload
+        )
+        assert resolutions
+        assert snapshot[obs_names.PDNS_OBSERVATIONS]["value"] == len(
+            resolutions
+        )
+        assert snapshot[obs_names.PDNS_PAIRS_NEW]["value"] == len(
+            set(resolutions)
+        )
+
+    def test_a_shard_that_resolves_nothing_creates_no_key(
+        self, serial_run, resolutions
+    ):
+        world = cached_build_world(serial_run.result.config)
+        product, snapshot, _ = _instrumented_run(
+            STAGE_GRAPH["panel"].run, world, {}, "panel", "users[0:0]",
+            (0, 0),
+        )
+        assert product["requests"] == [] and resolutions == []
+        assert [key for key in snapshot if key.startswith("pdns.")] == []
+
+
 @pytest.fixture(scope="module")
 def traced_run(engine_config):
     # A deterministic clock: the resulting spans are byte-stable, so
@@ -1013,14 +1062,14 @@ class TestKilledRunResumes:
 class TestCollectorPaused:
     def test_enabled_on_entry_is_off_inside_and_on_after(self):
         assert gc.isenabled()
-        with _collector_paused():
+        with collector_paused():
             assert not gc.isenabled()
         assert gc.isenabled()
 
     def test_disabled_on_entry_stays_disabled(self):
         gc.disable()
         try:
-            with _collector_paused():
+            with collector_paused():
                 assert not gc.isenabled()
             assert not gc.isenabled()
         finally:
@@ -1032,15 +1081,15 @@ class TestCollectorPaused:
             gc.disable()
         try:
             with pytest.raises(KeyError):
-                with _collector_paused():
+                with collector_paused():
                     raise KeyError("decode failed")
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
 
     def test_nested_use_restores_only_at_outer_exit(self):
-        with _collector_paused():
-            with _collector_paused():
+        with collector_paused():
+            with collector_paused():
                 assert not gc.isenabled()
             assert not gc.isenabled()
         assert gc.isenabled()

@@ -2,18 +2,21 @@
 
 Covers the stage graph's validation and ordering, the worker-count-free
 shard partition, the content-addressed cache (keys, salt folding,
-corruption handling, the disabled mode) and the executor's argument
-validation — everything that does not need a built world.
+corruption handling, the disabled mode), the executor's argument
+validation and its pool path — everything that does not need a built
+world.
 """
 
 from __future__ import annotations
 
 import errno
 import gc
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -352,10 +355,30 @@ class TestExecutorValidation:
         assert ShardExecutor(2).execute(_spec("a"), None, {}, []) == []
 
 
+def _collector_state():
+    """Called by the decode of a :class:`_DecodeProbe`: whether the
+    cyclic garbage collector is on while pool results decode."""
+    return gc.isenabled()
+
+
+class _DecodeProbe:
+    """Pickles as a call that reads the decoding process's collector."""
+
+    def __reduce__(self):
+        return _collector_state, ()
+
+
 def _shard_body(world, products, key, payload):
     """A pool-path shard (module level: the spawn path pickles it)."""
     if payload == "die":
         os._exit(1)
+    if payload == "frozen":
+        return gc.get_freeze_count()
+    if payload == "probe":
+        # long enough that the executor is waiting when the result
+        # arrives
+        time.sleep(0.3)
+        return _DecodeProbe()
     return key.upper()
 
 
@@ -372,6 +395,28 @@ class TestExecutorPool:
         assert [(key, result[0]) for key, result in results] == [
             ("a", "A"), ("b", "B"),
         ]
+
+    def test_results_decode_with_the_collector_paused(self):
+        results = ShardExecutor(2).execute(
+            self._graph()["doomed"], None, {}, [("a", "probe"), ("b", "probe")]
+        )
+        assert [result[0] for _, result in results] == [False, False]
+        assert gc.isenabled()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only a forked worker inherits the parent's heap",
+    )
+    def test_workers_inherit_a_frozen_heap(self):
+        # Under fork a worker inherits the parent's permanent generation,
+        # so its collections never scan the parent's objects; the parent
+        # gets its objects back when the pool is done.
+        results = ShardExecutor(2).execute(
+            self._graph()["doomed"], None, {},
+            [("a", "frozen"), ("b", "frozen")],
+        )
+        assert all(result[0] > 0 for _, result in results)
+        assert gc.get_freeze_count() == 0
 
     def test_worker_death_names_stage_and_shard(self):
         shards = [("s0", "die"), ("s1", "live")]

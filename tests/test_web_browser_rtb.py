@@ -5,7 +5,11 @@ import random
 
 import pytest
 
-from repro.errors import ClassificationError
+from repro.dnssim.authority import SelectionPolicy
+from repro.dnssim.passive import PassiveDNSDatabase
+from repro.errors import ClassificationError, ConfigError
+from repro.util.rng import RngStreams
+from repro.web.browser import MappingService
 from repro.web.filterlists import FilterList, FilterRule, RuleAction
 from repro.web.organizations import OrgKind, ServiceRole
 from repro.web.requests import (
@@ -136,6 +140,38 @@ class TestRTBEngine:
         ]
         argless = sum(1 for s in specs if not s.args)
         assert argless > 60
+
+
+class TestMappingService:
+    @staticmethod
+    def _mapping(world):
+        pdns = PassiveDNSDatabase()
+        mapping = MappingService(
+            world.fleet, world.registry, pdns, RngStreams(seed=7)
+        )
+        return mapping, pdns
+
+    def test_unknown_fqdn_raises_on_every_call(self, small_world):
+        mapping, pdns = self._mapping(small_world)
+        site = mapping.country_site("DE")
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="unknown FQDN"):
+                mapping.resolve("nowhere.invalid.example", site, 1.0)
+        assert (pdns.observations, pdns.pairs_new) == (0, 0)
+
+    def test_latency_mapped_answer_is_fixed_per_vantage_country(
+        self, small_world
+    ):
+        mapping, pdns = self._mapping(small_world)
+        fqdn = next(
+            deployed.fqdn
+            for deployed in small_world.fleet.fqdns()
+            if deployed.service.policy is SelectionPolicy.NEAREST
+        )
+        site = mapping.country_site("DE")
+        first = mapping.resolve(fqdn, site, 1.0)
+        assert all(mapping.resolve(fqdn, site, 2.0) is first for _ in range(5))
+        assert (pdns.observations, pdns.pairs_new) == (6, 1)
 
 
 class TestVisitLog:
