@@ -27,7 +27,6 @@ def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
     study = run_study(WorldConfig.small(seed=seed)).study()
     localization = study.localization
-    analyzer = study.confinement()
 
     # Pick the busiest multi-country tracking operator as "us".
     volume: Counter = Counter()

@@ -41,12 +41,12 @@ def main() -> None:
     if not tracking:
         print("No panel users in this country — try ES, GB, DE, IT, GR …")
         return
-    analyzer = study.confinement()
+    locate = study.geolocation.reference
 
     domestic = foreign_eu = outside = 0
     destinations: Counter = Counter()
     for request in tracking:
-        dest = analyzer.destination_country(request.ip)
+        dest = locate(request.ip)
         destinations[dest or "unknown"] += 1
         if dest == country:
             domestic += 1
@@ -76,7 +76,7 @@ def main() -> None:
         leaked = sum(
             1
             for r in sensitive
-            if analyzer.destination_country(r.ip) != country
+            if locate(r.ip) != country
         )
         categories = Counter(
             study.sensitive.category_of(r) for r in sensitive
@@ -98,7 +98,7 @@ def main() -> None:
     domestic_possible: set = set()
     for request in tracking:
         tld = tld1_of(request.fqdn)
-        if analyzer.destination_country(request.ip) == country:
+        if locate(request.ip) == country:
             domestic_now.add(tld)
         elif country in localization.observed_tld_countries(tld):
             domestic_possible.add(tld)

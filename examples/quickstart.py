@@ -24,6 +24,7 @@ view, and the manifest records what produced them.
 import sys
 
 from repro import WorldConfig
+from repro.analysis.figures import figure8
 from repro.analysis.tables import table1, table2, table5
 from repro.geodata.regions import Region
 from repro.obs.trace import Tracer
@@ -59,9 +60,7 @@ def main() -> None:
 
     print()
     print("Figure 8 — national confinement per EU28 origin:")
-    national = study.confinement().national_confinement(
-        study.tracking_requests()
-    )
+    national = figure8(study)["national_confinement"]
     for country, pct in sorted(national.items(), key=lambda kv: -kv[1]):
         print(f"  {country}: {pct:5.1f}% of flows stay in-country")
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Calibration dashboard: prints every headline metric next to the
-paper's value so the world-model constants can be tuned.
+paper's value so the world-model constants can be tuned.  The Sect. 4–6
+numbers come from the same table and figure builders as the report.
 
 Usage: python scripts/calibrate.py [small|medium|paper]
 """
@@ -9,6 +10,8 @@ import sys
 import time
 
 from repro import WorldConfig
+from repro.analysis import figures as F
+from repro.analysis import tables as T
 from repro.runtime import run_study
 
 
@@ -82,9 +85,7 @@ def main() -> None:
     print("    paper  : NA 65.94, EU28 33.16, RestEU 0.47")
     print(f"[{time.time()-t0:6.1f}s] geolocated")
 
-    conf = study.confinement()
-    tracking = study.tracking_requests()
-    nat = conf.national_confinement(tracking)
+    nat = F.figure8(study)["national_confinement"]
     print(
         "F8 national: "
         + " ".join(
@@ -93,19 +94,18 @@ def main() -> None:
         )
     )
     print("    paper  : GB=58.4 ES=33.1 GR=6.77 RO=5.1 CY=1.16")
-    per_region = conf.per_region_confinement(tracking)
+    f6 = F.figure6(study)
     print(
         "F6 regions : "
         + " ".join(
             f"{region}={pct:.1f}({users})"
-            for region, (pct, users) in per_region.items()
+            for region, (pct, users) in f6["per_region_confinement"].items()
         )
     )
     print("    paper  : AF=2.11(22) AS=16.39(20) RestEU=12.94(23) SA=4.42(86) NA=86.83(16)")
-    dest = conf.overall_destination_shares(tracking)
-    print(f"F6 dest    : {fmt(dest)}")
+    print(f"F6 dest    : {fmt(f6['destination_shares'])}")
     print("    paper  : EU28 51.65, NA 40.87, RestEU 3.78, AS 1.90, SA 1.51")
-    sankey = conf.continent_sankey(tracking)
+    sankey = f6["sankey"]
     for origin in sankey.origins():
         top = sankey.top_destinations(origin, 3)
         total = sankey.origin_total(origin)
@@ -114,8 +114,7 @@ def main() -> None:
             + " ".join(f"{d}={s:.1f}" for d, s in top)
         )
 
-    t5 = study.localization.scenario_table(tracking)
-    for outcome in t5:
+    for outcome in T.table5(study)["outcomes"]:
         print(
             f"T5: {outcome.scenario.value:<42} country={outcome.country_pct:5.2f}% "
             f"region={outcome.region_pct:5.2f}%"
@@ -129,9 +128,9 @@ def main() -> None:
         print(f"T3: {pair[0]} vs {pair[1]}: country={cell.country_pct:.1f}% region={cell.region_pct:.1f}%")
     print("    paper  : ipapi/MM 96.13/99.15, vs IPmap ~53/65")
 
-    sens = study.sensitive
-    shares = sens.category_shares(tracking)
-    print(f"F9: sensitive share={sens.sensitive_share_pct(tracking):.2f}% (paper 2.89%)")
+    f9 = F.figure9(study)
+    shares = f9["category_shares"]
+    print(f"F9: sensitive share={f9['sensitive_share_pct']:.2f}% (paper 2.89%)")
     print("    categories: " + " ".join(f"{k}={v:.0f}" for k, v in sorted(shares.items(), key=lambda x: -x[1])))
     print("    paper  : health=38 gambling=22 sexorient=11 pregnancy=11 politics=9 porn=7")
     print(f"[{time.time()-t0:6.1f}s] sensitive done")

@@ -11,15 +11,19 @@ NetFlow), since the paper's inputs are proprietary.
 
 The runtime engine (:mod:`repro.runtime`) is the one record path; a
 :class:`Study` is the read-only view of one engine run that the tables
-and figures read.
+and figures read.  Every whole-run Sect. 4–6 number (Figs. 6–11, Tables
+5–6) is computed once, by the engine's confinement, localization and
+sensitive stages, and read from their merged products.
 
 Quickstart::
 
     from repro import WorldConfig
+    from repro.analysis import table5
     from repro.runtime import run_study
 
     study = run_study(WorldConfig.small()).study()
     print(study.eu28_destination_regions())   # Fig. 7(b) shape
+    print(table5(study)["text"])              # Table 5
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.

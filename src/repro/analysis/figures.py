@@ -1,16 +1,19 @@
 """Regeneration of the data behind the paper's figures (2–12).
 
 Each ``figureN(study)`` returns the series the figure plots plus a
-rendered ``"text"`` block.  Figure 1 (the IAB OpenRTB block diagram) is
-illustrative; its content is the message flow implemented by
-:mod:`repro.web.rtb`.
+rendered ``"text"`` block.  Figs. 6–11 read the engine's merged
+confinement and sensitive products (:attr:`Study.products`).  Figure 1
+(the IAB OpenRTB block diagram) is illustrative; its content is the
+message flow implemented by :mod:`repro.web.rtb`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from collections import defaultdict
+from typing import Any, Dict, Set
 
 from repro.core.pipeline import Study
+from repro.core.sensitive import sensitive_flow_shares
 from repro.geodata.regions import Region, region_of_country
 from repro.util.cdf import EmpiricalCDF
 from repro.util.tables import percent, render_table
@@ -113,11 +116,21 @@ def figure5(study: Study, threshold: int = 10) -> Dict[str, Any]:
 
 def figure6(study: Study) -> Dict[str, Any]:
     """Fig. 6 — flow of ad+tracking between continents (Sankey)."""
-    analyzer = study.confinement()
-    tracking = study.tracking_requests()
-    sankey = analyzer.continent_sankey(tracking)
+    sankey = study.products["confinement"]["regions"]
     destination_shares = sankey.destination_shares()
-    per_region = analyzer.per_region_confinement(tracking)
+    # The per-region user counts of the Sect. 4 listing ("Africa 2.11%
+    # (22), ..."): the users behind each origin region's tracking flows.
+    registry = study.world.registry
+    users: Dict[str, Set[int]] = defaultdict(set)
+    for country, user_id in sorted(
+        {(request.user_country, request.user_id)
+         for request in study.tracking_requests()}
+    ):
+        users[region_of_country(country, registry).value].add(user_id)
+    per_region = {
+        region: (sankey.confinement(region), len(ids))
+        for region, ids in sorted(users.items())
+    }
     rows = [
         [origin, f"{sankey.origin_total(origin):,.0f}",
          percent(sankey.confinement(origin)),
@@ -161,9 +174,7 @@ def figure7(study: Study) -> Dict[str, Any]:
 
 def figure8(study: Study) -> Dict[str, Any]:
     """Fig. 8 — country-level Sankey for EU28 origins."""
-    analyzer = study.confinement()
-    tracking = study.tracking_requests()
-    sankey = analyzer.country_sankey(tracking, Region.EU28)
+    sankey = study.products["confinement"]["countries"]
     national = {
         origin: sankey.confinement(origin) for origin in sankey.origins()
     }
@@ -186,10 +197,11 @@ def figure8(study: Study) -> Dict[str, Any]:
 
 def figure9(study: Study) -> Dict[str, Any]:
     """Fig. 9 — sensitive-category shares of tracking flows."""
-    tracking = study.tracking_requests()
-    shares = study.sensitive.category_shares(tracking)
-    sensitive_share = study.sensitive.sensitive_share_pct(tracking)
-    identified = study.sensitive.identified_domains()
+    product = study.products["sensitive"]
+    flow_shares = sensitive_flow_shares(product)
+    shares = flow_shares["category_shares"]
+    sensitive_share = flow_shares["sensitive_share_pct"]
+    n_domains = len(product["identified"])
     rows = [
         [category, percent(share)]
         for category, share in sorted(shares.items(), key=lambda kv: -kv[1])
@@ -198,24 +210,23 @@ def figure9(study: Study) -> Dict[str, Any]:
         ["Sensitive category", "Share of sensitive flows"],
         rows,
         title=(
-            f"Figure 9: Sensitive categories ({len(identified)} domains, "
+            f"Figure 9: Sensitive categories ({n_domains} domains, "
             f"{sensitive_share:.2f}% of tracking flows)."
         ),
     )
     return {
         "category_shares": shares,
         "sensitive_share_pct": sensitive_share,
-        "n_sensitive_domains": len(identified),
+        "n_sensitive_domains": n_domains,
         "text": text,
     }
 
 
 def figure10(study: Study) -> Dict[str, Any]:
     """Fig. 10 — destination regions per sensitive category (EU28 users)."""
-    tracking = study.tracking_requests()
-    per_category = study.sensitive.category_destination_regions(
-        tracking, study.geolocation.reference
-    )
+    per_category = sensitive_flow_shares(study.products["sensitive"])[
+        "category_regions"
+    ]
     rows = []
     for category, shares in sorted(per_category.items()):
         eu = shares.get(Region.EU28.value, 0.0)
@@ -232,10 +243,7 @@ def figure10(study: Study) -> Dict[str, Any]:
 
 def figure11(study: Study) -> Dict[str, Any]:
     """Fig. 11 — per-country leakage of sensitive flows."""
-    tracking = study.tracking_requests()
-    leakage = study.sensitive.per_country_leakage(
-        tracking, study.geolocation.reference
-    )
+    leakage = sensitive_flow_shares(study.products["sensitive"])["leakage"]
     rows = [
         [country, total, leaked,
          percent(100.0 * leaked / total if total else 0.0)]

@@ -12,7 +12,9 @@ from typing import Dict, List
 
 from repro.analysis import figures as F
 from repro.analysis import tables as T
+from repro.core.localization import LocalizationScenario, table5_outcomes
 from repro.core.pipeline import Study
+from repro.core.sensitive import sensitive_flow_shares
 from repro.geodata.regions import Region
 
 #: the paper's headline values, used for paper-vs-measured reporting
@@ -45,9 +47,10 @@ def experiment_summary(study: Study) -> Dict[str, float]:
     maxmind = study.eu28_destination_regions("MaxMind")
     outcomes = {
         o.scenario: o
-        for o in study.localization.scenario_table(study.tracking_requests())
+        for o in table5_outcomes(study.products["localization"]["counts"])
     }
-    from repro.core.localization import LocalizationScenario as S
+    default = outcomes[LocalizationScenario.DEFAULT]
+    tld = outcomes[LocalizationScenario.REDIRECT_TLD]
 
     eu28_shares = [
         report.region_shares.get("EU 28", 0.0)
@@ -71,13 +74,13 @@ def experiment_summary(study: Study) -> Dict[str, float]:
         "f7_ipmap_na_pct": ipmap.get(Region.NORTH_AMERICA.value, 0.0),
         "f7_maxmind_eu28_pct": maxmind.get(Region.EU28.value, 0.0),
         "f7_maxmind_na_pct": maxmind.get(Region.NORTH_AMERICA.value, 0.0),
-        "t5_default_country_pct": outcomes[S.DEFAULT].country_pct,
-        "t5_default_region_pct": outcomes[S.DEFAULT].region_pct,
-        "t5_tld_country_pct": outcomes[S.REDIRECT_TLD].country_pct,
-        "t5_tld_region_pct": outcomes[S.REDIRECT_TLD].region_pct,
-        "f9_sensitive_share_pct": study.sensitive.sensitive_share_pct(
-            study.tracking_requests()
-        ),
+        "t5_default_country_pct": default.country_pct,
+        "t5_default_region_pct": default.region_pct,
+        "t5_tld_country_pct": tld.country_pct,
+        "t5_tld_region_pct": tld.region_pct,
+        "f9_sensitive_share_pct": sensitive_flow_shares(
+            study.products["sensitive"]
+        )["sensitive_share_pct"],
         "t8_eu28_min_pct": min(eu28_shares) if eu28_shares else 0.0,
         "t8_eu28_max_pct": max(eu28_shares) if eu28_shares else 0.0,
         "f4_single_domain_request_share_pct":

@@ -3,13 +3,16 @@ pipeline.Study`.
 
 Each ``tableN(study)`` returns a dict with structured values plus a
 ``"text"`` entry containing the rendered table; the benchmark harness
-prints that text so the run's output mirrors the paper's rows.
+prints that text so the run's output mirrors the paper's rows.  Tables
+5 and 6 read the engine's merged localization counts
+(:attr:`Study.products`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.localization import country_improvements, table5_outcomes
 from repro.core.pipeline import Study
 from repro.util.tables import percent, render_table
 
@@ -139,8 +142,7 @@ def table4(study: Study) -> Dict[str, Any]:
 
 def table5(study: Study) -> Dict[str, Any]:
     """Table 5 — localization improvements under the what-if scenarios."""
-    tracking = study.tracking_requests()
-    outcomes = study.localization.scenario_table(tracking)
+    outcomes = table5_outcomes(study.products["localization"]["counts"])
     baseline = outcomes[0]
     rows = []
     for outcome in outcomes:
@@ -168,8 +170,10 @@ def table5(study: Study) -> Dict[str, Any]:
 
 def table6(study: Study) -> Dict[str, Any]:
     """Table 6 — per-country improvements from mirroring / migration."""
-    tracking = study.tracking_requests()
-    rows_data = study.localization.per_country_improvements(tracking)
+    rows_data = country_improvements(
+        study.products["localization"]["counts"],
+        study.world.clouds.union_pop_countries(),
+    )
     display = study.world.registry
     rows = []
     for row in rows_data:

@@ -365,8 +365,10 @@ def _command_export(study: Study, directory: pathlib.Path) -> str:
         study.visit_log.requests, directory / "requests.jsonl"
     )
     inventory_to_json(study.inventory, directory / "tracker_ips.json")
-    sankey = study.confinement().continent_sankey(study.tracking_requests())
-    n_edges = sankey_to_csv(sankey, directory / "continent_sankey.csv")
+    n_edges = sankey_to_csv(
+        study.products["confinement"]["regions"],
+        directory / "continent_sankey.csv",
+    )
     summary_to_json(experiment_summary(study), directory / "summary.json")
     return (
         f"wrote {n_requests} requests, {len(study.inventory)} tracker IPs, "

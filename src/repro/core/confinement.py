@@ -1,16 +1,17 @@
 """Border-crossing quantification (Sect. 4).
 
-Builds the Sankey aggregations behind Figures 6, 7 and 8 from classified
-tracking flows plus a geolocation locator, and computes the headline
-confinement percentages: how much of each origin's tracking traffic
-terminates in the same country / the same region / inside EU28.
+Folds classified tracking flows into the Sankey aggregations behind
+Figures 6, 7 and 8, through a geolocation locator.  The confinement
+stage runs the folds shard by shard and merges them; the figures read
+the merged Sankeys, whose per-origin shares are the headline
+confinement percentages.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional
 
+from repro.errors import UnknownKeyError
 from repro.geodata.countries import CountryRegistry, default_registry
 from repro.geodata.regions import Region, region_of_country
 from repro.netbase.addr import IPAddress
@@ -21,7 +22,7 @@ Locator = Callable[[IPAddress], Optional[str]]
 
 
 class ConfinementAnalyzer:
-    """Flow-endpoint aggregation over one locator.
+    """One locator's per-flow destination lookup and the two Sankey folds.
 
     Destination lookups are cached per IP, so running the analyzer over
     hundreds of thousands of requests costs one geolocation per distinct
@@ -59,20 +60,6 @@ class ConfinementAnalyzer:
             sankey.add(origin.value, destination.value)
         return sankey
 
-    def destination_regions(
-        self,
-        requests: Iterable[ThirdPartyRequest],
-        origin_region: Region = Region.EU28,
-    ) -> Dict[str, float]:
-        """Destination-region shares for one origin region (Fig. 7)."""
-        sankey = self.continent_sankey(
-            r
-            for r in requests
-            if region_of_country(r.user_country, self._registry)
-            is origin_region
-        )
-        return sankey.origin_shares(origin_region.value)
-
     def country_sankey(
         self,
         requests: Iterable[ThirdPartyRequest],
@@ -94,48 +81,21 @@ class ConfinementAnalyzer:
             sankey.add(request.user_country, destination)
         return sankey
 
-    # -- headline numbers -----------------------------------------------------
-    def national_confinement(
-        self,
-        requests: Iterable[ThirdPartyRequest],
-        origin_region: Optional[Region] = Region.EU28,
-    ) -> Dict[str, float]:
-        """Per origin country: percent of flows terminating in-country."""
-        sankey = self.country_sankey(requests, origin_region)
-        return {
-            origin: sankey.confinement(origin)
-            for origin in sankey.origins()
-        }
 
-    def region_confinement(
-        self,
-        requests: Iterable[ThirdPartyRequest],
-        origin_region: Region = Region.EU28,
-    ) -> float:
-        """Percent of the region's flows terminating inside the region."""
-        shares = self.destination_regions(requests, origin_region)
-        return shares.get(origin_region.value, 0.0)
+def eu28_destination_shares(
+    sankeys: Mapping[str, Sankey], tool: str
+) -> Dict[str, float]:
+    """Fig. 7: one tool's destination-region shares of EU28 flows.
 
-    def per_region_confinement(
-        self, requests: Sequence[ThirdPartyRequest]
-    ) -> Dict[str, Tuple[float, int]]:
-        """Each origin region's confinement plus its user count.
-
-        Mirrors the Sect. 4 listing ("Africa 2.11% (22), Asia 16.39%
-        (20), ...").
-        """
-        users_by_region: Dict[str, set] = defaultdict(set)
-        for request in requests:
-            region = region_of_country(request.user_country, self._registry)
-            users_by_region[region.value].add(request.user_id)
-        sankey = self.continent_sankey(requests)
-        return {
-            region: (sankey.confinement(region), len(users))
-            for region, users in sorted(users_by_region.items())
-        }
-
-    def overall_destination_shares(
-        self, requests: Iterable[ThirdPartyRequest]
-    ) -> Dict[str, float]:
-        """Share of all flows terminating in each region (Fig. 6 right)."""
-        return self.continent_sankey(requests).destination_shares()
+    ``sankeys`` maps each geolocation tool to the continent Sankey of
+    the EU28 users' flows (the confinement product's ``eu28`` entry).
+    Raises :class:`UnknownKeyError` for a tool it does not hold.
+    """
+    try:
+        sankey = sankeys[tool]
+    except KeyError:
+        raise UnknownKeyError(
+            f"unknown geolocation tool {tool!r}; "
+            f"known tools: {', '.join(sankeys)}"
+        ) from None
+    return sankey.origin_shares(Region.EU28.value)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cloud.providers import CloudCatalog
 from repro.core.confinement import Locator
@@ -44,6 +44,20 @@ class LocalizationScenario(enum.Enum):
     POP_MIRRORING = "POP Mirroring (Cloud)"
     REDIRECT_TLD_PLUS_MIRRORING = "Redirection (TLD) + POP Mirroring (Cloud)"
     CLOUD_MIGRATION = "Migration to Cloud"
+
+
+#: Table 5's scenarios, in the paper's order; Table 6 also reads
+#: ``CLOUD_MIGRATION``
+TABLE5_SCENARIOS = (
+    LocalizationScenario.DEFAULT,
+    LocalizationScenario.REDIRECT_FQDN,
+    LocalizationScenario.REDIRECT_TLD,
+    LocalizationScenario.POP_MIRRORING,
+    LocalizationScenario.REDIRECT_TLD_PLUS_MIRRORING,
+)
+
+#: a scenario's ``(n, country_ok, region_ok)`` flow counts
+Counts = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -159,12 +173,16 @@ class LocalizationAnalyzer:
         requests: Sequence[ThirdPartyRequest],
         scenario: LocalizationScenario,
         origin_region: Region = Region.EU28,
-    ) -> Tuple[int, int, int]:
-        """Raw ``(n, country_ok, region_ok)`` counts under ``scenario``.
+    ) -> Dict[str, Counts]:
+        """Raw ``(n, country_ok, region_ok)`` counts under ``scenario``,
+        per user country of ``origin_region``, in country order.
 
         The additive form of :meth:`evaluate`: counts over disjoint flow
         subsets sum to the counts over their union, which lets the
-        runtime evaluate scenarios shard-by-shard and merge.
+        runtime evaluate scenarios shard-by-shard and merge.  Table 5's
+        rows are the sums over countries (:func:`scenario_outcome`);
+        Table 6 reads the countries one by one
+        (:func:`country_improvements`).
 
         A flow's outcome depends only on its user country, FQDN and
         server IP, and flows repeat those keys (on ``small``, 13,867
@@ -172,15 +190,12 @@ class LocalizationAnalyzer:
         region_ok)`` pair is computed once per call.
         """
         registry = self._registry
-        n = 0
-        country_ok = 0
-        region_ok = 0
+        counts: Dict[str, List[int]] = {}
         outcomes: Dict[Tuple[str, str, IPAddress], Tuple[bool, bool]] = {}
         for request in requests:
             user_country = request.user_country
             if region_of_country(user_country, registry) is not origin_region:
                 continue
-            n += 1
             key = (user_country, request.fqdn, request.ip)
             outcome = outcomes.get(key)
             if outcome is None:
@@ -193,9 +208,16 @@ class LocalizationAnalyzer:
                     ),
                 )
                 outcomes[key] = outcome
-            country_ok += outcome[0]
-            region_ok += outcome[1]
-        return n, country_ok, region_ok
+            entry = counts.get(user_country)
+            if entry is None:
+                entry = counts[user_country] = [0, 0, 0]
+            entry[0] += 1
+            entry[1] += outcome[0]
+            entry[2] += outcome[1]
+        return {
+            country: (n, country_ok, region_ok)
+            for country, (n, country_ok, region_ok) in sorted(counts.items())
+        }
 
     def evaluate(
         self,
@@ -204,97 +226,68 @@ class LocalizationAnalyzer:
         origin_region: Region = Region.EU28,
     ) -> ScenarioOutcome:
         """Confinement achievable under ``scenario`` for region flows."""
-        n, country_ok, region_ok = self.scenario_counts(
-            requests, scenario, origin_region
-        )
-        return ScenarioOutcome(
-            scenario=scenario,
-            n_flows=n,
-            country_pct=100.0 * country_ok / n if n else 0.0,
-            region_pct=100.0 * region_ok / n if n else 0.0,
+        return scenario_outcome(
+            scenario, self.scenario_counts(requests, scenario, origin_region)
         )
 
-    def scenario_table(
-        self, requests: Sequence[ThirdPartyRequest]
-    ) -> List[ScenarioOutcome]:
-        """All Table 5 rows, in the paper's order."""
-        return [
-            self.evaluate(requests, scenario)
-            for scenario in (
-                LocalizationScenario.DEFAULT,
-                LocalizationScenario.REDIRECT_FQDN,
-                LocalizationScenario.REDIRECT_TLD,
-                LocalizationScenario.POP_MIRRORING,
-                LocalizationScenario.REDIRECT_TLD_PLUS_MIRRORING,
-            )
-        ]
 
-    # -- Table 6: per-country improvements -----------------------------------
-    def per_country_improvements(
-        self,
-        requests: Sequence[ThirdPartyRequest],
-        countries: Optional[Sequence[str]] = None,
-    ) -> List[Dict[str, object]]:
-        """Per-country Table 6 rows.
+def scenario_outcome(
+    scenario: LocalizationScenario, counts: Mapping[str, Counts]
+) -> ScenarioOutcome:
+    """One scenario's confinement from its per-country counts."""
+    n = sum(entry[0] for entry in counts.values())
+    country_ok = sum(entry[1] for entry in counts.values())
+    region_ok = sum(entry[2] for entry in counts.values())
+    return ScenarioOutcome(
+        scenario=scenario,
+        n_flows=n,
+        country_pct=100.0 * country_ok / n if n else 0.0,
+        region_pct=100.0 * region_ok / n if n else 0.0,
+    )
 
-        For every EU28 origin country: sampled flows, the improvement of
-        cloud PoP mirroring over TLD redirection, and the improvement of
-        full cloud migration over TLD redirection.
-        """
-        by_country: Dict[str, List[ThirdPartyRequest]] = defaultdict(list)
-        for request in requests:
-            if (
-                region_of_country(request.user_country, self._registry)
-                is Region.EU28
-            ):
-                by_country[request.user_country].append(request)
-        selected = countries or sorted(by_country)
-        rows: List[Dict[str, object]] = []
-        for country in selected:
-            group = by_country.get(country, [])
-            if not group:
-                continue
-            outcomes = {
-                scenario: self._country_confinement(group, country, scenario)
-                for scenario in (
-                    LocalizationScenario.REDIRECT_TLD,
-                    LocalizationScenario.REDIRECT_TLD_PLUS_MIRRORING,
-                    LocalizationScenario.CLOUD_MIGRATION,
-                )
+
+def table5_outcomes(
+    counts: Mapping[str, Mapping[str, Counts]]
+) -> List[ScenarioOutcome]:
+    """Table 5's rows, in the paper's order, from per-country counts
+    keyed by scenario name (the localization product's ``counts``)."""
+    return [
+        scenario_outcome(scenario, counts[scenario.name])
+        for scenario in TABLE5_SCENARIOS
+    ]
+
+
+def country_improvements(
+    counts: Mapping[str, Mapping[str, Counts]], cloud_countries: Set[str]
+) -> List[Dict[str, object]]:
+    """Table 6's rows from per-country counts keyed by scenario name.
+
+    For every EU28 origin country: sampled flows, the improvement of
+    cloud PoP mirroring over TLD redirection, and the improvement of
+    full cloud migration over TLD redirection, each floored at zero;
+    ``cloud_coverage`` says whether a cloud has a PoP in the country.
+    Rows are ordered by migration improvement, largest first.
+    """
+    tld = counts[LocalizationScenario.REDIRECT_TLD.name]
+    mirroring = counts[LocalizationScenario.REDIRECT_TLD_PLUS_MIRRORING.name]
+    migration = counts[LocalizationScenario.CLOUD_MIGRATION.name]
+    rows: List[Dict[str, object]] = []
+    for country, (n, tld_ok, _) in tld.items():
+        base = 100.0 * tld_ok / n
+        rows.append(
+            {
+                "country": country,
+                "n_requests": n,
+                "mirroring_improvement_pct": max(
+                    0.0, 100.0 * mirroring[country][1] / n - base
+                ),
+                "migration_improvement_pct": max(
+                    0.0, 100.0 * migration[country][1] / n - base
+                ),
+                "cloud_coverage": country in cloud_countries,
             }
-            tld = outcomes[LocalizationScenario.REDIRECT_TLD]
-            rows.append(
-                {
-                    "country": country,
-                    "n_requests": len(group),
-                    "mirroring_improvement_pct": max(
-                        0.0,
-                        outcomes[
-                            LocalizationScenario.REDIRECT_TLD_PLUS_MIRRORING
-                        ]
-                        - tld,
-                    ),
-                    "migration_improvement_pct": max(
-                        0.0,
-                        outcomes[LocalizationScenario.CLOUD_MIGRATION] - tld,
-                    ),
-                    "cloud_coverage": country in self._migration_countries,
-                }
-            )
-        rows.sort(
-            key=lambda row: (-row["migration_improvement_pct"], row["country"])  # type: ignore[operator,index]
         )
-        return rows
-
-    def _country_confinement(
-        self,
-        requests: Sequence[ThirdPartyRequest],
-        country: str,
-        scenario: LocalizationScenario,
-    ) -> float:
-        ok = sum(
-            1
-            for request in requests
-            if country in self._reachable_countries(request, scenario)
-        )
-        return 100.0 * ok / len(requests) if requests else 0.0
+    rows.sort(
+        key=lambda row: (-row["migration_improvement_pct"], row["country"])  # type: ignore[operator,index]
+    )
+    return rows

@@ -12,16 +12,20 @@ The multi-stage identification funnel mirrors the paper:
    examiners agree it is relevant to a GDPR sensitive term.  We model
    each examiner as a noisy classifier over the site's true content.
 
-The study then measures, over the identified sensitive domains: the
+The study then counts, over the identified sensitive domains' flows,
+what Figs. 9–11 show (:meth:`SensitiveStudy.flow_counts`): the
 per-category flow shares (Fig. 9), the per-category destination regions
-(Fig. 10), and the per-country leakage of sensitive flows (Fig. 11).
+(Fig. 10), and the per-country leakage of sensitive flows (Fig. 11);
+:func:`sensitive_flow_shares` turns the counts into the figures'
+percentages.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.core.confinement import ConfinementAnalyzer, Locator
 from repro.errors import StateError, ValidationError
@@ -182,88 +186,90 @@ class SensitiveStudy:
         record = identified.get(request.first_party)
         return record.category if record is not None else None
 
-    def category_shares(
-        self, tracking_requests: Sequence[ThirdPartyRequest]
-    ) -> Dict[str, float]:
-        """Per-category share of sensitive tracking flows (Fig. 9)."""
-        counts: Dict[str, int] = defaultdict(int)
-        for request in self.sensitive_requests(tracking_requests):
-            category = self.category_of(request)
-            assert category is not None
-            counts[category] += 1
-        total = sum(counts.values())
-        if total == 0:
-            return {}
-        return {
-            category: 100.0 * count / total
-            for category, count in sorted(counts.items())
-        }
-
-    def sensitive_share_pct(
-        self, tracking_requests: Sequence[ThirdPartyRequest]
-    ) -> float:
-        """Sensitive flows as a share of all tracking flows (~3%)."""
-        if not tracking_requests:
-            return 0.0
-        sensitive = len(self.sensitive_requests(tracking_requests))
-        return 100.0 * sensitive / len(tracking_requests)
-
-    def category_destination_regions(
+    def flow_counts(
         self,
         tracking_requests: Sequence[ThirdPartyRequest],
         locate: Locator,
-        origin_region: Region = Region.EU28,
-    ) -> Dict[str, Dict[str, float]]:
-        """Per-category destination-region shares (Fig. 10)."""
-        analyzer = ConfinementAnalyzer(locate, self._registry)
-        per_category: Dict[str, Dict[str, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
-        for request in self.sensitive_requests(tracking_requests):
-            if (
-                region_of_country(request.user_country, self._registry)
-                is not origin_region
-            ):
-                continue
-            category = self.category_of(request)
-            assert category is not None
-            destination_country = analyzer.destination_country(request.ip)
-            destination = (
-                region_of_country(destination_country, self._registry).value
-                if destination_country is not None
-                else Region.UNKNOWN.value
-            )
-            per_category[category][destination] += 1
-        out: Dict[str, Dict[str, float]] = {}
-        for category, counts in sorted(per_category.items()):
-            total = sum(counts.values())
-            out[category] = {
-                destination: 100.0 * count / total
-                for destination, count in sorted(counts.items())
-            }
-        return out
+    ) -> Dict[str, Any]:
+        """The counts behind Figs. 9–11 over ``tracking_requests``.
 
-    def per_country_leakage(
-        self,
-        tracking_requests: Sequence[ThirdPartyRequest],
-        locate: Locator,
-    ) -> Dict[str, Tuple[int, int]]:
-        """Per EU28 country: (flows leaving the country, total flows) for
-        sensitive sites (Fig. 11)."""
-        analyzer = ConfinementAnalyzer(locate, self._registry)
-        out: Dict[str, List[int]] = defaultdict(lambda: [0, 0])
-        for request in self.sensitive_requests(tracking_requests):
+        ``n_tracking`` and ``n_sensitive`` flows; sensitive flows per
+        category; and, for EU28 users' sensitive flows, the flows per
+        (category, destination region) and per user country the
+        ``(leaving the country, total)`` pair.  Counts over disjoint
+        flow subsets sum to the counts over their union, so the
+        sensitive stage counts shard by shard and merges.
+        """
+        identified = self.identified_domains()
+        registry = self._registry
+        analyzer = ConfinementAnalyzer(locate, registry)
+        categories: Dict[str, int] = {}
+        category_regions: Dict[Tuple[str, str], int] = {}
+        leakage: Dict[str, Tuple[int, int]] = {}
+        sensitive_requests = self.sensitive_requests(tracking_requests)
+        for request in sensitive_requests:
+            category = identified[request.first_party].category
+            categories[category] = categories.get(category, 0) + 1
             if (
-                region_of_country(request.user_country, self._registry)
+                region_of_country(request.user_country, registry)
                 is not Region.EU28
             ):
                 continue
-            destination = analyzer.destination_country(request.ip)
-            entry = out[request.user_country]
-            entry[1] += 1
-            if destination != request.user_country:
-                entry[0] += 1
+            destination_country = analyzer.destination_country(request.ip)
+            destination = (
+                region_of_country(destination_country, registry).value
+                if destination_country is not None
+                else Region.UNKNOWN.value
+            )
+            key = (category, destination)
+            category_regions[key] = category_regions.get(key, 0) + 1
+            leaked, total = leakage.get(request.user_country, (0, 0))
+            leakage[request.user_country] = (
+                leaked + (destination_country != request.user_country),
+                total + 1,
+            )
         return {
-            country: (leaked, total)
-            for country, (leaked, total) in sorted(out.items())
+            "n_tracking": len(tracking_requests),
+            "n_sensitive": len(sensitive_requests),
+            "categories": categories,
+            "category_regions": category_regions,
+            "leakage": leakage,
         }
+
+
+def sensitive_flow_shares(counts: Mapping[str, Any]) -> Dict[str, Any]:
+    """Figs. 9–11's numbers from :meth:`SensitiveStudy.flow_counts`' counts.
+
+    ``sensitive_share_pct``: sensitive flows as a share of all tracking
+    flows (~3%); ``category_shares``: each category's share of the
+    sensitive flows (Fig. 9); ``category_regions``: per category, the
+    destination-region shares of EU28 users' flows (Fig. 10);
+    ``leakage``: per EU28 country, ``(flows leaving the country, total
+    flows)`` (Fig. 11).  Categories and countries are in sorted order.
+    """
+    n_tracking = counts["n_tracking"]
+    categories = counts["categories"]
+    total = sum(categories.values())
+    per_category: Dict[str, Dict[str, int]] = {}
+    for (category, destination), count in sorted(
+        counts["category_regions"].items()
+    ):
+        per_category.setdefault(category, {})[destination] = count
+    category_regions: Dict[str, Dict[str, float]] = {}
+    for category, destinations in per_category.items():
+        flows = sum(destinations.values())
+        category_regions[category] = {
+            destination: 100.0 * count / flows
+            for destination, count in destinations.items()
+        }
+    return {
+        "sensitive_share_pct": (
+            100.0 * counts["n_sensitive"] / n_tracking if n_tracking else 0.0
+        ),
+        "category_shares": {
+            category: 100.0 * count / total
+            for category, count in sorted(categories.items())
+        } if total else {},
+        "category_regions": category_regions,
+        "leakage": dict(sorted(counts["leakage"].items())),
+    }

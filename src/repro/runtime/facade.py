@@ -20,13 +20,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import WorldConfig
 from repro.core.classify import ClassificationResult
+from repro.core.confinement import eu28_destination_shares
 from repro.core.geolocate import GeolocationSuite
-from repro.core.localization import LocalizationScenario, ScenarioOutcome
+from repro.core.localization import ScenarioOutcome, table5_outcomes
 from repro.core.pipeline import Study
-from repro.core.sensitive import SensitiveStudy
+from repro.core.sensitive import SensitiveStudy, sensitive_flow_shares
 from repro.datasets.builder import cached_build_world
 from repro.errors import ExecutionError
-from repro.geodata.regions import Region
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.runtime.engine import ExecutionEngine, RunResult, StageProducts
@@ -107,49 +107,23 @@ class RuntimeRun:
         self, tool: str = "RIPE IPmap"
     ) -> Dict[str, float]:
         """Fig. 7: destination-region shares of EU28 tracking flows."""
-        sankey = self._product("confinement")["eu28"].get(tool)
-        if sankey is None:
-            raise ExecutionError(f"no confinement view for tool {tool!r}")
-        return sankey.origin_shares(Region.EU28.value)
+        return eu28_destination_shares(
+            self._product("confinement")["eu28"], tool
+        )
 
     def scenario_table(self) -> List[ScenarioOutcome]:
         """Table 5 rows from the localization stage's merged counts."""
-        counts = self._product("localization")["counts"]
-        rows = []
-        for scenario in (
-            LocalizationScenario.DEFAULT,
-            LocalizationScenario.REDIRECT_FQDN,
-            LocalizationScenario.REDIRECT_TLD,
-            LocalizationScenario.POP_MIRRORING,
-            LocalizationScenario.REDIRECT_TLD_PLUS_MIRRORING,
-        ):
-            n, country_ok, region_ok = counts[scenario.name]
-            rows.append(
-                ScenarioOutcome(
-                    scenario=scenario,
-                    n_flows=n,
-                    country_pct=100.0 * country_ok / n if n else 0.0,
-                    region_pct=100.0 * region_ok / n if n else 0.0,
-                )
-            )
-        return rows
+        return table5_outcomes(self._product("localization")["counts"])
 
     def sensitive_summary(self) -> Dict[str, Any]:
         """Sect. 6 headline numbers from the sensitive stage counts."""
         product = self._product("sensitive")
-        n_tracking = product["n_tracking"]
-        n_sensitive = product["n_sensitive"]
-        total = sum(product["categories"].values())
+        shares = sensitive_flow_shares(product)
         return {
             "n_identified_domains": len(product["identified"]),
-            "sensitive_share_pct": (
-                100.0 * n_sensitive / n_tracking if n_tracking else 0.0
-            ),
-            "category_shares": {
-                category: 100.0 * count / total
-                for category, count in sorted(product["categories"].items())
-            } if total else {},
-            "per_country_leakage": dict(sorted(product["leakage"].items())),
+            "sensitive_share_pct": shares["sensitive_share_pct"],
+            "category_shares": shares["category_shares"],
+            "per_country_leakage": shares["leakage"],
         }
 
     def isp_reports(self) -> Dict[Tuple[str, str], Any]:
@@ -203,8 +177,9 @@ class RuntimeRun:
 
         Needs a full-graph run: raises :class:`ExecutionError` naming a
         stage this run left out.  The IPmap locator answers from the
-        geolocation stage's address → country table, so tables and
-        figures read the engine's own estimates.
+        geolocation stage's address → country table, and the Sect. 4–6
+        answers read the merged confinement, localization and sensitive
+        products, so tables and figures read the engine's own numbers.
         """
         if self._study is None:
             for stage in STAGE_NAMES:
@@ -232,5 +207,9 @@ class RuntimeRun:
                     registry=world.registry,
                 ),
                 isp_reports=self.isp_reports(),
+                products={
+                    stage: self.products[stage]
+                    for stage in ("confinement", "localization", "sensitive")
+                },
             )
         return self._study

@@ -13,7 +13,8 @@ stage                     axis               shard product
 ``inventory``             tracker domains    partial :class:`TrackerIPInventory`
 ``geolocation``           IPs                address → country table
 ``confinement``           flows              Sankey count matrices
-``localization``          flows              per-scenario (n, ok, ok) counts
+``localization``          flows              per-scenario, per-country
+                                             (n, ok, ok) counts
 ``sensitive_domains``     (single shard)     identified sensitive domains
 ``sensitive``             flows              category / region / country counts
 ``ispscale``              ISPs               per-snapshot reports
@@ -49,7 +50,11 @@ from repro.core.classify import (
 )
 from repro.core.confinement import ConfinementAnalyzer
 from repro.core.ispscale import ISPScaleStudy
-from repro.core.localization import LocalizationAnalyzer, LocalizationScenario
+from repro.core.localization import (
+    TABLE5_SCENARIOS,
+    LocalizationAnalyzer,
+    LocalizationScenario,
+)
 from repro.core.sensitive import SensitiveStudy
 from repro.core.tracker_ips import TrackerIPInventory
 from repro.datasets.builder import BACKGROUND_END_DAY, World
@@ -499,15 +504,8 @@ def confinement_index(product: Any) -> Dict[str, Any]:
     )
 
 
-#: Table 5 scenario order plus the extreme migration case
-_SCENARIOS = (
-    LocalizationScenario.DEFAULT,
-    LocalizationScenario.REDIRECT_FQDN,
-    LocalizationScenario.REDIRECT_TLD,
-    LocalizationScenario.POP_MIRRORING,
-    LocalizationScenario.REDIRECT_TLD_PLUS_MIRRORING,
-    LocalizationScenario.CLOUD_MIGRATION,
-)
+#: Table 5's scenarios plus the extreme migration case Table 6 reads
+_SCENARIOS = TABLE5_SCENARIOS + (LocalizationScenario.CLOUD_MIGRATION,)
 
 
 def localization_plan(
@@ -538,22 +536,34 @@ def localization_merge(
     products: Mapping[str, Any],
     results: List[Tuple[str, Any]],
 ) -> Any:
-    counts = {scenario.name: (0, 0, 0) for scenario in _SCENARIOS}
+    counts: Dict[str, Dict[str, Tuple[int, int, int]]] = {
+        scenario.name: {} for scenario in _SCENARIOS
+    }
     for _, shard in results:
-        for name, (n, country_ok, region_ok) in shard.items():
-            base = counts[name]
-            counts[name] = (
-                base[0] + n,
-                base[1] + country_ok,
-                base[2] + region_ok,
-            )
-    return {"counts": counts}
+        for name, per_country in shard.items():
+            merged = counts[name]
+            for country, (n, country_ok, region_ok) in per_country.items():
+                base = merged.get(country, (0, 0, 0))
+                merged[country] = (
+                    base[0] + n,
+                    base[1] + country_ok,
+                    base[2] + region_ok,
+                )
+    return {
+        "counts": {
+            name: dict(sorted(per_country.items()))
+            for name, per_country in counts.items()
+        }
+    }
 
 
 def localization_index(product: Any) -> Dict[str, Any]:
     counts = product["counts"]
-    default = counts.get(LocalizationScenario.DEFAULT.name, (0, 0, 0))
-    return _records_index(scenarios=len(counts), default_flows=default[0])
+    default = counts.get(LocalizationScenario.DEFAULT.name, {})
+    return _records_index(
+        scenarios=len(counts),
+        default_flows=sum(n for n, _, _ in default.values()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -612,44 +622,9 @@ def sensitive_run(
         products["sensitive_domains"]["identified"],
         registry=world.registry,
     )
-    locate = _locator_for(world, products, "RIPE IPmap")
-    analyzer = ConfinementAnalyzer(locate, world.registry)
-    categories: Dict[str, int] = {}
-    category_regions: Dict[Tuple[str, str], int] = {}
-    leakage: Dict[str, Tuple[int, int]] = {}
-    sensitive_requests = study.sensitive_requests(subset)
-    for request in sensitive_requests:
-        category = study.category_of(request)
-        if category is None:
-            raise ExecutionError(
-                f"sensitive request {request.url!r} lost its category"
-            )
-        categories[category] = categories.get(category, 0) + 1
-        if (
-            region_of_country(request.user_country, world.registry)
-            is not Region.EU28
-        ):
-            continue
-        destination_country = analyzer.destination_country(request.ip)
-        destination = (
-            region_of_country(destination_country, world.registry).value
-            if destination_country is not None
-            else Region.UNKNOWN.value
-        )
-        key = (category, destination)
-        category_regions[key] = category_regions.get(key, 0) + 1
-        leaked, total = leakage.get(request.user_country, (0, 0))
-        leakage[request.user_country] = (
-            leaked + (1 if destination_country != request.user_country else 0),
-            total + 1,
-        )
-    return {
-        "n_tracking": len(subset),
-        "n_sensitive": len(sensitive_requests),
-        "categories": categories,
-        "category_regions": category_regions,
-        "leakage": leakage,
-    }
+    return study.flow_counts(
+        subset, _locator_for(world, products, "RIPE IPmap")
+    )
 
 
 def sensitive_merge(

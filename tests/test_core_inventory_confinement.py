@@ -5,7 +5,7 @@ import pytest
 from repro.core.confinement import ConfinementAnalyzer
 from repro.core.tracker_ips import TrackerIPInventory
 from repro.dnssim.passive import PassiveDNSDatabase
-from repro.geodata.regions import Region
+from repro.geodata.regions import Region, region_of_country
 from repro.netbase.addr import IPAddress
 from repro.web.organizations import ServiceRole
 from repro.web.requests import ThirdPartyRequest
@@ -160,7 +160,8 @@ class TestConfinementAnalyzer:
 
     def test_destination_regions_restricted_to_origin(self):
         analyzer = ConfinementAnalyzer(FakeLocator())
-        shares = analyzer.destination_regions(self._requests(), Region.EU28)
+        sankey = analyzer.continent_sankey(self._requests())
+        shares = sankey.origin_shares(Region.EU28.value)
         assert shares[Region.EU28.value] == pytest.approx(50.0)
         assert shares[Region.NORTH_AMERICA.value] == pytest.approx(50.0)
 
@@ -183,26 +184,30 @@ class TestConfinementAnalyzer:
         analyzer.continent_sankey(requests)
         assert locator.calls == 1
 
-    def test_per_region_confinement_user_counts(self):
-        analyzer = ConfinementAnalyzer(FakeLocator())
-        requests = [
-            make_request("0.0.0.2", user_country="DE", user_id=1),
-            make_request("0.0.0.2", user_country="FR", user_id=2),
-            make_request("0.0.0.3", user_country="US", user_id=3),
-        ]
-        per_region = analyzer.per_region_confinement(requests)
-        assert per_region[Region.EU28.value][1] == 2
-        assert per_region[Region.NORTH_AMERICA.value] == (100.0, 1)
+    def test_per_region_confinement_user_counts(self, small_study):
+        from repro.analysis.figures import figure6
+
+        per_region = figure6(small_study)["per_region_confinement"]
+        users = {}
+        for request in small_study.tracking_requests():
+            region = region_of_country(request.user_country).value
+            users.setdefault(region, set()).add(request.user_id)
+        regions = small_study.products["confinement"]["regions"]
+        assert per_region == {
+            region: (regions.confinement(region), len(ids))
+            for region, ids in sorted(users.items())
+        }
+        assert sum(n for _, n in per_region.values()) == len(
+            small_study.world.users
+        )
 
     def test_national_confinement(self):
         analyzer = ConfinementAnalyzer(FakeLocator())
-        national = analyzer.national_confinement(self._requests())
-        assert national["DE"] == pytest.approx(100 * 2 / 3)
-        assert national["FR"] == 0.0
+        sankey = analyzer.country_sankey(self._requests(), Region.EU28)
+        assert sankey.confinement("DE") == pytest.approx(100 * 2 / 3)
+        assert sankey.confinement("FR") == 0.0
 
     def test_study_region_confinement_matches_fig7(self, small_study):
-        analyzer = small_study.confinement()
-        tracking = small_study.tracking_requests()
-        eu = analyzer.region_confinement(tracking, Region.EU28)
+        shares = small_study.eu28_destination_regions()
         # The headline result: most EU28 flows stay inside EU28.
-        assert eu > 70.0
+        assert shares[Region.EU28.value] > 70.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.ispscale import TABLE8_REGIONS
+from repro.errors import ReproError, UnknownKeyError
 from repro.geodata.regions import Region
 
 
@@ -104,9 +105,19 @@ class TestStudyPipeline:
             > ipmap.get(Region.NORTH_AMERICA.value, 0.0)
         )
 
-    def test_confinement_unknown_tool_raises(self, small_study):
-        with pytest.raises(KeyError):
-            small_study.confinement("GeoGuesser")
+    def test_confinement_unknown_tool_raises(self, small_study, small_run):
+        for accessor in (
+            small_study.eu28_destination_regions,
+            small_run.eu28_destination_regions,
+        ):
+            with pytest.raises(UnknownKeyError) as raised:
+                accessor("GeoGuesser")
+            assert isinstance(raised.value, ReproError)
+            assert isinstance(raised.value, KeyError)
+            message = str(raised.value)
+            assert "GeoGuesser" in message
+            for tool in ("RIPE IPmap", "MaxMind", "ip-api"):
+                assert tool in message
 
 
 class TestAnalysisArtifacts:

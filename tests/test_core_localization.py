@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.analysis.tables import table5, table6
 from repro.core.localization import LocalizationScenario
 from repro.geodata.regions import Region, region_of_country
 
@@ -26,17 +27,20 @@ def tracking(small_study_module):
 def reference_counts(analyzer, requests, scenario, origin_region):
     """``scenario_counts`` flow by flow, as it was before per-key
     outcomes: every flow's reachable set computed afresh."""
-    n = country_ok = region_ok = 0
+    counts = {}
     for request in requests:
         if region_of_country(request.user_country) is not origin_region:
             continue
-        n += 1
+        n, country_ok, region_ok = counts.get(request.user_country, (0, 0, 0))
         reachable = analyzer._reachable_countries(request, scenario)
-        country_ok += request.user_country in reachable
-        region_ok += any(
-            region_of_country(c) is origin_region for c in reachable
+        counts[request.user_country] = (
+            n + 1,
+            country_ok + (request.user_country in reachable),
+            region_ok + any(
+                region_of_country(c) is origin_region for c in reachable
+            ),
         )
-    return n, country_ok, region_ok
+    return dict(sorted(counts.items()))
 
 
 class TestScenarioCounts:
@@ -50,10 +54,10 @@ class TestScenarioCounts:
         assert len(keys) < len(flows)
         for origin in (Region.EU28, Region.REST_EUROPE):
             counts = analyzer.scenario_counts(flows, scenario, origin)
-            assert counts == reference_counts(
-                analyzer, flows, scenario, origin
-            )
-            assert counts[0] > 0
+            reference = reference_counts(analyzer, flows, scenario, origin)
+            assert counts == reference
+            assert list(counts) == list(reference)
+            assert all(n > 0 for n, _, _ in counts.values())
 
 
 class TestScenarioOrdering:
@@ -85,8 +89,8 @@ class TestScenarioOrdering:
         tld = analyzer.evaluate(tracking, LocalizationScenario.REDIRECT_TLD)
         assert tld.country_pct - default.country_pct > 5.0
 
-    def test_scenario_table_order(self, analyzer, tracking):
-        outcomes = analyzer.scenario_table(tracking)
+    def test_scenario_table_order(self, small_study_module, small_run):
+        outcomes = table5(small_study_module)["outcomes"]
         assert [o.scenario for o in outcomes] == [
             LocalizationScenario.DEFAULT,
             LocalizationScenario.REDIRECT_FQDN,
@@ -95,9 +99,10 @@ class TestScenarioOrdering:
             LocalizationScenario.REDIRECT_TLD_PLUS_MIRRORING,
         ]
         assert all(o.n_flows == outcomes[0].n_flows for o in outcomes)
+        assert small_run.scenario_table() == outcomes
 
-    def test_improvement_over(self, analyzer, tracking):
-        outcomes = analyzer.scenario_table(tracking)
+    def test_improvement_over(self, small_study_module):
+        outcomes = table5(small_study_module)["outcomes"]
         d_country, d_region = outcomes[2].improvement_over(outcomes[0])
         assert d_country >= 0 and d_region >= 0
 
@@ -142,28 +147,27 @@ class TestObservedMaps:
 
 
 class TestPerCountry:
-    def test_rows_have_expected_fields(self, analyzer, tracking):
-        rows = analyzer.per_country_improvements(tracking)
+    @pytest.fixture
+    def rows(self, small_study_module):
+        return table6(small_study_module)["rows"]
+
+    def test_rows_have_expected_fields(self, rows):
         assert rows
         for row in rows:
             assert 0 <= row["mirroring_improvement_pct"] <= 100
             assert 0 <= row["migration_improvement_pct"] <= 100
             assert isinstance(row["cloud_coverage"], bool)
 
-    def test_cyprus_gains_nothing_from_migration(self, analyzer, tracking):
+    def test_cyprus_gains_nothing_from_migration(self, rows):
         """Table 6: no public cloud covers Cyprus."""
-        rows = {
-            row["country"]: row
-            for row in analyzer.per_country_improvements(tracking)
-        }
-        if "CY" in rows:
-            assert rows["CY"]["cloud_coverage"] is False
-            assert rows["CY"]["migration_improvement_pct"] == 0.0
+        by_country = {row["country"]: row for row in rows}
+        if "CY" in by_country:
+            assert by_country["CY"]["cloud_coverage"] is False
+            assert by_country["CY"]["migration_improvement_pct"] == 0.0
 
-    def test_small_covered_countries_gain_most(self, analyzer, tracking):
+    def test_small_covered_countries_gain_most(self, rows):
         """Table 6's shape: migration gains are largest where TLD
         redirection achieves least (DK/GR/RO-like countries)."""
-        rows = analyzer.per_country_improvements(tracking)
         covered = [r for r in rows if r["cloud_coverage"]]
         assert covered
         top = covered[0]

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.sensitive import ExaminerPanel, SensitiveStudy
+from repro.core.sensitive import (
+    ExaminerPanel,
+    SensitiveStudy,
+    sensitive_flow_shares,
+)
 from repro.util.rng import RngStreams
 from repro.web.publishers import SENSITIVE_CATEGORIES, Publisher
 
@@ -98,20 +102,21 @@ class TestSensitiveFunnel:
 
 
 class TestOnStudy:
-    def test_sensitive_share_in_band(self, small_study):
-        share = small_study.sensitive.sensitive_share_pct(
-            small_study.tracking_requests()
-        )
+    @pytest.fixture
+    def shares(self, small_study):
+        return sensitive_flow_shares(small_study.products["sensitive"])
+
+    def test_sensitive_share_in_band(self, shares):
+        share = shares["sensitive_share_pct"]
         # Paper: 2.89%; the small world is noisy but stays low-single-digit.
         assert 0.2 < share < 15.0
 
-    def test_category_shares_sum_to_100(self, small_study):
-        shares = small_study.sensitive.category_shares(
-            small_study.tracking_requests()
-        )
-        if shares:
-            assert sum(shares.values()) == pytest.approx(100.0)
-            assert set(shares) <= set(SENSITIVE_CATEGORIES)
+    def test_category_shares_sum_to_100(self, shares):
+        if shares["category_shares"]:
+            assert sum(shares["category_shares"].values()) == pytest.approx(
+                100.0
+            )
+            assert set(shares["category_shares"]) <= set(SENSITIVE_CATEGORIES)
 
     def test_identified_domains_mostly_truly_sensitive(self, small_study):
         publishers = {p.domain: p for p in small_study.world.publishers}
@@ -125,19 +130,13 @@ class TestOnStudy:
         )
         assert truly / len(identified) > 0.9
 
-    def test_destination_regions_per_category(self, small_study):
-        per_category = small_study.sensitive.category_destination_regions(
-            small_study.tracking_requests(),
-            small_study.geolocation.reference,
-        )
-        for shares in per_category.values():
-            assert sum(shares.values()) == pytest.approx(100.0)
+    def test_destination_regions_per_category(self, shares):
+        assert shares["category_regions"]
+        for per_destination in shares["category_regions"].values():
+            assert sum(per_destination.values()) == pytest.approx(100.0)
 
-    def test_per_country_leakage_consistent(self, small_study):
-        leakage = small_study.sensitive.per_country_leakage(
-            small_study.tracking_requests(),
-            small_study.geolocation.reference,
-        )
-        for country, (leaked, total) in leakage.items():
+    def test_per_country_leakage_consistent(self, small_study, shares):
+        assert shares["leakage"]
+        for country, (leaked, total) in shares["leakage"].items():
             assert 0 <= leaked <= total
             assert country in small_study.world.registry

@@ -92,8 +92,8 @@ class TestAnalysisRobustness:
     def test_confinement_on_empty_log(self):
         analyzer = ConfinementAnalyzer(lambda ip: "DE")
         assert analyzer.continent_sankey([]).total == 0
-        assert analyzer.national_confinement([]) == {}
-        assert analyzer.overall_destination_shares([]) == {}
+        assert analyzer.country_sankey([]).origins() == []
+        assert analyzer.continent_sankey([]).destination_shares() == {}
 
     def test_localization_on_empty_inventory(self):
         from repro.cloud.providers import CloudCatalog

@@ -5,7 +5,7 @@ Table 2 that reads them.
 panel renderer passes them in from the spec it builds the URL from, and
 any other caller's request splits its URL once, when it is built.  These
 tests hold the stored facts to the parsing functions they replace (over
-every small-world panel request, on both record paths), check that a
+every request of the small world's engine panel), check that a
 request built with renderer facts is indistinguishable from one built by
 parsing, that the hand-written constructor takes the fields in order and
 then ``facts``, that the facts follow a request through ``pickle`` — the
@@ -26,7 +26,6 @@ import pytest
 from repro.core.classify import ClassificationStage
 from repro.errors import ClassificationError
 from repro.netbase.addr import IPAddress
-from repro.runtime.facade import run_study
 from repro.web.organizations import ServiceRole
 from repro.web.requests import (
     ThirdPartyRequest,
@@ -59,27 +58,12 @@ def _parsed(url: str):
     return fqdn, tld1_of(fqdn), url_has_args(url)
 
 
-@pytest.fixture(scope="module")
-def engine_requests(small_config):
-    """The panel of the engine's sharded record path."""
-    run = run_study(small_config, workers=1, targets=("classification",))
-    return run.result.products["panel"]["requests"]
-
-
 class TestStoredFacts:
-    def test_match_the_parsers_on_every_panel_request(
-        self, small_study, engine_requests
-    ):
-        panels = {
-            "study": small_study.visit_log.requests,
-            "engine": engine_requests,
-        }
-        for path, requests in panels.items():
-            assert requests, path
-            for request in requests:
-                assert _facts(request) == _parsed(request.url), (
-                    path, request.url,
-                )
+    def test_match_the_parsers_on_every_panel_request(self, small_study):
+        requests = small_study.visit_log.requests
+        assert requests
+        for request in requests:
+            assert _facts(request) == _parsed(request.url), request.url
 
     def test_survive_pickle(self, small_study):
         names = [field.name for field in dataclasses.fields(ThirdPartyRequest)]

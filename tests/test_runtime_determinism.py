@@ -12,7 +12,9 @@ which checks that it is pure (``TestShardPurity``), and a SIGKILLed
 run resumes from the shards it stored (``TestKilledRunResumes``).  The
 read-only ``Study`` view of a run gives the run's own answers, whatever
 was asked before, and writes nothing into the world the engine shares
-across the process (``TestHydratedStudyConsistency``).
+across the process (``TestHydratedStudyConsistency``).  The merged
+confinement, localization and sensitive products equal one unsharded
+pass of their core folds (``TestMergedProductsEqualOneUnshardedPass``).
 """
 
 from __future__ import annotations
@@ -49,9 +51,12 @@ from repro import WorldConfig
 from repro.analysis.figures import figure7, figure9
 from repro.analysis.report import experiment_summary, full_report
 from repro.analysis.tables import table2, table3, table5, table8
+from repro.core.confinement import ConfinementAnalyzer
+from repro.core.localization import LocalizationScenario
 from repro.datasets.builder import build_world, cached_build_world
 from repro.dnssim.authority import FqdnService
 from repro.errors import ExecutionError
+from repro.geodata.regions import Region, region_of_country
 from repro.geoloc.probes import ProbeMesh
 from repro.obs import names as obs_names
 from repro.obs.clock import TickClock
@@ -1165,6 +1170,61 @@ class TestHydratedStudyConsistency:
             == serial_run.sensitive_summary()["category_shares"]
         )
         assert table8(study)["reports"] == serial_run.isp_reports()
+
+
+def _edges(sankey):
+    """A Sankey's ``(origin, destination) → weight`` edges in insertion
+    order: the order the figures' shares are summed in."""
+    return list(sankey._edges.items())
+
+
+class TestMergedProductsEqualOneUnshardedPass:
+    """The confinement, localization and sensitive stages count flows
+    shard by shard and merge.  Each merged product must equal one call
+    of the same core fold over all of the run's tracking flows, Sankey
+    edge order included: the tables and figures read the merged
+    products, and nothing else computes these numbers."""
+
+    def test_confinement(self, serial_run):
+        study = serial_run.study()
+        registry = study.world.registry
+        flows = study.tracking_requests()
+        eu28 = [
+            r for r in flows
+            if region_of_country(r.user_country, registry) is Region.EU28
+        ]
+        product = serial_run.products["confinement"]
+        locators = study.geolocation.locators()
+        assert list(product["eu28"]) == list(locators)
+        for tool, sankey in product["eu28"].items():
+            analyzer = ConfinementAnalyzer(locators[tool], registry)
+            assert _edges(sankey) == _edges(analyzer.continent_sankey(eu28))
+        reference = ConfinementAnalyzer(study.geolocation.reference, registry)
+        assert _edges(product["regions"]) == _edges(
+            reference.continent_sankey(flows)
+        )
+        assert _edges(product["countries"]) == _edges(
+            reference.country_sankey(flows, Region.EU28)
+        )
+
+    def test_localization(self, serial_run):
+        study = serial_run.study()
+        flows = study.tracking_requests()
+        counts = serial_run.products["localization"]["counts"]
+        assert list(counts) == [s.name for s in LocalizationScenario]
+        for scenario in LocalizationScenario:
+            unsharded = study.localization.scenario_counts(flows, scenario)
+            assert counts[scenario.name] == unsharded
+            assert list(counts[scenario.name]) == list(unsharded)
+
+    def test_sensitive(self, serial_run):
+        study = serial_run.study()
+        product = serial_run.products["sensitive"]
+        unsharded = study.sensitive.flow_counts(
+            study.tracking_requests(), study.geolocation.reference
+        )
+        assert unsharded["n_sensitive"] > 0
+        assert {key: product[key] for key in unsharded} == unsharded
 
 
 class TestLedgerIntegration:
