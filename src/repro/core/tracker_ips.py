@@ -120,28 +120,6 @@ class TrackerIPInventory:
                 behind = {tld1_of(fqdn) for fqdn in sorted(record.fqdns)}
             record.domains_behind = behind
 
-    def merge_from(self, other: "TrackerIPInventory") -> None:
-        """Fold another (partial) inventory into this one.
-
-        Used by the runtime to combine per-shard inventories built over
-        disjoint tracking-FQDN groups.  All fields fold commutatively
-        (set union, sum, logical OR, window min/max), so the merged
-        inventory is independent of shard order.
-        """
-        self._tracking_fqdns.update(other._tracking_fqdns)
-        for address in sorted(other._records):
-            theirs = other._records[address]
-            record = self._records.get(address)
-            if record is None:
-                record = TrackerIPRecord(address=address)
-                self._records[address] = record
-            record.fqdns.update(theirs.fqdns)
-            record.request_count += theirs.request_count
-            record.seen_by_panel = record.seen_by_panel or theirs.seen_by_panel
-            if theirs.first_seen is not None and theirs.last_seen is not None:
-                record.widen_window(theirs.first_seen, theirs.last_seen)
-            record.domains_behind.update(theirs.domains_behind)
-
     # -- queries ---------------------------------------------------------
     def records(self) -> List[TrackerIPRecord]:
         return [self._records[ip] for ip in sorted(self._records)]

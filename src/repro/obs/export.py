@@ -16,9 +16,9 @@ parent trace) lands on *that* track; unstamped spans land on the
 caller's default track — so a fanned-out run renders with one process
 lane per worker, and when more than one pid appears the exporter emits
 ``process_name`` metadata events naming each lane.  Events are emitted
-sorted by ``ts``, and :func:`validate_trace_events` checks
-non-decreasing timestamps **per (pid, tid) track** alongside B/E
-begin/end matching for documents produced by other tools.
+sorted by ``ts``, and :func:`validate_trace_events` checks that a
+document has the form the exporter writes, with non-decreasing
+timestamps **per (pid, tid) track**.
 
 Wall-clock origins are rebased to the earliest span start, so exported
 timestamps are small, stable offsets rather than epoch seconds.
@@ -37,8 +37,9 @@ from repro.obs.trace import Span
 #: schema marker embedded in the exported document's otherData
 TRACE_EVENTS_SCHEMA = "repro.obs/trace-events/v1"
 
-#: trace-event phases the validator accepts
-_PHASES = ("X", "B", "E", "I", "M")
+#: the trace-event phases the exporter writes, and the validator accepts:
+#: complete events and process-name metadata
+_PHASES = ("X", "M")
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -136,7 +137,7 @@ def write_trace_events(
 
 def load_trace_events(path: PathLike) -> Dict[str, Any]:
     """Load and validate a trace document written by
-    :func:`write_trace_events` (or any Chrome-trace-format producer)."""
+    :func:`write_trace_events`."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -149,30 +150,25 @@ def load_trace_events(path: PathLike) -> Dict[str, Any]:
 
 
 def validate_trace_events(payload: Any) -> None:
-    """Check a document against the Chrome trace-event format.
+    """Check a document against the form :func:`trace_document` writes.
 
     Enforced invariants: the JSON-object form with a ``traceEvents``
-    list; every event a mapping with ``ph``/``ts``; non-decreasing
+    list; every event a mapping whose phase is ``X`` (complete) or
+    ``M`` (metadata) — any other phase is unsupported; non-decreasing
     ``ts`` in emission order **per (pid, tid) track** (tracks from
     different processes interleave freely); non-negative integer
-    ``ts``/``dur``; complete (``X``) events carry ``dur``; ``B``/``E``
-    events balance per track with matching names.
+    ``ts``/``dur`` on every complete event.
     """
-    if isinstance(payload, list):
-        events = payload  # the array form is also legal Chrome trace
-    elif isinstance(payload, Mapping):
-        events = payload.get("traceEvents")
-        if not isinstance(events, list):
-            raise ObservabilityError(
-                "trace document carries no 'traceEvents' list"
-            )
-    else:
+    if not isinstance(payload, Mapping):
         raise ObservabilityError(
-            f"trace document must be an object or array, "
-            f"got {type(payload).__name__}"
+            f"trace document must be an object, got {type(payload).__name__}"
+        )
+    events = payload.get("traceEvents")
+    if not isinstance(events, list):
+        raise ObservabilityError(
+            "trace document carries no 'traceEvents' list"
         )
     last_ts: Dict[Any, int] = {}
-    open_stacks: Dict[Any, List[str]] = {}
     for position, event in enumerate(events):
         where = f"trace event #{position}"
         if not isinstance(event, Mapping):
@@ -196,34 +192,9 @@ def validate_trace_events(payload: Any) -> None:
                 f"({ts} < {last_ts[track]})"
             )
         last_ts[track] = ts
-        if phase == "X":
-            duration = event.get("dur")
-            if not isinstance(duration, int) or duration < 0:
-                raise ObservabilityError(
-                    f"{where} is a complete event without a "
-                    f"non-negative integer 'dur' (got {duration!r})"
-                )
-        elif phase == "B":
-            open_stacks.setdefault(track, []).append(
-                str(event.get("name", ""))
+        duration = event.get("dur")
+        if not isinstance(duration, int) or duration < 0:
+            raise ObservabilityError(
+                f"{where} is a complete event without a "
+                f"non-negative integer 'dur' (got {duration!r})"
             )
-        elif phase == "E":
-            stack = open_stacks.get(track, [])
-            if not stack:
-                raise ObservabilityError(
-                    f"{where}: 'E' event with no open 'B' on track {track}"
-                )
-            opened = stack.pop()
-            name = event.get("name")
-            if name is not None and str(name) != opened:
-                raise ObservabilityError(
-                    f"{where}: 'E' event name {name!r} does not match "
-                    f"open 'B' event {opened!r}"
-                )
-    unbalanced = {
-        str(track): stack for track, stack in open_stacks.items() if stack
-    }
-    if unbalanced:
-        raise ObservabilityError(
-            f"unbalanced 'B' events at end of trace: {unbalanced}"
-        )

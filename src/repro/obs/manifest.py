@@ -2,7 +2,7 @@
 
 A manifest is one JSON document answering, for a finished pipeline run:
 *what configuration ran, under which code, over which shards, producing
-how many records, with what cache behaviour, drawing from which seeds.*
+how many records, with what cache behaviour.*
 It is the auditable hand-off artifact between a run and whoever reads
 its numbers — every run keeps its manifest in memory, and ``repro run
 --trace`` writes it atomically (temp file + ``os.replace``) wherever
@@ -37,7 +37,6 @@ _TOP_FIELDS: Dict[str, type] = {
     "stages": list,
     "metrics": dict,
     "spans": list,
-    "seed_lineage": dict,
 }
 
 #: required per-stage fields and their types
@@ -82,11 +81,6 @@ def validate_manifest(payload: Mapping[str, Any]) -> None:
     for key in ("digest", "seed"):
         if key not in config:
             raise ObservabilityError(f"manifest config is missing {key!r}")
-    lineage = payload["seed_lineage"]
-    if "seed" not in lineage or "streams" not in lineage:
-        raise ObservabilityError(
-            "manifest seed_lineage must carry 'seed' and 'streams'"
-        )
     for position, stage in enumerate(payload["stages"]):
         if not isinstance(stage, Mapping):
             raise ObservabilityError(

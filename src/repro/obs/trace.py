@@ -79,12 +79,6 @@ class Tracer:
         self.spans: List[Span] = []
         self._stack: List[int] = []
 
-    @property
-    def enabled(self) -> bool:
-        """Whether this tracer records spans (:class:`NullTracer` lies
-        lower)."""
-        return True
-
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
         """Open a child span for the ``with`` scope and time it."""
@@ -120,10 +114,7 @@ class Tracer:
         return [span for span in self.spans if span.name == name]
 
     def graft(
-        self,
-        rows: List[Dict[str, Any]],
-        parent: Optional[int] = None,
-        offset: float = 0.0,
+        self, rows: List[Dict[str, Any]], parent: Optional[int] = None
     ) -> List[Span]:
         """Append spans another tracer recorded, re-parented under ours.
 
@@ -131,12 +122,11 @@ class Tracer:
         process's span tree); indices inside it are local, so parents
         are rebased onto this tracer's index space and the whole tree
         hangs off ``parent`` (an index into :attr:`spans`, or ``None``
-        for top level).  ``offset`` shifts every wall timestamp — the
-        engine passes the delta between its own clock and the worker
-        rows' origin, which also re-anchors *replayed* spans (a warm
-        run grafting the cold run's worker spans) into the current
-        run's timeline.  CPU timestamps are process-local and ship
-        unshifted; their difference is still the worker's CPU cost.
+        for top level).  Timestamps are kept as recorded: a worker
+        tracer on the system clock and a :class:`SystemClock` tracer
+        read one clock, so the grafted spans sit where they ran.  CPU
+        timestamps are process-local; their difference is still the
+        recording process's CPU cost.
         """
         if parent is not None and not 0 <= parent < len(self.spans):
             raise ObservabilityError(
@@ -169,8 +159,8 @@ class Tracer:
                 ),
                 depth=base_depth + int(row.get("depth", 0)),
                 attrs=dict(row.get("attrs") or {}),
-                wall_start=float(row.get("wall_start", 0.0)) + offset,
-                wall_end=float(row.get("wall_end", 0.0)) + offset,
+                wall_start=float(row.get("wall_start", 0.0)),
+                wall_end=float(row.get("wall_end", 0.0)),
                 cpu_start=float(row.get("cpu_start", 0.0)),
                 cpu_end=float(row.get("cpu_end", 0.0)),
                 pid=row.get("pid"),
@@ -216,10 +206,6 @@ class NullTracer(Tracer):
     def __init__(self) -> None:
         super().__init__(clock=NullClock())
 
-    @property
-    def enabled(self) -> bool:
-        return False
-
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
         # A fresh record so callers may set attrs on it; it is simply
@@ -230,10 +216,7 @@ class NullTracer(Tracer):
         return []
 
     def graft(
-        self,
-        rows: List[Dict[str, Any]],
-        parent: Optional[int] = None,
-        offset: float = 0.0,
+        self, rows: List[Dict[str, Any]], parent: Optional[int] = None
     ) -> List[Span]:
         return []
 
@@ -247,8 +230,8 @@ def spans_to_payload(spans: List[Span]) -> List[Dict[str, Any]]:
 
     Unlike :meth:`Span.to_row` (rounded durations, a *report* shape),
     this keeps the raw wall/CPU start and end readings and the pid/tid
-    stamps, which is what :meth:`Tracer.graft` needs to rebase a worker
-    tree into the parent timeline.  Parent indices stay local to the
+    stamps, which is what :meth:`Tracer.graft` needs to place a worker
+    tree in the parent timeline.  Parent indices stay local to the
     list, so the payload is self-contained.
     """
     return [

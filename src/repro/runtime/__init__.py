@@ -22,7 +22,7 @@ exploits that structure:
   together, recording spans/metrics through :mod:`repro.obs` and
   reporting per-stage wall-time / cache-hit counters;
 * :mod:`repro.runtime.provenance` — assembly of the per-run provenance
-  manifest (config digest, code salts, record counts, seed lineage);
+  manifest (config digest, code salts, record counts, spans);
 * :mod:`repro.runtime.facade` — the high-level entry point
   (:func:`run_study`); a run's :meth:`~RuntimeRun.study` is the
   read-only :class:`repro.Study` view that the tables and figures read.
@@ -55,7 +55,7 @@ from repro.runtime.engine import (
 )
 from repro.runtime.facade import RuntimeRun, run_study
 from repro.runtime.graph import StageGraph, StageSpec, partition
-from repro.runtime.provenance import build_manifest, seed_lineage
+from repro.runtime.provenance import build_manifest
 from repro.runtime.stages import STAGE_GRAPH, STAGE_NAMES
 
 __all__ = [
@@ -72,5 +72,4 @@ __all__ = [
     "config_digest",
     "partition",
     "run_study",
-    "seed_lineage",
 ]

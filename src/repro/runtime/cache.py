@@ -1,6 +1,7 @@
 """Content-addressed on-disk artifact cache.
 
-Cache keys are ``blake2b(config_digest | effective_salt | stage | shard)``
+Cache keys are
+``blake2b(layout | config_digest | effective_salt | stage | shard)``
 where the *effective salt* of a stage folds its own code salt (its
 name, the source text of its plan/run/merge/index callables and the
 digest of every definition and module they can reach), the salt of
@@ -11,9 +12,11 @@ downstream stage**, while leaving upstream artifacts valid — a re-run
 recomputes exactly N and its dependents.
 
 Artifacts are pickled per shard under ``cache_dir/<stage>/<key>.pkl``;
-each stage's index entry (its index plus its shards' observability,
+each stage's index entry (its index plus its shards' metrics snapshots,
 see :mod:`repro.runtime.engine`) under
 ``cache_dir/index/<stage>/<key>.pkl``, keyed by the stage's shard keys.
+Every key also folds the layout tag (:data:`LAYOUT`), so a file stored
+in another layout is never looked up and nothing reads one.
 Writes go through a temp file + ``os.replace`` so a crashed run never
 leaves a truncated artifact behind, and a write that fails (full disk,
 unpicklable artifact) removes its temp file before the error
@@ -53,6 +56,13 @@ _DIGEST_BYTES = 20
 
 #: subdirectory of the cache root that holds the stage index entries
 INDEX_DIR = "index"
+
+#: The layout of the stored files, folded into every key.  A shard file
+#: holds ``(artifact, metrics snapshot)``; an index entry holds
+#: ``(index, {shard key: metrics snapshot})``; no file holds spans.
+#: Change the tag when what a file holds changes: keys then change with
+#: it, so no reader ever meets a file of another layout.
+LAYOUT = "artifact+metrics"
 
 #: what a store's temp name puts between the artifact path and the
 #: writer's ``<pid>.<thread id>``
@@ -211,14 +221,14 @@ class ArtifactCache:
         return self._root
 
     def key(self, config_dig: str, salt: str, stage: str, shard_key: str) -> str:
-        return _blake(config_dig, salt, stage, shard_key)
+        return _blake(LAYOUT, config_dig, salt, stage, shard_key)
 
     def index_key(
         self, config_dig: str, salt: str, stage: str, shard_keys: Sequence[str]
     ) -> str:
         """The key of a stage's index entry: its shard cache keys in
         plan order (plus the identity a zero-shard stage still has)."""
-        return _blake(config_dig, salt, stage, INDEX_DIR, *shard_keys)
+        return _blake(LAYOUT, config_dig, salt, stage, INDEX_DIR, *shard_keys)
 
     def _path(self, stage: str, key: str, index: bool = False) -> str:
         # One directory per stage keeps listings small and makes

@@ -15,17 +15,19 @@ Index and body
 --------------
 
 Each stage's index (:attr:`StageSpec.index`) is stored in one cache
-entry with its shards' metrics snapshots and span rows, keyed by the
-stage's shard keys in plan order.  A stage whose index entry is present
-and whose shard files all exist (a ``stat``, no decode) is a hit on
-every shard: the engine replays its observability from the entry and
+entry with its shards' metrics snapshots, keyed by the stage's shard
+keys in plan order.  A stage whose index entry is present and whose
+shard files all exist (a ``stat``, no decode) is a hit on every shard:
+the engine replays its metrics from the entry, executes nothing and
 leaves its body **lazy**.  :attr:`RunResult.products` decodes a lazy
 body — shard artifacts, then ``merge`` — on first access and keeps it;
 a shard found missing or corrupt then is recomputed and stored again.
-A fully warm run therefore decodes only the bodies its caller reads,
-and editing one stage's code invalidates exactly that stage and its
-dependents, because cache keys fold the dependency chain's code salts
-(see :mod:`repro.runtime.cache`).
+A stage that misses its index entry and a lazy body share one path,
+:meth:`ExecutionEngine._load_or_execute`: load each shard, execute the
+missing ones and store them.  A fully warm run therefore decodes only
+the bodies its caller reads, and editing one stage's code invalidates
+exactly that stage and its dependents, because cache keys fold the
+dependency chain's code salts (see :mod:`repro.runtime.cache`).
 
 Observability rides along without touching determinism:
 
@@ -33,17 +35,22 @@ Observability rides along without touching determinism:
   shard-local snapshots (produced inside the executor) are folded into
   it in canonical plan order, so the merged registry is identical for
   any worker count — and cached shards replay their snapshots from the
-  cache envelope, so a warm run reports the same shard metrics as the
-  cold run that produced it;
+  shard files and index entries, so a warm run reports the same shard
+  metrics as the cold run that produced it;
 * an injected :class:`repro.obs.trace.Tracer` (default: the no-op
   :data:`~repro.obs.trace.NULL_TRACER`) records ``run`` →
   ``world:build`` / ``stage:<name>`` → ``plan`` / ``cache:probe`` /
   ``execute`` / ``merge`` spans; timing lives **only** in spans, never
   in the registry, which is what keeps registry snapshots comparable;
-* worker span trees ship home in the shard results and are **grafted**
-  under each stage's ``execute`` span with their real pid/tid tracks,
-  so a traced ``--workers N`` run exports one Chrome trace with N
-  worker process tracks stitched into the engine timeline;
+* the span tree of every shard this run executed ships home in the
+  shard result and is **grafted** under its stage's ``execute`` span
+  at its recorded timestamps, with its real pid/tid track, so a traced
+  ``--workers N`` run exports one Chrome trace with N worker process
+  tracks inside the engine timeline (workers read ``perf_counter``,
+  the clock a :class:`~repro.obs.clock.SystemClock` tracer reads).
+  The cache holds no spans: a stage replayed from it ran nothing in
+  this run and grafts nothing, and a cold run's timings stay in its
+  own trace and ledger record;
 * after the root span closes, the engine assembles a provenance
   manifest (:mod:`repro.runtime.provenance`) into
   :attr:`RunResult.manifest` and — when a cache directory is
@@ -79,42 +86,6 @@ from repro.runtime.footprint import stage_salts
 from repro.runtime.graph import StageGraph, StageSpec
 from repro.runtime.provenance import build_ledger_record, build_manifest
 from repro.runtime.stages import STAGE_GRAPH
-
-#: marker key of the cache envelope that pairs an artifact with the
-#: shard-local observability recorded while producing it: the metrics
-#: snapshot and the worker span rows
-_ENVELOPE_MARK = "__shard_envelope__"
-
-
-def _wrap_envelope(
-    artifact: Any,
-    metrics: Dict[str, Any],
-    spans: Optional[List[Dict[str, Any]]] = None,
-) -> Dict[str, Any]:
-    envelope: Dict[str, Any] = {
-        _ENVELOPE_MARK: 1,
-        "artifact": artifact,
-        "metrics": metrics,
-    }
-    if spans:
-        envelope["spans"] = spans
-    return envelope
-
-
-def _unwrap_envelope(
-    obj: Any,
-) -> Tuple[Any, Dict[str, Any], List[Dict[str, Any]]]:
-    """Split a cached object into (artifact, metrics, spans).
-
-    Artifacts written before the envelope existed load as themselves
-    with empty observability — a warm run over a legacy cache stays
-    correct, it just cannot replay shard metrics or spans.  Envelopes
-    written before spans existed replay their metrics and nothing else
-    (``.get`` fallback, same reasoning).
-    """
-    if isinstance(obj, dict) and obj.get(_ENVELOPE_MARK) == 1:
-        return obj["artifact"], obj["metrics"], obj.get("spans") or []
-    return obj, {}, []
 
 
 class StageProducts(Mapping[str, Any]):
@@ -404,73 +375,42 @@ class ExecutionEngine:
             index_key = self.cache.index_key(
                 digest, salt, name, [keys[key] for key, _ in shards]
             )
-            # Shard-local observability, keyed by shard — replayed from
-            # the index entry or the cache envelopes on hits, fresh from
-            # the executor on misses, folded below in canonical plan
-            # order.
-            snapshots: Dict[str, Dict[str, Any]] = {}
-            span_rows: Dict[str, List[Dict[str, Any]]] = {}
-            cached: Dict[str, Any] = {}
-            pending: List[Tuple[str, Any]] = []
             with tracer.span(obs_names.SPAN_CACHE_PROBE, stage=name):
                 entry = self._index_entry(name, index_key, keys)
-                if entry is not None:
-                    snapshots.update(entry["metrics"])
-                    span_rows.update(entry["spans"])
-                    metrics.cache_hits = len(shards)
-                else:
-                    for shard_key, payload in shards:
-                        hit, obj = self.cache.load(name, keys[shard_key])
-                        if hit:
-                            artifact, snapshot, rows = _unwrap_envelope(obj)
-                            cached[shard_key] = artifact
-                            snapshots[shard_key] = snapshot
-                            span_rows[shard_key] = rows
-                            metrics.cache_hits += 1
-                        else:
-                            pending.append((shard_key, payload))
-                            metrics.cache_misses += 1
+            if entry is not None:
+                # Shard-local metrics replay from the entry; the body
+                # decodes on first access, under the run registry so a
+                # corrupt shard file still counts.
+                indexes[name], snapshots = entry
+                executed = 0
 
-            with tracer.span(
-                obs_names.SPAN_EXECUTE, stage=name, shards=len(pending)
-            ) as execute_span:
-                fresh: Dict[str, Any] = {}
-                for shard_key, (
-                    artifact, snapshot, rows,
-                ) in self.executor.execute(spec, world, products, pending):
-                    fresh[shard_key] = artifact
-                    snapshots[shard_key] = snapshot
-                    span_rows[shard_key] = rows
-                    self.cache.store(
-                        name,
-                        keys[shard_key],
-                        _wrap_envelope(artifact, snapshot, rows),
-                    )
-            # Stitch the worker span trees under the execute span —
-            # plan order, each shard's tree re-anchored so its root
-            # opens at the execute span's own start (worker clocks are
-            # process-local and replayed trees carry a past run's
-            # timeline).  pid/tid stamps ride along, so the exported
-            # trace shows real worker process tracks.
-            if tracer.enabled:
-                for shard_key, _ in shards:
-                    rows = span_rows.get(shard_key) or []
-                    if not rows:
-                        continue
-                    origin = min(
-                        float(row.get("wall_start", 0.0)) for row in rows
-                    )
-                    tracer.graft(
-                        rows,
-                        parent=execute_span.index,
-                        offset=execute_span.wall_start - origin,
-                    )
+                def load_body() -> Any:
+                    with collecting(registry):
+                        artifacts, _, _ = self._load_or_execute(
+                            spec, world, products, shards, keys, NULL_TRACER
+                        )
+                        return spec.merge(world, products, artifacts)
+
+                products.defer(name, load_body)
+            else:
+                artifacts, snapshots, executed = self._load_or_execute(
+                    spec, world, products, shards, keys, tracer
+                )
+                with tracer.span(obs_names.SPAN_MERGE, stage=name):
+                    body = spec.merge(world, products, artifacts)
+                    indexes[name] = spec.index(body)
+                products.put(name, body)
+                self.cache.store(
+                    name, index_key, (indexes[name], snapshots), index=True
+                )
+            metrics.cache_misses = executed
+            metrics.cache_hits = metrics.n_shards - executed
             registry.counter(
                 obs_names.RUNTIME_SHARDS_PLANNED, stage=name
             ).inc(metrics.n_shards)
             registry.counter(
                 obs_names.RUNTIME_SHARDS_EXECUTED, stage=name
-            ).inc(len(pending))
+            ).inc(executed)
             registry.counter(
                 obs_names.RUNTIME_CACHE_HITS, stage=name
             ).inc(metrics.cache_hits)
@@ -480,44 +420,10 @@ class ExecutionEngine:
             # Fold shard snapshots in plan order — NOT completion order —
             # so the merged registry is invariant to worker count.
             for shard_key, _ in shards:
-                registry.merge(snapshots.get(shard_key, {}))
+                registry.merge(snapshots[shard_key])
             metrics.metric_keys = sorted({
-                key
-                for snapshot in snapshots.values()
-                for key in (snapshot or {})
+                key for snapshot in snapshots.values() for key in snapshot
             })
-
-            if entry is not None:
-                indexes[name] = entry["index"]
-                products.defer(name, lambda: self._load_body(
-                    spec, world, products, shards, keys, registry
-                ))
-            else:
-                # Merge in canonical plan order, mixing hits and fresh
-                # results.
-                ordered: List[Tuple[str, Any]] = [
-                    (
-                        shard_key,
-                        cached[shard_key]
-                        if shard_key in cached
-                        else fresh[shard_key],
-                    )
-                    for shard_key, _ in shards
-                ]
-                with tracer.span(obs_names.SPAN_MERGE, stage=name):
-                    body = spec.merge(world, products, ordered)
-                    indexes[name] = spec.index(body)
-                products.put(name, body)
-                self.cache.store(
-                    name,
-                    index_key,
-                    {
-                        "index": indexes[name],
-                        "metrics": snapshots,
-                        "spans": span_rows,
-                    },
-                    index=True,
-                )
             metrics.records_out = dict(indexes[name]["records"])
             stage_span.attrs.update(
                 shards=metrics.n_shards,
@@ -534,9 +440,10 @@ class ExecutionEngine:
 
     def _index_entry(
         self, name: str, index_key: str, keys: Mapping[str, str]
-    ) -> Optional[Dict[str, Any]]:
-        """The stage's index entry when the whole stage can replay from
-        it: the entry decodes and every shard file exists."""
+    ) -> Optional[Tuple[Dict[str, Any], Dict[str, Dict[str, Any]]]]:
+        """The stage's ``(index, snapshots)`` entry when the whole stage
+        can replay from it: the entry decodes and every shard file
+        exists."""
         if not self.cache.enabled or not all(
             self.cache.exists(name, key) for key in keys.values()
         ):
@@ -544,42 +451,45 @@ class ExecutionEngine:
         hit, entry = self.cache.load(name, index_key, index=True)
         return entry if hit else None
 
-    def _load_body(
+    def _load_or_execute(
         self,
         spec: StageSpec,
         world: World,
         products: StageProducts,
         shards: List[Tuple[str, Any]],
         keys: Mapping[str, str],
-        registry: MetricsRegistry,
-    ) -> Any:
-        """Decode a replayed stage's body: its shard artifacts, merged.
+        tracer: Tracer,
+    ) -> Tuple[List[Tuple[str, Any]], Dict[str, Dict[str, Any]], int]:
+        """The shards' artifacts in plan order, their metrics snapshots
+        by shard key, and how many shards executed.
 
-        A shard that went missing or corrupt since the probe is executed
-        again and stored.  The run registry collects the cache's corrupt
-        counter; the replayed snapshots already hold the shards' own
-        metrics, so a recomputed shard's snapshot is not folded twice.
+        Each shard loads from its cache file (a ``cache:probe`` span
+        with the shard count, after the stage's probe of its index
+        entry); the missing or corrupt ones execute and are stored.
+        The span tree of each executed shard is grafted under the
+        ``execute`` span at its recorded timestamps.
         """
-        artifacts: Dict[str, Any] = {}
+        # shard key -> (artifact, snapshot), what its cache file holds
+        found: Dict[str, Tuple[Any, Dict[str, Any]]] = {}
         pending: List[Tuple[str, Any]] = []
-        with collecting(registry):
+        with tracer.span(
+            obs_names.SPAN_CACHE_PROBE, stage=spec.name, shards=len(shards)
+        ):
             for shard_key, payload in shards:
-                hit, obj = self.cache.load(spec.name, keys[shard_key])
+                hit, stored = self.cache.load(spec.name, keys[shard_key])
                 if hit:
-                    artifacts[shard_key] = _unwrap_envelope(obj)[0]
+                    found[shard_key] = stored
                 else:
                     pending.append((shard_key, payload))
+        with tracer.span(
+            obs_names.SPAN_EXECUTE, stage=spec.name, shards=len(pending)
+        ) as execute_span:
             for shard_key, (artifact, snapshot, rows) in self.executor.execute(
                 spec, world, products, pending
             ):
-                artifacts[shard_key] = artifact
-                self.cache.store(
-                    spec.name,
-                    keys[shard_key],
-                    _wrap_envelope(artifact, snapshot, rows),
-                )
-            return spec.merge(
-                world,
-                products,
-                [(shard_key, artifacts[shard_key]) for shard_key, _ in shards],
-            )
+                found[shard_key] = (artifact, snapshot)
+                self.cache.store(spec.name, keys[shard_key], found[shard_key])
+                tracer.graft(rows, parent=execute_span.index)
+        artifacts = [(key, found[key][0]) for key, _ in shards]
+        snapshots = {key: found[key][1] for key, _ in shards}
+        return artifacts, snapshots, len(pending)

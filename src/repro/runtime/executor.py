@@ -29,9 +29,10 @@ result ships back as an ``(artifact, metrics_snapshot, span_rows)``
 tuple.  Because every piece is shard-local and the engine folds them in
 canonical plan order, the merged registry is byte-identical for any
 worker count — observability rides the same determinism guarantees as
-the artifacts themselves.  Span rows carry the worker's real pid/tid,
-so the engine can stitch them into the parent trace as distinct process
-tracks.
+the artifacts themselves.  Span rows carry the worker's real pid/tid
+and its system-clock timestamps, so the engine grafts them into the
+parent trace as distinct process tracks, where they ran.  The engine
+caches the artifact and the snapshot, never the span rows.
 """
 
 from __future__ import annotations

@@ -3,16 +3,7 @@
 The obs layer (:mod:`repro.obs.manifest`) defines *what* a manifest is;
 this module knows *how to fill one in* from a live
 :class:`~repro.runtime.engine.RunResult` — it is the only place where
-the stage graph, the cache salts, the seed-derivation scheme and the
-merged metrics registry meet.
-
-Seed lineage deserves a note: the runtime never draws from the world's
-root RNG directly.  Every random decision flows through named streams
-derived with :func:`repro.util.rng.derive_seed` —
-``runtime:ipmap-campaign``, ``runtime:sensitive`` and the per-shard
-``runtime:<shard_key>`` streams — so the manifest can list the exact
-child seeds a run consumed, making "which randomness produced this
-number?" answerable after the fact.
+the stage graph, the cache salts and the merged metrics registry meet.
 """
 
 from __future__ import annotations
@@ -21,22 +12,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.obs.ledger import LEDGER_SCHEMA
 from repro.obs.manifest import MANIFEST_SCHEMA
-from repro.util.rng import derive_seed
-
-#: the fixed runtime-level derivation streams (per-shard streams are
-#: appended per run, keyed on the planned shard keys)
-_FIXED_STREAMS = ("runtime:ipmap-campaign", "runtime:sensitive")
-
-
-def seed_lineage(seed: int, shard_keys: List[str]) -> Dict[str, Any]:
-    """Every derived child seed a run can draw from, by stream name."""
-    streams: Dict[str, int] = {
-        name: derive_seed(seed, name) for name in _FIXED_STREAMS
-    }
-    for shard_key in sorted(set(shard_keys)):
-        name = f"runtime:{shard_key}"
-        streams[name] = derive_seed(seed, name)
-    return {"seed": seed, "streams": streams}
 
 
 def build_manifest(
@@ -59,9 +34,7 @@ def build_manifest(
     :func:`repro.obs.manifest.validate_manifest` by construction.
     """
     stages: List[Dict[str, Any]] = []
-    all_shard_keys: List[str] = []
     for metrics in result.metrics.values():
-        all_shard_keys.extend(metrics.shard_keys)
         stages.append({
             "stage": metrics.name,
             "shards": metrics.n_shards,
@@ -87,7 +60,6 @@ def build_manifest(
         "stages": stages,
         "metrics": result.registry.to_dict(),
         "spans": result.tracer.rows(),
-        "seed_lineage": seed_lineage(result.config.seed, all_shard_keys),
     }
     if footprints:
         manifest["footprints"] = {
@@ -110,7 +82,7 @@ def build_ledger_record(
     """Assemble a run-kind ledger record from a finished run.
 
     Where the manifest is the *full* audit document of one run (spans,
-    shard keys, seed lineage), the ledger record is the *comparable*
+    shard keys), the ledger record is the *comparable*
     subset that must line up across months of runs: config digest,
     effective salts, footprint salts, the registry snapshot, and
     per-stage timings / cache counts / metric ownership.  Identity

@@ -10,7 +10,7 @@ stage                     axis               shard product
 ``panel``                 users              visits, requests, pdns pairs
 ``classification``        users              per-request stage labels; the
                                              merge adds the tracking list
-``inventory``             tracker domains    partial :class:`TrackerIPInventory`
+``inventory``             (single shard)     the :class:`TrackerIPInventory`
 ``geolocation``           IPs                address → country table
 ``confinement``           flows              Sankey count matrices
 ``localization``          flows              per-scenario, per-country
@@ -29,10 +29,10 @@ makes shard products — and therefore the merged stage products —
 independent of worker count and of execution order.
 
 Every ``plan`` reads upstream *indexes* only (record counts, each
-panel shard's request count, the tracking-flow count, the sorted
-tracking FQDNs), never an upstream body, so a warm run plans every
-stage without decoding the panel's requests.  The classification index
-also carries Table 2's counts.
+panel shard's request count, the tracking-flow count), never an
+upstream body, so a warm run plans every stage without decoding the
+panel's requests.  The classification index also carries Table 2's
+counts.
 """
 
 from __future__ import annotations
@@ -314,9 +314,8 @@ def _stats_counts(stats: StageStats) -> Dict[str, int]:
 
 
 def classification_index(product: Any) -> Dict[str, Any]:
-    """Record counts, Table 2's counts, and what the flow-axis and
-    inventory plans partition: the tracking-flow count and the sorted
-    tracking FQDNs.
+    """Record counts, Table 2's counts, and what the flow-axis plans
+    partition: the tracking-flow count.
 
     Table 2 reads only tracking flows (its list and semi-automatic
     rows partition them), so the tracking list and its labels, both in
@@ -336,7 +335,6 @@ def classification_index(product: Any) -> Dict[str, Any]:
             "total": _stats_counts(total),
         },
         "tracking_flows": len(tracking),
-        "tracking_fqdns": sorted(total.fqdns),
     }
 
 
@@ -347,33 +345,24 @@ def classification_index(product: Any) -> Dict[str, Any]:
 def inventory_plan(
     world: World, indexes: Mapping[str, Any]
 ) -> List[Tuple[str, Any]]:
-    fqdns = indexes["classification"]["tracking_fqdns"]
-    return [
-        (f"fqdns[{lo}:{hi}]", tuple(fqdns[lo:hi]))
-        for lo, hi in partition(fqdns, DEFAULT_SHARDS)
-    ]
-
-
-def _runtime_pdns(world: World, products: Mapping[str, Any]) -> PassiveDNSDatabase:
-    """The complete passive-DNS view: background + panel observations."""
-    pdns = PassiveDNSDatabase(name="runtime-pdns")
-    pdns.merge(world.pdns)
-    pdns.observe_pairs(products["panel"]["pdns_pairs"])
-    return pdns
+    # One shard: every step reads the whole passive-DNS view, which a
+    # shard would otherwise rebuild for itself.
+    return [("all", None)]
 
 
 def inventory_run(
     world: World, products: Mapping[str, Any], shard_key: str, payload: Any
 ) -> Any:
-    group = set(payload)
-    subset = [r for r in _tracking_requests(products) if r.fqdn in group]
-    pdns = _runtime_pdns(world, products)
-    partial = TrackerIPInventory()
-    partial.ingest_panel(subset)
-    partial.complete_from_pdns(pdns, _PDNS_WINDOW)
-    partial.annotate_windows(pdns)
-    partial.annotate_dedication(pdns, _PDNS_WINDOW)
-    return partial
+    # the complete passive-DNS view: background + panel observations
+    pdns = PassiveDNSDatabase(name="runtime-pdns")
+    pdns.merge(world.pdns)
+    pdns.observe_pairs(products["panel"]["pdns_pairs"])
+    inventory = TrackerIPInventory()
+    inventory.ingest_panel(_tracking_requests(products))
+    inventory.complete_from_pdns(pdns, _PDNS_WINDOW)
+    inventory.annotate_windows(pdns)
+    inventory.annotate_dedication(pdns, _PDNS_WINDOW)
+    return inventory
 
 
 def inventory_merge(
@@ -381,10 +370,7 @@ def inventory_merge(
     products: Mapping[str, Any],
     results: List[Tuple[str, Any]],
 ) -> Any:
-    merged = TrackerIPInventory()
-    for _, partial in results:
-        merged.merge_from(partial)
-    return merged
+    return results[0][1]
 
 
 def inventory_index(product: Any) -> Dict[str, Any]:

@@ -739,6 +739,13 @@ class TestPassiveDNSCounts:
             set(resolutions)
         )
 
+    def test_the_inventory_folds_the_panel_pairs_once(self, serial_run):
+        # One inventory shard builds the passive-DNS view, so a run
+        # folds each pair the panel shipped exactly once.
+        assert serial_run.registry.value(obs_names.PDNS_PAIRS_FOLDED) == len(
+            serial_run.products["panel"]["pdns_pairs"]
+        )
+
     def test_a_shard_that_resolves_nothing_creates_no_key(
         self, serial_run, resolutions
     ):
@@ -781,7 +788,7 @@ class TestObservabilityInvariance:
         self, parallel_cold_run, parallel_warm_run
     ):
         # The warm run executed zero shards, yet its registry carries
-        # the same shard-level metrics — replayed from cache envelopes.
+        # the same shard-level metrics — replayed from its index entries.
         # Only the runtime's own cache/executed counters may differ.
         def non_runtime(snapshot):
             return {
@@ -1017,7 +1024,8 @@ class TestKilledRunResumes:
     def test_a_killed_run_resumes_from_its_stored_shards(
         self, engine_config, serial_run, tmp_path
     ):
-        # SIGKILL a pooled CLI run once inventory has stored a shard:
+        # SIGKILL a pooled CLI run once geolocation, a stage of eight
+        # pooled shards, has stored a shard:
         # the rerun must hit every shard file the dead run left, execute
         # the rest, and give the serial run's answer.
         cache = str(tmp_path / "cache")
@@ -1031,9 +1039,9 @@ class TestKilledRunResumes:
         )
         try:
             deadline = time.monotonic() + 300
-            while not stored_shards(cache)["inventory"]:
+            while not stored_shards(cache)["geolocation"]:
                 assert proc.poll() is None, proc.communicate()[1]
-                assert time.monotonic() < deadline, "no inventory shard"
+                assert time.monotonic() < deadline, "no geolocation shard"
                 time.sleep(0.005)
         finally:
             os.killpg(proc.pid, signal.SIGKILL)
