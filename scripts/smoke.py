@@ -25,9 +25,10 @@ each with a ``stage:<name>`` span and record counts), that the
 reference's metrics equal the manifest's (tracing is an observer,
 never a participant), both trace exports, and worker stage spans on at
 least two pid tracks; over the same cache an in-process warm run
-executes no shard and, with ``<cache>/localization/`` removed, a
-partly warm run executes exactly localization's shards, both with the
-reference's headline.
+executes no shard, and it and its headline load no cache file outside
+``index/``; with ``<cache>/localization/`` removed, a partly warm run
+executes exactly localization's shards.  Both give the reference's
+headline.
 
 Artifacts land in ``out_dir`` (default ``build/smoke``), under
 ``run/``: the ledger (``cache/ledger.jsonl``), ``diff.json``,
@@ -50,7 +51,8 @@ from repro.errors import ReproError
 from repro.obs.export import load_trace_events
 from repro.obs.ledger import ledger_path, load_ledger
 from repro.obs.manifest import load_manifest
-from repro.runtime import run_study
+from repro.runtime import ArtifactCache, run_study
+from repro.runtime.cache import INDEX_DIR
 from repro.runtime.stages import STAGE_NAMES
 
 WORKERS = 2
@@ -216,10 +218,36 @@ def check_trace(run_dir, reference):
     )
 
 
+@contextlib.contextmanager
+def shard_loads():
+    """The shard files (``<stage>/<key>.pkl``, outside ``index/``) the
+    cache loads while the block runs."""
+    loaded = []
+    load = ArtifactCache.load
+
+    def recording(cache, stage, key, index=False):
+        if not index:
+            loaded.append(os.path.join(stage, f"{key}.pkl"))
+        return load(cache, stage, key, index)
+
+    ArtifactCache.load = recording
+    try:
+        yield loaded
+    finally:
+        ArtifactCache.load = load
+
+
 def check_partly_warm(cache, expected):
     """A warm and a partly warm in-process run over a filled cache."""
     config = WorldConfig.small()
-    warm = run_study(config, workers=WORKERS, cache_dir=cache)
+    with shard_loads() as loaded:
+        warm = run_study(config, workers=WORKERS, cache_dir=cache)
+        headline(warm)
+    check(
+        not loaded,
+        f"warm run: its headline loaded {len(loaded)} file(s) outside "
+        f"{INDEX_DIR}/, first {loaded[:1]}",
+    )
     shutil.rmtree(os.path.join(cache, MISSING_STAGE))
     partly = run_study(config, workers=WORKERS, cache_dir=cache)
     for label, run, executing in (

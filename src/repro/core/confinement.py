@@ -9,7 +9,7 @@ confinement percentages.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Optional
+from typing import Callable, Dict, Iterable, Mapping, Optional, TypeVar
 
 from repro.errors import UnknownKeyError
 from repro.geodata.countries import CountryRegistry, default_registry
@@ -19,6 +19,8 @@ from repro.util.sankey import Sankey
 from repro.web.requests import ThirdPartyRequest
 
 Locator = Callable[[IPAddress], Optional[str]]
+
+T = TypeVar("T")
 
 
 class ConfinementAnalyzer:
@@ -82,6 +84,21 @@ class ConfinementAnalyzer:
         return sankey
 
 
+def tool_entry(by_tool: Mapping[str, T], tool: str) -> T:
+    """One geolocation tool's entry of a mapping keyed by tool.
+
+    Raises :class:`UnknownKeyError`, naming the tools ``by_tool``
+    holds, for a tool it does not hold.
+    """
+    try:
+        return by_tool[tool]
+    except KeyError:
+        raise UnknownKeyError(
+            f"unknown geolocation tool {tool!r}; "
+            f"known tools: {', '.join(by_tool)}"
+        ) from None
+
+
 def eu28_destination_shares(
     sankeys: Mapping[str, Sankey], tool: str
 ) -> Dict[str, float]:
@@ -91,11 +108,4 @@ def eu28_destination_shares(
     the EU28 users' flows (the confinement product's ``eu28`` entry).
     Raises :class:`UnknownKeyError` for a tool it does not hold.
     """
-    try:
-        sankey = sankeys[tool]
-    except KeyError:
-        raise UnknownKeyError(
-            f"unknown geolocation tool {tool!r}; "
-            f"known tools: {', '.join(sankeys)}"
-        ) from None
-    return sankey.origin_shares(Region.EU28.value)
+    return tool_entry(sankeys, tool).origin_shares(Region.EU28.value)

@@ -172,15 +172,19 @@ _WORLD_MEMO: Dict[str, World] = {}
 _WORLD_MEMO_LOCK = threading.Lock()
 
 
-def cached_build_world(config: WorldConfig) -> World:
+def cached_build_world(
+    config: WorldConfig, digest: Optional[str] = None
+) -> World:
     """Build (or reuse) the world for ``config`` within this process.
 
-    Keyed on the config's content digest, so two equal-but-distinct
+    Keyed on the config's content digest (``digest``, when the caller
+    has computed it already), so two equal-but-distinct
     :class:`WorldConfig` objects share one world.  Runtime stage tasks
     treat the world as read-only (see :mod:`repro.runtime.graph`),
     which is what makes the sharing safe.
     """
-    digest = config.digest()
+    if digest is None:
+        digest = config.digest()
     with _WORLD_MEMO_LOCK:
         world = _WORLD_MEMO.get(digest)
         if world is None:

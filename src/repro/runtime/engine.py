@@ -7,7 +7,7 @@ For every stage in topological order the engine
 2. probes the **artifact cache**: first the stage's index entry, then
    each shard's content key,
 3. fans the missing shards out through the :class:`ShardExecutor`,
-4. persists fresh shard products, and
+4. persists each fresh shard product as it arrives, and
 5. **merges** hits and fresh results in canonical shard order into the
    stage's *body*, and summarizes the body into its *index*.
 
@@ -24,10 +24,11 @@ body — shard artifacts, then ``merge`` — on first access and keeps it;
 a shard found missing or corrupt then is recomputed and stored again.
 A stage that misses its index entry and a lazy body share one path,
 :meth:`ExecutionEngine._load_or_execute`: load each shard, execute the
-missing ones and store them.  A fully warm run therefore decodes only
-the bodies its caller reads, and editing one stage's code invalidates
-exactly that stage and its dependents, because cache keys fold the
-dependency chain's code salts (see :mod:`repro.runtime.cache`).
+missing ones and store each as it arrives.  A fully warm run therefore
+decodes only the bodies its caller reads (the headline accessors read
+indexes), and editing one stage's code invalidates exactly that stage
+and its dependents, because cache keys fold the dependency chain's
+code salts (see :mod:`repro.runtime.cache`).
 
 Observability rides along without touching determinism:
 
@@ -47,7 +48,8 @@ Observability rides along without touching determinism:
   at its recorded timestamps, with its real pid/tid track, so a traced
   ``--workers N`` run exports one Chrome trace with N worker process
   tracks inside the engine timeline (workers read ``perf_counter``,
-  the clock a :class:`~repro.obs.clock.SystemClock` tracer reads).
+  the clock a :class:`~repro.obs.clock.SystemClock` tracer reads; a
+  shard run inline reads the run tracer's own clock).
   The cache holds no spans: a stage replayed from it ran nothing in
   this run and grafts nothing, and a cold run's timings stay in its
   own trace and ledger record;
@@ -317,7 +319,7 @@ class ExecutionEngine:
             # and not on later ones — collecting them would make
             # otherwise-identical runs disagree on their registries.
             with tracer.span(obs_names.SPAN_WORLD_BUILD):
-                world = cached_build_world(config)
+                world = cached_build_world(config, digest)
             result.world_build_s = time.perf_counter() - build_start
             # The ambient scope makes engine-side instrumentation
             # (e.g. the cache's corrupt-artifact counter) land in
@@ -465,9 +467,11 @@ class ExecutionEngine:
 
         Each shard loads from its cache file (a ``cache:probe`` span
         with the shard count, after the stage's probe of its index
-        entry); the missing or corrupt ones execute and are stored.
-        The span tree of each executed shard is grafted under the
-        ``execute`` span at its recorded timestamps.
+        entry); the missing or corrupt ones execute, and each is stored
+        as soon as it and every shard before it are done, so a run that
+        dies mid-stage keeps them.  The span tree of each executed
+        shard is grafted under the ``execute`` span at its recorded
+        timestamps.
         """
         # shard key -> (artifact, snapshot), what its cache file holds
         found: Dict[str, Tuple[Any, Dict[str, Any]]] = {}
@@ -485,7 +489,7 @@ class ExecutionEngine:
             obs_names.SPAN_EXECUTE, stage=spec.name, shards=len(pending)
         ) as execute_span:
             for shard_key, (artifact, snapshot, rows) in self.executor.execute(
-                spec, world, products, pending
+                spec, world, products, pending, tracer.clock
             ):
                 found[shard_key] = (artifact, snapshot)
                 self.cache.store(spec.name, keys[shard_key], found[shard_key])

@@ -1,8 +1,10 @@
 """Parallel shard executor.
 
 Fans a stage's shards over ``concurrent.futures`` process workers and
-returns the shard products in canonical (plan) order, so the caller's
-merge is independent of completion order and of the worker count.
+yields the shard products in canonical (plan) order, each as soon as it
+and every shard before it are done, so the caller can store each one
+as it arrives, and its merge is independent of completion order and of
+the worker count.
 
 With more than one worker and shard, the pool is created per stage,
 after the parent has built the world and materialized the bodies of
@@ -29,10 +31,12 @@ result ships back as an ``(artifact, metrics_snapshot, span_rows)``
 tuple.  Because every piece is shard-local and the engine folds them in
 canonical plan order, the merged registry is byte-identical for any
 worker count — observability rides the same determinism guarantees as
-the artifacts themselves.  Span rows carry the worker's real pid/tid
-and its system-clock timestamps, so the engine grafts them into the
-parent trace as distinct process tracks, where they ran.  The engine
-caches the artifact and the snapshot, never the span rows.
+the artifacts themselves.  Span rows carry the recording pid/tid.  A
+shard run inline reads the clock of the engine's tracer, and a pool
+worker the system clock, the one a
+:class:`~repro.obs.clock.SystemClock` tracer reads; either way the
+engine grafts the rows into the parent trace where they ran.  The
+engine caches the artifact and the snapshot, never the span rows.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.datasets.builder import World
 from repro.errors import ExecutionError
+from repro.obs.clock import NullClock
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.trace import Tracer, spans_to_payload
 from repro.runtime.cache import collector_paused
@@ -68,19 +73,21 @@ def _instrumented_run(
     stage_name: str,
     shard_key: str,
     payload: Any,
+    clock: Optional[NullClock] = None,
 ) -> ShardResult:
     """Run one shard inside a fresh metrics collection scope and tracer.
 
     The registry and tracer are created here — per shard, per process —
     so ambient :func:`repro.obs.metrics.inc` calls inside stage code
     land in a registry that travels back with the artifact instead of
-    in global state a pool worker would silently discard.  The shard's
-    span roots at a ``stage:<name>`` span and is stamped with the
-    recording pid/tid before shipping, so the engine can graft it into
-    the parent trace as a real process track.
+    in global state a pool worker would silently discard.  The tracer
+    reads ``clock`` (default: the system clock).  The shard's span
+    roots at a ``stage:<name>`` span and is stamped with the recording
+    pid/tid before shipping, so the engine can graft it into the parent
+    trace as a real process track.
     """
     registry = MetricsRegistry()
-    tracer = Tracer()
+    tracer = Tracer(clock)
     with collecting(registry):
         with tracer.span(f"stage:{stage_name}", shard=shard_key):
             artifact = run(world, products, shard_key, payload)
@@ -155,22 +162,19 @@ class ShardExecutor:
         world: Optional[World],
         products: Mapping[str, Any],
         shards: List[Tuple[str, Any]],
-    ) -> List[Tuple[str, ShardResult]]:
-        """Run ``shards``; return ``(shard_key, (artifact, metrics,
-        spans))`` in plan order."""
-        if not shards:
-            return []
-        if self.workers == 1 or len(shards) == 1:
-            return [
-                (
-                    key,
-                    _instrumented_run(
-                        spec.run, world, products, spec.name, key, payload
-                    ),
+        clock: Optional[NullClock] = None,
+    ) -> Iterator[Tuple[str, ShardResult]]:
+        """Run ``shards``; yield ``(shard_key, (artifact, metrics,
+        spans))`` in plan order, each once it and every shard before it
+        are done.  Shards run inline read ``clock`` (default: the
+        system clock); pool workers read the system clock."""
+        if self.workers == 1 or len(shards) <= 1:
+            for key, payload in shards:
+                yield key, _instrumented_run(
+                    spec.run, world, products, spec.name, key, payload, clock
                 )
-                for key, payload in shards
-            ]
-        return self._execute_pool(spec, world, products, shards)
+        else:
+            yield from self._execute_pool(spec, world, products, shards)
 
     def _execute_pool(
         self,
@@ -178,7 +182,7 @@ class ShardExecutor:
         world: Optional[World],
         products: Mapping[str, Any],
         shards: List[Tuple[str, Any]],
-    ) -> List[Tuple[str, ShardResult]]:
+    ) -> Iterator[Tuple[str, ShardResult]]:
         # Materializes every input body in the parent before the pool
         # starts: a lazy body's decode may itself recompute a lost shard
         # through an executor, and workers then receive the decoded body
@@ -195,36 +199,36 @@ class ShardExecutor:
                 pool.submit(_run_shard, key, payload)
                 for key, payload in shards
             ]
-            return _collect(spec, shards, futures)
+            yield from _collect(spec, shards, futures)
 
 
 def _collect(
     spec: StageSpec,
     shards: List[Tuple[str, Any]],
     futures: List["Future[ShardResult]"],
-) -> List[Tuple[str, ShardResult]]:
+) -> Iterator[Tuple[str, ShardResult]]:
     """Shard results in submission (= plan) order, not completion order
-    — merge determinism depends on it.
+    (merge determinism depends on it), each yielded as soon as it is
+    done.
 
     The pool's result thread unpickles each result while this waits,
-    so the wait runs with the cyclic garbage collector paused, as a
-    cache load does: a panel body decodes into hundreds of thousands
-    of objects next to the long-lived world.  Every worker has started
-    by now, so none inherits the pause.
+    so the cyclic garbage collector stays paused from the first wait to
+    the last result, as in a cache load: a panel body decodes into
+    hundreds of thousands of objects next to the long-lived world.
+    Every worker has started by now, so none inherits the pause.
 
     A worker that dies (killed, or ``os._exit`` in a shard) breaks the
     whole pool; the run then fails with an :class:`ExecutionError`
     naming the stage and the first shard, in plan order, whose result
     was lost.
     """
-    results: List[Tuple[str, ShardResult]] = []
     with collector_paused():
         for (key, _), future in zip(shards, futures):
             try:
-                results.append((key, future.result()))
+                result = future.result()
             except BrokenProcessPool as exc:
                 raise ExecutionError(
                     f"stage {spec.name!r}: a worker process died before "
                     f"shard {key!r} finished ({exc})"
                 ) from exc
-    return results
+            yield key, result

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import WorldConfig
 from repro.core.classify import ClassificationResult
-from repro.core.confinement import eu28_destination_shares
+from repro.core.confinement import tool_entry
 from repro.core.geolocate import GeolocationSuite
 from repro.core.localization import ScenarioOutcome, table5_outcomes
 from repro.core.pipeline import Study
@@ -81,6 +81,12 @@ class RuntimeRun:
         self._require(stage)
         return self.products[stage]
 
+    def _index(self, stage: str) -> Dict[str, Any]:
+        """One stage's index, or raise if it was not run; no body
+        decodes."""
+        self._require(stage)
+        return self.result.indexes[stage]
+
     def _require(self, stage: str) -> None:
         if stage not in self.products:
             raise ExecutionError(
@@ -96,31 +102,30 @@ class RuntimeRun:
             stages=self._product("classification")["stages"],
         )
 
+    # Table 2, Fig. 7, Table 5 and Sect. 6 read stage indexes, so a warm
+    # run answers them without decoding a body.
     def table2_counts(self) -> Dict[str, Dict[str, int]]:
-        """Table 2's classification aggregates as plain counts, read
-        from the classification index (no body decodes)."""
-        self._require("classification")
-        table2 = self.result.indexes["classification"]["table2"]
+        """Table 2's classification aggregates as plain counts."""
+        table2 = self._index("classification")["table2"]
         return {row: dict(counts) for row, counts in table2.items()}
 
     def eu28_destination_regions(
         self, tool: str = "RIPE IPmap"
     ) -> Dict[str, float]:
         """Fig. 7: destination-region shares of EU28 tracking flows."""
-        return eu28_destination_shares(
-            self._product("confinement")["eu28"], tool
-        )
+        shares = self._index("confinement")["eu28_shares"]
+        return dict(tool_entry(shares, tool))
 
     def scenario_table(self) -> List[ScenarioOutcome]:
         """Table 5 rows from the localization stage's merged counts."""
-        return table5_outcomes(self._product("localization")["counts"])
+        return table5_outcomes(self._index("localization")["counts"])
 
     def sensitive_summary(self) -> Dict[str, Any]:
         """Sect. 6 headline numbers from the sensitive stage counts."""
-        product = self._product("sensitive")
-        shares = sensitive_flow_shares(product)
+        shares = sensitive_flow_shares(self._index("sensitive")["flow_counts"])
+        identified = self._index("sensitive_domains")["records"]
         return {
-            "n_identified_domains": len(product["identified"]),
+            "n_identified_domains": identified["identified_domains"],
             "sensitive_share_pct": shares["sensitive_share_pct"],
             "category_shares": shares["category_shares"],
             "per_country_leakage": shares["leakage"],

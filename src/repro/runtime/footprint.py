@@ -29,6 +29,7 @@ runs after that code is edited on disk.
 from __future__ import annotations
 
 import ast
+import functools
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,9 +89,15 @@ def _memoized(key: Tuple[Any, ...], compute: Callable[[], Any]) -> Any:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def default_root() -> Path:
-    """The installed ``repro`` package tree (…/src/repro)."""
+    """The installed ``repro`` package tree (…/src/repro), resolved once
+    per process."""
     return Path(__file__).resolve().parents[1]
+
+
+def _resolved(root: Optional[Path]) -> Path:
+    return default_root() if root is None else root.resolve()
 
 
 def _first_party(root: Path, module: str) -> bool:
@@ -243,7 +250,7 @@ def footprint(
 ) -> Optional[Footprint]:
     """The footprint of ``(module, qualname)`` seeds; ``None`` when no
     seed's module lies under ``root``."""
-    resolved = (root or default_root()).resolve()
+    resolved = _resolved(root)
     by_module: Dict[str, Set[str]] = {}
     for module, qualname in seeds:
         if _first_party(resolved, module):
@@ -277,7 +284,7 @@ def footprint(
 def world_footprint(root: Optional[Path] = None) -> Optional[Footprint]:
     """The closure of the module that builds the world (``None`` for a
     root that is not a ``repro`` tree)."""
-    resolved = (root or default_root()).resolve()
+    resolved = _resolved(root)
     if not _first_party(resolved, WORLD_MODULE):
         return None
     return _footprint(resolved, set(), set(), {WORLD_MODULE})
@@ -313,7 +320,7 @@ def stage_salts(graph: Any, root: Optional[Path] = None) -> Salts:
     world's.  Every engine over the same graph shares them, so both are
     read-only views.
     """
-    resolved = (root or default_root()).resolve()
+    resolved = _resolved(root)
 
     def compute() -> Salts:
         if WORLD in graph:

@@ -31,8 +31,10 @@ independent of worker count and of execution order.
 Every ``plan`` reads upstream *indexes* only (record counts, each
 panel shard's request count, the tracking-flow count), never an
 upstream body, so a warm run plans every stage without decoding the
-panel's requests.  The classification index also carries Table 2's
-counts.
+panel's requests.  Indexes also carry the headline counts, as plain
+data: the classification index Table 2's, the confinement index each
+tool's Fig. 7 shares, the localization index the counts behind Tables
+5 and 6, and the sensitive index those behind Sect. 6.
 """
 
 from __future__ import annotations
@@ -48,7 +50,10 @@ from repro.core.classify import (
     RequestClassifier,
     StageStats,
 )
-from repro.core.confinement import ConfinementAnalyzer
+from repro.core.confinement import (
+    ConfinementAnalyzer,
+    eu28_destination_shares,
+)
 from repro.core.ispscale import ISPScaleStudy
 from repro.core.localization import (
     TABLE5_SCENARIOS,
@@ -484,10 +489,16 @@ def confinement_merge(
 
 
 def confinement_index(product: Any) -> Dict[str, Any]:
-    return _records_index(
+    """Record counts, and each tool's Fig. 7 shares as plain data."""
+    index = _records_index(
         region_flows=int(product["regions"].total),
         eu28_country_flows=int(product["countries"].total),
     )
+    index["eu28_shares"] = {
+        tool: eu28_destination_shares(product["eu28"], tool)
+        for tool in product["eu28"]
+    }
+    return index
 
 
 #: Table 5's scenarios plus the extreme migration case Table 6 reads
@@ -544,12 +555,18 @@ def localization_merge(
 
 
 def localization_index(product: Any) -> Dict[str, Any]:
+    """Record counts, and the per-scenario, per-country counts behind
+    Tables 5 and 6."""
     counts = product["counts"]
     default = counts.get(LocalizationScenario.DEFAULT.name, {})
-    return _records_index(
+    index = _records_index(
         scenarios=len(counts),
         default_flows=sum(n for n, _, _ in default.values()),
     )
+    index["counts"] = {
+        name: dict(per_country) for name, per_country in counts.items()
+    }
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +661,20 @@ def sensitive_merge(
 
 
 def sensitive_index(product: Any) -> Dict[str, Any]:
-    return _records_index(
+    """Record counts, and the flow counts behind Sect. 6 (what
+    :func:`sensitive_flow_shares` reads)."""
+    index = _records_index(
         tracking_flows=product["n_tracking"],
         sensitive_flows=product["n_sensitive"],
     )
+    index["flow_counts"] = {
+        "n_tracking": product["n_tracking"],
+        "n_sensitive": product["n_sensitive"],
+        "categories": dict(product["categories"]),
+        "category_regions": dict(product["category_regions"]),
+        "leakage": dict(product["leakage"]),
+    }
+    return index
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ class TestSameSeed:
         for world in twin_worlds:
             # each run over its own twin, not the process-wide world
             monkeypatch.setattr(
-                engine_module, "cached_build_world", lambda config: world
+                engine_module, "cached_build_world",
+                lambda config, digest: world,
             )
             runs.append(run_study(world.config, targets=("inventory",)))
         run_a, run_b = (run.products for run in runs)

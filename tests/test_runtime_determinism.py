@@ -8,8 +8,10 @@ cache.  Three full engine runs over ``WorldConfig.small()`` are shared
 module-wide; every comparison below is exact equality, no tolerances.
 The pool path gives the same answers under every start method and with
 two pooled runs at once.  Every shard is also run once under watch,
-which checks that it is pure (``TestShardPurity``), and a SIGKILLed
-run resumes from the shards it stored (``TestKilledRunResumes``).  The
+which checks that it is pure (``TestShardPurity``), a stage that fails
+keeps the shards finished before the failure
+(``TestFinishedShardsAreStored``), and a SIGKILLed run resumes from
+the shards it stored (``TestKilledRunResumes``).  The
 read-only ``Study`` view of a run gives the run's own answers, whatever
 was asked before, and writes nothing into the world the engine shares
 across the process (``TestHydratedStudyConsistency``).  The merged
@@ -51,11 +53,15 @@ from repro import WorldConfig
 from repro.analysis.figures import figure7, figure9
 from repro.analysis.report import experiment_summary, full_report
 from repro.analysis.tables import table2, table3, table5, table8
-from repro.core.confinement import ConfinementAnalyzer
-from repro.core.localization import LocalizationScenario
+from repro.core.confinement import (
+    ConfinementAnalyzer,
+    eu28_destination_shares,
+)
+from repro.core.localization import LocalizationScenario, table5_outcomes
+from repro.core.sensitive import sensitive_flow_shares
 from repro.datasets.builder import build_world, cached_build_world
 from repro.dnssim.authority import FqdnService
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, UnknownKeyError
 from repro.geodata.regions import Region, region_of_country
 from repro.geoloc.probes import ProbeMesh
 from repro.obs import names as obs_names
@@ -63,7 +69,7 @@ from repro.obs.clock import TickClock
 from repro.obs.manifest import validate_manifest
 from repro.obs.trace import Tracer
 from repro.runtime import run_study
-from repro.runtime.cache import collector_paused
+from repro.runtime.cache import ArtifactCache, collector_paused
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.executor import _instrumented_run
 from repro.runtime.graph import StageGraph, StageSpec
@@ -634,7 +640,7 @@ def check_toy(run, pickled_world, tmp_path, monkeypatch) -> None:
     graph = toy_graph(run, [str(tmp_path / f"toy{i}") for i in range(3)])
     monkeypatch.setattr(
         engine_module, "cached_build_world",
-        lambda config: pickle.loads(pickled_world),
+        lambda config, digest: pickle.loads(pickled_world),
     )
     serial = ExecutionEngine(workers=1, graph=graph).run(WorldConfig.small())
     check_shard_purity(
@@ -832,6 +838,26 @@ class TestObservabilityInvariance:
             # opens at or after its parent and closes before it.
             assert span["wall_s"] >= 0
 
+    def test_inline_shard_spans_read_the_run_tracers_clock(
+        self, engine_config, traced_run
+    ):
+        # Inline shards read the run tracer's TickClock, so each shard
+        # span lies inside its stage's execute span and a second traced
+        # run records the same rows.
+        spans = traced_run.result.tracer.spans
+        shards = [span for span in spans if "shard" in span.attrs]
+        assert len(shards) == sum(
+            stage.n_shards for stage in traced_run.result.metrics.values()
+        )
+        for shard in shards:
+            execute = spans[shard.parent]
+            assert execute.name == "execute"
+            assert execute.attrs["stage"] == shard.name[len("stage:"):]
+            assert execute.wall_start < shard.wall_start
+            assert shard.wall_end < execute.wall_end
+        again = run_study(engine_config, workers=1, tracer=Tracer(TickClock()))
+        assert again.result.tracer.rows() == traced_run.result.tracer.rows()
+
     def test_untraced_run_records_nothing(self, serial_run):
         assert serial_run.trace_report() == "(tracing disabled)"
         assert serial_run.result.tracer.rows() == []
@@ -939,8 +965,7 @@ class TestWarmBodiesDecodeOnDemand:
     def test_fully_warm_headline_decodes_no_large_body(
         self, engine_config, replay_dir, parallel_cold_run, monkeypatch
     ):
-        # Table 2 reads the classification index; Fig. 7, Sect. 6 and
-        # Table 5 decode only their own small bodies.
+        # Table 2, Fig. 7, Sect. 6 and Table 5 read stage indexes.
         decoded = decoded_dirs(monkeypatch, replay_dir)
         run = run_study(engine_config, workers=1, cache_dir=replay_dir)
         run.table2_counts()
@@ -951,6 +976,45 @@ class TestWarmBodiesDecodeOnDemand:
         assert run.cache_hits == parallel_cold_run.cache_misses
         assert run.cache_misses == 0
         assert decoded and not LARGE_BODIES & set(decoded)
+
+    def test_a_warm_headline_loads_only_index_entries(
+        self, engine_config, replay_dir, parallel_cold_run, monkeypatch
+    ):
+        # A fully warm run and every headline accessor open the nine
+        # index entries and no shard file, and answer what the cold
+        # run's bodies give.
+        loads = []
+        load = ArtifactCache.load
+
+        def counted_load(cache, stage, key, index=False):
+            loads.append((stage, index))
+            return load(cache, stage, key, index)
+
+        monkeypatch.setattr(ArtifactCache, "load", counted_load)
+        run = run_study(engine_config, workers=1, cache_dir=replay_dir)
+        bodies = parallel_cold_run.products
+        assert run.table2_counts() == parallel_cold_run.table2_counts()
+        for tool in ("RIPE IPmap", "MaxMind", "ip-api"):
+            assert run.eu28_destination_regions(tool) == (
+                eu28_destination_shares(bodies["confinement"]["eu28"], tool)
+            )
+        assert run.scenario_table() == table5_outcomes(
+            bodies["localization"]["counts"]
+        )
+        summary = run.sensitive_summary()
+        shares = sensitive_flow_shares(bodies["sensitive"])
+        assert summary == {
+            "n_identified_domains": len(bodies["sensitive"]["identified"]),
+            "sensitive_share_pct": shares["sensitive_share_pct"],
+            "category_shares": shares["category_shares"],
+            "per_country_leakage": shares["leakage"],
+        }
+        with pytest.raises(UnknownKeyError):
+            run.eu28_destination_regions("GeoGuesser")
+        assert run.cache_misses == 0
+        assert sorted(loads) == sorted(
+            (stage, True) for stage in STAGE_NAMES
+        )
 
     def test_every_body_matches_the_cold_run(
         self, engine_config, replay_dir, parallel_cold_run
@@ -1018,6 +1082,36 @@ def stored_shards(cache_root):
         ) if os.path.isdir(os.path.join(cache_root, stage)) else 0
         for stage in STAGE_NAMES
     }
+
+
+def _toy_fails_on_payload(world, products, shard_key, payload):
+    if payload == "fail":
+        raise RuntimeError(f"toy shard {shard_key} failed")
+    return shard_key
+
+
+class TestFinishedShardsAreStored:
+    def test_a_failed_stage_keeps_the_shards_before_the_failure(
+        self, engine_config, tmp_path
+    ):
+        # Each shard is stored once it and the shards before it are
+        # done, so the two that finished before the third raised are on
+        # disk, and the rerun hits them.  The payload is not in a
+        # shard's key, so both graphs key their shards alike.
+        cache = str(tmp_path / "cache")
+        failing = toy_graph(_toy_fails_on_payload, ["ok", "ok", "fail", "ok"])
+        with pytest.raises(RuntimeError, match=r"toy\[2\] failed"):
+            ExecutionEngine(workers=1, cache_dir=cache, graph=failing).run(
+                engine_config
+            )
+        assert len(list(Path(cache, "toy").glob("*.pkl"))) == 2
+        passing = toy_graph(_toy_fails_on_payload, ["ok"] * 4)
+        rerun = ExecutionEngine(workers=1, cache_dir=cache, graph=passing).run(
+            engine_config
+        )
+        stage = rerun.metrics["toy"]
+        assert (stage.cache_hits, stage.cache_misses) == (2, 2)
+        assert rerun.products["toy"] == [f"toy[{i}]" for i in range(4)]
 
 
 class TestKilledRunResumes:

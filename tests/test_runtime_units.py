@@ -352,7 +352,7 @@ class TestExecutorValidation:
             ShardExecutor(0)
 
     def test_empty_shard_list(self):
-        assert ShardExecutor(2).execute(_spec("a"), None, {}, []) == []
+        assert list(ShardExecutor(2).execute(_spec("a"), None, {}, [])) == []
 
 
 def _collector_state():
@@ -421,7 +421,11 @@ class TestExecutorPool:
     def test_worker_death_names_stage_and_shard(self):
         shards = [("s0", "die"), ("s1", "live")]
         with pytest.raises(ExecutionError) as excinfo:
-            ShardExecutor(2).execute(self._graph()["doomed"], None, {}, shards)
+            list(
+                ShardExecutor(2).execute(
+                    self._graph()["doomed"], None, {}, shards
+                )
+            )
         message = str(excinfo.value)
         assert "'doomed'" in message and "'s0'" in message
 
